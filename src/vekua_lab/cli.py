@@ -21,6 +21,7 @@ from .harness import (
     IDENTITIES,
     SuiteConfig,
     convergence_study,
+    default_seed,
     run_identity,
     run_suite,
 )
@@ -129,8 +130,7 @@ def _cmd_dtn(args):
         form = DtnForm.conductivity(profile)
     else:
         form = DtnForm.schrodinger(profile)
-    seed = int(os.environ.get("VEKUA_LAB_SEED", "2024"))
-    traces = _trace_basis(grid, args.basis_size, seed)
+    traces = _trace_basis(grid, args.basis_size, default_seed())
     matrix = form.matrix(traces)
     sym = float(np.max(np.abs(matrix - matrix.T)) / (np.max(np.abs(matrix)) + 1e-300))
     out_dir = args.out or "."

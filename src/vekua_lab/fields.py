@@ -13,8 +13,6 @@ shape, so results do not depend on any worker parallelism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
@@ -181,12 +179,6 @@ class MultivectorField:
             vals[..., mask] = arr
         return cls(grid, vals, n)
 
-    @classmethod
-    def from_function(cls, grid, fn, n=None):
-        """fn maps a coordinate array (*res, ndim) to coefficients (*res, 2^n)."""
-        n = grid.ndim if n is None else n
-        return cls(grid, fn(grid.coords()), n)
-
     # -- algebra, nodewise ---------------------------------------------------
 
     def _check(self, other):
@@ -250,10 +242,6 @@ class MultivectorField:
         vals = self.values if region is None else self.values[region]
         return float(np.max(np.abs(vals)))
 
-    def coefficient_norm(self):
-        """Nodewise max-abs over blades, shape *resolution."""
-        return np.max(np.abs(self.values), axis=-1)
-
 
 # -- differential operators ---------------------------------------------------
 
@@ -266,14 +254,6 @@ def _second_derivative(values, h, axis):
     out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h**2
     out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h**2
     return np.moveaxis(out, 0, axis)
-
-
-def partial_derivative(field: MultivectorField, axis):
-    """Second-order partial derivative of every blade along one axis."""
-    if field.grid.resolution[axis] < 3:
-        raise ValueError("grid too small for the difference stencil")
-    vals = np.gradient(field.values, field.grid.spacing[axis], axis=axis, edge_order=2)
-    return MultivectorField(field.grid, vals, field.n)
 
 
 def dirac_D(w: MultivectorField, side="left") -> MultivectorField:
@@ -356,14 +336,6 @@ def sc_norm(u: MultivectorField) -> float:
 # -- boundary quadrature -------------------------------------------------------
 
 
-@dataclass
-class BoundarySample:
-    position: np.ndarray
-    normal: np.ndarray
-    weight: float
-    face: int
-
-
 class BoundaryQuadrature:
     """Midpoint-rule samples over the 2n faces of a box."""
 
@@ -376,12 +348,6 @@ class BoundaryQuadrature:
 
     def __len__(self):
         return self.positions.shape[0]
-
-    def __iter__(self):
-        for k in range(len(self)):
-            yield BoundarySample(
-                self.positions[k], self.normals[k], float(self.weights[k]), int(self.faces[k])
-            )
 
     @property
     def total_weight(self):

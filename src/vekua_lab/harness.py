@@ -1,90 +1,75 @@
 """Verification harness: runs every supported integral identity end to end,
 measures convergence under refinement, and emits machine-readable reports.
 
-Each identity check assembles its left-hand side from the module
-operations (stencil operators, singular quadrature, weak DtN pairings),
-compares against the identity's interior/exterior branches, and records
-per-point residuals, per-resolution errors and measured orders.  Interior
-errors are relative to the largest interior target magnitude; exterior
-magnitudes are normalized by the same scale, so "exterior 5%" means five
-percent of the interior signal.
+Each identity check is data for one case x level runner: for every case x
+level it yields a reconstruction (values and targets at an evaluation set
+with interior flags) or one scalar residual, and it names its gates
+(predicates over the rows and extras) and its extras.  The runner builds
+the rows, per-point residuals and refinement orders and sets `passed`.
+Interior errors are relative to the largest interior target magnitude;
+exterior magnitudes are normalized by the same scale, so "exterior 5%"
+means five percent of the interior signal.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .clifford import gp_array, vector_to_array
+from .clifford import conj_array, gp_array, vector_to_array
 from .fields import (
-    BoxGrid,
-    MultivectorField,
-    boundary_sampling,
-    bump_scalar,
-    cell_average,
-    dirac_D,
-    interior_slices,
-    laplacian,
-    sc_norm,
-    scalar_gradient,
-    trilinear_sample,
-    vector_divergence,
+    BoxGrid, MultivectorField, boundary_sampling, bump_scalar, cell_average, dirac_D,
+    interior_slices, laplacian, sc_norm, scalar_gradient, trilinear_sample, vector_divergence,
 )
 from .integral_ops import (
-    EvaluationSet,
-    borel_pompeiu_residual,
-    cauchy_boundary,
-    scalar_volume_potential,
-    s_alpha,
-    teodorescu,
-    teodorescu_on_dual_grid,
-    vector_volume_potential,
+    EvaluationSet, borel_pompeiu_residual, cauchy_boundary, scalar_volume_potential, s_alpha,
+    teodorescu, teodorescu_on_dual_grid, vector_volume_potential,
 )
 from .kernels import (
-    KernelSpec,
-    cauchy_E_components,
-    fundamental_cauchy_residual,
-    newton_N_components,
-    vekua_phi_adjoint_residual,
-    yukawa_delta_flux,
-    yukawa_theta_components,
+    KernelSpec, cauchy_E_components, fundamental_cauchy_residual, newton_N_components,
+    vekua_phi_adjoint_residual, yukawa_delta_flux, yukawa_theta_components,
 )
-from .pde import (
-    DtnForm,
-    SOLVER_RTOL,
-    dtn_relation_residual,
-    solve_conductivity,
-    solve_schrodinger,
-)
+from .pde import DtnForm, SOLVER_RTOL, dtn_relation_residual, solve_conductivity, solve_schrodinger
 from .vekua import (
-    ConductivityProfile,
-    ExponentialVekuaSolution,
-    beltrami_residual,
-    beltrami_transform,
-    construct_bivector_part,
-    hodge_orthogonality,
-    make_profile,
-    vekua_residual,
+    ConductivityProfile, ExponentialVekuaSolution, beltrami_residual, beltrami_transform,
+    construct_bivector_part, hodge_orthogonality, make_profile, vekua_residual,
 )
 
 DEFAULT_SEED = 2024
 
 
+def _env_int(name, default, minimum=None):
+    """Integer value of an environment variable; unset or empty gives the default."""
+    raw = os.environ.get(name)
+    if not raw:
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
 def default_seed():
-    raw = os.environ.get("VEKUA_LAB_SEED")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return DEFAULT_SEED
+    """VEKUA_LAB_SEED, or DEFAULT_SEED when it is unset."""
+    return _env_int("VEKUA_LAB_SEED", DEFAULT_SEED)
+
+
+def thread_cap():
+    """VEKUA_LAB_THREADS (at least 1), or None when it is unset."""
+    return _env_int("VEKUA_LAB_THREADS", None, minimum=1)
 
 
 @dataclass
@@ -115,9 +100,7 @@ class SuiteConfig:
 
     @classmethod
     def defaults(cls, identity, **overrides):
-        base = dict(DEFAULT_TOLERANCES.get(identity, {}))
-        base.update(overrides)
-        return cls(identity=identity, **base)
+        return cls(identity=identity, **{**DEFAULT_TOLERANCES.get(identity, {}), **overrides})
 
     @classmethod
     def from_json(cls, path, identity=None):
@@ -184,84 +167,40 @@ class CheckReport:
     def write_convergence_csv(self, path):
         with open(path, "w") as fh:
             fh.write("case,level,h,interior_error,order\n")
-            by_case = {}
-            for row in self.rows:
-                by_case.setdefault(row["case"], []).append(row)
-            for case, rows in by_case.items():
-                orders = self.orders.get(case, [])
-                for k, row in enumerate(rows):
-                    order = orders[k - 1] if 0 < k <= len(orders) else ""
-                    fh.write(
-                        f"{case},{row['level']},{row.get('h', '')},"
-                        f"{row['interior_error']:.6e},{order}\n"
-                    )
+            for row in convergence_table(self):
+                order = "" if row["order"] is None else row["order"]
+                fh.write(f"{row['case']},{row['level']},{row['h']},{row['error']:.6e},{order}\n")
 
 
-def _orders(errors):
-    floor = 1e-14
-    return [
-        math.log2(max(a, floor) / max(b, floor)) for a, b in zip(errors, errors[1:])
-    ]
+def convergence_table(report: CheckReport):
+    """(case, level, h, error, order) rows grouped by case; the order of a row
+    is measured against the previous level of its case."""
+    by_case = {}
+    for row in report.rows:
+        by_case.setdefault(row["case"], []).append(row)
+    return [{"case": case, "level": row["level"], "h": row["h"], "error": row["interior_error"],
+             "order": report.orders[case][k - 1] if k and case in report.orders else None}
+            for case, rows in by_case.items() for k, row in enumerate(rows)]
+
+
+def _orders(errors, floor=1e-14):
+    return [math.log2(max(a, floor) / max(b, floor)) for a, b in zip(errors, errors[1:])]
 
 
 def _ratio_ok(errors, required, floor=1e-12):
     """Refinement ratios, treating already-converged (rounding floor) levels as passing."""
-    for a, b in zip(errors, errors[1:]):
-        if b <= floor:
-            continue
-        if a / b < required:
-            return False
-    return True
-
-
-def _recon_stats(values, targets, is_interior):
-    """Interior relative and exterior normalized errors of a reconstruction."""
-    values = np.asarray(values, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    scale = float(np.max(np.abs(targets[is_interior]))) or 1.0
-    err = np.abs(values - targets) / scale
-    return {
-        "interior_error": float(np.max(err[is_interior])),
-        "interior_l2": float(np.sqrt(np.mean(err[is_interior] ** 2))),
-        "exterior_error": float(np.max(err[~is_interior])) if np.any(~is_interior) else 0.0,
-        "scale": scale,
-        "pointwise": err,
-    }
-
-
-def _point_rows(case, level, pts: EvaluationSet, residuals):
-    rows = []
-    for k in range(len(pts)):
-        rows.append(
-            {
-                "case": case,
-                "level": level,
-                "kind": "interior" if pts.is_interior[k] else "exterior",
-                "x": [float(c) for c in pts.points[k]],
-                "residual": float(residuals[k]),
-            }
-        )
-    return rows
+    return all(b <= floor or not a / b < required for a, b in zip(errors, errors[1:]))
 
 
 def _eval_points(grid, cfg, snap=True):
-    return EvaluationSet.build(
-        grid,
-        cfg.n_interior,
-        cfg.n_exterior,
-        margin=cfg.margin(grid),
-        seed=cfg.seed,
-        snap_to_centers=snap,
-    )
+    return EvaluationSet.build(grid, cfg.n_interior, cfg.n_exterior, margin=cfg.margin(grid),
+                               seed=cfg.seed, snap_to_centers=snap)
 
 
 def _require_exponential(cfg):
-    profile_kind = cfg.profile.get("kind", "exponential")
-    if profile_kind != "exponential":
-        raise ValueError(
-            f"identity {cfg.identity!r} needs the exponential closed-form family, "
-            f"got profile kind {profile_kind!r}"
-        )
+    if (kind := cfg.profile.get("kind", "exponential")) != "exponential":
+        raise ValueError(f"identity {cfg.identity!r} needs the exponential closed-form family, "
+                         f"got profile kind {kind!r}")
     return np.asarray(cfg.profile.get("lam", [0.0, 0.0, 1.0]), dtype=float)
 
 
@@ -284,543 +223,420 @@ def _boundary_values(grid, fn):
     return out
 
 
-def _finish(cfg, statement, passed, rows, orders, extras, points, norms, t0):
-    return CheckReport(
-        identity=cfg.identity,
-        statement=statement,
-        passed=bool(passed),
-        tolerances={
-            "interior_rel_tol": cfg.interior_rel_tol,
-            "exterior_abs_tol": cfg.exterior_abs_tol,
-            "refinement_ratio": cfg.refinement_ratio,
-        },
-        rows=rows,
-        orders=orders,
-        extras=extras,
-        points=points,
-        norms=norms,
-        runtime_seconds=time.monotonic() - t0,
-        provenance={"config_hash": cfg.config_hash(), "build": __version__},
-    )
+def _layer_sc(kernel, bq, density, points):
+    """Scalar part of the boundary layer of `kernel` against a scalar density."""
+    return cauchy_boundary(kernel, bq, density, points)[:, 0]
+
+
+def _dtn_pairings(form, trace_nodal, pts, kernel_trace):
+    """Weak DtN pairing of the trace with the boundary trace kernel_trace(c, x), per point x."""
+    return np.array([
+        form.pair(trace_nodal, _boundary_values(form.grid, lambda c: kernel_trace(c, x)),
+                  extension="coons") for x in pts.points])
+
+
+def _screened_kernel(q):
+    """theta_q as a boundary kernel; q = 0 is the Newton kernel."""
+    return KernelSpec("yukawa", q=q) if q > 0 else KernelSpec("newton")
+
+
+# -- the case x level runner ------------------------------------------------------
+
+
+class Recon(NamedTuple):
+    """A reconstruction at an evaluation set; targets count at interior points only."""
+
+    pts: EvaluationSet
+    values: np.ndarray
+    targets: np.ndarray | float
+
+
+class Plan(NamedTuple):
+    """What a check hands the runner: results (case, level, h, outcome) in row
+    order, where an outcome is a Recon, a scalar residual or a (residual, extra
+    row fields) pair; gates, name -> predicate(rows by case, extras, cfg)."""
+
+    results: list
+    gates: dict
+    extras: dict = {}
+
+
+def _sweep(cases, levels, outcome, cells=False):
+    """Case-major results over resolutions (h = 1/(res-1)) or face cells (h = 1/cells)."""
+    return [(case, level, 1.0 / level if cells else 1.0 / (level - 1), outcome(case, level))
+            for case in cases for level in levels]
+
+
+def _per_level(resolutions, outcomes):
+    """Level-major results; outcomes(res) maps each case to its outcome."""
+    return [(case, res, 1.0 / (res - 1), out)
+            for res in resolutions for case, out in outcomes(res).items()]
+
+
+def _face_cell_sweep(cfg):
+    return sorted({max(8, cfg.boundary_cells // 4), cfg.boundary_cells // 2, cfg.boundary_cells})
+
+
+def _margin_depth(cfg, res):
+    return max(2, round(cfg.margin_fraction * (res - 2)))
+
+
+def _interior(*cases, tol=None):
+    """Gate: the finest-level interior error of each case (default all) is within tol."""
+    return lambda by_case, extras, cfg: all(
+        by_case[c][-1]["interior_error"] <= (cfg.interior_rel_tol if tol is None else tol)
+        for c in cases or by_case)
+
+
+def _exterior(finest=False):
+    """Gate: the exterior error of every row (finest levels only) is within tolerance."""
+    return lambda by_case, extras, cfg: all(
+        r["exterior_error"] <= cfg.exterior_abs_tol
+        for rows in by_case.values() for r in (rows[-1:] if finest else rows))
+
+
+def _refines(*cases, ratio=None):
+    """Gate: the interior rms errors of each case (default all) shrink by the ratio."""
+    return lambda by_case, extras, cfg: all(
+        _ratio_ok([r["interior_l2"] for r in by_case[c]], ratio or cfg.refinement_ratio)
+        for c in cases or by_case)
+
+
+def _extra_within(key, bound):
+    """Gate: a recorded extra is at most `bound`."""
+    return lambda by_case, extras, cfg: extras[key] <= bound
+
+
+IDENTITIES = {}  # identity -> check(cfg) -> CheckReport, in suite order
+
+
+def _check(identity, norms, statement):
+    """Register a function cfg -> Plan as the check of `identity`."""
+    def decorate(plan_fn):
+        @functools.wraps(plan_fn)
+        def check(cfg: SuiteConfig) -> CheckReport:
+            t0 = time.monotonic()
+            plan = plan_fn(cfg)
+            rows, points, by_case = [], [], {}
+            for case, level, h, outcome in plan.results:
+                row = {"case": case, "level": level, "h": h}
+                if isinstance(outcome, Recon):
+                    inside = outcome.pts.is_interior
+                    targets = np.where(inside, outcome.targets, 0.0)
+                    scale = float(np.max(np.abs(targets[inside]))) or 1.0
+                    err = np.abs(np.asarray(outcome.values, dtype=float) - targets) / scale
+                    row.update(
+                        interior_error=float(np.max(err[inside])),
+                        interior_l2=float(np.sqrt(np.mean(err[inside] ** 2))),
+                        exterior_error=float(np.max(err[~inside])) if np.any(~inside) else 0.0)
+                    points += [{"case": case, "level": level,
+                                "kind": "interior" if flag else "exterior",
+                                "x": [float(c) for c in x], "residual": float(e)}
+                               for x, flag, e in zip(outcome.pts.points, inside, err)]
+                else:
+                    error, more = outcome if isinstance(outcome, tuple) else (outcome, {})
+                    row.update(interior_error=error, interior_l2=error, exterior_error=0.0, **more)
+                rows.append(row)
+                by_case.setdefault(case, []).append(row)
+            extras = dict(plan.extras)
+            return CheckReport(
+                identity=cfg.identity,
+                statement=statement,
+                passed=all(gate(by_case, extras, cfg) for gate in plan.gates.values()),
+                tolerances={key: getattr(cfg, key) for key in
+                            ("interior_rel_tol", "exterior_abs_tol", "refinement_ratio")},
+                rows=rows,
+                orders={case: _orders([r["interior_l2"] for r in case_rows])
+                        for case, case_rows in by_case.items() if len(case_rows) >= 2},
+                extras=extras,
+                points=points,
+                norms=norms,
+                runtime_seconds=time.monotonic() - t0,
+                provenance={"config_hash": cfg.config_hash(), "build": __version__},
+            )
+        check.__doc__ = statement
+        IDENTITIES[identity] = check
+        return check
+    return decorate
 
 
 # -- identity checks ------------------------------------------------------------
 
 
-def check_cauchy_constant(cfg: SuiteConfig) -> CheckReport:
-    """Boundary Cauchy integral of the constant trace: 1 inside, 0 outside."""
-    t0 = time.monotonic()
+@_check("cauchy_constant", "max and rms over evaluation points of |Sc - target|",
+        "Boundary integral of the Cauchy kernel against the outward normal reproduces the "
+        "constant 1 inside the box and 0 outside.")
+def check_cauchy_constant(cfg: SuiteConfig):
     grid = BoxGrid.unit_cube(cfg.resolutions[-1])
     pts = _eval_points(grid, cfg, snap=False)
-    rows, points, errors = [], [], []
-    cells_sweep = sorted({max(8, cfg.boundary_cells // 4), cfg.boundary_cells // 2, cfg.boundary_cells})
-    for cells in cells_sweep:
+    cells_sweep = _face_cell_sweep(cfg)
+
+    def outcome(case, cells):
         bq = boundary_sampling(grid, cells)
-        trace = np.ones(len(bq))
-        B = cauchy_boundary(KernelSpec("cauchy"), bq, trace, pts.points)
-        target = np.where(pts.is_interior, 1.0, 0.0)
-        stats = _recon_stats(B[:, 0], target, pts.is_interior)
-        rows.append(
-            {
-                "case": "constant-trace",
-                "level": cells,
-                "h": 1.0 / cells,
-                "interior_error": stats["interior_error"],
-                "interior_l2": stats["interior_l2"],
-                "exterior_error": stats["exterior_error"],
-            }
-        )
-        errors.append(stats["interior_l2"])
-        points.extend(_point_rows("constant-trace", cells, pts, stats["pointwise"]))
-    final = rows[-1]
-    passed = (
-        final["interior_error"] <= cfg.interior_rel_tol
-        and final["exterior_error"] <= cfg.exterior_abs_tol
-    )
-    return _finish(
-        cfg,
-        "Boundary integral of the Cauchy kernel against the outward normal "
-        "reproduces the constant 1 inside the box and 0 outside.",
-        passed,
-        rows,
-        {"constant-trace": _orders(errors)},
-        {"face_cells": cells_sweep},
-        points,
-        "max and rms over evaluation points of |Sc - target|",
-        t0,
-    )
+        return Recon(pts, _layer_sc(KernelSpec("cauchy"), bq, np.ones(len(bq)), pts.points), 1.0)
+
+    return Plan(_sweep(["constant-trace"], cells_sweep, outcome, cells=True),
+                {"interior": _interior(), "exterior": _exterior(finest=True)},
+                {"face_cells": cells_sweep})
+
+
+def _coefficients(pts, blades):
+    """(m, 8) coefficient rows at points; blades(x, y, z) maps blade masks to values."""
+    pts = np.atleast_2d(pts)
+    out = np.zeros((pts.shape[0], 8))
+    for mask, values in blades(*pts.T).items():
+        out[:, mask] = values
+    return out
 
 
 def _quadratic_trace(pts):
-    pts = np.atleast_2d(pts)
-    out = np.zeros((pts.shape[0], 8))
-    out[:, 2] = pts[:, 0] ** 2
-    return out
+    return _coefficients(pts, lambda x, y, z: {2: x**2})
 
 
 def _constant_trace(pts):
-    pts = np.atleast_2d(pts)
-    out = np.zeros((pts.shape[0], 8))
-    out[:, 0] = 1.0
-    out[:, 5] = 0.5  # e13 component, exercises non-paravector blades
-    return out
+    # the e13 component exercises non-paravector blades
+    return _coefficients(pts, lambda x, y, z: {0: 1.0, 5: 0.5})
 
 
-def check_borel_pompeiu(cfg: SuiteConfig) -> CheckReport:
-    """Volume transform of D v plus the boundary integral reproduces v / 0."""
-    t0 = time.monotonic()
-    cases = {"constant": _constant_trace, "quadratic": _quadratic_trace}
-    rows, points, orders = [], [], {}
-    for case, fn in cases.items():
-        errs = []
-        for res in cfg.resolutions:
-            grid = BoxGrid.unit_cube(res)
-            coords = grid.coords()
-            v = MultivectorField(grid, fn(coords.reshape(-1, 3)).reshape(res, res, res, 8))
-            pts = _eval_points(grid, cfg)
-            bq = boundary_sampling(grid, cfg.boundary_cells)
-            out = borel_pompeiu_residual(v, pts, trace_fn=fn, boundary=bq)
-            vmax = v.max_norm()
-            rel = out["residual_norms"] / vmax
-            stats = {
-                "interior_error": float(np.max(rel[pts.is_interior])),
-                "interior_l2": float(np.sqrt(np.mean(rel[pts.is_interior] ** 2))),
-                "exterior_error": float(np.max(rel[~pts.is_interior])),
-            }
-            rows.append({"case": case, "level": res, "h": 1.0 / (res - 1), **stats})
-            errs.append(stats["interior_l2"])
-            points.extend(_point_rows(case, res, pts, rel))
-        orders[case] = _orders(errs)
-    quad = [r for r in rows if r["case"] == "quadratic"]
-    passed = (
-        quad[-1]["interior_error"] <= cfg.interior_rel_tol
-        and max(r["exterior_error"] for r in rows) <= cfg.exterior_abs_tol
-        and _ratio_ok([r["interior_l2"] for r in quad], cfg.refinement_ratio)
-    )
-    return _finish(
-        cfg,
-        "The volume transform of D v plus the boundary Cauchy integral of the "
-        "trace reproduces v at interior points and vanishes at exterior points.",
-        passed,
-        rows,
-        orders,
-        {},
-        points,
-        "max-coefficient norm per point, relative to the sup norm of v",
-        t0,
-    )
+def _nodal(grid, fn):
+    """Multivector field of a pointwise coefficient function on the grid nodes."""
+    res = tuple(grid.resolution)
+    return MultivectorField(grid, fn(grid.coords().reshape(-1, 3)).reshape(res + (8,)))
 
 
-def check_teodorescu_inverse(cfg: SuiteConfig) -> CheckReport:
-    """Stencil Dirac of the volume transform returns the integrand."""
-    t0 = time.monotonic()
-    rows, errs = [], []
-    for res in cfg.resolutions:
+@_check("borel_pompeiu", "max-coefficient norm per point, relative to the sup norm of v",
+        "The volume transform of D v plus the boundary Cauchy integral of the trace reproduces v "
+        "at interior points and vanishes at exterior points.")
+def check_borel_pompeiu(cfg: SuiteConfig):
+    traces = {"constant": _constant_trace, "quadratic": _quadratic_trace}
+
+    def outcome(case, res):
+        grid = BoxGrid.unit_cube(res)
+        v = _nodal(grid, traces[case])
+        pts = _eval_points(grid, cfg)
+        bq = boundary_sampling(grid, cfg.boundary_cells)
+        out = borel_pompeiu_residual(v, pts, trace_fn=traces[case], boundary=bq)
+        return Recon(pts, out["residual_norms"] / v.max_norm(), 0.0)
+
+    return Plan(_sweep(traces, cfg.resolutions, outcome),
+                {"interior": _interior("quadratic"), "exterior": _exterior(),
+                 "refinement": _refines("quadratic")})
+
+
+@_check("teodorescu_inverse", "max-coefficient norm over the margin-interior dual lattice",
+        "The volume transform against the Cauchy kernel is a right inverse of the Dirac operator; "
+        "the transform of a constant vanishes at the box center.")
+def check_teodorescu_inverse(cfg: SuiteConfig):
+    def residual(case, res):
         grid = BoxGrid.unit_cube(res)
         g = MultivectorField.from_components(grid, {1: np.ones(tuple(grid.resolution))})
-        T = teodorescu_on_dual_grid(g)
-        DT = dirac_D(T)
-        depth = max(2, round(cfg.margin_fraction * (res - 2)))
-        sl = interior_slices(depth, 3)
-        diff = DT.values[sl].copy()
+        DT = dirac_D(teodorescu_on_dual_grid(g))
+        diff = DT.values[interior_slices(_margin_depth(cfg, res), 3)].copy()
         diff[..., 1] -= 1.0
-        err = float(np.max(np.abs(diff)))
-        rows.append(
-            {"case": "right-inverse", "level": res, "h": 1.0 / (res - 1),
-             "interior_error": err, "interior_l2": err, "exterior_error": 0.0}
-        )
-        errs.append(err)
-    center = teodorescu(
-        MultivectorField.from_scalar(BoxGrid.unit_cube(cfg.resolutions[-1]),
-                                     np.ones((cfg.resolutions[-1],) * 3)),
-        [[0.5, 0.5, 0.5]],
-    )
-    odd_sym = float(np.max(np.abs(center)))
-    passed = (
-        errs[-1] <= cfg.interior_rel_tol
-        and _ratio_ok(errs, cfg.refinement_ratio)
-        and odd_sym <= 1e-12
-    )
-    return _finish(
-        cfg,
-        "The volume transform against the Cauchy kernel is a right inverse of "
-        "the Dirac operator; the transform of a constant vanishes at the box center.",
-        passed,
-        rows,
-        {"right-inverse": _orders(errs)},
-        {"odd_symmetry_at_center": odd_sym},
-        [],
-        "max-coefficient norm over the margin-interior dual lattice",
-        t0,
-    )
+        return float(np.max(np.abs(diff)))
+
+    res = cfg.resolutions[-1]
+    constant = MultivectorField.from_scalar(BoxGrid.unit_cube(res), np.ones((res,) * 3))
+    center = teodorescu(constant, [[0.5, 0.5, 0.5]])
+    return Plan(_sweep(["right-inverse"], cfg.resolutions, residual),
+                {"interior": _interior(), "refinement": _refines(),
+                 "odd-symmetry": _extra_within("odd_symmetry_at_center", 1e-12)},
+                {"odd_symmetry_at_center": float(np.max(np.abs(center)))})
 
 
 def _smooth_test_field(grid):
     X = grid.coords()
     pi = math.pi
-    vals = np.zeros(tuple(grid.resolution) + (8,))
-    vals[..., 0] = np.sin(pi * X[..., 0]) * np.cos(pi * X[..., 1])
-    vals[..., 1] = np.sin(pi * X[..., 2])
-    vals[..., 6] = np.cos(pi * X[..., 0]) * np.sin(pi * X[..., 1])  # e23
-    vals[..., 7] = np.exp(X[..., 2]) * 0.25
-    return MultivectorField(grid, vals)
+    return MultivectorField.from_components(grid, {
+        0: np.sin(pi * X[..., 0]) * np.cos(pi * X[..., 1]),
+        1: np.sin(pi * X[..., 2]),
+        6: np.cos(pi * X[..., 0]) * np.sin(pi * X[..., 1]),  # e23
+        7: np.exp(X[..., 2]) * 0.25,
+    })
 
 
 def _quadratic_field(grid):
     X = grid.coords()
-    vals = np.zeros(tuple(grid.resolution) + (8,))
     base = X[..., 0] ** 2 + X[..., 1] * X[..., 2] - 0.5 * X[..., 2] ** 2
-    vals[..., 0] = base
-    vals[..., 1] = base
-    vals[..., 6] = base
-    return MultivectorField(grid, vals)
+    return MultivectorField.from_components(grid, {0: base, 1: base, 6: base})
 
 
-def check_operator_consistency(cfg: SuiteConfig) -> CheckReport:
-    """D^2 w + Delta w vanishes: exactly on quadratics, at order 2 on smooth w."""
-    t0 = time.monotonic()
-    rows, errs = [], []
-    for res in cfg.resolutions:
-        grid = BoxGrid.unit_cube(res)
-        w = _smooth_test_field(grid)
-        combo = dirac_D(dirac_D(w)) + laplacian(w)
-        sl = interior_slices(2, 3)
-        err = float(np.max(np.abs(combo.values[sl])))
-        rows.append(
-            {"case": "smooth", "level": res, "h": 1.0 / (res - 1),
-             "interior_error": err, "interior_l2": err, "exterior_error": 0.0}
-        )
-        errs.append(err)
+def _squared_dirac_defect(w):
+    """Sup of D^2 w + Delta w over nodes two layers in."""
+    combo = dirac_D(dirac_D(w)) + laplacian(w)
+    return float(np.max(np.abs(combo.values[interior_slices(2, 3)])))
+
+
+@_check("operator_consistency", "sup norm over interior nodes (two layers in)",
+        "The squared Dirac operator equals minus the componentwise Laplacian: exact on "
+        "quadratics, second order on smooth fields.")
+def check_operator_consistency(cfg: SuiteConfig):
     # exactness is resolution independent; the coarsest grid keeps the 1/h^2
     # roundoff amplification of nested second differences smallest
-    grid = BoxGrid.unit_cube(cfg.resolutions[0])
-    wq = _quadratic_field(grid)
-    quad_err = float(
-        np.max(np.abs((dirac_D(dirac_D(wq)) + laplacian(wq)).values[interior_slices(2, 3)]))
-    )
-    passed = quad_err <= 1e-12 and _ratio_ok(errs, cfg.refinement_ratio)
-    return _finish(
-        cfg,
-        "The squared Dirac operator equals minus the componentwise Laplacian: "
-        "exact on quadratics, second order on smooth fields.",
-        passed,
-        rows,
-        {"smooth": _orders(errs)},
-        {"quadratic_error": quad_err},
-        [],
-        "sup norm over interior nodes (two layers in)",
-        t0,
-    )
+    quad_err = _squared_dirac_defect(_quadratic_field(BoxGrid.unit_cube(cfg.resolutions[0])))
+    smooth = lambda case, res: _squared_dirac_defect(_smooth_test_field(BoxGrid.unit_cube(res)))
+    return Plan(_sweep(["smooth"], cfg.resolutions, smooth),
+                {"quadratic": _extra_within("quadratic_error", 1e-12), "refinement": _refines()},
+                {"quadratic_error": quad_err})
 
 
 def _mixed_smooth_trace(pts):
-    pts = np.atleast_2d(pts)
-    out = np.zeros((pts.shape[0], 8))
-    out[:, 0] = np.sin(2.0 * pts[:, 0]) + pts[:, 1] ** 2
-    out[:, 2] = np.cos(pts[:, 2]) * pts[:, 0]
-    out[:, 3] = 0.5 * pts[:, 1] * pts[:, 2]  # e12
-    out[:, 7] = 0.3 * np.sin(pts[:, 1])
-    return out
+    return _coefficients(pts, lambda x, y, z: {
+        0: np.sin(2.0 * x) + y**2, 2: np.cos(z) * x, 3: 0.5 * y * z, 7: 0.3 * np.sin(y)})
 
 
-def check_scalar_bp(cfg: SuiteConfig, adjoint=False) -> CheckReport:
+def _scalar_bp_plan(cfg, adjoint):
     """Scalar-part representation: boundary kernel integral minus volume term."""
-    t0 = time.monotonic()
     lam = _require_exponential(cfg)
-    rows, points, errs = [], [], []
-    case = "adjoint-weighted" if adjoint else "screened-kernel"
-    for res in cfg.resolutions:
+
+    def outcome(case, res):
         grid = BoxGrid.unit_cube(res)
-        coords = grid.coords()
-        v = MultivectorField(grid, _mixed_smooth_trace(coords.reshape(-1, 3)).reshape(res, res, res, 8))
+        v = _nodal(grid, _mixed_smooth_trace)
         pts = _eval_points(grid, cfg)
         bq = boundary_sampling(grid, cfg.boundary_cells)
         lam_arr = vector_to_array(np.broadcast_to(lam, tuple(grid.resolution) + (3,)), 3)
-        f_nodal = np.exp(coords @ lam)
+        target = _mixed_smooth_trace(pts.points)[:, 0]
         if adjoint:
             # kernel E/f folds the 1/f weight into trace and integrand;
             # the operator side is D - M^alpha C and the target Sc v / f.
             trace = _mixed_smooth_trace(bq.positions) / np.exp(bq.positions @ lam)[:, None]
             B = cauchy_boundary(KernelSpec("cauchy"), bq, trace, pts.points)
             m = dirac_D(v).values - gp_array(v.conjugate().values, lam_arr, 3)
-            m_field = MultivectorField(grid, m / f_nodal[..., None])
-            V = vector_volume_potential(pts.points, grid, cell_average(m_field.values), lam=None)
-            target_scale = 1.0 / np.exp(pts.points @ lam)
+            m = m / np.exp(grid.coords() @ lam)[..., None]
+            V = vector_volume_potential(pts.points, grid, cell_average(m), lam=None)
+            target = target * (1.0 / np.exp(pts.points @ lam))
         else:
             trace = _mixed_smooth_trace(bq.positions)
             B = cauchy_boundary(KernelSpec("vekua_phi", lam=lam), bq, trace, pts.points)
             m = dirac_D(v).values - gp_array(lam_arr, v.conjugate().values, 3)
             V = vector_volume_potential(pts.points, grid, cell_average(m), lam=lam)
-            target_scale = np.ones(len(pts))
-        value = B[:, 0] - V[:, 0]
-        target = np.where(
-            pts.is_interior, _mixed_smooth_trace(pts.points)[:, 0] * target_scale, 0.0
-        )
-        stats = _recon_stats(value, target, pts.is_interior)
-        rows.append(
-            {"case": case, "level": res, "h": 1.0 / (res - 1),
-             "interior_error": stats["interior_error"], "interior_l2": stats["interior_l2"],
-             "exterior_error": stats["exterior_error"]}
-        )
-        errs.append(stats["interior_l2"])
-        points.extend(_point_rows(case, res, pts, stats["pointwise"]))
-    passed = (
-        rows[-1]["interior_error"] <= cfg.interior_rel_tol
-        and max(r["exterior_error"] for r in rows) <= cfg.exterior_abs_tol
-        and _ratio_ok(errs, cfg.refinement_ratio)
-    )
-    statement = (
-        "Boundary integral of the conjugate-weighted Cauchy kernel minus its "
-        "volume integral against the adjoint operator image recovers Sc v / f "
-        "(the 1/f delta weight of the kernel is part of the statement)."
-        if adjoint
-        else "Boundary integral of the screened grade-1 kernel minus its volume "
-        "integral against (D - alpha C) v recovers the scalar part of v inside "
-        "and vanishes outside."
-    )
-    return _finish(cfg, statement, passed, rows, {case: _orders(errs)},
-                   {"lam": lam.tolist()}, points,
-                   "relative to the interior sup of the scalar target", t0)
+        return Recon(pts, B[:, 0] - V[:, 0], target)
+
+    case = "adjoint-weighted" if adjoint else "screened-kernel"
+    return Plan(_sweep([case], cfg.resolutions, outcome),
+                {"interior": _interior(), "exterior": _exterior(), "refinement": _refines()},
+                {"lam": lam.tolist()})
 
 
-def check_scalar_bp_adjoint(cfg: SuiteConfig) -> CheckReport:
-    return check_scalar_bp(cfg, adjoint=True)
+@_check("scalar_bp", "relative to the interior sup of the scalar target",
+        "Boundary integral of the screened grade-1 kernel minus its volume integral against (D - "
+        "alpha C) v recovers the scalar part of v inside and vanishes outside.")
+def check_scalar_bp(cfg: SuiteConfig):
+    return _scalar_bp_plan(cfg, adjoint=False)
 
 
-def check_cauchy_vekua(cfg: SuiteConfig) -> CheckReport:
-    """Boundary-only recovery of the scalar part of Vekua solutions."""
-    t0 = time.monotonic()
+@_check("scalar_bp_adjoint", "relative to the interior sup of the scalar target",
+        "Boundary integral of the conjugate-weighted Cauchy kernel minus its volume integral "
+        "against the adjoint operator image recovers Sc v / f (the 1/f delta weight of the kernel "
+        "is part of the statement).")
+def check_scalar_bp_adjoint(cfg: SuiteConfig):
+    return _scalar_bp_plan(cfg, adjoint=True)
+
+
+@_check("cauchy_vekua", "relative to the interior sup of the scalar part",
+        "For solutions of the Vekua equation, the boundary integral of the screened grade-1 "
+        "kernel alone recovers the scalar part inside and vanishes outside.")
+def check_cauchy_vekua(cfg: SuiteConfig):
     lam = _require_exponential(cfg)
     grid = BoxGrid.unit_cube(cfg.resolutions[-1])
     pts = _eval_points(grid, cfg, snap=False)
     sol = ExponentialVekuaSolution(lam)
     kernel = KernelSpec("vekua_phi", lam=lam)
-    cases = {
-        "scalar-solution": lambda p: np.concatenate(
-            [np.exp(np.atleast_2d(p) @ lam)[:, None], np.zeros((np.atleast_2d(p).shape[0], 7))],
-            axis=1,
-        ),
+    solutions = {
+        "scalar-solution": lambda p: np.pad(np.exp(np.atleast_2d(p) @ lam)[:, None],
+                                            ((0, 0), (0, 7))),
         "full-solution": lambda p: sol.w_coeffs(np.atleast_2d(p)),
     }
-    rows, points, orders = [], [], {}
-    cells_sweep = sorted({max(8, cfg.boundary_cells // 4), cfg.boundary_cells // 2, cfg.boundary_cells})
-    for case, wfn in cases.items():
-        errs = []
-        for cells in cells_sweep:
-            bq = boundary_sampling(grid, cells)
-            B = cauchy_boundary(kernel, bq, wfn(bq.positions), pts.points)
-            target = np.where(pts.is_interior, wfn(pts.points)[:, 0], 0.0)
-            stats = _recon_stats(B[:, 0], target, pts.is_interior)
-            rows.append(
-                {"case": case, "level": cells, "h": 1.0 / cells,
-                 "interior_error": stats["interior_error"],
-                 "interior_l2": stats["interior_l2"],
-                 "exterior_error": stats["exterior_error"]}
-            )
-            errs.append(stats["interior_l2"])
-            points.extend(_point_rows(case, cells, pts, stats["pointwise"]))
-        orders[case] = _orders(errs)
-    final_rows = [r for r in rows if r["level"] == cells_sweep[-1]]
-    passed = (
-        max(r["interior_error"] for r in final_rows) <= cfg.interior_rel_tol
-        and max(r["exterior_error"] for r in final_rows) <= cfg.exterior_abs_tol
-        and all(_ratio_ok([r["interior_l2"] for r in rows if r["case"] == c],
-                          cfg.refinement_ratio) for c in cases)
-    )
-    return _finish(
-        cfg,
-        "For solutions of the Vekua equation, the boundary integral of the "
-        "screened grade-1 kernel alone recovers the scalar part inside and "
-        "vanishes outside.",
-        passed,
-        rows,
-        orders,
-        {"face_cells": cells_sweep, "lam": lam.tolist()},
-        points,
-        "relative to the interior sup of the scalar part",
-        t0,
-    )
+    cells_sweep = _face_cell_sweep(cfg)
+
+    def outcome(case, cells):
+        bq = boundary_sampling(grid, cells)
+        B = cauchy_boundary(kernel, bq, solutions[case](bq.positions), pts.points)
+        return Recon(pts, B[:, 0], solutions[case](pts.points)[:, 0])
+
+    return Plan(_sweep(solutions, cells_sweep, outcome, cells=True),
+                {"interior": _interior(), "exterior": _exterior(finest=True),
+                 "refinement": _refines()},
+                {"face_cells": cells_sweep, "lam": lam.tolist()})
 
 
-def check_green_vekua(cfg: SuiteConfig) -> CheckReport:
-    """Two-term boundary representation of the scalar part, strong and weak."""
-    t0 = time.monotonic()
+@_check("green_vekua", "relative to the interior sup of the scalar part",
+        "The scalar part of a Vekua solution is reproduced by the boundary integral of the vector "
+        "kernel against the trace plus the flux term, in both its strong (pointwise conormal "
+        "flux) and weak (volume-energy DtN pairing) forms.")
+def check_green_vekua(cfg: SuiteConfig):
     lam = _require_exponential(cfg)
     q = float(lam @ lam)
     sol = ExponentialVekuaSolution(lam)
-    rows, points, orders = [], [], {}
-
-    def strong_terms(grid, bq, eval_pts):
-        f_b = sol.f(bq.positions)
-        w0_b = sol.w0(bq.positions)
-        flux_b = np.sum(sol.flux(bq.positions) * bq.normals, axis=1)
-        vals = np.empty(len(eval_pts))
-        for k, x in enumerate(eval_pts.points):
-            z = bq.positions - x
-            phi = np.sum(
-                np.nan_to_num(_vekua_phi_safe(z, lam)) * bq.normals, axis=1
-            )
-            theta, _ = yukawa_theta_components(z, q)
-            term1 = -np.sum(phi * w0_b * bq.weights)
-            term2 = np.sum(theta / f_b * flux_b * bq.weights)
-            vals[k] = term1 + term2
-        return vals
-
+    phi = KernelSpec("vekua_phi", lam=lam)
     grid0 = BoxGrid.unit_cube(cfg.resolutions[-1])
     pts0 = _eval_points(grid0, cfg, snap=False)
-    cells_sweep = sorted({max(8, cfg.boundary_cells // 4), cfg.boundary_cells // 2, cfg.boundary_cells})
-    errs = []
-    for cells in cells_sweep:
-        bq = boundary_sampling(grid0, cells)
-        vals = strong_terms(grid0, bq, pts0)
-        target = np.where(pts0.is_interior, sol.w0(pts0.points), 0.0)
-        stats = _recon_stats(vals, target, pts0.is_interior)
-        rows.append({"case": "strong-flux", "level": cells, "h": 1.0 / cells,
-                     "interior_error": stats["interior_error"],
-                     "interior_l2": stats["interior_l2"],
-                     "exterior_error": stats["exterior_error"]})
-        errs.append(stats["interior_l2"])
-        points.extend(_point_rows("strong-flux", cells, pts0, stats["pointwise"]))
-    orders["strong-flux"] = _orders(errs)
 
-    errs_weak = []
-    for res in cfg.resolutions:
+    def strong(case, cells):
+        bq = boundary_sampling(grid0, cells)
+        flux_b = np.sum(sol.flux(bq.positions) * bq.normals, axis=1)
+        vals = (_layer_sc(phi, bq, sol.w0(bq.positions), pts0.points)
+                + _layer_sc(_screened_kernel(q), bq, flux_b / sol.f(bq.positions), pts0.points))
+        return Recon(pts0, vals, sol.w0(pts0.points))
+
+    def weak(case, res):
         grid = BoxGrid.unit_cube(res)
-        profile = ConductivityProfile.exponential(grid, lam)
-        form = DtnForm.conductivity(profile)
+        form = DtnForm.conductivity(ConductivityProfile.exponential(grid, lam))
         pts = _eval_points(grid, cfg, snap=False)
         bq = boundary_sampling(grid, 2 * (res - 1))
-        trace_u = _boundary_values(grid, lambda c: sol.u0(c))
-        vals = np.empty(len(pts))
-        for k, x in enumerate(pts.points):
-            z = bq.positions - x
-            phi = np.sum(_vekua_phi_safe(z, lam) * bq.normals, axis=1)
-            term1 = -np.sum(phi * sol.w0(bq.positions) * bq.weights)
-            psi0 = _boundary_values(
-                grid, lambda c: yukawa_theta_components(c - x, q)[0] / sol.f(c)
-            )
-            term2 = form.pair(trace_u, psi0, extension="coons")
-            vals[k] = term1 + term2
-        target = np.where(pts.is_interior, sol.w0(pts.points), 0.0)
-        stats = _recon_stats(vals, target, pts.is_interior)
-        rows.append({"case": "weak-dtn", "level": res, "h": 1.0 / (res - 1),
-                     "interior_error": stats["interior_error"],
-                     "interior_l2": stats["interior_l2"],
-                     "exterior_error": stats["exterior_error"]})
-        errs_weak.append(stats["interior_l2"])
-        points.extend(_point_rows("weak-dtn", res, pts, stats["pointwise"]))
-    orders["weak-dtn"] = _orders(errs_weak)
+        vals = _layer_sc(phi, bq, sol.w0(bq.positions), pts.points) + _dtn_pairings(
+            form, _boundary_values(grid, sol.u0), pts,
+            lambda c, x: yukawa_theta_components(c - x, q)[0] / sol.f(c))
+        return Recon(pts, vals, sol.w0(pts.points))
 
-    strong_rows = [r for r in rows if r["case"] == "strong-flux"]
-    weak_rows = [r for r in rows if r["case"] == "weak-dtn"]
-    passed = (
-        strong_rows[-1]["interior_error"] <= cfg.interior_rel_tol
-        and weak_rows[-1]["interior_error"] <= cfg.interior_rel_tol
-        and max(r["exterior_error"] for r in rows) <= cfg.exterior_abs_tol
-        and _ratio_ok(errs, cfg.refinement_ratio)
-    )
-    return _finish(
-        cfg,
-        "The scalar part of a Vekua solution is reproduced by the boundary "
-        "integral of the vector kernel against the trace plus the flux term, "
-        "in both its strong (pointwise conormal flux) and weak (volume-energy "
-        "DtN pairing) forms.",
-        passed,
-        rows,
-        orders,
-        {"lam": lam.tolist()},
-        points,
-        "relative to the interior sup of the scalar part",
-        t0,
-    )
+    return Plan(_sweep(["strong-flux"], _face_cell_sweep(cfg), strong, cells=True)
+                + _sweep(["weak-dtn"], cfg.resolutions, weak),
+                {"interior": _interior(), "exterior": _exterior(),
+                 "refinement": _refines("strong-flux")},
+                {"lam": lam.tolist()})
 
 
-def _vekua_phi_safe(z, lam):
-    from .kernels import vekua_phi_components
-
-    return vekua_phi_components(z, lam)
-
-
-def check_integral_cauchy(cfg: SuiteConfig) -> CheckReport:
-    """Green-type representation of conductivity solutions (strong and weak)."""
-    t0 = time.monotonic()
-    rows, points, orders = [], [], {}
-
-    profiles = {
-        "harmonic": ("constant", {"value": 1.0}),
-        "exponential": ("exponential", {"lam": cfg.profile.get("lam", [0.0, 0.0, 1.0])}),
-        "linear": ("linear_z", {"a": 1.0, "b": 0.5}),
+@_check("integral_cauchy", "relative to the interior sup of the solution",
+        "Conductivity solutions are reproduced from their trace, their conormal flux against the "
+        "Newton kernel and a volume correction weighted by the log-gradient of the profile; the "
+        "flux term is also evaluated weakly as a DtN pairing.")
+def check_integral_cauchy(cfg: SuiteConfig):
+    cauchy, newton = KernelSpec("cauchy"), KernelSpec("newton")
+    lam = cfg.profile.get("lam", [0.0, 0.0, 1.0])
+    sol = ExponentialVekuaSolution(np.asarray(lam, dtype=float))
+    a, b = 1.0, 0.5
+    strong_cases = {  # case: (profile, closed-form solution u0, its gradient)
+        "strong-harmonic": ({"kind": "constant", "value": 1.0}, lambda p: np.atleast_2d(p)[:, 0],
+                            lambda p: np.broadcast_to([1.0, 0.0, 0.0], np.atleast_2d(p).shape)),
+        "strong-exponential": ({"kind": "exponential", "lam": lam}, sol.u0, sol.grad_u0),
+        "strong-linear": ({"kind": "linear_z", "a": a, "b": b},
+                          lambda p: -1.0 / (b * (a + b * np.atleast_2d(p)[:, 2])),
+                          lambda p: np.outer(1.0 / (a + b * np.atleast_2d(p)[:, 2]) ** 2,
+                                             [0.0, 0.0, 1.0])),
     }
 
-    def closed_solution(kind, params):
-        if kind == "constant":
-            return (lambda p: np.atleast_2d(p)[:, 0],
-                    lambda p: np.broadcast_to([1.0, 0.0, 0.0], np.atleast_2d(p).shape))
-        if kind == "exponential":
-            lam = np.asarray(params["lam"], dtype=float)
-            sol = ExponentialVekuaSolution(lam)
-            return sol.u0, sol.grad_u0
-        if kind == "linear_z":
-            a, b = params["a"], params["b"]
-
-            def u0(p):
-                return -1.0 / (b * (a + b * np.atleast_2d(p)[:, 2]))
-
-            def grad(p):
-                p = np.atleast_2d(p)
-                g = np.zeros(p.shape)
-                g[:, 2] = 1.0 / (a + b * p[:, 2]) ** 2
-                return g
-
-            return u0, grad
-        raise ValueError(kind)
-
-    for name, (kind, params) in profiles.items():
-        u0_fn, grad_fn = closed_solution(kind, params)
-        errs = []
-        for res in cfg.resolutions:
-            grid = BoxGrid.unit_cube(res)
-            profile = make_profile(grid, {"kind": kind, **params})
-            pts = _eval_points(grid, cfg)
-            # face sampling refines with the volume so every term is O(h^2)
-            bq = boundary_sampling(grid, 2 * (res - 1))
-            centers = grid.cell_centers()
-            rho = np.sum(
-                profile.alpha_at(centers.reshape(-1, 3)).reshape(centers.shape)
-                * grad_fn(centers.reshape(-1, 3)).reshape(centers.shape),
-                axis=-1,
-            )
-            vol_term = 2.0 * scalar_volume_potential(pts.points, grid, rho, family="newton")
-            u0_b = u0_fn(bq.positions)
-            flux_b = np.sum(grad_fn(bq.positions) * bq.normals, axis=1)
-            vals = np.empty(len(pts))
-            for k, x in enumerate(pts.points):
-                z = bq.positions - x
-                E_eta = np.sum(cauchy_E_components(z) * bq.normals, axis=1)
-                Nvals = newton_N_components(z)[0]
-                vals[k] = (
-                    -np.sum(E_eta * u0_b * bq.weights)
-                    + np.sum(Nvals * flux_b * bq.weights)
-                    + vol_term[k]
-                )
-            target = np.where(pts.is_interior, u0_fn(pts.points), 0.0)
-            stats = _recon_stats(vals, target, pts.is_interior)
-            rows.append({"case": f"strong-{name}", "level": res, "h": 1.0 / (res - 1),
-                         "interior_error": stats["interior_error"],
-                         "interior_l2": stats["interior_l2"],
-                         "exterior_error": stats["exterior_error"]})
-            errs.append(stats["interior_l2"])
-            points.extend(_point_rows(f"strong-{name}", res, pts, stats["pointwise"]))
-        orders[f"strong-{name}"] = _orders(errs)
+    def strong(case, res):
+        spec, u0_fn, grad_fn = strong_cases[case]
+        grid = BoxGrid.unit_cube(res)
+        profile = make_profile(grid, spec)
+        pts = _eval_points(grid, cfg)
+        # face sampling refines with the volume so every term is O(h^2)
+        bq = boundary_sampling(grid, 2 * (res - 1))
+        centers = grid.cell_centers().reshape(-1, 3)
+        rho = np.sum(profile.alpha_at(centers) * grad_fn(centers), axis=-1)
+        flux_b = np.sum(grad_fn(bq.positions) * bq.normals, axis=1)
+        vals = (_layer_sc(cauchy, bq, u0_fn(bq.positions), pts.points)
+                + _layer_sc(newton, bq, flux_b, pts.points)
+                + 2.0 * scalar_volume_potential(pts.points, grid, rho, family="newton"))
+        return Recon(pts, vals, u0_fn(pts.points))
 
     # weak arm: discrete solution, DtN pairing for the flux, any W^{1,inf} profile
-    errs_weak = []
-    for res in cfg.resolutions:
+    def weak(case, res):
         grid = BoxGrid.unit_cube(res)
         profile = make_profile(grid, {"kind": "quadratic_z", "a": 1.0, "c": 0.5})
-        coords = grid.coords()
         trace_fn = lambda c: c[..., 0] + 0.3 * c[..., 1]
-        u0_disc = solve_conductivity(grid, profile.f**2, trace_fn(coords))
+        trace_nodal = trace_fn(grid.coords())
+        u0_disc = solve_conductivity(grid, profile.f**2, trace_nodal)
         form = DtnForm.conductivity(profile)
         pts = _eval_points(grid, cfg)
         bq = boundary_sampling(grid, 2 * (res - 1))
@@ -828,408 +644,250 @@ def check_integral_cauchy(cfg: SuiteConfig) -> CheckReport:
         vol_term = 2.0 * scalar_volume_potential(
             pts.points, grid, cell_average(rho_nodal, blade_axis=False), family="newton"
         )
-        trace_nodal = trace_fn(coords)
-        u0_b = trace_fn(bq.positions)
-        vals = np.empty(len(pts))
-        for k, x in enumerate(pts.points):
-            z = bq.positions - x
-            E_eta = np.sum(cauchy_E_components(z) * bq.normals, axis=1)
-            term1 = -np.sum(E_eta * u0_b * bq.weights)
-            psi0 = _boundary_values(
-                grid,
-                lambda c: newton_N_components(c - x)[0] / profile.f_at(c.reshape(-1, 3)).reshape(c.shape[:-1]) ** 2,
-            )
-            term2 = form.pair(trace_nodal, psi0, extension="coons")
-            vals[k] = term1 + term2 + vol_term[k]
-        target = _interior_samples(grid, u0_disc, pts)
-        stats = _recon_stats(vals, target, pts.is_interior)
-        rows.append({"case": "weak-quadratic", "level": res, "h": 1.0 / (res - 1),
-                     "interior_error": stats["interior_error"],
-                     "interior_l2": stats["interior_l2"],
-                     "exterior_error": stats["exterior_error"]})
-        errs_weak.append(stats["interior_l2"])
-        points.extend(_point_rows("weak-quadratic", res, pts, stats["pointwise"]))
-    orders["weak-quadratic"] = _orders(errs_weak)
+        f_at = lambda c: profile.f_at(c.reshape(-1, 3)).reshape(c.shape[:-1])
+        vals = _layer_sc(cauchy, bq, trace_fn(bq.positions), pts.points) + _dtn_pairings(
+            form, trace_nodal, pts, lambda c, x: newton_N_components(c - x)[0] / f_at(c) ** 2)
+        return Recon(pts, vals + vol_term, _interior_samples(grid, u0_disc, pts))
 
-    finest = [r for r in rows if r["level"] == cfg.resolutions[-1]]
-    improving = all(
-        _ratio_ok([r["interior_l2"] for r in rows if r["case"] == c], 1.2)
-        for c in orders
-    )
-    passed = (
-        max(r["interior_error"] for r in finest) <= cfg.interior_rel_tol
-        and max(r["exterior_error"] for r in finest) <= cfg.exterior_abs_tol
-        and improving
-    )
-    return _finish(
-        cfg,
-        "Conductivity solutions are reproduced from their trace, their "
-        "conormal flux against the Newton kernel and a volume correction "
-        "weighted by the log-gradient of the profile; the flux term is also "
-        "evaluated weakly as a DtN pairing.",
-        passed,
-        rows,
-        orders,
-        {},
-        points,
-        "relative to the interior sup of the solution",
-        t0,
-    )
+    return Plan(_sweep(strong_cases, cfg.resolutions, strong)
+                + _sweep(["weak-quadratic"], cfg.resolutions, weak),
+                {"interior": _interior(), "exterior": _exterior(finest=True),
+                 "refinement": _refines(ratio=1.2)})
 
 
-def check_schrodinger_reconstruction(cfg: SuiteConfig) -> CheckReport:
-    """Screened-kernel boundary representation with the weak DtN pairing."""
-    t0 = time.monotonic()
+@_check("schrodinger_reconstruction", "relative to the interior sup of the solution",
+        "Solutions of the screened Laplace equation are reproduced from their trace against the "
+        "gradient of the screened kernel plus the weak DtN pairing with the kernel trace; "
+        "exterior points give zero.")
+def check_schrodinger_reconstruction(cfg: SuiteConfig):
     lam = _require_exponential(cfg)
     q = float(lam @ lam)
-    mu = np.linalg.norm(lam) * np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)
-    rows, points, orders = [], [], {}
-    for case, vec in (("axis-exponential", lam), ("rotated-exponential", mu)):
-        errs = []
-        for res in cfg.resolutions:
-            grid = BoxGrid.unit_cube(res)
-            profile = ConductivityProfile.exponential(grid, lam)
-            form = DtnForm.schrodinger(profile)
-            pts = _eval_points(grid, cfg, snap=False)
-            bq = boundary_sampling(grid, 2 * (res - 1))
-            w0_fn = lambda p: np.exp(np.atleast_2d(p) @ vec)
-            trace_nodal = np.exp(grid.coords() @ vec)
-            phi0_b = w0_fn(bq.positions)
-            vals = np.empty(len(pts))
-            for k, x in enumerate(pts.points):
-                z = bq.positions - x
-                _, grad_theta = yukawa_theta_components(z, q)
-                term1 = -np.sum(np.sum(grad_theta * bq.normals, axis=1) * phi0_b * bq.weights)
-                psi0 = _boundary_values(grid, lambda c: yukawa_theta_components(c - x, q)[0])
-                term2 = form.pair(trace_nodal, psi0, extension="coons")
-                vals[k] = term1 + term2
-            target = np.where(pts.is_interior, w0_fn(pts.points), 0.0)
-            stats = _recon_stats(vals, target, pts.is_interior)
-            rows.append({"case": case, "level": res, "h": 1.0 / (res - 1),
-                         "interior_error": stats["interior_error"],
-                         "interior_l2": stats["interior_l2"],
-                         "exterior_error": stats["exterior_error"]})
-            errs.append(stats["interior_l2"])
-            points.extend(_point_rows(case, res, pts, stats["pointwise"]))
-        orders[case] = _orders(errs)
-    finest = [r for r in rows if r["level"] == cfg.resolutions[-1]]
-    improving = all(
-        _ratio_ok([r["interior_l2"] for r in rows if r["case"] == c], 1.2) for c in orders
-    )
-    passed = (
-        max(r["interior_error"] for r in finest) <= cfg.interior_rel_tol
-        and max(r["exterior_error"] for r in finest) <= cfg.exterior_abs_tol
-        and improving
-    )
-    return _finish(
-        cfg,
-        "Solutions of the screened Laplace equation are reproduced from their "
-        "trace against the gradient of the screened kernel plus the weak DtN "
-        "pairing with the kernel trace; exterior points give zero.",
-        passed,
-        rows,
-        orders,
-        {"lam": lam.tolist(), "q": q},
-        points,
-        "relative to the interior sup of the solution",
-        t0,
+    rates = {
+        "axis-exponential": lam,
+        "rotated-exponential": np.linalg.norm(lam) * np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0),
+    }
+    phi = KernelSpec("vekua_phi", lam=lam)
+
+    def outcome(case, res):
+        grid = BoxGrid.unit_cube(res)
+        form = DtnForm.schrodinger(ConductivityProfile.exponential(grid, lam))
+        pts = _eval_points(grid, cfg, snap=False)
+        bq = boundary_sampling(grid, 2 * (res - 1))
+        trace_nodal = np.exp(grid.coords() @ rates[case])
+        phi0_b = np.exp(bq.positions @ rates[case])
+        # -sum (grad theta_q . eta) phi0 w, with grad theta_q = Phi_lam + lam theta_q
+        vals = (_layer_sc(phi, bq, phi0_b, pts.points)
+                - _layer_sc(_screened_kernel(q), bq, (bq.normals @ lam) * phi0_b, pts.points))
+        vals = vals + _dtn_pairings(form, trace_nodal, pts,
+                                    lambda c, x: yukawa_theta_components(c - x, q)[0])
+        return Recon(pts, vals, np.exp(pts.points @ rates[case]))
+
+    return Plan(_sweep(rates, cfg.resolutions, outcome),
+                {"interior": _interior(), "exterior": _exterior(finest=True),
+                 "refinement": _refines(ratio=1.2)},
+                {"lam": lam.tolist(), "q": q})
+
+
+def _perturbed_dirac_pair(h0, alpha_arr):
+    """(D - M^alpha C)(D - alpha C) h0 as coefficient stacks."""
+    inner = dirac_D(h0).values - gp_array(alpha_arr, h0.conjugate().values, 3)
+    return dirac_D(MultivectorField(h0.grid, inner)).values - gp_array(
+        conj_array(inner, 3), alpha_arr, 3
     )
 
 
-def check_factorizations(cfg: SuiteConfig) -> CheckReport:
-    """Operator factorization on scalars plus machine-precision kernel identities."""
-    t0 = time.monotonic()
-    rows, orders = [], {}
-    rng = np.random.default_rng(cfg.seed)
-
+@_check("factorizations", "sup norms at interior nodes; kernel residuals at random points",
+        "Applying the two perturbed Dirac operators in sequence to a scalar equals the screened "
+        "Laplacian: exact for the quadratic constant-coefficient case, second order for smooth "
+        "log-gradient coefficients; the weighted Cauchy kernel and the screened vector kernel are "
+        "annihilated by their operators at machine precision.")
+def check_factorizations(cfg: SuiteConfig):
     # symbolic case: constant alpha = c e1, h0 = x1^2, both sides -2 + c^2 x1^2;
     # stencils are exact on quadratics, so the coarsest grid suffices and keeps
     # the 1/h^2 roundoff amplification smallest
     c = 0.7
-    res = cfg.resolutions[0]
-    grid = BoxGrid.unit_cube(res)
+    res0 = cfg.resolutions[0]
+    grid = BoxGrid.unit_cube(res0)
     X = grid.coords()
-    h0 = MultivectorField.from_scalar(grid, X[..., 0] ** 2)
-    alpha_vec = np.broadcast_to([c, 0.0, 0.0], tuple(grid.resolution) + (3,))
-    alpha_arr = vector_to_array(alpha_vec, 3)
-    inner = dirac_D(h0).values - gp_array(alpha_arr, h0.conjugate().values, 3)
-    outer = dirac_D(MultivectorField(grid, inner)).values - gp_array(
-        np.ascontiguousarray(inner) * np.array([1, -1, -1, -1, -1, -1, -1, 1.0]), alpha_arr, 3
-    )
+    alpha_arr = vector_to_array(np.broadcast_to([c, 0.0, 0.0], tuple(grid.resolution) + (3,)), 3)
+    outer = _perturbed_dirac_pair(MultivectorField.from_scalar(grid, X[..., 0] ** 2), alpha_arr)
     closed = -2.0 + c**2 * X[..., 0] ** 2
-    sym_err = float(np.max(np.abs(outer[..., 0] - closed))) + float(
-        np.max(np.abs(outer[..., 1:]))
-    )
-    rows.append({"case": "symbolic-quadratic", "level": res, "h": 1.0 / (res - 1),
-                 "interior_error": sym_err, "interior_l2": sym_err, "exterior_error": 0.0})
+    sym_err = float(np.max(np.abs(outer[..., 0] - closed))) + float(np.max(np.abs(outer[..., 1:])))
 
     # smooth operator check with alpha = grad f / f
-    errs = []
-    for res in cfg.resolutions:
+    def smooth(case, res):
         grid = BoxGrid.unit_cube(res)
         profile = make_profile(grid, cfg.profile)
         X = grid.coords()
-        h_vals = (
-            np.sin(2.0 * X[..., 0]) * np.cos(X[..., 1])
-            + 0.5 * np.sin(X[..., 2]) * X[..., 0]
-        )
+        h_vals = np.sin(2.0 * X[..., 0]) * np.cos(X[..., 1]) + 0.5 * np.sin(X[..., 2]) * X[..., 0]
         h0 = MultivectorField.from_scalar(grid, h_vals)
-        alpha_arr = vector_to_array(profile.alpha, 3)
-        conj_signs = np.array([1, -1, -1, -1, -1, -1, -1, 1.0])
-        inner = dirac_D(h0).values - gp_array(alpha_arr, h0.conjugate().values, 3)
-        rhs = dirac_D(MultivectorField(grid, inner)).values - gp_array(
-            inner * conj_signs, alpha_arr, 3
-        )
+        rhs = _perturbed_dirac_pair(h0, vector_to_array(profile.alpha, 3))
         lhs = -laplacian(h0).values[..., 0] + profile.q * h_vals
         sl = interior_slices(2, 3)
         scale = float(np.max(np.abs(lhs[sl]))) or 1.0
-        err = (
-            float(np.max(np.abs(rhs[sl + (0,)] - lhs[sl])))
-            + float(np.max(np.abs(rhs[sl + (slice(1, None),)])))
-        ) / scale
-        rows.append({"case": "smooth-log-gradient", "level": res, "h": 1.0 / (res - 1),
-                     "interior_error": err, "interior_l2": err, "exterior_error": 0.0})
-        errs.append(err)
-    orders["smooth-log-gradient"] = _orders(errs)
+        return (float(np.max(np.abs(rhs[sl + (0,)] - lhs[sl])))
+                + float(np.max(np.abs(rhs[sl + (slice(1, None),)])))) / scale
 
     # kernel identities at machine precision, closed-form derivatives
+    rng = np.random.default_rng(cfg.seed)
     pts = rng.normal(size=(100, 3))
     radii = np.linalg.norm(pts, axis=1, keepdims=True)
     pts = pts / radii * (0.3 + 1.2 * rng.random((100, 1)))
     lam = np.asarray(cfg.profile.get("lam", [0.0, 0.0, 1.0]), dtype=float)
-    kernel_res = float(np.max(fundamental_cauchy_residual(pts, lam)))
-    adjoint_res = float(np.max(vekua_phi_adjoint_residual(pts, lam)))
-    grad_newton = float(
-        np.max(np.abs(newton_N_components(pts)[1] - cauchy_E_components(pts)))
-    )
     flux_errors = [abs(yukawa_delta_flux(eps, float(lam @ lam) or 1.0) - 1.0)
                    for eps in (0.2, 0.1, 0.05)]
-    passed = (
-        sym_err <= 1e-12
-        and _ratio_ok(errs, cfg.refinement_ratio)
-        and kernel_res <= 1e-12
-        and adjoint_res <= 1e-12
-        and grad_newton <= 1e-12
-        and all(b <= 0.6 * a for a, b in zip(flux_errors, flux_errors[1:]))
-    )
-    return _finish(
-        cfg,
-        "Applying the two perturbed Dirac operators in sequence to a scalar "
-        "equals the screened Laplacian: exact for the quadratic constant-"
-        "coefficient case, second order for smooth log-gradient coefficients; "
-        "the weighted Cauchy kernel and the screened vector kernel are "
-        "annihilated by their operators at machine precision.",
-        passed,
-        rows,
-        orders,
+    return Plan(
+        [("symbolic-quadratic", res0, 1.0 / (res0 - 1), sym_err)]
+        + _sweep(["smooth-log-gradient"], cfg.resolutions, smooth),
         {
-            "kernel_residual": kernel_res,
-            "adjoint_kernel_residual": adjoint_res,
-            "grad_newton_vs_cauchy": grad_newton,
+            "symbolic": _interior("symbolic-quadratic", tol=1e-12),
+            "refinement": _refines("smooth-log-gradient"),
+            "kernel": _extra_within("kernel_residual", 1e-12),
+            "adjoint-kernel": _extra_within("adjoint_kernel_residual", 1e-12),
+            "newton-gradient": _extra_within("grad_newton_vs_cauchy", 1e-12),
+            "delta-flux": lambda by_case, extras, cfg: all(
+                b <= 0.6 * a for a, b in zip(flux_errors, flux_errors[1:])),
+        },
+        {
+            "kernel_residual": float(np.max(fundamental_cauchy_residual(pts, lam))),
+            "adjoint_kernel_residual": float(np.max(vekua_phi_adjoint_residual(pts, lam))),
+            "grad_newton_vs_cauchy":
+                float(np.max(np.abs(newton_N_components(pts)[1] - cauchy_E_components(pts)))),
             "delta_flux_errors": flux_errors,
         },
-        [],
-        "sup norms at interior nodes; kernel residuals at random points",
-        t0,
     )
 
 
-def check_vekua_pipeline(cfg: SuiteConfig) -> CheckReport:
-    """Scalar solution -> bivector lift -> Vekua/Beltrami/conductivity residuals."""
-    t0 = time.monotonic()
+@_check("vekua_pipeline", "residuals normalized by coefficient and field sup norms",
+        "A scalar conductivity solution lifts to a full Vekua solution through the derived "
+        "bivector duality; the lifted field satisfies the Vekua equation, its Beltrami transform "
+        "satisfies the Beltrami equation, and its scalar part over f satisfies the conductivity "
+        "equation, all at stencil order.")
+def check_vekua_pipeline(cfg: SuiteConfig):
     lam = _require_exponential(cfg)
     sol = ExponentialVekuaSolution(lam)
-    rows, orders = [], {}
-    errs_v, errs_b, errs_c = [], [], []
-    for res in cfg.resolutions:
+
+    def residuals(res):
         grid = BoxGrid.unit_cube(res)
         profile = ConductivityProfile.exponential(grid, lam)
         coords = grid.coords()
-        w, diag = construct_bivector_part(
-            profile, sol.u0(coords), grad_u0=sol.grad_u0(coords)
-        )
+        w, _ = construct_bivector_part(profile, sol.u0(coords), grad_u0=sol.grad_u0(coords))
         alpha_scale = float(np.max(np.abs(profile.alpha)))
-        w_norm = w.max_norm()
-        vres = float(np.max(vekua_residual(w, profile.alpha))) / (alpha_scale * w_norm)
+        vres = float(np.max(vekua_residual(w, profile.alpha))) / (alpha_scale * w.max_norm())
         u = beltrami_transform(w, profile)
         du_scale = float(np.max(np.abs(dirac_D(u).values))) or 1.0
         bres = float(np.max(beltrami_residual(u, profile.beltrami_mu()))) / du_scale
         u0n = w.sc() / profile.f
         cond = vector_divergence(grid, profile.f[..., None] ** 2 * scalar_gradient(grid, u0n))
-        sl = interior_slices(2, 3)
         flux_scale = float(np.max(np.abs(profile.f**2))) * (
             float(np.max(np.abs(scalar_gradient(grid, u0n)))) or 1.0
         )
-        cres = float(np.max(np.abs(cond[sl]))) * float(np.min(grid.extent)) / flux_scale
-        rows.append({"case": "vekua-residual", "level": res, "h": 1.0 / (res - 1),
-                     "interior_error": vres, "interior_l2": vres, "exterior_error": 0.0})
-        rows.append({"case": "beltrami-residual", "level": res, "h": 1.0 / (res - 1),
-                     "interior_error": bres, "interior_l2": bres, "exterior_error": 0.0})
-        rows.append({"case": "conductivity-residual", "level": res, "h": 1.0 / (res - 1),
-                     "interior_error": cres, "interior_l2": cres, "exterior_error": 0.0})
-        errs_v.append(vres)
-        errs_b.append(bres)
-        errs_c.append(cres)
-    orders["vekua-residual"] = _orders(errs_v)
-    orders["beltrami-residual"] = _orders(errs_b)
-    orders["conductivity-residual"] = _orders(errs_c)
+        cres = (float(np.max(np.abs(cond[interior_slices(2, 3)])))
+                * float(np.min(grid.extent)) / flux_scale)
+        return {"vekua-residual": vres, "beltrami-residual": bres, "conductivity-residual": cres}
 
     # discrete-solver variant and the bivector-free degenerate case, recorded
     grid = BoxGrid.unit_cube(cfg.resolutions[-1])
     profile = ConductivityProfile.exponential(grid, lam)
-    coords = grid.coords()
-    u0_disc = solve_conductivity(grid, profile.f**2, sol.u0(coords))
+    u0_disc = solve_conductivity(grid, profile.f**2, sol.u0(grid.coords()))
     # stencil gradients of the discrete solution keep the source constant
     # only to second order, so the constancy gate is opened to match
     w_disc, _ = construct_bivector_part(profile, u0_disc, constant_tol=0.05)
-    vres_disc = float(np.max(vekua_residual(w_disc, profile.alpha))) / (
-        float(np.max(np.abs(profile.alpha))) * w_disc.max_norm()
-    )
-    w_scalar = MultivectorField.from_scalar(grid, 2.5 * profile.f)
-    ratio_field = w_scalar.sc() / profile.f
+    vres_disc = (float(np.max(vekua_residual(w_disc, profile.alpha)))
+                 / (float(np.max(np.abs(profile.alpha))) * w_disc.max_norm()))
+    ratio_field = MultivectorField.from_scalar(grid, 2.5 * profile.f).sc() / profile.f
     bivector_free_dev = float(np.max(np.abs(ratio_field - ratio_field.mean())))
-
-    passed = (
-        errs_v[-1] <= cfg.interior_rel_tol
-        and errs_b[-1] <= cfg.interior_rel_tol
-        and errs_c[-1] <= cfg.interior_rel_tol
-        and _ratio_ok(errs_v, cfg.refinement_ratio)
-        and _ratio_ok(errs_b, cfg.refinement_ratio)
-        and bivector_free_dev <= 1e-12
-    )
-    return _finish(
-        cfg,
-        "A scalar conductivity solution lifts to a full Vekua solution through "
-        "the derived bivector duality; the lifted field satisfies the Vekua "
-        "equation, its Beltrami transform satisfies the Beltrami equation, and "
-        "its scalar part over f satisfies the conductivity equation, all at "
-        "stencil order.",
-        passed,
-        rows,
-        orders,
-        {"discrete_solution_residual": vres_disc, "bivector_free_deviation": bivector_free_dev},
-        [],
-        "residuals normalized by coefficient and field sup norms",
-        t0,
-    )
+    return Plan(_per_level(cfg.resolutions, residuals),
+                {"interior": _interior(),
+                 "refinement": _refines("vekua-residual", "beltrami-residual"),
+                 "bivector-free": _extra_within("bivector_free_deviation", 1e-12)},
+                {"discrete_solution_residual": vres_disc,
+                 "bivector_free_deviation": bivector_free_dev})
 
 
-def check_hodge_orthogonality(cfg: SuiteConfig) -> CheckReport:
-    """Orthogonality of Vekua solutions to the deformed-Dirac image of bumps."""
-    t0 = time.monotonic()
+@_check("hodge_orthogonality", "pairing normalized by the L2 norms of the two fields",
+        "The scalar pairing of a Vekua solution against the deformed Dirac image of a compactly "
+        "supported field vanishes: solutions and the deformed-operator range split the space "
+        "orthogonally.")
+def check_hodge_orthogonality(cfg: SuiteConfig):
     lam = _require_exponential(cfg)
-    rows, orders = [], {}
-    errs = {"exponential-profile": [], "monogenic-classical": [], "full-solution": []}
-    for res in cfg.resolutions:
+
+    def normalized(w, v, alpha):
+        return abs(hodge_orthogonality(w, v, alpha)) / (sc_norm(w) * sc_norm(v))
+
+    def pairings(res):
         grid = BoxGrid.unit_cube(res)
         X = grid.coords()
         profile = ConductivityProfile.exponential(grid, lam)
         bump = bump_scalar(grid, margin=3.1 * float(np.max(grid.spacing)))
-        w_f = MultivectorField.from_scalar(grid, profile.f)
-        v2 = MultivectorField.from_components(grid, {2: bump})
-        val = hodge_orthogonality(w_f, v2, profile.alpha)
-        errs["exponential-profile"].append(abs(val) / (sc_norm(w_f) * sc_norm(v2)))
-        w_mono = MultivectorField.from_components(
-            grid, {0: np.ones_like(bump), 1: X[..., 1], 2: X[..., 0]}
-        )
-        v1 = MultivectorField.from_components(grid, {1: bump})
-        val0 = hodge_orthogonality(w_mono, v1, np.zeros(3))
-        errs["monogenic-classical"].append(abs(val0) / (sc_norm(w_mono) * sc_norm(v1)))
-        sol = ExponentialVekuaSolution(lam)
-        w_full = sol.as_field(grid)
-        v_mix = MultivectorField.from_components(grid, {2: bump, 3: 0.5 * bump})
-        val2 = hodge_orthogonality(w_full, v_mix, profile.alpha)
-        errs["full-solution"].append(abs(val2) / (sc_norm(w_full) * sc_norm(v_mix)))
-        for case in errs:
-            rows.append({"case": case, "level": res, "h": 1.0 / (res - 1),
-                         "interior_error": errs[case][-1],
-                         "interior_l2": errs[case][-1], "exterior_error": 0.0})
-    for case in errs:
-        orders[case] = _orders(errs[case])
-    passed = all(v[-1] <= cfg.interior_rel_tol for v in errs.values())
-    return _finish(
-        cfg,
-        "The scalar pairing of a Vekua solution against the deformed Dirac "
-        "image of a compactly supported field vanishes: solutions and the "
-        "deformed-operator range split the space orthogonally.",
-        passed,
-        rows,
-        orders,
-        {},
-        [],
-        "pairing normalized by the L2 norms of the two fields",
-        t0,
-    )
+        blades = lambda comps: MultivectorField.from_components(grid, comps)
+        return {
+            "exponential-profile": normalized(MultivectorField.from_scalar(grid, profile.f),
+                                              blades({2: bump}), profile.alpha),
+            "monogenic-classical": normalized(
+                blades({0: np.ones_like(bump), 1: X[..., 1], 2: X[..., 0]}), blades({1: bump}),
+                np.zeros(3)),
+            "full-solution": normalized(ExponentialVekuaSolution(lam).as_field(grid),
+                                        blades({2: bump, 3: 0.5 * bump}), profile.alpha),
+        }
+
+    return Plan(_per_level(cfg.resolutions, pairings), {"interior": _interior()})
 
 
-def check_dtn_relation(cfg: SuiteConfig) -> CheckReport:
-    """DtN interrelation between the conductivity and Schrodinger forms."""
-    t0 = time.monotonic()
-    rows, orders = [], {}
+@_check("dtn_relation", "residual normalized by the largest of the three terms",
+        "The conductivity DtN of the f-scaled trace equals f times the Schrodinger DtN minus the "
+        "normal-gradient boundary weight, in weak form; exact for constant profiles.")
+def check_dtn_relation(cfg: SuiteConfig):
     traces = {
         "linear": lambda X: X[..., 0],
         "trig": lambda X: np.sin(2.0 * X[..., 0]) * np.cos(X[..., 1]) + 0.5 * X[..., 2],
     }
-    errs = {name: [] for name in traces}
-    for res in cfg.resolutions:
+
+    def residuals(res):
         grid = BoxGrid.unit_cube(res)
         profile = make_profile(grid, cfg.profile)
         X = grid.coords()
-        for name, fn in traces.items():
-            resid, terms = dtn_relation_residual(profile, fn(X), X[..., 0])
-            errs[name].append(resid)
-            rows.append({"case": name, "level": res, "h": 1.0 / (res - 1),
-                         "interior_error": resid, "interior_l2": resid,
-                         "exterior_error": 0.0, "terms": list(terms)})
-    for name in traces:
-        orders[name] = _orders(errs[name])
+        found = {name: dtn_relation_residual(profile, fn(X), X[..., 0])
+                 for name, fn in traces.items()}
+        return {name: (resid, {"terms": list(terms)}) for name, (resid, terms) in found.items()}
+
     grid = BoxGrid.unit_cube(cfg.resolutions[0])
-    const_profile = ConductivityProfile.constant(grid, 2.0)
     X = grid.coords()
-    const_resid, _ = dtn_relation_residual(const_profile, X[..., 0], X[..., 0])
-    passed = (
-        max(v[-1] for v in errs.values()) <= cfg.interior_rel_tol
-        and const_resid <= 1e-8
-    )
-    return _finish(
-        cfg,
-        "The conductivity DtN of the f-scaled trace equals f times the "
-        "Schrodinger DtN minus the normal-gradient boundary weight, in weak "
-        "form; exact for constant profiles.",
-        passed,
-        rows,
-        orders,
-        {"constant_profile_residual": const_resid},
-        [],
-        "residual normalized by the largest of the three terms",
-        t0,
-    )
+    const_resid, _ = dtn_relation_residual(ConductivityProfile.constant(grid, 2.0),
+                                           X[..., 0], X[..., 0])
+    return Plan(_per_level(cfg.resolutions, residuals),
+                {"interior": _interior(),
+                 "constant-profile": _extra_within("constant_profile_residual", 1e-8)},
+                {"constant_profile_residual": const_resid})
 
 
-def check_difference_identities(cfg: SuiteConfig) -> CheckReport:
-    """Forced-trivial difference identities plus the DtN falsification arm."""
-    t0 = time.monotonic()
+@_check("difference_identities",
+        "absolute errors normalized by the solution sup; gap in pairing units",
+        "With equal boundary data the difference-of-potential and Newton-potential identities are "
+        "trivially zero on both sides (equal DtN forces equal profiles, so no nontrivial instance "
+        "exists); distinct profiles separate the DtN pairings by a recorded gap.")
+def check_difference_identities(cfg: SuiteConfig):
     res = cfg.resolutions[-1]
     grid = BoxGrid.unit_cube(res)
     lam = _require_exponential(cfg)
     coords = grid.coords()
     rng = np.random.default_rng(cfg.seed)
     pts = _eval_points(grid, cfg)
+    sampled = lambda nodal: _interior_samples(grid, nodal, pts)
 
     profile_f = ConductivityProfile.exponential(grid, lam)
     profile_g = ConductivityProfile.exponential(grid, lam)
     trace = np.exp(coords @ lam) + 0.3 * coords[..., 0]
     w_f = solve_schrodinger(grid, profile_f.q, trace)
     w_g = solve_schrodinger(grid, profile_g.q, trace)
-    q_f = float(lam @ lam)
 
     # difference-of-potentials identity, trivially forced arm
     dq = cell_average(profile_g.q - profile_f.q, blade_axis=False)
     integrand = dq * cell_average(w_f, blade_axis=False)
-    lhs = scalar_volume_potential(pts.points, grid, integrand, family="yukawa", q=q_f)
-    rhs = _interior_samples(grid, w_f, pts) - _interior_samples(grid, w_g, pts)
-    scale = float(np.max(np.abs(_interior_samples(grid, w_f, pts)))) or 1.0
-    potential_err = float(np.max(np.abs(lhs - rhs))) / scale
+    lhs = scalar_volume_potential(pts.points, grid, integrand, family="yukawa", q=float(lam @ lam))
+    potential_err = float(np.max(np.abs(lhs - (sampled(w_f) - sampled(w_g))))) / (
+        float(np.max(np.abs(sampled(w_f)))) or 1.0
+    )
 
     # Newton-potential identity, trivially forced arm
     u_f = solve_conductivity(grid, profile_f.f**2, trace / profile_f.f)
@@ -1240,129 +898,61 @@ def check_difference_identities(cfg: SuiteConfig) -> CheckReport:
     newton_lhs = 2.0 * scalar_volume_potential(
         pts.points, grid, cell_average(rho, blade_axis=False), family="newton"
     )
-    newton_rhs = _interior_samples(grid, u_f, pts) - _interior_samples(grid, u_g, pts)
-    newton_err = float(np.max(np.abs(newton_lhs - newton_rhs))) / (
-        float(np.max(np.abs(_interior_samples(grid, u_f, pts)))) or 1.0
+    newton_err = float(np.max(np.abs(newton_lhs - (sampled(u_f) - sampled(u_g))))) / (
+        float(np.max(np.abs(sampled(u_f)))) or 1.0
     )
 
     # falsification arm: distinct profiles must separate the DtN forms
-    profile_h = ConductivityProfile.exponential(grid, 1.5 * lam)
     form_f = DtnForm.conductivity(profile_f)
-    form_h = DtnForm.conductivity(profile_h)
-    X = coords
-    gap = 0.0
-    pair_scale = 0.0
+    form_h = DtnForm.conductivity(ConductivityProfile.exponential(grid, 1.5 * lam))
+    gap = pair_scale = 0.0
     for _ in range(10):
-        a = rng.normal(size=3)
-        b = rng.normal(size=3)
-        phi = np.sin(X @ a) + X @ b / 3.0
-        psi = np.cos(X @ b)
-        pf = form_f.pair(phi, psi)
-        ph = form_h.pair(phi, psi)
+        a, b = rng.normal(size=3), rng.normal(size=3)
+        phi, psi = np.sin(coords @ a) + coords @ b / 3.0, np.cos(coords @ b)
+        pf, ph = form_f.pair(phi, psi), form_h.pair(phi, psi)
         gap = max(gap, abs(pf - ph))
         pair_scale = max(pair_scale, abs(pf), abs(ph))
-    gap_threshold = 10.0 * SOLVER_RTOL * max(1.0, pair_scale)
 
     trivial_tol = 1e-6
-    passed = potential_err <= trivial_tol and newton_err <= trivial_tol and gap > gap_threshold
-    rows = [
-        {"case": "potential-difference-trivial", "level": res, "h": 1.0 / (res - 1),
-         "interior_error": potential_err, "interior_l2": potential_err, "exterior_error": 0.0},
-        {"case": "newton-potential-trivial", "level": res, "h": 1.0 / (res - 1),
-         "interior_error": newton_err, "interior_l2": newton_err, "exterior_error": 0.0},
-    ]
-    return _finish(
-        cfg,
-        "With equal boundary data the difference-of-potential and Newton-"
-        "potential identities are trivially zero on both sides (equal DtN "
-        "forces equal profiles, so no nontrivial instance exists); distinct "
-        "profiles separate the DtN pairings by a recorded gap.",
-        passed,
-        rows,
-        {},
-        {
-            "dtn_gap": gap,
-            "dtn_gap_threshold": gap_threshold,
-            "trivial_tolerance": trivial_tol,
-        },
-        [],
-        "absolute errors normalized by the solution sup; gap in pairing units",
-        t0,
+    h = 1.0 / (res - 1)
+    return Plan(
+        [("potential-difference-trivial", res, h, potential_err),
+         ("newton-potential-trivial", res, h, newton_err)],
+        {"trivial": _interior(tol=trivial_tol),
+         "dtn-gap": lambda by_case, extras, cfg: extras["dtn_gap"] > extras["dtn_gap_threshold"]},
+        {"dtn_gap": gap, "dtn_gap_threshold": 10.0 * SOLVER_RTOL * max(1.0, pair_scale),
+         "trivial_tolerance": trivial_tol},
     )
 
 
-def check_s_alpha(cfg: SuiteConfig) -> CheckReport:
-    """The Teodorescu correction maps Vekua solutions to monogenic fields."""
-    t0 = time.monotonic()
+@_check("s_alpha", "Dirac norm on the margin-interior dual lattice over the gradient sup",
+        "Subtracting the volume transform of alpha conj(w) from a Vekua solution produces a "
+        "monogenic field: the stencil Dirac of the result decays under refinement; with alpha = 0 "
+        "the map is the identity.")
+def check_s_alpha(cfg: SuiteConfig):
     lam = _require_exponential(cfg)
-    rows, errs = [], []
-    for res in cfg.resolutions:
-        grid = BoxGrid.unit_cube(res)
-        profile = ConductivityProfile.exponential(grid, lam)
-        w = MultivectorField.from_scalar(grid, profile.f)
-        S = s_alpha(w, profile.alpha_field())
-        DS = dirac_D(S)
-        depth = max(2, round(cfg.margin_fraction * (res - 2)))
-        sl = interior_slices(depth, 3)
-        err = float(np.max(np.abs(DS.values[sl]))) / float(np.max(np.abs(profile.grad_f)))
-        rows.append({"case": "scalar-solution", "level": res, "h": 1.0 / (res - 1),
-                     "interior_error": err, "interior_l2": err, "exterior_error": 0.0})
-        errs.append(err)
+
+    def residual(case, res):
+        profile = ConductivityProfile.exponential(BoxGrid.unit_cube(res), lam)
+        S = s_alpha(MultivectorField.from_scalar(profile.grid, profile.f), profile.alpha_field())
+        DS = dirac_D(S).values[interior_slices(_margin_depth(cfg, res), 3)]
+        return float(np.max(np.abs(DS))) / float(np.max(np.abs(profile.grad_f)))
+
     grid = BoxGrid.unit_cube(cfg.resolutions[0])
-    profile = ConductivityProfile.exponential(grid, lam)
-    w = MultivectorField.from_scalar(grid, profile.f)
-    zero_alpha = MultivectorField.zero(grid)
-    S_id = s_alpha(w, zero_alpha)
-    identity_dev = float(np.max(np.abs(S_id.values - cell_average(w.values))))
-    passed = (
-        errs[-1] <= cfg.interior_rel_tol
-        and _ratio_ok(errs, cfg.refinement_ratio)
-        and identity_dev <= 1e-12
-    )
-    return _finish(
-        cfg,
-        "Subtracting the volume transform of alpha conj(w) from a Vekua "
-        "solution produces a monogenic field: the stencil Dirac of the result "
-        "decays under refinement; with alpha = 0 the map is the identity.",
-        passed,
-        rows,
-        {"scalar-solution": _orders(errs)},
-        {"identity_at_zero_alpha": identity_dev},
-        [],
-        "Dirac norm on the margin-interior dual lattice over the gradient sup",
-        t0,
-    )
+    w = MultivectorField.from_scalar(grid, ConductivityProfile.exponential(grid, lam).f)
+    identity_dev = float(np.max(np.abs(s_alpha(w, MultivectorField.zero(grid)).values
+                                       - cell_average(w.values))))
+    return Plan(_sweep(["scalar-solution"], cfg.resolutions, residual),
+                {"interior": _interior(), "refinement": _refines(),
+                 "zero-alpha": _extra_within("identity_at_zero_alpha", 1e-12)},
+                {"identity_at_zero_alpha": identity_dev})
 
 
-# -- registry and drivers ----------------------------------------------------------
+# -- entry points -------------------------------------------------------------------
 
 
-IDENTITIES = {
-    "cauchy_constant": check_cauchy_constant,
-    "borel_pompeiu": check_borel_pompeiu,
-    "teodorescu_inverse": check_teodorescu_inverse,
-    "operator_consistency": check_operator_consistency,
-    "scalar_bp": check_scalar_bp,
-    "scalar_bp_adjoint": check_scalar_bp_adjoint,
-    "cauchy_vekua": check_cauchy_vekua,
-    "green_vekua": check_green_vekua,
-    "integral_cauchy": check_integral_cauchy,
-    "schrodinger_reconstruction": check_schrodinger_reconstruction,
-    "factorizations": check_factorizations,
-    "vekua_pipeline": check_vekua_pipeline,
-    "hodge_orthogonality": check_hodge_orthogonality,
-    "dtn_relation": check_dtn_relation,
-    "difference_identities": check_difference_identities,
-    "s_alpha": check_s_alpha,
-}
-
-RECONSTRUCTION_IDS = (
-    "scalar_bp",
-    "cauchy_vekua",
-    "green_vekua",
-    "integral_cauchy",
-    "schrodinger_reconstruction",
-)
+RECONSTRUCTION_IDS = ("scalar_bp", "cauchy_vekua", "green_vekua", "integral_cauchy",
+                      "schrodinger_reconstruction")
 
 
 def run_identity(identity, cfg: SuiteConfig | None = None, **overrides) -> CheckReport:
@@ -1384,30 +974,14 @@ def check_reconstruction(identity, cfg: SuiteConfig | None = None, **overrides) 
     """Run one of the reconstruction identities (interior value / exterior zero)."""
     if identity not in RECONSTRUCTION_IDS:
         raise ValueError(
-            f"unknown reconstruction identity {identity!r}; known: {RECONSTRUCTION_IDS}"
-        )
+            f"unknown reconstruction identity {identity!r}; known: {RECONSTRUCTION_IDS}")
     return run_identity(identity, cfg, **overrides)
 
 
 def convergence_study(identity, cfg: SuiteConfig | None = None, **overrides):
-    """Rerun an identity across its resolutions and tabulate (h, error, order)."""
+    """Rerun an identity across its resolutions and tabulate (case, level, h, error, order)."""
     report = run_identity(identity, cfg, **overrides)
-    table = []
-    by_case = {}
-    for row in report.rows:
-        by_case.setdefault(row["case"], []).append(row)
-    for case, rows in by_case.items():
-        orders = report.orders.get(case, [])
-        for k, row in enumerate(rows):
-            table.append(
-                {
-                    "case": case,
-                    "h": row.get("h"),
-                    "error": row["interior_error"],
-                    "order": orders[k - 1] if 0 < k <= len(orders) else None,
-                }
-            )
-    return report, table
+    return report, convergence_table(report)
 
 
 def run_suite(identities=None, parallel=True, **overrides):
@@ -1416,11 +990,8 @@ def run_suite(identities=None, parallel=True, **overrides):
     unknown = [n for n in names if n not in IDENTITIES]
     if unknown:
         raise ValueError(f"unknown identities: {unknown}")
-    cap = os.environ.get("VEKUA_LAB_THREADS")
-    workers = min(len(names), int(cap)) if cap else min(len(names), os.cpu_count() or 1)
+    workers = min(len(names), thread_cap() or os.cpu_count() or 1)
     if parallel and workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = {name: pool.submit(run_identity, name, **overrides) for name in names}
             return {name: fut.result() for name, fut in futures.items()}

@@ -16,12 +16,11 @@ at desk scale (<= 64^3 volumes, <= 128^2 faces).
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clifford import gp_array, vector_to_array, tables
+from .clifford import basis_mul_left, tables
 from .fields import (
     BoxGrid,
     BoundaryQuadrature,
@@ -30,7 +29,13 @@ from .fields import (
     cell_average,
     dirac_D,
 )
-from .kernels import KernelSpec, cauchy_E_components, vekua_phi_components
+from .kernels import (
+    KernelSpec,
+    cauchy_E_components,
+    newton_N_components,
+    vekua_phi_components,
+    yukawa_theta_components,
+)
 
 try:
     import numba
@@ -44,13 +49,10 @@ DEFAULT_MARGIN_FRACTION = 0.2
 
 
 def _worker_cap():
-    raw = os.environ.get("VEKUA_LAB_THREADS")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return None
+    """VEKUA_LAB_THREADS through the harness's one parser (None when unset)."""
+    from .harness import thread_cap  # the harness imports this module
+
+    return thread_cap()
 
 
 @dataclass
@@ -80,8 +82,9 @@ class EvaluationSet:
               snap_to_centers=False):
         """Seeded uniform interior points and rejection-sampled exterior points.
 
-        snap_to_centers moves interior points onto the cell-center lattice,
-        where dropped-cell volume quadrature keeps its singularity centered.
+        snap_to_centers moves interior points onto the nearest cell center
+        that still keeps the margin, where dropped-cell volume quadrature
+        keeps its singularity centered.
         """
         rng = np.random.default_rng(seed)
         if margin is None:
@@ -92,8 +95,13 @@ class EvaluationSet:
             raise ValueError("margin leaves no interior room")
         interior = lo + (hi - lo) * rng.random((n_interior, grid.ndim))
         if snap_to_centers:
+            # center indices k with lo <= origin + (k + 1/2) h <= hi, to the margin check's slack
+            first = np.ceil((margin - 1e-12) / grid.spacing - 0.5)
+            last = np.floor((grid.extent - margin + 1e-12) / grid.spacing - 0.5)
+            if np.any(last < first):
+                raise ValueError("margin leaves no cell center in the interior")
             idx = np.round((interior - grid.origin) / grid.spacing - 0.5)
-            idx = np.clip(idx, 0, grid.resolution - 2)
+            idx = np.clip(idx, first, last)
             interior = grid.origin + (idx + 0.5) * grid.spacing
         exterior = []
         span = grid.extent.max()
@@ -278,46 +286,57 @@ def teodorescu_on_dual_grid(g: MultivectorField) -> MultivectorField:
     return MultivectorField(dual, vals.reshape(tuple(dual.resolution) + (vals.shape[-1],)), g.n)
 
 
-def generalized_volume_term(points, g: MultivectorField, lam):
-    """int Phi_lam(y - x) g(y) dy used by the scalar-part representation checks."""
-    cell_vals = cell_average(g.values)
-    return vector_volume_potential(points, g.grid, cell_vals, lam=lam)
-
-
 def _kernel_components(spec: KernelSpec, z):
+    """Kernel at offsets z: (m, 3) vectors for grade-1 families, (m,) scalars otherwise."""
     if spec.family == "cauchy":
         return cauchy_E_components(z, spec.dimension)
     if spec.family == "vekua_phi":
         return vekua_phi_components(z, spec.lam)
-    raise ValueError(f"kernel family {spec.family!r} is not a boundary-integral kernel")
+    if spec.family == "newton":
+        return newton_N_components(z, spec.dimension)[0]
+    return yukawa_theta_components(z, spec.q)[0]
+
+
+# For vectors K and eta, K eta = -(K . eta) + sum_{i<j} (K_i eta_j - K_j eta_i) e_i e_j.
+_BIVECTOR_AXES = ((0, 1), (0, 2), (1, 2))
 
 
 def cauchy_boundary(kernel: KernelSpec, boundary: BoundaryQuadrature, trace_values, points):
-    """Boundary integral sum_m K(y_m - x) eta_m v_m w_m, full multivector output.
+    """Boundary layer potential of one kernel family, full multivector output.
 
-    Clifford products are taken in the written order: kernel, then normal,
-    then trace.  Points closer to the boundary than one face-cell diameter
-    are rejected; the midpoint rule is unreliable there.
+    Grade-1 families (cauchy, vekua_phi) give the Clifford double layer
+    sum_m K(y_m - x) eta_m v_m w_m, products taken in the written order:
+    kernel, then normal, then trace.  Scalar families (newton, yukawa) give
+    the single layer sum_m k(y_m - x) v_m w_m.  A 1-d trace is a scalar
+    trace.  Per point the double layer is four face sums of the weighted
+    trace, one per part of K eta, recombined by signed blade shuffles.
+    Points closer to the boundary than one face-cell diameter are rejected;
+    the midpoint rule is unreliable there.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     trace = np.asarray(trace_values, dtype=float)
     if trace.ndim == 1:
-        scalar = trace
-        trace = np.zeros((scalar.shape[0], 1 << 3))
-        trace[:, 0] = scalar
-    normals = vector_to_array(boundary.normals, 3)
-    out = np.empty((pts.shape[0], trace.shape[-1]))
-    for p in range(pts.shape[0]):
-        z = boundary.positions - pts[p]
-        dist = np.sqrt(np.sum(z * z, axis=1)).min()
-        if dist < boundary.max_cell_diameter:
+        trace = np.concatenate([trace[:, None], np.zeros((trace.shape[0], 7))], axis=1)
+    density = trace * boundary.weights[:, None]
+    eta = boundary.normals
+    double_layer = kernel.family in ("cauchy", "vekua_phi")
+    sums = np.empty((pts.shape[0], 4 if double_layer else 1, trace.shape[-1]))
+    for p, x in enumerate(pts):
+        z = boundary.positions - x
+        if np.sqrt(np.min(np.sum(z * z, axis=1))) < boundary.max_cell_diameter:
             raise ValueError(
                 "evaluation point within one face-cell diameter of the boundary"
             )
-        K = vector_to_array(_kernel_components(kernel, z), 3)
-        KH = gp_array(K, normals, 3)
-        KHV = gp_array(KH, trace, 3)
-        out[p] = np.sum(KHV * boundary.weights[:, None], axis=0)
+        k = _kernel_components(kernel, z)
+        if double_layer:
+            k = np.stack([-np.sum(k * eta, axis=1)] + [
+                k[:, i] * eta[:, j] - k[:, j] * eta[:, i] for i, j in _BIVECTOR_AXES
+            ])
+        sums[p] = np.atleast_2d(k) @ density
+    out = sums[:, 0].copy()
+    if double_layer:
+        for b, (i, j) in enumerate(_BIVECTOR_AXES, start=1):
+            out += basis_mul_left((1 << i) | (1 << j), sums[:, b], 3)
     return out
 
 

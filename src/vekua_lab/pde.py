@@ -314,10 +314,6 @@ class DtnForm:
         return out
 
 
-def dtn_pair(form: DtnForm, phi0, psi0, extension="harmonic"):
-    return form.pair(phi0, psi0, extension)
-
-
 # -- boundary node quadrature --------------------------------------------------------
 
 

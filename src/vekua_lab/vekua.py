@@ -48,7 +48,6 @@ class ConductivityProfile:
         self.lam = None if lam is None else np.asarray(lam, dtype=float)
         self._f_fn = f_fn
         self._grad_fn = grad_fn
-        self._q_fn = q_fn
         coords = grid.coords()
         if f_fn is not None:
             self.f = f_fn(coords)
@@ -155,14 +154,6 @@ class ConductivityProfile:
 
     def alpha_at(self, points):
         return self.grad_at(points) / self.f_at(points)[..., None]
-
-    def q_at(self, points):
-        pts = np.atleast_2d(points)
-        if self._q_fn is not None:
-            return self._q_fn(pts)
-        if self.q is None:
-            raise ValueError("profile has no potential q")
-        return trilinear_sample(self.grid, self.q, pts)
 
     def beltrami_mu(self):
         return BeltramiCoefficient((1.0 - self.f**2) / (1.0 + self.f**2))

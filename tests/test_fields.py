@@ -261,13 +261,6 @@ def test_boundary_sampling_override_density():
     assert bq.total_weight == pytest.approx(6.0, rel=1e-12)
 
 
-def test_boundary_samples_iterate():
-    g = unit_grid(8)
-    sample = next(iter(F.boundary_sampling(g)))
-    assert sample.normal.shape == (3,)
-    assert sample.weight > 0
-
-
 # -- helpers ------------------------------------------------------------------------
 
 

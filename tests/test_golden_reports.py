@@ -3,9 +3,10 @@
 The golden files are written by `tests/golden/record.py`; see its docstring
 for the size and for when to re-record.  Strings, booleans, integers, keys,
 list lengths and the config hash must match exactly; floats must match to
-|a - b| <= RTOL * max(|a|, |b|) + ATOL, the drift rule of the benchmark
-reference (solver-based residuals carry about 1e-6 relative CG error,
-quantities at the rounding floor sit below ATOL).
+|a - b| <= RTOL * max(|a|, |b|) + ATOL, the drift rule that
+`perfbench/workloads.py` applies to its reference (solver-based residuals
+carry about 1e-6 relative CG error, quantities at the rounding floor sit
+below ATOL).
 """
 
 import importlib.util

@@ -8,6 +8,7 @@ import pytest
 
 from vekua_lab import cli
 from vekua_lab import harness as H
+from vekua_lab.integral_ops import _worker_cap
 
 
 def test_config_validation():
@@ -31,6 +32,49 @@ def test_config_seed_from_environment(monkeypatch):
     monkeypatch.setenv("VEKUA_LAB_SEED", "777")
     cfg = H.SuiteConfig.defaults("borel_pompeiu")
     assert cfg.seed == 777
+
+
+def test_invalid_seed_fails_loudly(monkeypatch, tmp_path):
+    monkeypatch.setenv("VEKUA_LAB_SEED", "abc")
+    with pytest.raises(ValueError, match="VEKUA_LAB_SEED"):
+        H.SuiteConfig.defaults("borel_pompeiu")
+    with pytest.raises(ValueError, match="VEKUA_LAB_SEED"):
+        cli.main(["dtn", "--resolution", "8", "--basis-size", "4", "--out", str(tmp_path)])
+
+
+@pytest.mark.parametrize("raw", ["abc", "1.5", "0", "-2"])
+def test_invalid_thread_count_fails_loudly(monkeypatch, raw):
+    monkeypatch.setenv("VEKUA_LAB_THREADS", raw)
+    with pytest.raises(ValueError, match="VEKUA_LAB_THREADS"):
+        H.run_suite(["cauchy_constant"])
+    with pytest.raises(ValueError, match="VEKUA_LAB_THREADS"):
+        _worker_cap()
+
+
+def test_environment_parsers(monkeypatch):
+    monkeypatch.delenv("VEKUA_LAB_SEED", raising=False)
+    monkeypatch.delenv("VEKUA_LAB_THREADS", raising=False)
+    assert H.default_seed() == H.DEFAULT_SEED
+    assert H.thread_cap() is None
+    monkeypatch.setenv("VEKUA_LAB_SEED", "-5")
+    monkeypatch.setenv("VEKUA_LAB_THREADS", "3")
+    assert H.default_seed() == -5
+    assert H.thread_cap() == 3
+    assert _worker_cap() == 3
+
+
+def test_seed_from_environment_reaches_dtn(monkeypatch, tmp_path):
+    monkeypatch.setenv("VEKUA_LAB_SEED", "777")
+    seeds = []
+    trace_basis = cli._trace_basis
+
+    def recording(grid, size, seed):
+        seeds.append(seed)
+        return trace_basis(grid, size, seed)
+
+    monkeypatch.setattr(cli, "_trace_basis", recording)
+    assert cli.main(["dtn", "--resolution", "8", "--basis-size", "4", "--out", str(tmp_path)]) == 0
+    assert seeds == [777]
 
 
 def test_config_from_json(tmp_path):

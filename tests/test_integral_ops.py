@@ -8,10 +8,12 @@ with exterior poles) provide the oracles.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vekua_lab import fields as F
 from vekua_lab import integral_ops as IO
-from vekua_lab.clifford import vector_to_array
+from vekua_lab import kernels as K
+from vekua_lab.clifford import Multivector, geometric_product, vector_to_array
 from vekua_lab.fields import BoxGrid, MultivectorField, boundary_sampling
 from vekua_lab.kernels import KernelSpec, cauchy_E_components
 
@@ -51,6 +53,22 @@ def test_evaluation_set_snapping():
     pts = IO.EvaluationSet.build(g, 6, 2, seed=3, snap_to_centers=True)
     centers = (pts.interior_points - g.origin) / g.spacing - 0.5
     assert np.allclose(centers, np.round(centers), atol=1e-9)
+
+
+@pytest.mark.parametrize("resolution", [10, 12, 24])
+def test_evaluation_set_snaps_to_centers_inside_the_margin(resolution):
+    # the nearest center of a point drawn just inside the margin can lie outside it
+    boxes = [
+        BoxGrid.unit_cube(resolution),
+        BoxGrid([0.5, -1.0, 2.0], [1.0, 2.0, 1.5], [resolution, resolution + 3, resolution]),
+    ]
+    for g in boxes:
+        margin = 0.2 * float(np.min(g.extent))
+        for seed in range(10):
+            pts = IO.EvaluationSet.build(g, 16, 2, margin=margin, seed=seed, snap_to_centers=True)
+            centers = (pts.interior_points - g.origin) / g.spacing - 0.5
+            assert np.allclose(centers, np.round(centers), atol=1e-9)
+            assert g.interior_distance(pts.interior_points).min() >= margin - 1e-12
 
 
 # -- teodorescu ---------------------------------------------------------------
@@ -162,6 +180,70 @@ def test_cauchy_boundary_rejects_near_boundary_points():
         IO.cauchy_boundary(
             KernelSpec("cauchy"), bq, np.ones(len(bq)), [[0.001, 0.5, 0.5]]
         )
+
+
+def oracle_boundary(kernel, bq, trace, x):
+    """Face-by-face Multivector sum of K eta v w (grade-1 kernels) or k v w.
+
+    Returns the sum and the matching sum of absolute term coefficients,
+    the scale that rounding is measured against.
+    """
+    total = np.zeros(8)
+    magnitude = np.zeros(8)
+    for y, normal, w, v in zip(bq.positions, bq.normals, bq.weights, trace):
+        rho = Multivector(3, v) if np.ndim(v) else Multivector.scalar(v)
+        if kernel.family == "cauchy":
+            term = geometric_product(K.cauchy_E(y - x), Multivector.from_vector(normal))
+        elif kernel.family == "vekua_phi":
+            term = geometric_product(K.vekua_phi(y - x, kernel.lam),
+                                     Multivector.from_vector(normal))
+        elif kernel.family == "newton":
+            term = Multivector.scalar(K.newton_N(y - x)[0])
+        else:
+            term = Multivector.scalar(K.yukawa_theta(y - x, kernel.q)[0])
+        coeffs = geometric_product(term, rho).coeffs * w
+        total += coeffs
+        magnitude += np.abs(coeffs)
+    return total, magnitude
+
+
+kernel_specs = st.one_of(
+    st.just(KernelSpec("cauchy")),
+    st.just(KernelSpec("newton")),
+    st.floats(0.05, 4.0).map(lambda q: KernelSpec("yukawa", q=q)),
+    st.lists(st.floats(-1.5, 1.5), min_size=3, max_size=3)
+    .filter(lambda lam: np.linalg.norm(lam) > 0.1)
+    .map(lambda lam: KernelSpec("vekua_phi", lam=lam)),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    kernel=kernel_specs,
+    origin=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+    extent=st.lists(st.floats(0.8, 1.6), min_size=3, max_size=3),
+    resolution=st.lists(st.integers(9, 11), min_size=3, max_size=3),
+    inside=st.lists(st.floats(0.4, 0.6), min_size=3, max_size=3),
+    outside=st.lists(st.sampled_from([-0.8, 0.5, 1.8]), min_size=3, max_size=3)
+    .filter(lambda u: u != [0.5, 0.5, 0.5]),
+    scalar_trace=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_cauchy_boundary_matches_face_by_face_oracle(
+    kernel, origin, extent, resolution, inside, outside, scalar_trace, seed
+):
+    # anisotropic box, per-axis face cells from the resolution, one interior
+    # and one exterior point at least a face-cell diameter off the boundary
+    g = BoxGrid(origin, extent, resolution)
+    bq = boundary_sampling(g)
+    rng = np.random.default_rng(seed)
+    trace = rng.normal(size=len(bq) if scalar_trace else (len(bq), 8))
+    pts = g.origin + g.extent * np.array([inside, outside])
+    got = IO.cauchy_boundary(kernel, bq, trace, pts)
+    assert got.shape == (2, 8)
+    for x, row in zip(pts, got):
+        want, magnitude = oracle_boundary(kernel, bq, trace, x)
+        assert np.all(np.abs(row - want) <= 1e-13 * magnitude.sum() + 1e-300)
 
 
 # -- borel-pompeiu ------------------------------------------------------------------
