@@ -107,20 +107,22 @@ def _trace_basis(grid: BoxGrid, size, seed):
     return traces[:size]
 
 
-def _boundary_table(grid: BoxGrid):
-    """Index, face id and position of every boundary node (nodes on edges
-    and corners appear once per face, matching the per-face quadratures)."""
-    res = grid.resolution
-    rows = []
+def _trace_rows(grid: BoxGrid, traces):
+    """traces.csv data lines: every boundary node once per face it lies on
+    (edges and corners repeat, matching the per-face quadratures), faces in
+    the order (axis, low/high side), nodes in C order within a face."""
     coords = grid.coords()
+    row = "{},{},{:.10g},{:.10g},{:.10g}," + ",".join(["{:.10e}"] * len(traces)) + "\n"
+    lines = []
     for axis in range(3):
         for side_id, side in enumerate((0, -1)):
-            face = 2 * axis + side_id
             slab = tuple(side if b == axis else slice(None) for b in range(3))
             pos = coords[slab].reshape(-1, 3)
-            for p in pos:
-                rows.append((face, p))
-    return rows
+            vals = np.stack([trace[slab].ravel() for trace in traces], axis=1)
+            face = 2 * axis + side_id
+            for p, v in zip(pos.tolist(), vals.tolist()):
+                lines.append(row.format(len(lines), face, *p, *v))
+    return lines
 
 
 def _cmd_dtn(args):
@@ -142,18 +144,12 @@ def _cmd_dtn(args):
             for j in range(matrix.shape[1]):
                 fh.write(f"{i},{j},{matrix[i, j]:.12e}\n")
     tpath = os.path.join(out_dir, "traces.csv")
-    table = _boundary_table(grid)
     with open(tpath, "w") as fh:
         header = "node_index,face,x1,x2,x3," + ",".join(
             f"t{k}" for k in range(len(traces))
         )
         fh.write(header + "\n")
-        for idx, (face, p) in enumerate(table):
-            vals = ",".join(
-                f"{trace[tuple(np.round((p - grid.origin) / grid.spacing).astype(int))]:.10e}"
-                for trace in traces
-            )
-            fh.write(f"{idx},{face},{p[0]:.10g},{p[1]:.10g},{p[2]:.10g},{vals}\n")
+        fh.writelines(_trace_rows(grid, traces))
     print(f"wrote {mpath} and {tpath}")
     print(f"profile={args.profile} kind={args.kind} resolution={args.resolution}")
     print(f"relative symmetry defect: {sym:.3e}")

@@ -13,8 +13,9 @@ shape, so results do not depend on any worker parallelism.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from . import clifford
 from .clifford import tables
@@ -399,9 +400,34 @@ def boundary_sampling(grid: BoxGrid, cells_per_axis=None) -> BoundaryQuadrature:
 
 
 def trilinear_sample(grid: BoxGrid, nodal_values, points):
-    """Multilinear interpolation of nodal data (scalar or per-blade) at points."""
-    interp = RegularGridInterpolator(grid.axes, np.asarray(nodal_values), method="linear")
-    return interp(np.atleast_2d(points))
+    """Multilinear interpolation of nodal data (scalar or per-blade) at points.
+
+    Points of shape (..., ndim) must lie in the closed box (ValueError
+    otherwise); a point on a top face is interpolated in the last cell.
+    Returns shape (..., *trailing value axes); a single point gives (1, ...).
+    """
+    values = np.asarray(nodal_values, dtype=float)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    ndim = grid.ndim
+    if pts.shape[-1] != ndim:
+        raise ValueError(f"points must have {ndim} coordinates, got shape {pts.shape}")
+    lo = np.array([axis[0] for axis in grid.axes])
+    hi = np.array([axis[-1] for axis in grid.axes])
+    flat = pts.reshape(-1, ndim)
+    if not np.all((flat >= lo) & (flat <= hi)):
+        raise ValueError("sample points outside the grid box")
+    cell = np.floor((flat - grid.origin) / grid.spacing).astype(np.int64)
+    cell = np.clip(cell, 0, grid.resolution - 2)
+    # local coordinate within the cell, from the node coordinates themselves
+    t = np.stack([(flat[:, a] - axis[cell[:, a]]) / (axis[cell[:, a] + 1] - axis[cell[:, a]])
+                  for a, axis in enumerate(grid.axes)], axis=1)
+    tail = values.shape[ndim:]
+    out = np.zeros((flat.shape[0],) + tail)
+    for corner in itertools.product((0, 1), repeat=ndim):
+        weight = np.prod([t[:, a] if c else 1.0 - t[:, a] for a, c in enumerate(corner)], axis=0)
+        node = tuple(cell[:, a] + c for a, c in enumerate(corner))
+        out += weight.reshape(weight.shape + (1,) * len(tail)) * values[node]
+    return out.reshape(pts.shape[:-1] + tail)
 
 
 def cell_average(values, blade_axis=True):

@@ -6,6 +6,8 @@ exactly; smooth fields must show second-order refinement.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.interpolate import RegularGridInterpolator
 
 from vekua_lab import fields as F
 from vekua_lab.clifford import Multivector, gp_array
@@ -289,6 +291,41 @@ def test_trilinear_sample_linear_exact():
     pts = np.array([[0.31, 0.67, 0.13], [0.5, 0.5, 0.5]])
     out = F.trilinear_sample(g, vals, pts)
     assert np.allclose(out, 2.0 * pts[:, 0] - pts[:, 2], atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    origin=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+    extent=st.lists(st.floats(0.2, 3.0), min_size=3, max_size=3),
+    resolution=st.lists(st.integers(8, 13), min_size=3, max_size=3),
+    blades=st.sampled_from([None, 8]),
+    seed=st.integers(0, 2**16),
+)
+def test_trilinear_sample_matches_regular_grid_interpolator(origin, extent, resolution,
+                                                           blades, seed):
+    # anisotropic boxes; random interior points, every node, and the nodes
+    # of all six faces (the top faces sit in the last cell)
+    g = BoxGrid(origin, extent, resolution)
+    rng = np.random.default_rng(seed)
+    shape = tuple(g.resolution) + (() if blades is None else (blades,))
+    vals = rng.normal(size=shape)
+    X = g.coords()
+    faces = [X[tuple(side if b == a else slice(None) for b in range(3))].reshape(-1, 3)
+             for a in range(3) for side in (0, -1)]
+    pts = np.vstack([g.origin + rng.random((64, 3)) * g.extent, X.reshape(-1, 3), *faces])
+    got = F.trilinear_sample(g, vals, pts)
+    want = RegularGridInterpolator(g.axes, vals, method="linear")(pts)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(vals))
+
+
+def test_trilinear_sample_rejects_points_outside_the_box():
+    g = BoxGrid([0.5, -1.0, 0.0], [1.0, 2.0, 0.5], [9, 10, 8])
+    vals = np.zeros(tuple(g.resolution))
+    assert F.trilinear_sample(g, vals, g.top).shape == (1,)
+    for bad in (g.top + [0.0, 1e-9, 0.0], g.origin - [1e-9, 0.0, 0.0], [np.nan, 0.0, 0.2]):
+        with pytest.raises(ValueError):
+            F.trilinear_sample(g, vals, bad)
 
 
 def test_curl_of_gradient_vanishes():

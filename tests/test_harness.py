@@ -8,6 +8,7 @@ import pytest
 
 from vekua_lab import cli
 from vekua_lab import harness as H
+from vekua_lab.fields import BoxGrid
 from vekua_lab.integral_ops import _worker_cap
 
 
@@ -205,6 +206,30 @@ def test_cli_dtn_export(tmp_path, capsys):
     traces = (tmp_path / "traces.csv").read_text().splitlines()
     assert traces[0].startswith("node_index,face,x1,x2,x3")
     assert len(traces) == 1 + 6 * 81
+
+
+def _traces_csv_per_node(grid, traces):
+    """traces.csv as the per-node writer produced it: one row per boundary
+    node and face, each value looked up by rounding the node position."""
+    lines = ["node_index,face,x1,x2,x3," + ",".join(f"t{k}" for k in range(len(traces)))]
+    coords = grid.coords()
+    idx = 0
+    for axis in range(3):
+        for side_id, side in enumerate((0, -1)):
+            slab = tuple(side if b == axis else slice(None) for b in range(3))
+            for p in coords[slab].reshape(-1, 3):
+                index = tuple(np.round((p - grid.origin) / grid.spacing).astype(int))
+                vals = ",".join(f"{trace[index]:.10e}" for trace in traces)
+                lines.append(f"{idx},{2 * axis + side_id},{p[0]:.10g},{p[1]:.10g},{p[2]:.10g},{vals}")
+                idx += 1
+    return "\n".join(lines) + "\n"
+
+
+def test_cli_dtn_traces_csv_matches_per_node_writer(tmp_path, capsys):
+    assert cli.main(["dtn", "--resolution", "8", "--basis-size", "5", "--out", str(tmp_path)]) == 0
+    grid = BoxGrid.unit_cube(8)
+    want = _traces_csv_per_node(grid, cli._trace_basis(grid, 5, H.default_seed()))
+    assert (tmp_path / "traces.csv").read_text() == want
 
 
 def test_cli_config_override(tmp_path, capsys):

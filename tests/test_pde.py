@@ -3,11 +3,14 @@ interrelation and the distributional potential product."""
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
+from hypothesis import given, settings, strategies as st
 
+from vekua_lab import cli
 from vekua_lab import fields as F
 from vekua_lab import pde as P
 from vekua_lab.fields import BoxGrid
-from vekua_lab.vekua import ConductivityProfile
+from vekua_lab.vekua import ConductivityProfile, make_profile
 
 
 def grid16():
@@ -104,6 +107,123 @@ def test_poisson_with_volume_source():
     assert np.max(np.abs(u - exact)) <= 1e-10
 
 
+def _dirichlet_eigenvalues(g):
+    """Sorted eigenvalues of the interior -Delta_h on a box grid."""
+    nus = []
+    for r, h in zip(g.resolution, g.spacing):
+        k = np.arange(1, r - 1)
+        nus.append((2.0 - 2.0 * np.cos(np.pi * k / (r - 1))) / h**2)
+    return np.sort((nus[0][:, None, None] + nus[1][None, :, None]
+                    + nus[2][None, None, :]).ravel())
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    case=st.sampled_from(["sigma", "q_variable", "q_negative_mean", "q_constant"]),
+    origin=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+    extent=st.lists(st.floats(0.3, 2.5), min_size=3, max_size=3),
+    resolution=st.lists(st.integers(8, 14), min_size=3, max_size=3),
+    with_rhs=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_solve_matches_sparse_direct_oracle(case, origin, extent, resolution, with_rhs, seed):
+    # anisotropic boxes (6-12 interior nodes per axis); the preconditioned
+    # solve against a sparse LU of the same interior system
+    g = BoxGrid(origin, extent, resolution)
+    rng = np.random.default_rng(seed)
+    X = (g.coords() - g.origin) / g.extent
+    a, b = rng.normal(size=3), rng.normal(size=3)
+    smooth = np.sin(X @ a) * np.cos(X @ b)
+    lam_min = _dirichlet_eigenvalues(g)[0]
+    if case == "sigma":
+        op = P.DirichletOperator(g, sigma=np.exp(0.8 * smooth + 0.3 * X[..., 2]))
+    elif case == "q_variable":
+        op = P.DirichletOperator(g, q=lam_min * (1.0 + smooth))
+    elif case == "q_negative_mean":
+        # q in [-0.75, -0.25] lam_min: negative mean, operator still SPD
+        op = P.DirichletOperator(g, q=-lam_min * (0.5 + 0.25 * smooth))
+    else:
+        op = P.DirichletOperator(g, q=np.full(tuple(g.resolution), 3.0 * lam_min))
+    trace = np.cos(X @ b) + X @ a
+    rhs = lam_min * smooth if with_rhs else None
+    u = op.solve(trace, rhs=rhs)
+    inner = F.interior_slices(1, 3)
+    rhs_b = op.trace_rhs(trace) + (0.0 if rhs is None else rhs[inner].ravel())
+    x = u[inner].ravel()
+    assert np.linalg.norm(op.matrix @ x - rhs_b) <= 1e-10 * np.linalg.norm(rhs_b)
+    want = scipy.sparse.linalg.spsolve(op.matrix.tocsc(), rhs_b)
+    assert np.linalg.norm(x - want) <= 1e-9 * np.linalg.norm(want)
+    mask = np.ones(tuple(g.resolution), dtype=bool)
+    mask[inner] = False
+    assert np.array_equal(u[mask], trace[mask])
+
+
+class _CountingCg:
+    """Stands in for scipy.sparse.linalg inside pde, recording the CG
+    iteration count of every solve."""
+
+    def __init__(self):
+        self.counts = []
+
+    def __getattr__(self, attr):
+        return getattr(scipy.sparse.linalg, attr)
+
+    def cg(self, *args, callback=None, **kwargs):
+        self.counts.append(0)
+
+        def count(xk):
+            self.counts[-1] += 1
+            if callback is not None:
+                callback(xk)
+
+        return scipy.sparse.linalg.cg(*args, callback=count, **kwargs)
+
+
+@pytest.mark.parametrize("kind, profile, bound", [
+    ("conductivity", "exponential", 8),
+    ("conductivity", "quadratic_z", 8),
+    ("schrodinger", "exponential", 1),  # q constant
+    ("schrodinger", "linear_z", 1),  # f linear: q = 0
+])
+def test_solve_iteration_counts(monkeypatch, kind, profile, bound):
+    linalg = _CountingCg()
+    monkeypatch.setattr(P, "spla", linalg)
+    g = BoxGrid.unit_cube(24)
+    p = make_profile(g, {"kind": profile})
+    form = P.DtnForm.conductivity(p) if kind == "conductivity" else P.DtnForm.schrodinger(p)
+    traces = cli._trace_basis(g, 4, 2024)
+    for trace in traces:
+        form.solution(trace)
+    assert len(linalg.counts) == 4 and all(1 <= n <= bound for n in linalg.counts)
+    # the harmonic extension is a constant-coefficient solve
+    linalg.counts.clear()
+    for trace in traces:
+        form.pair(traces[0], trace, extension="harmonic")
+    assert linalg.counts == [1] * 4
+
+
+def test_solve_poisson_takes_one_iteration(monkeypatch):
+    linalg = _CountingCg()
+    monkeypatch.setattr(P, "spla", linalg)
+    g = BoxGrid([0.5, -1.0, 0.0], [1.0, 2.0, 0.5], [10, 14, 12])
+    X = g.coords()
+    P.solve_poisson(g, rhs=np.sin(X[..., 0]) + 1.0, trace=X[..., 1] ** 2)
+    assert linalg.counts == [1]
+
+
+def test_unsolvable_indefinite_operator_raises():
+    # q = -(second-smallest eigenvalue of -Delta_h): the operator is
+    # indefinite (the lowest mode goes negative) and singular, and the trace
+    # x1 excites a null mode, so no nodal field meets the residual target
+    g = BoxGrid.unit_cube(8)
+    mu = _dirichlet_eigenvalues(g)
+    q = np.full(tuple(g.resolution), -mu[1])
+    result = None
+    with pytest.raises(P.SolverError, match=r"after \d+ iterations at relative residual"):
+        result = P.solve_schrodinger(g, q, g.coords()[..., 0])
+    assert result is None
+
+
 # -- extensions ---------------------------------------------------------------------
 
 
@@ -193,6 +313,40 @@ def test_dtn_matrix_symmetry():
     traces = [X[..., 0], X[..., 1], np.sin(X[..., 0] + X[..., 2])]
     M = form.matrix(traces)
     assert np.max(np.abs(M - M.T)) <= 1e-10 * np.max(np.abs(M))
+
+
+def _energy_per_edge(grid, op, U, V):
+    """a(U, V) summed the direct way: difference quotients, face sigma and
+    transverse trapezoid weights per edge, plus the trapezoid mass term."""
+    trap = []
+    for r in grid.resolution:
+        t = np.ones(int(r))
+        t[0] = t[-1] = 0.5
+        trap.append(t)
+    total = 0.0
+    for a in range(3):
+        dU = np.diff(U, axis=a) / grid.spacing[a]
+        dV = np.diff(V, axis=a) / grid.spacing[a]
+        w = 1.0
+        for b in range(3):
+            if b != a:
+                w = w * trap[b].reshape([-1 if c == b else 1 for c in range(3)])
+        total += float(np.sum(op.faces[a] * dU * dV * w)) * grid.cell_volume
+    if op.q is not None:
+        w = trap[0][:, None, None] * trap[1][None, :, None] * trap[2][None, None, :]
+        total += float(np.sum(op.q * U * V * w)) * grid.cell_volume
+    return total
+
+
+@pytest.mark.parametrize("kind", ["conductivity", "schrodinger"])
+def test_dtn_energy_matches_per_edge_formula(rng, kind):
+    g = BoxGrid([0.5, -1.0, 0.2], [1.0, 2.0, 0.5], [9, 12, 10])
+    X = g.coords()
+    coefficient = np.exp(np.sin(X @ rng.normal(size=3)))
+    form = P.DtnForm(g, kind, coefficient)
+    U, V = rng.normal(size=(2,) + tuple(g.resolution))
+    want = _energy_per_edge(g, form.op, U, V)
+    assert form.energy(U, V) == pytest.approx(want, rel=1e-13)
 
 
 def test_dtn_invalid_kind_and_extension():
