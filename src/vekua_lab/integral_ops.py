@@ -9,18 +9,19 @@ the first-order error budget of the scheme.  Evaluation points meant for
 grid-wide potentials therefore live on the dual (cell-center) lattice,
 where the dropped singular cell is exactly centered.
 
-No fast summation is used; everything is direct, which keeps the engine
-at desk scale (<= 64^3 volumes, <= 128^2 faces).
+Each volume sum has one engine, chosen by its input: a direct numpy sum,
+one point at a time, for point sets, and zero-padded FFTs for the whole
+cell-center lattice, where the dropped-cell sum is a discrete
+convolution.  Boundary sums are direct (<= 128^2 faces).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clifford import basis_mul_left, tables
+from .clifford import basis_mul_left
 from .fields import (
     BoxGrid,
     BoundaryQuadrature,
@@ -37,22 +38,10 @@ from .kernels import (
     yukawa_theta_components,
 )
 
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    numba = None
-    HAVE_NUMBA = False
+# Read by the benchmark's provenance line; no engine uses numba.
+HAVE_NUMBA = False
 
 DEFAULT_MARGIN_FRACTION = 0.2
-
-
-def _worker_cap():
-    """VEKUA_LAB_THREADS through the harness's one parser (None when unset)."""
-    from .harness import thread_cap  # the harness imports this module
-
-    return thread_cap()
 
 
 @dataclass
@@ -127,74 +116,43 @@ class EvaluationSet:
         return self.points.shape[0]
 
 
-# -- direct volume-potential kernels ----------------------------------------------
+# -- volume potentials ------------------------------------------------------------
 
-if HAVE_NUMBA:
-
-    @numba.njit(cache=True, parallel=True)
-    def _vector_potential_direct(points, drop_flat, centers, cell_vals, lam, q, perm, psign, vol):
-        npts = points.shape[0]
-        ncells = centers.shape[0]
-        dim = cell_vals.shape[1]
-        out = np.zeros((npts, dim))
-        four_pi = 4.0 * math.pi
-        kappa = math.sqrt(q)
-        screened = q > 0.0
-        for p in numba.prange(npts):
-            acc = np.zeros(dim)
-            px = points[p, 0]
-            py = points[p, 1]
-            pz = points[p, 2]
-            skip = drop_flat[p]
-            for c in range(ncells):
-                if c == skip:
-                    continue
-                zx = centers[c, 0] - px
-                zy = centers[c, 1] - py
-                zz = centers[c, 2] - pz
-                r2 = zx * zx + zy * zy + zz * zz
-                r = math.sqrt(r2)
-                if screened:
-                    damp = math.exp(-kappa * r)
-                    theta = damp / (four_pi * r)
-                    dtheta = -(1.0 + kappa * r) * damp / (four_pi * r2)
-                else:
-                    theta = 1.0 / (four_pi * r)
-                    dtheta = -theta / r
-                gr = dtheta / r
-                k0 = gr * zx - lam[0] * theta
-                k1 = gr * zy - lam[1] * theta
-                k2 = gr * zz - lam[2] * theta
-                for d in range(dim):
-                    gd = cell_vals[c, d]
-                    if gd != 0.0:
-                        acc[perm[0, d]] += psign[0, d] * k0 * gd
-                        acc[perm[1, d]] += psign[1, d] * k1 * gd
-                        acc[perm[2, d]] += psign[2, d] * k2 * gd
-            for d in range(dim):
-                out[p, d] = acc[d] * vol
-        return out
+_GRADE1_FAMILIES = ("cauchy", "vekua_phi")
 
 
-def _vector_potential_numpy(points, drop_flat, centers, cell_vals, lam, q, perm, psign, vol):
-    """Pure-numpy fallback for the direct volume potential (one point at a time)."""
-    npts = points.shape[0]
-    dim = cell_vals.shape[1]
-    out = np.zeros((npts, dim))
-    lam = np.asarray(lam, dtype=float)
-    for p in range(npts):
-        z = centers - points[p]
-        skip = int(drop_flat[p])
-        if skip >= 0:
-            z = z.copy()
-            z[skip] = 1.0  # placeholder, contribution zeroed below
-        comps = vekua_phi_components(z, lam) if q > 0.0 else cauchy_E_components(z)
-        if skip >= 0:
-            comps[skip] = 0.0
-        for i in range(3):
-            out[p, perm[i]] += psign[i] * (comps[:, i] @ cell_vals)
-    out *= vol
-    return out
+def _kernel_components(spec: KernelSpec, z):
+    """Kernel at offsets z: (m, 3) vectors for grade-1 families, (m,) scalars otherwise."""
+    if spec.family == "cauchy":
+        return cauchy_E_components(z, spec.dimension)
+    if spec.family == "vekua_phi":
+        return vekua_phi_components(z, spec.lam)
+    if spec.family == "newton":
+        return newton_N_components(z, spec.dimension)[0]
+    return yukawa_theta_components(z, spec.q)[0]
+
+
+def _kernel_table(spec: KernelSpec, z, drop):
+    """Kernel at the (m, 3) offsets z as (m, k) columns, with row drop zeroed (-1: none).
+
+    Overwrites z[drop], the singular offset.
+    """
+    if drop >= 0:
+        z[drop] = 1.0
+    table = _kernel_components(spec, z).reshape(len(z), -1)
+    if drop >= 0:
+        table[drop] = 0.0
+    return table
+
+
+def _kernel_times(spec: KernelSpec, sums):
+    """K g from sums (..., k, blades) of each kernel column against g.
+
+    A grade-1 kernel multiplies g from the left, column i through e_i.
+    """
+    if spec.family not in _GRADE1_FAMILIES:
+        return sums[..., 0, :]
+    return sum(basis_mul_left(1 << i, sums[..., i, :], 3) for i in range(3))
 
 
 def _containing_cells(grid: BoxGrid, points):
@@ -208,60 +166,74 @@ def _containing_cells(grid: BoxGrid, points):
     return np.where(inside, flat, -1)
 
 
+def _volume_sum(kernel: KernelSpec, points, grid: BoxGrid, cell_values, drop_inside):
+    """sum_c K(y_c - x) g_c |cell| over the cell centers y_c, one row per point x.
+
+    The direct engine for point sets.  cell_values holds one row of
+    coefficients per cell (a 1-d array is one scalar per cell); grade-1
+    kernels multiply it from the left.  With drop_inside the cell
+    containing x is left out.
+    """
+    if grid.ndim != 3:
+        raise ValueError("volume potentials are implemented for n = 3 only")
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.shape[0] == 0:
+        raise ValueError("empty evaluation point set")
+    centers = grid.cell_centers().reshape(-1, 3)
+    vals = np.asarray(cell_values, dtype=float).reshape(len(centers), -1)
+    drop = _containing_cells(grid, pts) if drop_inside else np.full(len(pts), -1)
+    sums = np.stack([_kernel_table(kernel, centers - x, skip).T @ vals
+                     for x, skip in zip(pts, drop)])
+    return _kernel_times(kernel, sums) * grid.cell_volume
+
+
+def _lattice_sum(kernel: KernelSpec, grid: BoxGrid, cell_values):
+    """_volume_sum at every cell center, its own cell dropped, by zero-padded FFTs.
+
+    Two centers differ by a multiple of the spacing, so the sum is a
+    discrete convolution with the kernel tabulated on the (2c - 1)^3 center
+    offsets, zero at offset 0; padding each axis to 2c makes the circular
+    convolution exact (Hockney & Eastwood, 1988).  One blade is
+    transformed at a time.
+    """
+    cells = tuple(int(c) for c in grid.resolution - 1)
+    vals = np.asarray(cell_values, dtype=float).reshape(cells + (-1,))
+    shape, axes = tuple(2 * c for c in cells), (0, 1, 2)
+    window = tuple(slice(c) for c in cells)
+    # offset d = p - c from summed center c to output center p, in FFT order,
+    # holds K(y_c - x_p) = K(-d h)
+    z = np.stack(np.meshgrid(*(-np.fft.fftfreq(n, 1.0 / n) * h
+                               for n, h in zip(shape, grid.spacing)), indexing="ij"), axis=-1)
+    kernel_hats = [np.fft.rfftn(column.reshape(shape))
+                   for column in _kernel_table(kernel, z.reshape(-1, 3), 0).T]
+    sums = np.zeros(cells + (len(kernel_hats), vals.shape[-1]))
+    for b in range(vals.shape[-1]):
+        if not vals[..., b].any():
+            continue
+        g_hat = np.fft.rfftn(vals[..., b], s=shape, axes=axes)
+        for i, k_hat in enumerate(kernel_hats):
+            sums[..., i, b] = np.fft.irfftn(k_hat * g_hat, s=shape, axes=axes)[window]
+    return _kernel_times(kernel, sums) * grid.cell_volume
+
+
 def vector_volume_potential(points, grid: BoxGrid, cell_values, lam=None, drop_inside=True):
     """int_Omega Phi_lam(y - x) g(y) dy as coefficient stacks, one row per point.
 
     cell_values holds the cell-averaged coefficients of g, flattened to
     (num_cells, 2^n).  lam = None or zero selects the Cauchy kernel.
     """
-    if grid.ndim != 3:
-        raise ValueError("volume potentials are implemented for n = 3 only")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    cell_vals = np.ascontiguousarray(cell_values.reshape(-1, cell_values.shape[-1]))
-    if cell_vals.shape[0] == 0:
-        raise ValueError("empty field")
-    if pts.shape[0] == 0:
-        raise ValueError("empty evaluation point set")
-    lam = np.zeros(3) if lam is None else np.asarray(lam, dtype=float)
-    q = float(lam @ lam)
-    drop = _containing_cells(grid, pts) if drop_inside else np.full(pts.shape[0], -1)
-    tab = tables(3)
-    perm = np.stack([tab.xor[1 << i] for i in range(3)]).astype(np.int64)
-    psign = np.stack([tab.sign[1 << i] for i in range(3)]).astype(np.float64)
-    centers = np.ascontiguousarray(grid.cell_centers().reshape(-1, 3))
-    if HAVE_NUMBA:
-        cap = _worker_cap()
-        if cap is not None:
-            numba.set_num_threads(min(cap, numba.config.NUMBA_NUM_THREADS))
-        return _vector_potential_direct(
-            pts, drop, centers, cell_vals, lam, q, perm, psign, grid.cell_volume
-        )
-    return _vector_potential_numpy(
-        pts, drop, centers, cell_vals, lam, q, perm, psign, grid.cell_volume
-    )
+    screened = lam is not None and np.any(lam)
+    kernel = KernelSpec("vekua_phi", lam=lam) if screened else KernelSpec("cauchy")
+    return _volume_sum(kernel, points, grid, cell_values, drop_inside)
 
 
 def scalar_volume_potential(points, grid: BoxGrid, cell_scalar, family="newton", q=0.0,
                             drop_inside=True):
     """int_Omega k(|y - x|) rho(y) dy for the scalar newton/yukawa kernels."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    rho = np.asarray(cell_scalar, dtype=float).ravel()
-    centers = grid.cell_centers().reshape(-1, 3)
-    drop = _containing_cells(grid, pts) if drop_inside else np.full(pts.shape[0], -1)
-    out = np.empty(pts.shape[0])
-    four_pi = 4.0 * math.pi
-    kappa = math.sqrt(q) if family == "yukawa" else 0.0
-    for p in range(pts.shape[0]):
-        z = centers - pts[p]
-        r = np.sqrt(np.sum(z * z, axis=1))
-        skip = int(drop[p])
-        if skip >= 0:
-            r[skip] = 1.0  # placeholder, contribution zeroed below
-        vals = np.exp(-kappa * r) / (four_pi * r) if kappa > 0 else 1.0 / (four_pi * r)
-        if skip >= 0:
-            vals[skip] = 0.0
-        out[p] = np.sum(vals * rho)
-    return out * grid.cell_volume
+    if family not in ("newton", "yukawa"):
+        raise ValueError(f"unknown scalar kernel family {family!r}")
+    kernel = KernelSpec("yukawa", q=q) if family == "yukawa" and q > 0 else KernelSpec("newton")
+    return _volume_sum(kernel, points, grid, np.ravel(cell_scalar), drop_inside)[:, 0]
 
 
 # -- spec-level operations ------------------------------------------------------
@@ -281,20 +253,8 @@ def teodorescu_on_dual_grid(g: MultivectorField) -> MultivectorField:
     centered on every evaluation point.
     """
     dual = g.grid.dual_grid()
-    pts = dual.coords().reshape(-1, 3)
-    vals = teodorescu(g, pts)
-    return MultivectorField(dual, vals.reshape(tuple(dual.resolution) + (vals.shape[-1],)), g.n)
-
-
-def _kernel_components(spec: KernelSpec, z):
-    """Kernel at offsets z: (m, 3) vectors for grade-1 families, (m,) scalars otherwise."""
-    if spec.family == "cauchy":
-        return cauchy_E_components(z, spec.dimension)
-    if spec.family == "vekua_phi":
-        return vekua_phi_components(z, spec.lam)
-    if spec.family == "newton":
-        return newton_N_components(z, spec.dimension)[0]
-    return yukawa_theta_components(z, spec.q)[0]
+    vals = -_lattice_sum(KernelSpec("cauchy"), g.grid, cell_average(g.values))
+    return MultivectorField(dual, vals, g.n)
 
 
 # For vectors K and eta, K eta = -(K . eta) + sum_{i<j} (K_i eta_j - K_j eta_i) e_i e_j.
@@ -319,7 +279,7 @@ def cauchy_boundary(kernel: KernelSpec, boundary: BoundaryQuadrature, trace_valu
         trace = np.concatenate([trace[:, None], np.zeros((trace.shape[0], 7))], axis=1)
     density = trace * boundary.weights[:, None]
     eta = boundary.normals
-    double_layer = kernel.family in ("cauchy", "vekua_phi")
+    double_layer = kernel.family in _GRADE1_FAMILIES
     sums = np.empty((pts.shape[0], 4 if double_layer else 1, trace.shape[-1]))
     for p, x in enumerate(pts):
         z = boundary.positions - x

@@ -297,7 +297,6 @@ class DtnForm:
             raise ValueError("kind must be 'conductivity' or 'schrodinger'")
         self._harmonic = DirichletOperator(grid)
         self._solution_cache = {}
-        self._extension_cache = {}
         # energy weights, once per form: sigma / h_a^2 times the transverse
         # trapezoid weights on the edges along axis a, q times the nodal ones
         h = grid.spacing
@@ -336,15 +335,11 @@ class DtnForm:
     def _extend(self, trace, extension):
         if extension == "solution":
             return self.solution(trace)
-        key = (extension, self._key(trace))
-        if key not in self._extension_cache:
-            if extension == "harmonic":
-                self._extension_cache[key] = self._harmonic.solve(trace)
-            elif extension == "coons":
-                self._extension_cache[key] = coons_extension(self.grid, trace)
-            else:
-                raise ValueError(f"unknown extension {extension!r}")
-        return self._extension_cache[key]
+        if extension == "harmonic":
+            return self._harmonic.solve(trace)
+        if extension == "coons":
+            return coons_extension(self.grid, trace)
+        raise ValueError(f"unknown extension {extension!r}")
 
     def energy(self, U, V):
         """Discrete bilinear form: edge stiffness plus (for q) trapezoid mass."""

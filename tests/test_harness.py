@@ -9,7 +9,6 @@ import pytest
 from vekua_lab import cli
 from vekua_lab import harness as H
 from vekua_lab.fields import BoxGrid
-from vekua_lab.integral_ops import _worker_cap
 
 
 def test_config_validation():
@@ -48,8 +47,6 @@ def test_invalid_thread_count_fails_loudly(monkeypatch, raw):
     monkeypatch.setenv("VEKUA_LAB_THREADS", raw)
     with pytest.raises(ValueError, match="VEKUA_LAB_THREADS"):
         H.run_suite(["cauchy_constant"])
-    with pytest.raises(ValueError, match="VEKUA_LAB_THREADS"):
-        _worker_cap()
 
 
 def test_environment_parsers(monkeypatch):
@@ -61,7 +58,20 @@ def test_environment_parsers(monkeypatch):
     monkeypatch.setenv("VEKUA_LAB_THREADS", "3")
     assert H.default_seed() == -5
     assert H.thread_cap() == 3
-    assert _worker_cap() == 3
+
+
+def test_reports_identical_across_thread_counts(monkeypatch):
+    # serial under 1 thread, a two-worker pool under 2; only the runtime may differ
+    names = ["cauchy_constant", "teodorescu_inverse", "s_alpha", "dtn_relation"]
+    size = dict(resolutions=(10, 12), n_interior=4, n_exterior=4, boundary_cells=16)
+    runs = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("VEKUA_LAB_THREADS", threads)
+        reports = {name: r.to_dict() for name, r in H.run_suite(names, **size).items()}
+        for report in reports.values():
+            del report["runtime_seconds"]
+        runs[threads] = json.dumps(reports, default=float, sort_keys=True)
+    assert runs["1"] == runs["2"]
 
 
 def test_seed_from_environment_reaches_dtn(monkeypatch, tmp_path):
