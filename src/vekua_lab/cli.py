@@ -4,7 +4,8 @@ run the whole suite, and export Dirichlet-to-Neumann data.
 Exit status is 0 exactly when every asserted check passed.  Reports land
 in --out (or the config's output_dir) as report.json, errors.csv and
 convergence.csv per identity.  VEKUA_LAB_SEED seeds randomized point and
-trace selection; VEKUA_LAB_THREADS caps worker threads.
+trace selection; VEKUA_LAB_THREADS only sizes the thread pool that
+`suite` (run_suite) runs identities in.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .fields import BoxGrid
+from .fields import MIN_RESOLUTION, BoxGrid, face_slabs
 from .harness import (
     IDENTITIES,
     SuiteConfig,
@@ -114,14 +115,11 @@ def _trace_rows(grid: BoxGrid, traces):
     coords = grid.coords()
     row = "{},{},{:.10g},{:.10g},{:.10g}," + ",".join(["{:.10e}"] * len(traces)) + "\n"
     lines = []
-    for axis in range(3):
-        for side_id, side in enumerate((0, -1)):
-            slab = tuple(side if b == axis else slice(None) for b in range(3))
-            pos = coords[slab].reshape(-1, 3)
-            vals = np.stack([trace[slab].ravel() for trace in traces], axis=1)
-            face = 2 * axis + side_id
-            for p, v in zip(pos.tolist(), vals.tolist()):
-                lines.append(row.format(len(lines), face, *p, *v))
+    for axis, high, slab in face_slabs():
+        pos = coords[slab].reshape(-1, 3)
+        vals = np.stack([trace[slab].ravel() for trace in traces], axis=1)
+        for p, v in zip(pos.tolist(), vals.tolist()):
+            lines.append(row.format(len(lines), 2 * axis + high, *p, *v))
     return lines
 
 
@@ -156,6 +154,19 @@ def _cmd_dtn(args):
     return 0
 
 
+def _int_at_least(minimum):
+    """argparse type: an integer no smaller than `minimum`."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    return parse
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="vekua-lab",
@@ -185,8 +196,8 @@ def main(argv=None):
     p_dtn.add_argument("--profile", choices=PROFILE_CHOICES, default="exponential")
     p_dtn.add_argument("--kind", choices=("conductivity", "schrodinger"),
                        default="conductivity")
-    p_dtn.add_argument("--resolution", type=int, default=12)
-    p_dtn.add_argument("--basis-size", type=int, default=8)
+    p_dtn.add_argument("--resolution", type=_int_at_least(MIN_RESOLUTION), default=12)
+    p_dtn.add_argument("--basis-size", type=_int_at_least(1), default=8)
     p_dtn.add_argument("--out", help="output directory")
     p_dtn.set_defaults(func=_cmd_dtn)
 

@@ -91,15 +91,7 @@ class BoxGrid:
 
     def trapezoid_weights(self):
         """Tensor trapezoid volume weights, shape *resolution."""
-        w = 1.0
-        for i in range(self.ndim):
-            wi = np.full(self.resolution[i], self.spacing[i])
-            wi[0] *= 0.5
-            wi[-1] *= 0.5
-            shape = [1] * self.ndim
-            shape[i] = self.resolution[i]
-            w = w * wi.reshape(shape)
-        return w
+        return trapezoid_product(self.resolution, self.spacing)
 
     def interior_distance(self, points):
         """Signed distance inside the box: min face clearance (<=0 outside)."""
@@ -129,6 +121,30 @@ class BoxGrid:
 def interior_slices(depth=2, ndim=3):
     """Index slices selecting nodes at least `depth` layers from the boundary."""
     return (slice(depth, -depth),) * ndim
+
+
+def trapezoid_product(resolution, spacing=None):
+    """Tensor-product trapezoid weights over nodes, one array axis per entry
+    of `resolution` (unit spacing when `spacing` is None)."""
+    if spacing is None:
+        spacing = np.ones(len(resolution))
+    w = 1.0
+    for n, h in zip(resolution, spacing):
+        rule = np.full(int(n), float(h))
+        rule[0] *= 0.5
+        rule[-1] *= 0.5
+        w = np.multiply.outer(w, rule)
+    return w
+
+
+def face_slabs(ndim=3):
+    """(axis, high, slab) for the 2 ndim faces of a box, in the order (axis,
+    low/high side): `slab` indexes the face's nodes in a nodal array, and
+    2 axis + high is the face id that `boundary_sampling` uses."""
+    for axis in range(ndim):
+        for high in (0, 1):
+            side = -1 if high else 0
+            yield axis, high, tuple(side if b == axis else slice(None) for b in range(ndim))
 
 
 class MultivectorField:

@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .clifford import conj_array, gp_array, vector_to_array
 from .fields import (
-    BoxGrid, MultivectorField, boundary_sampling, bump_scalar, cell_average, dirac_D,
+    BoxGrid, MultivectorField, boundary_sampling, bump_scalar, cell_average, dirac_D, face_slabs,
     interior_slices, laplacian, sc_norm, scalar_gradient, trilinear_sample, vector_divergence,
 )
 from .integral_ops import (
@@ -95,6 +95,10 @@ class SuiteConfig:
             raise ValueError("resolutions must be strictly increasing")
         if min(self.interior_rel_tol, self.exterior_abs_tol, self.refinement_ratio) <= 0:
             raise ValueError("tolerances must be positive")
+        if self.n_interior < 1:
+            raise ValueError(f"n_interior must be >= 1, got {self.n_interior}")
+        if self.n_exterior < 0:
+            raise ValueError(f"n_exterior must be >= 0, got {self.n_exterior}")
         if self.seed is None:
             self.seed = default_seed()
 
@@ -216,10 +220,8 @@ def _boundary_values(grid, fn):
     """Nodal array filled on the boundary slabs only (interior left zero)."""
     out = np.zeros(tuple(grid.resolution))
     coords = grid.coords()
-    for axis in range(3):
-        for side in (0, -1):
-            slab = tuple(side if b == axis else slice(None) for b in range(3))
-            out[slab] = fn(coords[slab])
+    for _, _, slab in face_slabs():
+        out[slab] = fn(coords[slab])
     return out
 
 
@@ -951,10 +953,6 @@ def check_s_alpha(cfg: SuiteConfig):
 # -- entry points -------------------------------------------------------------------
 
 
-RECONSTRUCTION_IDS = ("scalar_bp", "cauchy_vekua", "green_vekua", "integral_cauchy",
-                      "schrodinger_reconstruction")
-
-
 def run_identity(identity, cfg: SuiteConfig | None = None, **overrides) -> CheckReport:
     if identity not in IDENTITIES:
         raise ValueError(f"unknown identity {identity!r}; known: {sorted(IDENTITIES)}")
@@ -968,14 +966,6 @@ def run_identity(identity, cfg: SuiteConfig | None = None, **overrides) -> Check
         report.write_errors_csv(os.path.join(out, "errors.csv"))
         report.write_convergence_csv(os.path.join(out, "convergence.csv"))
     return report
-
-
-def check_reconstruction(identity, cfg: SuiteConfig | None = None, **overrides) -> CheckReport:
-    """Run one of the reconstruction identities (interior value / exterior zero)."""
-    if identity not in RECONSTRUCTION_IDS:
-        raise ValueError(
-            f"unknown reconstruction identity {identity!r}; known: {RECONSTRUCTION_IDS}")
-    return run_identity(identity, cfg, **overrides)
 
 
 def convergence_study(identity, cfg: SuiteConfig | None = None, **overrides):

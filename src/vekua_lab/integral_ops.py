@@ -29,6 +29,7 @@ from .fields import (
     boundary_sampling,
     cell_average,
     dirac_D,
+    trilinear_sample,
 )
 from .kernels import (
     KernelSpec,
@@ -100,7 +101,7 @@ class EvaluationSet:
             for point in cand[keep]:
                 if len(exterior) < n_exterior:
                     exterior.append(point)
-        points = np.vstack([interior, np.asarray(exterior)])
+        points = np.vstack([interior, np.reshape(exterior, (n_exterior, grid.ndim))])
         flags = np.concatenate([np.ones(n_interior, bool), np.zeros(n_exterior, bool)])
         return cls(points, flags, margin, grid)
 
@@ -314,8 +315,6 @@ def borel_pompeiu_residual(v: MultivectorField, pts: EvaluationSet, trace_fn=Non
         trace_vals = trace_fn(boundary.positions)
         point_vals = trace_fn(pts.points)
     else:
-        from .fields import trilinear_sample
-
         trace_vals = trilinear_sample(grid, v.values, boundary.positions)
         # exterior targets are zero; interpolation is only defined inside
         point_vals = np.zeros((len(pts), v.values.shape[-1]))

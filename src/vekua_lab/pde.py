@@ -3,10 +3,12 @@
 Both equations are discretized with conservative second-order finite
 differences on the grid nodes: the conductivity operator -div(sigma grad u)
 uses harmonic face averages of sigma, the Schrodinger operator -Delta + q
-collocates the potential.  The associated bilinear energy forms are
-assembled edge-wise with trapezoid transverse weights, which makes the
-interior equations of the solvers exactly the Galerkin equations of the
-forms; weak DtN values are therefore independent of how the second trace
+collocates the potential.  Each operator is defined once, by its bilinear
+energy form with edge-wise trapezoid transverse weights (DirichletOperator):
+the solver's interior system and trace coupling are the interior rows of
+the form's node matrix, and the DtN energy sums the same weights.  The
+interior equations are thus the Galerkin equations of the form by
+construction, and weak DtN values are independent of how the second trace
 is extended into the volume, up to solver tolerance.
 
 Every Dirichlet solve is one preconditioned conjugate-gradient engine.
@@ -32,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fields import BoxGrid, interior_slices, scalar_gradient
+from .fields import BoxGrid, face_slabs, interior_slices, scalar_gradient, trapezoid_product
 from .vekua import ConductivityProfile
 
 SOLVER_RTOL = 1e-10
@@ -62,61 +64,64 @@ def _face_coefficients(sigma, axis):
 
 
 class DirichletOperator:
-    """Sparse interior operator for -div(sigma grad u) + q u on a box grid."""
+    """-div(sigma grad u) + q u on a box grid, defined by its energy form
+
+        a(U, V) = |cell| (sum_a sum_edges w_a dU dV + sum_nodes m U V),
+
+    dU the difference of U along an edge.  The edge weights `edge_weights[a]`
+    are the face sigma / h_a^2 times the unit transverse trapezoid weights,
+    the mass weights `mass_weights` q times the unit nodal trapezoid weights
+    (None without q).  The interior rows of the form's node matrix K, with
+    a(U, V) = |cell| V.K U, split into `matrix` (interior columns) and the
+    boundary coupling behind `trace_rhs`; the interior equations are thus
+    exactly the Galerkin equations of the form.
+    """
 
     def __init__(self, grid: BoxGrid, sigma=None, q=None):
         if grid.ndim != 3:
             raise ValueError("solvers are implemented for n = 3")
-        res = tuple(grid.resolution)
+        res = tuple(int(r) for r in grid.resolution)
         self.grid = grid
         self.sigma = np.ones(res) if sigma is None else np.asarray(sigma, dtype=float)
         if np.any(self.sigma <= 0.0):
             raise ValueError("coefficient must be strictly positive")
         self.q = None if q is None else np.asarray(q, dtype=float)
         self.faces = [_face_coefficients(self.sigma, a) for a in range(3)]
+        h = grid.spacing
+        self.edge_weights = [
+            self.faces[a] / h[a] ** 2
+            * np.expand_dims(trapezoid_product([r for b, r in enumerate(res) if b != a]), a)
+            for a in range(3)
+        ]
+        self.mass_weights = None if self.q is None else self.q * trapezoid_product(res)
         self._assemble()
 
     def _assemble(self):
-        grid = self.grid
-        res = grid.resolution
-        h = grid.spacing
-        shape = tuple(int(r - 2) for r in res)
-        n_unknowns = int(np.prod(shape))
-        index = np.arange(n_unknowns).reshape(shape)
-        diag = np.zeros(shape)
-        rows, cols, vals = [], [], []
-        inter = tuple(slice(1, -1) for _ in range(3))
-        for a in range(3):
-            faces = self.faces[a]
-            # faces adjacent to interior nodes, below and above along axis a
-            sel_lo = tuple(
-                slice(0, -1) if b == a else slice(1, -1) for b in range(3)
-            )
-            sel_hi = tuple(
-                slice(1, None) if b == a else slice(1, -1) for b in range(3)
-            )
-            f_lo = faces[sel_lo] / h[a] ** 2
-            f_hi = faces[sel_hi] / h[a] ** 2
-            diag += f_lo + f_hi
-            # interior-interior couplings along axis a
-            keep = tuple(slice(0, -1) if b == a else slice(None) for b in range(3))
-            ahead = tuple(slice(1, None) if b == a else slice(None) for b in range(3))
-            rows.append(index[keep].ravel())
-            cols.append(index[ahead].ravel())
-            vals.append(-f_hi[keep].ravel())
-            rows.append(index[ahead].ravel())
-            cols.append(index[keep].ravel())
-            vals.append(-f_hi[keep].ravel())
-        if self.q is not None:
-            diag = diag + self.q[inter]
-        rows.append(np.arange(n_unknowns))
-        cols.append(np.arange(n_unknowns))
-        vals.append(diag.ravel())
-        self.matrix = sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n_unknowns, n_unknowns),
-        )
-        self.shape = shape
+        """Node matrix K from its seven bands, split into interior rows."""
+        res = tuple(int(r) for r in self.grid.resolution)
+        strides = (res[1] * res[2], res[2], 1)
+        diag = np.zeros(res)
+        bands, offsets = [], []
+        for a, w in enumerate(self.edge_weights):
+            # node-wise weights of the edges below and above along a
+            below = np.pad(w, [(1, 0) if b == a else (0, 0) for b in range(3)])
+            above = np.pad(w, [(0, 1) if b == a else (0, 0) for b in range(3)])
+            diag += below + above
+            # entry (n, n + stride) is -w on the edge above n (0 on the top face)
+            band = -above.ravel()[:diag.size - strides[a]]
+            bands += [band, band]
+            offsets += [strides[a], -strides[a]]
+        if self.mass_weights is not None:
+            diag = diag + self.mass_weights
+        K = sp.diags([diag.ravel()] + bands, [0] + offsets, format="csr")
+        inside = np.zeros(res, dtype=bool)
+        inside[interior_slices(1, 3)] = True
+        interior = np.flatnonzero(inside)
+        self._boundary = np.flatnonzero(~inside)
+        rows = K[interior]
+        self.shape = tuple(r - 2 for r in res)
+        self.matrix = rows[:, interior]
+        self._coupling = -rows[:, self._boundary]
         self._build_preconditioner()
 
     def _build_preconditioner(self):
@@ -159,27 +164,7 @@ class DirichletOperator:
 
     def trace_rhs(self, trace):
         """Right-hand side induced by Dirichlet data on the boundary nodes."""
-        h = self.grid.spacing
-        b = np.zeros(self.shape)
-        for a in range(3):
-            faces = self.faces[a]
-            lo_face = tuple(
-                slice(0, 1) if bx == a else slice(1, -1) for bx in range(3)
-            )
-            hi_face = tuple(
-                slice(-1, None) if bx == a else slice(1, -1) for bx in range(3)
-            )
-            lo_trace = tuple(
-                slice(0, 1) if bx == a else slice(1, -1) for bx in range(3)
-            )
-            hi_trace = tuple(
-                slice(-1, None) if bx == a else slice(1, -1) for bx in range(3)
-            )
-            first = tuple(slice(0, 1) if bx == a else slice(None) for bx in range(3))
-            last = tuple(slice(-1, None) if bx == a else slice(None) for bx in range(3))
-            b[first] += faces[lo_face] * np.asarray(trace)[lo_trace] / h[a] ** 2
-            b[last] += faces[hi_face] * np.asarray(trace)[hi_trace] / h[a] ** 2
-        return b.ravel()
+        return self._coupling @ np.ravel(trace)[self._boundary]
 
     def solve(self, trace=None, rhs=None):
         """Solve with Dirichlet data `trace`; optional volume right-hand side.
@@ -297,21 +282,6 @@ class DtnForm:
             raise ValueError("kind must be 'conductivity' or 'schrodinger'")
         self._harmonic = DirichletOperator(grid)
         self._solution_cache = {}
-        # energy weights, once per form: sigma / h_a^2 times the transverse
-        # trapezoid weights on the edges along axis a, q times the nodal ones
-        h = grid.spacing
-        self._edge_weights = []
-        for a in range(3):
-            w = self.op.faces[a] * (grid.cell_volume / h[a] ** 2)
-            for b in range(3):
-                if b != a:
-                    t = np.ones(int(grid.resolution[b]))
-                    t[0] = t[-1] = 0.5
-                    w = w * t.reshape([-1 if c == b else 1 for c in range(3)])
-            self._edge_weights.append(w)
-        self._mass_weights = (
-            None if self.op.q is None else self.op.q * grid.trapezoid_weights()
-        )
 
     @classmethod
     def conductivity(cls, profile: ConductivityProfile):
@@ -342,16 +312,15 @@ class DtnForm:
         raise ValueError(f"unknown extension {extension!r}")
 
     def energy(self, U, V):
-        """Discrete bilinear form: edge stiffness plus (for q) trapezoid mass."""
+        """The operator's bilinear form a(U, V): edge stiffness plus (for q) mass."""
         U = np.asarray(U, dtype=float)
         V = np.asarray(V, dtype=float)
         total = 0.0
-        for a in range(3):
-            total += float(np.sum(self._edge_weights[a] * np.diff(U, axis=a)
-                                  * np.diff(V, axis=a)))
-        if self._mass_weights is not None:
-            total += float(np.sum(self._mass_weights * U * V))
-        return total
+        for a, w in enumerate(self.op.edge_weights):
+            total += float(np.sum(w * np.diff(U, axis=a) * np.diff(V, axis=a)))
+        if self.op.mass_weights is not None:
+            total += float(np.sum(self.op.mass_weights * U * V))
+        return self.grid.cell_volume * total
 
     def pair(self, phi0, psi0, extension="harmonic"):
         """Weak pairing (Lambda phi0, psi0) = a(U_phi, V_psi)."""
@@ -382,23 +351,14 @@ def boundary_node_pairing(grid: BoxGrid, phi, psi, normal_component=None):
     phi = np.asarray(phi, dtype=float)
     psi = np.asarray(psi, dtype=float)
     total = 0.0
-    for axis in range(3):
-        for side in (0, -1):
-            slab = tuple(side if b == axis else slice(None) for b in range(3))
-            vals = phi[slab] * psi[slab]
-            if normal_component is not None:
-                sign = 1.0 if side == -1 else -1.0
-                vals = vals * (sign * np.asarray(normal_component)[slab + (axis,)])
-            w = 1.0
-            transverse = [b for b in range(3) if b != axis]
-            for pos, b in enumerate(transverse):
-                t = np.ones(int(grid.resolution[b])) * grid.spacing[b]
-                t[0] *= 0.5
-                t[-1] *= 0.5
-                shape = [1, 1]
-                shape[pos] = -1
-                w = w * t.reshape(shape)
-            total += float(np.sum(vals * w))
+    for axis, high, slab in face_slabs():
+        vals = phi[slab] * psi[slab]
+        if normal_component is not None:
+            sign = 1.0 if high else -1.0
+            vals = vals * (sign * np.asarray(normal_component)[slab + (axis,)])
+        transverse = [b for b in range(3) if b != axis]
+        w = trapezoid_product(grid.resolution[transverse], grid.spacing[transverse])
+        total += float(np.sum(vals * w))
     return total
 
 

@@ -18,6 +18,24 @@ def test_config_validation():
         H.SuiteConfig(identity="borel_pompeiu", interior_rel_tol=-1.0)
 
 
+@pytest.mark.parametrize("field, value", [("n_interior", 0), ("n_exterior", -1)])
+def test_config_rejects_bad_point_counts(field, value):
+    with pytest.raises(ValueError, match=field):
+        H.SuiteConfig.defaults("borel_pompeiu", **{field: value})
+
+
+def test_identity_runs_without_exterior_points():
+    # at (10, 12) the refinement gate fails whatever the exterior count; the
+    # interior rows must not depend on it, and no exterior error is measured
+    size = dict(resolutions=(10, 12), n_interior=4)
+    report = H.run_identity("borel_pompeiu", n_exterior=0, **size)
+    assert [row["exterior_error"] for row in report.rows] == [0.0] * 4
+    assert all(p["kind"] == "interior" for p in report.points)
+    with_exterior = H.run_identity("borel_pompeiu", n_exterior=4, **size)
+    assert ([row["interior_error"] for row in report.rows]
+            == [row["interior_error"] for row in with_exterior.rows])
+
+
 def test_config_defaults_and_hash():
     cfg = H.SuiteConfig.defaults("cauchy_constant")
     assert cfg.interior_rel_tol == 1e-3
@@ -108,8 +126,6 @@ def test_config_from_json(tmp_path):
 def test_unknown_identity_rejected():
     with pytest.raises(ValueError):
         H.run_identity("fourier_inversion")
-    with pytest.raises(ValueError):
-        H.check_reconstruction("borel_pompeiu")
 
 
 def test_unsupported_profile_rejected():
@@ -151,7 +167,7 @@ def test_convergence_study_table():
 
 
 def test_reconstruction_dispatch():
-    report = H.check_reconstruction("schrodinger_reconstruction")
+    report = H.run_identity("schrodinger_reconstruction")
     assert report.passed
 
 
@@ -216,6 +232,16 @@ def test_cli_dtn_export(tmp_path, capsys):
     traces = (tmp_path / "traces.csv").read_text().splitlines()
     assert traces[0].startswith("node_index,face,x1,x2,x3")
     assert len(traces) == 1 + 6 * 81
+
+
+@pytest.mark.parametrize("flag, value", [("--basis-size", "0"), ("--basis-size", "-3"),
+                                         ("--resolution", "7"), ("--resolution", "x")])
+def test_cli_dtn_rejects_bad_sizes(tmp_path, capsys, flag, value):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["dtn", flag, value, "--out", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def _traces_csv_per_node(grid, traces):

@@ -349,6 +349,31 @@ def test_dtn_energy_matches_per_edge_formula(rng, kind):
     assert form.energy(U, V) == pytest.approx(want, rel=1e-13)
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    kind=st.sampled_from(["conductivity", "schrodinger"]),
+    origin=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+    extent=st.lists(st.floats(0.3, 2.5), min_size=3, max_size=3),
+    resolution=st.lists(st.integers(8, 14), min_size=3, max_size=3),
+    seed=st.integers(0, 2**16),
+)
+def test_energy_is_galerkin_form_of_interior_system(kind, origin, extent, resolution, seed):
+    # a(U, V) = |cell| V_I . (K_II U_I + K_IB U_B) for V zero on the boundary:
+    # the solver's matrix and trace coupling are the interior rows of the form
+    g = BoxGrid(origin, extent, resolution)
+    rng = np.random.default_rng(seed)
+    X = (g.coords() - g.origin) / g.extent
+    form = P.DtnForm(g, kind, np.exp(np.sin(X @ rng.normal(size=3))))
+    inner = F.interior_slices(1, 3)
+    U = rng.normal(size=tuple(g.resolution))
+    V = np.zeros_like(U)
+    V[inner] = rng.normal(size=V[inner].shape)
+    op = form.op
+    want = g.cell_volume * float(V[inner].ravel() @ (op.matrix @ U[inner].ravel()
+                                                     - op.trace_rhs(U)))
+    assert form.energy(U, V) == pytest.approx(want, rel=1e-12)
+
+
 def test_dtn_invalid_kind_and_extension():
     g = grid16()
     with pytest.raises(ValueError):
