@@ -137,14 +137,14 @@ def trapezoid_product(resolution, spacing=None):
     return w
 
 
-def face_slabs(ndim=3):
-    """(axis, high, slab) for the 2 ndim faces of a box, in the order (axis,
+def face_slabs():
+    """(axis, high, slab) for the six faces of a 3-d box, in the order (axis,
     low/high side): `slab` indexes the face's nodes in a nodal array, and
     2 axis + high is the face id that `boundary_sampling` uses."""
-    for axis in range(ndim):
+    for axis in range(3):
         for high in (0, 1):
             side = -1 if high else 0
-            yield axis, high, tuple(side if b == axis else slice(None) for b in range(ndim))
+            yield axis, high, tuple(side if b == axis else slice(None) for b in range(3))
 
 
 class MultivectorField:
