@@ -222,9 +222,6 @@ class Multivector:
         """Grade-1 coefficients as a length-n array."""
         return np.array([self.coeffs[1 << i] for i in range(self.n)])
 
-    def pa(self):
-        return self.grade(0) + self.grade(1)
-
     def npa(self):
         out = Multivector(self.n, self.coeffs)
         tab = tables(self.n)
@@ -232,9 +229,6 @@ class Multivector:
         return out
 
     # -- misc ---------------------------------------------------------------
-
-    def norm_max(self):
-        return float(np.max(np.abs(self.coeffs)))
 
     def __eq__(self, other):
         return (

@@ -57,10 +57,6 @@ class BoxGrid:
         return self.origin + self.extent
 
     @property
-    def num_nodes(self):
-        return int(np.prod(self.resolution))
-
-    @property
     def cell_volume(self):
         return float(np.prod(self.spacing))
 
@@ -374,10 +370,13 @@ class BoundaryQuadrature:
 def boundary_sampling(grid: BoxGrid, cells_per_axis=None) -> BoundaryQuadrature:
     """Midpoint face quadrature with outward unit normals.
 
-    cells_per_axis overrides the per-face sampling density (defaults to the
+    cells_per_axis overrides the per-face sampling density (None: the
     grid's own cell count per axis, i.e. resolution - 1).
     """
+    if cells_per_axis is not None and cells_per_axis < 1:
+        raise ValueError(f"cells_per_axis must be >= 1, got {cells_per_axis}")
     ndim = grid.ndim
+    counts = grid.resolution - 1 if cells_per_axis is None else np.full(ndim, int(cells_per_axis))
     positions, normals, weights, faces = [], [], [], []
     max_diam = 0.0
     for axis in range(ndim):
@@ -386,7 +385,7 @@ def boundary_sampling(grid: BoxGrid, cells_per_axis=None) -> BoundaryQuadrature:
             axes_1d = []
             step = []
             for t in transverse:
-                cells = int(cells_per_axis) if cells_per_axis else int(grid.resolution[t] - 1)
+                cells = int(counts[t])
                 ht = grid.extent[t] / cells
                 axes_1d.append(grid.origin[t] + ht * (np.arange(cells) + 0.5))
                 step.append(ht)

@@ -28,8 +28,9 @@ import numpy as np
 from . import __version__
 from .clifford import conj_array, gp_array, vector_to_array
 from .fields import (
-    BoxGrid, MultivectorField, boundary_sampling, bump_scalar, cell_average, dirac_D, face_slabs,
-    interior_slices, laplacian, sc_norm, scalar_gradient, trilinear_sample, vector_divergence,
+    MIN_RESOLUTION, BoxGrid, MultivectorField, boundary_sampling, bump_scalar, cell_average,
+    dirac_D, face_slabs, interior_slices, laplacian, sc_norm, scalar_gradient, trilinear_sample,
+    vector_divergence,
 )
 from .integral_ops import (
     EvaluationSet, borel_pompeiu_residual, cauchy_boundary, scalar_volume_potential, s_alpha,
@@ -37,7 +38,7 @@ from .integral_ops import (
 )
 from .kernels import (
     KernelSpec, cauchy_E_components, fundamental_cauchy_residual, newton_N_components,
-    vekua_phi_adjoint_residual, yukawa_delta_flux, yukawa_theta_components,
+    vekua_phi_adjoint_residual, yukawa_delta_flux,
 )
 from .pde import DtnForm, SOLVER_RTOL, dtn_relation_residual, solve_conductivity, solve_schrodinger
 from .vekua import (
@@ -46,6 +47,8 @@ from .vekua import (
 )
 
 DEFAULT_SEED = 2024
+# Smallest boundary_cells a config accepts; a face-cell sweep raises its quarter level to it.
+MIN_BOUNDARY_CELLS = 8
 
 
 def _env_int(name, default, minimum=None):
@@ -91,6 +94,9 @@ class SuiteConfig:
 
     def __post_init__(self):
         self.resolutions = tuple(int(r) for r in self.resolutions)
+        if not self.resolutions or min(self.resolutions) < MIN_RESOLUTION:
+            raise ValueError(f"resolutions must be non-empty with every value >= {MIN_RESOLUTION}, "
+                             f"got {self.resolutions}")
         if any(b <= a for a, b in zip(self.resolutions, self.resolutions[1:])):
             raise ValueError("resolutions must be strictly increasing")
         if min(self.interior_rel_tol, self.exterior_abs_tol, self.refinement_ratio) <= 0:
@@ -99,6 +105,9 @@ class SuiteConfig:
             raise ValueError(f"n_interior must be >= 1, got {self.n_interior}")
         if self.n_exterior < 0:
             raise ValueError(f"n_exterior must be >= 0, got {self.n_exterior}")
+        if self.boundary_cells < MIN_BOUNDARY_CELLS:
+            raise ValueError(f"boundary_cells must be >= {MIN_BOUNDARY_CELLS}, "
+                             f"got {self.boundary_cells}")
         if self.seed is None:
             self.seed = default_seed()
 
@@ -237,11 +246,6 @@ def _dtn_pairings(form, trace_nodal, pts, kernel_trace):
                   extension="coons") for x in pts.points])
 
 
-def _screened_kernel(q):
-    """theta_q as a boundary kernel; q = 0 is the Newton kernel."""
-    return KernelSpec("yukawa", q=q) if q > 0 else KernelSpec("newton")
-
-
 # -- the case x level runner ------------------------------------------------------
 
 
@@ -276,7 +280,8 @@ def _per_level(resolutions, outcomes):
 
 
 def _face_cell_sweep(cfg):
-    return sorted({max(8, cfg.boundary_cells // 4), cfg.boundary_cells // 2, cfg.boundary_cells})
+    cells = cfg.boundary_cells
+    return sorted({max(MIN_BOUNDARY_CELLS, cells // 4), cells // 2, cells})
 
 
 def _margin_depth(cfg, res):
@@ -570,7 +575,7 @@ def check_green_vekua(cfg: SuiteConfig):
     lam = _require_exponential(cfg)
     q = float(lam @ lam)
     sol = ExponentialVekuaSolution(lam)
-    phi = KernelSpec("vekua_phi", lam=lam)
+    phi, theta = KernelSpec("vekua_phi", lam=lam), KernelSpec.theta(q)
     grid0 = BoxGrid.unit_cube(cfg.resolutions[-1])
     pts0 = _eval_points(grid0, cfg, snap=False)
 
@@ -578,7 +583,7 @@ def check_green_vekua(cfg: SuiteConfig):
         bq = boundary_sampling(grid0, cells)
         flux_b = np.sum(sol.flux(bq.positions) * bq.normals, axis=1)
         vals = (_layer_sc(phi, bq, sol.w0(bq.positions), pts0.points)
-                + _layer_sc(_screened_kernel(q), bq, flux_b / sol.f(bq.positions), pts0.points))
+                + _layer_sc(theta, bq, flux_b / sol.f(bq.positions), pts0.points))
         return Recon(pts0, vals, sol.w0(pts0.points))
 
     def weak(case, res):
@@ -588,7 +593,7 @@ def check_green_vekua(cfg: SuiteConfig):
         bq = boundary_sampling(grid, 2 * (res - 1))
         vals = _layer_sc(phi, bq, sol.w0(bq.positions), pts.points) + _dtn_pairings(
             form, _boundary_values(grid, sol.u0), pts,
-            lambda c, x: yukawa_theta_components(c - x, q)[0] / sol.f(c))
+            lambda c, x: theta.values(c - x) / sol.f(c))
         return Recon(pts, vals, sol.w0(pts.points))
 
     return Plan(_sweep(["strong-flux"], _face_cell_sweep(cfg), strong, cells=True)
@@ -629,7 +634,7 @@ def check_integral_cauchy(cfg: SuiteConfig):
         flux_b = np.sum(grad_fn(bq.positions) * bq.normals, axis=1)
         vals = (_layer_sc(cauchy, bq, u0_fn(bq.positions), pts.points)
                 + _layer_sc(newton, bq, flux_b, pts.points)
-                + 2.0 * scalar_volume_potential(pts.points, grid, rho, family="newton"))
+                + 2.0 * scalar_volume_potential(pts.points, grid, rho))
         return Recon(pts, vals, u0_fn(pts.points))
 
     # weak arm: discrete solution, DtN pairing for the flux, any W^{1,inf} profile
@@ -644,11 +649,11 @@ def check_integral_cauchy(cfg: SuiteConfig):
         bq = boundary_sampling(grid, 2 * (res - 1))
         rho_nodal = np.sum(profile.alpha * scalar_gradient(grid, u0_disc), axis=-1)
         vol_term = 2.0 * scalar_volume_potential(
-            pts.points, grid, cell_average(rho_nodal, blade_axis=False), family="newton"
+            pts.points, grid, cell_average(rho_nodal, blade_axis=False)
         )
         f_at = lambda c: profile.f_at(c.reshape(-1, 3)).reshape(c.shape[:-1])
         vals = _layer_sc(cauchy, bq, trace_fn(bq.positions), pts.points) + _dtn_pairings(
-            form, trace_nodal, pts, lambda c, x: newton_N_components(c - x)[0] / f_at(c) ** 2)
+            form, trace_nodal, pts, lambda c, x: newton.values(c - x) / f_at(c) ** 2)
         return Recon(pts, vals + vol_term, _interior_samples(grid, u0_disc, pts))
 
     return Plan(_sweep(strong_cases, cfg.resolutions, strong)
@@ -668,7 +673,7 @@ def check_schrodinger_reconstruction(cfg: SuiteConfig):
         "axis-exponential": lam,
         "rotated-exponential": np.linalg.norm(lam) * np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0),
     }
-    phi = KernelSpec("vekua_phi", lam=lam)
+    phi, theta = KernelSpec("vekua_phi", lam=lam), KernelSpec.theta(q)
 
     def outcome(case, res):
         grid = BoxGrid.unit_cube(res)
@@ -679,9 +684,8 @@ def check_schrodinger_reconstruction(cfg: SuiteConfig):
         phi0_b = np.exp(bq.positions @ rates[case])
         # -sum (grad theta_q . eta) phi0 w, with grad theta_q = Phi_lam + lam theta_q
         vals = (_layer_sc(phi, bq, phi0_b, pts.points)
-                - _layer_sc(_screened_kernel(q), bq, (bq.normals @ lam) * phi0_b, pts.points))
-        vals = vals + _dtn_pairings(form, trace_nodal, pts,
-                                    lambda c, x: yukawa_theta_components(c - x, q)[0])
+                - _layer_sc(theta, bq, (bq.normals @ lam) * phi0_b, pts.points))
+        vals = vals + _dtn_pairings(form, trace_nodal, pts, lambda c, x: theta.values(c - x))
         return Recon(pts, vals, np.exp(pts.points @ rates[case]))
 
     return Plan(_sweep(rates, cfg.resolutions, outcome),
@@ -886,7 +890,7 @@ def check_difference_identities(cfg: SuiteConfig):
     # difference-of-potentials identity, trivially forced arm
     dq = cell_average(profile_g.q - profile_f.q, blade_axis=False)
     integrand = dq * cell_average(w_f, blade_axis=False)
-    lhs = scalar_volume_potential(pts.points, grid, integrand, family="yukawa", q=float(lam @ lam))
+    lhs = scalar_volume_potential(pts.points, grid, integrand, q=float(lam @ lam))
     potential_err = float(np.max(np.abs(lhs - (sampled(w_f) - sampled(w_g))))) / (
         float(np.max(np.abs(sampled(w_f)))) or 1.0
     )
@@ -898,7 +902,7 @@ def check_difference_identities(cfg: SuiteConfig):
         profile_g.alpha * scalar_gradient(grid, u_g), axis=-1
     )
     newton_lhs = 2.0 * scalar_volume_potential(
-        pts.points, grid, cell_average(rho, blade_axis=False), family="newton"
+        pts.points, grid, cell_average(rho, blade_axis=False)
     )
     newton_err = float(np.max(np.abs(newton_lhs - (sampled(u_f) - sampled(u_g))))) / (
         float(np.max(np.abs(sampled(u_f)))) or 1.0

@@ -31,13 +31,7 @@ from .fields import (
     dirac_D,
     trilinear_sample,
 )
-from .kernels import (
-    KernelSpec,
-    cauchy_E_components,
-    newton_N_components,
-    vekua_phi_components,
-    yukawa_theta_components,
-)
+from .kernels import KernelSpec
 
 # Read by the benchmark's provenance line; no engine uses numba.
 HAVE_NUMBA = False
@@ -119,20 +113,6 @@ class EvaluationSet:
 
 # -- volume potentials ------------------------------------------------------------
 
-_GRADE1_FAMILIES = ("cauchy", "vekua_phi")
-
-
-def _kernel_components(spec: KernelSpec, z):
-    """Kernel at offsets z: (m, 3) vectors for grade-1 families, (m,) scalars otherwise."""
-    if spec.family == "cauchy":
-        return cauchy_E_components(z, spec.dimension)
-    if spec.family == "vekua_phi":
-        return vekua_phi_components(z, spec.lam)
-    if spec.family == "newton":
-        return newton_N_components(z, spec.dimension)[0]
-    return yukawa_theta_components(z, spec.q)[0]
-
-
 def _kernel_table(spec: KernelSpec, z, drop):
     """Kernel at the (m, 3) offsets z as (m, k) columns, with row drop zeroed (-1: none).
 
@@ -140,7 +120,7 @@ def _kernel_table(spec: KernelSpec, z, drop):
     """
     if drop >= 0:
         z[drop] = 1.0
-    table = _kernel_components(spec, z).reshape(len(z), -1)
+    table = spec.values(z).reshape(len(z), -1)
     if drop >= 0:
         table[drop] = 0.0
     return table
@@ -151,7 +131,7 @@ def _kernel_times(spec: KernelSpec, sums):
 
     A grade-1 kernel multiplies g from the left, column i through e_i.
     """
-    if spec.family not in _GRADE1_FAMILIES:
+    if not spec.grade1:
         return sums[..., 0, :]
     return sum(basis_mul_left(1 << i, sums[..., i, :], 3) for i in range(3))
 
@@ -223,18 +203,12 @@ def vector_volume_potential(points, grid: BoxGrid, cell_values, lam=None, drop_i
     cell_values holds the cell-averaged coefficients of g, flattened to
     (num_cells, 2^n).  lam = None or zero selects the Cauchy kernel.
     """
-    screened = lam is not None and np.any(lam)
-    kernel = KernelSpec("vekua_phi", lam=lam) if screened else KernelSpec("cauchy")
-    return _volume_sum(kernel, points, grid, cell_values, drop_inside)
+    return _volume_sum(KernelSpec.phi(lam), points, grid, cell_values, drop_inside)
 
 
-def scalar_volume_potential(points, grid: BoxGrid, cell_scalar, family="newton", q=0.0,
-                            drop_inside=True):
-    """int_Omega k(|y - x|) rho(y) dy for the scalar newton/yukawa kernels."""
-    if family not in ("newton", "yukawa"):
-        raise ValueError(f"unknown scalar kernel family {family!r}")
-    kernel = KernelSpec("yukawa", q=q) if family == "yukawa" and q > 0 else KernelSpec("newton")
-    return _volume_sum(kernel, points, grid, np.ravel(cell_scalar), drop_inside)[:, 0]
+def scalar_volume_potential(points, grid: BoxGrid, cell_scalar, q=0.0, drop_inside=True):
+    """int_Omega theta_q(y - x) rho(y) dy; q = 0 selects the Newton kernel."""
+    return _volume_sum(KernelSpec.theta(q), points, grid, np.ravel(cell_scalar), drop_inside)[:, 0]
 
 
 # -- spec-level operations ------------------------------------------------------
@@ -280,22 +254,22 @@ def cauchy_boundary(kernel: KernelSpec, boundary: BoundaryQuadrature, trace_valu
         trace = np.concatenate([trace[:, None], np.zeros((trace.shape[0], 7))], axis=1)
     density = trace * boundary.weights[:, None]
     eta = boundary.normals
-    double_layer = kernel.family in _GRADE1_FAMILIES
-    sums = np.empty((pts.shape[0], 4 if double_layer else 1, trace.shape[-1]))
+    sums = np.empty((pts.shape[0], 4 if kernel.grade1 else 1, trace.shape[-1]))
     for p, x in enumerate(pts):
         z = boundary.positions - x
-        if np.sqrt(np.min(np.sum(z * z, axis=1))) < boundary.max_cell_diameter:
+        r = np.sqrt(np.sum(z * z, axis=1))
+        if np.min(r) < boundary.max_cell_diameter:
             raise ValueError(
                 "evaluation point within one face-cell diameter of the boundary"
             )
-        k = _kernel_components(kernel, z)
-        if double_layer:
+        k = kernel.values(z, r)
+        if kernel.grade1:
             k = np.stack([-np.sum(k * eta, axis=1)] + [
                 k[:, i] * eta[:, j] - k[:, j] * eta[:, i] for i, j in _BIVECTOR_AXES
             ])
         sums[p] = np.atleast_2d(k) @ density
     out = sums[:, 0].copy()
-    if double_layer:
+    if kernel.grade1:
         for b, (i, j) in enumerate(_BIVECTOR_AXES, start=1):
             out += basis_mul_left((1 << i) | (1 << j), sums[:, b], 3)
     return out

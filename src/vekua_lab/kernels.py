@@ -1,18 +1,23 @@
-"""Closed-form fundamental solutions and their derivatives.
+"""Closed-form fundamental solutions in R^3 and their derivatives.
 
 Four kernel families:
 
-* cauchy    E(x) = -x / (sigma_n |x|^n), the grade-1 kernel annihilated by
+* cauchy    E(x) = -x / (4 pi |x|^3), the grade-1 kernel annihilated by
             the Dirac operator away from the origin;
-* newton    N(x) = 1 / (sigma_n (n-2) |x|^{n-2}) with grad N = E;
-* yukawa    theta_q(x) = exp(-sqrt(q)|x|) / (4 pi |x|), n = 3, satisfying
+* newton    N(x) = 1 / (4 pi |x|) with grad N = E;
+* yukawa    theta_q(x) = exp(-sqrt(q)|x|) / (4 pi |x|), satisfying
             (-Delta + q) theta = 0 away from 0 with unit delta flux;
+            q = 0 reduces it to the newton kernel;
 * vekua_phi Phi(x) = grad theta_q(x) - lam * theta_q(x) with q = |lam|^2,
             the grade-1 kernel that reproduces scalar parts of solutions
             of Dw = lam conj(w); lam = 0 reduces it to the cauchy kernel.
 
-Every derivative here is closed form - nothing is differenced - so kernel
-identity checks run at machine precision independent of any grid.
+`KernelSpec` is the one place where a family becomes kernel values; the
+quadrature engines get values from it and nothing else.  The public
+`*_components`, jacobian and hessian functions serve the closed-form
+checks and share its value expressions.  Every derivative here is closed
+form - nothing is differenced - so kernel identity checks run at machine
+precision independent of any grid.
 """
 
 from __future__ import annotations
@@ -27,17 +32,39 @@ from .clifford import Multivector, gp_array, vector_to_array
 FOUR_PI = 4.0 * math.pi
 
 
-def sphere_area(n):
-    """Surface area of the unit sphere in R^n."""
-    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+def _radii(points, r=None):
+    """Points as a float array and their radii (computed unless given); rejects the origin."""
+    pts = np.asarray(points, dtype=float)
+    if pts.shape[-1] != 3:
+        raise ValueError(f"points must have 3 components, got {pts.shape[-1]}")
+    if r is None:
+        r = np.sqrt(np.sum(pts * pts, axis=-1))
+    if np.any(r == 0.0):
+        raise ValueError("kernel evaluation at the origin is rejected")
+    return pts, r
+
+
+def _yukawa_radial(r, kappa, order):
+    """[theta, theta', theta''][:order + 1] of the screened kernel with q = kappa^2."""
+    damp = np.exp(-kappa * r)
+    radial = [damp / (FOUR_PI * r)]
+    if order >= 1:
+        radial.append(-(1.0 + kappa * r) * damp / (FOUR_PI * r**2))
+    if order >= 2:
+        radial.append((kappa**2 * r**2 + 2.0 * kappa * r + 2.0) * damp / (FOUR_PI * r**3))
+    return radial
+
+
+def _radial_gradient(dk, z, r):
+    """Gradient at z of a radial function whose radial derivative is dk."""
+    return dk[..., None] * (z / r[..., None])
 
 
 @dataclass
 class KernelSpec:
-    """Descriptor for a kernel family used by the quadrature engines."""
+    """A kernel family with its parameters, and the evaluator the engines use."""
 
     family: str
-    dimension: int = 3
     q: float | None = None
     lam: np.ndarray | None = None
 
@@ -51,97 +78,98 @@ class KernelSpec:
             if self.lam is None:
                 raise ValueError("vekua_phi kernel requires the exponential rate vector")
             self.lam = np.asarray(self.lam, dtype=float)
+            if self.lam.shape != (3,):
+                raise ValueError("vekua_phi kernel requires a rate vector of 3 components")
+
+    @classmethod
+    def theta(cls, q):
+        """theta_q; q = 0 is the Newton kernel."""
+        return cls("newton") if q == 0 else cls("yukawa", q=q)
+
+    @classmethod
+    def phi(cls, lam):
+        """Phi_lam; lam = None or 0 is the Cauchy kernel."""
+        return cls("vekua_phi", lam=lam) if lam is not None and np.any(lam) else cls("cauchy")
 
     @property
-    def singular_order(self):
-        n = self.dimension
-        return {"cauchy": n - 1, "newton": n - 2, "yukawa": n - 2, "vekua_phi": n - 1}[
-            self.family
-        ]
+    def grade1(self):
+        """Whether the kernel is a vector (cauchy, vekua_phi) rather than a scalar."""
+        return self.family in ("cauchy", "vekua_phi")
 
+    def values(self, z, r=None):
+        """Kernel at the offsets z (..., 3): (..., 3) vectors if grade1, else (...) scalars.
 
-def _radii(points, n):
-    pts = np.asarray(points, dtype=float)
-    if pts.shape[-1] != n:
-        raise ValueError(f"points must have {n} components, got {pts.shape[-1]}")
-    r = np.sqrt(np.sum(pts * pts, axis=-1))
-    if np.any(r == 0.0):
-        raise ValueError("kernel evaluation at the origin is rejected")
-    return pts, r
+        r = |z| may be passed by a caller that already has it.  Offsets at
+        the origin are rejected.
+        """
+        z, r = _radii(z, r)
+        if self.family == "cauchy":
+            return -z / (FOUR_PI * r[..., None] ** 3)
+        if self.family == "newton":
+            return 1.0 / (FOUR_PI * r)
+        if self.family == "yukawa":
+            return _yukawa_radial(r, math.sqrt(self.q), 0)[0]
+        theta, dtheta = _yukawa_radial(r, math.sqrt(float(np.dot(self.lam, self.lam))), 1)
+        return _radial_gradient(dtheta, z, r) - theta[..., None] * self.lam
 
 
 # -- cauchy ------------------------------------------------------------------
 
 
-def cauchy_E_components(points, n=3):
-    """Cauchy kernel components, shape (..., n)."""
-    pts, r = _radii(points, n)
-    return -pts / (sphere_area(n) * r[..., None] ** n)
+def cauchy_E_components(points):
+    """Cauchy kernel components, shape (..., 3)."""
+    return KernelSpec("cauchy").values(points)
 
 
-def cauchy_E(x, n=3) -> Multivector:
-    return Multivector.from_vector(cauchy_E_components(np.asarray(x, dtype=float), n), n)
+def cauchy_E(x) -> Multivector:
+    return Multivector.from_vector(cauchy_E_components(x), 3)
 
 
-def cauchy_E_jacobian(points, n=3):
+def cauchy_E_jacobian(points):
     """J[..., i, j] = d_i E_j in closed form."""
-    pts, r = _radii(points, n)
-    sig = sphere_area(n)
-    rn = r[..., None, None] ** n
-    eye = np.eye(n)
+    pts, r = _radii(points)
+    r3 = r[..., None, None] ** 3
     outer = pts[..., :, None] * pts[..., None, :]
-    return -eye / (sig * rn) + n * outer / (sig * rn * r[..., None, None] ** 2)
+    return -np.eye(3) / (FOUR_PI * r3) + 3 * outer / (FOUR_PI * r3 * r[..., None, None] ** 2)
 
 
 # -- newton ------------------------------------------------------------------
 
 
-def newton_N_components(points, n=3):
+def newton_N_components(points):
     """Newton kernel value and gradient; the gradient equals the cauchy kernel."""
-    pts, r = _radii(points, n)
-    value = 1.0 / (sphere_area(n) * (n - 2) * r ** (n - 2))
-    return value, cauchy_E_components(points, n)
+    pts, r = _radii(points)
+    return KernelSpec("newton").values(pts, r), KernelSpec("cauchy").values(pts, r)
 
 
-def newton_N(x, n=3):
-    value, grad = newton_N_components(np.asarray(x, dtype=float), n)
+def newton_N(x):
+    value, grad = newton_N_components(x)
     return float(value), grad
 
 
 # -- yukawa ------------------------------------------------------------------
 
 
-def _yukawa_radial(r, q):
-    """theta(r), theta'(r), theta''-support term for the screened 3-d kernel."""
-    kappa = math.sqrt(q)
-    damp = np.exp(-kappa * r)
-    theta = damp / (FOUR_PI * r)
-    dtheta = -(1.0 + kappa * r) * damp / (FOUR_PI * r**2)
-    ddtheta = (kappa**2 * r**2 + 2.0 * kappa * r + 2.0) * damp / (FOUR_PI * r**3)
-    return theta, dtheta, ddtheta
-
-
 def yukawa_theta_components(points, q):
-    """Screened kernel value and gradient, n = 3; q = 0 gives the Newton kernel."""
+    """Screened kernel value and gradient; q = 0 gives the Newton kernel."""
     if q < 0:
         raise ValueError("yukawa kernel requires q >= 0")
-    pts, r = _radii(points, 3)
-    theta, dtheta, _ = _yukawa_radial(r, q)
-    grad = dtheta[..., None] * (pts / r[..., None])
-    return theta, grad
+    pts, r = _radii(points)
+    theta, dtheta = _yukawa_radial(r, math.sqrt(q), 1)
+    return theta, _radial_gradient(dtheta, pts, r)
 
 
 def yukawa_theta(x, q):
     if q <= 0:
         raise ValueError("yukawa kernel requires q > 0")
-    value, grad = yukawa_theta_components(np.asarray(x, dtype=float), q)
+    value, grad = yukawa_theta_components(x, q)
     return float(value), grad
 
 
 def yukawa_hessian(points, q):
-    """H[..., i, j] = d_i d_j theta_q in closed form (n = 3)."""
-    pts, r = _radii(points, 3)
-    _, dtheta, ddtheta = _yukawa_radial(r, q)
+    """H[..., i, j] = d_i d_j theta_q in closed form."""
+    pts, r = _radii(points)
+    _, dtheta, ddtheta = _yukawa_radial(r, math.sqrt(q), 2)
     hat = pts / r[..., None]
     outer = hat[..., :, None] * hat[..., None, :]
     radial = (ddtheta - dtheta / r)[..., None, None]
@@ -153,16 +181,11 @@ def yukawa_hessian(points, q):
 
 def vekua_phi_components(points, lam):
     """Phi = grad theta_q - lam theta_q with q = |lam|^2, shape (..., 3)."""
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (3,):
-        raise ValueError("vekua_phi supports n = 3 only")
-    q = float(np.dot(lam, lam))
-    theta, grad = yukawa_theta_components(points, q)
-    return grad - theta[..., None] * lam
+    return KernelSpec("vekua_phi", lam=lam).values(points)
 
 
 def vekua_phi(x, lam) -> Multivector:
-    return Multivector.from_vector(vekua_phi_components(np.asarray(x, dtype=float), lam), 3)
+    return Multivector.from_vector(vekua_phi_components(x, lam), 3)
 
 
 def vekua_phi_jacobian(points, lam):
@@ -177,23 +200,23 @@ def vekua_phi_jacobian(points, lam):
 # -- closed-form operator oracles ------------------------------------------------
 
 
-def dirac_from_jacobian(jac, n=3):
+def dirac_from_jacobian(jac):
     """Coefficients of D v for a vector field with jacobian J[..., i, j] = d_i v_j.
 
     D v = -(div v) + sum_{i<j} (d_i v_j - d_j v_i) e_i e_j.
     """
     jac = np.asarray(jac, dtype=float)
-    out = np.zeros(jac.shape[:-2] + (1 << n,))
+    out = np.zeros(jac.shape[:-2] + (8,))
     out[..., 0] = -np.trace(jac, axis1=-2, axis2=-1)
-    for i in range(n):
-        for j in range(i + 1, n):
+    for i in range(3):
+        for j in range(i + 1, 3):
             out[..., (1 << i) | (1 << j)] = jac[..., i, j] - jac[..., j, i]
     return out
 
 
-def dirac_of_cauchy(points, n=3):
+def dirac_of_cauchy(points):
     """D E away from the origin; identically zero (monogenic kernel)."""
-    return dirac_from_jacobian(cauchy_E_jacobian(points, n), n)
+    return dirac_from_jacobian(cauchy_E_jacobian(points))
 
 
 def fundamental_cauchy_residual(points, lam):
@@ -205,12 +228,12 @@ def fundamental_cauchy_residual(points, lam):
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     lam = np.asarray(lam, dtype=float)
     inv_f = np.exp(-pts @ lam)
-    E = cauchy_E_components(pts, 3)
-    JE = cauchy_E_jacobian(pts, 3)
+    E = cauchy_E_components(pts)
+    JE = cauchy_E_jacobian(pts)
     # d_i (E_j / f) = (d_i E_j - lam_i E_j) / f
     JG = (JE - lam[:, None] * E[..., None, :]) * inv_f[..., None, None]
     G = E * inv_f[..., None]
-    DG = dirac_from_jacobian(JG, 3)
+    DG = dirac_from_jacobian(JG)
     # lam C (G) = lam * conj(G) = -lam * G for a pure vector G
     lam_arr = vector_to_array(np.broadcast_to(lam, G.shape), 3)
     G_arr = vector_to_array(G, 3)
@@ -229,7 +252,7 @@ def vekua_phi_adjoint_residual(points, lam):
     lam = np.asarray(lam, dtype=float)
     J = vekua_phi_jacobian(pts, lam)
     phi = vekua_phi_components(pts, lam)
-    Dphi = dirac_from_jacobian(J, 3)
+    Dphi = dirac_from_jacobian(J)
     lam_arr = vector_to_array(np.broadcast_to(lam, phi.shape), 3)
     phi_arr = vector_to_array(phi, 3)
     residual = Dphi + gp_array(phi_arr, lam_arr, 3)

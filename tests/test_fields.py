@@ -263,6 +263,15 @@ def test_boundary_sampling_override_density():
     assert bq.total_weight == pytest.approx(6.0, rel=1e-12)
 
 
+def test_boundary_sampling_density_is_none_or_positive():
+    g = unit_grid(10)
+    assert len(F.boundary_sampling(g, None)) == 6 * 9 * 9
+    assert len(F.boundary_sampling(g, 1)) == 6
+    for cells in (0, -3):
+        with pytest.raises(ValueError, match="cells_per_axis"):
+            F.boundary_sampling(g, cells)
+
+
 # -- helpers ------------------------------------------------------------------------
 
 

@@ -24,6 +24,21 @@ def test_config_rejects_bad_point_counts(field, value):
         H.SuiteConfig.defaults("borel_pompeiu", **{field: value})
 
 
+@pytest.mark.parametrize("resolutions", [(), (7,), (4, 16), [6, 12]])
+def test_config_rejects_missing_or_coarse_resolutions(resolutions):
+    with pytest.raises(ValueError, match="resolutions"):
+        H.SuiteConfig.defaults("borel_pompeiu", resolutions=resolutions)
+    with pytest.raises(ValueError, match="resolutions"):
+        H.run_identity("borel_pompeiu", resolutions=resolutions)
+
+
+@pytest.mark.parametrize("cells", [-1, 0, 7])
+def test_config_rejects_too_few_boundary_cells(cells):
+    with pytest.raises(ValueError, match="boundary_cells"):
+        H.SuiteConfig.defaults("cauchy_constant", boundary_cells=cells)
+    assert H.SuiteConfig.defaults("cauchy_constant", boundary_cells=8).boundary_cells == 8
+
+
 def test_identity_runs_without_exterior_points():
     # at (10, 12) the refinement gate fails whatever the exterior count; the
     # interior rows must not depend on it, and no exterior error is measured

@@ -122,6 +122,11 @@ kernel_specs = st.one_of(
 )
 
 
+# one kernel of each family
+FAMILIES = (KernelSpec("cauchy"), KernelSpec("vekua_phi", lam=[0.3, -0.2, 1.0]),
+            KernelSpec("newton"), KernelSpec("yukawa", q=1.3))
+
+
 def random_cells(grid, blade, seed):
     """Normal cell values with all 8 blades, or only the given one."""
     vals = np.random.default_rng(seed).normal(size=tuple(grid.resolution - 1) + (8,))
@@ -199,6 +204,17 @@ def test_volume_sum_matches_cell_by_cell_oracle(
         assert np.all(np.abs(row - want) <= 1e-13 * magnitude.sum())
 
 
+@pytest.mark.parametrize("kernel", FAMILIES, ids=lambda k: k.family)
+def test_volume_sum_rejects_an_undropped_cell_center(kernel):
+    # without the drop, a point on a cell center puts the kernel's origin in the sum
+    g = BoxGrid([0.1, -0.3, 0.2], [1.0, 0.8, 1.2], [8, 9, 10])
+    center = g.cell_centers()[3, 4, 5]
+    vals = random_cells(g, None, 0).reshape(-1, 8)
+    with pytest.raises(ValueError, match="origin"):
+        IO._volume_sum(kernel, [center], g, vals, drop_inside=False)
+    assert np.all(np.isfinite(IO._volume_sum(kernel, [center], g, vals, drop_inside=True)))
+
+
 # -- boundary integrals -----------------------------------------------------------
 
 
@@ -245,12 +261,13 @@ def test_cauchy_boundary_reproduces_exterior_pole_kernel():
 
 
 def test_cauchy_boundary_rejects_near_boundary_points():
+    # a point close to the boundary, and one exactly on a face sample
     g = BoxGrid.unit_cube(16)
     bq = boundary_sampling(g)
-    with pytest.raises(ValueError):
-        IO.cauchy_boundary(
-            KernelSpec("cauchy"), bq, np.ones(len(bq)), [[0.001, 0.5, 0.5]]
-        )
+    for kernel in FAMILIES:
+        for x in ([0.001, 0.5, 0.5], bq.positions[17]):
+            with pytest.raises(ValueError, match="face-cell diameter"):
+                IO.cauchy_boundary(kernel, bq, np.ones(len(bq)), [x])
 
 
 def oracle_boundary(kernel, bq, trace, x):

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vekua_lab import kernels as K
 
@@ -190,19 +191,74 @@ def test_yukawa_flux_tends_to_one():
 # -- kernel descriptors ---------------------------------------------------------------
 
 
-def test_kernel_spec_singular_orders():
-    assert K.KernelSpec("cauchy").singular_order == 2
-    assert K.KernelSpec("newton").singular_order == 1
-    assert K.KernelSpec("yukawa", q=1.0).singular_order == 1
-    assert K.KernelSpec("vekua_phi", lam=[0, 0, 1.0]).singular_order == 2
-
-
 def test_kernel_spec_validation():
     with pytest.raises(ValueError):
         K.KernelSpec("yukawa")
     with pytest.raises(ValueError):
         K.KernelSpec("yukawa", q=-2.0)
     with pytest.raises(ValueError):
+        K.KernelSpec.theta(-2.0)
+    with pytest.raises(ValueError):
         K.KernelSpec("vekua_phi")
     with pytest.raises(ValueError):
+        K.KernelSpec("vekua_phi", lam=[0.0, 1.0])
+    with pytest.raises(ValueError):
         K.KernelSpec("bessel")
+
+
+def test_kernel_spec_zero_screening_and_grade():
+    assert K.KernelSpec.theta(0.0).family == "newton"
+    assert K.KernelSpec.theta(0.5).family == "yukawa"
+    assert K.KernelSpec.phi(None).family == "cauchy"
+    assert K.KernelSpec.phi([0.0, 0.0, 0.0]).family == "cauchy"
+    assert K.KernelSpec.phi([0.0, 0.0, 1.0]).family == "vekua_phi"
+    assert [K.KernelSpec.phi(None).grade1, K.KernelSpec.phi([0, 0, 1.0]).grade1] == [True, True]
+    assert [K.KernelSpec.theta(0.0).grade1, K.KernelSpec.theta(1.0).grade1] == [False, False]
+
+
+def test_kernel_spec_rejects_the_origin():
+    for spec in (K.KernelSpec("cauchy"), K.KernelSpec("newton"), K.KernelSpec("yukawa", q=1.0),
+                 K.KernelSpec("vekua_phi", lam=[0.0, 0.0, 1.0])):
+        z = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="origin"):
+            spec.values(z)
+        with pytest.raises(ValueError, match="origin"):
+            spec.values(z, np.linalg.norm(z, axis=1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    direction=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)
+    .filter(lambda v: np.linalg.norm(v) > 0.1),
+    radius=st.floats(1e-3, 10.0),
+    q=st.one_of(st.just(0.0), st.floats(1e-12, 4.0)),
+    lam=st.one_of(st.just([0.0, 0.0, 0.0]), st.lists(st.floats(-1.5, 1.5), min_size=3,
+                                                       max_size=3)),
+)
+def test_kernel_spec_matches_closed_forms(direction, radius, q, lam):
+    # the engines' evaluator, with its own radii and with radii handed in,
+    # against the public closed-form functions and the formulas written out
+    # with the math module; theta(0) is the newton kernel and phi(0) the
+    # cauchy kernel, compared here with the q, lam -> 0 limits
+    z = radius * np.asarray(direction) / np.linalg.norm(direction)
+    r = math.sqrt(float(z @ z))
+    lam = np.asarray(lam)
+    kappa, kappa_l = math.sqrt(q), math.sqrt(float(lam @ lam))
+    theta_l = math.exp(-kappa_l * r) / (4 * math.pi * r)
+    grad_l = -(1 + kappa_l * r) * math.exp(-kappa_l * r) / (4 * math.pi * r**2) * z / r
+    cases = [  # spec, public function, formula, scale
+        (K.KernelSpec("cauchy"), K.cauchy_E_components(z[None]), -z / (4 * math.pi * r**3),
+         1 / (4 * math.pi * r**2)),
+        (K.KernelSpec("newton"), K.newton_N_components(z[None])[0], 1 / (4 * math.pi * r),
+         1 / (4 * math.pi * r)),
+        (K.KernelSpec.theta(q), K.yukawa_theta_components(z[None], q)[0],
+         math.exp(-kappa * r) / (4 * math.pi * r), math.exp(-kappa * r) / (4 * math.pi * r)),
+        # Phi = grad theta - lam theta can cancel; measure against its two terms
+        (K.KernelSpec.phi(lam), K.vekua_phi_components(z[None], lam), grad_l - theta_l * lam,
+         np.abs(grad_l).max() + theta_l * np.abs(lam).max()),
+    ]
+    for spec, public, formula, scale in cases:
+        for got in (spec.values(z[None]), spec.values(z[None], np.array([r]))):
+            assert got.shape == np.shape(public)
+            assert np.all(np.abs(got - public) <= 1e-14 * scale)
+            assert np.all(np.abs(got[0] - formula) <= 1e-14 * scale)
