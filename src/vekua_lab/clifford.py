@@ -13,12 +13,12 @@ the multiplications themselves.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 MIN_DIM = 3
 MAX_DIM = 8
-
-_TABLE_CACHE: dict[int, "AlgebraTables"] = {}
 
 
 def _popcount(mask):
@@ -101,12 +101,9 @@ class AlgebraTables:
                     )
 
 
+@functools.lru_cache(maxsize=None)
 def tables(n: int) -> AlgebraTables:
-    tab = _TABLE_CACHE.get(n)
-    if tab is None:
-        tab = AlgebraTables(n)
-        _TABLE_CACHE[n] = tab
-    return tab
+    return AlgebraTables(n)
 
 
 class Multivector:
@@ -261,91 +258,112 @@ def geometric_product(a: Multivector, b: Multivector) -> Multivector:
     """Clifford product of two multivectors of the same algebra."""
     if a.n != b.n:
         raise ValueError(f"algebra dimension mismatch: {a.n} vs {b.n}")
-    tab = tables(a.n)
-    out = np.zeros(tab.dim)
-    for mask in range(tab.dim):
-        ca = a.coeffs[mask]
-        if ca != 0.0:
-            out[tab.xor[mask]] += ca * (tab.sign[mask] * b.coeffs)
-    return Multivector(a.n, out)
+    return Multivector(a.n, gp_array(a.coeffs, b.coeffs))
 
 
 def conjugate(a: Multivector) -> Multivector:
     """Clifford conjugation: grade k picks up (+,-,-,+) by k mod 4."""
-    tab = tables(a.n)
-    return Multivector(a.n, tab.conj_signs * a.coeffs)
+    return Multivector(a.n, conj_array(a.coeffs))
 
 
 def grade_project(a: Multivector, k: int) -> Multivector:
-    if not 0 <= k <= a.n:
-        raise ValueError(f"grade {k} out of range for n={a.n}")
-    tab = tables(a.n)
-    out = np.where(tab.grades == k, a.coeffs, 0.0)
-    return Multivector(a.n, out)
+    return Multivector(a.n, grade_array(a.coeffs, k))
 
 
 def parity_split(a: Multivector):
     """Split into the grades-0,3 (mod 4) part and the grades-1,2 (mod 4) part."""
-    tab = tables(a.n)
-    part03 = Multivector(a.n, np.where(tab.part03_mask, a.coeffs, 0.0))
-    part12 = Multivector(a.n, np.where(tab.part12_mask, a.coeffs, 0.0))
-    return part03, part12
+    return tuple(Multivector(a.n, part) for part in parity_array(a.coeffs))
 
 
 # -- array-level algebra ----------------------------------------------------
 #
 # Stacked coefficient arrays of shape (..., 2^n) let grid fields and
 # quadrature batches reuse the same sign tables without per-node Python
-# objects.  XOR with a fixed mask permutes the blade axis, so basis
+# objects.  The algebra dimension n is read from the length of the blade
+# (last) axis.  XOR with a fixed mask permutes the blade axis, so basis
 # multiplications are pure signed shuffles.
 
 
-def gp_array(a, b, n):
+def _blade_tables(length) -> AlgebraTables:
+    """Tables of the algebra whose coefficient stacks have `length` blades."""
+    n = int(length).bit_length() - 1
+    if length < 1 or length != 1 << n or not MIN_DIM <= n <= MAX_DIM:
+        raise ValueError(f"blade axis of length {length} is not 2^n for n in "
+                         f"[{MIN_DIM}, {MAX_DIM}]")
+    return tables(n)
+
+
+def gp_array(a, b):
     """Geometric product of coefficient stacks, broadcasting leading axes."""
-    tab = tables(n)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (tab.dim,))
-    for mask in range(tab.dim):
-        ca = a[..., mask]
-        if np.any(ca):
-            out[..., tab.xor[mask]] += ca[..., None] * (tab.sign[mask] * b)
+    if a.shape[-1] != b.shape[-1]:
+        raise ValueError(f"blade axes differ: {a.shape[-1]} vs {b.shape[-1]}")
+    tab = _blade_tables(a.shape[-1])
+    out = np.zeros(np.broadcast(a, b).shape)
+    # e_mask e_j = sign[mask, j] e_(mask ^ j), and j -> mask ^ j is an involution,
+    # so blade k gathers a_mask sign[mask, mask ^ k] b_(mask ^ k); blades of a
+    # that are zero throughout contribute nothing
+    for mask in np.flatnonzero(a.reshape(-1, tab.dim).any(axis=0)):
+        out += a[..., mask, None] * (tab.sign[mask] * b).take(tab.xor[mask], axis=-1)
     return out
 
 
-def conj_array(a, n):
-    return tables(n).conj_signs * np.asarray(a, dtype=float)
+def conj_array(a):
+    a = np.asarray(a, dtype=float)
+    return _blade_tables(a.shape[-1]).conj_signs * a
 
 
-def basis_mul_left(mask, a, n):
+def grade_array(a, k):
+    """Grade-k part of a coefficient stack."""
+    a = np.asarray(a, dtype=float)
+    tab = _blade_tables(a.shape[-1])
+    if not 0 <= k <= tab.n:
+        raise ValueError(f"grade {k} out of range for n={tab.n}")
+    return np.where(tab.grades == k, a, 0.0)
+
+
+def parity_array(a):
+    """The grades-0,3 (mod 4) and grades-1,2 (mod 4) parts of a coefficient stack."""
+    a = np.asarray(a, dtype=float)
+    tab = _blade_tables(a.shape[-1])
+    return np.where(tab.part03_mask, a, 0.0), np.where(tab.part12_mask, a, 0.0)
+
+
+def basis_mul_left(mask, a):
     """e_mask * a on a coefficient stack."""
-    tab = tables(n)
+    tab = _blade_tables(a.shape[-1])
     out = np.empty_like(a)
     out[..., tab.xor[mask]] = tab.sign[mask] * a
     return out
 
 
-def basis_mul_right(a, mask, n):
+def basis_mul_right(a, mask):
     """a * e_mask on a coefficient stack."""
-    tab = tables(n)
+    tab = _blade_tables(a.shape[-1])
     out = np.empty_like(a)
     out[..., tab.xor[:, mask]] = tab.sign[:, mask] * a
     return out
 
 
-def vector_mul_left(components, a, n):
+def vector_mul_left(components, a):
     """(sum_i c_i e_i) * a with per-item vector components (..., n)."""
     components = np.asarray(components, dtype=float)
+    n = _blade_tables(a.shape[-1]).n
+    if components.shape[-1] != n:
+        raise ValueError(f"{components.shape[-1]} vector components for blade axis "
+                         f"{a.shape[-1]} (n={n})")
     out = np.zeros(np.broadcast_shapes(components.shape[:-1], a.shape[:-1]) + (a.shape[-1],))
     for i in range(n):
-        out += components[..., i : i + 1] * basis_mul_left(1 << i, a, n)
+        out += components[..., i : i + 1] * basis_mul_left(1 << i, a)
     return out
 
 
-def vector_to_array(components, n):
+def vector_to_array(components):
     """Embed vector components (..., n) as grade-1 coefficient stacks."""
     components = np.asarray(components, dtype=float)
-    out = np.zeros(components.shape[:-1] + (1 << n,))
+    n = components.shape[-1]
+    out = np.zeros(components.shape[:-1] + (tables(n).dim,))
     for i in range(n):
         out[..., 1 << i] = components[..., i]
     return out

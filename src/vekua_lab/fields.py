@@ -18,20 +18,20 @@ import itertools
 import numpy as np
 
 from . import clifford
-from .clifford import tables
 
 MIN_RESOLUTION = 8
 
 
 class BoxGrid:
-    """Uniform tensor grid over an axis-aligned box in R^n."""
+    """Uniform tensor grid over an axis-aligned box in R^3."""
 
     def __init__(self, origin, extent, resolution):
         origin = np.asarray(origin, dtype=float)
         extent = np.asarray(extent, dtype=float)
         resolution = np.asarray(resolution, dtype=np.int64)
-        if not (origin.shape == extent.shape == resolution.shape) or origin.ndim != 1:
-            raise ValueError("origin, extent and resolution must be 1-d and congruent")
+        if not origin.shape == extent.shape == resolution.shape == (3,):
+            raise ValueError("origin, extent and resolution must each have 3 components, got "
+                             f"shapes {origin.shape}, {extent.shape}, {resolution.shape}")
         if np.any(resolution < MIN_RESOLUTION):
             raise ValueError(f"resolution must be >= {MIN_RESOLUTION} per axis")
         if np.any(extent <= 0):
@@ -41,16 +41,12 @@ class BoxGrid:
         self.resolution = resolution
         self.spacing = extent / (resolution - 1)
         self.axes = tuple(
-            origin[i] + self.spacing[i] * np.arange(resolution[i]) for i in range(self.ndim)
+            origin[i] + self.spacing[i] * np.arange(resolution[i]) for i in range(3)
         )
 
     @classmethod
-    def unit_cube(cls, resolution, ndim=3):
-        return cls(np.zeros(ndim), np.ones(ndim), np.full(ndim, resolution))
-
-    @property
-    def ndim(self):
-        return self.origin.shape[0]
+    def unit_cube(cls, resolution):
+        return cls(np.zeros(3), np.ones(3), np.full(3, resolution))
 
     @property
     def top(self):
@@ -64,15 +60,15 @@ class BoxGrid:
         return self.origin + np.asarray(index) * self.spacing
 
     def coords(self):
-        """Node coordinates, shape (*resolution, ndim)."""
+        """Node coordinates, shape (*resolution, 3)."""
         mesh = np.meshgrid(*self.axes, indexing="ij")
         return np.stack(mesh, axis=-1)
 
     def cell_centers(self):
-        """Cell-center coordinates, shape (*(resolution-1), ndim)."""
+        """Cell-center coordinates, shape (*(resolution-1), 3)."""
         axes = tuple(
             self.origin[i] + self.spacing[i] * (np.arange(self.resolution[i] - 1) + 0.5)
-            for i in range(self.ndim)
+            for i in range(3)
         )
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack(mesh, axis=-1)
@@ -104,8 +100,7 @@ class BoxGrid:
 
     def same_layout(self, other):
         return (
-            self.ndim == other.ndim
-            and np.array_equal(self.resolution, other.resolution)
+            np.array_equal(self.resolution, other.resolution)
             and np.allclose(self.origin, other.origin)
             and np.allclose(self.extent, other.extent)
         )
@@ -114,9 +109,9 @@ class BoxGrid:
         return f"BoxGrid(origin={self.origin}, extent={self.extent}, resolution={self.resolution})"
 
 
-def interior_slices(depth=2, ndim=3):
+def interior_slices(depth=2):
     """Index slices selecting nodes at least `depth` layers from the boundary."""
-    return (slice(depth, -depth),) * ndim
+    return (slice(depth, -depth),) * 3
 
 
 def trapezoid_product(resolution, spacing=None):
@@ -144,112 +139,91 @@ def face_slabs():
 
 
 class MultivectorField:
-    """Cl(0,n)-valued samples on the nodes of a BoxGrid.
+    """Cl(0,3)-valued samples on the nodes of a BoxGrid.
 
-    Values are stored node-major, blade-minor: shape (*resolution, 2^n).
+    Values are stored node-major, blade-minor: shape (*resolution, 8).
     Fields are immutable after construction.
     """
 
-    def __init__(self, grid: BoxGrid, values, n=None):
-        if n is None:
-            n = grid.ndim
-        tab = tables(n)
+    def __init__(self, grid: BoxGrid, values):
         values = np.asarray(values, dtype=float)
-        expected = tuple(grid.resolution) + (tab.dim,)
+        expected = tuple(grid.resolution) + (8,)
         if values.shape != expected:
             raise ValueError(f"values shape {values.shape} does not match {expected}")
         self.grid = grid
-        self.n = n
         self.values = values.copy()
         self.values.setflags(write=False)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, grid, n=None):
-        n = grid.ndim if n is None else n
-        return cls(grid, np.zeros(tuple(grid.resolution) + (1 << n,)), n)
+    def zero(cls, grid):
+        return cls(grid, np.zeros(tuple(grid.resolution) + (8,)))
 
     @classmethod
-    def from_scalar(cls, grid, scalar_values, n=None):
-        n = grid.ndim if n is None else n
-        vals = np.zeros(tuple(grid.resolution) + (1 << n,))
-        vals[..., 0] = scalar_values
-        return cls(grid, vals, n)
+    def from_scalar(cls, grid, scalar_values):
+        return cls.from_components(grid, {0: scalar_values})
 
     @classmethod
-    def from_vector(cls, grid, components, n=None):
-        """components: array (*resolution, ndim) of grade-1 coefficients."""
-        n = grid.ndim if n is None else n
-        return cls(grid, clifford.vector_to_array(components, n), n)
+    def from_vector(cls, grid, components):
+        """components: array (*resolution, 3) of grade-1 coefficients."""
+        return cls(grid, clifford.vector_to_array(components))
 
     @classmethod
-    def from_components(cls, grid, comps, n=None):
+    def from_components(cls, grid, comps):
         """comps: dict blade-mask -> nodal array (or constant)."""
-        n = grid.ndim if n is None else n
-        vals = np.zeros(tuple(grid.resolution) + (1 << n,))
+        vals = np.zeros(tuple(grid.resolution) + (8,))
         for mask, arr in comps.items():
             vals[..., mask] = arr
-        return cls(grid, vals, n)
+        return cls(grid, vals)
 
     # -- algebra, nodewise ---------------------------------------------------
 
     def _check(self, other):
-        if not self.grid.same_layout(other.grid) or self.n != other.n:
-            raise ValueError("field grids or algebra dimensions do not match")
+        if not self.grid.same_layout(other.grid):
+            raise ValueError("field grids do not match")
 
     def __add__(self, other):
         self._check(other)
-        return MultivectorField(self.grid, self.values + other.values, self.n)
+        return MultivectorField(self.grid, self.values + other.values)
 
     def __sub__(self, other):
         self._check(other)
-        return MultivectorField(self.grid, self.values - other.values, self.n)
+        return MultivectorField(self.grid, self.values - other.values)
 
     def __neg__(self):
-        return MultivectorField(self.grid, -self.values, self.n)
+        return MultivectorField(self.grid, -self.values)
 
     def __mul__(self, other):
         if isinstance(other, MultivectorField):
             self._check(other)
-            return MultivectorField(
-                self.grid, clifford.gp_array(self.values, other.values, self.n), self.n
-            )
-        return MultivectorField(self.grid, self.values * other, self.n)
+            return MultivectorField(self.grid, clifford.gp_array(self.values, other.values))
+        return MultivectorField(self.grid, self.values * other)
 
     def __rmul__(self, other):
-        return MultivectorField(self.grid, self.values * other, self.n)
+        return MultivectorField(self.grid, self.values * other)
 
     def scale_by(self, scalar_field):
         """Multiply every blade by a nodal scalar array."""
-        return MultivectorField(
-            self.grid, self.values * np.asarray(scalar_field)[..., None], self.n
-        )
+        return MultivectorField(self.grid, self.values * np.asarray(scalar_field)[..., None])
 
     def conjugate(self):
-        return MultivectorField(self.grid, clifford.conj_array(self.values, self.n), self.n)
+        return MultivectorField(self.grid, clifford.conj_array(self.values))
 
     def grade(self, k):
-        tab = tables(self.n)
-        vals = np.where(tab.grades == k, self.values, 0.0)
-        return MultivectorField(self.grid, vals, self.n)
+        return MultivectorField(self.grid, clifford.grade_array(self.values, k))
 
     def parity_split(self):
-        tab = tables(self.n)
-        p03 = np.where(tab.part03_mask, self.values, 0.0)
-        p12 = np.where(tab.part12_mask, self.values, 0.0)
-        return (
-            MultivectorField(self.grid, p03, self.n),
-            MultivectorField(self.grid, p12, self.n),
-        )
+        return tuple(MultivectorField(self.grid, part)
+                     for part in clifford.parity_array(self.values))
 
     def sc(self):
         """Scalar-part nodal array."""
         return self.values[..., 0]
 
     def vec(self):
-        """Grade-1 nodal components, shape (*res, n)."""
-        return np.stack([self.values[..., 1 << i] for i in range(self.n)], axis=-1)
+        """Grade-1 nodal components, shape (*res, 3)."""
+        return np.stack([self.values[..., 1 << i] for i in range(3)], axis=-1)
 
     def max_norm(self, region=None):
         vals = self.values if region is None else self.values[region]
@@ -275,49 +249,47 @@ def dirac_D(w: MultivectorField, side="left") -> MultivectorField:
     if np.any(grid.resolution < 3):
         raise ValueError("grid too small for the difference stencil")
     out = np.zeros_like(w.values)
-    for i in range(w.n):
+    for i in range(3):
         dv = np.gradient(w.values, grid.spacing[i], axis=i, edge_order=2)
         if side == "left":
-            out += clifford.basis_mul_left(1 << i, dv, w.n)
+            out += clifford.basis_mul_left(1 << i, dv)
         elif side == "right":
-            out += clifford.basis_mul_right(dv, 1 << i, w.n)
+            out += clifford.basis_mul_right(dv, 1 << i)
         else:
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return MultivectorField(grid, out, w.n)
+    return MultivectorField(grid, out)
 
 
 def laplacian(w: MultivectorField) -> MultivectorField:
-    """Componentwise 7-point Laplacian (n = 3), second order."""
+    """Componentwise 7-point Laplacian, second order."""
     grid = w.grid
     if np.any(grid.resolution < 4):
         raise ValueError("grid too small for the second-derivative stencil")
     out = np.zeros_like(w.values)
-    for i in range(grid.ndim):
+    for i in range(3):
         out += _second_derivative(w.values, grid.spacing[i], i)
-    return MultivectorField(grid, out, w.n)
+    return MultivectorField(grid, out)
 
 
 def scalar_gradient(grid: BoxGrid, scalar_values):
-    """Gradient of a nodal scalar array, shape (*res, ndim)."""
+    """Gradient of a nodal scalar array, shape (*res, 3)."""
     grads = [
         np.gradient(scalar_values, grid.spacing[i], axis=i, edge_order=2)
-        for i in range(grid.ndim)
+        for i in range(3)
     ]
     return np.stack(grads, axis=-1)
 
 
 def vector_divergence(grid: BoxGrid, components):
-    """Divergence of nodal vector components (*res, ndim)."""
+    """Divergence of nodal vector components (*res, 3)."""
     out = np.zeros(components.shape[:-1])
-    for i in range(grid.ndim):
+    for i in range(3):
         out += np.gradient(components[..., i], grid.spacing[i], axis=i, edge_order=2)
     return out
 
 
 def vector_curl(grid: BoxGrid, components):
-    """Curl of nodal vector components, n = 3 only."""
-    if grid.ndim != 3:
-        raise ValueError("curl requires n = 3")
+    """Curl of nodal vector components (*res, 3)."""
     d = lambda f, i: np.gradient(f, grid.spacing[i], axis=i, edge_order=2)
     c1 = d(components[..., 2], 1) - d(components[..., 1], 2)
     c2 = d(components[..., 0], 2) - d(components[..., 2], 0)
@@ -350,7 +322,7 @@ def sc_norm(u: MultivectorField) -> float:
 
 
 class BoundaryQuadrature:
-    """Midpoint-rule samples over the 2n faces of a box."""
+    """Midpoint-rule samples over the six faces of a box."""
 
     def __init__(self, positions, normals, weights, faces, max_cell_diameter=0.0):
         self.positions = positions
@@ -375,13 +347,12 @@ def boundary_sampling(grid: BoxGrid, cells_per_axis=None) -> BoundaryQuadrature:
     """
     if cells_per_axis is not None and cells_per_axis < 1:
         raise ValueError(f"cells_per_axis must be >= 1, got {cells_per_axis}")
-    ndim = grid.ndim
-    counts = grid.resolution - 1 if cells_per_axis is None else np.full(ndim, int(cells_per_axis))
+    counts = grid.resolution - 1 if cells_per_axis is None else np.full(3, int(cells_per_axis))
     positions, normals, weights, faces = [], [], [], []
     max_diam = 0.0
-    for axis in range(ndim):
+    for axis in range(3):
         for side in (0, 1):
-            transverse = [t for t in range(ndim) if t != axis]
+            transverse = [t for t in range(3) if t != axis]
             axes_1d = []
             step = []
             for t in transverse:
@@ -392,11 +363,11 @@ def boundary_sampling(grid: BoxGrid, cells_per_axis=None) -> BoundaryQuadrature:
             max_diam = max(max_diam, float(np.sqrt(np.sum(np.asarray(step) ** 2))))
             mesh = np.meshgrid(*axes_1d, indexing="ij")
             count = mesh[0].size
-            pos = np.empty((count, ndim))
+            pos = np.empty((count, 3))
             pos[:, axis] = grid.origin[axis] + (grid.extent[axis] if side else 0.0)
             for t, m in zip(transverse, mesh):
                 pos[:, t] = m.ravel()
-            nrm = np.zeros((count, ndim))
+            nrm = np.zeros((count, 3))
             nrm[:, axis] = 1.0 if side else -1.0
             positions.append(pos)
             normals.append(nrm)
@@ -417,18 +388,17 @@ def boundary_sampling(grid: BoxGrid, cells_per_axis=None) -> BoundaryQuadrature:
 def trilinear_sample(grid: BoxGrid, nodal_values, points):
     """Multilinear interpolation of nodal data (scalar or per-blade) at points.
 
-    Points of shape (..., ndim) must lie in the closed box (ValueError
+    Points of shape (..., 3) must lie in the closed box (ValueError
     otherwise); a point on a top face is interpolated in the last cell.
     Returns shape (..., *trailing value axes); a single point gives (1, ...).
     """
     values = np.asarray(nodal_values, dtype=float)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    ndim = grid.ndim
-    if pts.shape[-1] != ndim:
-        raise ValueError(f"points must have {ndim} coordinates, got shape {pts.shape}")
+    if pts.shape[-1] != 3:
+        raise ValueError(f"points must have 3 coordinates, got shape {pts.shape}")
     lo = np.array([axis[0] for axis in grid.axes])
     hi = np.array([axis[-1] for axis in grid.axes])
-    flat = pts.reshape(-1, ndim)
+    flat = pts.reshape(-1, 3)
     if not np.all((flat >= lo) & (flat <= hi)):
         raise ValueError("sample points outside the grid box")
     cell = np.floor((flat - grid.origin) / grid.spacing).astype(np.int64)
@@ -436,9 +406,9 @@ def trilinear_sample(grid: BoxGrid, nodal_values, points):
     # local coordinate within the cell, from the node coordinates themselves
     t = np.stack([(flat[:, a] - axis[cell[:, a]]) / (axis[cell[:, a] + 1] - axis[cell[:, a]])
                   for a, axis in enumerate(grid.axes)], axis=1)
-    tail = values.shape[ndim:]
+    tail = values.shape[3:]
     out = np.zeros((flat.shape[0],) + tail)
-    for corner in itertools.product((0, 1), repeat=ndim):
+    for corner in itertools.product((0, 1), repeat=3):
         weight = np.prod([t[:, a] if c else 1.0 - t[:, a] for a, c in enumerate(corner)], axis=0)
         node = tuple(cell[:, a] + c for a, c in enumerate(corner))
         out += weight.reshape(weight.shape + (1,) * len(tail)) * values[node]
@@ -463,7 +433,7 @@ def bump_scalar(grid: BoxGrid, margin):
     """C^2 bump supported at distance >= margin from the boundary, peak 1."""
     coords = grid.coords()
     out = np.ones(tuple(grid.resolution))
-    for i in range(grid.ndim):
+    for i in range(3):
         t = coords[..., i]
         lo = grid.origin[i] + margin
         hi = grid.top[i] - margin
@@ -479,10 +449,11 @@ def bump_scalar(grid: BoxGrid, margin):
 
 
 def save_field(field: MultivectorField, path):
-    """Flat little-endian binary snapshot: n, resolution, origin, extent, coefficients."""
+    """Flat little-endian binary snapshot: header (n, ndim) = (3, 3), resolution,
+    origin, extent, coefficients."""
     grid = field.grid
     with open(path, "wb") as fh:
-        np.asarray([field.n, grid.ndim], dtype="<i8").tofile(fh)
+        np.asarray([3, 3], dtype="<i8").tofile(fh)
         np.asarray(grid.resolution, dtype="<i8").tofile(fh)
         np.asarray(grid.origin, dtype="<f8").tofile(fh)
         np.asarray(grid.extent, dtype="<f8").tofile(fh)
@@ -490,6 +461,8 @@ def save_field(field: MultivectorField, path):
 
 
 def load_field(path) -> MultivectorField:
+    """Read a save_field snapshot; a header other than (3, 3) fails in BoxGrid or
+    in the values shape."""
     with open(path, "rb") as fh:
         n, ndim = (int(x) for x in np.fromfile(fh, dtype="<i8", count=2))
         resolution = np.fromfile(fh, dtype="<i8", count=ndim)
@@ -499,13 +472,11 @@ def load_field(path) -> MultivectorField:
         count = int(np.prod(resolution)) * dim
         values = np.fromfile(fh, dtype="<f8", count=count)
     grid = BoxGrid(origin, extent, resolution)
-    return MultivectorField(grid, values.reshape(tuple(resolution) + (dim,)), n)
+    return MultivectorField(grid, values.reshape(tuple(resolution) + (dim,)))
 
 
 def field_to_csv(field: MultivectorField, path):
-    coords = field.grid.coords().reshape(-1, field.grid.ndim)
-    vals = field.values.reshape(-1, 1 << field.n)
-    header = ",".join([f"x{i + 1}" for i in range(field.grid.ndim)]) + "," + ",".join(
-        clifford.blade_label(m) for m in range(1 << field.n)
-    )
+    coords = field.grid.coords().reshape(-1, 3)
+    vals = field.values.reshape(-1, 8)
+    header = "x1,x2,x3," + ",".join(clifford.blade_label(m) for m in range(8))
     np.savetxt(path, np.hstack([coords, vals]), delimiter=",", header=header, comments="")

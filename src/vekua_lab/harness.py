@@ -40,14 +40,14 @@ from .kernels import (
     KernelSpec, cauchy_E_components, fundamental_cauchy_residual, newton_N_components,
     vekua_phi_adjoint_residual, yukawa_delta_flux,
 )
-from .pde import DtnForm, SOLVER_RTOL, dtn_relation_residual, solve_conductivity, solve_schrodinger
+from .pde import DtnForm, SOLVER_RTOL, dtn_relation_residuals, solve_conductivity, solve_schrodinger
 from .vekua import (
     ConductivityProfile, ExponentialVekuaSolution, beltrami_residual, beltrami_transform,
     construct_bivector_part, hodge_orthogonality, make_profile, vekua_residual,
 )
 
 DEFAULT_SEED = 2024
-# Smallest boundary_cells a config accepts; a face-cell sweep raises its quarter level to it.
+# Smallest boundary_cells a config accepts; a face-cell sweep raises every level to it.
 MIN_BOUNDARY_CELLS = 8
 
 
@@ -66,8 +66,8 @@ def _env_int(name, default, minimum=None):
 
 
 def default_seed():
-    """VEKUA_LAB_SEED, or DEFAULT_SEED when it is unset."""
-    return _env_int("VEKUA_LAB_SEED", DEFAULT_SEED)
+    """VEKUA_LAB_SEED (at least 0), or DEFAULT_SEED when it is unset."""
+    return _env_int("VEKUA_LAB_SEED", DEFAULT_SEED, minimum=0)
 
 
 def thread_cap():
@@ -99,6 +99,8 @@ class SuiteConfig:
                              f"got {self.resolutions}")
         if any(b <= a for a, b in zip(self.resolutions, self.resolutions[1:])):
             raise ValueError("resolutions must be strictly increasing")
+        if not 0.0 < self.margin_fraction < 0.5:
+            raise ValueError(f"margin_fraction must be in (0, 0.5), got {self.margin_fraction}")
         if min(self.interior_rel_tol, self.exterior_abs_tol, self.refinement_ratio) <= 0:
             raise ValueError("tolerances must be positive")
         if self.n_interior < 1:
@@ -110,6 +112,8 @@ class SuiteConfig:
                              f"got {self.boundary_cells}")
         if self.seed is None:
             self.seed = default_seed()
+        elif self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @classmethod
     def defaults(cls, identity, **overrides):
@@ -281,7 +285,7 @@ def _per_level(resolutions, outcomes):
 
 def _face_cell_sweep(cfg):
     cells = cfg.boundary_cells
-    return sorted({max(MIN_BOUNDARY_CELLS, cells // 4), cells // 2, cells})
+    return sorted({max(MIN_BOUNDARY_CELLS, level) for level in (cells // 4, cells // 2, cells)})
 
 
 def _margin_depth(cfg, res):
@@ -438,7 +442,7 @@ def check_teodorescu_inverse(cfg: SuiteConfig):
         grid = BoxGrid.unit_cube(res)
         g = MultivectorField.from_components(grid, {1: np.ones(tuple(grid.resolution))})
         DT = dirac_D(teodorescu_on_dual_grid(g))
-        diff = DT.values[interior_slices(_margin_depth(cfg, res), 3)].copy()
+        diff = DT.values[interior_slices(_margin_depth(cfg, res))].copy()
         diff[..., 1] -= 1.0
         return float(np.max(np.abs(diff)))
 
@@ -471,7 +475,7 @@ def _quadratic_field(grid):
 def _squared_dirac_defect(w):
     """Sup of D^2 w + Delta w over nodes two layers in."""
     combo = dirac_D(dirac_D(w)) + laplacian(w)
-    return float(np.max(np.abs(combo.values[interior_slices(2, 3)])))
+    return float(np.max(np.abs(combo.values[interior_slices(2)])))
 
 
 @_check("operator_consistency", "sup norm over interior nodes (two layers in)",
@@ -501,21 +505,21 @@ def _scalar_bp_plan(cfg, adjoint):
         v = _nodal(grid, _mixed_smooth_trace)
         pts = _eval_points(grid, cfg)
         bq = boundary_sampling(grid, cfg.boundary_cells)
-        lam_arr = vector_to_array(np.broadcast_to(lam, tuple(grid.resolution) + (3,)), 3)
+        lam_arr = vector_to_array(np.broadcast_to(lam, tuple(grid.resolution) + (3,)))
         target = _mixed_smooth_trace(pts.points)[:, 0]
         if adjoint:
             # kernel E/f folds the 1/f weight into trace and integrand;
             # the operator side is D - M^alpha C and the target Sc v / f.
             trace = _mixed_smooth_trace(bq.positions) / np.exp(bq.positions @ lam)[:, None]
             B = cauchy_boundary(KernelSpec("cauchy"), bq, trace, pts.points)
-            m = dirac_D(v).values - gp_array(v.conjugate().values, lam_arr, 3)
+            m = dirac_D(v).values - gp_array(v.conjugate().values, lam_arr)
             m = m / np.exp(grid.coords() @ lam)[..., None]
             V = vector_volume_potential(pts.points, grid, cell_average(m), lam=None)
             target = target * (1.0 / np.exp(pts.points @ lam))
         else:
             trace = _mixed_smooth_trace(bq.positions)
             B = cauchy_boundary(KernelSpec("vekua_phi", lam=lam), bq, trace, pts.points)
-            m = dirac_D(v).values - gp_array(lam_arr, v.conjugate().values, 3)
+            m = dirac_D(v).values - gp_array(lam_arr, v.conjugate().values)
             V = vector_volume_potential(pts.points, grid, cell_average(m), lam=lam)
         return Recon(pts, B[:, 0] - V[:, 0], target)
 
@@ -696,10 +700,8 @@ def check_schrodinger_reconstruction(cfg: SuiteConfig):
 
 def _perturbed_dirac_pair(h0, alpha_arr):
     """(D - M^alpha C)(D - alpha C) h0 as coefficient stacks."""
-    inner = dirac_D(h0).values - gp_array(alpha_arr, h0.conjugate().values, 3)
-    return dirac_D(MultivectorField(h0.grid, inner)).values - gp_array(
-        conj_array(inner, 3), alpha_arr, 3
-    )
+    inner = dirac_D(h0).values - gp_array(alpha_arr, h0.conjugate().values)
+    return dirac_D(MultivectorField(h0.grid, inner)).values - gp_array(conj_array(inner), alpha_arr)
 
 
 @_check("factorizations", "sup norms at interior nodes; kernel residuals at random points",
@@ -715,7 +717,7 @@ def check_factorizations(cfg: SuiteConfig):
     res0 = cfg.resolutions[0]
     grid = BoxGrid.unit_cube(res0)
     X = grid.coords()
-    alpha_arr = vector_to_array(np.broadcast_to([c, 0.0, 0.0], tuple(grid.resolution) + (3,)), 3)
+    alpha_arr = vector_to_array(np.broadcast_to([c, 0.0, 0.0], tuple(grid.resolution) + (3,)))
     outer = _perturbed_dirac_pair(MultivectorField.from_scalar(grid, X[..., 0] ** 2), alpha_arr)
     closed = -2.0 + c**2 * X[..., 0] ** 2
     sym_err = float(np.max(np.abs(outer[..., 0] - closed))) + float(np.max(np.abs(outer[..., 1:])))
@@ -727,9 +729,9 @@ def check_factorizations(cfg: SuiteConfig):
         X = grid.coords()
         h_vals = np.sin(2.0 * X[..., 0]) * np.cos(X[..., 1]) + 0.5 * np.sin(X[..., 2]) * X[..., 0]
         h0 = MultivectorField.from_scalar(grid, h_vals)
-        rhs = _perturbed_dirac_pair(h0, vector_to_array(profile.alpha, 3))
+        rhs = _perturbed_dirac_pair(h0, vector_to_array(profile.alpha))
         lhs = -laplacian(h0).values[..., 0] + profile.q * h_vals
-        sl = interior_slices(2, 3)
+        sl = interior_slices(2)
         scale = float(np.max(np.abs(lhs[sl]))) or 1.0
         return (float(np.max(np.abs(rhs[sl + (0,)] - lhs[sl])))
                 + float(np.max(np.abs(rhs[sl + (slice(1, None),)])))) / scale
@@ -788,7 +790,7 @@ def check_vekua_pipeline(cfg: SuiteConfig):
         flux_scale = float(np.max(np.abs(profile.f**2))) * (
             float(np.max(np.abs(scalar_gradient(grid, u0n)))) or 1.0
         )
-        cres = (float(np.max(np.abs(cond[interior_slices(2, 3)])))
+        cres = (float(np.max(np.abs(cond[interior_slices(2)])))
                 * float(np.min(grid.extent)) / flux_scale)
         return {"vekua-residual": vres, "beltrami-residual": bres, "conductivity-residual": cres}
 
@@ -853,14 +855,14 @@ def check_dtn_relation(cfg: SuiteConfig):
         grid = BoxGrid.unit_cube(res)
         profile = make_profile(grid, cfg.profile)
         X = grid.coords()
-        found = {name: dtn_relation_residual(profile, fn(X), X[..., 0])
-                 for name, fn in traces.items()}
-        return {name: (resid, {"terms": list(terms)}) for name, (resid, terms) in found.items()}
+        found = dtn_relation_residuals(profile, [fn(X) for fn in traces.values()], X[..., 0])
+        return {name: (resid, {"terms": list(terms)})
+                for name, (resid, terms) in zip(traces, found)}
 
     grid = BoxGrid.unit_cube(cfg.resolutions[0])
     X = grid.coords()
-    const_resid, _ = dtn_relation_residual(ConductivityProfile.constant(grid, 2.0),
-                                           X[..., 0], X[..., 0])
+    [(const_resid, _)] = dtn_relation_residuals(ConductivityProfile.constant(grid, 2.0),
+                                                [X[..., 0]], X[..., 0])
     return Plan(_per_level(cfg.resolutions, residuals),
                 {"interior": _interior(),
                  "constant-profile": _extra_within("constant_profile_residual", 1e-8)},
@@ -941,7 +943,7 @@ def check_s_alpha(cfg: SuiteConfig):
     def residual(case, res):
         profile = ConductivityProfile.exponential(BoxGrid.unit_cube(res), lam)
         S = s_alpha(MultivectorField.from_scalar(profile.grid, profile.f), profile.alpha_field())
-        DS = dirac_D(S).values[interior_slices(_margin_depth(cfg, res), 3)]
+        DS = dirac_D(S).values[interior_slices(_margin_depth(cfg, res))]
         return float(np.max(np.abs(DS))) / float(np.max(np.abs(profile.grad_f)))
 
     grid = BoxGrid.unit_cube(cfg.resolutions[0])

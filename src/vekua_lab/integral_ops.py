@@ -77,7 +77,7 @@ class EvaluationSet:
         hi = grid.top - margin
         if np.any(hi <= lo):
             raise ValueError("margin leaves no interior room")
-        interior = lo + (hi - lo) * rng.random((n_interior, grid.ndim))
+        interior = lo + (hi - lo) * rng.random((n_interior, 3))
         if snap_to_centers:
             # center indices k with lo <= origin + (k + 1/2) h <= hi, to the margin check's slack
             first = np.ceil((margin - 1e-12) / grid.spacing - 0.5)
@@ -90,12 +90,12 @@ class EvaluationSet:
         exterior = []
         span = grid.extent.max()
         while len(exterior) < n_exterior:
-            cand = grid.origin - span + (3.0 * span) * rng.random((4 * n_exterior, grid.ndim))
+            cand = grid.origin - span + (3.0 * span) * rng.random((4 * n_exterior, 3))
             keep = grid.exterior_distance(cand) >= margin
             for point in cand[keep]:
                 if len(exterior) < n_exterior:
                     exterior.append(point)
-        points = np.vstack([interior, np.reshape(exterior, (n_exterior, grid.ndim))])
+        points = np.vstack([interior, np.reshape(exterior, (n_exterior, 3))])
         flags = np.concatenate([np.ones(n_interior, bool), np.zeros(n_exterior, bool)])
         return cls(points, flags, margin, grid)
 
@@ -133,7 +133,7 @@ def _kernel_times(spec: KernelSpec, sums):
     """
     if not spec.grade1:
         return sums[..., 0, :]
-    return sum(basis_mul_left(1 << i, sums[..., i, :], 3) for i in range(3))
+    return sum(basis_mul_left(1 << i, sums[..., i, :]) for i in range(3))
 
 
 def _containing_cells(grid: BoxGrid, points):
@@ -155,8 +155,6 @@ def _volume_sum(kernel: KernelSpec, points, grid: BoxGrid, cell_values, drop_ins
     kernels multiply it from the left.  With drop_inside the cell
     containing x is left out.
     """
-    if grid.ndim != 3:
-        raise ValueError("volume potentials are implemented for n = 3 only")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[0] == 0:
         raise ValueError("empty evaluation point set")
@@ -229,7 +227,7 @@ def teodorescu_on_dual_grid(g: MultivectorField) -> MultivectorField:
     """
     dual = g.grid.dual_grid()
     vals = -_lattice_sum(KernelSpec("cauchy"), g.grid, cell_average(g.values))
-    return MultivectorField(dual, vals, g.n)
+    return MultivectorField(dual, vals)
 
 
 # For vectors K and eta, K eta = -(K . eta) + sum_{i<j} (K_i eta_j - K_j eta_i) e_i e_j.
@@ -271,7 +269,7 @@ def cauchy_boundary(kernel: KernelSpec, boundary: BoundaryQuadrature, trace_valu
     out = sums[:, 0].copy()
     if kernel.grade1:
         for b, (i, j) in enumerate(_BIVECTOR_AXES, start=1):
-            out += basis_mul_left((1 << i) | (1 << j), sums[:, b], 3)
+            out += basis_mul_left((1 << i) | (1 << j), sums[:, b])
     return out
 
 
@@ -320,5 +318,5 @@ def s_alpha(w: MultivectorField, alpha: MultivectorField) -> MultivectorField:
     w._check(alpha)
     integrand = alpha * w.conjugate()
     T = teodorescu_on_dual_grid(integrand)
-    w_dual = MultivectorField(T.grid, cell_average(w.values), w.n)
+    w_dual = MultivectorField(T.grid, cell_average(w.values))
     return w_dual - T

@@ -235,9 +235,9 @@ def fundamental_cauchy_residual(points, lam):
     G = E * inv_f[..., None]
     DG = dirac_from_jacobian(JG)
     # lam C (G) = lam * conj(G) = -lam * G for a pure vector G
-    lam_arr = vector_to_array(np.broadcast_to(lam, G.shape), 3)
-    G_arr = vector_to_array(G, 3)
-    residual = DG + gp_array(lam_arr, G_arr, 3)
+    lam_arr = vector_to_array(np.broadcast_to(lam, G.shape))
+    G_arr = vector_to_array(G)
+    residual = DG + gp_array(lam_arr, G_arr)
     return np.max(np.abs(residual), axis=-1)
 
 
@@ -253,9 +253,9 @@ def vekua_phi_adjoint_residual(points, lam):
     J = vekua_phi_jacobian(pts, lam)
     phi = vekua_phi_components(pts, lam)
     Dphi = dirac_from_jacobian(J)
-    lam_arr = vector_to_array(np.broadcast_to(lam, phi.shape), 3)
-    phi_arr = vector_to_array(phi, 3)
-    residual = Dphi + gp_array(phi_arr, lam_arr, 3)
+    lam_arr = vector_to_array(np.broadcast_to(lam, phi.shape))
+    phi_arr = vector_to_array(phi)
+    residual = Dphi + gp_array(phi_arr, lam_arr)
     return np.max(np.abs(residual), axis=-1)
 
 

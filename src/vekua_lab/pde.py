@@ -78,8 +78,6 @@ class DirichletOperator:
     """
 
     def __init__(self, grid: BoxGrid, sigma=None, q=None):
-        if grid.ndim != 3:
-            raise ValueError("solvers are implemented for n = 3")
         res = tuple(int(r) for r in grid.resolution)
         self.grid = grid
         self.sigma = np.ones(res) if sigma is None else np.asarray(sigma, dtype=float)
@@ -115,7 +113,7 @@ class DirichletOperator:
             diag = diag + self.mass_weights
         K = sp.diags([diag.ravel()] + bands, [0] + offsets, format="csr")
         inside = np.zeros(res, dtype=bool)
-        inside[interior_slices(1, 3)] = True
+        inside[interior_slices(1)] = True
         interior = np.flatnonzero(inside)
         self._boundary = np.flatnonzero(~inside)
         rows = K[interior]
@@ -132,7 +130,7 @@ class DirichletOperator:
         Dense per-axis sine matrices beat an FFT-based DST at these sizes.
         """
         h = self.grid.spacing
-        inner = interior_slices(1, 3)
+        inner = interior_slices(1)
         f = np.sqrt(self.sigma)
         lap_f = sum(
             np.diff(f, 2, axis=a)[tuple(slice(None) if b == a else slice(1, -1)
@@ -177,10 +175,10 @@ class DirichletOperator:
         trace_arr = np.zeros(res) if trace is None else np.asarray(trace, dtype=float)
         b = self.trace_rhs(trace_arr)
         if rhs is not None:
-            b = b + np.asarray(rhs, dtype=float)[interior_slices(1, 3)].ravel()
+            b = b + np.asarray(rhs, dtype=float)[interior_slices(1)].ravel()
         out = trace_arr.copy()
         if not np.any(b):
-            out[interior_slices(1, 3)] = 0.0
+            out[interior_slices(1)] = 0.0
             return out
         iterations = 0
 
@@ -198,7 +196,7 @@ class DirichletOperator:
                 f"conjugate gradients stopped after {iterations} iterations at "
                 f"relative residual {residual:.3e} (target {SOLVER_RTOL:g})"
             )
-        out[interior_slices(1, 3)] = x.reshape(self.shape)
+        out[interior_slices(1)] = x.reshape(self.shape)
         return out
 
 
@@ -365,8 +363,8 @@ def boundary_node_pairing(grid: BoxGrid, phi, psi, normal_component=None):
 # -- spec-level operations -------------------------------------------------------------
 
 
-def dtn_relation_residual(profile: ConductivityProfile, phi0, psi0, extension="harmonic"):
-    """Normalized residual of the conductivity/Schrodinger DtN interrelation.
+def dtn_relation_residuals(profile: ConductivityProfile, traces, psi0, extension="harmonic"):
+    """Normalized residuals of the conductivity/Schrodinger DtN interrelation.
 
     The conductivity flux of the trace phi0/f equals f times the
     Schrodinger flux of phi0 minus the (grad f . eta) phi0 boundary term;
@@ -375,19 +373,28 @@ def dtn_relation_residual(profile: ConductivityProfile, phi0, psi0, extension="h
         (Lambda_cond(phi0/f), psi0) - (Lambda_q(phi0), f psi0)
             + int_bdry (grad f . eta) phi0 psi0 ds  -> 0.
 
-    Returns |residual| / max(|term|), plus the three terms.
+    Returns, for each trace phi0 in `traces`, |residual| / max(|term|) and
+    the three terms.  Both forms are built once for all traces.
     """
     if profile.q is None:
         raise ValueError("profile must have a closed-form potential (twice differentiable)")
-    phi0 = np.asarray(phi0, dtype=float)
     psi0 = np.asarray(psi0, dtype=float)
     cond = DtnForm.conductivity(profile)
     schr = DtnForm.schrodinger(profile)
-    a = cond.pair(phi0 / profile.f, psi0, extension)
-    b = schr.pair(phi0, profile.f * psi0, extension)
-    c = boundary_node_pairing(profile.grid, phi0, psi0, normal_component=profile.grad_f)
-    scale = max(abs(a), abs(b), abs(c), 1e-300)
-    return abs(a - b + c) / scale, (a, b, c)
+    out = []
+    for phi0 in traces:
+        phi0 = np.asarray(phi0, dtype=float)
+        a = cond.pair(phi0 / profile.f, psi0, extension)
+        b = schr.pair(phi0, profile.f * psi0, extension)
+        c = boundary_node_pairing(profile.grid, phi0, psi0, normal_component=profile.grad_f)
+        scale = max(abs(a), abs(b), abs(c), 1e-300)
+        out.append((abs(a - b + c) / scale, (a, b, c)))
+    return out
+
+
+def dtn_relation_residual(profile: ConductivityProfile, phi0, psi0, extension="harmonic"):
+    """dtn_relation_residuals for the one trace phi0."""
+    return dtn_relation_residuals(profile, [phi0], psi0, extension)[0]
 
 
 def mq_product(profile: ConductivityProfile, w0, psi):
@@ -400,7 +407,7 @@ def mq_product(profile: ConductivityProfile, w0, psi):
     grid = profile.grid
     psi = np.asarray(psi, dtype=float)
     mask = np.ones(tuple(grid.resolution), dtype=bool)
-    mask[interior_slices(2, 3)] = False
+    mask[interior_slices(2)] = False
     if np.any(np.abs(psi[mask]) > 0.0):
         raise ValueError("test function support touches the two outermost node layers")
     w0 = np.asarray(w0, dtype=float)

@@ -64,7 +64,7 @@ class ConductivityProfile:
         elif f_fn is None:
             lap = sum(
                 np.gradient(self.grad_f[..., i], grid.spacing[i], axis=i, edge_order=2)
-                for i in range(grid.ndim)
+                for i in range(3)
             )
             self.q = lap / self.f
         else:
@@ -190,15 +190,14 @@ class BeltramiCoefficient:
 
 def _alpha_values(alpha, grid):
     if isinstance(alpha, ConductivityProfile):
-        return vector_to_array(alpha.alpha, grid.ndim)
+        return vector_to_array(alpha.alpha)
     if isinstance(alpha, MultivectorField):
         return alpha.values
     arr = np.asarray(alpha, dtype=float)
-    if arr.shape == tuple(grid.resolution) + (grid.ndim,):
-        return vector_to_array(arr, grid.ndim)
-    if arr.shape == (grid.ndim,):
-        return vector_to_array(np.broadcast_to(arr, tuple(grid.resolution) + (grid.ndim,)),
-                               grid.ndim)
+    if arr.shape == tuple(grid.resolution) + (3,):
+        return vector_to_array(arr)
+    if arr.shape == (3,):
+        return vector_to_array(np.broadcast_to(arr, tuple(grid.resolution) + (3,)))
     raise ValueError("alpha must be a vector field, a profile or a constant vector")
 
 
@@ -214,12 +213,12 @@ def vekua_residual(w: MultivectorField, alpha, side="left", depth=2):
     Dw = dirac_D(w).values
     cw = w.conjugate().values
     if side == "left":
-        res = Dw - gp_array(a, cw, w.n)
+        res = Dw - gp_array(a, cw)
     elif side == "right":
-        res = Dw - gp_array(cw, a, w.n)
+        res = Dw - gp_array(cw, a)
     else:
         raise ValueError("side must be 'left' or 'right'")
-    sl = interior_slices(depth, grid.ndim)
+    sl = interior_slices(depth)
     return np.max(np.abs(res[sl]), axis=-1)
 
 
@@ -234,7 +233,7 @@ def beltrami_residual(u: MultivectorField, mu: BeltramiCoefficient, depth=2):
     Du = dirac_D(u).values
     Dcu = dirac_D(u.conjugate()).values
     res = Du - mu.mu[..., None] * Dcu
-    sl = interior_slices(depth, u.grid.ndim)
+    sl = interior_slices(depth)
     return np.max(np.abs(res[sl]), axis=-1)
 
 
@@ -332,7 +331,7 @@ def construct_bivector_part(profile: ConductivityProfile, u0, grad_u0=None,
     u0 = np.asarray(u0, dtype=float)
     gu = scalar_gradient(grid, u0) if grad_u0 is None else np.asarray(grad_u0, dtype=float)
     g = -(profile.f**2)[..., None] * gu
-    sl = interior_slices(2, grid.ndim)
+    sl = interior_slices(2)
     div_g = vector_divergence(grid, g)[sl]
     g_scale = np.max(np.abs(g)) + 1e-300
     div_rel = float(np.max(np.abs(div_g)) * np.min(grid.extent) / g_scale)
@@ -373,7 +372,7 @@ def construct_bivector_part(profile: ConductivityProfile, u0, grad_u0=None,
     bivec = vector_to_bivector(v) / profile.f[..., None]
     vals = bivec.copy()
     vals[..., 0] = profile.f * u0
-    return MultivectorField(grid, vals, grid.ndim), diagnostics
+    return MultivectorField(grid, vals), diagnostics
 
 
 # -- Hodge orthogonality ---------------------------------------------------------
@@ -389,12 +388,12 @@ def hodge_orthogonality(w: MultivectorField, v: MultivectorField, alpha) -> floa
     """
     grid = v.grid
     mask = np.ones(tuple(grid.resolution), dtype=bool)
-    mask[interior_slices(2, grid.ndim)] = False
+    mask[interior_slices(2)] = False
     if np.any(np.abs(v.values[mask]) > 0.0):
         raise ValueError("test field support touches the two outermost node layers")
     a = _alpha_values(alpha, grid)
-    op_v = dirac_D(v).values - gp_array(v.conjugate().values, a, v.n)
-    return sc_inner(w, MultivectorField(grid, op_v, v.n))
+    op_v = dirac_D(v).values - gp_array(v.conjugate().values, a)
+    return sc_inner(w, MultivectorField(grid, op_v))
 
 
 # -- closed-form solution family -----------------------------------------------------
@@ -441,4 +440,4 @@ class ExponentialVekuaSolution:
 
     def as_field(self, grid: BoxGrid) -> MultivectorField:
         coords = grid.coords()
-        return MultivectorField(grid, self.w_coeffs(coords), grid.ndim)
+        return MultivectorField(grid, self.w_coeffs(coords))

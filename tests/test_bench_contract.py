@@ -1,11 +1,13 @@
 """The benchmark's traced run wraps package functions by name (see
 perfbench/layers.py).  These tests resolve every name it wraps, so a
 refactor that drops or renames a traced target fails here rather than in a
-benchmark run.  perfbench/ is only read."""
+benchmark run; the benchmark's own selftest runs here too.  perfbench/ is
+only read."""
 
 import importlib
 import inspect
 import os
+import subprocess
 import sys
 
 import pytest
@@ -52,3 +54,18 @@ def test_entry_points_and_probes_resolve(bench):
         assert callable(getattr(package(module), function, None)), entry
     assert callable(package("pde").spla.cg)
     assert isinstance(package("integral_ops").HAVE_NUMBA, bool)
+
+
+def _listing(root):
+    return sorted(os.path.relpath(os.path.join(d, f), root)
+                  for d, _, files in os.walk(root) for f in files + [""])
+
+
+def test_benchmark_selftest_passes():
+    # span pins and the BENCHMARK.json metric lists, checked against this checkout
+    before = _listing(PERFBENCH)
+    done = subprocess.run([sys.executable, os.path.join(PERFBENCH, "selftest.py")],
+                          env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert _listing(PERFBENCH) == before

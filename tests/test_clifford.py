@@ -194,19 +194,52 @@ def test_parity_split_against_conjugate(a):
 # -- array-level algebra -----------------------------------------------------------
 
 
-def test_gp_array_matches_objects(rng):
-    for _ in range(20):
-        a = random_integer_mv(rng)
-        b = random_integer_mv(rng)
-        arr = cl.gp_array(a.coeffs[None, :], b.coeffs[None, :], 3)[0]
-        assert np.array_equal(arr, (a * b).coeffs)
+def _reference_product(a, b):
+    """Coefficient stacks multiplied blade by blade with the insertion-sort sign oracle."""
+    dim = a.shape[-1]
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape))
+    for x in range(dim):
+        for y in range(dim):
+            out[..., x ^ y] += cl._blade_sign_reference(x, y) * a[..., x] * b[..., y]
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_array_engine_matches_sign_oracle(rng, n):
+    dim = 1 << n
+    a = rng.integers(-5, 6, (4, dim)).astype(float)
+    b = rng.integers(-5, 6, (4, dim)).astype(float)
+    assert np.array_equal(cl.gp_array(a, b), _reference_product(a, b))
+    for mask in range(dim):
+        blade = np.zeros(dim)
+        blade[mask] = 1.0
+        assert np.array_equal(cl.basis_mul_left(mask, a), _reference_product(blade, a))
+        assert np.array_equal(cl.basis_mul_right(a, mask), _reference_product(a, blade))
+
+
+def test_gp_array_rejects_mismatched_blade_axes():
+    with pytest.raises(ValueError, match="blade axes differ"):
+        cl.gp_array(np.zeros((2, 8)), np.zeros((2, 16)))
+
+
+@pytest.mark.parametrize("length", [4, 12, 512])
+def test_array_functions_reject_unsupported_blade_axes(length):
+    with pytest.raises(ValueError, match="is not 2\\^n"):
+        cl.gp_array(np.zeros(length), np.zeros(length))
+    with pytest.raises(ValueError, match="is not 2\\^n"):
+        cl.conj_array(np.zeros(length))
+
+
+def test_vector_mul_left_rejects_mismatched_components():
+    with pytest.raises(ValueError):
+        cl.vector_mul_left(np.zeros(4), np.zeros(8))
 
 
 def test_basis_mul_matches_objects(rng):
     for mask in range(1, 8):
         a = random_integer_mv(rng)
-        left = cl.basis_mul_left(mask, a.coeffs[None, :], 3)[0]
-        right = cl.basis_mul_right(a.coeffs[None, :], mask, 3)[0]
+        left = cl.basis_mul_left(mask, a.coeffs[None, :])[0]
+        right = cl.basis_mul_right(a.coeffs[None, :], mask)[0]
         blade = Multivector.blade(mask, 1.0, 3)
         assert np.array_equal(left, (blade * a).coeffs)
         assert np.array_equal(right, (a * blade).coeffs)
@@ -215,13 +248,13 @@ def test_basis_mul_matches_objects(rng):
 def test_vector_mul_left(rng):
     comps = rng.integers(-3, 4, (5, 3)).astype(float)
     a = random_integer_mv(rng)
-    out = cl.vector_mul_left(comps, a.coeffs[None, :], 3)
+    out = cl.vector_mul_left(comps, a.coeffs[None, :])
     for k in range(5):
         expected = Multivector.from_vector(comps[k]) * a
         assert np.array_equal(out[k], expected.coeffs)
 
 
 def test_vector_to_array_layout():
-    arr = cl.vector_to_array(np.array([[1.0, 2.0, 3.0]]), 3)[0]
+    arr = cl.vector_to_array(np.array([[1.0, 2.0, 3.0]]))[0]
     assert arr[0b001] == 1.0 and arr[0b010] == 2.0 and arr[0b100] == 3.0
     assert arr[0] == 0.0 and arr[0b011] == 0.0

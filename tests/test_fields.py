@@ -28,6 +28,17 @@ def test_grid_validation():
         BoxGrid([0, 0, 0], [1, 0, 1], [16, 16, 16])
 
 
+@pytest.mark.parametrize("components", [2, 4])
+def test_grid_is_three_dimensional(components):
+    with pytest.raises(ValueError, match="3 components"):
+        BoxGrid(np.zeros(components), np.ones(components), np.full(components, 8))
+
+
+def test_field_values_carry_eight_blades():
+    with pytest.raises(ValueError, match="does not match"):
+        MultivectorField(unit_grid(8), np.zeros((8, 8, 8, 16)))
+
+
 def test_grid_nodes_reproducible():
     g = BoxGrid([1.0, -2.0, 0.5], [2.0, 4.0, 1.0], [9, 17, 11])
     node = g.node([3, 5, 7])
@@ -141,7 +152,7 @@ def test_div_vec_dirac_vanishes_smooth():
         )
         vec_part = F.dirac_D(w).vec()
         div = F.vector_divergence(g, vec_part)
-        errs.append(np.max(np.abs(div[F.interior_slices(2, 3)])))
+        errs.append(np.max(np.abs(div[F.interior_slices(2)])))
     # the discrete mixed differences commute, so the curl structure cancels
     # exactly, not merely at stencil order
     assert max(errs) <= 1e-12
@@ -178,7 +189,7 @@ def test_dirac_of_gradient_is_minus_laplacian():
         grad = F.scalar_gradient(g, w0)
         Dgrad = F.dirac_D(MultivectorField.from_vector(g, grad))
         lap = F.laplacian(MultivectorField.from_scalar(g, w0))
-        sl = F.interior_slices(2, 3)
+        sl = F.interior_slices(2)
         errs.append(np.max(np.abs(Dgrad.sc()[sl] + lap.sc()[sl])))
     scale = 5.0  # sup of the Laplacian of the test field
     assert errs[-1] <= 5e-3 * scale
@@ -221,7 +232,7 @@ def test_sc_inner_matches_explicit_conjugate_product(rng):
     v_vals = rng.normal(size=(8, 8, 8, 8))
     u = MultivectorField(g, u_vals)
     v = MultivectorField(g, v_vals)
-    explicit = gp_array(u.conjugate().values, v.values, 3)[..., 0]
+    explicit = gp_array(u.conjugate().values, v.values)[..., 0]
     direct = np.sum(u_vals * v_vals, axis=-1)
     assert np.allclose(explicit, direct, atol=1e-12)
     assert F.sc_inner(u, v) == pytest.approx(
@@ -287,7 +298,7 @@ def test_bump_support():
     margin = 3.05 * g.spacing[0]
     bump = F.bump_scalar(g, margin)
     mask = np.ones(tuple(g.resolution), bool)
-    mask[F.interior_slices(3, 3)] = False
+    mask[F.interior_slices(3)] = False
     assert not np.any(bump[mask])
     # the peak value 1 sits between nodes for even resolutions
     assert 0.5 < bump.max() <= 1.0
@@ -342,7 +353,7 @@ def test_curl_of_gradient_vanishes():
     X = g.coords()
     grad = F.scalar_gradient(g, np.sin(X[..., 0]) * X[..., 1])
     curl = F.vector_curl(g, grad)
-    assert np.max(np.abs(curl[F.interior_slices(2, 3)])) <= 1e-3
+    assert np.max(np.abs(curl[F.interior_slices(2)])) <= 1e-3
 
 
 # -- serialization ---------------------------------------------------------------------
@@ -366,6 +377,18 @@ def test_binary_layout_is_little_endian(tmp_path):
     raw = np.fromfile(path, dtype="<i8", count=5)
     assert raw[0] == 3 and raw[1] == 3
     assert np.array_equal(raw[2:5], [8, 8, 8])
+
+
+@pytest.mark.parametrize("n, res", [(4, [8, 8, 8]), (2, [8, 8])])
+def test_binary_load_rejects_other_dimensions(tmp_path, n, res):
+    # a Cl(0,4) field on a 3-d grid, or a 2-d grid: the header is written by hand
+    path = tmp_path / "field.bin"
+    with open(path, "wb") as fh:
+        np.asarray([n, len(res)] + res, dtype="<i8").tofile(fh)
+        np.asarray([0.0] * len(res) + [1.0] * len(res), dtype="<f8").tofile(fh)
+        np.zeros(int(np.prod(res)) << n, dtype="<f8").tofile(fh)
+    with pytest.raises(ValueError, match="3 components" if len(res) == 2 else "does not match"):
+        F.load_field(path)
 
 
 def test_csv_export(tmp_path):

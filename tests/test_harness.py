@@ -39,6 +39,31 @@ def test_config_rejects_too_few_boundary_cells(cells):
     assert H.SuiteConfig.defaults("cauchy_constant", boundary_cells=8).boundary_cells == 8
 
 
+@pytest.mark.parametrize("identity", ["cauchy_constant", "cauchy_vekua", "green_vekua"])
+@pytest.mark.parametrize("cells", [8, 12])
+def test_face_cell_sweep_below_sixteen_cells(identity, cells):
+    # every level of the sweep keeps at least MIN_BOUNDARY_CELLS face cells, whose
+    # diameter stays inside the default evaluation margin
+    cfg = H.SuiteConfig.defaults(identity, boundary_cells=cells, resolutions=(10, 12))
+    report = H.run_identity(identity, cfg)
+    assert min(row["level"] for row in report.rows) >= H.MIN_BOUNDARY_CELLS
+    assert min(H._face_cell_sweep(cfg)) >= H.MIN_BOUNDARY_CELLS
+    assert H._face_cell_sweep(H.SuiteConfig.defaults(identity, boundary_cells=16)) == [8, 16]
+
+
+@pytest.mark.parametrize("fraction", [-0.1, 0.0, 0.5, 0.6, float("nan")])
+def test_config_rejects_margin_fraction_outside_open_half(fraction):
+    with pytest.raises(ValueError, match="margin_fraction"):
+        H.SuiteConfig.defaults("cauchy_constant", margin_fraction=fraction)
+
+
+@pytest.mark.parametrize("seed", [-1, -2024])
+def test_config_rejects_negative_seed(seed):
+    with pytest.raises(ValueError, match="seed"):
+        H.SuiteConfig.defaults("cauchy_constant", seed=seed)
+    assert H.SuiteConfig.defaults("cauchy_constant", seed=0).seed == 0
+
+
 def test_identity_runs_without_exterior_points():
     # at (10, 12) the refinement gate fails whatever the exterior count; the
     # interior rows must not depend on it, and no exterior error is measured
@@ -75,6 +100,15 @@ def test_invalid_seed_fails_loudly(monkeypatch, tmp_path):
         cli.main(["dtn", "--resolution", "8", "--basis-size", "4", "--out", str(tmp_path)])
 
 
+@pytest.mark.parametrize("raw", ["-1", "-3"])
+def test_negative_seed_variable_fails_loudly(monkeypatch, tmp_path, raw):
+    monkeypatch.setenv("VEKUA_LAB_SEED", raw)
+    with pytest.raises(ValueError, match="VEKUA_LAB_SEED must be >= 0"):
+        H.default_seed()
+    with pytest.raises(ValueError, match="VEKUA_LAB_SEED"):
+        cli.main(["dtn", "--resolution", "8", "--basis-size", "4", "--out", str(tmp_path)])
+
+
 @pytest.mark.parametrize("raw", ["abc", "1.5", "0", "-2"])
 def test_invalid_thread_count_fails_loudly(monkeypatch, raw):
     monkeypatch.setenv("VEKUA_LAB_THREADS", raw)
@@ -87,9 +121,9 @@ def test_environment_parsers(monkeypatch):
     monkeypatch.delenv("VEKUA_LAB_THREADS", raising=False)
     assert H.default_seed() == H.DEFAULT_SEED
     assert H.thread_cap() is None
-    monkeypatch.setenv("VEKUA_LAB_SEED", "-5")
+    monkeypatch.setenv("VEKUA_LAB_SEED", "0")
     monkeypatch.setenv("VEKUA_LAB_THREADS", "3")
-    assert H.default_seed() == -5
+    assert H.default_seed() == 0
     assert H.thread_cap() == 3
 
 

@@ -95,7 +95,7 @@ def test_teodorescu_right_inverse_refinement():
         e1 = MultivectorField.from_components(g, {1: np.ones(tuple(g.resolution))})
         DT = F.dirac_D(IO.teodorescu_on_dual_grid(e1))
         depth = max(2, round(0.2 * (r - 2)))
-        sl = F.interior_slices(depth, 3)
+        sl = F.interior_slices(depth)
         diff = DT.values[sl].copy()
         diff[..., 1] -= 1.0
         errs.append(np.max(np.abs(diff)))
@@ -252,7 +252,7 @@ def test_cauchy_boundary_reproduces_exterior_pole_kernel():
     x0 = np.array([1.8, 0.4, 0.6])
 
     def wfn(p):
-        return vector_to_array(cauchy_E_components(np.atleast_2d(p) - x0), 3)
+        return vector_to_array(cauchy_E_components(np.atleast_2d(p) - x0))
 
     pts = np.array([[0.5, 0.5, 0.5], [0.3, 0.6, 0.4]])
     B = IO.cauchy_boundary(KernelSpec("cauchy"), bq, wfn(bq.positions), pts)
@@ -413,7 +413,7 @@ def test_s_alpha_produces_monogenic_field():
         )
         DS = F.dirac_D(IO.s_alpha(w, alpha))
         depth = max(2, round(0.2 * (r - 2)))
-        err = np.max(np.abs(DS.values[F.interior_slices(depth, 3)]))
+        err = np.max(np.abs(DS.values[F.interior_slices(depth)]))
         errs.append(err / np.exp(1.0))  # grad f sup is e on the unit box
     assert errs[1] <= 0.03
     assert errs[0] / errs[1] >= 1.8

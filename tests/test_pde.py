@@ -147,7 +147,7 @@ def test_solve_matches_sparse_direct_oracle(case, origin, extent, resolution, wi
     trace = np.cos(X @ b) + X @ a
     rhs = lam_min * smooth if with_rhs else None
     u = op.solve(trace, rhs=rhs)
-    inner = F.interior_slices(1, 3)
+    inner = F.interior_slices(1)
     rhs_b = op.trace_rhs(trace) + (0.0 if rhs is None else rhs[inner].ravel())
     x = u[inner].ravel()
     assert np.linalg.norm(op.matrix @ x - rhs_b) <= 1e-10 * np.linalg.norm(rhs_b)
@@ -364,7 +364,7 @@ def test_energy_is_galerkin_form_of_interior_system(kind, origin, extent, resolu
     rng = np.random.default_rng(seed)
     X = (g.coords() - g.origin) / g.extent
     form = P.DtnForm(g, kind, np.exp(np.sin(X @ rng.normal(size=3))))
-    inner = F.interior_slices(1, 3)
+    inner = F.interior_slices(1)
     U = rng.normal(size=tuple(g.resolution))
     V = np.zeros_like(U)
     V[inner] = rng.normal(size=V[inner].shape)

@@ -42,7 +42,7 @@ def test_sampled_profile_stencil_derivatives():
     p = V.ConductivityProfile.from_samples(g, np.exp(X[..., 2]))
     assert p.kind == "sampled"
     assert not p.has_closed_form
-    sl = F.interior_slices(2, 3)
+    sl = F.interior_slices(2)
     assert np.max(np.abs(p.alpha[sl + (2,)] - 1.0)) <= 1e-3
     assert np.max(np.abs(p.q[sl] - 1.0)) <= 1e-2
 
@@ -186,7 +186,7 @@ def test_duality_curl_div_property(rng):
     DB = F.dirac_D(B)
     curl = F.vector_curl(g, v)
     div = F.vector_divergence(g, v)
-    sl = F.interior_slices(2, 3)
+    sl = F.interior_slices(2)
     assert np.max(np.abs(DB.vec()[sl] - curl[sl])) <= 1e-10
     assert np.max(np.abs(DB.values[sl + (7,)] - div[sl])) <= 1e-10
     round_trip = V.bivector_to_vector(V.vector_to_bivector(v))
