@@ -13,10 +13,12 @@ means five percent of the interior signal.
 
 from __future__ import annotations
 
+import copy
 import functools
 import hashlib
 import json
 import math
+import numbers
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -93,27 +95,27 @@ class SuiteConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
+        if self.seed is None:
+            self.seed = default_seed()
+        self.resolutions = tuple(self.resolutions)
+        if not self.resolutions:
+            raise ValueError("resolutions must be non-empty")
+        counts = [("resolutions", r, MIN_RESOLUTION) for r in self.resolutions] + [
+            ("n_interior", self.n_interior, 1), ("n_exterior", self.n_exterior, 0),
+            ("boundary_cells", self.boundary_cells, MIN_BOUNDARY_CELLS), ("seed", self.seed, 0)]
+        for name, value, minimum in counts:
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                    or value < minimum):
+                raise ValueError(f"{name}: {value!r} is not an integer >= {minimum}")
         self.resolutions = tuple(int(r) for r in self.resolutions)
-        if not self.resolutions or min(self.resolutions) < MIN_RESOLUTION:
-            raise ValueError(f"resolutions must be non-empty with every value >= {MIN_RESOLUTION}, "
-                             f"got {self.resolutions}")
         if any(b <= a for a, b in zip(self.resolutions, self.resolutions[1:])):
             raise ValueError("resolutions must be strictly increasing")
         if not 0.0 < self.margin_fraction < 0.5:
             raise ValueError(f"margin_fraction must be in (0, 0.5), got {self.margin_fraction}")
-        if min(self.interior_rel_tol, self.exterior_abs_tol, self.refinement_ratio) <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.n_interior < 1:
-            raise ValueError(f"n_interior must be >= 1, got {self.n_interior}")
-        if self.n_exterior < 0:
-            raise ValueError(f"n_exterior must be >= 0, got {self.n_exterior}")
-        if self.boundary_cells < MIN_BOUNDARY_CELLS:
-            raise ValueError(f"boundary_cells must be >= {MIN_BOUNDARY_CELLS}, "
-                             f"got {self.boundary_cells}")
-        if self.seed is None:
-            self.seed = default_seed()
-        elif self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name in ("interior_rel_tol", "exterior_abs_tol", "refinement_ratio"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
     @classmethod
     def defaults(cls, identity, **overrides):
@@ -131,8 +133,9 @@ class SuiteConfig:
         payload = json.dumps(asdict(self), sort_keys=True, default=str).encode()
         return hashlib.sha256(payload).hexdigest()[:16]
 
-    def margin(self, grid: BoxGrid):
-        return self.margin_fraction * float(np.min(grid.extent))
+    def grid(self, res):
+        """The grid of every check level at resolution `res`: the harness's one domain rule."""
+        return BoxGrid.unit_cube(res)
 
 
 DEFAULT_TOLERANCES = {
@@ -209,11 +212,6 @@ def _ratio_ok(errors, required, floor=1e-12):
     return all(b <= floor or not a / b < required for a, b in zip(errors, errors[1:]))
 
 
-def _eval_points(grid, cfg, snap=True):
-    return EvaluationSet.build(grid, cfg.n_interior, cfg.n_exterior, margin=cfg.margin(grid),
-                               seed=cfg.seed, snap_to_centers=snap)
-
-
 def _require_exponential(cfg):
     if (kind := cfg.profile.get("kind", "exponential")) != "exponential":
         raise ValueError(f"identity {cfg.identity!r} needs the exponential closed-form family, "
@@ -271,25 +269,54 @@ class Plan(NamedTuple):
     extras: dict = {}
 
 
-def _sweep(cases, levels, outcome, cells=False):
-    """Case-major results over resolutions (h = 1/(res-1)) or face cells (h = 1/cells)."""
-    return [(case, level, 1.0 / level if cells else 1.0 / (level - 1), outcome(case, level))
-            for case in cases for level in levels]
+class Level:
+    """A refinement level built once for every case of a check: grid, h (largest spacing),
+    margin depth, and on first use evaluation sets and faces (2 (res - 1) cells per axis)."""
+
+    def __init__(self, cfg, res):
+        self.cfg, self.value, self.grid = cfg, res, cfg.grid(res)
+        self.h = float(np.max(self.grid.spacing))
+        self.depth = max(2, round(cfg.margin_fraction * (res - 2)))
+        self._points = {}
+
+    def points(self, snap=True):
+        """The seeded evaluation set; snapped interior points sit on cell centers."""
+        if snap not in self._points:
+            cfg = self.cfg
+            self._points[snap] = EvaluationSet.build(
+                self.grid, cfg.n_interior, cfg.n_exterior, seed=cfg.seed, snap_to_centers=snap,
+                margin=cfg.margin_fraction * float(np.min(self.grid.extent)))
+        return self._points[snap]
+
+    @functools.cached_property
+    def faces(self):
+        return boundary_sampling(self.grid, 2 * (self.value - 1))
+
+    def face_cell_sweep(self):
+        """Levels that keep this grid and its evaluation sets and refine the faces
+        alone, with h the largest extent over the face cells."""
+        sweep = []
+        for cells in _face_cell_sweep(self.cfg):
+            level = copy.copy(self)
+            level.value, level.h = cells, float(np.max(self.grid.extent)) / cells
+            level.faces = boundary_sampling(self.grid, cells)
+            sweep.append(level)
+        return sweep
 
 
-def _per_level(resolutions, outcomes):
-    """Level-major results; outcomes(res) maps each case to its outcome."""
-    return [(case, res, 1.0 / (res - 1), out)
-            for res in resolutions for case, out in outcomes(res).items()]
+def _sweep(cases, levels, outcome):
+    """Case-major results; outcome(case, level) for every case and level."""
+    return [(case, lv.value, lv.h, outcome(case, lv)) for case in cases for lv in levels]
+
+
+def _per_level(levels, outcomes):
+    """Level-major results; outcomes(level) maps each case to its outcome."""
+    return [(case, lv.value, lv.h, out) for lv in levels for case, out in outcomes(lv).items()]
 
 
 def _face_cell_sweep(cfg):
     cells = cfg.boundary_cells
     return sorted({max(MIN_BOUNDARY_CELLS, level) for level in (cells // 4, cells // 2, cells)})
-
-
-def _margin_depth(cfg, res):
-    return max(2, round(cfg.margin_fraction * (res - 2)))
 
 
 def _interior(*cases, tol=None):
@@ -322,12 +349,12 @@ IDENTITIES = {}  # identity -> check(cfg) -> CheckReport, in suite order
 
 
 def _check(identity, norms, statement):
-    """Register a function cfg -> Plan as the check of `identity`."""
+    """Register a function (cfg, levels) -> Plan as the check of `identity`; the
+    levels, one per resolution, are built here once for all of its cases."""
     def decorate(plan_fn):
-        @functools.wraps(plan_fn)
         def check(cfg: SuiteConfig) -> CheckReport:
             t0 = time.monotonic()
-            plan = plan_fn(cfg)
+            plan = plan_fn(cfg, [Level(cfg, res) for res in cfg.resolutions])
             rows, points, by_case = [], [], {}
             for case, level, h, outcome in plan.results:
                 row = {"case": case, "level": level, "h": h}
@@ -365,6 +392,7 @@ def _check(identity, norms, statement):
                 runtime_seconds=time.monotonic() - t0,
                 provenance={"config_hash": cfg.config_hash(), "build": __version__},
             )
+        check.__name__, check.__qualname__ = plan_fn.__name__, plan_fn.__qualname__
         check.__doc__ = statement
         IDENTITIES[identity] = check
         return check
@@ -377,18 +405,15 @@ def _check(identity, norms, statement):
 @_check("cauchy_constant", "max and rms over evaluation points of |Sc - target|",
         "Boundary integral of the Cauchy kernel against the outward normal reproduces the "
         "constant 1 inside the box and 0 outside.")
-def check_cauchy_constant(cfg: SuiteConfig):
-    grid = BoxGrid.unit_cube(cfg.resolutions[-1])
-    pts = _eval_points(grid, cfg, snap=False)
-    cells_sweep = _face_cell_sweep(cfg)
+def check_cauchy_constant(cfg: SuiteConfig, levels):
+    def outcome(case, lv):
+        pts = lv.points(snap=False)
+        return Recon(pts, _layer_sc(KernelSpec("cauchy"), lv.faces, np.ones(len(lv.faces)),
+                                    pts.points), 1.0)
 
-    def outcome(case, cells):
-        bq = boundary_sampling(grid, cells)
-        return Recon(pts, _layer_sc(KernelSpec("cauchy"), bq, np.ones(len(bq)), pts.points), 1.0)
-
-    return Plan(_sweep(["constant-trace"], cells_sweep, outcome, cells=True),
+    return Plan(_sweep(["constant-trace"], levels[-1].face_cell_sweep(), outcome),
                 {"interior": _interior(), "exterior": _exterior(finest=True)},
-                {"face_cells": cells_sweep})
+                {"face_cells": _face_cell_sweep(cfg)})
 
 
 def _coefficients(pts, blades):
@@ -418,18 +443,16 @@ def _nodal(grid, fn):
 @_check("borel_pompeiu", "max-coefficient norm per point, relative to the sup norm of v",
         "The volume transform of D v plus the boundary Cauchy integral of the trace reproduces v "
         "at interior points and vanishes at exterior points.")
-def check_borel_pompeiu(cfg: SuiteConfig):
+def check_borel_pompeiu(cfg: SuiteConfig, levels):
     traces = {"constant": _constant_trace, "quadratic": _quadratic_trace}
 
-    def outcome(case, res):
-        grid = BoxGrid.unit_cube(res)
-        v = _nodal(grid, traces[case])
-        pts = _eval_points(grid, cfg)
-        bq = boundary_sampling(grid, cfg.boundary_cells)
-        out = borel_pompeiu_residual(v, pts, trace_fn=traces[case], boundary=bq)
-        return Recon(pts, out["residual_norms"] / v.max_norm(), 0.0)
+    def outcome(case, lv):
+        v = _nodal(lv.grid, traces[case])
+        bq = boundary_sampling(lv.grid, cfg.boundary_cells)
+        out = borel_pompeiu_residual(v, lv.points(), trace_fn=traces[case], boundary=bq)
+        return Recon(lv.points(), out["residual_norms"] / v.max_norm(), 0.0)
 
-    return Plan(_sweep(traces, cfg.resolutions, outcome),
+    return Plan(_sweep(traces, levels, outcome),
                 {"interior": _interior("quadratic"), "exterior": _exterior(),
                  "refinement": _refines("quadratic")})
 
@@ -437,19 +460,18 @@ def check_borel_pompeiu(cfg: SuiteConfig):
 @_check("teodorescu_inverse", "max-coefficient norm over the margin-interior dual lattice",
         "The volume transform against the Cauchy kernel is a right inverse of the Dirac operator; "
         "the transform of a constant vanishes at the box center.")
-def check_teodorescu_inverse(cfg: SuiteConfig):
-    def residual(case, res):
-        grid = BoxGrid.unit_cube(res)
-        g = MultivectorField.from_components(grid, {1: np.ones(tuple(grid.resolution))})
+def check_teodorescu_inverse(cfg: SuiteConfig, levels):
+    def residual(case, lv):
+        g = MultivectorField.from_components(lv.grid, {1: np.ones(tuple(lv.grid.resolution))})
         DT = dirac_D(teodorescu_on_dual_grid(g))
-        diff = DT.values[interior_slices(_margin_depth(cfg, res))].copy()
+        diff = DT.values[interior_slices(lv.depth)].copy()
         diff[..., 1] -= 1.0
         return float(np.max(np.abs(diff)))
 
-    res = cfg.resolutions[-1]
-    constant = MultivectorField.from_scalar(BoxGrid.unit_cube(res), np.ones((res,) * 3))
-    center = teodorescu(constant, [[0.5, 0.5, 0.5]])
-    return Plan(_sweep(["right-inverse"], cfg.resolutions, residual),
+    grid = levels[-1].grid
+    constant = MultivectorField.from_scalar(grid, np.ones(tuple(grid.resolution)))
+    center = teodorescu(constant, [grid.origin + grid.extent / 2])
+    return Plan(_sweep(["right-inverse"], levels, residual),
                 {"interior": _interior(), "refinement": _refines(),
                  "odd-symmetry": _extra_within("odd_symmetry_at_center", 1e-12)},
                 {"odd_symmetry_at_center": float(np.max(np.abs(center)))})
@@ -481,12 +503,12 @@ def _squared_dirac_defect(w):
 @_check("operator_consistency", "sup norm over interior nodes (two layers in)",
         "The squared Dirac operator equals minus the componentwise Laplacian: exact on "
         "quadratics, second order on smooth fields.")
-def check_operator_consistency(cfg: SuiteConfig):
+def check_operator_consistency(cfg: SuiteConfig, levels):
     # exactness is resolution independent; the coarsest grid keeps the 1/h^2
     # roundoff amplification of nested second differences smallest
-    quad_err = _squared_dirac_defect(_quadratic_field(BoxGrid.unit_cube(cfg.resolutions[0])))
-    smooth = lambda case, res: _squared_dirac_defect(_smooth_test_field(BoxGrid.unit_cube(res)))
-    return Plan(_sweep(["smooth"], cfg.resolutions, smooth),
+    quad_err = _squared_dirac_defect(_quadratic_field(levels[0].grid))
+    smooth = lambda case, lv: _squared_dirac_defect(_smooth_test_field(lv.grid))
+    return Plan(_sweep(["smooth"], levels, smooth),
                 {"quadratic": _extra_within("quadratic_error", 1e-12), "refinement": _refines()},
                 {"quadratic_error": quad_err})
 
@@ -496,14 +518,13 @@ def _mixed_smooth_trace(pts):
         0: np.sin(2.0 * x) + y**2, 2: np.cos(z) * x, 3: 0.5 * y * z, 7: 0.3 * np.sin(y)})
 
 
-def _scalar_bp_plan(cfg, adjoint):
+def _scalar_bp_plan(cfg, levels, adjoint):
     """Scalar-part representation: boundary kernel integral minus volume term."""
     lam = _require_exponential(cfg)
 
-    def outcome(case, res):
-        grid = BoxGrid.unit_cube(res)
+    def outcome(case, lv):
+        grid, pts = lv.grid, lv.points()
         v = _nodal(grid, _mixed_smooth_trace)
-        pts = _eval_points(grid, cfg)
         bq = boundary_sampling(grid, cfg.boundary_cells)
         lam_arr = vector_to_array(np.broadcast_to(lam, tuple(grid.resolution) + (3,)))
         target = _mixed_smooth_trace(pts.points)[:, 0]
@@ -524,7 +545,7 @@ def _scalar_bp_plan(cfg, adjoint):
         return Recon(pts, B[:, 0] - V[:, 0], target)
 
     case = "adjoint-weighted" if adjoint else "screened-kernel"
-    return Plan(_sweep([case], cfg.resolutions, outcome),
+    return Plan(_sweep([case], levels, outcome),
                 {"interior": _interior(), "exterior": _exterior(), "refinement": _refines()},
                 {"lam": lam.tolist()})
 
@@ -532,25 +553,23 @@ def _scalar_bp_plan(cfg, adjoint):
 @_check("scalar_bp", "relative to the interior sup of the scalar target",
         "Boundary integral of the screened grade-1 kernel minus its volume integral against (D - "
         "alpha C) v recovers the scalar part of v inside and vanishes outside.")
-def check_scalar_bp(cfg: SuiteConfig):
-    return _scalar_bp_plan(cfg, adjoint=False)
+def check_scalar_bp(cfg: SuiteConfig, levels):
+    return _scalar_bp_plan(cfg, levels, adjoint=False)
 
 
 @_check("scalar_bp_adjoint", "relative to the interior sup of the scalar target",
         "Boundary integral of the conjugate-weighted Cauchy kernel minus its volume integral "
         "against the adjoint operator image recovers Sc v / f (the 1/f delta weight of the kernel "
         "is part of the statement).")
-def check_scalar_bp_adjoint(cfg: SuiteConfig):
-    return _scalar_bp_plan(cfg, adjoint=True)
+def check_scalar_bp_adjoint(cfg: SuiteConfig, levels):
+    return _scalar_bp_plan(cfg, levels, adjoint=True)
 
 
 @_check("cauchy_vekua", "relative to the interior sup of the scalar part",
         "For solutions of the Vekua equation, the boundary integral of the screened grade-1 "
         "kernel alone recovers the scalar part inside and vanishes outside.")
-def check_cauchy_vekua(cfg: SuiteConfig):
+def check_cauchy_vekua(cfg: SuiteConfig, levels):
     lam = _require_exponential(cfg)
-    grid = BoxGrid.unit_cube(cfg.resolutions[-1])
-    pts = _eval_points(grid, cfg, snap=False)
     sol = ExponentialVekuaSolution(lam)
     kernel = KernelSpec("vekua_phi", lam=lam)
     solutions = {
@@ -558,50 +577,44 @@ def check_cauchy_vekua(cfg: SuiteConfig):
                                             ((0, 0), (0, 7))),
         "full-solution": lambda p: sol.w_coeffs(np.atleast_2d(p)),
     }
-    cells_sweep = _face_cell_sweep(cfg)
 
-    def outcome(case, cells):
-        bq = boundary_sampling(grid, cells)
-        B = cauchy_boundary(kernel, bq, solutions[case](bq.positions), pts.points)
+    def outcome(case, lv):
+        pts = lv.points(snap=False)
+        B = cauchy_boundary(kernel, lv.faces, solutions[case](lv.faces.positions), pts.points)
         return Recon(pts, B[:, 0], solutions[case](pts.points)[:, 0])
 
-    return Plan(_sweep(solutions, cells_sweep, outcome, cells=True),
+    return Plan(_sweep(solutions, levels[-1].face_cell_sweep(), outcome),
                 {"interior": _interior(), "exterior": _exterior(finest=True),
                  "refinement": _refines()},
-                {"face_cells": cells_sweep, "lam": lam.tolist()})
+                {"face_cells": _face_cell_sweep(cfg), "lam": lam.tolist()})
 
 
 @_check("green_vekua", "relative to the interior sup of the scalar part",
         "The scalar part of a Vekua solution is reproduced by the boundary integral of the vector "
         "kernel against the trace plus the flux term, in both its strong (pointwise conormal "
         "flux) and weak (volume-energy DtN pairing) forms.")
-def check_green_vekua(cfg: SuiteConfig):
+def check_green_vekua(cfg: SuiteConfig, levels):
     lam = _require_exponential(cfg)
-    q = float(lam @ lam)
     sol = ExponentialVekuaSolution(lam)
-    phi, theta = KernelSpec("vekua_phi", lam=lam), KernelSpec.theta(q)
-    grid0 = BoxGrid.unit_cube(cfg.resolutions[-1])
-    pts0 = _eval_points(grid0, cfg, snap=False)
+    phi, theta = KernelSpec("vekua_phi", lam=lam), KernelSpec.theta(float(lam @ lam))
 
-    def strong(case, cells):
-        bq = boundary_sampling(grid0, cells)
+    def strong(case, lv):
+        bq, pts = lv.faces, lv.points(snap=False)
         flux_b = np.sum(sol.flux(bq.positions) * bq.normals, axis=1)
-        vals = (_layer_sc(phi, bq, sol.w0(bq.positions), pts0.points)
-                + _layer_sc(theta, bq, flux_b / sol.f(bq.positions), pts0.points))
-        return Recon(pts0, vals, sol.w0(pts0.points))
+        vals = (_layer_sc(phi, bq, sol.w0(bq.positions), pts.points)
+                + _layer_sc(theta, bq, flux_b / sol.f(bq.positions), pts.points))
+        return Recon(pts, vals, sol.w0(pts.points))
 
-    def weak(case, res):
-        grid = BoxGrid.unit_cube(res)
-        form = DtnForm.conductivity(ConductivityProfile.exponential(grid, lam))
-        pts = _eval_points(grid, cfg, snap=False)
-        bq = boundary_sampling(grid, 2 * (res - 1))
+    def weak(case, lv):
+        bq, pts = lv.faces, lv.points(snap=False)
+        form = DtnForm.conductivity(ConductivityProfile.exponential(lv.grid, lam))
         vals = _layer_sc(phi, bq, sol.w0(bq.positions), pts.points) + _dtn_pairings(
-            form, _boundary_values(grid, sol.u0), pts,
+            form, _boundary_values(lv.grid, sol.u0), pts,
             lambda c, x: theta.values(c - x) / sol.f(c))
         return Recon(pts, vals, sol.w0(pts.points))
 
-    return Plan(_sweep(["strong-flux"], _face_cell_sweep(cfg), strong, cells=True)
-                + _sweep(["weak-dtn"], cfg.resolutions, weak),
+    return Plan(_sweep(["strong-flux"], levels[-1].face_cell_sweep(), strong)
+                + _sweep(["weak-dtn"], levels, weak),
                 {"interior": _interior(), "exterior": _exterior(),
                  "refinement": _refines("strong-flux")},
                 {"lam": lam.tolist()})
@@ -611,7 +624,7 @@ def check_green_vekua(cfg: SuiteConfig):
         "Conductivity solutions are reproduced from their trace, their conormal flux against the "
         "Newton kernel and a volume correction weighted by the log-gradient of the profile; the "
         "flux term is also evaluated weakly as a DtN pairing.")
-def check_integral_cauchy(cfg: SuiteConfig):
+def check_integral_cauchy(cfg: SuiteConfig, levels):
     cauchy, newton = KernelSpec("cauchy"), KernelSpec("newton")
     lam = cfg.profile.get("lam", [0.0, 0.0, 1.0])
     sol = ExponentialVekuaSolution(np.asarray(lam, dtype=float))
@@ -626,13 +639,11 @@ def check_integral_cauchy(cfg: SuiteConfig):
                                              [0.0, 0.0, 1.0])),
     }
 
-    def strong(case, res):
+    def strong(case, lv):
         spec, u0_fn, grad_fn = strong_cases[case]
-        grid = BoxGrid.unit_cube(res)
-        profile = make_profile(grid, spec)
-        pts = _eval_points(grid, cfg)
         # face sampling refines with the volume so every term is O(h^2)
-        bq = boundary_sampling(grid, 2 * (res - 1))
+        grid, pts, bq = lv.grid, lv.points(), lv.faces
+        profile = make_profile(grid, spec)
         centers = grid.cell_centers().reshape(-1, 3)
         rho = np.sum(profile.alpha_at(centers) * grad_fn(centers), axis=-1)
         flux_b = np.sum(grad_fn(bq.positions) * bq.normals, axis=1)
@@ -642,26 +653,22 @@ def check_integral_cauchy(cfg: SuiteConfig):
         return Recon(pts, vals, u0_fn(pts.points))
 
     # weak arm: discrete solution, DtN pairing for the flux, any W^{1,inf} profile
-    def weak(case, res):
-        grid = BoxGrid.unit_cube(res)
+    def weak(case, lv):
+        grid, pts, bq = lv.grid, lv.points(), lv.faces
         profile = make_profile(grid, {"kind": "quadratic_z", "a": 1.0, "c": 0.5})
         trace_fn = lambda c: c[..., 0] + 0.3 * c[..., 1]
         trace_nodal = trace_fn(grid.coords())
         u0_disc = solve_conductivity(grid, profile.f**2, trace_nodal)
         form = DtnForm.conductivity(profile)
-        pts = _eval_points(grid, cfg)
-        bq = boundary_sampling(grid, 2 * (res - 1))
         rho_nodal = np.sum(profile.alpha * scalar_gradient(grid, u0_disc), axis=-1)
-        vol_term = 2.0 * scalar_volume_potential(
-            pts.points, grid, cell_average(rho_nodal, blade_axis=False)
-        )
+        vol_term = 2.0 * scalar_volume_potential(pts.points, grid,
+                                                 cell_average(rho_nodal, blade_axis=False))
         f_at = lambda c: profile.f_at(c.reshape(-1, 3)).reshape(c.shape[:-1])
         vals = _layer_sc(cauchy, bq, trace_fn(bq.positions), pts.points) + _dtn_pairings(
             form, trace_nodal, pts, lambda c, x: newton.values(c - x) / f_at(c) ** 2)
         return Recon(pts, vals + vol_term, _interior_samples(grid, u0_disc, pts))
 
-    return Plan(_sweep(strong_cases, cfg.resolutions, strong)
-                + _sweep(["weak-quadratic"], cfg.resolutions, weak),
+    return Plan(_sweep(strong_cases, levels, strong) + _sweep(["weak-quadratic"], levels, weak),
                 {"interior": _interior(), "exterior": _exterior(finest=True),
                  "refinement": _refines(ratio=1.2)})
 
@@ -670,7 +677,7 @@ def check_integral_cauchy(cfg: SuiteConfig):
         "Solutions of the screened Laplace equation are reproduced from their trace against the "
         "gradient of the screened kernel plus the weak DtN pairing with the kernel trace; "
         "exterior points give zero.")
-def check_schrodinger_reconstruction(cfg: SuiteConfig):
+def check_schrodinger_reconstruction(cfg: SuiteConfig, levels):
     lam = _require_exponential(cfg)
     q = float(lam @ lam)
     rates = {
@@ -679,12 +686,13 @@ def check_schrodinger_reconstruction(cfg: SuiteConfig):
     }
     phi, theta = KernelSpec("vekua_phi", lam=lam), KernelSpec.theta(q)
 
-    def outcome(case, res):
-        grid = BoxGrid.unit_cube(res)
-        form = DtnForm.schrodinger(ConductivityProfile.exponential(grid, lam))
-        pts = _eval_points(grid, cfg, snap=False)
-        bq = boundary_sampling(grid, 2 * (res - 1))
-        trace_nodal = np.exp(grid.coords() @ rates[case])
+    # one form per level for both rates; its solution cache keeps their traces apart
+    form_at = functools.cache(
+        lambda lv: DtnForm.schrodinger(ConductivityProfile.exponential(lv.grid, lam)))
+
+    def outcome(case, lv):
+        form, pts, bq = form_at(lv), lv.points(snap=False), lv.faces
+        trace_nodal = np.exp(lv.grid.coords() @ rates[case])
         phi0_b = np.exp(bq.positions @ rates[case])
         # -sum (grad theta_q . eta) phi0 w, with grad theta_q = Phi_lam + lam theta_q
         vals = (_layer_sc(phi, bq, phi0_b, pts.points)
@@ -692,7 +700,7 @@ def check_schrodinger_reconstruction(cfg: SuiteConfig):
         vals = vals + _dtn_pairings(form, trace_nodal, pts, lambda c, x: theta.values(c - x))
         return Recon(pts, vals, np.exp(pts.points @ rates[case]))
 
-    return Plan(_sweep(rates, cfg.resolutions, outcome),
+    return Plan(_sweep(rates, levels, outcome),
                 {"interior": _interior(), "exterior": _exterior(finest=True),
                  "refinement": _refines(ratio=1.2)},
                 {"lam": lam.tolist(), "q": q})
@@ -709,13 +717,12 @@ def _perturbed_dirac_pair(h0, alpha_arr):
         "Laplacian: exact for the quadratic constant-coefficient case, second order for smooth "
         "log-gradient coefficients; the weighted Cauchy kernel and the screened vector kernel are "
         "annihilated by their operators at machine precision.")
-def check_factorizations(cfg: SuiteConfig):
+def check_factorizations(cfg: SuiteConfig, levels):
     # symbolic case: constant alpha = c e1, h0 = x1^2, both sides -2 + c^2 x1^2;
     # stencils are exact on quadratics, so the coarsest grid suffices and keeps
     # the 1/h^2 roundoff amplification smallest
     c = 0.7
-    res0 = cfg.resolutions[0]
-    grid = BoxGrid.unit_cube(res0)
+    grid = levels[0].grid
     X = grid.coords()
     alpha_arr = vector_to_array(np.broadcast_to([c, 0.0, 0.0], tuple(grid.resolution) + (3,)))
     outer = _perturbed_dirac_pair(MultivectorField.from_scalar(grid, X[..., 0] ** 2), alpha_arr)
@@ -723,12 +730,11 @@ def check_factorizations(cfg: SuiteConfig):
     sym_err = float(np.max(np.abs(outer[..., 0] - closed))) + float(np.max(np.abs(outer[..., 1:])))
 
     # smooth operator check with alpha = grad f / f
-    def smooth(case, res):
-        grid = BoxGrid.unit_cube(res)
-        profile = make_profile(grid, cfg.profile)
-        X = grid.coords()
+    def smooth(case, lv):
+        profile = make_profile(lv.grid, cfg.profile)
+        X = lv.grid.coords()
         h_vals = np.sin(2.0 * X[..., 0]) * np.cos(X[..., 1]) + 0.5 * np.sin(X[..., 2]) * X[..., 0]
-        h0 = MultivectorField.from_scalar(grid, h_vals)
+        h0 = MultivectorField.from_scalar(lv.grid, h_vals)
         rhs = _perturbed_dirac_pair(h0, vector_to_array(profile.alpha))
         lhs = -laplacian(h0).values[..., 0] + profile.q * h_vals
         sl = interior_slices(2)
@@ -745,8 +751,8 @@ def check_factorizations(cfg: SuiteConfig):
     flux_errors = [abs(yukawa_delta_flux(eps, float(lam @ lam) or 1.0) - 1.0)
                    for eps in (0.2, 0.1, 0.05)]
     return Plan(
-        [("symbolic-quadratic", res0, 1.0 / (res0 - 1), sym_err)]
-        + _sweep(["smooth-log-gradient"], cfg.resolutions, smooth),
+        [("symbolic-quadratic", levels[0].value, levels[0].h, sym_err)]
+        + _sweep(["smooth-log-gradient"], levels, smooth),
         {
             "symbolic": _interior("symbolic-quadratic", tol=1e-12),
             "refinement": _refines("smooth-log-gradient"),
@@ -771,12 +777,12 @@ def check_factorizations(cfg: SuiteConfig):
         "bivector duality; the lifted field satisfies the Vekua equation, its Beltrami transform "
         "satisfies the Beltrami equation, and its scalar part over f satisfies the conductivity "
         "equation, all at stencil order.")
-def check_vekua_pipeline(cfg: SuiteConfig):
+def check_vekua_pipeline(cfg: SuiteConfig, levels):
     lam = _require_exponential(cfg)
     sol = ExponentialVekuaSolution(lam)
 
-    def residuals(res):
-        grid = BoxGrid.unit_cube(res)
+    def residuals(lv):
+        grid = lv.grid
         profile = ConductivityProfile.exponential(grid, lam)
         coords = grid.coords()
         w, _ = construct_bivector_part(profile, sol.u0(coords), grad_u0=sol.grad_u0(coords))
@@ -788,14 +794,13 @@ def check_vekua_pipeline(cfg: SuiteConfig):
         u0n = w.sc() / profile.f
         cond = vector_divergence(grid, profile.f[..., None] ** 2 * scalar_gradient(grid, u0n))
         flux_scale = float(np.max(np.abs(profile.f**2))) * (
-            float(np.max(np.abs(scalar_gradient(grid, u0n)))) or 1.0
-        )
+            float(np.max(np.abs(scalar_gradient(grid, u0n)))) or 1.0)
         cres = (float(np.max(np.abs(cond[interior_slices(2)])))
                 * float(np.min(grid.extent)) / flux_scale)
         return {"vekua-residual": vres, "beltrami-residual": bres, "conductivity-residual": cres}
 
     # discrete-solver variant and the bivector-free degenerate case, recorded
-    grid = BoxGrid.unit_cube(cfg.resolutions[-1])
+    grid = levels[-1].grid
     profile = ConductivityProfile.exponential(grid, lam)
     u0_disc = solve_conductivity(grid, profile.f**2, sol.u0(grid.coords()))
     # stencil gradients of the discrete solution keep the source constant
@@ -805,7 +810,7 @@ def check_vekua_pipeline(cfg: SuiteConfig):
                  / (float(np.max(np.abs(profile.alpha))) * w_disc.max_norm()))
     ratio_field = MultivectorField.from_scalar(grid, 2.5 * profile.f).sc() / profile.f
     bivector_free_dev = float(np.max(np.abs(ratio_field - ratio_field.mean())))
-    return Plan(_per_level(cfg.resolutions, residuals),
+    return Plan(_per_level(levels, residuals),
                 {"interior": _interior(),
                  "refinement": _refines("vekua-residual", "beltrami-residual"),
                  "bivector-free": _extra_within("bivector_free_deviation", 1e-12)},
@@ -817,14 +822,14 @@ def check_vekua_pipeline(cfg: SuiteConfig):
         "The scalar pairing of a Vekua solution against the deformed Dirac image of a compactly "
         "supported field vanishes: solutions and the deformed-operator range split the space "
         "orthogonally.")
-def check_hodge_orthogonality(cfg: SuiteConfig):
+def check_hodge_orthogonality(cfg: SuiteConfig, levels):
     lam = _require_exponential(cfg)
 
     def normalized(w, v, alpha):
         return abs(hodge_orthogonality(w, v, alpha)) / (sc_norm(w) * sc_norm(v))
 
-    def pairings(res):
-        grid = BoxGrid.unit_cube(res)
+    def pairings(lv):
+        grid = lv.grid
         X = grid.coords()
         profile = ConductivityProfile.exponential(grid, lam)
         bump = bump_scalar(grid, margin=3.1 * float(np.max(grid.spacing)))
@@ -839,31 +844,30 @@ def check_hodge_orthogonality(cfg: SuiteConfig):
                                         blades({2: bump, 3: 0.5 * bump}), profile.alpha),
         }
 
-    return Plan(_per_level(cfg.resolutions, pairings), {"interior": _interior()})
+    return Plan(_per_level(levels, pairings), {"interior": _interior()})
 
 
 @_check("dtn_relation", "residual normalized by the largest of the three terms",
         "The conductivity DtN of the f-scaled trace equals f times the Schrodinger DtN minus the "
         "normal-gradient boundary weight, in weak form; exact for constant profiles.")
-def check_dtn_relation(cfg: SuiteConfig):
+def check_dtn_relation(cfg: SuiteConfig, levels):
     traces = {
         "linear": lambda X: X[..., 0],
         "trig": lambda X: np.sin(2.0 * X[..., 0]) * np.cos(X[..., 1]) + 0.5 * X[..., 2],
     }
 
-    def residuals(res):
-        grid = BoxGrid.unit_cube(res)
-        profile = make_profile(grid, cfg.profile)
-        X = grid.coords()
+    def residuals(lv):
+        profile = make_profile(lv.grid, cfg.profile)
+        X = lv.grid.coords()
         found = dtn_relation_residuals(profile, [fn(X) for fn in traces.values()], X[..., 0])
         return {name: (resid, {"terms": list(terms)})
                 for name, (resid, terms) in zip(traces, found)}
 
-    grid = BoxGrid.unit_cube(cfg.resolutions[0])
+    grid = levels[0].grid
     X = grid.coords()
     [(const_resid, _)] = dtn_relation_residuals(ConductivityProfile.constant(grid, 2.0),
                                                 [X[..., 0]], X[..., 0])
-    return Plan(_per_level(cfg.resolutions, residuals),
+    return Plan(_per_level(levels, residuals),
                 {"interior": _interior(),
                  "constant-profile": _extra_within("constant_profile_residual", 1e-8)},
                 {"constant_profile_residual": const_resid})
@@ -874,13 +878,12 @@ def check_dtn_relation(cfg: SuiteConfig):
         "With equal boundary data the difference-of-potential and Newton-potential identities are "
         "trivially zero on both sides (equal DtN forces equal profiles, so no nontrivial instance "
         "exists); distinct profiles separate the DtN pairings by a recorded gap.")
-def check_difference_identities(cfg: SuiteConfig):
-    res = cfg.resolutions[-1]
-    grid = BoxGrid.unit_cube(res)
+def check_difference_identities(cfg: SuiteConfig, levels):
+    finest = levels[-1]
+    grid, pts = finest.grid, finest.points()
     lam = _require_exponential(cfg)
     coords = grid.coords()
     rng = np.random.default_rng(cfg.seed)
-    pts = _eval_points(grid, cfg)
     sampled = lambda nodal: _interior_samples(grid, nodal, pts)
 
     profile_f = ConductivityProfile.exponential(grid, lam)
@@ -894,21 +897,17 @@ def check_difference_identities(cfg: SuiteConfig):
     integrand = dq * cell_average(w_f, blade_axis=False)
     lhs = scalar_volume_potential(pts.points, grid, integrand, q=float(lam @ lam))
     potential_err = float(np.max(np.abs(lhs - (sampled(w_f) - sampled(w_g))))) / (
-        float(np.max(np.abs(sampled(w_f)))) or 1.0
-    )
+        float(np.max(np.abs(sampled(w_f)))) or 1.0)
 
     # Newton-potential identity, trivially forced arm
     u_f = solve_conductivity(grid, profile_f.f**2, trace / profile_f.f)
     u_g = solve_conductivity(grid, profile_g.f**2, trace / profile_g.f)
-    rho = np.sum(profile_f.alpha * scalar_gradient(grid, u_f), axis=-1) - np.sum(
-        profile_g.alpha * scalar_gradient(grid, u_g), axis=-1
-    )
-    newton_lhs = 2.0 * scalar_volume_potential(
-        pts.points, grid, cell_average(rho, blade_axis=False)
-    )
+    rho = (np.sum(profile_f.alpha * scalar_gradient(grid, u_f), axis=-1)
+           - np.sum(profile_g.alpha * scalar_gradient(grid, u_g), axis=-1))
+    newton_lhs = 2.0 * scalar_volume_potential(pts.points, grid,
+                                               cell_average(rho, blade_axis=False))
     newton_err = float(np.max(np.abs(newton_lhs - (sampled(u_f) - sampled(u_g))))) / (
-        float(np.max(np.abs(sampled(u_f)))) or 1.0
-    )
+        float(np.max(np.abs(sampled(u_f)))) or 1.0)
 
     # falsification arm: distinct profiles must separate the DtN forms
     form_f = DtnForm.conductivity(profile_f)
@@ -922,10 +921,9 @@ def check_difference_identities(cfg: SuiteConfig):
         pair_scale = max(pair_scale, abs(pf), abs(ph))
 
     trivial_tol = 1e-6
-    h = 1.0 / (res - 1)
     return Plan(
-        [("potential-difference-trivial", res, h, potential_err),
-         ("newton-potential-trivial", res, h, newton_err)],
+        [("potential-difference-trivial", finest.value, finest.h, potential_err),
+         ("newton-potential-trivial", finest.value, finest.h, newton_err)],
         {"trivial": _interior(tol=trivial_tol),
          "dtn-gap": lambda by_case, extras, cfg: extras["dtn_gap"] > extras["dtn_gap_threshold"]},
         {"dtn_gap": gap, "dtn_gap_threshold": 10.0 * SOLVER_RTOL * max(1.0, pair_scale),
@@ -937,20 +935,20 @@ def check_difference_identities(cfg: SuiteConfig):
         "Subtracting the volume transform of alpha conj(w) from a Vekua solution produces a "
         "monogenic field: the stencil Dirac of the result decays under refinement; with alpha = 0 "
         "the map is the identity.")
-def check_s_alpha(cfg: SuiteConfig):
+def check_s_alpha(cfg: SuiteConfig, levels):
     lam = _require_exponential(cfg)
 
-    def residual(case, res):
-        profile = ConductivityProfile.exponential(BoxGrid.unit_cube(res), lam)
+    def residual(case, lv):
+        profile = ConductivityProfile.exponential(lv.grid, lam)
         S = s_alpha(MultivectorField.from_scalar(profile.grid, profile.f), profile.alpha_field())
-        DS = dirac_D(S).values[interior_slices(_margin_depth(cfg, res))]
+        DS = dirac_D(S).values[interior_slices(lv.depth)]
         return float(np.max(np.abs(DS))) / float(np.max(np.abs(profile.grad_f)))
 
-    grid = BoxGrid.unit_cube(cfg.resolutions[0])
+    grid = levels[0].grid
     w = MultivectorField.from_scalar(grid, ConductivityProfile.exponential(grid, lam).f)
     identity_dev = float(np.max(np.abs(s_alpha(w, MultivectorField.zero(grid)).values
                                        - cell_average(w.values))))
-    return Plan(_sweep(["scalar-solution"], cfg.resolutions, residual),
+    return Plan(_sweep(["scalar-solution"], levels, residual),
                 {"interior": _interior(), "refinement": _refines(),
                  "zero-alpha": _extra_within("identity_at_zero_alpha", 1e-12)},
                 {"identity_at_zero_alpha": identity_dev})

@@ -279,7 +279,7 @@ class DtnForm:
         else:
             raise ValueError("kind must be 'conductivity' or 'schrodinger'")
         self._harmonic = DirichletOperator(grid)
-        self._solution_cache = {}
+        self._solved = {}
 
     @classmethod
     def conductivity(cls, profile: ConductivityProfile):
@@ -291,20 +291,21 @@ class DtnForm:
             raise ValueError("profile carries no potential q")
         return cls(profile.grid, "schrodinger", profile.q)
 
-    def _key(self, arr):
-        return hashlib.sha1(np.ascontiguousarray(arr).tobytes()).hexdigest()
+    def _solve(self, op, trace):
+        """Solution of `op` with the trace, solved once per (operator, trace)."""
+        key = (op is self.op, hashlib.sha1(np.ascontiguousarray(trace).tobytes()).hexdigest())
+        if key not in self._solved:
+            self._solved[key] = op.solve(trace)
+        return self._solved[key]
 
     def solution(self, trace):
-        key = self._key(trace)
-        if key not in self._solution_cache:
-            self._solution_cache[key] = self.op.solve(trace)
-        return self._solution_cache[key]
+        return self._solve(self.op, trace)
 
     def _extend(self, trace, extension):
         if extension == "solution":
             return self.solution(trace)
         if extension == "harmonic":
-            return self._harmonic.solve(trace)
+            return self._solve(self._harmonic, trace)
         if extension == "coons":
             return coons_extension(self.grid, trace)
         raise ValueError(f"unknown extension {extension!r}")

@@ -1,12 +1,13 @@
 """Harness and CLI tests: configuration handling, report structure and
 serialization, registry dispatch, and output files."""
 
+import collections
 import json
 
 import numpy as np
 import pytest
 
-from vekua_lab import cli
+from vekua_lab import cli, pde
 from vekua_lab import harness as H
 from vekua_lab.fields import BoxGrid
 
@@ -62,6 +63,25 @@ def test_config_rejects_negative_seed(seed):
     with pytest.raises(ValueError, match="seed"):
         H.SuiteConfig.defaults("cauchy_constant", seed=seed)
     assert H.SuiteConfig.defaults("cauchy_constant", seed=0).seed == 0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("resolutions", (16.7, 32)), ("boundary_cells", 64.5), ("boundary_cells", float("nan")),
+    ("n_interior", 2.5), ("n_exterior", True), ("seed", 1.5), ("seed", True),
+    ("interior_rel_tol", float("nan")), ("exterior_abs_tol", float("inf")),
+    ("refinement_ratio", float("inf")),
+])
+def test_config_rejects_inexact_counts_and_non_finite_tolerances(field, value):
+    # counts must be integers (not bools), tolerances finite; none may be
+    # truncated, recorded as given or left to fail later inside numpy
+    with pytest.raises(ValueError, match=field):
+        H.SuiteConfig.defaults("cauchy_constant", **{field: value})
+
+
+def test_config_accepts_numpy_integers():
+    cfg = H.SuiteConfig.defaults("cauchy_constant", resolutions=(np.int64(16), 32),
+                                 boundary_cells=np.int32(32), seed=np.int64(7))
+    assert cfg.resolutions == (16, 32) and all(type(r) is int for r in cfg.resolutions)
 
 
 def test_identity_runs_without_exterior_points():
@@ -329,3 +349,48 @@ def test_cli_config_override(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     code = cli.main(["verify", "cauchy_constant", "--config", str(path)])
     assert code == 0
+
+
+# (identity, case) pairs whose levels are face-cell counts on the finest grid
+FACE_CELL_CASES = {("cauchy_constant", "constant-trace"), ("cauchy_vekua", "scalar-solution"),
+                   ("cauchy_vekua", "full-solution"), ("green_vekua", "strong-flux")}
+
+
+def test_every_identity_passes_on_an_anisotropic_box(monkeypatch):
+    # the harness takes every grid from SuiteConfig.grid and every h from its level
+    origin, extent = [-0.2, 0.1, 0.3], [1.2, 0.9, 1.1]
+    monkeypatch.setattr(H.SuiteConfig, "grid",
+                        lambda self, res: BoxGrid(origin, extent, [res] * 3))
+    reports = H.run_suite(parallel=True)
+    assert [name for name, report in reports.items() if not report.passed] == []
+    for name, report in reports.items():
+        for row in report.rows:
+            if (name, row["case"]) in FACE_CELL_CASES:
+                assert row["h"] == max(extent) / row["level"]
+            else:
+                assert row["h"] == max(e / (row["level"] - 1) for e in extent)
+
+
+def _count_dirichlet_work(monkeypatch):
+    """Counter of DirichletOperator assemblies ("__init__") and solves ("solve")."""
+    counts = collections.Counter()
+    for method in ("__init__", "solve"):
+        def counted(self, *args, _method=method, _original=getattr(pde.DirichletOperator, method),
+                    **kwargs):
+            counts[_method] += 1
+            return _original(self, *args, **kwargs)
+        monkeypatch.setattr(pde.DirichletOperator, method, counted)
+    return counts
+
+
+def test_levels_share_forms_and_solved_extensions(monkeypatch):
+    counts = _count_dirichlet_work(monkeypatch)
+    # one Schrodinger form (its operator and the harmonic one) per resolution,
+    # shared by both rates
+    assert H.run_identity("schrodinger_reconstruction").passed
+    assert counts["__init__"] == 4
+    # per resolution: 2 traces x 2 forms, plus one harmonic extension per form
+    # (of psi0 and of f psi0); the constant-profile extra adds 2 + 2
+    counts.clear()
+    assert H.run_identity("dtn_relation").passed
+    assert counts["solve"] == 16

@@ -202,6 +202,24 @@ def test_solve_iteration_counts(monkeypatch, kind, profile, bound):
     assert linalg.counts == [1] * 4
 
 
+def test_dtn_solves_each_operator_and_trace_once(monkeypatch):
+    # solved extensions share one cache keyed by operator and trace: a repeated
+    # pairing solves nothing, and a trace solved by one operator is solved anew
+    # by the other
+    linalg = _CountingCg()
+    monkeypatch.setattr(P, "spla", linalg)
+    g = BoxGrid([-0.2, 0.1, 0.3], [1.2, 0.9, 1.1], [10, 9, 11])
+    form = P.DtnForm.conductivity(make_profile(g, {"kind": "quadratic_z"}))
+    phi, psi = cli._trace_basis(g, 2, 2024)
+    first = form.pair(phi, psi, extension="harmonic")
+    assert len(linalg.counts) == 2
+    assert form.pair(phi, psi, extension="harmonic") == first
+    assert len(linalg.counts) == 2
+    swapped = form.pair(psi, phi, extension="harmonic")
+    assert len(linalg.counts) == 4
+    assert abs(swapped - first) <= 1e-8 * (abs(first) + 1.0)
+
+
 def test_solve_poisson_takes_one_iteration(monkeypatch):
     linalg = _CountingCg()
     monkeypatch.setattr(P, "spla", linalg)
