@@ -109,18 +109,23 @@ def _trace_basis(grid: BoxGrid, size, seed):
 
 
 def _trace_rows(grid: BoxGrid, traces):
-    """traces.csv data lines: every boundary node once per face it lies on
-    (edges and corners repeat, matching the per-face quadratures), faces in
-    the order (axis, low/high side), nodes in C order within a face."""
+    """traces.csv data lines, one text block per face: every boundary node
+    once per face it lies on (edges and corners repeat, matching the
+    per-face quadratures), faces in the order (axis, low/high side), nodes
+    in C order within a face.  Each block is one %-format of the face's
+    (nodes, 5 + traces) table."""
     coords = grid.coords()
-    row = "{},{},{:.10g},{:.10g},{:.10g}," + ",".join(["{:.10e}"] * len(traces)) + "\n"
-    lines = []
+    row = "%d,%d,%.10g,%.10g,%.10g," + ",".join(["%.10e"] * len(traces)) + "\n"
+    blocks = []
+    start = 0
     for axis, high, slab in face_slabs():
         pos = coords[slab].reshape(-1, 3)
-        vals = np.stack([trace[slab].ravel() for trace in traces], axis=1)
-        for p, v in zip(pos.tolist(), vals.tolist()):
-            lines.append(row.format(len(lines), 2 * axis + high, *p, *v))
-    return lines
+        m = len(pos)
+        table = np.column_stack([np.arange(start, start + m), np.full(m, 2 * axis + high), pos]
+                                + [trace[slab].ravel() for trace in traces])
+        blocks.append((row * m) % tuple(table.ravel().tolist()))
+        start += m
+    return blocks
 
 
 def _cmd_dtn(args):

@@ -780,10 +780,12 @@ def check_factorizations(cfg: SuiteConfig, levels):
 def check_vekua_pipeline(cfg: SuiteConfig, levels):
     lam = _require_exponential(cfg)
     sol = ExponentialVekuaSolution(lam)
+    # one profile per level, shared by the level's residuals and the extras
+    profile_at = functools.cache(lambda lv: ConductivityProfile.exponential(lv.grid, lam))
 
     def residuals(lv):
         grid = lv.grid
-        profile = ConductivityProfile.exponential(grid, lam)
+        profile = profile_at(lv)
         coords = grid.coords()
         w, _ = construct_bivector_part(profile, sol.u0(coords), grad_u0=sol.grad_u0(coords))
         alpha_scale = float(np.max(np.abs(profile.alpha)))
@@ -801,7 +803,7 @@ def check_vekua_pipeline(cfg: SuiteConfig, levels):
 
     # discrete-solver variant and the bivector-free degenerate case, recorded
     grid = levels[-1].grid
-    profile = ConductivityProfile.exponential(grid, lam)
+    profile = profile_at(levels[-1])
     u0_disc = solve_conductivity(grid, profile.f**2, sol.u0(grid.coords()))
     # stencil gradients of the discrete solution keep the source constant
     # only to second order, so the constancy gate is opened to match
@@ -937,15 +939,17 @@ def check_difference_identities(cfg: SuiteConfig, levels):
         "the map is the identity.")
 def check_s_alpha(cfg: SuiteConfig, levels):
     lam = _require_exponential(cfg)
+    # one profile per level, shared by the level's residual and the extra
+    profile_at = functools.cache(lambda lv: ConductivityProfile.exponential(lv.grid, lam))
 
     def residual(case, lv):
-        profile = ConductivityProfile.exponential(lv.grid, lam)
+        profile = profile_at(lv)
         S = s_alpha(MultivectorField.from_scalar(profile.grid, profile.f), profile.alpha_field())
         DS = dirac_D(S).values[interior_slices(lv.depth)]
         return float(np.max(np.abs(DS))) / float(np.max(np.abs(profile.grad_f)))
 
     grid = levels[0].grid
-    w = MultivectorField.from_scalar(grid, ConductivityProfile.exponential(grid, lam).f)
+    w = MultivectorField.from_scalar(grid, profile_at(levels[0]).f)
     identity_dev = float(np.max(np.abs(s_alpha(w, MultivectorField.zero(grid)).values
                                        - cell_average(w.values))))
     return Plan(_sweep(["scalar-solution"], levels, residual),

@@ -6,7 +6,8 @@ uses harmonic face averages of sigma, the Schrodinger operator -Delta + q
 collocates the potential.  Each operator is defined once, by its bilinear
 energy form with edge-wise trapezoid transverse weights (DirichletOperator):
 the solver's interior system and trace coupling are the interior rows of
-the form's node matrix, and the DtN energy sums the same weights.  The
+the form's node matrix K, and the DtN energy a(U, V) = |cell| V.K U applies
+the same K, built from the same weights, to the whole nodal array.  The
 interior equations are thus the Galerkin equations of the form by
 construction, and weak DtN values are independent of how the second trace
 is extended into the volume, up to solver tolerance.
@@ -23,12 +24,11 @@ direct-solver fallback: a solve that misses the residual target raises
 SolverError.
 
 Flux data never comes from one-sided normal differences - every
-Dirichlet-to-Neumann evaluation is a volume energy.
+Dirichlet-to-Neumann evaluation is the volume energy form, evaluated as
+|cell| V.K U with K U the node flux of the solution.
 """
 
 from __future__ import annotations
-
-import hashlib
 
 import numpy as np
 import scipy.sparse as sp
@@ -74,7 +74,8 @@ class DirichletOperator:
     (None without q).  The interior rows of the form's node matrix K, with
     a(U, V) = |cell| V.K U, split into `matrix` (interior columns) and the
     boundary coupling behind `trace_rhs`; the interior equations are thus
-    exactly the Galerkin equations of the form.
+    exactly the Galerkin equations of the form; `_node_flux` applies all of
+    K to a nodal array.
     """
 
     def __init__(self, grid: BoxGrid, sigma=None, q=None):
@@ -84,10 +85,9 @@ class DirichletOperator:
         if np.any(self.sigma <= 0.0):
             raise ValueError("coefficient must be strictly positive")
         self.q = None if q is None else np.asarray(q, dtype=float)
-        self.faces = [_face_coefficients(self.sigma, a) for a in range(3)]
         h = grid.spacing
         self.edge_weights = [
-            self.faces[a] / h[a] ** 2
+            _face_coefficients(self.sigma, a) / h[a] ** 2
             * np.expand_dims(trapezoid_product([r for b, r in enumerate(res) if b != a]), a)
             for a in range(3)
         ]
@@ -159,6 +159,17 @@ class DirichletOperator:
         for basis in self._sines:
             x = np.tensordot(x, basis, axes=(0, 0))
         return x.ravel() * self._inv_f
+
+    def _node_flux(self, U):
+        """K U for a nodal array U: per axis, the edge flux w dU is subtracted
+        at the node below each edge and added at the node above, plus m U.
+        Summing by parts, a(U, V) = |cell| V.K U for every V."""
+        KU = np.zeros_like(U) if self.mass_weights is None else self.mass_weights * U
+        for a, w in enumerate(self.edge_weights):
+            flux = w * np.diff(U, axis=a)
+            KU[(slice(None),) * a + (slice(None, -1),)] -= flux
+            KU[(slice(None),) * a + (slice(1, None),)] += flux
+        return KU
 
     def trace_rhs(self, trace):
         """Right-hand side induced by Dirichlet data on the boundary nodes."""
@@ -267,6 +278,11 @@ class DtnForm:
     interior problem for the first trace and V is any extension of the
     second; Galerkin orthogonality of the assembly makes the value
     extension-independent to solver tolerance.
+
+    Solved extensions are cached per operator and boundary values (a solve
+    reads nothing else of its trace) and returned read-only; the node flux
+    K U of a cached array is computed once, so a pairing of cached arrays
+    is one dot product.
     """
 
     def __init__(self, grid: BoxGrid, kind, coefficient):
@@ -280,6 +296,7 @@ class DtnForm:
             raise ValueError("kind must be 'conductivity' or 'schrodinger'")
         self._harmonic = DirichletOperator(grid)
         self._solved = {}
+        self._fluxes = {}
 
     @classmethod
     def conductivity(cls, profile: ConductivityProfile):
@@ -292,10 +309,13 @@ class DtnForm:
         return cls(profile.grid, "schrodinger", profile.q)
 
     def _solve(self, op, trace):
-        """Solution of `op` with the trace, solved once per (operator, trace)."""
-        key = (op is self.op, hashlib.sha1(np.ascontiguousarray(trace).tobytes()).hexdigest())
+        """Solution of `op` with the trace, solved once per (operator, boundary values)."""
+        trace = np.asarray(trace, dtype=float)
+        key = (op is self.op, trace.ravel()[op._boundary].tobytes())
         if key not in self._solved:
-            self._solved[key] = op.solve(trace)
+            U = op.solve(trace)
+            U.flags.writeable = False
+            self._solved[key] = U
         return self._solved[key]
 
     def solution(self, trace):
@@ -310,16 +330,25 @@ class DtnForm:
             return coons_extension(self.grid, trace)
         raise ValueError(f"unknown extension {extension!r}")
 
+    def _node_flux(self, U):
+        """K U, memoised for the arrays the solution cache holds: they are
+        read-only and never evicted, so their ids name them for good."""
+        KU = self._fluxes.get(id(U))
+        if KU is None:
+            KU = self.op._node_flux(U)
+            if any(U is cached for cached in self._solved.values()):
+                self._fluxes[id(U)] = KU
+        return KU
+
     def energy(self, U, V):
-        """The operator's bilinear form a(U, V): edge stiffness plus (for q) mass."""
+        """The operator's bilinear form a(U, V) = |cell| V.K U: edge stiffness
+        plus (for q) mass."""
         U = np.asarray(U, dtype=float)
         V = np.asarray(V, dtype=float)
-        total = 0.0
-        for a, w in enumerate(self.op.edge_weights):
-            total += float(np.sum(w * np.diff(U, axis=a) * np.diff(V, axis=a)))
-        if self.op.mass_weights is not None:
-            total += float(np.sum(self.op.mass_weights * U * V))
-        return self.grid.cell_volume * total
+        # einsum, not a BLAS dot: a threaded BLAS call contends with the
+        # BLAS work of other identities on the run_suite pool
+        return self.grid.cell_volume * float(np.einsum("i,i->", V.ravel(),
+                                                       self._node_flux(U).ravel()))
 
     def pair(self, phi0, psi0, extension="harmonic"):
         """Weak pairing (Lambda phi0, psi0) = a(U_phi, V_psi)."""

@@ -394,3 +394,21 @@ def test_levels_share_forms_and_solved_extensions(monkeypatch):
     counts.clear()
     assert H.run_identity("dtn_relation").passed
     assert counts["solve"] == 16
+
+
+@pytest.mark.parametrize("identity", ["vekua_pipeline", "s_alpha"])
+def test_one_profile_per_level(monkeypatch, identity):
+    # the finest-level (vekua_pipeline) or coarsest-level (s_alpha) extra
+    # reuses the profile its level's case built
+    builds = 0
+    original = H.ConductivityProfile.__init__
+
+    def counted(self, *args, **kwargs):
+        nonlocal builds
+        builds += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(H.ConductivityProfile, "__init__", counted)
+    cfg = H.SuiteConfig.defaults(identity)
+    assert H.run_identity(identity, cfg).passed
+    assert builds == len(cfg.resolutions)

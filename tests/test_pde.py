@@ -10,6 +10,7 @@ from vekua_lab import cli
 from vekua_lab import fields as F
 from vekua_lab import pde as P
 from vekua_lab.fields import BoxGrid
+from vekua_lab.harness import default_seed
 from vekua_lab.vekua import ConductivityProfile, make_profile
 
 
@@ -220,6 +221,25 @@ def test_dtn_solves_each_operator_and_trace_once(monkeypatch):
     assert abs(swapped - first) <= 1e-8 * (abs(first) + 1.0)
 
 
+def test_equal_boundary_values_share_one_read_only_solution(monkeypatch, rng):
+    # a solve reads only the boundary of its trace: traces that agree there
+    # cost one solve and get the very same array, which nothing may change
+    linalg = _CountingCg()
+    monkeypatch.setattr(P, "spla", linalg)
+    g = BoxGrid([-0.2, 0.1, 0.3], [1.2, 0.9, 1.1], [10, 9, 11])
+    form = P.DtnForm.conductivity(make_profile(g, {"kind": "quadratic_z"}))
+    trace = cli._trace_basis(g, 4, 2024)[3]
+    other = trace.copy()
+    other[F.interior_slices(1)] = rng.normal(size=other[F.interior_slices(1)].shape)
+    U = form.solution(trace)
+    assert form.solution(other) is U
+    assert form.solution(np.asfortranarray(other)) is U
+    assert len(linalg.counts) == 1
+    assert not U.flags.writeable
+    with pytest.raises(ValueError):
+        U[0, 0, 0] = 1.0
+
+
 def test_solve_poisson_takes_one_iteration(monkeypatch):
     linalg = _CountingCg()
     monkeypatch.setattr(P, "spla", linalg)
@@ -334,8 +354,9 @@ def test_dtn_matrix_symmetry():
 
 
 def _energy_per_edge(grid, op, U, V):
-    """a(U, V) summed the direct way: difference quotients, face sigma and
-    transverse trapezoid weights per edge, plus the trapezoid mass term."""
+    """a(U, V) summed the direct way: difference quotients, face sigma (the
+    harmonic mean of the edge's two nodal values) and transverse trapezoid
+    weights per edge, plus the trapezoid mass term."""
     trap = []
     for r in grid.resolution:
         t = np.ones(int(r))
@@ -343,13 +364,16 @@ def _energy_per_edge(grid, op, U, V):
         trap.append(t)
     total = 0.0
     for a in range(3):
+        lo = np.moveaxis(op.sigma, a, 0)[:-1]
+        hi = np.moveaxis(op.sigma, a, 0)[1:]
+        face = np.moveaxis(2.0 * lo * hi / (lo + hi), 0, a)
         dU = np.diff(U, axis=a) / grid.spacing[a]
         dV = np.diff(V, axis=a) / grid.spacing[a]
         w = 1.0
         for b in range(3):
             if b != a:
                 w = w * trap[b].reshape([-1 if c == b else 1 for c in range(3)])
-        total += float(np.sum(op.faces[a] * dU * dV * w)) * grid.cell_volume
+        total += float(np.sum(face * dU * dV * w)) * grid.cell_volume
     if op.q is not None:
         w = trap[0][:, None, None] * trap[1][None, :, None] * trap[2][None, None, :]
         total += float(np.sum(op.q * U * V * w)) * grid.cell_volume
@@ -365,6 +389,50 @@ def test_dtn_energy_matches_per_edge_formula(rng, kind):
     U, V = rng.normal(size=(2,) + tuple(g.resolution))
     want = _energy_per_edge(g, form.op, U, V)
     assert form.energy(U, V) == pytest.approx(want, rel=1e-13)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    kind=st.sampled_from(["conductivity", "schrodinger"]),
+    origin=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+    extent=st.lists(st.floats(0.3, 2.5), min_size=3, max_size=3),
+    resolution=st.lists(st.integers(8, 14), min_size=3, max_size=3),
+    seed=st.integers(0, 2**16),
+)
+def test_node_flux_energy_matches_per_edge_formula(kind, origin, extent, resolution, seed):
+    # |cell| V.K U is the per-edge sum by parts: for a cached solution U
+    # (its node flux memoised, so the second call reads the memo) and for an
+    # arbitrary array, which is never memoised, so changing it in place
+    # changes the value.  Errors are relative to the energy norms, the scale
+    # of the form: a(W, V) of two random arrays can cancel to far below it.
+    g = BoxGrid(origin, extent, resolution)
+    rng = np.random.default_rng(seed)
+    X = (g.coords() - g.origin) / g.extent
+    form = P.DtnForm(g, kind, np.exp(np.sin(X @ rng.normal(size=3))))
+    U = form.solution(np.sin(X @ rng.normal(size=3)) + X @ rng.normal(size=3))
+    V, W = rng.normal(size=(2,) + tuple(g.resolution))
+
+    def check(first):
+        want = _energy_per_edge(g, form.op, first, V)
+        scale = np.sqrt(_energy_per_edge(g, form.op, first, first)
+                        * _energy_per_edge(g, form.op, V, V))
+        assert abs(form.energy(first, V) - want) <= 1e-13 * scale
+
+    check(U)
+    check(U)
+    check(W)
+    W += V
+    check(W)
+
+
+def test_cli_dtn_matrix_matches_per_edge_oracle(tmp_path, capsys):
+    assert cli.main(["dtn", "--resolution", "16", "--out", str(tmp_path)]) == 0
+    g = BoxGrid.unit_cube(16)
+    op = P.DirichletOperator(g, sigma=make_profile(g, {"kind": "exponential"}).f ** 2)
+    solutions = [op.solve(trace) for trace in cli._trace_basis(g, 8, default_seed())]
+    want = np.array([[_energy_per_edge(g, op, U, V) for V in solutions] for U in solutions])
+    got = np.loadtxt(tmp_path / "dtn_matrix.csv", delimiter=",", skiprows=1)[:, 2]
+    assert np.max(np.abs(got.reshape(8, 8) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @settings(max_examples=20, deadline=None)
