@@ -982,6 +982,29 @@ def convergence_study(identity, cfg: SuiteConfig | None = None, **overrides):
     return report, convergence_table(report)
 
 
+@functools.cache
+def _malloc_trim():
+    """glibc's malloc_trim, or None where the C library has none."""
+    import ctypes
+
+    try:
+        return getattr(ctypes.CDLL(None), "malloc_trim", None)
+    except (OSError, TypeError):  # no process-wide symbol table (Windows)
+        return None
+
+
+def _run_and_release(identity, **overrides):
+    """run_identity on a pool worker, then hand the heap pages its arrays
+    freed back to the OS.  Each worker allocates from its own malloc arena,
+    which keeps freed pages resident until it reuses them, so without the
+    trim the resident size depends on how the workers' checks interleave."""
+    try:
+        return run_identity(identity, **overrides)
+    finally:
+        if (trim := _malloc_trim()) is not None:
+            trim(0)
+
+
 def run_suite(identities=None, parallel=True, **overrides):
     """Run many identities, in parallel across identities when allowed."""
     names = list(identities) if identities else list(IDENTITIES)
@@ -991,6 +1014,6 @@ def run_suite(identities=None, parallel=True, **overrides):
     workers = min(len(names), thread_cap() or os.cpu_count() or 1)
     if parallel and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {name: pool.submit(run_identity, name, **overrides) for name in names}
+            futures = {name: pool.submit(_run_and_release, name, **overrides) for name in names}
             return {name: fut.result() for name, fut in futures.items()}
     return {name: run_identity(name, **overrides) for name in names}

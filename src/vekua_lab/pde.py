@@ -281,8 +281,9 @@ class DtnForm:
 
     Solved extensions are cached per operator and boundary values (a solve
     reads nothing else of its trace) and returned read-only; the node flux
-    K U of a cached array is computed once, so a pairing of cached arrays
-    is one dot product.
+    K U of the last cached array paired as U is kept, so a row of pairings
+    with one U (as `matrix` makes them) is one flux and a dot product per
+    entry, and the form holds at most one flux.
     """
 
     def __init__(self, grid: BoxGrid, kind, coefficient):
@@ -296,7 +297,7 @@ class DtnForm:
             raise ValueError("kind must be 'conductivity' or 'schrodinger'")
         self._harmonic = DirichletOperator(grid)
         self._solved = {}
-        self._fluxes = {}
+        self._flux = (None, None)  # (U, K U) for the last cached U
 
     @classmethod
     def conductivity(cls, profile: ConductivityProfile):
@@ -331,13 +332,15 @@ class DtnForm:
         raise ValueError(f"unknown extension {extension!r}")
 
     def _node_flux(self, U):
-        """K U, memoised for the arrays the solution cache holds: they are
-        read-only and never evicted, so their ids name them for good."""
-        KU = self._fluxes.get(id(U))
-        if KU is None:
+        """K U, kept for the last array of the solution cache it was computed
+        for (those arrays are read-only, so the flux stays valid).  One entry
+        serves every row of pairings with a fixed U; keeping a flux per
+        cached U would hold memory that forms paired once never reuse."""
+        last, KU = self._flux
+        if U is not last:
             KU = self.op._node_flux(U)
             if any(U is cached for cached in self._solved.values()):
-                self._fluxes[id(U)] = KU
+                self._flux = (U, KU)
         return KU
 
     def energy(self, U, V):

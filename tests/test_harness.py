@@ -240,12 +240,17 @@ def test_reconstruction_dispatch():
     assert report.passed
 
 
-def test_run_suite_subset(tmp_path):
+def test_run_suite_subset(tmp_path, monkeypatch):
+    # each pooled identity hands the heap it freed back once it is done
+    trims = []
+    monkeypatch.setattr(H, "_malloc_trim", lambda: trims.append)
+    monkeypatch.setenv("VEKUA_LAB_THREADS", "2")
     reports = H.run_suite(
         ["cauchy_constant", "operator_consistency"], output_dir=str(tmp_path)
     )
     assert set(reports) == {"cauchy_constant", "operator_consistency"}
     assert all(r.passed for r in reports.values())
+    assert trims == [0, 0]
     with pytest.raises(ValueError):
         H.run_suite(["nonsense"])
 

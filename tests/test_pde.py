@@ -240,6 +240,23 @@ def test_equal_boundary_values_share_one_read_only_solution(monkeypatch, rng):
         U[0, 0, 0] = 1.0
 
 
+def test_pairing_matrix_applies_one_node_flux_per_row(monkeypatch):
+    # `matrix` holds U fixed along a row, so the one kept flux serves the
+    # whole row: k flux evaluations for k^2 entries, and pairings with a new
+    # U replace the kept flux instead of adding to it
+    g = BoxGrid([0.0, -0.3, 0.2], [1.0, 0.8, 1.1], [9, 10, 8])
+    form = P.DtnForm.conductivity(make_profile(g, {"kind": "exponential"}))
+    applied = []
+    flux = form.op._node_flux
+    monkeypatch.setattr(form.op, "_node_flux", lambda U: applied.append(U) or flux(U))
+    traces = cli._trace_basis(g, 5, 2024)
+    form.matrix(traces)
+    assert len(applied) == 5
+    form.matrix(traces[:2])
+    assert len(applied) == 7
+    assert form._flux[0] is form.solution(traces[1])
+
+
 def test_solve_poisson_takes_one_iteration(monkeypatch):
     linalg = _CountingCg()
     monkeypatch.setattr(P, "spla", linalg)
@@ -401,8 +418,8 @@ def test_dtn_energy_matches_per_edge_formula(rng, kind):
 )
 def test_node_flux_energy_matches_per_edge_formula(kind, origin, extent, resolution, seed):
     # |cell| V.K U is the per-edge sum by parts: for a cached solution U
-    # (its node flux memoised, so the second call reads the memo) and for an
-    # arbitrary array, which is never memoised, so changing it in place
+    # (its node flux kept, so the second call reads the kept flux) and for an
+    # arbitrary array, whose flux is never kept, so changing it in place
     # changes the value.  Errors are relative to the energy norms, the scale
     # of the form: a(W, V) of two random arrays can cancel to far below it.
     g = BoxGrid(origin, extent, resolution)
