@@ -5,7 +5,9 @@ Exit status is 0 exactly when every asserted check passed.  Reports land
 in --out (or the config's output_dir) as report.json, errors.csv and
 convergence.csv per identity.  VEKUA_LAB_SEED seeds randomized point and
 trace selection; VEKUA_LAB_THREADS only sizes the thread pool that
-`suite` (run_suite) runs identities in.
+`suite` (run_suite) runs identities in.  Identity checks (`verify`,
+`convergence`, `suite`) run BLAS on one thread, so that pool is their only
+parallelism; `dtn` leaves the BLAS library's own thread count alone.
 """
 
 from __future__ import annotations
@@ -100,7 +102,8 @@ def _cmd_suite(args):
 def _trace_basis(grid: BoxGrid, size, seed):
     rng = np.random.default_rng(seed)
     X = grid.coords()
-    traces = [X[..., 0], X[..., 1], X[..., 2]]
+    # contiguous copies: DtnForm keys its cache on each trace's boundary values
+    traces = [np.ascontiguousarray(X[..., a]) for a in range(3)]
     while len(traces) < size:
         a = rng.normal(size=3)
         b = rng.normal(size=3)

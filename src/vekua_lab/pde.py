@@ -348,8 +348,8 @@ class DtnForm:
         plus (for q) mass."""
         U = np.asarray(U, dtype=float)
         V = np.asarray(V, dtype=float)
-        # einsum, not a BLAS dot: a threaded BLAS call contends with the
-        # BLAS work of other identities on the run_suite pool
+        # einsum, not a BLAS dot: the recorded reports and DtN exports were
+        # summed in einsum's order, which no BLAS thread count changes
         return self.grid.cell_volume * float(np.einsum("i,i->", V.ravel(),
                                                        self._node_flux(U).ravel()))
 

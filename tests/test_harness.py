@@ -3,6 +3,10 @@ serialization, registry dispatch, and output files."""
 
 import collections
 import json
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -147,10 +151,9 @@ def test_environment_parsers(monkeypatch):
     assert H.thread_cap() == 3
 
 
-def test_reports_identical_across_thread_counts(monkeypatch):
-    # serial under 1 thread, a two-worker pool under 2; only the runtime may differ
-    names = ["cauchy_constant", "teodorescu_inverse", "s_alpha", "dtn_relation"]
-    size = dict(resolutions=(10, 12), n_interior=4, n_exterior=4, boundary_cells=16)
+def _suite_json_by_thread_count(monkeypatch, names, **size):
+    """run_suite's reports without runtimes, serial under VEKUA_LAB_THREADS=1
+    and on a two-worker pool under 2."""
     runs = {}
     for threads in ("1", "2"):
         monkeypatch.setenv("VEKUA_LAB_THREADS", threads)
@@ -158,7 +161,189 @@ def test_reports_identical_across_thread_counts(monkeypatch):
         for report in reports.values():
             del report["runtime_seconds"]
         runs[threads] = json.dumps(reports, default=float, sort_keys=True)
+    return runs
+
+
+def test_reports_identical_across_thread_counts(monkeypatch):
+    names = ["cauchy_constant", "teodorescu_inverse", "s_alpha", "dtn_relation"]
+    size = dict(resolutions=(10, 12), n_interior=4, n_exterior=4, boundary_cells=16)
+    runs = _suite_json_by_thread_count(monkeypatch, names, **size)
     assert runs["1"] == runs["2"]
+
+
+def test_reports_identical_across_thread_counts_at_default_sizes(monkeypatch):
+    # at (16, 32) the CG vectors are long enough for a threaded BLAS to split
+    # its dot products, so this fails unless serial checks hold BLAS at one
+    # thread exactly as pooled ones do
+    runs = _suite_json_by_thread_count(monkeypatch, ["dtn_relation", "cauchy_constant"])
+    assert runs["1"] == runs["2"]
+
+
+class _BlasRecorder:
+    """Stands in for one OpenBLAS: its thread count and every count set."""
+
+    def __init__(self, threads):
+        self.threads = threads
+        self.calls = []
+
+    def get(self):
+        return self.threads
+
+    def set(self, threads):
+        self.calls.append(threads)
+        self.threads = threads
+
+
+def _fake_openblas(monkeypatch, *counts):
+    recorders = [_BlasRecorder(n) for n in counts]
+    libs = tuple(H._BlasLibrary(f"fake{k}", r.get, r.set) for k, r in enumerate(recorders))
+    monkeypatch.setattr(H, "_openblas_libraries", lambda: libs)
+    return recorders
+
+
+def test_blas_hold_sets_one_thread_and_restores(monkeypatch):
+    numpy_blas, scipy_blas = _fake_openblas(monkeypatch, 2, 4)
+    with H._ONE_BLAS_THREAD:
+        assert (numpy_blas.threads, scipy_blas.threads) == (1, 1)
+        with H._ONE_BLAS_THREAD:  # a nested hold keeps the outer one's counts
+            assert (numpy_blas.threads, scipy_blas.threads) == (1, 1)
+        assert (numpy_blas.threads, scipy_blas.threads) == (1, 1)
+    assert (numpy_blas.threads, scipy_blas.threads) == (2, 4)
+    assert numpy_blas.calls == [1, 2] and scipy_blas.calls == [1, 4]
+    with pytest.raises(ZeroDivisionError):
+        with H._ONE_BLAS_THREAD:
+            assert numpy_blas.threads == 1
+            1 / 0
+    assert (numpy_blas.threads, scipy_blas.threads) == (2, 4)
+
+
+def test_blas_hold_around_checks(monkeypatch):
+    # serial and pooled checks alike run inside a hold, and a raising check
+    # leaves the library at its own count
+    (blas,) = _fake_openblas(monkeypatch, 2)
+    seen = []
+    check = H.IDENTITIES["cauchy_constant"]
+
+    def probe(cfg):
+        seen.append(blas.threads)
+        return check(cfg)
+
+    def broken(cfg):
+        raise RuntimeError("broken check")
+
+    monkeypatch.setitem(H.IDENTITIES, "cauchy_constant", probe)
+    monkeypatch.setitem(H.IDENTITIES, "scalar_bp", broken)
+    monkeypatch.setenv("VEKUA_LAB_THREADS", "2")
+    size = dict(resolutions=(10, 12), n_interior=4, n_exterior=4, boundary_cells=16)
+    H.run_identity("cauchy_constant", **size)
+    H.run_suite(["cauchy_constant"], **size)
+    with pytest.raises(RuntimeError, match="broken check"):
+        H.run_suite(["cauchy_constant", "scalar_bp"], **size)
+    assert seen == [1, 1, 1]
+    assert blas.threads == 2
+
+
+def test_blas_holds_from_two_threads_interleave(monkeypatch):
+    # thread a opens, b opens, a closes while b is inside, b closes: b still
+    # sees one thread, and the count a found comes back only after b closes
+    (blas,) = _fake_openblas(monkeypatch, 3)
+    a_open, b_open, a_closed = threading.Event(), threading.Event(), threading.Event()
+    seen = []
+
+    def a():
+        with H._ONE_BLAS_THREAD:
+            a_open.set()
+            b_open.wait(60)
+        a_closed.set()
+
+    def b():
+        a_open.wait(60)
+        with H._ONE_BLAS_THREAD:
+            b_open.set()
+            a_closed.wait(60)
+            seen.append(blas.threads)
+
+    threads = [threading.Thread(target=a), threading.Thread(target=b)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert seen == [1]
+    assert blas.threads == 3
+
+
+def test_blas_holds_from_many_threads_restore_once(monkeypatch):
+    # holds opened and closed from more threads than cores, with frequent
+    # thread switches: the count is 1 inside every hold and restored after
+    # the last; a lost update would leave 1 or restore 3 under an open hold
+    (blas,) = _fake_openblas(monkeypatch, 3)
+    inside = []
+    start = threading.Barrier(4, timeout=60)
+
+    def worker():
+        start.wait()
+        for _ in range(2000):
+            with H._ONE_BLAS_THREAD:
+                time.sleep(0)  # let another thread open or close a hold here
+                inside.append(blas.threads)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert inside == [1] * 8000
+    assert blas.threads == 3
+
+
+def test_blas_hold_without_library(monkeypatch, tmp_path):
+    # no scipy-openblas found, or a file by that name nothing loaded: the
+    # hold runs its body and touches nothing
+    assert H._openblas_in(str(tmp_path)) == []
+    (tmp_path / "libscipy_openblas64_-0.so").write_bytes(b"not a library")
+    assert H._openblas_in(str(tmp_path)) == []
+    monkeypatch.setattr(H, "_openblas_libraries", lambda: ())
+    with H._ONE_BLAS_THREAD:
+        pass
+    assert H._ONE_BLAS_THREAD._open == 0
+
+
+def test_pooled_identities_see_one_blas_thread(monkeypatch):
+    # numpy's wheel links scipy-openblas; if discovery stops finding it (a
+    # renamed library or symbol) the hold would silently do nothing
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if blas.get("name") != "scipy-openblas":
+        pytest.skip(f"numpy links {blas.get('name')}, not scipy-openblas")
+    libs = H._openblas_libraries()
+    numpy_libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    assert any(os.path.dirname(lib.path) == numpy_libs for lib in libs)
+    saved = [lib.get_threads() for lib in libs]
+    seen = []
+    check = H.IDENTITIES["cauchy_constant"]
+
+    def probe(cfg):
+        seen.append([lib.get_threads() for lib in libs])
+        return check(cfg)
+
+    monkeypatch.setitem(H.IDENTITIES, "cauchy_constant", probe)
+    monkeypatch.setenv("VEKUA_LAB_THREADS", "2")
+    size = dict(resolutions=(10, 12), n_interior=4, n_exterior=4, boundary_cells=16)
+    try:
+        for lib in libs:  # a count above 1 for the hold to lower, whatever the CPU count
+            lib.set_threads(2)
+        H.run_suite(["cauchy_constant", "scalar_bp"], **size)
+        assert seen == [[1] * len(libs)]
+        assert [lib.get_threads() for lib in libs] == [2] * len(libs)
+    finally:
+        for lib, threads in zip(libs, saved):
+            lib.set_threads(threads)
 
 
 def test_seed_from_environment_reaches_dtn(monkeypatch, tmp_path):
