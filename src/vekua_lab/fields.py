@@ -310,10 +310,6 @@ def sc_inner(u: MultivectorField, v: MultivectorField) -> float:
     return float(np.sum(integrand * u.grid.trapezoid_weights()))
 
 
-def integrate_scalar(grid: BoxGrid, nodal_values) -> float:
-    return float(np.sum(np.asarray(nodal_values) * grid.trapezoid_weights()))
-
-
 def sc_norm(u: MultivectorField) -> float:
     return float(np.sqrt(max(sc_inner(u, u), 0.0)))
 

@@ -4,10 +4,11 @@ Both equations are discretized with conservative second-order finite
 differences on the grid nodes: the conductivity operator -div(sigma grad u)
 uses harmonic face averages of sigma, the Schrodinger operator -Delta + q
 collocates the potential.  Each operator is defined once, by its bilinear
-energy form with edge-wise trapezoid transverse weights (DirichletOperator):
-the solver's interior system and trace coupling are the interior rows of
-the form's node matrix K, and the DtN energy a(U, V) = |cell| V.K U applies
-the same K, built from the same weights, to the whole nodal array.  The
+energy form with edge-wise trapezoid transverse weights (DirichletOperator).
+No matrix is assembled: the form's node matrix K is applied from those
+weights as the node flux K U, the solver applies its interior rows (the
+interior system and the trace coupling), and the DtN energy
+a(U, V) = |cell| V.K U applies all of it to the whole nodal array.  The
 interior equations are thus the Galerkin equations of the form by
 construction, and weak DtN values are independent of how the second trace
 is extended into the volume, up to solver tolerance.
@@ -31,10 +32,9 @@ Dirichlet-to-Neumann evaluation is the volume energy form, evaluated as
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fields import BoxGrid, face_slabs, interior_slices, scalar_gradient, trapezoid_product
+from .fields import BoxGrid, face_slabs, interior_slices, trapezoid_product
 from .vekua import ConductivityProfile
 
 SOLVER_RTOL = 1e-10
@@ -71,11 +71,11 @@ class DirichletOperator:
     dU the difference of U along an edge.  The edge weights `edge_weights[a]`
     are the face sigma / h_a^2 times the unit transverse trapezoid weights,
     the mass weights `mass_weights` q times the unit nodal trapezoid weights
-    (None without q).  The interior rows of the form's node matrix K, with
-    a(U, V) = |cell| V.K U, split into `matrix` (interior columns) and the
-    boundary coupling behind `trace_rhs`; the interior equations are thus
-    exactly the Galerkin equations of the form; `_node_flux` applies all of
-    K to a nodal array.
+    (None without q).  `_node_flux` applies the form's node matrix K, with
+    a(U, V) = |cell| V.K U, to a nodal array; no matrix is assembled.  The
+    solver applies the interior rows of K through it, split into the
+    interior columns (`_apply`) and the boundary coupling (`trace_rhs`), so
+    the interior equations are exactly the Galerkin equations of the form.
     """
 
     def __init__(self, grid: BoxGrid, sigma=None, q=None):
@@ -92,34 +92,10 @@ class DirichletOperator:
             for a in range(3)
         ]
         self.mass_weights = None if self.q is None else self.q * trapezoid_product(res)
-        self._assemble()
-
-    def _assemble(self):
-        """Node matrix K from its seven bands, split into interior rows."""
-        res = tuple(int(r) for r in self.grid.resolution)
-        strides = (res[1] * res[2], res[2], 1)
-        diag = np.zeros(res)
-        bands, offsets = [], []
-        for a, w in enumerate(self.edge_weights):
-            # node-wise weights of the edges below and above along a
-            below = np.pad(w, [(1, 0) if b == a else (0, 0) for b in range(3)])
-            above = np.pad(w, [(0, 1) if b == a else (0, 0) for b in range(3)])
-            diag += below + above
-            # entry (n, n + stride) is -w on the edge above n (0 on the top face)
-            band = -above.ravel()[:diag.size - strides[a]]
-            bands += [band, band]
-            offsets += [strides[a], -strides[a]]
-        if self.mass_weights is not None:
-            diag = diag + self.mass_weights
-        K = sp.diags([diag.ravel()] + bands, [0] + offsets, format="csr")
+        self.shape = tuple(r - 2 for r in res)
         inside = np.zeros(res, dtype=bool)
         inside[interior_slices(1)] = True
-        interior = np.flatnonzero(inside)
         self._boundary = np.flatnonzero(~inside)
-        rows = K[interior]
-        self.shape = tuple(r - 2 for r in res)
-        self.matrix = rows[:, interior]
-        self._coupling = -rows[:, self._boundary]
         self._build_preconditioner()
 
     def _build_preconditioner(self):
@@ -171,9 +147,18 @@ class DirichletOperator:
             KU[(slice(None),) * a + (slice(1, None),)] += flux
         return KU
 
+    def _apply(self, x):
+        """A x = (K [x; 0])_I: K restricted to the interior nodes."""
+        U = np.zeros(tuple(self.grid.resolution))
+        U[interior_slices(1)] = x.reshape(self.shape)
+        return self._node_flux(U)[interior_slices(1)].ravel()
+
     def trace_rhs(self, trace):
-        """Right-hand side induced by Dirichlet data on the boundary nodes."""
-        return self._coupling @ np.ravel(trace)[self._boundary]
+        """Right-hand side -(K [0; trace])_I induced by Dirichlet data on the
+        boundary nodes."""
+        U = np.array(trace, dtype=float).reshape(tuple(self.grid.resolution))
+        U[interior_slices(1)] = 0.0
+        return -self._node_flux(U)[interior_slices(1)].ravel()
 
     def solve(self, trace=None, rhs=None):
         """Solve with Dirichlet data `trace`; optional volume right-hand side.
@@ -197,10 +182,12 @@ class DirichletOperator:
             nonlocal iterations
             iterations += 1
 
-        M = spla.LinearOperator(self.matrix.shape, matvec=self._precondition)
-        x, _ = spla.cg(self.matrix, b, rtol=1e-12, atol=0.0, maxiter=4000, M=M,
-                       callback=count)
-        residual = np.linalg.norm(self.matrix @ x - b) / np.linalg.norm(b)
+        # built per solve: an operator bound to self._apply and kept on self
+        # would be a reference cycle that only the cyclic collector frees
+        A = spla.LinearOperator((b.size, b.size), matvec=self._apply, dtype=float)
+        M = spla.LinearOperator(A.shape, matvec=self._precondition, dtype=float)
+        x, _ = spla.cg(A, b, rtol=1e-12, atol=0.0, maxiter=4000, M=M, callback=count)
+        residual = np.linalg.norm(self._apply(x) - b) / np.linalg.norm(b)
         # written so that a NaN residual fails too
         if not residual <= SOLVER_RTOL:
             raise SolverError(
@@ -423,28 +410,3 @@ def dtn_relation_residuals(profile: ConductivityProfile, traces, psi0, extension
         scale = max(abs(a), abs(b), abs(c), 1e-300)
         out.append((abs(a - b + c) / scale, (a, b, c)))
     return out
-
-
-def dtn_relation_residual(profile: ConductivityProfile, phi0, psi0, extension="harmonic"):
-    """dtn_relation_residuals for the one trace phi0."""
-    return dtn_relation_residuals(profile, [phi0], psi0, extension)[0]
-
-
-def mq_product(profile: ConductivityProfile, w0, psi):
-    """Distributional potential-solution product m_q(w0)(psi).
-
-    Defined as -int grad f . grad(w0 psi / f) dy for test functions psi
-    vanishing near the boundary; for twice-differentiable f this equals
-    int (Delta f / f) w0 psi dy by parts.
-    """
-    grid = profile.grid
-    psi = np.asarray(psi, dtype=float)
-    mask = np.ones(tuple(grid.resolution), dtype=bool)
-    mask[interior_slices(2)] = False
-    if np.any(np.abs(psi[mask]) > 0.0):
-        raise ValueError("test function support touches the two outermost node layers")
-    w0 = np.asarray(w0, dtype=float)
-    p = w0 * psi / profile.f
-    grad_p = scalar_gradient(grid, p)
-    integrand = -np.sum(profile.grad_f * grad_p, axis=-1)
-    return float(np.sum(integrand * grid.trapezoid_weights()))

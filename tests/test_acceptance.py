@@ -226,9 +226,9 @@ def test_criterion_09_dtn_properties():
     g32 = BoxGrid.unit_cube(32)
     X32 = g32.coords()
     prof32 = ConductivityProfile.exponential(g32, [0.0, 0.0, 1.0])
-    relation32, _ = P.dtn_relation_residual(prof32, X32[..., 0], X32[..., 0])
+    relation32, _ = P.dtn_relation_residuals(prof32, [X32[..., 0]], X32[..., 0])[0]
     const_prof = ConductivityProfile.constant(g, 2.0)
-    relation_const, _ = P.dtn_relation_residual(const_prof, X[..., 0], X[..., 0])
+    relation_const, _ = P.dtn_relation_residuals(const_prof, [X[..., 0]], X[..., 0])[0]
 
     ok = (
         sym_dev <= 1e-8

@@ -1,8 +1,12 @@
-"""Solver and DtN tests: discrete oracles, weak-form properties, the DtN
-interrelation and the distributional potential product."""
+"""Solver and DtN tests: discrete oracles, weak-form properties and the
+DtN interrelation."""
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse
 import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
@@ -108,6 +112,65 @@ def test_poisson_with_volume_source():
     assert np.max(np.abs(u - exact)) <= 1e-10
 
 
+def _node_matrix_blocks(op):
+    """(K_II, K_IB) of the operator's node matrix K, assembled as a CSR matrix
+    from its seven bands: the slow direct path, kept as the oracle of the
+    matrix-free node flux.  Entry (n, n + stride_a) is -w_a on the edge above
+    n along axis a, the diagonal sums the weights of the node's edges plus
+    its mass weight."""
+    res = tuple(int(r) for r in op.grid.resolution)
+    strides = (res[1] * res[2], res[2], 1)
+    diag = np.zeros(res)
+    bands, offsets = [], []
+    for a, w in enumerate(op.edge_weights):
+        below = np.pad(w, [(1, 0) if b == a else (0, 0) for b in range(3)])
+        above = np.pad(w, [(0, 1) if b == a else (0, 0) for b in range(3)])
+        diag += below + above
+        band = -above.ravel()[:diag.size - strides[a]]
+        bands += [band, band]
+        offsets += [strides[a], -strides[a]]
+    if op.mass_weights is not None:
+        diag = diag + op.mass_weights
+    K = scipy.sparse.diags([diag.ravel()] + bands, [0] + offsets, format="csr")
+    inside = _inside(op.grid).ravel()
+    rows = K[np.flatnonzero(inside)]
+    return rows[:, np.flatnonzero(inside)], rows[:, np.flatnonzero(~inside)]
+
+
+def _inside(g):
+    """Mask of the interior nodes."""
+    inside = np.zeros(tuple(g.resolution), dtype=bool)
+    inside[F.interior_slices(1)] = True
+    return inside
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    kind=st.sampled_from(["sigma", "q"]),
+    origin=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+    extent=st.lists(st.floats(0.3, 2.5), min_size=3, max_size=3),
+    resolution=st.lists(st.integers(8, 14), min_size=3, max_size=3),
+    seed=st.integers(0, 2**16),
+)
+def test_matrix_free_apply_matches_assembled_node_matrix(kind, origin, extent, resolution,
+                                                         seed):
+    # the solver's interior apply is K_II x and trace_rhs is -K_IB t, both
+    # through the node flux, against the seven-band assembly
+    g = BoxGrid(origin, extent, resolution)
+    rng = np.random.default_rng(seed)
+    X = (g.coords() - g.origin) / g.extent
+    coefficient = np.exp(np.sin(X @ rng.normal(size=3)))
+    op = (P.DirichletOperator(g, sigma=coefficient) if kind == "sigma"
+          else P.DirichletOperator(g, q=coefficient))
+    K_II, K_IB = _node_matrix_blocks(op)
+    x = rng.normal(size=K_II.shape[0])
+    trace = rng.normal(size=tuple(g.resolution))
+    want_apply = K_II @ x
+    want_rhs = -(K_IB @ trace[~_inside(g)])
+    assert np.linalg.norm(op._apply(x) - want_apply) <= 1e-14 * np.linalg.norm(want_apply)
+    assert np.linalg.norm(op.trace_rhs(trace) - want_rhs) <= 1e-14 * np.linalg.norm(want_rhs)
+
+
 def _dirichlet_eigenvalues(g):
     """Sorted eigenvalues of the interior -Delta_h on a box grid."""
     nus = []
@@ -129,7 +192,7 @@ def _dirichlet_eigenvalues(g):
 )
 def test_solve_matches_sparse_direct_oracle(case, origin, extent, resolution, with_rhs, seed):
     # anisotropic boxes (6-12 interior nodes per axis); the preconditioned
-    # solve against a sparse LU of the same interior system
+    # matrix-free solve against a sparse LU of the assembled interior system
     g = BoxGrid(origin, extent, resolution)
     rng = np.random.default_rng(seed)
     X = (g.coords() - g.origin) / g.extent
@@ -149,10 +212,11 @@ def test_solve_matches_sparse_direct_oracle(case, origin, extent, resolution, wi
     rhs = lam_min * smooth if with_rhs else None
     u = op.solve(trace, rhs=rhs)
     inner = F.interior_slices(1)
-    rhs_b = op.trace_rhs(trace) + (0.0 if rhs is None else rhs[inner].ravel())
+    K_II, K_IB = _node_matrix_blocks(op)
+    rhs_b = -(K_IB @ trace[~_inside(g)]) + (0.0 if rhs is None else rhs[inner].ravel())
     x = u[inner].ravel()
-    assert np.linalg.norm(op.matrix @ x - rhs_b) <= 1e-10 * np.linalg.norm(rhs_b)
-    want = scipy.sparse.linalg.spsolve(op.matrix.tocsc(), rhs_b)
+    assert np.linalg.norm(K_II @ x - rhs_b) <= 1e-10 * np.linalg.norm(rhs_b)
+    want = scipy.sparse.linalg.spsolve(K_II.tocsc(), rhs_b)
     assert np.linalg.norm(x - want) <= 1e-9 * np.linalg.norm(want)
     mask = np.ones(tuple(g.resolution), dtype=bool)
     mask[inner] = False
@@ -246,15 +310,39 @@ def test_pairing_matrix_applies_one_node_flux_per_row(monkeypatch):
     # U replace the kept flux instead of adding to it
     g = BoxGrid([0.0, -0.3, 0.2], [1.0, 0.8, 1.1], [9, 10, 8])
     form = P.DtnForm.conductivity(make_profile(g, {"kind": "exponential"}))
+    traces = cli._trace_basis(g, 5, 2024)
+    # solve first: the solver applies K through the same node flux
+    for trace in traces:
+        form.solution(trace)
     applied = []
     flux = form.op._node_flux
     monkeypatch.setattr(form.op, "_node_flux", lambda U: applied.append(U) or flux(U))
-    traces = cli._trace_basis(g, 5, 2024)
     form.matrix(traces)
     assert len(applied) == 5
     form.matrix(traces[:2])
     assert len(applied) == 7
     assert form._flux[0] is form.solution(traces[1])
+
+
+def test_operator_and_form_are_freed_without_the_cyclic_collector():
+    # nothing the solver builds may point back at its operator from the
+    # operator itself: with the cyclic collector off, dropping the last
+    # reference frees an operator after a solve and a form after `matrix`
+    g = BoxGrid([0.0, -0.3, 0.2], [1.0, 0.8, 1.1], [9, 10, 8])
+    traces = cli._trace_basis(g, 2, 2024)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        op = P.DirichletOperator(g, sigma=make_profile(g, {"kind": "exponential"}).f ** 2)
+        op.solve(traces[0])
+        form = P.DtnForm.conductivity(make_profile(g, {"kind": "exponential"}))
+        form.matrix(traces)
+        refs = [weakref.ref(op), weakref.ref(form), weakref.ref(form.op)]
+        del op, form
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_solve_poisson_takes_one_iteration(monkeypatch):
@@ -461,8 +549,8 @@ def test_cli_dtn_matrix_matches_per_edge_oracle(tmp_path, capsys):
     seed=st.integers(0, 2**16),
 )
 def test_energy_is_galerkin_form_of_interior_system(kind, origin, extent, resolution, seed):
-    # a(U, V) = |cell| V_I . (K_II U_I + K_IB U_B) for V zero on the boundary:
-    # the solver's matrix and trace coupling are the interior rows of the form
+    # a(U, V) = |cell| V_I . (K_II U_I + K_IB U_B) for V zero on the boundary,
+    # with K the assembled node matrix of the operator
     g = BoxGrid(origin, extent, resolution)
     rng = np.random.default_rng(seed)
     X = (g.coords() - g.origin) / g.extent
@@ -472,8 +560,9 @@ def test_energy_is_galerkin_form_of_interior_system(kind, origin, extent, resolu
     V = np.zeros_like(U)
     V[inner] = rng.normal(size=V[inner].shape)
     op = form.op
-    want = g.cell_volume * float(V[inner].ravel() @ (op.matrix @ U[inner].ravel()
-                                                     - op.trace_rhs(U)))
+    K_II, K_IB = _node_matrix_blocks(op)
+    want = g.cell_volume * float(V[inner].ravel() @ (K_II @ U[inner].ravel()
+                                                     + K_IB @ U[~_inside(g)]))
     assert form.energy(U, V) == pytest.approx(want, rel=1e-12)
 
 
@@ -493,7 +582,7 @@ def test_dtn_relation_constant_profile_exact():
     g = grid16()
     p = ConductivityProfile.constant(g, 2.0)
     X = g.coords()
-    resid, _ = P.dtn_relation_residual(p, X[..., 0], X[..., 0])
+    resid, _ = P.dtn_relation_residuals(p, [X[..., 0]], X[..., 0])[0]
     assert resid <= 1e-8
 
 
@@ -503,7 +592,7 @@ def test_dtn_relation_exponential_profile():
         g = BoxGrid.unit_cube(r)
         p = ConductivityProfile.exponential(g, [0.0, 0.0, 1.0])
         X = g.coords()
-        resid, terms = P.dtn_relation_residual(p, X[..., 0], X[..., 0])
+        resid, terms = P.dtn_relation_residuals(p, [X[..., 0]], X[..., 0])[0]
         residuals.append(resid)
         assert max(abs(t) for t in terms) > 0.1  # the terms themselves are O(1)
     assert residuals[-1] <= 0.05
@@ -514,7 +603,7 @@ def test_dtn_relation_zero_trace():
     g = grid16()
     p = ConductivityProfile.exponential(g, [0.0, 0.0, 1.0])
     X = g.coords()
-    resid, terms = P.dtn_relation_residual(p, np.zeros(tuple(g.resolution)), X[..., 0])
+    resid, terms = P.dtn_relation_residuals(p, [np.zeros(tuple(g.resolution))], X[..., 0])[0]
     assert all(abs(t) <= 1e-12 for t in terms)
 
 
@@ -524,46 +613,7 @@ def test_dtn_relation_needs_potential():
     sampled = ConductivityProfile.from_samples(g, np.exp(X[..., 2]))
     sampled.q = None
     with pytest.raises(ValueError):
-        P.dtn_relation_residual(sampled, X[..., 0], X[..., 0])
-
-
-# -- distributional product --------------------------------------------------------------
-
-
-def test_mq_product_constant_profile_is_zero():
-    g = grid16()
-    p = ConductivityProfile.constant(g, 3.0)
-    bump = F.bump_scalar(g, 3.1 * float(g.spacing[0]))
-    w0 = g.coords()[..., 0] + 1.0
-    assert P.mq_product(p, w0, bump) == 0.0
-
-
-def test_mq_product_zero_test_function():
-    g = grid16()
-    p = ConductivityProfile.exponential(g, [0.0, 0.0, 1.0])
-    assert P.mq_product(p, ones(g), np.zeros(tuple(g.resolution))) == 0.0
-
-
-def test_mq_product_integration_by_parts_oracle():
-    errs = []
-    for r in (16, 32):
-        g = BoxGrid.unit_cube(r)
-        p = ConductivityProfile.exponential(g, [0.0, 0.0, 1.0])
-        X = g.coords()
-        bump = F.bump_scalar(g, 3.1 * float(g.spacing[0]))
-        w0 = np.exp(X[..., 2]) + 0.2 * X[..., 0]
-        lhs = P.mq_product(p, w0, bump)
-        rhs = F.integrate_scalar(g, p.q * w0 * bump)
-        errs.append(abs(lhs - rhs) / abs(rhs))
-    assert errs[-1] <= 5e-3
-    assert errs[0] / errs[-1] >= 1.5
-
-
-def test_mq_product_rejects_boundary_support():
-    g = grid16()
-    p = ConductivityProfile.exponential(g, [0.0, 0.0, 1.0])
-    with pytest.raises(ValueError):
-        P.mq_product(p, ones(g), ones(g))
+        P.dtn_relation_residuals(sampled, [X[..., 0]], X[..., 0])[0]
 
 
 # -- boundary node pairing ----------------------------------------------------------------
