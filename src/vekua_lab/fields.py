@@ -330,10 +330,6 @@ class BoundaryQuadrature:
     def __len__(self):
         return self.positions.shape[0]
 
-    @property
-    def total_weight(self):
-        return float(np.sum(self.weights))
-
 
 def boundary_sampling(grid: BoxGrid, cells_per_axis=None) -> BoundaryQuadrature:
     """Midpoint face quadrature with outward unit normals.

@@ -12,7 +12,10 @@ where the dropped singular cell is exactly centered.
 Each volume sum has one engine, chosen by its input: a direct numpy sum,
 one point at a time, for point sets, and zero-padded FFTs for the whole
 cell-center lattice, where the dropped-cell sum is a discrete
-convolution.  Boundary sums are direct (<= 128^2 faces).
+convolution.  A boundary sum takes the same shape: the normal is folded
+into the weighted trace once, and both are kernel rows against a density,
+recombined by `_kernel_times`.  Offsets are (3, m) coordinate arrays; the
+kernel evaluator gets their column-major transpose, contiguous per column.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clifford import basis_mul_left
+from .clifford import basis_mul_left, vector_mul_left
 from .fields import (
     BoxGrid,
     BoundaryQuadrature,
@@ -31,7 +34,7 @@ from .fields import (
     dirac_D,
     trilinear_sample,
 )
-from .kernels import KernelSpec
+from .kernels import KernelSpec, radii
 
 # Read by the benchmark's provenance line; no engine uses numba.
 HAVE_NUMBA = False
@@ -103,33 +106,30 @@ class EvaluationSet:
     def interior_points(self):
         return self.points[self.is_interior]
 
-    @property
-    def exterior_points(self):
-        return self.points[~self.is_interior]
-
     def __len__(self):
         return self.points.shape[0]
 
 
 # -- volume potentials ------------------------------------------------------------
 
-def _kernel_table(spec: KernelSpec, z, drop):
-    """Kernel at the (m, 3) offsets z as (m, k) columns, with row drop zeroed (-1: none).
+def _kernel_table(spec: KernelSpec, z, drop=-1, r=None):
+    """Kernel at the (3, m) offsets z as (k, m) rows, with column drop zeroed (-1: none).
 
-    Overwrites z[drop], the singular offset.
+    r = |z| may be given when nothing is dropped.  Overwrites z[:, drop],
+    the singular offset.
     """
     if drop >= 0:
-        z[drop] = 1.0
-    table = spec.values(z).reshape(len(z), -1)
+        z[:, drop] = 1.0
+    table = spec.values(z.T, r).T.reshape(-1, z.shape[1])
     if drop >= 0:
-        table[drop] = 0.0
+        table[:, drop] = 0.0
     return table
 
 
 def _kernel_times(spec: KernelSpec, sums):
-    """K g from sums (..., k, blades) of each kernel column against g.
+    """K g from sums (..., k, blades) of each kernel row against g.
 
-    A grade-1 kernel multiplies g from the left, column i through e_i.
+    A grade-1 kernel multiplies g from the left, row i through e_i.
     """
     if not spec.grade1:
         return sums[..., 0, :]
@@ -158,10 +158,10 @@ def _volume_sum(kernel: KernelSpec, points, grid: BoxGrid, cell_values, drop_ins
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[0] == 0:
         raise ValueError("empty evaluation point set")
-    centers = grid.cell_centers().reshape(-1, 3)
-    vals = np.asarray(cell_values, dtype=float).reshape(len(centers), -1)
+    centers = np.moveaxis(grid.cell_centers(), -1, 0).reshape(3, -1)
+    vals = np.ascontiguousarray(cell_values, dtype=float).reshape(centers.shape[1], -1)
     drop = _containing_cells(grid, pts) if drop_inside else np.full(len(pts), -1)
-    sums = np.stack([_kernel_table(kernel, centers - x, skip).T @ vals
+    sums = np.stack([_kernel_table(kernel, centers - x[:, None], skip) @ vals
                      for x, skip in zip(pts, drop)])
     return _kernel_times(kernel, sums) * grid.cell_volume
 
@@ -182,9 +182,9 @@ def _lattice_sum(kernel: KernelSpec, grid: BoxGrid, cell_values):
     # offset d = p - c from summed center c to output center p, in FFT order,
     # holds K(y_c - x_p) = K(-d h)
     z = np.stack(np.meshgrid(*(-np.fft.fftfreq(n, 1.0 / n) * h
-                               for n, h in zip(shape, grid.spacing)), indexing="ij"), axis=-1)
-    kernel_hats = [np.fft.rfftn(column.reshape(shape))
-                   for column in _kernel_table(kernel, z.reshape(-1, 3), 0).T]
+                               for n, h in zip(shape, grid.spacing)), indexing="ij"))
+    kernel_hats = [np.fft.rfftn(row.reshape(shape))
+                   for row in _kernel_table(kernel, z.reshape(3, -1), 0)]
     sums = np.zeros(cells + (len(kernel_hats), vals.shape[-1]))
     for b in range(vals.shape[-1]):
         if not vals[..., b].any():
@@ -230,10 +230,6 @@ def teodorescu_on_dual_grid(g: MultivectorField) -> MultivectorField:
     return MultivectorField(dual, vals)
 
 
-# For vectors K and eta, K eta = -(K . eta) + sum_{i<j} (K_i eta_j - K_j eta_i) e_i e_j.
-_BIVECTOR_AXES = ((0, 1), (0, 2), (1, 2))
-
-
 def cauchy_boundary(kernel: KernelSpec, boundary: BoundaryQuadrature, trace_values, points):
     """Boundary layer potential of one kernel family, full multivector output.
 
@@ -241,36 +237,30 @@ def cauchy_boundary(kernel: KernelSpec, boundary: BoundaryQuadrature, trace_valu
     sum_m K(y_m - x) eta_m v_m w_m, products taken in the written order:
     kernel, then normal, then trace.  Scalar families (newton, yukawa) give
     the single layer sum_m k(y_m - x) v_m w_m.  A 1-d trace is a scalar
-    trace.  Per point the double layer is four face sums of the weighted
-    trace, one per part of K eta, recombined by signed blade shuffles.
-    Points closer to the boundary than one face-cell diameter are rejected;
-    the midpoint rule is unreliable there.
+    trace.  The normal is folded into the density eta v w once per call,
+    so each point is the kernel rows against that density, recombined
+    by `_kernel_times` as in the volume sums.  Points closer to the
+    boundary than one face-cell diameter are rejected; the midpoint rule
+    is unreliable there.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     trace = np.asarray(trace_values, dtype=float)
     if trace.ndim == 1:
         trace = np.concatenate([trace[:, None], np.zeros((trace.shape[0], 7))], axis=1)
     density = trace * boundary.weights[:, None]
-    eta = boundary.normals
-    sums = np.empty((pts.shape[0], 4 if kernel.grade1 else 1, trace.shape[-1]))
-    for p, x in enumerate(pts):
-        z = boundary.positions - x
-        r = np.sqrt(np.sum(z * z, axis=1))
+    if kernel.grade1:
+        density = vector_mul_left(boundary.normals, density)
+    faces = np.ascontiguousarray(boundary.positions.T)
+    sums = []
+    for x in pts:
+        z = faces - x[:, None]
+        r = radii(z.T)
         if np.min(r) < boundary.max_cell_diameter:
             raise ValueError(
                 "evaluation point within one face-cell diameter of the boundary"
             )
-        k = kernel.values(z, r)
-        if kernel.grade1:
-            k = np.stack([-np.sum(k * eta, axis=1)] + [
-                k[:, i] * eta[:, j] - k[:, j] * eta[:, i] for i, j in _BIVECTOR_AXES
-            ])
-        sums[p] = np.atleast_2d(k) @ density
-    out = sums[:, 0].copy()
-    if kernel.grade1:
-        for b, (i, j) in enumerate(_BIVECTOR_AXES, start=1):
-            out += basis_mul_left((1 << i) | (1 << j), sums[:, b])
-    return out
+        sums.append(_kernel_table(kernel, z, r=r) @ density)
+    return _kernel_times(kernel, np.stack(sums))
 
 
 def borel_pompeiu_residual(v: MultivectorField, pts: EvaluationSet, trace_fn=None,

@@ -32,13 +32,19 @@ from .clifford import Multivector, gp_array, vector_to_array
 FOUR_PI = 4.0 * math.pi
 
 
+def radii(z):
+    """|z| of offsets z (..., 3), from the three coordinate columns."""
+    c0, c1, c2 = z[..., 0], z[..., 1], z[..., 2]
+    return np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
+
+
 def _radii(points, r=None):
     """Points as a float array and their radii (computed unless given); rejects the origin."""
     pts = np.asarray(points, dtype=float)
     if pts.shape[-1] != 3:
         raise ValueError(f"points must have 3 components, got {pts.shape[-1]}")
     if r is None:
-        r = np.sqrt(np.sum(pts * pts, axis=-1))
+        r = radii(pts)
     if np.any(r == 0.0):
         raise ValueError("kernel evaluation at the origin is rejected")
     return pts, r
@@ -57,7 +63,7 @@ def _yukawa_radial(r, kappa, order):
 
 def _radial_gradient(dk, z, r):
     """Gradient at z of a radial function whose radial derivative is dk."""
-    return dk[..., None] * (z / r[..., None])
+    return z * (dk / r)[..., None]
 
 
 @dataclass
@@ -100,17 +106,22 @@ class KernelSpec:
         """Kernel at the offsets z (..., 3): (..., 3) vectors if grade1, else (...) scalars.
 
         r = |z| may be passed by a caller that already has it.  Offsets at
-        the origin are rejected.
+        the origin are rejected.  z may be a column-major view, such as the
+        transpose of a (3, m) coordinate array; a vector result follows its
+        layout, since each family multiplies z once by a radial factor.
         """
         z, r = _radii(z, r)
         if self.family == "cauchy":
-            return -z / (FOUR_PI * r[..., None] ** 3)
+            return z * (-1.0 / (FOUR_PI * r * r * r))[..., None]
         if self.family == "newton":
             return 1.0 / (FOUR_PI * r)
         if self.family == "yukawa":
             return _yukawa_radial(r, math.sqrt(self.q), 0)[0]
         theta, dtheta = _yukawa_radial(r, math.sqrt(float(np.dot(self.lam, self.lam))), 1)
-        return _radial_gradient(dtheta, z, r) - theta[..., None] * self.lam
+        phi = _radial_gradient(dtheta, z, r)
+        for i, rate in enumerate(self.lam):
+            phi[..., i] -= rate * theta
+        return phi
 
 
 # -- cauchy ------------------------------------------------------------------

@@ -247,7 +247,7 @@ def test_boundary_sampling_counts_and_area():
     g = unit_grid(10)
     bq = F.boundary_sampling(g)
     assert len(bq) == 6 * 9 * 9
-    assert bq.total_weight == pytest.approx(6.0, rel=1e-12)
+    assert bq.weights.sum() == pytest.approx(6.0, rel=1e-12)
     per_face = [np.sum(bq.weights[bq.faces == f]) for f in range(6)]
     assert np.allclose(per_face, 1.0, rtol=1e-12)
 
@@ -271,7 +271,7 @@ def test_boundary_sampling_override_density():
     g = unit_grid(10)
     bq = F.boundary_sampling(g, 32)
     assert len(bq) == 6 * 32 * 32
-    assert bq.total_weight == pytest.approx(6.0, rel=1e-12)
+    assert bq.weights.sum() == pytest.approx(6.0, rel=1e-12)
 
 
 def test_boundary_sampling_density_is_none_or_positive():

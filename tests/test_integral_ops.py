@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 from vekua_lab import fields as F
 from vekua_lab import integral_ops as IO
 from vekua_lab import kernels as K
-from vekua_lab.clifford import Multivector, geometric_product, vector_to_array
+from vekua_lab.clifford import gp_array, vector_to_array
 from vekua_lab.fields import BoxGrid, MultivectorField, boundary_sampling
 from vekua_lab.kernels import KernelSpec, cauchy_E_components
 
@@ -33,7 +33,7 @@ def test_evaluation_set_margins():
     pts = IO.EvaluationSet.build(g, 5, 7, seed=1)
     assert len(pts) == 12
     assert g.interior_distance(pts.interior_points).min() >= pts.margin - 1e-12
-    assert g.exterior_distance(pts.exterior_points).min() >= pts.margin - 1e-12
+    assert g.exterior_distance(pts.points[~pts.is_interior]).min() >= pts.margin - 1e-12
 
 
 def test_evaluation_set_rejects_violations():
@@ -148,31 +148,40 @@ def test_lattice_engine_matches_direct_sum(kernel, origin, extent, resolution, b
     assert np.max(np.abs(got.reshape(-1, 8) - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def kernel_terms(kernel, z):
+    """Kernel at the C-ordered (m, 3) offsets z as (m, 8) coefficient stacks.
+
+    Values come from the public closed-form functions, not the engines'
+    column-major layout.
+    """
+    if kernel.family == "cauchy":
+        return vector_to_array(K.cauchy_E_components(z))
+    if kernel.family == "vekua_phi":
+        return vector_to_array(K.vekua_phi_components(z, kernel.lam))
+    if kernel.family == "newton":
+        value = K.newton_N_components(z)[0]
+    else:
+        value = K.yukawa_theta_components(z, kernel.q)[0]
+    out = np.zeros((len(z), 8))
+    out[:, 0] = value
+    return out
+
+
 def oracle_volume(kernel, grid, cell_values, x, drop_inside):
-    """Cell-by-cell sum of K(y - x) g |cell|, Multivector products for grade-1 kernels.
+    """Cell-by-cell terms K(y - x) g |cell| as one stacked Clifford product.
 
     Returns the sum and the matching sum of absolute term coefficients.
     """
-    total = np.zeros(cell_values.shape[-1])
-    magnitude = np.zeros_like(total)
+    keep = np.ones(cell_values.shape[:-1], dtype=bool)
     home = tuple(np.floor((x - grid.origin) / grid.spacing).astype(int))  # x's half-open cell
-    for idx in np.ndindex(cell_values.shape[:-1]):
-        if drop_inside and idx == home:
-            continue
-        y = grid.origin + (np.array(idx) + 0.5) * grid.spacing
-        g = cell_values[idx]
-        r = np.linalg.norm(y - x)
-        if kernel.family == "cauchy":
-            term = geometric_product(K.cauchy_E(y - x), Multivector(3, g)).coeffs
-        elif kernel.family == "vekua_phi":
-            term = geometric_product(K.vekua_phi(y - x, kernel.lam), Multivector(3, g)).coeffs
-        elif kernel.family == "newton":
-            term = g / (4 * np.pi * r)
-        else:
-            term = g * np.exp(-np.sqrt(kernel.q) * r) / (4 * np.pi * r)
-        total += term * grid.cell_volume
-        magnitude += np.abs(term) * grid.cell_volume
-    return total, magnitude
+    if drop_inside and all(0 <= i < n for i, n in zip(home, keep.shape)):
+        keep[home] = False
+    g = cell_values[keep]
+    rho = np.zeros((len(g), 8))
+    rho[:, :g.shape[-1]] = g
+    terms = gp_array(kernel_terms(kernel, grid.cell_centers()[keep] - x), rho)
+    terms = terms[:, :g.shape[-1]] * grid.cell_volume
+    return terms.sum(axis=0), np.abs(terms).sum(axis=0)
 
 
 @settings(max_examples=20, deadline=None)
@@ -213,6 +222,24 @@ def test_volume_sum_rejects_an_undropped_cell_center(kernel):
     with pytest.raises(ValueError, match="origin"):
         IO._volume_sum(kernel, [center], g, vals, drop_inside=False)
     assert np.all(np.isfinite(IO._volume_sum(kernel, [center], g, vals, drop_inside=True)))
+
+
+@pytest.mark.parametrize("kernel", FAMILIES, ids=lambda k: k.family)
+def test_sums_do_not_depend_on_the_input_layout(kernel):
+    # Fortran-ordered points and strided trace or cell-value views give the
+    # same boundary and volume sums, bit for bit
+    g = BoxGrid([0.1, -0.3, 0.2], [1.0, 0.8, 1.2], [8, 9, 10])
+    bq = boundary_sampling(g)
+    pts = g.origin + g.extent * np.array([[0.4, 0.5, 0.6], [0.45, 0.55, 0.3], [1.8, 0.5, -0.8]])
+    wide = np.random.default_rng(0).normal(size=(len(bq), 16))
+    want = IO.cauchy_boundary(kernel, bq, wide[:, ::2].copy(), pts)
+    assert np.array_equal(IO.cauchy_boundary(kernel, bq, wide[:, ::2], np.asfortranarray(pts)),
+                          want)
+    width = 8 if kernel.grade1 else 1
+    cells = np.random.default_rng(1).normal(size=(int(np.prod(g.resolution - 1)), 16))
+    want = IO._volume_sum(kernel, pts, g, cells[:, :2 * width:2].copy(), True)
+    assert np.array_equal(IO._volume_sum(kernel, np.asfortranarray(pts), g,
+                                         cells[:, :2 * width:2], True), want)
 
 
 # -- boundary integrals -----------------------------------------------------------
@@ -271,28 +298,17 @@ def test_cauchy_boundary_rejects_near_boundary_points():
 
 
 def oracle_boundary(kernel, bq, trace, x):
-    """Face-by-face Multivector sum of K eta v w (grade-1 kernels) or k v w.
+    """Face-by-face terms K eta v w (grade-1 kernels) or k v w as stacked Clifford products.
 
     Returns the sum and the matching sum of absolute term coefficients,
     the scale that rounding is measured against.
     """
-    total = np.zeros(8)
-    magnitude = np.zeros(8)
-    for y, normal, w, v in zip(bq.positions, bq.normals, bq.weights, trace):
-        rho = Multivector(3, v) if np.ndim(v) else Multivector.scalar(v)
-        if kernel.family == "cauchy":
-            term = geometric_product(K.cauchy_E(y - x), Multivector.from_vector(normal))
-        elif kernel.family == "vekua_phi":
-            term = geometric_product(K.vekua_phi(y - x, kernel.lam),
-                                     Multivector.from_vector(normal))
-        elif kernel.family == "newton":
-            term = Multivector.scalar(K.newton_N(y - x)[0])
-        else:
-            term = Multivector.scalar(K.yukawa_theta(y - x, kernel.q)[0])
-        coeffs = geometric_product(term, rho).coeffs * w
-        total += coeffs
-        magnitude += np.abs(coeffs)
-    return total, magnitude
+    rho = trace if trace.ndim == 2 else np.pad(trace[:, None], ((0, 0), (0, 7)))
+    terms = kernel_terms(kernel, bq.positions - x)
+    if kernel.grade1:
+        terms = gp_array(terms, vector_to_array(bq.normals))
+    terms = gp_array(terms, rho) * bq.weights[:, None]
+    return terms.sum(axis=0), np.abs(terms).sum(axis=0)
 
 
 @settings(max_examples=25, deadline=None)

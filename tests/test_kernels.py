@@ -226,6 +226,26 @@ def test_kernel_spec_rejects_the_origin():
             spec.values(z, np.linalg.norm(z, axis=1))
 
 
+@pytest.mark.parametrize("spec", [
+    K.KernelSpec("cauchy"), K.KernelSpec("newton"), K.KernelSpec("yukawa", q=1.3),
+    K.KernelSpec("vekua_phi", lam=[0.3, -0.2, 1.0])], ids=lambda spec: spec.family)
+def test_kernel_spec_values_do_not_depend_on_the_offset_layout(spec, rng):
+    # the engines hand the evaluator the column-major transpose of a (3, m)
+    # coordinate array; it must agree bit for bit with C-ordered (m, 3)
+    # offsets and with one 1-d offset at a time, and keep the layout
+    coords = np.ascontiguousarray(random_points(rng, 64).T)
+    offsets = np.ascontiguousarray(coords.T)
+    want = spec.values(offsets)
+    for got in (spec.values(coords.T), spec.values(coords.T, K.radii(coords.T)),
+                np.array([spec.values(z) for z in offsets])):
+        assert np.array_equal(got, want)
+    if spec.grade1:
+        assert spec.values(coords.T).flags.f_contiguous
+    coords[:, 5] = 0.0
+    with pytest.raises(ValueError, match="origin"):
+        spec.values(coords.T)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     direction=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)
