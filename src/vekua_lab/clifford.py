@@ -346,19 +346,6 @@ def basis_mul_right(a, mask):
     return out
 
 
-def vector_mul_left(components, a):
-    """(sum_i c_i e_i) * a with per-item vector components (..., n)."""
-    components = np.asarray(components, dtype=float)
-    n = _blade_tables(a.shape[-1]).n
-    if components.shape[-1] != n:
-        raise ValueError(f"{components.shape[-1]} vector components for blade axis "
-                         f"{a.shape[-1]} (n={n})")
-    out = np.zeros(np.broadcast_shapes(components.shape[:-1], a.shape[:-1]) + (a.shape[-1],))
-    for i in range(n):
-        out += components[..., i : i + 1] * basis_mul_left(1 << i, a)
-    return out
-
-
 def vector_to_array(components):
     """Embed vector components (..., n) as grade-1 coefficient stacks."""
     components = np.asarray(components, dtype=float)

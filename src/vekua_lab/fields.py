@@ -56,9 +56,6 @@ class BoxGrid:
     def cell_volume(self):
         return float(np.prod(self.spacing))
 
-    def node(self, index):
-        return self.origin + np.asarray(index) * self.spacing
-
     def coords(self):
         """Node coordinates, shape (*resolution, 3)."""
         mesh = np.meshgrid(*self.axes, indexing="ij")
@@ -210,9 +207,6 @@ class MultivectorField:
     def conjugate(self):
         return MultivectorField(self.grid, clifford.conj_array(self.values))
 
-    def grade(self, k):
-        return MultivectorField(self.grid, clifford.grade_array(self.values, k))
-
     def parity_split(self):
         return tuple(MultivectorField(self.grid, part)
                      for part in clifford.parity_array(self.values))
@@ -220,10 +214,6 @@ class MultivectorField:
     def sc(self):
         """Scalar-part nodal array."""
         return self.values[..., 0]
-
-    def vec(self):
-        """Grade-1 nodal components, shape (*res, 3)."""
-        return np.stack([self.values[..., 1 << i] for i in range(3)], axis=-1)
 
     def max_norm(self, region=None):
         vals = self.values if region is None else self.values[region]
@@ -243,20 +233,15 @@ def _second_derivative(values, h, axis):
     return np.moveaxis(out, 0, axis)
 
 
-def dirac_D(w: MultivectorField, side="left") -> MultivectorField:
-    """Dirac operator sum_i e_i d_i w, or the right action sum_i (d_i w) e_i."""
+def dirac_D(w: MultivectorField) -> MultivectorField:
+    """Dirac operator sum_i e_i d_i w."""
     grid = w.grid
     if np.any(grid.resolution < 3):
         raise ValueError("grid too small for the difference stencil")
     out = np.zeros_like(w.values)
     for i in range(3):
         dv = np.gradient(w.values, grid.spacing[i], axis=i, edge_order=2)
-        if side == "left":
-            out += clifford.basis_mul_left(1 << i, dv)
-        elif side == "right":
-            out += clifford.basis_mul_right(dv, 1 << i)
-        else:
-            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        out += clifford.basis_mul_left(1 << i, dv)
     return MultivectorField(grid, out)
 
 
@@ -436,39 +421,3 @@ def bump_scalar(grid: BoxGrid, margin):
         out = out * prof**3
     return out
 
-
-# -- serialization -----------------------------------------------------------------
-
-
-def save_field(field: MultivectorField, path):
-    """Flat little-endian binary snapshot: header (n, ndim) = (3, 3), resolution,
-    origin, extent, coefficients."""
-    grid = field.grid
-    with open(path, "wb") as fh:
-        np.asarray([3, 3], dtype="<i8").tofile(fh)
-        np.asarray(grid.resolution, dtype="<i8").tofile(fh)
-        np.asarray(grid.origin, dtype="<f8").tofile(fh)
-        np.asarray(grid.extent, dtype="<f8").tofile(fh)
-        np.ascontiguousarray(field.values, dtype="<f8").tofile(fh)
-
-
-def load_field(path) -> MultivectorField:
-    """Read a save_field snapshot; a header other than (3, 3) fails in BoxGrid or
-    in the values shape."""
-    with open(path, "rb") as fh:
-        n, ndim = (int(x) for x in np.fromfile(fh, dtype="<i8", count=2))
-        resolution = np.fromfile(fh, dtype="<i8", count=ndim)
-        origin = np.fromfile(fh, dtype="<f8", count=ndim)
-        extent = np.fromfile(fh, dtype="<f8", count=ndim)
-        dim = 1 << n
-        count = int(np.prod(resolution)) * dim
-        values = np.fromfile(fh, dtype="<f8", count=count)
-    grid = BoxGrid(origin, extent, resolution)
-    return MultivectorField(grid, values.reshape(tuple(resolution) + (dim,)))
-
-
-def field_to_csv(field: MultivectorField, path):
-    coords = field.grid.coords().reshape(-1, 3)
-    vals = field.values.reshape(-1, 8)
-    header = "x1,x2,x3," + ",".join(clifford.blade_label(m) for m in range(8))
-    np.savetxt(path, np.hstack([coords, vals]), delimiter=",", header=header, comments="")

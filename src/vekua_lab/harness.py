@@ -23,7 +23,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from typing import NamedTuple
 
 import numpy as np
@@ -54,8 +54,9 @@ DEFAULT_SEED = 2024
 MIN_BOUNDARY_CELLS = 8
 
 
-def _env_int(name, default, minimum=None):
-    """Integer value of an environment variable; unset or empty gives the default."""
+def _env_int(name, default, minimum):
+    """Integer value (at least `minimum`) of an environment variable; unset or
+    empty gives the default."""
     raw = os.environ.get(name)
     if not raw:
         return default
@@ -63,7 +64,7 @@ def _env_int(name, default, minimum=None):
         value = int(raw)
     except ValueError:
         raise ValueError(f"{name} must be an integer, got {raw!r}") from None
-    if minimum is not None and value < minimum:
+    if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return value
 
@@ -124,11 +125,17 @@ class SuiteConfig:
 
     @classmethod
     def from_json(cls, path, identity=None):
+        """The config of a JSON object: its keys override the identity's defaults."""
         with open(path) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}: the top level must be an object, got {type(data).__name__}")
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"{path}: unknown config keys {unknown}")
         if identity is not None:
             data["identity"] = identity
-        return cls(**data)
+        return cls.defaults(**data)
 
     def config_hash(self):
         payload = json.dumps(asdict(self), sort_keys=True, default=str).encode()
@@ -1090,11 +1097,13 @@ def _run_and_release(identity, **overrides):
 
 
 def run_suite(identities=None, parallel=True, **overrides):
-    """Run many identities, in parallel across identities when allowed.
+    """Run many identities (None: all), in parallel across identities when allowed.
 
     The pool has VEKUA_LAB_THREADS workers (default: one per CPU) and is the
     only parallelism: BLAS stays at one thread while it runs."""
-    names = list(identities) if identities else list(IDENTITIES)
+    names = list(IDENTITIES) if identities is None else list(identities)
+    if not names:
+        raise ValueError("no identities selected")
     unknown = [n for n in names if n not in IDENTITIES]
     if unknown:
         raise ValueError(f"unknown identities: {unknown}")

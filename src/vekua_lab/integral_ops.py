@@ -24,22 +24,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clifford import basis_mul_left, vector_mul_left
+from .clifford import basis_mul_left, gp_array, vector_to_array
 from .fields import (
     BoxGrid,
     BoundaryQuadrature,
     MultivectorField,
-    boundary_sampling,
     cell_average,
     dirac_D,
-    trilinear_sample,
 )
 from .kernels import KernelSpec, radii
 
 # Read by the benchmark's provenance line; no engine uses numba.
 HAVE_NUMBA = False
-
-DEFAULT_MARGIN_FRACTION = 0.2
 
 
 @dataclass
@@ -49,33 +45,30 @@ class EvaluationSet:
     points: np.ndarray
     is_interior: np.ndarray
     margin: float
-    grid: BoxGrid = field(repr=False, default=None)
+    grid: BoxGrid = field(repr=False)
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
         self.is_interior = np.asarray(self.is_interior, dtype=bool)
         if self.points.shape[0] != self.is_interior.shape[0]:
             raise ValueError("points and interior flags disagree in length")
-        if self.grid is not None:
-            inner = self.grid.interior_distance(self.points)
-            outer = self.grid.exterior_distance(self.points)
-            bad_in = self.is_interior & (inner < self.margin - 1e-12)
-            bad_out = ~self.is_interior & (outer < self.margin - 1e-12)
-            if np.any(bad_in) or np.any(bad_out):
-                raise ValueError("evaluation points violate the margin constraint")
+        inner = self.grid.interior_distance(self.points)
+        outer = self.grid.exterior_distance(self.points)
+        bad_in = self.is_interior & (inner < self.margin - 1e-12)
+        bad_out = ~self.is_interior & (outer < self.margin - 1e-12)
+        if np.any(bad_in) or np.any(bad_out):
+            raise ValueError("evaluation points violate the margin constraint")
 
     @classmethod
-    def build(cls, grid: BoxGrid, n_interior=8, n_exterior=8, margin=None, seed=0,
-              snap_to_centers=False):
-        """Seeded uniform interior points and rejection-sampled exterior points.
+    def build(cls, grid: BoxGrid, n_interior, n_exterior, margin, seed, snap_to_centers=False):
+        """Seeded uniform interior points and rejection-sampled exterior points,
+        each at least `margin` from the boundary.
 
         snap_to_centers moves interior points onto the nearest cell center
         that still keeps the margin, where dropped-cell volume quadrature
         keeps its singularity centered.
         """
         rng = np.random.default_rng(seed)
-        if margin is None:
-            margin = DEFAULT_MARGIN_FRACTION * float(np.min(grid.extent))
         lo = grid.origin + margin
         hi = grid.top - margin
         if np.any(hi <= lo):
@@ -147,22 +140,20 @@ def _containing_cells(grid: BoxGrid, points):
     return np.where(inside, flat, -1)
 
 
-def _volume_sum(kernel: KernelSpec, points, grid: BoxGrid, cell_values, drop_inside):
+def _volume_sum(kernel: KernelSpec, points, grid: BoxGrid, cell_values):
     """sum_c K(y_c - x) g_c |cell| over the cell centers y_c, one row per point x.
 
     The direct engine for point sets.  cell_values holds one row of
     coefficients per cell (a 1-d array is one scalar per cell); grade-1
-    kernels multiply it from the left.  With drop_inside the cell
-    containing x is left out.
+    kernels multiply it from the left.  The cell containing x is left out.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[0] == 0:
         raise ValueError("empty evaluation point set")
     centers = np.moveaxis(grid.cell_centers(), -1, 0).reshape(3, -1)
     vals = np.ascontiguousarray(cell_values, dtype=float).reshape(centers.shape[1], -1)
-    drop = _containing_cells(grid, pts) if drop_inside else np.full(len(pts), -1)
     sums = np.stack([_kernel_table(kernel, centers - x[:, None], skip) @ vals
-                     for x, skip in zip(pts, drop)])
+                     for x, skip in zip(pts, _containing_cells(grid, pts))])
     return _kernel_times(kernel, sums) * grid.cell_volume
 
 
@@ -195,28 +186,26 @@ def _lattice_sum(kernel: KernelSpec, grid: BoxGrid, cell_values):
     return _kernel_times(kernel, sums) * grid.cell_volume
 
 
-def vector_volume_potential(points, grid: BoxGrid, cell_values, lam=None, drop_inside=True):
+def vector_volume_potential(points, grid: BoxGrid, cell_values, lam=None):
     """int_Omega Phi_lam(y - x) g(y) dy as coefficient stacks, one row per point.
 
     cell_values holds the cell-averaged coefficients of g, flattened to
     (num_cells, 2^n).  lam = None or zero selects the Cauchy kernel.
     """
-    return _volume_sum(KernelSpec.phi(lam), points, grid, cell_values, drop_inside)
+    return _volume_sum(KernelSpec.phi(lam), points, grid, cell_values)
 
 
-def scalar_volume_potential(points, grid: BoxGrid, cell_scalar, q=0.0, drop_inside=True):
+def scalar_volume_potential(points, grid: BoxGrid, cell_scalar, q=0.0):
     """int_Omega theta_q(y - x) rho(y) dy; q = 0 selects the Newton kernel."""
-    return _volume_sum(KernelSpec.theta(q), points, grid, np.ravel(cell_scalar), drop_inside)[:, 0]
+    return _volume_sum(KernelSpec.theta(q), points, grid, np.ravel(cell_scalar))[:, 0]
 
 
 # -- spec-level operations ------------------------------------------------------
 
 
-def teodorescu(g: MultivectorField, points, drop_inside=True):
+def teodorescu(g: MultivectorField, points):
     """Teodorescu transform T[g](x) = -int E(y - x) g(y) dy at given points."""
-    pts = points.points if isinstance(points, EvaluationSet) else np.atleast_2d(points)
-    cell_vals = cell_average(g.values)
-    return -vector_volume_potential(pts, g.grid, cell_vals, lam=None, drop_inside=drop_inside)
+    return -vector_volume_potential(np.atleast_2d(points), g.grid, cell_average(g.values))
 
 
 def teodorescu_on_dual_grid(g: MultivectorField) -> MultivectorField:
@@ -249,7 +238,7 @@ def cauchy_boundary(kernel: KernelSpec, boundary: BoundaryQuadrature, trace_valu
         trace = np.concatenate([trace[:, None], np.zeros((trace.shape[0], 7))], axis=1)
     density = trace * boundary.weights[:, None]
     if kernel.grade1:
-        density = vector_mul_left(boundary.normals, density)
+        density = gp_array(vector_to_array(boundary.normals), density)
     faces = np.ascontiguousarray(boundary.positions.T)
     sums = []
     for x in pts:
@@ -263,31 +252,17 @@ def cauchy_boundary(kernel: KernelSpec, boundary: BoundaryQuadrature, trace_valu
     return _kernel_times(kernel, np.stack(sums))
 
 
-def borel_pompeiu_residual(v: MultivectorField, pts: EvaluationSet, trace_fn=None,
-                           boundary=None):
+def borel_pompeiu_residual(v: MultivectorField, pts: EvaluationSet, trace_fn,
+                           boundary: BoundaryQuadrature):
     """Residual of the Borel-Pompeiu representation at every evaluation point.
 
-    residual(x) = T[Dv](x) + int_bdry E(y-x) eta v ds - (v(x) if interior).
-    Returns per-point max-coefficient norms plus the pieces, for reporting.
+    residual(x) = T[Dv](x) + int_bdry E(y-x) eta v ds - (v(x) if interior),
+    with the trace and v(x) from the closed form trace_fn of v.  Returns
+    per-point max-coefficient norms plus the pieces, for reporting.
     """
-    grid = v.grid
-    if boundary is None:
-        boundary = boundary_sampling(grid)
-    if trace_fn is not None:
-        trace_vals = trace_fn(boundary.positions)
-        point_vals = trace_fn(pts.points)
-    else:
-        trace_vals = trilinear_sample(grid, v.values, boundary.positions)
-        # exterior targets are zero; interpolation is only defined inside
-        point_vals = np.zeros((len(pts), v.values.shape[-1]))
-        if np.any(pts.is_interior):
-            point_vals[pts.is_interior] = trilinear_sample(
-                grid, v.values, pts.interior_points
-            )
-    Dv = dirac_D(v)
-    T = teodorescu(Dv, pts.points)
-    B = cauchy_boundary(KernelSpec("cauchy"), boundary, trace_vals, pts.points)
-    target = np.where(pts.is_interior[:, None], point_vals, 0.0)
+    T = teodorescu(dirac_D(v), pts.points)
+    B = cauchy_boundary(KernelSpec("cauchy"), boundary, trace_fn(boundary.positions), pts.points)
+    target = np.where(pts.is_interior[:, None], trace_fn(pts.points), 0.0)
     residual = T + B - target
     return {
         "residual_norms": np.max(np.abs(residual), axis=-1),

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import Multivector, gp_array, vector_to_array
+from .clifford import gp_array, vector_to_array
 
 FOUR_PI = 4.0 * math.pi
 
@@ -132,10 +132,6 @@ def cauchy_E_components(points):
     return KernelSpec("cauchy").values(points)
 
 
-def cauchy_E(x) -> Multivector:
-    return Multivector.from_vector(cauchy_E_components(x), 3)
-
-
 def cauchy_E_jacobian(points):
     """J[..., i, j] = d_i E_j in closed form."""
     pts, r = _radii(points)
@@ -153,11 +149,6 @@ def newton_N_components(points):
     return KernelSpec("newton").values(pts, r), KernelSpec("cauchy").values(pts, r)
 
 
-def newton_N(x):
-    value, grad = newton_N_components(x)
-    return float(value), grad
-
-
 # -- yukawa ------------------------------------------------------------------
 
 
@@ -168,13 +159,6 @@ def yukawa_theta_components(points, q):
     pts, r = _radii(points)
     theta, dtheta = _yukawa_radial(r, math.sqrt(q), 1)
     return theta, _radial_gradient(dtheta, pts, r)
-
-
-def yukawa_theta(x, q):
-    if q <= 0:
-        raise ValueError("yukawa kernel requires q > 0")
-    value, grad = yukawa_theta_components(x, q)
-    return float(value), grad
 
 
 def yukawa_hessian(points, q):
@@ -193,10 +177,6 @@ def yukawa_hessian(points, q):
 def vekua_phi_components(points, lam):
     """Phi = grad theta_q - lam theta_q with q = |lam|^2, shape (..., 3)."""
     return KernelSpec("vekua_phi", lam=lam).values(points)
-
-
-def vekua_phi(x, lam) -> Multivector:
-    return Multivector.from_vector(vekua_phi_components(x, lam), 3)
 
 
 def vekua_phi_jacobian(points, lam):
@@ -223,11 +203,6 @@ def dirac_from_jacobian(jac):
         for j in range(i + 1, 3):
             out[..., (1 << i) | (1 << j)] = jac[..., i, j] - jac[..., j, i]
     return out
-
-
-def dirac_of_cauchy(points):
-    """D E away from the origin; identically zero (monogenic kernel)."""
-    return dirac_from_jacobian(cauchy_E_jacobian(points))
 
 
 def fundamental_cauchy_residual(points, lam):
@@ -273,8 +248,8 @@ def vekua_phi_adjoint_residual(points, lam):
 # -- spherical quadrature (for delta-normalization flux checks) -----------------------
 
 
-def sphere_quadrature(radius, n_polar=32, center=None):
-    """Gauss-Legendre x uniform-azimuth quadrature on a sphere in R^3.
+def sphere_quadrature(radius, n_polar=32):
+    """Gauss-Legendre x uniform-azimuth quadrature on the sphere |x| = radius.
 
     Returns positions (M, 3), outward unit normals (M, 3), weights (M,)
     summing to the sphere area.
@@ -287,14 +262,11 @@ def sphere_quadrature(radius, n_polar=32, center=None):
     sin_t = np.sqrt(1.0 - MU**2)
     normals = np.stack([sin_t * np.cos(PHI), sin_t * np.sin(PHI), MU], axis=-1).reshape(-1, 3)
     weights = (W * radius**2).ravel()
-    positions = radius * normals
-    if center is not None:
-        positions = positions + np.asarray(center, dtype=float)
-    return positions, normals, weights
+    return radius * normals, normals, weights
 
 
-def yukawa_delta_flux(eps, q, n_polar=32):
+def yukawa_delta_flux(eps, q):
     """Flux -int_{|x|=eps} grad theta_q . normal ds, which tends to 1 as eps -> 0."""
-    pos, normals, weights = sphere_quadrature(eps, n_polar)
+    pos, normals, weights = sphere_quadrature(eps)
     _, grad = yukawa_theta_components(pos, q)
     return float(-np.sum(np.sum(grad * normals, axis=-1) * weights))

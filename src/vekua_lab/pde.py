@@ -160,15 +160,14 @@ class DirichletOperator:
         U[interior_slices(1)] = 0.0
         return -self._node_flux(U)[interior_slices(1)].ravel()
 
-    def solve(self, trace=None, rhs=None):
+    def solve(self, trace, rhs=None):
         """Solve with Dirichlet data `trace`; optional volume right-hand side.
 
         Returns the full nodal array (boundary nodes carry the trace).
         Conjugate gradients with the Liouville-sine preconditioner, verified
         to a relative residual of 1e-10; raises SolverError otherwise.
         """
-        res = tuple(self.grid.resolution)
-        trace_arr = np.zeros(res) if trace is None else np.asarray(trace, dtype=float)
+        trace_arr = np.asarray(trace, dtype=float)
         b = self.trace_rhs(trace_arr)
         if rhs is not None:
             b = b + np.asarray(rhs, dtype=float)[interior_slices(1)].ravel()
@@ -275,7 +274,6 @@ class DtnForm:
 
     def __init__(self, grid: BoxGrid, kind, coefficient):
         self.grid = grid
-        self.kind = kind
         if kind == "conductivity":
             self.op = DirichletOperator(grid, sigma=coefficient)
         elif kind == "schrodinger":
@@ -292,8 +290,6 @@ class DtnForm:
 
     @classmethod
     def schrodinger(cls, profile: ConductivityProfile):
-        if profile.q is None:
-            raise ValueError("profile carries no potential q")
         return cls(profile.grid, "schrodinger", profile.q)
 
     def _solve(self, op, trace):
@@ -346,34 +342,31 @@ class DtnForm:
         V = self._extend(np.asarray(psi0, dtype=float), extension)
         return self.energy(U, V)
 
-    def matrix(self, traces, extension="solution"):
-        """Dense pairing matrix over a list of nodal trace arrays."""
+    def matrix(self, traces):
+        """Dense pairing matrix over a list of nodal trace arrays, each pairing
+        tested against the solution of its second trace."""
         k = len(traces)
         out = np.empty((k, k))
         for i in range(k):
             for j in range(k):
-                out[i, j] = self.pair(traces[i], traces[j], extension=extension)
+                out[i, j] = self.pair(traces[i], traces[j], extension="solution")
         return out
 
 
 # -- boundary node quadrature --------------------------------------------------------
 
 
-def boundary_node_pairing(grid: BoxGrid, phi, psi, normal_component=None):
-    """(phi, psi) boundary pairing over grid nodes with trapezoid face weights.
-
-    normal_component: optional nodal vector field dotted with the outward
-    normal of each face and multiplied into the integrand (used for flux
-    weights like grad f . eta).
+def boundary_node_pairing(grid: BoxGrid, phi, psi, normal_component):
+    """Boundary integral of (v . eta) phi psi over grid nodes with trapezoid
+    face weights, v = normal_component a nodal vector field dotted with the
+    outward normal of each face (a flux weight like grad f . eta).
     """
     phi = np.asarray(phi, dtype=float)
     psi = np.asarray(psi, dtype=float)
     total = 0.0
     for axis, high, slab in face_slabs():
-        vals = phi[slab] * psi[slab]
-        if normal_component is not None:
-            sign = 1.0 if high else -1.0
-            vals = vals * (sign * np.asarray(normal_component)[slab + (axis,)])
+        sign = 1.0 if high else -1.0
+        vals = phi[slab] * psi[slab] * (sign * np.asarray(normal_component)[slab + (axis,)])
         transverse = [b for b in range(3) if b != axis]
         w = trapezoid_product(grid.resolution[transverse], grid.spacing[transverse])
         total += float(np.sum(vals * w))
@@ -383,7 +376,7 @@ def boundary_node_pairing(grid: BoxGrid, phi, psi, normal_component=None):
 # -- spec-level operations -------------------------------------------------------------
 
 
-def dtn_relation_residuals(profile: ConductivityProfile, traces, psi0, extension="harmonic"):
+def dtn_relation_residuals(profile: ConductivityProfile, traces, psi0):
     """Normalized residuals of the conductivity/Schrodinger DtN interrelation.
 
     The conductivity flux of the trace phi0/f equals f times the
@@ -393,19 +386,18 @@ def dtn_relation_residuals(profile: ConductivityProfile, traces, psi0, extension
         (Lambda_cond(phi0/f), psi0) - (Lambda_q(phi0), f psi0)
             + int_bdry (grad f . eta) phi0 psi0 ds  -> 0.
 
-    Returns, for each trace phi0 in `traces`, |residual| / max(|term|) and
-    the three terms.  Both forms are built once for all traces.
+    Both pairings extend psi0 harmonically.  Returns, for each trace phi0
+    in `traces`, |residual| / max(|term|) and the three terms.  Both forms
+    are built once for all traces.
     """
-    if profile.q is None:
-        raise ValueError("profile must have a closed-form potential (twice differentiable)")
     psi0 = np.asarray(psi0, dtype=float)
     cond = DtnForm.conductivity(profile)
     schr = DtnForm.schrodinger(profile)
     out = []
     for phi0 in traces:
         phi0 = np.asarray(phi0, dtype=float)
-        a = cond.pair(phi0 / profile.f, psi0, extension)
-        b = schr.pair(phi0, profile.f * psi0, extension)
+        a = cond.pair(phi0 / profile.f, psi0)
+        b = schr.pair(phi0, profile.f * psi0)
         c = boundary_node_pairing(profile.grid, phi0, psi0, normal_component=profile.grad_f)
         scale = max(abs(a), abs(b), abs(c), 1e-300)
         out.append((abs(a - b + c) / scale, (a, b, c)))

@@ -24,7 +24,6 @@ from .fields import (
     interior_slices,
     sc_inner,
     scalar_gradient,
-    trilinear_sample,
     vector_curl,
     vector_divergence,
 )
@@ -36,40 +35,23 @@ from .fields import (
 class ConductivityProfile:
     """Scalar factor f with its gradient, log-derivative alpha and potential q.
 
-    Closed-form families keep callables so kernels and boundary quadrature
-    can evaluate f away from grid nodes; sampled profiles fall back to
-    stencils and interpolation.
+    Built from closed-form callables for f, grad f and q = Delta f / f, so
+    kernels and boundary quadrature can evaluate f away from grid nodes.
+    The families below (exponential, constant, linear and quadratic in z)
+    are the ones the checks and the CLI use.
     """
 
-    def __init__(self, grid: BoxGrid, kind, f_fn=None, grad_fn=None, q_fn=None,
-                 samples=None, lam=None):
+    def __init__(self, grid: BoxGrid, f_fn, grad_fn, q_fn):
         self.grid = grid
-        self.kind = kind
-        self.lam = None if lam is None else np.asarray(lam, dtype=float)
         self._f_fn = f_fn
         self._grad_fn = grad_fn
         coords = grid.coords()
-        if f_fn is not None:
-            self.f = f_fn(coords)
-        else:
-            self.f = np.asarray(samples, dtype=float)
-            if self.f.shape != tuple(grid.resolution):
-                raise ValueError("sampled profile shape does not match the grid")
+        self.f = f_fn(coords)
         if np.min(np.abs(self.f)) <= 0.0:
             raise ValueError("conductivity factor must be bounded away from zero")
-        self.grad_f = grad_fn(coords) if grad_fn is not None else scalar_gradient(grid, self.f)
+        self.grad_f = grad_fn(coords)
         self.alpha = self.grad_f / self.f[..., None]
-        if q_fn is not None:
-            self.q = q_fn(coords)
-        elif f_fn is None:
-            lap = sum(
-                np.gradient(self.grad_f[..., i], grid.spacing[i], axis=i, edge_order=2)
-                for i in range(3)
-            )
-            self.q = lap / self.f
-        else:
-            self.q = None
-        self.bounds = (float(np.min(np.abs(self.f))), float(np.max(np.abs(self.f))))
+        self.q = q_fn(coords)
 
     # closed-form families
 
@@ -80,11 +62,9 @@ class ConductivityProfile:
         q = float(lam @ lam)
         return cls(
             grid,
-            "exponential",
             f_fn=lambda X: np.exp(X @ lam),
             grad_fn=lambda X: np.exp(X @ lam)[..., None] * lam,
             q_fn=lambda X: np.full(X.shape[:-1], q),
-            lam=lam,
         )
 
     @classmethod
@@ -93,7 +73,6 @@ class ConductivityProfile:
             raise ValueError("conductivity factor must be bounded away from zero")
         return cls(
             grid,
-            "constant",
             f_fn=lambda X: np.full(X.shape[:-1], float(value)),
             grad_fn=lambda X: np.zeros(X.shape),
             q_fn=lambda X: np.zeros(X.shape[:-1]),
@@ -114,7 +93,7 @@ class ConductivityProfile:
         def q_fn(X):
             return d2fz(X[..., -1]) / fz(X[..., -1])
 
-        return cls(grid, "separable_z", f_fn=f_fn, grad_fn=grad_fn, q_fn=q_fn)
+        return cls(grid, f_fn, grad_fn, q_fn)
 
     @classmethod
     def linear_z(cls, grid, a, b):
@@ -130,27 +109,13 @@ class ConductivityProfile:
             lambda z: np.full_like(z, 2.0 * c)
         )
 
-    @classmethod
-    def from_samples(cls, grid, values):
-        return cls(grid, "sampled", samples=values)
-
-    # pointwise evaluation (closed form when available)
-
-    @property
-    def has_closed_form(self):
-        return self._f_fn is not None
+    # pointwise evaluation
 
     def f_at(self, points):
-        pts = np.atleast_2d(points)
-        if self._f_fn is not None:
-            return self._f_fn(pts)
-        return trilinear_sample(self.grid, self.f, pts)
+        return self._f_fn(np.atleast_2d(points))
 
     def grad_at(self, points):
-        pts = np.atleast_2d(points)
-        if self._grad_fn is not None:
-            return self._grad_fn(pts)
-        return trilinear_sample(self.grid, self.grad_f, pts)
+        return self._grad_fn(np.atleast_2d(points))
 
     def alpha_at(self, points):
         return self.grad_at(points) / self.f_at(points)[..., None]
@@ -189,37 +154,23 @@ class BeltramiCoefficient:
 
 
 def _alpha_values(alpha, grid):
-    if isinstance(alpha, ConductivityProfile):
-        return vector_to_array(alpha.alpha)
-    if isinstance(alpha, MultivectorField):
-        return alpha.values
+    """Grade-1 coefficient stacks of a nodal vector field (*res, 3) or a constant vector."""
     arr = np.asarray(alpha, dtype=float)
-    if arr.shape == tuple(grid.resolution) + (3,):
-        return vector_to_array(arr)
     if arr.shape == (3,):
-        return vector_to_array(np.broadcast_to(arr, tuple(grid.resolution) + (3,)))
-    raise ValueError("alpha must be a vector field, a profile or a constant vector")
+        arr = np.broadcast_to(arr, tuple(grid.resolution) + (3,))
+    elif arr.shape != tuple(grid.resolution) + (3,):
+        raise ValueError("alpha must be a nodal vector field or a constant vector")
+    return vector_to_array(arr)
 
 
-def vekua_residual(w: MultivectorField, alpha, side="left", depth=2):
+def vekua_residual(w: MultivectorField, alpha):
     """Nodewise max-coefficient norm of D w - alpha conj(w) at interior nodes.
 
-    side='right' checks the adjoint-side equation D w = conj(w) alpha
-    instead.  Returns the interior residual array (boundary layers of width
-    `depth` are excluded, where one-sided stencils would pollute the check).
+    Returns the interior residual array: the two outermost node layers,
+    where one-sided stencils would pollute the check, are excluded.
     """
-    grid = w.grid
-    a = _alpha_values(alpha, grid)
-    Dw = dirac_D(w).values
-    cw = w.conjugate().values
-    if side == "left":
-        res = Dw - gp_array(a, cw)
-    elif side == "right":
-        res = Dw - gp_array(cw, a)
-    else:
-        raise ValueError("side must be 'left' or 'right'")
-    sl = interior_slices(depth)
-    return np.max(np.abs(res[sl]), axis=-1)
+    res = dirac_D(w).values - gp_array(_alpha_values(alpha, w.grid), w.conjugate().values)
+    return np.max(np.abs(res[interior_slices(2)]), axis=-1)
 
 
 def beltrami_transform(w: MultivectorField, profile: ConductivityProfile) -> MultivectorField:
@@ -228,13 +179,12 @@ def beltrami_transform(w: MultivectorField, profile: ConductivityProfile) -> Mul
     return p03.scale_by(1.0 / profile.f) + p12.scale_by(profile.f)
 
 
-def beltrami_residual(u: MultivectorField, mu: BeltramiCoefficient, depth=2):
-    """Nodewise norm of D u - mu D conj(u) at interior nodes."""
+def beltrami_residual(u: MultivectorField, mu: BeltramiCoefficient):
+    """Nodewise norm of D u - mu D conj(u) at nodes two layers in."""
     Du = dirac_D(u).values
     Dcu = dirac_D(u.conjugate()).values
     res = Du - mu.mu[..., None] * Dcu
-    sl = interior_slices(depth)
-    return np.max(np.abs(res[sl]), axis=-1)
+    return np.max(np.abs(res[interior_slices(2)]), axis=-1)
 
 
 # -- bivector <-> vector duality ------------------------------------------------
@@ -301,31 +251,23 @@ def vector_to_bivector(components):
     return out
 
 
-def bivector_to_vector(coeffs):
-    """Inverse of vector_to_bivector on coefficient stacks (..., 8)."""
-    masks, signs = bivector_duality()
-    arr = np.asarray(coeffs, dtype=float)
-    return np.stack([signs[k] * arr[..., masks[k]] for k in range(3)], axis=-1)
-
-
 # -- construction of the bivector part ----------------------------------------------
 
 
-def construct_bivector_part(profile: ConductivityProfile, u0, grad_u0=None,
-                            method="auto", div_tol=0.05, constant_tol=1e-6):
+def construct_bivector_part(profile: ConductivityProfile, u0, grad_u0=None, constant_tol=1e-6):
     """Lift a scalar conductivity solution u0 to a full Vekua solution.
 
     Given u0 with div(f^2 grad u0) = 0, solves curl v = g, div v = 0 with
     g = -f^2 grad u0, maps v to a bivector through the derived duality and
-    returns w = f u0 + B together with construction diagnostics.
+    returns w = f u0 + B together with construction diagnostics.  A source
+    whose relative divergence exceeds 0.05 is rejected.
 
-    method='closed_form' requires g to be spatially constant up to
-    constant_tol (the separable and exponential families; pass a
-    stencil-order tolerance when u0 comes from a discrete solve, the
-    deviation then shows up in the measured residual); 'poisson' runs the
-    best-effort vector potential path (zero-Dirichlet componentwise Poisson
-    solves, curl of the result) and reports its residuals instead of
-    asserting exactness.
+    When g is spatially constant up to constant_tol (the separable and
+    exponential families; pass a stencil-order tolerance when u0 comes from
+    a discrete solve, the deviation then shows up in the measured
+    residual), v = g x x / 2 in closed form.  Otherwise v is the curl of
+    zero-Dirichlet componentwise Poisson solves, a best-effort path that
+    reports its residuals instead of asserting exactness.
     """
     grid = profile.grid
     u0 = np.asarray(u0, dtype=float)
@@ -335,7 +277,7 @@ def construct_bivector_part(profile: ConductivityProfile, u0, grad_u0=None,
     div_g = vector_divergence(grid, g)[sl]
     g_scale = np.max(np.abs(g)) + 1e-300
     div_rel = float(np.max(np.abs(div_g)) * np.min(grid.extent) / g_scale)
-    if div_rel > div_tol:
+    if div_rel > 0.05:
         raise ValueError(
             f"source field is not divergence-free (relative divergence {div_rel:.3g}); "
             "u0 does not solve the conductivity equation on this grid"
@@ -344,17 +286,11 @@ def construct_bivector_part(profile: ConductivityProfile, u0, grad_u0=None,
     g_dev = float(np.max(np.abs(g - g_mean)))
     g_const_rel = g_dev / (np.max(np.abs(g_mean)) + 1e-30)
     diagnostics = {"div_g_rel": div_rel, "g_constant_dev": g_dev}
-    if method == "auto":
-        method = "closed_form" if g_const_rel <= constant_tol else "poisson"
+    method = "closed_form" if g_const_rel <= constant_tol else "poisson"
     if method == "closed_form":
-        if g_const_rel > constant_tol:
-            raise ValueError(
-                f"closed-form path requires a constant source field "
-                f"(relative deviation {g_const_rel:.3g} > {constant_tol:.3g})"
-            )
         coords = grid.coords()
         v = 0.5 * np.cross(np.broadcast_to(g_mean, coords.shape), coords)
-    elif method == "poisson":
+    else:
         from .pde import solve_poisson
 
         zero = np.zeros(tuple(grid.resolution))
@@ -366,8 +302,6 @@ def construct_bivector_part(profile: ConductivityProfile, u0, grad_u0=None,
         diagnostics["curl_v_minus_g"] = float(
             np.max(np.abs(vector_curl(grid, v)[sl] - g[sl]))
         )
-    else:
-        raise ValueError(f"unknown method {method!r}")
     diagnostics["method"] = method
     bivec = vector_to_bivector(v) / profile.f[..., None]
     vals = bivec.copy()
@@ -402,38 +336,34 @@ def hodge_orthogonality(w: MultivectorField, v: MultivectorField, alpha) -> floa
 class ExponentialVekuaSolution:
     """Closed-form Vekua solution w = f u0 + B for f = exp(lam . x).
 
-    u0 = c1 + c2 exp(-2 lam . x) solves div(f^2 grad u0) = 0 with constant
-    flux f^2 grad u0 = -2 c2 lam, so the dual vector potential is the exact
-    rotation field v = 0.5 g x x with g = 2 c2 lam.
+    u0 = -exp(-2 lam . x) / 2 solves div(f^2 grad u0) = 0 with constant
+    flux f^2 grad u0 = lam, so the dual vector potential is the exact
+    rotation field v = 0.5 g x x with g = -lam.
     """
 
-    def __init__(self, lam, c1=0.0, c2=-0.5):
+    def __init__(self, lam):
         self.lam = np.asarray(lam, dtype=float)
-        self.c1 = float(c1)
-        self.c2 = float(c2)
-        self.g = 2.0 * self.c2 * self.lam
 
     def f(self, pts):
         return np.exp(np.asarray(pts) @ self.lam)
 
     def u0(self, pts):
-        return self.c1 + self.c2 * np.exp(-2.0 * np.asarray(pts) @ self.lam)
+        return -0.5 * np.exp(-2.0 * np.asarray(pts) @ self.lam)
 
     def grad_u0(self, pts):
-        return (-2.0 * self.c2 * np.exp(-2.0 * np.asarray(pts) @ self.lam))[..., None] * self.lam
+        return np.exp(-2.0 * np.asarray(pts) @ self.lam)[..., None] * self.lam
 
     def w0(self, pts):
         return self.f(pts) * self.u0(pts)
 
     def flux(self, pts):
         """f^2 grad u0, constant for this family."""
-        pts = np.asarray(pts)
-        return np.broadcast_to(-self.g, pts.shape[:-1] + (3,))
+        return np.broadcast_to(self.lam, np.shape(pts)[:-1] + (3,))
 
     def w_coeffs(self, pts):
         """Full multivector coefficients of w = f u0 + B at points."""
         pts = np.asarray(pts)
-        v = 0.5 * np.cross(np.broadcast_to(self.g, pts.shape), pts)
+        v = 0.5 * np.cross(np.broadcast_to(-self.lam, pts.shape), pts)
         out = vector_to_bivector(v) / self.f(pts)[..., None]
         out[..., 0] = self.w0(pts)
         return out

@@ -377,6 +377,42 @@ def test_config_from_json(tmp_path):
     assert cfg.interior_rel_tol == 0.04
 
 
+@pytest.mark.parametrize("identity", ["cauchy_constant", "operator_consistency"])
+def test_config_file_keeps_the_identity_defaults(tmp_path, identity):
+    # keys a file leaves out take the identity's tolerances, not the class defaults
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"resolutions": [16, 32]}))
+    cfg = H.SuiteConfig.from_json(path, identity=identity)
+    assert cfg == H.SuiteConfig.defaults(identity, resolutions=(16, 32))
+    for key, value in H.DEFAULT_TOLERANCES[identity].items():
+        assert getattr(cfg, key) == value != getattr(H.SuiteConfig(identity), key)
+
+
+def test_config_file_rejects_unknown_keys(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"identity": "cauchy_constant", "bogus": 1, "resolution": 16}))
+    with pytest.raises(ValueError, match=r"unknown config keys \['bogus', 'resolution'\]"):
+        H.SuiteConfig.from_json(path)
+
+
+def test_config_file_must_hold_an_object(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps([["identity", "cauchy_constant"]]))
+    with pytest.raises(ValueError, match="must be an object, got list"):
+        H.SuiteConfig.from_json(path, identity="cauchy_constant")
+
+
+def test_empty_suite_selection_runs_nothing(monkeypatch):
+    ran = []
+    monkeypatch.setattr(H, "run_identity", lambda identity, *a, **k: ran.append(identity))
+    for parallel in (True, False):
+        with pytest.raises(ValueError, match="no identities selected"):
+            H.run_suite([], parallel=parallel)
+    with pytest.raises(ValueError, match="no identities selected"):
+        cli.main(["suite", ","])
+    assert ran == []
+
+
 def test_unknown_identity_rejected():
     with pytest.raises(ValueError):
         H.run_identity("fourier_inversion")

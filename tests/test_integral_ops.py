@@ -8,7 +8,7 @@ with exterior poles) provide the oracles.
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from vekua_lab import fields as F
 from vekua_lab import integral_ops as IO
@@ -30,7 +30,7 @@ def quadratic_trace(pts):
 
 def test_evaluation_set_margins():
     g = BoxGrid.unit_cube(16)
-    pts = IO.EvaluationSet.build(g, 5, 7, seed=1)
+    pts = IO.EvaluationSet.build(g, 5, 7, margin=0.2, seed=1)
     assert len(pts) == 12
     assert g.interior_distance(pts.interior_points).min() >= pts.margin - 1e-12
     assert g.exterior_distance(pts.points[~pts.is_interior]).min() >= pts.margin - 1e-12
@@ -50,7 +50,7 @@ def test_evaluation_set_rejects_violations():
 
 def test_evaluation_set_snapping():
     g = BoxGrid.unit_cube(16)
-    pts = IO.EvaluationSet.build(g, 6, 2, seed=3, snap_to_centers=True)
+    pts = IO.EvaluationSet.build(g, 6, 2, margin=0.2, seed=3, snap_to_centers=True)
     centers = (pts.interior_points - g.origin) / g.spacing - 0.5
     assert np.allclose(centers, np.round(centers), atol=1e-9)
 
@@ -143,7 +143,7 @@ def test_lattice_engine_matches_direct_sum(kernel, origin, extent, resolution, b
     g = BoxGrid(origin, extent, resolution)
     vals = random_cells(g, blade, seed)
     got = IO._lattice_sum(kernel, g, vals)
-    want = IO._volume_sum(kernel, g.cell_centers().reshape(-1, 3), g, vals, drop_inside=True)
+    want = IO._volume_sum(kernel, g.cell_centers().reshape(-1, 3), g, vals)
     assert got.shape == vals.shape
     assert np.max(np.abs(got.reshape(-1, 8) - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -167,14 +167,15 @@ def kernel_terms(kernel, z):
     return out
 
 
-def oracle_volume(kernel, grid, cell_values, x, drop_inside):
-    """Cell-by-cell terms K(y - x) g |cell| as one stacked Clifford product.
+def oracle_volume(kernel, grid, cell_values, x):
+    """Cell-by-cell terms K(y - x) g |cell| as one stacked Clifford product,
+    the cell containing x left out.
 
     Returns the sum and the matching sum of absolute term coefficients.
     """
     keep = np.ones(cell_values.shape[:-1], dtype=bool)
     home = tuple(np.floor((x - grid.origin) / grid.spacing).astype(int))  # x's half-open cell
-    if drop_inside and all(0 <= i < n for i, n in zip(home, keep.shape)):
+    if all(0 <= i < n for i, n in zip(home, keep.shape)):
         keep[home] = False
     g = cell_values[keep]
     rho = np.zeros((len(g), 8))
@@ -190,12 +191,11 @@ def oracle_volume(kernel, grid, cell_values, x, drop_inside):
     inside=st.lists(st.floats(0.1, 0.9), min_size=3, max_size=3),
     outside=st.lists(st.sampled_from([-0.8, 0.5, 1.8]), min_size=3, max_size=3)
     .filter(lambda u: u != [0.5, 0.5, 0.5]),
-    drop_inside=st.booleans(),
     seed=st.integers(0, 2**16),
     **boxes,
 )
 def test_volume_sum_matches_cell_by_cell_oracle(
-    kernel, origin, extent, resolution, inside, outside, drop_inside, seed
+    kernel, origin, extent, resolution, inside, outside, seed
 ):
     # 8-blade cells for the grade-1 kernels, one scalar per cell for the scalar ones
     g = BoxGrid(origin, extent, resolution)
@@ -203,25 +203,24 @@ def test_volume_sum_matches_cell_by_cell_oracle(
     if kernel.family in ("newton", "yukawa"):
         vals = vals[..., :1]
     pts = g.origin + g.extent * np.array([inside, outside])
-    # without the drop, a point on a cell center meets the kernel singularity
-    gap = np.min(np.linalg.norm(g.cell_centers().reshape(-1, 3) - pts[0], axis=1))
-    assume(drop_inside or gap > 1e-3 * np.min(g.spacing))
-    got = IO._volume_sum(kernel, pts, g, vals, drop_inside)
+    got = IO._volume_sum(kernel, pts, g, vals)
     assert got.shape == (2, vals.shape[-1])
     for x, row in zip(pts, got):
-        want, magnitude = oracle_volume(kernel, g, vals, x, drop_inside)
+        want, magnitude = oracle_volume(kernel, g, vals, x)
         assert np.all(np.abs(row - want) <= 1e-13 * magnitude.sum())
 
 
 @pytest.mark.parametrize("kernel", FAMILIES, ids=lambda k: k.family)
 def test_volume_sum_rejects_an_undropped_cell_center(kernel):
-    # without the drop, a point on a cell center puts the kernel's origin in the sum
+    # a point on a cell center puts the kernel's origin among the offsets: the
+    # kernel table rejects it unless that column is dropped, as the sum does
     g = BoxGrid([0.1, -0.3, 0.2], [1.0, 0.8, 1.2], [8, 9, 10])
     center = g.cell_centers()[3, 4, 5]
-    vals = random_cells(g, None, 0).reshape(-1, 8)
+    offsets = np.moveaxis(g.cell_centers(), -1, 0).reshape(3, -1) - center[:, None]
     with pytest.raises(ValueError, match="origin"):
-        IO._volume_sum(kernel, [center], g, vals, drop_inside=False)
-    assert np.all(np.isfinite(IO._volume_sum(kernel, [center], g, vals, drop_inside=True)))
+        IO._kernel_table(kernel, offsets.copy())
+    vals = random_cells(g, None, 0).reshape(-1, 8)
+    assert np.all(np.isfinite(IO._volume_sum(kernel, [center], g, vals)))
 
 
 @pytest.mark.parametrize("kernel", FAMILIES, ids=lambda k: k.family)
@@ -237,9 +236,9 @@ def test_sums_do_not_depend_on_the_input_layout(kernel):
                           want)
     width = 8 if kernel.grade1 else 1
     cells = np.random.default_rng(1).normal(size=(int(np.prod(g.resolution - 1)), 16))
-    want = IO._volume_sum(kernel, pts, g, cells[:, :2 * width:2].copy(), True)
+    want = IO._volume_sum(kernel, pts, g, cells[:, :2 * width:2].copy())
     assert np.array_equal(IO._volume_sum(kernel, np.asfortranarray(pts), g,
-                                         cells[:, :2 * width:2], True), want)
+                                         cells[:, :2 * width:2]), want)
 
 
 # -- boundary integrals -----------------------------------------------------------
@@ -353,7 +352,7 @@ def test_borel_pompeiu_constant_field():
         return out
 
     v = MultivectorField(g, cfn(g.coords().reshape(-1, 3)).reshape(16, 16, 16, 8))
-    pts = IO.EvaluationSet.build(g, 4, 4, seed=2, snap_to_centers=True)
+    pts = IO.EvaluationSet.build(g, 4, 4, margin=0.2, seed=2, snap_to_centers=True)
     res = IO.borel_pompeiu_residual(v, pts, trace_fn=cfn,
                                     boundary=boundary_sampling(g, 64))
     assert np.max(res["residual_norms"]) <= 2e-3 * 2.0
@@ -366,7 +365,7 @@ def test_borel_pompeiu_quadratic_refinement():
         v = MultivectorField(
             g, quadratic_trace(g.coords().reshape(-1, 3)).reshape(r, r, r, 8)
         )
-        pts = IO.EvaluationSet.build(g, 8, 8, seed=11, snap_to_centers=True)
+        pts = IO.EvaluationSet.build(g, 8, 8, margin=0.2, seed=11, snap_to_centers=True)
         res = IO.borel_pompeiu_residual(
             v, pts, trace_fn=quadratic_trace, boundary=boundary_sampling(g, 64)
         )
@@ -376,16 +375,6 @@ def test_borel_pompeiu_quadratic_refinement():
         assert np.max(rel[pts.is_interior]) <= 0.02
     assert errs[0] / errs[1] >= 1.8
 
-
-def test_borel_pompeiu_interpolated_trace_path():
-    # without a closed-form trace the boundary values come from the field
-    g = BoxGrid.unit_cube(16)
-    v = MultivectorField(
-        g, quadratic_trace(g.coords().reshape(-1, 3)).reshape(16, 16, 16, 8)
-    )
-    pts = IO.EvaluationSet.build(g, 4, 2, seed=4, snap_to_centers=True)
-    res = IO.borel_pompeiu_residual(v, pts)
-    assert np.max(res["residual_norms"]) <= 0.05 * v.max_norm()
 
 
 # -- s_alpha ---------------------------------------------------------------------------

@@ -607,21 +607,14 @@ def test_dtn_relation_zero_trace():
     assert all(abs(t) <= 1e-12 for t in terms)
 
 
-def test_dtn_relation_needs_potential():
-    g = grid16()
-    X = g.coords()
-    sampled = ConductivityProfile.from_samples(g, np.exp(X[..., 2]))
-    sampled.q = None
-    with pytest.raises(ValueError):
-        P.dtn_relation_residuals(sampled, [X[..., 0]], X[..., 0])[0]
-
-
 # -- boundary node pairing ----------------------------------------------------------------
 
 
 def test_boundary_node_pairing_area():
+    # v = 2x - 1 has v . eta = 1 on every face of the unit cube
     g = grid16()
-    assert P.boundary_node_pairing(g, ones(g), ones(g)) == pytest.approx(6.0, rel=1e-12)
+    unit_flux = 2.0 * g.coords() - 1.0
+    assert P.boundary_node_pairing(g, ones(g), ones(g), unit_flux) == pytest.approx(6.0, rel=1e-12)
 
 
 def test_boundary_node_pairing_flux_weight():
