@@ -1,13 +1,14 @@
 """Command-line front end: verify identities, run convergence studies,
 run the whole suite, and export Dirichlet-to-Neumann data.
 
-Exit status is 0 exactly when every asserted check passed.  Reports land
-in --out (or the config's output_dir) as report.json, errors.csv and
-convergence.csv per identity.  VEKUA_LAB_SEED seeds randomized point and
-trace selection; VEKUA_LAB_THREADS only sizes the thread pool that
-`suite` (run_suite) runs identities in.  Identity checks (`verify`,
-`convergence`, `suite`) run BLAS on one thread, so that pool is their only
-parallelism; `dtn` leaves the BLAS library's own thread count alone.
+Exit status is 0 exactly when every asserted check passed, and 2, with a
+usage line, for rejected input.  Reports land in --out (or the config's
+output_dir) as report.json, errors.csv and convergence.csv per identity.
+VEKUA_LAB_SEED seeds randomized point and trace selection; VEKUA_LAB_THREADS
+only sizes the thread pool that `suite` (run_suite) runs identities in.
+Identity checks (`verify`, `convergence`, `suite`) run BLAS on one thread, so
+that pool is their only parallelism; `dtn` leaves the BLAS library's own
+thread count alone.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from .harness import (
     run_suite,
 )
 from .pde import DtnForm
-from .vekua import make_profile
+from .vekua import PROFILE_FAMILIES, make_profile
 
-PROFILE_CHOICES = ("exponential", "constant", "linear_z", "quadratic_z")
+PROFILE_CHOICES = tuple(PROFILE_FAMILIES)
 
 
 def _load_config(identity, args):
@@ -82,14 +83,9 @@ def _cmd_convergence(args):
 
 
 def _cmd_suite(args):
-    if args.target == "all":
-        names = list(IDENTITIES)
-    else:
-        names = [n.strip() for n in args.target.split(",") if n.strip()]
-    overrides = {}
-    if args.out:
-        overrides["output_dir"] = args.out
-    reports = run_suite(names, **overrides)
+    names = (list(IDENTITIES) if args.target == "all"
+             else [n.strip() for n in args.target.split(",") if n.strip()])
+    reports = run_suite(names, **({"output_dir": args.out} if args.out else {}))
     failures = 0
     for name in names:
         _print_report(reports[name])
@@ -134,10 +130,7 @@ def _trace_rows(grid: BoxGrid, traces):
 def _cmd_dtn(args):
     grid = BoxGrid.unit_cube(args.resolution)
     profile = make_profile(grid, {"kind": args.profile})
-    if args.kind == "conductivity":
-        form = DtnForm.conductivity(profile)
-    else:
-        form = DtnForm.schrodinger(profile)
+    form = (DtnForm.conductivity if args.kind == "conductivity" else DtnForm.schrodinger)(profile)
     traces = _trace_basis(grid, args.basis_size, default_seed())
     matrix = form.matrix(traces)
     sym = float(np.max(np.abs(matrix - matrix.T)) / (np.max(np.abs(matrix)) + 1e-300))
@@ -151,10 +144,7 @@ def _cmd_dtn(args):
                 fh.write(f"{i},{j},{matrix[i, j]:.12e}\n")
     tpath = os.path.join(out_dir, "traces.csv")
     with open(tpath, "w") as fh:
-        header = "node_index,face,x1,x2,x3," + ",".join(
-            f"t{k}" for k in range(len(traces))
-        )
-        fh.write(header + "\n")
+        fh.write("node_index,face,x1,x2,x3," + ",".join(f"t{k}" for k in range(len(traces))) + "\n")
         fh.writelines(_trace_rows(grid, traces))
     print(f"wrote {mpath} and {tpath}")
     print(f"profile={args.profile} kind={args.kind} resolution={args.resolution}")
@@ -210,7 +200,10 @@ def main(argv=None):
     p_dtn.set_defaults(func=_cmd_dtn)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as err:  # input rejected after parsing: reported like argparse's own
+        parser.error(str(err))
 
 
 if __name__ == "__main__":

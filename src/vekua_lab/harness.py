@@ -46,7 +46,7 @@ from .kernels import (
 from .pde import DtnForm, SOLVER_RTOL, dtn_relation_residuals, solve_conductivity, solve_schrodinger
 from .vekua import (
     ConductivityProfile, ExponentialVekuaSolution, beltrami_residual, beltrami_transform,
-    construct_bivector_part, hodge_orthogonality, make_profile, vekua_residual,
+    PROFILE_FAMILIES, construct_bivector_part, hodge_orthogonality, make_profile, vekua_residual,
 )
 
 DEFAULT_SEED = 2024
@@ -77,6 +77,25 @@ def default_seed():
 def thread_cap():
     """VEKUA_LAB_THREADS (at least 1), or None when it is unset."""
     return _env_int("VEKUA_LAB_THREADS", None, minimum=1)
+
+
+def _check_profile(spec):
+    """A known kind and its own parameters, each as many finite numbers as its default."""
+    kind = spec.get("kind", "exponential") if isinstance(spec, dict) else None
+    if not isinstance(kind, str) or kind not in PROFILE_FAMILIES:
+        raise ValueError(f"profile: {spec!r} names no kind of {list(PROFILE_FAMILIES)}")
+    _, params = PROFILE_FAMILIES[kind]
+    for key, value in spec.items():
+        if key == "kind":
+            continue
+        if key not in params:
+            raise ValueError(f"profile: unknown key {key!r} for kind {kind!r}")
+        size = np.size(params[key])
+        sequence = size > 1 and isinstance(value, (list, tuple, np.ndarray))
+        items = list(value) if sequence else [value]
+        if len(items) != size or not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                                          and math.isfinite(v) for v in items):
+            raise ValueError(f"profile: {key!r} must be {size} finite number(s), got {value!r}")
 
 
 @dataclass
@@ -118,6 +137,7 @@ class SuiteConfig:
             value = getattr(self, name)
             if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        _check_profile(self.profile)
 
     @classmethod
     def defaults(cls, identity, **overrides):
@@ -252,8 +272,8 @@ def _layer_sc(kernel, bq, density, points):
 def _dtn_pairings(form, trace_nodal, pts, kernel_trace):
     """Weak DtN pairing of the trace with the boundary trace kernel_trace(c, x), per point x."""
     return np.array([
-        form.pair(trace_nodal, _boundary_values(form.grid, lambda c: kernel_trace(c, x)),
-                  extension="coons") for x in pts.points])
+        form.pair(trace_nodal, _boundary_values(form.grid, lambda c: kernel_trace(c, x)))
+        for x in pts.points])
 
 
 # -- the case x level runner ------------------------------------------------------

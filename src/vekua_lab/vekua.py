@@ -127,18 +127,22 @@ class ConductivityProfile:
         return MultivectorField.from_vector(self.grid, self.alpha)
 
 
+# profile kind -> (its constructor, its parameters and their defaults)
+PROFILE_FAMILIES = {
+    "exponential": (ConductivityProfile.exponential, {"lam": [0.0, 0.0, 1.0]}),
+    "constant": (ConductivityProfile.constant, {"value": 1.0}),
+    "linear_z": (ConductivityProfile.linear_z, {"a": 1.0, "b": 0.5}),
+    "quadratic_z": (ConductivityProfile.quadratic_z, {"a": 1.0, "c": 0.5}),
+}
+
+
 def make_profile(grid: BoxGrid, spec: dict) -> ConductivityProfile:
-    """Build a profile from a config dictionary (see the CLI config schema)."""
+    """Build a profile from a config dictionary {"kind": ..., parameters}."""
     kind = spec.get("kind", "exponential")
-    if kind == "exponential":
-        return ConductivityProfile.exponential(grid, spec.get("lam", [0.0, 0.0, 1.0]))
-    if kind == "constant":
-        return ConductivityProfile.constant(grid, spec.get("value", 1.0))
-    if kind == "linear_z":
-        return ConductivityProfile.linear_z(grid, spec.get("a", 1.0), spec.get("b", 0.5))
-    if kind == "quadratic_z":
-        return ConductivityProfile.quadratic_z(grid, spec.get("a", 1.0), spec.get("c", 0.5))
-    raise ValueError(f"unknown profile kind {kind!r}")
+    if kind not in PROFILE_FAMILIES:
+        raise ValueError(f"unknown profile kind {kind!r}")
+    build, params = PROFILE_FAMILIES[kind]
+    return build(grid, **{key: spec.get(key, default) for key, default in params.items()})
 
 
 class BeltramiCoefficient:

@@ -1,8 +1,8 @@
 """The benchmark's traced run wraps package functions by name (see
 perfbench/layers.py).  These tests resolve every name it wraps, so a
 refactor that drops or renames a traced target fails here rather than in a
-benchmark run; the benchmark's own selftest runs here too.  perfbench/ is
-only read."""
+benchmark run; the benchmark's own selftest, and one pass of each workload
+against its recorded reference, run here too.  perfbench/ is only read."""
 
 import importlib
 import inspect
@@ -68,4 +68,20 @@ def test_benchmark_selftest_passes():
                           env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
+    assert _listing(PERFBENCH) == before
+
+
+def test_one_pass_of_each_workload_matches_the_reference(tmp_path, monkeypatch):
+    # drift from reference.json fails Tier-1, not only a benchmark run
+    before = _listing(PERFBENCH)
+    monkeypatch.syspath_prepend(PERFBENCH)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    workloads = importlib.import_module("workloads")
+    # the DtN export sets VEKUA_LAB_SEED; the test's end restores it
+    monkeypatch.setenv("VEKUA_LAB_SEED", str(workloads.REFERENCE_SEED))
+    for name, workload in workloads.WORKLOADS.items():
+        out_dir = str(tmp_path / name)
+        status = workload.run(out_dir, workloads.REFERENCE_SEED)
+        attempted, failed = workload.check(out_dir, workloads.REFERENCE_SEED, status)
+        assert attempted > 0 and failed == 0, name
     assert _listing(PERFBENCH) == before

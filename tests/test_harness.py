@@ -13,6 +13,7 @@ import pytest
 
 from vekua_lab import cli, pde
 from vekua_lab import harness as H
+from vekua_lab import vekua as V
 from vekua_lab.fields import BoxGrid
 
 
@@ -82,6 +83,28 @@ def test_config_rejects_inexact_counts_and_non_finite_tolerances(field, value):
         H.SuiteConfig.defaults("cauchy_constant", **{field: value})
 
 
+@pytest.mark.parametrize("profile", [
+    {"kind": "gaussian"}, {"kind": ["exponential"]}, "exponential",
+    {"kind": "exponential", "lamda": [1, 0, 0]}, {"kind": "constant", "lam": [0.0, 0.0, 1.0]},
+    {"kind": "exponential", "lam": [1.0, 0.0]}, {"lam": [0.0, float("nan"), 1.0]},
+    {"lam": "abc"}, {"lam": [0.0, True, 1.0]}, {"kind": "linear_z", "a": [1.0]},
+    {"kind": "constant", "value": float("inf")},
+])
+def test_config_rejects_bad_profiles(profile):
+    # an unknown kind, a key of no family (a misspelt lam would run the
+    # default) and parameters that are not the family's finite numbers
+    with pytest.raises(ValueError, match="profile"):
+        H.SuiteConfig.defaults("cauchy_vekua", profile=profile)
+
+
+def test_config_records_valid_profiles_as_given():
+    # nothing is filled in, so a valid config keeps its hash
+    for profile in ({"lam": [0, 0, 1]}, {"kind": "quadratic_z", "c": 0.25},
+                    {"kind": "exponential", "lam": np.array([0.5, 0.0, 1.0])}):
+        assert H.SuiteConfig.defaults("cauchy_vekua", profile=dict(profile)).profile == profile
+    assert cli.PROFILE_CHOICES == tuple(V.PROFILE_FAMILIES)
+
+
 def test_config_accepts_numpy_integers():
     cfg = H.SuiteConfig.defaults("cauchy_constant", resolutions=(np.int64(16), 32),
                                  boundary_cells=np.int32(32), seed=np.int64(7))
@@ -116,21 +139,31 @@ def test_config_seed_from_environment(monkeypatch):
     assert cfg.seed == 777
 
 
-def test_invalid_seed_fails_loudly(monkeypatch, tmp_path):
+def _cli_usage_error(capsys, argv):
+    """Standard error of a CLI call that must exit 2 with a usage line."""
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: vekua-lab")
+    return err
+
+
+def test_invalid_seed_fails_loudly(monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("VEKUA_LAB_SEED", "abc")
     with pytest.raises(ValueError, match="VEKUA_LAB_SEED"):
         H.SuiteConfig.defaults("borel_pompeiu")
-    with pytest.raises(ValueError, match="VEKUA_LAB_SEED"):
-        cli.main(["dtn", "--resolution", "8", "--basis-size", "4", "--out", str(tmp_path)])
+    assert "VEKUA_LAB_SEED" in _cli_usage_error(
+        capsys, ["dtn", "--resolution", "8", "--basis-size", "4", "--out", str(tmp_path)])
 
 
 @pytest.mark.parametrize("raw", ["-1", "-3"])
-def test_negative_seed_variable_fails_loudly(monkeypatch, tmp_path, raw):
+def test_negative_seed_variable_fails_loudly(monkeypatch, tmp_path, capsys, raw):
     monkeypatch.setenv("VEKUA_LAB_SEED", raw)
     with pytest.raises(ValueError, match="VEKUA_LAB_SEED must be >= 0"):
         H.default_seed()
-    with pytest.raises(ValueError, match="VEKUA_LAB_SEED"):
-        cli.main(["dtn", "--resolution", "8", "--basis-size", "4", "--out", str(tmp_path)])
+    assert "VEKUA_LAB_SEED must be >= 0" in _cli_usage_error(
+        capsys, ["dtn", "--resolution", "8", "--basis-size", "4", "--out", str(tmp_path)])
 
 
 @pytest.mark.parametrize("raw", ["abc", "1.5", "0", "-2"])
@@ -402,14 +435,13 @@ def test_config_file_must_hold_an_object(tmp_path):
         H.SuiteConfig.from_json(path, identity="cauchy_constant")
 
 
-def test_empty_suite_selection_runs_nothing(monkeypatch):
+def test_empty_suite_selection_runs_nothing(monkeypatch, capsys):
     ran = []
     monkeypatch.setattr(H, "run_identity", lambda identity, *a, **k: ran.append(identity))
     for parallel in (True, False):
         with pytest.raises(ValueError, match="no identities selected"):
             H.run_suite([], parallel=parallel)
-    with pytest.raises(ValueError, match="no identities selected"):
-        cli.main(["suite", ","])
+    assert "no identities selected" in _cli_usage_error(capsys, ["suite", ","])
     assert ran == []
 
 
@@ -539,6 +571,20 @@ def test_cli_dtn_rejects_bad_sizes(tmp_path, capsys, flag, value):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["suite", "nonsense"], "unknown identities: ['nonsense']"),
+    (["suite", ","], "no identities selected"),
+    (["verify", "cauchy_constant", "--config", "bad.json"],
+     "bad.json: unknown config keys ['bogus']"),
+])
+def test_cli_reports_rejected_input_as_usage_errors(tmp_path, monkeypatch, capsys, argv, message):
+    # input rejected after parsing exits like an argparse error: a usage line
+    # and status 2, not a traceback
+    (tmp_path / "bad.json").write_text(json.dumps({"bogus": 1}))
+    monkeypatch.chdir(tmp_path)
+    assert f"vekua-lab: error: {message}" in _cli_usage_error(capsys, argv)
+
+
 def _traces_csv_per_node(grid, traces):
     """traces.csv as the per-node writer produced it: one row per boundary
     node and face, each value looked up by rounding the node position."""
@@ -615,11 +661,11 @@ def test_levels_share_forms_and_solved_extensions(monkeypatch):
     # shared by both rates
     assert H.run_identity("schrodinger_reconstruction").passed
     assert counts["__init__"] == 4
-    # per resolution: 2 traces x 2 forms, plus one harmonic extension per form
-    # (of psi0 and of f psi0); the constant-profile extra adds 2 + 2
+    # per resolution: 2 traces x 2 forms (a pairing solves nothing for its
+    # second trace); the constant-profile extra adds 2
     counts.clear()
     assert H.run_identity("dtn_relation").passed
-    assert counts["solve"] == 16
+    assert counts["solve"] == 10
 
 
 @pytest.mark.parametrize("identity", ["vekua_pipeline", "s_alpha"])

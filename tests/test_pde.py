@@ -260,28 +260,23 @@ def test_solve_iteration_counts(monkeypatch, kind, profile, bound):
     for trace in traces:
         form.solution(trace)
     assert len(linalg.counts) == 4 and all(1 <= n <= bound for n in linalg.counts)
-    # the harmonic extension is a constant-coefficient solve
-    linalg.counts.clear()
-    for trace in traces:
-        form.pair(traces[0], trace, extension="harmonic")
-    assert linalg.counts == [1] * 4
 
 
 def test_dtn_solves_each_operator_and_trace_once(monkeypatch):
-    # solved extensions share one cache keyed by operator and trace: a repeated
-    # pairing solves nothing, and a trace solved by one operator is solved anew
-    # by the other
+    # a pairing solves only its first trace, with the form's operator, once: a
+    # repeated pairing solves nothing, and the swapped pairing solves the other
+    # trace
     linalg = _CountingCg()
     monkeypatch.setattr(P, "spla", linalg)
     g = BoxGrid([-0.2, 0.1, 0.3], [1.2, 0.9, 1.1], [10, 9, 11])
     form = P.DtnForm.conductivity(make_profile(g, {"kind": "quadratic_z"}))
     phi, psi = cli._trace_basis(g, 2, 2024)
-    first = form.pair(phi, psi, extension="harmonic")
+    first = form.pair(phi, psi)
+    assert len(linalg.counts) == 1
+    assert form.pair(phi, psi) == first
+    assert len(linalg.counts) == 1
+    swapped = form.pair(psi, phi)
     assert len(linalg.counts) == 2
-    assert form.pair(phi, psi, extension="harmonic") == first
-    assert len(linalg.counts) == 2
-    swapped = form.pair(psi, phi, extension="harmonic")
-    assert len(linalg.counts) == 4
     assert abs(swapped - first) <= 1e-8 * (abs(first) + 1.0)
 
 
@@ -419,16 +414,38 @@ def test_dtn_symmetry_random_traces(rng):
             assert abs(pq - qp) <= 1e-8 * (abs(pq) + 1.0)
 
 
-def test_dtn_extension_independence():
-    g = grid16()
-    p = ConductivityProfile.exponential(g, [0.0, 0.0, 1.0])
-    form = P.DtnForm.conductivity(p)
-    X = g.coords()
-    phi = np.sin(2 * X[..., 0]) * np.cos(X[..., 1]) + X[..., 2]
-    psi = np.cos(3 * X[..., 1]) + X[..., 0] * X[..., 2]
-    vals = [form.pair(phi, psi, extension=e) for e in ("harmonic", "coons", "solution")]
-    spread = max(vals) - min(vals)
-    assert spread <= 1e-8 * (abs(vals[0]) + 1.0)
+@settings(max_examples=25, deadline=None)
+@given(
+    kind=st.sampled_from(["conductivity", "schrodinger"]),
+    origin=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+    extent=st.lists(st.floats(0.3, 2.5), min_size=3, max_size=3),
+    resolution=st.lists(st.integers(8, 14), min_size=3, max_size=3),
+    seed=st.integers(0, 2**16),
+)
+def test_dtn_pairing_reads_only_boundary_values(kind, origin, extent, resolution, seed):
+    # anisotropic boxes: the pairing never reads the interior of its second
+    # trace, and by Galerkin orthogonality it is the energy against any
+    # extension of that trace's boundary values
+    g = BoxGrid(origin, extent, resolution)
+    rng = np.random.default_rng(seed)
+    X = (g.coords() - g.origin) / g.extent
+    a, b = rng.normal(size=3), rng.normal(size=3)
+    form = P.DtnForm(g, kind, np.exp(np.sin(X @ a)))
+    phi = np.sin(X @ a) + X @ b
+    psi = np.cos(X @ b) + 0.5 * (X @ a) ** 2
+    pairing = form.pair(phi, psi)
+    noisy = psi.copy()
+    noisy[F.interior_slices(1)] = rng.normal(size=noisy[F.interior_slices(1)].shape)
+    assert form.pair(phi, noisy) == pairing
+    U = form.solution(phi)
+    extensions = {
+        "harmonic": P.DirichletOperator(g).solve(psi),
+        "coons": P.coons_extension(g, psi),
+        "solution": form.solution(psi),
+        "as given": psi,
+    }
+    for name, V in extensions.items():
+        assert abs(form.energy(U, V) - pairing) <= 1e-8 * (abs(pairing) + 1.0), name
 
 
 def test_dtn_schrodinger_flux_oracle():
@@ -441,7 +458,7 @@ def test_dtn_schrodinger_flux_oracle():
     form = P.DtnForm.schrodinger(p)
     w0 = np.exp(X @ lam)
     psi = X[..., 0] + 0.3
-    pair_val = form.pair(w0, psi, extension="coons")
+    pair_val = form.pair(w0, psi)
     flux = P.boundary_node_pairing(
         g, w0, psi, normal_component=np.broadcast_to(lam, X.shape)
     )
@@ -566,13 +583,10 @@ def test_energy_is_galerkin_form_of_interior_system(kind, origin, extent, resolu
     assert form.energy(U, V) == pytest.approx(want, rel=1e-12)
 
 
-def test_dtn_invalid_kind_and_extension():
+def test_dtn_invalid_kind():
     g = grid16()
     with pytest.raises(ValueError):
         P.DtnForm(g, "elastic", ones(g))
-    form = P.DtnForm(g, "conductivity", ones(g))
-    with pytest.raises(ValueError):
-        form.pair(ones(g), ones(g), extension="magic")
 
 
 # -- DtN interrelation -----------------------------------------------------------------
