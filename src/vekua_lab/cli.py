@@ -8,7 +8,8 @@ VEKUA_LAB_SEED seeds randomized point and trace selection; VEKUA_LAB_THREADS
 only sizes the thread pool that `suite` (run_suite) runs identities in.
 Identity checks (`verify`, `convergence`, `suite`) run BLAS on one thread, so
 that pool is their only parallelism; `dtn` leaves the BLAS library's own
-thread count alone.
+thread count alone, and its exports do not depend on it: the Dirichlet
+solver sums its inner products with einsum, not a threaded BLAS dot.
 """
 
 from __future__ import annotations

@@ -1033,7 +1033,7 @@ def _openblas_in(directory):
             lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
         except OSError:
             continue
-        for suffix in ("64_", ""):  # 64-bit-integer builds (numpy), then LP64 (scipy)
+        for suffix in ("64_", ""):  # 64-bit-integer builds, then LP64 (32-bit wheels)
             get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
             put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
             if get is not None and put is not None:
@@ -1046,15 +1046,11 @@ def _openblas_in(directory):
 
 @functools.cache
 def _openblas_libraries():
-    """Every OpenBLAS numpy and scipy loaded from their wheels' `<package>.libs`
-    directories; empty when they link some other BLAS."""
-    import scipy
-
-    found = []
-    for module in (np, scipy):
-        site_packages = os.path.dirname(os.path.dirname(module.__file__))
-        found += _openblas_in(os.path.join(site_packages, module.__name__ + ".libs"))
-    return tuple(found)
+    """The OpenBLAS numpy loaded from its wheel's `numpy.libs` directory;
+    empty when numpy links some other BLAS.  It is the only BLAS the package
+    runs: nothing in it imports scipy."""
+    site_packages = os.path.dirname(os.path.dirname(np.__file__))
+    return tuple(_openblas_in(os.path.join(site_packages, "numpy.libs")))
 
 
 class _BlasThreadHold:

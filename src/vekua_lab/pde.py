@@ -20,9 +20,14 @@ f (-Delta + q + Delta f / f) f: it applies F^-1 (-Delta_h + qbar)^-1 F^-1
 with qbar the interior mean of Delta_h f / f + q, clipped at 0, and inverts
 the constant-coefficient box operator in its type-I sine eigenbasis
 (Buzbee, Golub & Nielson 1970).  Constant-coefficient operators converge
-in one iteration, smooth variable coefficients in a handful.  There is no
-direct-solver fallback: a solve that misses the residual target raises
-SolverError.
+in one iteration, smooth variable coefficients in a handful.  The
+conjugate-gradient loop (`cg`) is plain numpy and takes every inner
+product with einsum, whose summation order no BLAS thread count changes,
+so a solve, and every DtN export built on it, comes out the same under
+any thread count.  There is no direct-solver fallback: a solve that misses
+the residual target, or whose iteration breaks down (a non-finite or
+non-positive r.z or p.Ap, as a NaN trace or an indefinite operator
+gives), raises SolverError.
 
 Flux data never comes from one-sided normal differences - every
 Dirichlet-to-Neumann evaluation is the volume energy form, evaluated as
@@ -31,17 +36,68 @@ Dirichlet-to-Neumann evaluation is the volume energy form, evaluated as
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .fields import BoxGrid, face_slabs, interior_slices, trapezoid_product
 from .vekua import ConductivityProfile
 
 SOLVER_RTOL = 1e-10
+# cg's stop: recursive residual below CG_RTOL |b|, or CG_MAXITER iterations
+CG_RTOL = 1e-12
+CG_MAXITER = 4000
 
 
 class SolverError(RuntimeError):
     pass
+
+
+def _dot(a, b):
+    # einsum, not a BLAS dot: a threaded dot splits its sum by thread count,
+    # einsum's order is fixed
+    return float(np.einsum("i,i->", a, b))
+
+
+def cg(apply, b, precondition, callback=None):
+    """Preconditioned conjugate gradients for apply(x) = b from x = 0
+    (Saad, Iterative Methods for Sparse Linear Systems, 2003, Alg. 9.1).
+
+    Stops when the recursive residual falls below CG_RTOL |b|, after
+    CG_MAXITER iterations, or at a breakdown: a non-finite or non-positive
+    r.z or p.Ap, which a NaN in b or an operator or preconditioner that is
+    not positive definite gives.  The caller verifies the result.  Calls
+    callback(x) once per iteration; returns x and the iteration count.
+    """
+    x = np.zeros_like(b)
+    r = b
+    target = CG_RTOL * np.sqrt(_dot(b, b))
+    p = rho_prev = None
+    for iteration in range(CG_MAXITER):
+        if np.sqrt(_dot(r, r)) < target:
+            return x, iteration
+        z = precondition(r)
+        rho = _dot(r, z)
+        if not 0.0 < rho < np.inf:
+            return x, iteration
+        p = z if p is None else z + (rho / rho_prev) * p
+        Ap = apply(p)
+        curvature = _dot(p, Ap)
+        if not 0.0 < curvature < np.inf:
+            return x, iteration
+        alpha = rho / curvature
+        x += alpha * p
+        r = r - alpha * Ap  # not in place: a preconditioner may return r as z = p
+        rho_prev = rho
+        if callback is not None:
+            callback(x)
+    return x, CG_MAXITER
+
+
+# the benchmark tracer's hook (perfbench/tracer.py swaps this namespace out
+# to count iterations), kept until the solver keeps its own tally: `solve`
+# calls `spla.cg` through it
+spla = SimpleNamespace(cg=cg)
 
 
 def _harmonic_mean(a, b):
@@ -164,8 +220,10 @@ class DirichletOperator:
         """Solve with Dirichlet data `trace`; optional volume right-hand side.
 
         Returns the full nodal array (boundary nodes carry the trace).
-        Conjugate gradients with the Liouville-sine preconditioner, verified
-        to a relative residual of 1e-10; raises SolverError otherwise.
+        The numpy conjugate gradients of `cg`, inner products in einsum, with
+        the Liouville-sine preconditioner, run to a recursive residual of
+        1e-12 and verified to a true relative residual of 1e-10; raises
+        SolverError otherwise, a breakdown (a NaN trace, say) included.
         """
         trace_arr = np.asarray(trace, dtype=float)
         b = self.trace_rhs(trace_arr)
@@ -175,18 +233,9 @@ class DirichletOperator:
         if not np.any(b):
             out[interior_slices(1)] = 0.0
             return out
-        iterations = 0
-
-        def count(_):
-            nonlocal iterations
-            iterations += 1
-
-        # built per solve: an operator bound to self._apply and kept on self
-        # would be a reference cycle that only the cyclic collector frees
-        A = spla.LinearOperator((b.size, b.size), matvec=self._apply, dtype=float)
-        M = spla.LinearOperator(A.shape, matvec=self._precondition, dtype=float)
-        x, _ = spla.cg(A, b, rtol=1e-12, atol=0.0, maxiter=4000, M=M, callback=count)
-        residual = np.linalg.norm(self._apply(x) - b) / np.linalg.norm(b)
+        x, iterations = spla.cg(self._apply, b, self._precondition)
+        r = self._apply(x) - b
+        residual = np.sqrt(_dot(r, r) / _dot(b, b))
         # written so that a NaN residual fails too
         if not residual <= SOLVER_RTOL:
             raise SolverError(
@@ -314,10 +363,7 @@ class DtnForm:
         plus (for q) mass."""
         U = np.asarray(U, dtype=float)
         V = np.asarray(V, dtype=float)
-        # einsum, not a BLAS dot: the recorded reports and DtN exports were
-        # summed in einsum's order, which no BLAS thread count changes
-        return self.grid.cell_volume * float(np.einsum("i,i->", V.ravel(),
-                                                       self._node_flux(U).ravel()))
+        return self.grid.cell_volume * _dot(V.ravel(), self._node_flux(U).ravel())
 
     def pair(self, phi0, psi0):
         """Weak pairing (Lambda phi0, psi0) = a(U_phi, V), V the boundary values of psi0."""

@@ -4,6 +4,7 @@ serialization, registry dispatch, and output files."""
 import collections
 import json
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -235,19 +236,20 @@ def _fake_openblas(monkeypatch, *counts):
 
 
 def test_blas_hold_sets_one_thread_and_restores(monkeypatch):
-    numpy_blas, scipy_blas = _fake_openblas(monkeypatch, 2, 4)
+    # over two libraries, each held and given back its own count
+    first, second = _fake_openblas(monkeypatch, 2, 4)
     with H._ONE_BLAS_THREAD:
-        assert (numpy_blas.threads, scipy_blas.threads) == (1, 1)
+        assert (first.threads, second.threads) == (1, 1)
         with H._ONE_BLAS_THREAD:  # a nested hold keeps the outer one's counts
-            assert (numpy_blas.threads, scipy_blas.threads) == (1, 1)
-        assert (numpy_blas.threads, scipy_blas.threads) == (1, 1)
-    assert (numpy_blas.threads, scipy_blas.threads) == (2, 4)
-    assert numpy_blas.calls == [1, 2] and scipy_blas.calls == [1, 4]
+            assert (first.threads, second.threads) == (1, 1)
+        assert (first.threads, second.threads) == (1, 1)
+    assert (first.threads, second.threads) == (2, 4)
+    assert first.calls == [1, 2] and second.calls == [1, 4]
     with pytest.raises(ZeroDivisionError):
         with H._ONE_BLAS_THREAD:
-            assert numpy_blas.threads == 1
+            assert first.threads == 1
             1 / 0
-    assert (numpy_blas.threads, scipy_blas.threads) == (2, 4)
+    assert (first.threads, second.threads) == (2, 4)
 
 
 def test_blas_hold_around_checks(monkeypatch):
@@ -279,7 +281,7 @@ def test_blas_hold_around_checks(monkeypatch):
 def test_blas_holds_from_two_threads_interleave(monkeypatch):
     # thread a opens, b opens, a closes while b is inside, b closes: b still
     # sees one thread, and the count a found comes back only after b closes
-    (blas,) = _fake_openblas(monkeypatch, 3)
+    libs = _fake_openblas(monkeypatch, 3, 5)
     a_open, b_open, a_closed = threading.Event(), threading.Event(), threading.Event()
     seen = []
 
@@ -294,7 +296,7 @@ def test_blas_holds_from_two_threads_interleave(monkeypatch):
         with H._ONE_BLAS_THREAD:
             b_open.set()
             a_closed.wait(60)
-            seen.append(blas.threads)
+            seen.append([blas.threads for blas in libs])
 
     threads = [threading.Thread(target=a), threading.Thread(target=b)]
     for t in threads:
@@ -302,15 +304,15 @@ def test_blas_holds_from_two_threads_interleave(monkeypatch):
     for t in threads:
         t.join(timeout=60)
     assert not any(t.is_alive() for t in threads)
-    assert seen == [1]
-    assert blas.threads == 3
+    assert seen == [[1, 1]]
+    assert [blas.threads for blas in libs] == [3, 5]
 
 
 def test_blas_holds_from_many_threads_restore_once(monkeypatch):
     # holds opened and closed from more threads than cores, with frequent
     # thread switches: the count is 1 inside every hold and restored after
     # the last; a lost update would leave 1 or restore 3 under an open hold
-    (blas,) = _fake_openblas(monkeypatch, 3)
+    libs = _fake_openblas(monkeypatch, 3, 5)
     inside = []
     start = threading.Barrier(4, timeout=60)
 
@@ -319,7 +321,7 @@ def test_blas_holds_from_many_threads_restore_once(monkeypatch):
         for _ in range(2000):
             with H._ONE_BLAS_THREAD:
                 time.sleep(0)  # let another thread open or close a hold here
-                inside.append(blas.threads)
+                inside.append(tuple(blas.threads for blas in libs))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -332,8 +334,8 @@ def test_blas_holds_from_many_threads_restore_once(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert inside == [1] * 8000
-    assert blas.threads == 3
+    assert inside == [(1, 1)] * 8000
+    assert [blas.threads for blas in libs] == [3, 5]
 
 
 def test_blas_hold_without_library(monkeypatch, tmp_path):
@@ -350,13 +352,14 @@ def test_blas_hold_without_library(monkeypatch, tmp_path):
 
 def test_pooled_identities_see_one_blas_thread(monkeypatch):
     # numpy's wheel links scipy-openblas; if discovery stops finding it (a
-    # renamed library or symbol) the hold would silently do nothing
+    # renamed library or symbol) the hold would silently do nothing.  It is
+    # the one library held: the package runs no other BLAS
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     if blas.get("name") != "scipy-openblas":
         pytest.skip(f"numpy links {blas.get('name')}, not scipy-openblas")
     libs = H._openblas_libraries()
     numpy_libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    assert any(os.path.dirname(lib.path) == numpy_libs for lib in libs)
+    assert [os.path.dirname(lib.path) for lib in libs] == [numpy_libs]
     saved = [lib.get_threads() for lib in libs]
     seen = []
     check = H.IDENTITIES["cauchy_constant"]
@@ -377,6 +380,48 @@ def test_pooled_identities_see_one_blas_thread(monkeypatch):
     finally:
         for lib, threads in zip(libs, saved):
             lib.set_threads(threads)
+
+
+def _python(code, *args, **env):
+    """Run `code` with `args` in a fresh interpreter that imports this
+    checkout's package, with `env` added to the environment."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          env={**os.environ, **env, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_dtn_export_identical_across_blas_thread_counts(tmp_path):
+    # `dtn` leaves BLAS at its own thread count, so nothing in its solves may
+    # depend on it: at resolution 48 a threaded BLAS dot splits a CG inner
+    # product differently under 1 and 2 threads
+    exports = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        done = _python("import sys; from vekua_lab import cli; sys.exit(cli.main(sys.argv[1:]))",
+                       "dtn", "--resolution", "48", "--kind", "schrodinger",
+                       "--profile", "linear_z", "--out", str(out),
+                       OPENBLAS_NUM_THREADS=threads, VEKUA_LAB_SEED="2024")
+        assert done.returncode == 0, done.stderr
+        exports.append([(out / name).read_bytes() for name in ("dtn_matrix.csv", "traces.csv")])
+    assert exports[0] == exports[1]
+
+
+def test_no_scipy_at_run_time(tmp_path):
+    # scipy is a test dependency only: the CLI, a DtN export and an identity
+    # check load none of it
+    probe = (
+        "import sys\n"
+        "import vekua_lab.cli as cli\n"
+        "from vekua_lab import harness\n"
+        "assert cli.main(['dtn', '--out', sys.argv[1]]) == 0\n"
+        "assert harness.run_identity('dtn_relation').passed\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "sys.exit(f'scipy loaded: {loaded}' if loaded else 0)\n"
+    )
+    done = _python(probe, str(tmp_path))
+    assert done.returncode == 0, done.stderr
 
 
 def test_seed_from_environment_reaches_dtn(monkeypatch, tmp_path):

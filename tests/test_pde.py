@@ -224,14 +224,13 @@ def test_solve_matches_sparse_direct_oracle(case, origin, extent, resolution, wi
 
 
 class _CountingCg:
-    """Stands in for scipy.sparse.linalg inside pde, recording the CG
-    iteration count of every solve."""
+    """Stands in for the `spla` namespace inside pde, recording the CG
+    iteration count of every solve; the package's own cg, saved when this
+    is built (before the monkeypatch), does the solving."""
 
     def __init__(self):
         self.counts = []
-
-    def __getattr__(self, attr):
-        return getattr(scipy.sparse.linalg, attr)
+        self._cg = P.spla.cg
 
     def cg(self, *args, callback=None, **kwargs):
         self.counts.append(0)
@@ -241,7 +240,7 @@ class _CountingCg:
             if callback is not None:
                 callback(xk)
 
-        return scipy.sparse.linalg.cg(*args, callback=count, **kwargs)
+        return self._cg(*args, callback=count, **kwargs)
 
 
 @pytest.mark.parametrize("kind, profile, bound", [
@@ -347,6 +346,38 @@ def test_solve_poisson_takes_one_iteration(monkeypatch):
     X = g.coords()
     P.solve_poisson(g, rhs=np.sin(X[..., 0]) + 1.0, trace=X[..., 1] ** 2)
     assert linalg.counts == [1]
+
+
+def test_nan_trace_raises_at_once():
+    # a NaN on the boundary reaches the right-hand side: the solve stops at
+    # its first inner product, not after every allowed iteration
+    g = BoxGrid.unit_cube(24)
+    trace = np.zeros(tuple(g.resolution))
+    trace[0, 5, 7] = np.nan
+    with pytest.raises(P.SolverError, match=r"after [012] iterations at relative residual nan"):
+        P.DirichletOperator(g).solve(trace)
+
+
+@pytest.mark.parametrize("apply, precondition", [
+    pytest.param(lambda x: -x, lambda r: r, id="negative-curvature"),
+    pytest.param(lambda x: 0.0 * x, lambda r: r, id="zero-curvature"),
+    pytest.param(lambda x: x, lambda r: 0.0 * r, id="zero-rho"),
+    pytest.param(lambda x: x, lambda r: np.full_like(r, np.inf), id="infinite-rho"),
+])
+def test_cg_stops_at_a_breakdown(apply, precondition):
+    # no division by a zero or non-finite inner product, and no iterate past it
+    calls = []
+    x, iterations = P.cg(apply, np.ones(5), precondition, callback=calls.append)
+    assert (iterations, calls) == (0, [])
+    assert np.array_equal(x, np.zeros(5))
+
+
+def test_cg_solves_a_diagonal_system():
+    d = np.linspace(1.0, 3.0, 7)
+    b = np.cos(np.arange(7.0))
+    x, iterations = P.cg(lambda v: d * v, b, lambda r: r)
+    assert 1 <= iterations <= 7
+    assert np.allclose(d * x, b, rtol=0.0, atol=1e-12)
 
 
 def test_unsolvable_indefinite_operator_raises():
