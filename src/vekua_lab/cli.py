@@ -6,10 +6,10 @@ usage line, for rejected input.  Reports land in --out (or the config's
 output_dir) as report.json, errors.csv and convergence.csv per identity.
 VEKUA_LAB_SEED seeds randomized point and trace selection; VEKUA_LAB_THREADS
 only sizes the thread pool that `suite` (run_suite) runs identities in.
-Identity checks (`verify`, `convergence`, `suite`) run BLAS on one thread, so
-that pool is their only parallelism; `dtn` leaves the BLAS library's own
-thread count alone, and its exports do not depend on it: the Dirichlet
-solver sums its inner products with einsum, not a threaded BLAS dot.
+Every command runs BLAS on one thread (see `blas`), so that pool is the
+only parallelism; a `dtn` export would not depend on the BLAS thread count
+either way: the Dirichlet solver sums its inner products with einsum, not a
+threaded BLAS dot.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from .blas import ONE_THREAD
 from .fields import MIN_RESOLUTION, BoxGrid, face_slabs
 from .harness import (
     IDENTITIES,
@@ -202,7 +203,8 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with ONE_THREAD:
+            return args.func(args)
     except ValueError as err:  # input rejected after parsing: reported like argparse's own
         parser.error(str(err))
 

@@ -20,7 +20,6 @@ import json
 import math
 import numbers
 import os
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, asdict
@@ -29,6 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
+from .blas import ONE_THREAD
 from .clifford import conj_array, gp_array, vector_to_array
 from .fields import (
     MIN_RESOLUTION, BoxGrid, MultivectorField, boundary_sampling, bump_scalar, cell_average,
@@ -197,11 +197,13 @@ class CheckReport:
     provenance: dict
 
     def to_dict(self):
-        return asdict(self)
+        """The report's fields by name; the values are the report's own
+        objects, not copies."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def write_json(self, path):
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, default=float)
+            fh.write(json.dumps(self.to_dict(), indent=2, default=float))
 
     def write_errors_csv(self, path):
         with open(path, "w") as fh:
@@ -991,14 +993,14 @@ def check_s_alpha(cfg: SuiteConfig, levels):
 
 def run_identity(identity, cfg: SuiteConfig | None = None, **overrides) -> CheckReport:
     """Run one identity check, writing its report files when the config names
-    an output directory.  The check runs with BLAS held at one thread (see
-    `_BlasThreadHold`), alone or on a `run_suite` worker, so its report does
-    not depend on how it was run."""
+    an output directory.  The check runs with BLAS held at one thread, as
+    every command does (see `blas`), alone or on a `run_suite` worker, so its
+    report does not depend on how it was run."""
     if identity not in IDENTITIES:
         raise ValueError(f"unknown identity {identity!r}; known: {sorted(IDENTITIES)}")
     if cfg is None:
         cfg = SuiteConfig.defaults(identity, **overrides)
-    with _ONE_BLAS_THREAD:
+    with ONE_THREAD:
         report = IDENTITIES[identity](cfg)
     if cfg.output_dir:
         out = os.path.join(cfg.output_dir, identity)
@@ -1013,80 +1015,6 @@ def convergence_study(identity, cfg: SuiteConfig | None = None, **overrides):
     """Rerun an identity across its resolutions and tabulate (case, level, h, error, order)."""
     report = run_identity(identity, cfg, **overrides)
     return report, convergence_table(report)
-
-
-class _BlasLibrary(NamedTuple):
-    path: str
-    get_threads: object  # () -> int
-    set_threads: object  # (int) -> None
-
-
-def _openblas_in(directory):
-    """The scipy-openblas builds under `directory` that this process has
-    loaded, with their exported thread-count getter and setter."""
-    import ctypes
-    import glob
-
-    found = []
-    for path in sorted(glob.glob(os.path.join(directory, "libscipy_openblas*"))):
-        try:  # RTLD_NOLOAD: a copy nothing loaded runs no threads
-            lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
-        except OSError:
-            continue
-        for suffix in ("64_", ""):  # 64-bit-integer builds, then LP64 (32-bit wheels)
-            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
-            put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                found.append(_BlasLibrary(path, get, put))
-                break
-    return found
-
-
-@functools.cache
-def _openblas_libraries():
-    """The OpenBLAS numpy loaded from its wheel's `numpy.libs` directory;
-    empty when numpy links some other BLAS.  It is the only BLAS the package
-    runs: nothing in it imports scipy."""
-    site_packages = os.path.dirname(os.path.dirname(np.__file__))
-    return tuple(_openblas_in(os.path.join(site_packages, "numpy.libs")))
-
-
-class _BlasThreadHold:
-    """Holds every loaded OpenBLAS at one thread while any hold is open.
-
-    The first of overlapping holds saves each library's thread count and sets
-    it to 1; the last restores the saved counts.  So holds nest (`run_suite`
-    around its pool, `run_identity` on each worker), and holds opened from
-    unrelated threads cannot restore a count under one another.  Parallelism
-    comes from the `run_suite` pool alone: BLAS threads on top of its workers
-    oversubscribe the cores, and a threaded dot product splits its sum by
-    thread count, which would make serial and pooled reports differ."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._open = 0
-        self._saved = ()
-
-    def __enter__(self):
-        with self._lock:
-            if self._open == 0:
-                self._saved = tuple((lib, lib.get_threads()) for lib in _openblas_libraries())
-                for lib, _ in self._saved:
-                    lib.set_threads(1)
-            self._open += 1
-
-    def __exit__(self, *exc):
-        with self._lock:
-            self._open -= 1
-            if self._open == 0:
-                for lib, threads in self._saved:
-                    lib.set_threads(threads)
-                self._saved = ()
-
-
-_ONE_BLAS_THREAD = _BlasThreadHold()
 
 
 @functools.cache
@@ -1116,7 +1044,8 @@ def run_suite(identities=None, parallel=True, **overrides):
     """Run many identities (None: all), in parallel across identities when allowed.
 
     The pool has VEKUA_LAB_THREADS workers (default: one per CPU) and is the
-    only parallelism: BLAS stays at one thread while it runs."""
+    only parallelism: BLAS stays at one thread while it runs, as it does for
+    every command (see `blas`)."""
     names = list(IDENTITIES) if identities is None else list(identities)
     if not names:
         raise ValueError("no identities selected")
@@ -1125,7 +1054,7 @@ def run_suite(identities=None, parallel=True, **overrides):
         raise ValueError(f"unknown identities: {unknown}")
     workers = min(len(names), thread_cap() or os.cpu_count() or 1)
     if parallel and workers > 1:
-        with _ONE_BLAS_THREAD, ThreadPoolExecutor(max_workers=workers) as pool:
+        with ONE_THREAD, ThreadPoolExecutor(max_workers=workers) as pool:
             futures = {name: pool.submit(_run_and_release, name, **overrides) for name in names}
             return {name: fut.result() for name, fut in futures.items()}
     return {name: run_identity(name, **overrides) for name in names}

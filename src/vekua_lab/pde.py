@@ -6,8 +6,8 @@ uses harmonic face averages of sigma, the Schrodinger operator -Delta + q
 collocates the potential.  Each operator is defined once, by its bilinear
 energy form with edge-wise trapezoid transverse weights (DirichletOperator).
 No matrix is assembled: the form's node matrix K is applied from those
-weights as the node flux K U, the solver applies its interior rows (the
-interior system and the trace coupling), and the DtN energy
+weights as the node flux K U, the solver computes its interior rows alone
+(the interior system and the trace coupling), and the DtN energy
 a(U, V) = |cell| V.K U applies all of it to the whole nodal array.  The
 interior equations are thus the Galerkin equations of the form by
 construction: for U solving them, a(U, V) reads only the boundary values
@@ -129,18 +129,25 @@ class DirichletOperator:
     the mass weights `mass_weights` q times the unit nodal trapezoid weights
     (None without q).  `_node_flux` applies the form's node matrix K, with
     a(U, V) = |cell| V.K U, to a nodal array; no matrix is assembled.  The
-    solver applies the interior rows of K through it, split into the
-    interior columns (`_apply`) and the boundary coupling (`trace_rhs`), so
-    the interior equations are exactly the Galerkin equations of the form.
+    solver computes the interior rows of K U alone (`_interior_flux`), node
+    for node as `_node_flux` does, split into the interior columns
+    (`_apply`) and the boundary coupling (`trace_rhs`), so the interior
+    equations are exactly the Galerkin equations of the form.  Coefficients
+    must be finite, and sigma positive.  The preconditioner's per-axis sine
+    transforms are BLAS matrix products, run on one thread like every
+    command's BLAS (see `blas`).
     """
 
     def __init__(self, grid: BoxGrid, sigma=None, q=None):
         res = tuple(int(r) for r in grid.resolution)
         self.grid = grid
         self.sigma = np.ones(res) if sigma is None else np.asarray(sigma, dtype=float)
-        if np.any(self.sigma <= 0.0):
-            raise ValueError("coefficient must be strictly positive")
         self.q = None if q is None else np.asarray(q, dtype=float)
+        for name, value in (("sigma", self.sigma), ("q", self.q)):
+            if value is not None and not np.all(np.isfinite(value)):
+                raise ValueError(f"coefficient {name} must be finite")
+        if not np.all(self.sigma > 0.0):  # written so that a NaN fails it too
+            raise ValueError("coefficient sigma must be strictly positive")
         h = grid.spacing
         self.edge_weights = [
             _face_coefficients(self.sigma, a) / h[a] ** 2
@@ -203,18 +210,34 @@ class DirichletOperator:
             KU[(slice(None),) * a + (slice(1, None),)] += flux
         return KU
 
+    def _interior_flux(self, U):
+        """(K U)_I, the interior rows of `_node_flux(U)` in the interior
+        shape: per axis, the edge fluxes of the rows through interior nodes
+        only, each node taking the same operations in the same order, so the
+        values are bit for bit those of the full flux."""
+        inner = interior_slices(1)
+        KU = (np.zeros(self.shape) if self.mass_weights is None
+              else self.mass_weights[inner] * U[inner])
+        for a, w in enumerate(self.edge_weights):
+            rows = inner[:a] + (slice(None),) + inner[a + 1:]
+            flux = w[rows] * np.diff(U[rows], axis=a)
+            KU -= flux[(slice(None),) * a + (slice(1, None),)]  # the edge above each node
+            KU += flux[(slice(None),) * a + (slice(None, -1),)]  # the edge below
+        return KU
+
     def _apply(self, x):
-        """A x = (K [x; 0])_I: K restricted to the interior nodes."""
+        """A x = (K [x; 0])_I: K restricted to the interior nodes, computed
+        for the interior rows alone."""
         U = np.zeros(tuple(self.grid.resolution))
         U[interior_slices(1)] = x.reshape(self.shape)
-        return self._node_flux(U)[interior_slices(1)].ravel()
+        return self._interior_flux(U).ravel()
 
     def trace_rhs(self, trace):
         """Right-hand side -(K [0; trace])_I induced by Dirichlet data on the
         boundary nodes."""
         U = np.array(trace, dtype=float).reshape(tuple(self.grid.resolution))
         U[interior_slices(1)] = 0.0
-        return -self._node_flux(U)[interior_slices(1)].ravel()
+        return -self._interior_flux(U).ravel()
 
     def solve(self, trace, rhs=None):
         """Solve with Dirichlet data `trace`; optional volume right-hand side.

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from vekua_lab import cli, pde
+from vekua_lab import blas as B
 from vekua_lab import harness as H
 from vekua_lab import vekua as V
 from vekua_lab.fields import BoxGrid
@@ -230,23 +231,23 @@ class _BlasRecorder:
 
 def _fake_openblas(monkeypatch, *counts):
     recorders = [_BlasRecorder(n) for n in counts]
-    libs = tuple(H._BlasLibrary(f"fake{k}", r.get, r.set) for k, r in enumerate(recorders))
-    monkeypatch.setattr(H, "_openblas_libraries", lambda: libs)
+    libs = tuple(B._BlasLibrary(f"fake{k}", r.get, r.set) for k, r in enumerate(recorders))
+    monkeypatch.setattr(B, "_openblas_libraries", lambda: libs)
     return recorders
 
 
 def test_blas_hold_sets_one_thread_and_restores(monkeypatch):
     # over two libraries, each held and given back its own count
     first, second = _fake_openblas(monkeypatch, 2, 4)
-    with H._ONE_BLAS_THREAD:
+    with B.ONE_THREAD:
         assert (first.threads, second.threads) == (1, 1)
-        with H._ONE_BLAS_THREAD:  # a nested hold keeps the outer one's counts
+        with B.ONE_THREAD:  # a nested hold keeps the outer one's counts
             assert (first.threads, second.threads) == (1, 1)
         assert (first.threads, second.threads) == (1, 1)
     assert (first.threads, second.threads) == (2, 4)
     assert first.calls == [1, 2] and second.calls == [1, 4]
     with pytest.raises(ZeroDivisionError):
-        with H._ONE_BLAS_THREAD:
+        with B.ONE_THREAD:
             assert first.threads == 1
             1 / 0
     assert (first.threads, second.threads) == (2, 4)
@@ -278,6 +279,31 @@ def test_blas_hold_around_checks(monkeypatch):
     assert blas.threads == 2
 
 
+def test_dtn_command_runs_blas_on_one_thread(monkeypatch, tmp_path):
+    # `vekua-lab dtn` holds BLAS too: every Dirichlet solve sees each library
+    # at one thread, and each gets its own count back when the command
+    # returns, and when it exits 2 on a ValueError (a negative seed)
+    first, second = _fake_openblas(monkeypatch, 2, 4)
+    seen = []
+    solve = pde.DirichletOperator.solve
+
+    def probe(op, *args, **kwargs):
+        seen.append((first.threads, second.threads))
+        return solve(op, *args, **kwargs)
+
+    monkeypatch.setattr(pde.DirichletOperator, "solve", probe)
+    argv = ["dtn", "--resolution", "8", "--basis-size", "3", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert seen == [(1, 1)] * 3
+    assert (first.threads, second.threads) == (2, 4)
+    monkeypatch.setenv("VEKUA_LAB_SEED", "-1")
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    assert exit_.value.code == 2
+    assert (first.threads, second.threads) == (2, 4)
+    assert first.calls == [1, 2, 1, 2] and second.calls == [1, 4, 1, 4]
+
+
 def test_blas_holds_from_two_threads_interleave(monkeypatch):
     # thread a opens, b opens, a closes while b is inside, b closes: b still
     # sees one thread, and the count a found comes back only after b closes
@@ -286,14 +312,14 @@ def test_blas_holds_from_two_threads_interleave(monkeypatch):
     seen = []
 
     def a():
-        with H._ONE_BLAS_THREAD:
+        with B.ONE_THREAD:
             a_open.set()
             b_open.wait(60)
         a_closed.set()
 
     def b():
         a_open.wait(60)
-        with H._ONE_BLAS_THREAD:
+        with B.ONE_THREAD:
             b_open.set()
             a_closed.wait(60)
             seen.append([blas.threads for blas in libs])
@@ -319,7 +345,7 @@ def test_blas_holds_from_many_threads_restore_once(monkeypatch):
     def worker():
         start.wait()
         for _ in range(2000):
-            with H._ONE_BLAS_THREAD:
+            with B.ONE_THREAD:
                 time.sleep(0)  # let another thread open or close a hold here
                 inside.append(tuple(blas.threads for blas in libs))
 
@@ -341,13 +367,13 @@ def test_blas_holds_from_many_threads_restore_once(monkeypatch):
 def test_blas_hold_without_library(monkeypatch, tmp_path):
     # no scipy-openblas found, or a file by that name nothing loaded: the
     # hold runs its body and touches nothing
-    assert H._openblas_in(str(tmp_path)) == []
+    assert B._openblas_in(str(tmp_path)) == []
     (tmp_path / "libscipy_openblas64_-0.so").write_bytes(b"not a library")
-    assert H._openblas_in(str(tmp_path)) == []
-    monkeypatch.setattr(H, "_openblas_libraries", lambda: ())
-    with H._ONE_BLAS_THREAD:
+    assert B._openblas_in(str(tmp_path)) == []
+    monkeypatch.setattr(B, "_openblas_libraries", lambda: ())
+    with B.ONE_THREAD:
         pass
-    assert H._ONE_BLAS_THREAD._open == 0
+    assert B.ONE_THREAD._open == 0
 
 
 def test_pooled_identities_see_one_blas_thread(monkeypatch):
@@ -357,7 +383,7 @@ def test_pooled_identities_see_one_blas_thread(monkeypatch):
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     if blas.get("name") != "scipy-openblas":
         pytest.skip(f"numpy links {blas.get('name')}, not scipy-openblas")
-    libs = H._openblas_libraries()
+    libs = B._openblas_libraries()
     numpy_libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     assert [os.path.dirname(lib.path) for lib in libs] == [numpy_libs]
     saved = [lib.get_threads() for lib in libs]
@@ -393,9 +419,7 @@ def _python(code, *args, **env):
 
 
 def test_dtn_export_identical_across_blas_thread_counts(tmp_path):
-    # `dtn` leaves BLAS at its own thread count, so nothing in its solves may
-    # depend on it: at resolution 48 a threaded BLAS dot splits a CG inner
-    # product differently under 1 and 2 threads
+    # `dtn` holds BLAS at one thread, whatever count the library starts with
     exports = []
     for threads in ("1", "2"):
         out = tmp_path / threads
@@ -406,6 +430,27 @@ def test_dtn_export_identical_across_blas_thread_counts(tmp_path):
         assert done.returncode == 0, done.stderr
         exports.append([(out / name).read_bytes() for name in ("dtn_matrix.csv", "traces.csv")])
     assert exports[0] == exports[1]
+
+
+def test_dtn_matrix_identical_across_blas_thread_counts():
+    # outside any hold, the library at 1 and at 2 threads: at resolution 48 a
+    # threaded BLAS dot splits a CG inner product differently by thread
+    # count, so the solver sums with einsum and the pairings come out the same
+    probe = (
+        "import sys\n"
+        "from vekua_lab import cli, pde\n"
+        "from vekua_lab.fields import BoxGrid\n"
+        "from vekua_lab.vekua import make_profile\n"
+        "g = BoxGrid.unit_cube(48)\n"
+        "form = pde.DtnForm.schrodinger(make_profile(g, {'kind': 'linear_z'}))\n"
+        "print(form.matrix(cli._trace_basis(g, 8, 2024)).tobytes().hex())\n"
+    )
+    matrices = []
+    for threads in ("1", "2"):
+        done = _python(probe, OPENBLAS_NUM_THREADS=threads)
+        assert done.returncode == 0, done.stderr
+        matrices.append(done.stdout)
+    assert matrices[0] == matrices[1]
 
 
 def test_no_scipy_at_run_time(tmp_path):

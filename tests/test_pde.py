@@ -2,6 +2,7 @@
 DtN interrelation."""
 
 import gc
+import warnings
 import weakref
 
 import numpy as np
@@ -57,6 +58,20 @@ def test_conductivity_rejects_nonpositive_coefficient():
     bad[3, 3, 3] = -1.0
     with pytest.raises(ValueError):
         P.solve_conductivity(g, bad, ones(g))
+
+
+@pytest.mark.parametrize("name", ["sigma", "q"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_operator_rejects_non_finite_coefficients(name, bad):
+    # rejected at construction, naming the coefficient, with no warning on
+    # the way: not at the first solve as a SolverError after 0 iterations
+    g = grid16()
+    coefficient = ones(g)
+    coefficient[3, 4, 5] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"coefficient {name} must be finite"):
+            P.DirichletOperator(g, **{name: coefficient})
 
 
 def test_schrodinger_harmonic_case():
@@ -169,6 +184,36 @@ def test_matrix_free_apply_matches_assembled_node_matrix(kind, origin, extent, r
     want_rhs = -(K_IB @ trace[~_inside(g)])
     assert np.linalg.norm(op._apply(x) - want_apply) <= 1e-14 * np.linalg.norm(want_apply)
     assert np.linalg.norm(op.trace_rhs(trace) - want_rhs) <= 1e-14 * np.linalg.norm(want_rhs)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    kind=st.sampled_from(["sigma", "q"]),
+    origin=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+    extent=st.lists(st.floats(0.3, 2.5), min_size=3, max_size=3),
+    resolution=st.lists(st.integers(8, 14), min_size=3, max_size=3),
+    seed=st.integers(0, 2**16),
+)
+def test_interior_flux_is_the_node_flux_on_interior_rows(kind, origin, extent, resolution,
+                                                         seed):
+    # the solver's interior rows take each node's operations in the node
+    # flux's order, so they equal its interior rows bit for bit: for a
+    # random U with a nonzero boundary, and as `_apply` and `trace_rhs`
+    # use them
+    g = BoxGrid(origin, extent, resolution)
+    rng = np.random.default_rng(seed)
+    X = (g.coords() - g.origin) / g.extent
+    coefficient = np.exp(np.sin(X @ rng.normal(size=3)))
+    op = (P.DirichletOperator(g, sigma=coefficient) if kind == "sigma"
+          else P.DirichletOperator(g, q=coefficient))
+    inner = F.interior_slices(1)
+    U = rng.normal(size=tuple(g.resolution))
+    assert np.array_equal(op._interior_flux(U), op._node_flux(U)[inner])
+    interior, boundary = U.copy(), U.copy()
+    interior[~_inside(g)] = 0.0
+    boundary[inner] = 0.0
+    assert np.array_equal(op._apply(U[inner].ravel()), op._node_flux(interior)[inner].ravel())
+    assert np.array_equal(op.trace_rhs(U), -op._node_flux(boundary)[inner].ravel())
 
 
 def _dirichlet_eigenvalues(g):
@@ -305,7 +350,7 @@ def test_pairing_matrix_applies_one_node_flux_per_row(monkeypatch):
     g = BoxGrid([0.0, -0.3, 0.2], [1.0, 0.8, 1.1], [9, 10, 8])
     form = P.DtnForm.conductivity(make_profile(g, {"kind": "exponential"}))
     traces = cli._trace_basis(g, 5, 2024)
-    # solve first: the solver applies K through the same node flux
+    # solve first, so that only pairings reach the node flux
     for trace in traces:
         form.solution(trace)
     applied = []
