@@ -8,12 +8,20 @@ blade in ascending order by construction.
 
 Products are exact in floating point for integer coefficients: the blade
 product is a signed coefficient shuffle, no rounding is introduced beyond
-the multiplications themselves.
+the multiplications themselves.  On coefficient stacks every product
+runs through one engine: multiplying by a basis blade e_mask permutes
+the blade axis and flips signs (Dorst, Fontijne & Mann, Geometric
+Algebra for Computer Science, 2007), so it is a matmul with a signed
+permutation matrix, built on first use for each (n, mask) and side.  A
+matmul row sums one +-1 term and 2^n - 1 exact zeros, so the product is
+exact for finite coefficients; a non-finite coefficient spreads NaN
+across its row (0 * inf).
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 
 import numpy as np
 
@@ -88,7 +96,6 @@ class AlgebraTables:
             for b in range(self.dim):
                 sign[a, b] = _blade_sign(a, b)
         self.sign = sign
-        self.xor = masks[:, None] ^ masks[None, :]
         if n <= 4:
             self._cross_validate()
 
@@ -280,8 +287,8 @@ def parity_split(a: Multivector):
 # Stacked coefficient arrays of shape (..., 2^n) let grid fields and
 # quadrature batches reuse the same sign tables without per-node Python
 # objects.  The algebra dimension n is read from the length of the blade
-# (last) axis.  XOR with a fixed mask permutes the blade axis, so basis
-# multiplications are pure signed shuffles.
+# (last) axis.  XOR with a fixed mask permutes the blade axis, so a basis
+# multiplication is a matmul with a signed permutation (`_shuffle`).
 
 
 def _blade_tables(length) -> AlgebraTables:
@@ -294,18 +301,18 @@ def _blade_tables(length) -> AlgebraTables:
 
 
 def gp_array(a, b):
-    """Geometric product of coefficient stacks, broadcasting leading axes."""
+    """Geometric product of coefficient stacks, broadcasting leading axes:
+    sum over the blades of a of a_mask (e_mask b), each term a
+    `basis_mul_left` shuffle, so exact for integer coefficients."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape[-1] != b.shape[-1]:
         raise ValueError(f"blade axes differ: {a.shape[-1]} vs {b.shape[-1]}")
     tab = _blade_tables(a.shape[-1])
     out = np.zeros(np.broadcast(a, b).shape)
-    # e_mask e_j = sign[mask, j] e_(mask ^ j), and j -> mask ^ j is an involution,
-    # so blade k gathers a_mask sign[mask, mask ^ k] b_(mask ^ k); blades of a
-    # that are zero throughout contribute nothing
+    # blades of a that are zero throughout contribute nothing
     for mask in np.flatnonzero(a.reshape(-1, tab.dim).any(axis=0)):
-        out += a[..., mask, None] * (tab.sign[mask] * b).take(tab.xor[mask], axis=-1)
+        out += a[..., mask, None] * basis_mul_left(mask, b)
     return out
 
 
@@ -330,20 +337,36 @@ def parity_array(a):
     return np.where(tab.part03_mask, a, 0.0), np.where(tab.part12_mask, a, 0.0)
 
 
-def basis_mul_left(mask, a):
-    """e_mask * a on a coefficient stack."""
+@functools.lru_cache(maxsize=None)
+def _shuffle(n, mask, left):
+    """Read-only signed permutation S with a @ S = e_mask a (left) or a e_mask,
+    for coefficient rows a of Cl(0,n): row j holds the sign of e_mask e_j
+    (or e_j e_mask) at column mask ^ j."""
+    tab = tables(n)
+    rows = np.arange(tab.dim)
+    shuffle = np.zeros((tab.dim, tab.dim))
+    shuffle[rows, rows ^ mask] = tab.sign[mask] if left else tab.sign[:, mask]
+    shuffle.setflags(write=False)
+    return shuffle
+
+
+def _basis_mul(mask, a, left):
     tab = _blade_tables(a.shape[-1])
-    out = np.empty_like(a)
-    out[..., tab.xor[mask]] = tab.sign[mask] * a
-    return out
+    mask = operator.index(mask)
+    if not 0 <= mask < tab.dim:
+        raise ValueError(f"blade mask {mask} out of range for n={tab.n}")
+    return (a.reshape(-1, tab.dim) @ _shuffle(tab.n, mask, left)).reshape(a.shape)
+
+
+def basis_mul_left(mask, a):
+    """e_mask * a on a coefficient stack: a matmul with a signed permutation,
+    exact for finite coefficients (a non-finite one makes its row NaN)."""
+    return _basis_mul(mask, a, True)
 
 
 def basis_mul_right(a, mask):
-    """a * e_mask on a coefficient stack."""
-    tab = _blade_tables(a.shape[-1])
-    out = np.empty_like(a)
-    out[..., tab.xor[:, mask]] = tab.sign[:, mask] * a
-    return out
+    """a * e_mask on a coefficient stack, as `basis_mul_left` with the right table."""
+    return _basis_mul(mask, a, False)
 
 
 def vector_to_array(components):

@@ -127,8 +127,8 @@ def trapezoid_product(resolution, spacing=None):
 
 def face_slabs():
     """(axis, high, slab) for the six faces of a 3-d box, in the order (axis,
-    low/high side): `slab` indexes the face's nodes in a nodal array, and
-    2 axis + high is the face id that `boundary_sampling` uses."""
+    low/high side) that `boundary_sampling` also uses: `slab` indexes the
+    face's nodes in a nodal array."""
     for axis in range(3):
         for high in (0, 1):
             side = -1 if high else 0
@@ -303,13 +303,18 @@ def sc_norm(u: MultivectorField) -> float:
 
 
 class BoundaryQuadrature:
-    """Midpoint-rule samples over the six faces of a box."""
+    """Midpoint-rule samples over the six faces of a box.
 
-    def __init__(self, positions, normals, weights, faces, max_cell_diameter=0.0):
+    The samples of each face are contiguous: `face_blocks` holds, per face
+    in (axis, low/high side) order, (axis, sign, rows) with rows the slice
+    of its samples and sign * e_axis its outward normal.
+    """
+
+    def __init__(self, positions, normals, weights, face_blocks, max_cell_diameter):
         self.positions = positions
         self.normals = normals
         self.weights = weights
-        self.faces = faces
+        self.face_blocks = face_blocks
         self.max_cell_diameter = max_cell_diameter
 
     def __len__(self):
@@ -325,8 +330,9 @@ def boundary_sampling(grid: BoxGrid, cells_per_axis=None) -> BoundaryQuadrature:
     if cells_per_axis is not None and cells_per_axis < 1:
         raise ValueError(f"cells_per_axis must be >= 1, got {cells_per_axis}")
     counts = grid.resolution - 1 if cells_per_axis is None else np.full(3, int(cells_per_axis))
-    positions, normals, weights, faces = [], [], [], []
+    positions, normals, weights, blocks = [], [], [], []
     max_diam = 0.0
+    start = 0
     for axis in range(3):
         for side in (0, 1):
             transverse = [t for t in range(3) if t != axis]
@@ -344,17 +350,19 @@ def boundary_sampling(grid: BoxGrid, cells_per_axis=None) -> BoundaryQuadrature:
             pos[:, axis] = grid.origin[axis] + (grid.extent[axis] if side else 0.0)
             for t, m in zip(transverse, mesh):
                 pos[:, t] = m.ravel()
+            sign = 1.0 if side else -1.0
             nrm = np.zeros((count, 3))
-            nrm[:, axis] = 1.0 if side else -1.0
+            nrm[:, axis] = sign
             positions.append(pos)
             normals.append(nrm)
             weights.append(np.full(count, float(np.prod(step))))
-            faces.append(np.full(count, 2 * axis + side, dtype=np.int64))
+            blocks.append((axis, sign, slice(start, start + count)))
+            start += count
     return BoundaryQuadrature(
         np.concatenate(positions),
         np.concatenate(normals),
         np.concatenate(weights),
-        np.concatenate(faces),
+        tuple(blocks),
         max_diam,
     )
 

@@ -13,9 +13,10 @@ Each volume sum has one engine, chosen by its input: a direct numpy sum,
 one point at a time, for point sets, and zero-padded FFTs for the whole
 cell-center lattice, where the dropped-cell sum is a discrete
 convolution.  A boundary sum takes the same shape: the normal is folded
-into the weighted trace once, and both are kernel rows against a density,
-recombined by `_kernel_times`.  Offsets are (3, m) coordinate arrays; the
-kernel evaluator gets their column-major transpose, contiguous per column.
+into the weighted trace once, a signed basis shuffle per face, and both
+are kernel rows against a density, recombined by `_kernel_times`.
+Offsets are (3, m) coordinate arrays; the kernel evaluator gets their
+column-major transpose, contiguous per column.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clifford import basis_mul_left, gp_array, vector_to_array
+from .clifford import basis_mul_left
 from .fields import (
     BoxGrid,
     BoundaryQuadrature,
@@ -226,11 +227,13 @@ def cauchy_boundary(kernel: KernelSpec, boundary: BoundaryQuadrature, trace_valu
     sum_m K(y_m - x) eta_m v_m w_m, products taken in the written order:
     kernel, then normal, then trace.  Scalar families (newton, yukawa) give
     the single layer sum_m k(y_m - x) v_m w_m.  A 1-d trace is a scalar
-    trace.  The normal is folded into the density eta v w once per call,
-    so each point is the kernel rows against that density, recombined
-    by `_kernel_times` as in the volume sums.  Points closer to the
-    boundary than one face-cell diameter are rejected; the midpoint rule
-    is unreliable there.
+    trace.  The normal is folded into the density eta v w once per call:
+    the samples of each face form one contiguous block (`face_blocks`)
+    with normal +-e_axis, so the fold is one signed basis shuffle per
+    block (`_normal_fold`), exact.  Each point is then the kernel rows
+    against that density, recombined by `_kernel_times` as in the volume
+    sums.  Points closer to the boundary than one face-cell diameter are
+    rejected; the midpoint rule is unreliable there.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     trace = np.asarray(trace_values, dtype=float)
@@ -238,7 +241,7 @@ def cauchy_boundary(kernel: KernelSpec, boundary: BoundaryQuadrature, trace_valu
         trace = np.concatenate([trace[:, None], np.zeros((trace.shape[0], 7))], axis=1)
     density = trace * boundary.weights[:, None]
     if kernel.grade1:
-        density = gp_array(vector_to_array(boundary.normals), density)
+        density = _normal_fold(boundary, density)
     faces = np.ascontiguousarray(boundary.positions.T)
     sums = []
     for x in pts:
@@ -250,6 +253,15 @@ def cauchy_boundary(kernel: KernelSpec, boundary: BoundaryQuadrature, trace_valu
             )
         sums.append(_kernel_table(kernel, z, r=r) @ density)
     return _kernel_times(kernel, np.stack(sums))
+
+
+def _normal_fold(boundary: BoundaryQuadrature, density):
+    """eta v per face sample: on each face block, whose normal is eta = +-e_axis,
+    the signed shuffle +-(e_axis v) of its rows."""
+    folded = np.empty_like(density)
+    for axis, sign, rows in boundary.face_blocks:
+        folded[rows] = sign * basis_mul_left(1 << axis, density[rows])
+    return folded
 
 
 def borel_pompeiu_residual(v: MultivectorField, pts: EvaluationSet, trace_fn,

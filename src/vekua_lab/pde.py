@@ -112,6 +112,11 @@ def _sine_basis(n, h):
     return basis, (2.0 - 2.0 * np.cos(np.pi * k / (n + 1))) / h**2
 
 
+def _along(axis, index):
+    """Index applying `index` along `axis` of a 3-d array."""
+    return (slice(None),) * axis + (index,)
+
+
 def _face_coefficients(sigma, axis):
     """Harmonic face averages of a nodal coefficient along one axis."""
     lo = np.moveaxis(sigma, axis, 0)[:-1]
@@ -210,34 +215,43 @@ class DirichletOperator:
             KU[(slice(None),) * a + (slice(1, None),)] += flux
         return KU
 
-    def _interior_flux(self, U):
+    def _interior_flux(self, X, U=None):
         """(K U)_I, the interior rows of `_node_flux(U)` in the interior
-        shape: per axis, the edge fluxes of the rows through interior nodes
-        only, each node taking the same operations in the same order, so the
-        values are bit for bit those of the full flux."""
+        shape, from the interior values X and the boundary values of the
+        nodal array U, whose interior is not read (None: a zero boundary,
+        with no nodal array built).  Per axis, the edge fluxes of the rows
+        through interior nodes only, each node taking the same operations in
+        the same order as `_node_flux`; the two edges at the ends of a row
+        take the difference with the boundary node (0.0 for a zero
+        boundary) as np.diff would, so the values are bit for bit those of
+        the full flux."""
         inner = interior_slices(1)
         KU = (np.zeros(self.shape) if self.mass_weights is None
-              else self.mass_weights[inner] * U[inner])
+              else self.mass_weights[inner] * X)
         for a, w in enumerate(self.edge_weights):
             rows = inner[:a] + (slice(None),) + inner[a + 1:]
-            flux = w[rows] * np.diff(U[rows], axis=a)
-            KU -= flux[(slice(None),) * a + (slice(1, None),)]  # the edge above each node
-            KU += flux[(slice(None),) * a + (slice(None, -1),)]  # the edge below
+            below, above = _along(a, slice(None, -1)), _along(a, slice(1, None))
+            first, last = _along(a, slice(None, 1)), _along(a, slice(-1, None))
+            lo, hi = (0.0, 0.0) if U is None else (U[rows][first], U[rows][last])
+            flux = np.empty(w[rows].shape)
+            np.subtract(X[first], lo, out=flux[first])
+            np.subtract(X[above], X[below], out=flux[_along(a, slice(1, -1))])
+            np.subtract(hi, X[last], out=flux[last])
+            flux *= w[rows]
+            KU -= flux[above]  # the edge above each node
+            KU += flux[below]  # the edge below
         return KU
 
     def _apply(self, x):
         """A x = (K [x; 0])_I: K restricted to the interior nodes, computed
-        for the interior rows alone."""
-        U = np.zeros(tuple(self.grid.resolution))
-        U[interior_slices(1)] = x.reshape(self.shape)
-        return self._interior_flux(U).ravel()
+        for the interior rows alone from x itself."""
+        return self._interior_flux(x.reshape(self.shape)).ravel()
 
     def trace_rhs(self, trace):
         """Right-hand side -(K [0; trace])_I induced by Dirichlet data on the
         boundary nodes."""
-        U = np.array(trace, dtype=float).reshape(tuple(self.grid.resolution))
-        U[interior_slices(1)] = 0.0
-        return -self._interior_flux(U).ravel()
+        U = np.asarray(trace, dtype=float).reshape(tuple(self.grid.resolution))
+        return -self._interior_flux(np.zeros(self.shape), U).ravel()
 
     def solve(self, trace, rhs=None):
         """Solve with Dirichlet data `trace`; optional volume right-hand side.

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -11,3 +15,15 @@ def random_integer_mv(rng, n=3, lo=-5, hi=6):
     from vekua_lab.clifford import Multivector
 
     return Multivector(n, rng.integers(lo, hi, 1 << n).astype(float))
+
+
+def fresh_python(code, *args, **env):
+    """Run `code` with `args` in a fresh interpreter that imports this
+    checkout's package, with `env` added to the environment."""
+    import vekua_lab
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(vekua_lab.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          env={**os.environ, **env, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=300)

@@ -4,6 +4,8 @@ Everything here is exact integer arithmetic; assertions use equality or a
 zero tolerance unless stated otherwise.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from vekua_lab import clifford as cl
 from vekua_lab.clifford import Multivector, conjugate, geometric_product, grade_project, parity_split
 
-from conftest import random_integer_mv
+from conftest import fresh_python, random_integer_mv
 
 
 def mv(coeffs, n=3):
@@ -210,11 +212,61 @@ def test_array_engine_matches_sign_oracle(rng, n):
     a = rng.integers(-5, 6, (4, dim)).astype(float)
     b = rng.integers(-5, 6, (4, dim)).astype(float)
     assert np.array_equal(cl.gp_array(a, b), _reference_product(a, b))
-    for mask in range(dim):
-        blade = np.zeros(dim)
-        blade[mask] = 1.0
-        assert np.array_equal(cl.basis_mul_left(mask, a), _reference_product(blade, a))
-        assert np.array_equal(cl.basis_mul_right(a, mask), _reference_product(a, blade))
+    # a basis product is exact for any finite coefficients: a grid-shaped
+    # stack of real numbers, and a strided view of it
+    stack = rng.normal(size=(3, 2, 5, dim))
+    for c in (a, stack, stack[:, ::-1, 1::2]):
+        for mask in range(dim):
+            blade = np.zeros(dim)
+            blade[mask] = 1.0
+            assert np.array_equal(cl.basis_mul_left(mask, c), _reference_product(blade, c))
+            assert np.array_equal(cl.basis_mul_right(c, mask), _reference_product(c, blade))
+
+
+@pytest.mark.parametrize("mask", [-1, -8, 8, 1 << 8])
+def test_basis_mul_rejects_masks_outside_the_algebra(mask):
+    a = np.ones((2, 8))
+    with pytest.raises(ValueError, match=f"blade mask {mask} out of range for n=3"):
+        cl.basis_mul_left(mask, a)
+    with pytest.raises(ValueError, match=f"blade mask {mask} out of range for n=3"):
+        cl.basis_mul_right(a, mask)
+
+
+def test_basis_mul_spreads_a_non_finite_coefficient_across_its_row():
+    # the signed-permutation matmul multiplies every coefficient of a row,
+    # 0 * inf included: the blade's own image keeps its infinity, the rest
+    # of the row turns NaN, other rows are untouched
+    a = np.zeros((2, 8))
+    a[0, 0b011] = np.inf
+    with np.errstate(invalid="ignore"):
+        out = cl.basis_mul_left(0b001, a)
+        a[0, 0b011] = np.nan
+        right = cl.basis_mul_right(a, 0b100)
+    assert out[0, 0b010] == -np.inf  # e1 e12 = -e2
+    assert np.all(np.isnan(np.delete(out[0], 0b010)))
+    assert np.array_equal(out[1], np.zeros(8))
+    assert np.all(np.isnan(right[0])) and np.array_equal(right[1], np.zeros(8))
+
+
+def test_algebra_tables_build_no_dense_shuffle():
+    # basis products build their signed permutations per mask on first use;
+    # the tables of Cl(0,8) alone stay small (a dense 256^3 float table would
+    # be 134 MB)
+    tracemalloc.start()
+    try:
+        cl.AlgebraTables(8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_importing_the_cli_builds_no_shuffle():
+    done = fresh_python("import vekua_lab.cli\n"
+                        "from vekua_lab import clifford\n"
+                        "print(clifford._shuffle.cache_info().currsize)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "0"
 
 
 def test_gp_array_rejects_mismatched_blade_axes():

@@ -4,7 +4,6 @@ serialization, registry dispatch, and output files."""
 import collections
 import json
 import os
-import subprocess
 import sys
 import threading
 import time
@@ -17,6 +16,8 @@ from vekua_lab import blas as B
 from vekua_lab import harness as H
 from vekua_lab import vekua as V
 from vekua_lab.fields import BoxGrid
+
+from conftest import fresh_python
 
 
 def test_config_validation():
@@ -408,22 +409,12 @@ def test_pooled_identities_see_one_blas_thread(monkeypatch):
             lib.set_threads(threads)
 
 
-def _python(code, *args, **env):
-    """Run `code` with `args` in a fresh interpreter that imports this
-    checkout's package, with `env` added to the environment."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-c", code, *args],
-                          env={**os.environ, **env, "PYTHONPATH": path},
-                          capture_output=True, text=True, timeout=300)
-
-
 def test_dtn_export_identical_across_blas_thread_counts(tmp_path):
     # `dtn` holds BLAS at one thread, whatever count the library starts with
     exports = []
     for threads in ("1", "2"):
         out = tmp_path / threads
-        done = _python("import sys; from vekua_lab import cli; sys.exit(cli.main(sys.argv[1:]))",
+        done = fresh_python("import sys; from vekua_lab import cli; sys.exit(cli.main(sys.argv[1:]))",
                        "dtn", "--resolution", "48", "--kind", "schrodinger",
                        "--profile", "linear_z", "--out", str(out),
                        OPENBLAS_NUM_THREADS=threads, VEKUA_LAB_SEED="2024")
@@ -447,7 +438,7 @@ def test_dtn_matrix_identical_across_blas_thread_counts():
     )
     matrices = []
     for threads in ("1", "2"):
-        done = _python(probe, OPENBLAS_NUM_THREADS=threads)
+        done = fresh_python(probe, OPENBLAS_NUM_THREADS=threads)
         assert done.returncode == 0, done.stderr
         matrices.append(done.stdout)
     assert matrices[0] == matrices[1]
@@ -465,7 +456,7 @@ def test_no_scipy_at_run_time(tmp_path):
         "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
         "sys.exit(f'scipy loaded: {loaded}' if loaded else 0)\n"
     )
-    done = _python(probe, str(tmp_path))
+    done = fresh_python(probe, str(tmp_path))
     assert done.returncode == 0, done.stderr
 
 

@@ -296,6 +296,28 @@ def test_cauchy_boundary_rejects_near_boundary_points():
                 IO.cauchy_boundary(kernel, bq, np.ones(len(bq)), [x])
 
 
+@pytest.mark.parametrize("origin, extent, resolution", [
+    ([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [10, 10, 10]),
+    ([0.2, -0.5, 1.0], [1.0, 2.0, 0.5], [9, 13, 11]),
+    ([-1.5, 0.3, 2.0], [0.6, 1.7, 2.4], [12, 8, 15]),
+])
+@pytest.mark.parametrize("cells", [None, 1, 5, 16])
+def test_normal_fold_matches_grade1_product(rng, origin, extent, resolution, cells):
+    # the face blocks tile the samples in (axis, side) order with normal
+    # sign * e_axis, and the block shuffle is the Clifford product eta v
+    bq = boundary_sampling(BoxGrid(origin, extent, resolution), cells)
+    assert [(axis, sign) for axis, sign, _ in bq.face_blocks] == [
+        (axis, sign) for axis in range(3) for sign in (-1.0, 1.0)]
+    stops = [0] + [rows.stop for _, _, rows in bq.face_blocks]
+    assert [rows.start for _, _, rows in bq.face_blocks] == stops[:-1]
+    assert stops[-1] == len(bq)
+    for axis, sign, rows in bq.face_blocks:
+        assert np.all(bq.normals[rows] == sign * np.eye(3)[axis])
+    density = rng.normal(size=(len(bq), 8))
+    assert np.array_equal(IO._normal_fold(bq, density),
+                          gp_array(vector_to_array(bq.normals), density))
+
+
 def oracle_boundary(kernel, bq, trace, x):
     """Face-by-face terms K eta v w (grade-1 kernels) or k v w as stacked Clifford products.
 

@@ -208,7 +208,7 @@ def test_interior_flux_is_the_node_flux_on_interior_rows(kind, origin, extent, r
           else P.DirichletOperator(g, q=coefficient))
     inner = F.interior_slices(1)
     U = rng.normal(size=tuple(g.resolution))
-    assert np.array_equal(op._interior_flux(U), op._node_flux(U)[inner])
+    assert np.array_equal(op._interior_flux(U[inner], U), op._node_flux(U)[inner])
     interior, boundary = U.copy(), U.copy()
     interior[~_inside(g)] = 0.0
     boundary[inner] = 0.0
