@@ -9,7 +9,10 @@ only sizes the thread pool that `suite` (run_suite) runs identities in.
 Every command runs BLAS on one thread (see `blas`), so that pool is the
 only parallelism; a `dtn` export would not depend on the BLAS thread count
 either way: the Dirichlet solver sums its inner products with einsum, not a
-threaded BLAS dot.
+threaded BLAS dot.  Each command first applies the package's heap policy
+(see `heap`): under glibc, freed arrays below 32 MiB stay in the process for
+reuse instead of going back to the kernel; the policy is process-wide, is
+not undone, and importing this module does not apply it.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, heap
 from .blas import ONE_THREAD
 from .fields import MIN_RESOLUTION, BoxGrid, face_slabs
 from .harness import (
@@ -202,6 +205,7 @@ def main(argv=None):
     p_dtn.set_defaults(func=_cmd_dtn)
 
     args = parser.parse_args(argv)
+    heap.keep_freed_pages()
     try:
         with ONE_THREAD:
             return args.func(args)

@@ -143,19 +143,32 @@ class MultivectorField:
     """
 
     def __init__(self, grid: BoxGrid, values):
-        values = np.asarray(values, dtype=float)
+        # a copy: the caller may still write to its array
+        self._hold(grid, np.array(values, dtype=float, order="C"))
+
+    @classmethod
+    def _own(cls, grid, values):
+        """A field that takes over `values`, an array the package has just
+        built and keeps no other reference to, without the constructor's copy.
+        An array that is not C-ordered float is still copied, so the field
+        reads the same bytes in the same layout either way."""
+        field = cls.__new__(cls)
+        field._hold(grid, np.ascontiguousarray(values, dtype=float))
+        return field
+
+    def _hold(self, grid, values):
         expected = tuple(grid.resolution) + (8,)
         if values.shape != expected:
             raise ValueError(f"values shape {values.shape} does not match {expected}")
         self.grid = grid
-        self.values = values.copy()
+        self.values = values
         self.values.setflags(write=False)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, grid):
-        return cls(grid, np.zeros(tuple(grid.resolution) + (8,)))
+        return cls._own(grid, np.zeros(tuple(grid.resolution) + (8,)))
 
     @classmethod
     def from_scalar(cls, grid, scalar_values):
@@ -164,7 +177,7 @@ class MultivectorField:
     @classmethod
     def from_vector(cls, grid, components):
         """components: array (*resolution, 3) of grade-1 coefficients."""
-        return cls(grid, clifford.vector_to_array(components))
+        return cls._own(grid, clifford.vector_to_array(components))
 
     @classmethod
     def from_components(cls, grid, comps):
@@ -172,7 +185,7 @@ class MultivectorField:
         vals = np.zeros(tuple(grid.resolution) + (8,))
         for mask, arr in comps.items():
             vals[..., mask] = arr
-        return cls(grid, vals)
+        return cls._own(grid, vals)
 
     # -- algebra, nodewise ---------------------------------------------------
 
@@ -182,33 +195,33 @@ class MultivectorField:
 
     def __add__(self, other):
         self._check(other)
-        return MultivectorField(self.grid, self.values + other.values)
+        return MultivectorField._own(self.grid, self.values + other.values)
 
     def __sub__(self, other):
         self._check(other)
-        return MultivectorField(self.grid, self.values - other.values)
+        return MultivectorField._own(self.grid, self.values - other.values)
 
     def __neg__(self):
-        return MultivectorField(self.grid, -self.values)
+        return MultivectorField._own(self.grid, -self.values)
 
     def __mul__(self, other):
         if isinstance(other, MultivectorField):
             self._check(other)
-            return MultivectorField(self.grid, clifford.gp_array(self.values, other.values))
-        return MultivectorField(self.grid, self.values * other)
+            return MultivectorField._own(self.grid, clifford.gp_array(self.values, other.values))
+        return MultivectorField._own(self.grid, self.values * other)
 
     def __rmul__(self, other):
-        return MultivectorField(self.grid, self.values * other)
+        return MultivectorField._own(self.grid, self.values * other)
 
     def scale_by(self, scalar_field):
         """Multiply every blade by a nodal scalar array."""
-        return MultivectorField(self.grid, self.values * np.asarray(scalar_field)[..., None])
+        return MultivectorField._own(self.grid, self.values * np.asarray(scalar_field)[..., None])
 
     def conjugate(self):
-        return MultivectorField(self.grid, clifford.conj_array(self.values))
+        return MultivectorField._own(self.grid, clifford.conj_array(self.values))
 
     def parity_split(self):
-        return tuple(MultivectorField(self.grid, part)
+        return tuple(MultivectorField._own(self.grid, part)
                      for part in clifford.parity_array(self.values))
 
     def sc(self):
@@ -242,7 +255,7 @@ def dirac_D(w: MultivectorField) -> MultivectorField:
     for i in range(3):
         dv = np.gradient(w.values, grid.spacing[i], axis=i, edge_order=2)
         out += clifford.basis_mul_left(1 << i, dv)
-    return MultivectorField(grid, out)
+    return MultivectorField._own(grid, out)
 
 
 def laplacian(w: MultivectorField) -> MultivectorField:
@@ -253,7 +266,7 @@ def laplacian(w: MultivectorField) -> MultivectorField:
     out = np.zeros_like(w.values)
     for i in range(3):
         out += _second_derivative(w.values, grid.spacing[i], i)
-    return MultivectorField(grid, out)
+    return MultivectorField._own(grid, out)
 
 
 def scalar_gradient(grid: BoxGrid, scalar_values):

@@ -28,6 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
+from . import heap
 from .blas import ONE_THREAD
 from .clifford import conj_array, gp_array, vector_to_array
 from .fields import (
@@ -739,7 +740,7 @@ def check_schrodinger_reconstruction(cfg: SuiteConfig, levels):
 def _perturbed_dirac_pair(h0, alpha_arr):
     """(D - M^alpha C)(D - alpha C) h0 as coefficient stacks."""
     inner = dirac_D(h0).values - gp_array(alpha_arr, h0.conjugate().values)
-    return dirac_D(MultivectorField(h0.grid, inner)).values - gp_array(conj_array(inner), alpha_arr)
+    return dirac_D(MultivectorField._own(h0.grid, inner)).values - gp_array(conj_array(inner), alpha_arr)
 
 
 @_check("factorizations", "sup norms at interior nodes; kernel residuals at random points",
@@ -995,11 +996,15 @@ def run_identity(identity, cfg: SuiteConfig | None = None, **overrides) -> Check
     """Run one identity check, writing its report files when the config names
     an output directory.  The check runs with BLAS held at one thread, as
     every command does (see `blas`), alone or on a `run_suite` worker, so its
-    report does not depend on how it was run."""
+    report does not depend on how it was run.  The first command or check of
+    a process applies the package's heap policy (see `heap`): under glibc,
+    freed arrays below 32 MiB stay in the process for reuse, process-wide
+    and for good."""
     if identity not in IDENTITIES:
         raise ValueError(f"unknown identity {identity!r}; known: {sorted(IDENTITIES)}")
     if cfg is None:
         cfg = SuiteConfig.defaults(identity, **overrides)
+    heap.keep_freed_pages()
     with ONE_THREAD:
         report = IDENTITIES[identity](cfg)
     if cfg.output_dir:
@@ -1017,17 +1022,6 @@ def convergence_study(identity, cfg: SuiteConfig | None = None, **overrides):
     return report, convergence_table(report)
 
 
-@functools.cache
-def _malloc_trim():
-    """glibc's malloc_trim, or None where the C library has none."""
-    import ctypes
-
-    try:
-        return getattr(ctypes.CDLL(None), "malloc_trim", None)
-    except (OSError, TypeError):  # no process-wide symbol table (Windows)
-        return None
-
-
 def _run_and_release(identity, **overrides):
     """run_identity on a pool worker, then hand the heap pages its arrays
     freed back to the OS.  Each worker allocates from its own malloc arena,
@@ -1036,8 +1030,7 @@ def _run_and_release(identity, **overrides):
     try:
         return run_identity(identity, **overrides)
     finally:
-        if (trim := _malloc_trim()) is not None:
-            trim(0)
+        heap.release_freed_pages()
 
 
 def run_suite(identities=None, parallel=True, **overrides):
@@ -1045,7 +1038,9 @@ def run_suite(identities=None, parallel=True, **overrides):
 
     The pool has VEKUA_LAB_THREADS workers (default: one per CPU) and is the
     only parallelism: BLAS stays at one thread while it runs, as it does for
-    every command (see `blas`)."""
+    every command (see `blas`).  The first command or check of a process
+    applies the package's heap policy (see `heap`): under glibc, freed arrays
+    below 32 MiB stay in the process for reuse, process-wide and for good."""
     names = list(IDENTITIES) if identities is None else list(identities)
     if not names:
         raise ValueError("no identities selected")

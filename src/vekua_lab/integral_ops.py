@@ -217,7 +217,7 @@ def teodorescu_on_dual_grid(g: MultivectorField) -> MultivectorField:
     """
     dual = g.grid.dual_grid()
     vals = -_lattice_sum(KernelSpec("cauchy"), g.grid, cell_average(g.values))
-    return MultivectorField(dual, vals)
+    return MultivectorField._own(dual, vals)
 
 
 def cauchy_boundary(kernel: KernelSpec, boundary: BoundaryQuadrature, trace_values, points):
@@ -295,5 +295,5 @@ def s_alpha(w: MultivectorField, alpha: MultivectorField) -> MultivectorField:
     w._check(alpha)
     integrand = alpha * w.conjugate()
     T = teodorescu_on_dual_grid(integrand)
-    w_dual = MultivectorField(T.grid, cell_average(w.values))
+    w_dual = MultivectorField._own(T.grid, cell_average(w.values))
     return w_dual - T

@@ -307,10 +307,9 @@ def construct_bivector_part(profile: ConductivityProfile, u0, grad_u0=None, cons
             np.max(np.abs(vector_curl(grid, v)[sl] - g[sl]))
         )
     diagnostics["method"] = method
-    bivec = vector_to_bivector(v) / profile.f[..., None]
-    vals = bivec.copy()
+    vals = vector_to_bivector(v) / profile.f[..., None]
     vals[..., 0] = profile.f * u0
-    return MultivectorField(grid, vals), diagnostics
+    return MultivectorField._own(grid, vals), diagnostics
 
 
 # -- Hodge orthogonality ---------------------------------------------------------
@@ -331,7 +330,7 @@ def hodge_orthogonality(w: MultivectorField, v: MultivectorField, alpha) -> floa
         raise ValueError("test field support touches the two outermost node layers")
     a = _alpha_values(alpha, grid)
     op_v = dirac_D(v).values - gp_array(v.conjugate().values, a)
-    return sc_inner(w, MultivectorField(grid, op_v))
+    return sc_inner(w, MultivectorField._own(grid, op_v))
 
 
 # -- closed-form solution family -----------------------------------------------------
@@ -374,4 +373,4 @@ class ExponentialVekuaSolution:
 
     def as_field(self, grid: BoxGrid) -> MultivectorField:
         coords = grid.coords()
-        return MultivectorField(grid, self.w_coeffs(coords))
+        return MultivectorField._own(grid, self.w_coeffs(coords))

@@ -77,6 +77,20 @@ def test_field_immutable():
         w.values[0, 0, 0, 0] = 1.0
 
 
+def test_field_keeps_its_own_copy_of_a_callers_array(rng):
+    # the constructor copies what a caller hands it; only the package's own
+    # fresh results are taken over without a copy
+    g = unit_grid()
+    mine = rng.standard_normal(tuple(g.resolution) + (8,))
+    kept = mine.copy()
+    w = MultivectorField(g, mine)
+    mine[...] = 7.0
+    np.testing.assert_array_equal(w.values, kept)
+    assert mine.flags.writeable
+    v = MultivectorField(g, np.asfortranarray(kept))
+    assert v.values.flags.c_contiguous and not v.values.flags.writeable
+
+
 def test_field_product_matches_pointwise(rng):
     g = unit_grid(8)
     a_vals = rng.integers(-3, 4, (8, 8, 8, 8)).astype(float)

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from vekua_lab import cli, pde
+from vekua_lab import cli, heap, pde
 from vekua_lab import blas as B
 from vekua_lab import harness as H
 from vekua_lab import vekua as V
@@ -577,7 +577,7 @@ def test_reconstruction_dispatch():
 def test_run_suite_subset(tmp_path, monkeypatch):
     # each pooled identity hands the heap it freed back once it is done
     trims = []
-    monkeypatch.setattr(H, "_malloc_trim", lambda: trims.append)
+    monkeypatch.setattr(heap, "_malloc_trim", lambda: trims.append)
     monkeypatch.setenv("VEKUA_LAB_THREADS", "2")
     reports = H.run_suite(
         ["cauchy_constant", "operator_consistency"], output_dir=str(tmp_path)
