@@ -6,13 +6,10 @@ usage line, for rejected input.  Reports land in --out (or the config's
 output_dir) as report.json, errors.csv and convergence.csv per identity.
 VEKUA_LAB_SEED seeds randomized point and trace selection; VEKUA_LAB_THREADS
 only sizes the thread pool that `suite` (run_suite) runs identities in.
-Every command runs BLAS on one thread (see `blas`), so that pool is the
-only parallelism; a `dtn` export would not depend on the BLAS thread count
-either way: the Dirichlet solver sums its inner products with einsum, not a
-threaded BLAS dot.  Each command first applies the package's heap policy
-(see `heap`): under glibc, freed arrays below 32 MiB stay in the process for
-reuse instead of going back to the kernel; the policy is process-wide, is
-not undone, and importing this module does not apply it.
+Every command runs under the process policy (see `runtime`), which
+importing this module does not apply.  A `dtn` export would not depend on
+the BLAS thread count either way: the Dirichlet solver sums its inner
+products with einsum, not a threaded BLAS dot.
 """
 
 from __future__ import annotations
@@ -23,8 +20,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, heap
-from .blas import ONE_THREAD
+from . import __version__
 from .fields import MIN_RESOLUTION, BoxGrid, face_slabs
 from .harness import (
     IDENTITIES,
@@ -35,6 +31,7 @@ from .harness import (
     run_suite,
 )
 from .pde import DtnForm
+from .runtime import POLICY
 from .vekua import PROFILE_FAMILIES, make_profile
 
 PROFILE_CHOICES = tuple(PROFILE_FAMILIES)
@@ -205,9 +202,8 @@ def main(argv=None):
     p_dtn.set_defaults(func=_cmd_dtn)
 
     args = parser.parse_args(argv)
-    heap.keep_freed_pages()
     try:
-        with ONE_THREAD:
+        with POLICY:
             return args.func(args)
     except ValueError as err:  # input rejected after parsing: reported like argparse's own
         parser.error(str(err))

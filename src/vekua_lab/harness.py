@@ -21,15 +21,12 @@ import math
 import numbers
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, asdict
 from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
-from . import heap
-from .blas import ONE_THREAD
 from .clifford import conj_array, gp_array, vector_to_array
 from .fields import (
     MIN_RESOLUTION, BoxGrid, MultivectorField, boundary_sampling, bump_scalar, cell_average,
@@ -45,6 +42,7 @@ from .kernels import (
     vekua_phi_adjoint_residual, yukawa_delta_flux,
 )
 from .pde import DtnForm, SOLVER_RTOL, dtn_relation_residuals, solve_conductivity, solve_schrodinger
+from .runtime import POLICY, pooled
 from .vekua import (
     ConductivityProfile, ExponentialVekuaSolution, beltrami_residual, beltrami_transform,
     PROFILE_FAMILIES, construct_bivector_part, hodge_orthogonality, make_profile, vekua_residual,
@@ -119,6 +117,8 @@ class SuiteConfig:
     def __post_init__(self):
         if self.seed is None:
             self.seed = default_seed()
+        if not isinstance(self.resolutions, (list, tuple)):
+            raise ValueError(f"resolutions must be a list of integers, got {self.resolutions!r}")
         self.resolutions = tuple(self.resolutions)
         if not self.resolutions:
             raise ValueError("resolutions must be non-empty")
@@ -132,12 +132,16 @@ class SuiteConfig:
         self.resolutions = tuple(int(r) for r in self.resolutions)
         if any(b <= a for a, b in zip(self.resolutions, self.resolutions[1:])):
             raise ValueError("resolutions must be strictly increasing")
+        for name in ("margin_fraction", "interior_rel_tol", "exterior_abs_tol", "refinement_ratio"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if not 0.0 < self.margin_fraction < 0.5:
             raise ValueError(f"margin_fraction must be in (0, 0.5), got {self.margin_fraction}")
-        for name in ("interior_rel_tol", "exterior_abs_tol", "refinement_ratio"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if self.output_dir is not None and not isinstance(self.output_dir, str):
+            raise ValueError(f"output_dir must be a string or null, got {self.output_dir!r}")
         _check_profile(self.profile)
 
     @classmethod
@@ -993,19 +997,13 @@ def check_s_alpha(cfg: SuiteConfig, levels):
 
 
 def run_identity(identity, cfg: SuiteConfig | None = None, **overrides) -> CheckReport:
-    """Run one identity check, writing its report files when the config names
-    an output directory.  The check runs with BLAS held at one thread, as
-    every command does (see `blas`), alone or on a `run_suite` worker, so its
-    report does not depend on how it was run.  The first command or check of
-    a process applies the package's heap policy (see `heap`): under glibc,
-    freed arrays below 32 MiB stay in the process for reuse, process-wide
-    and for good."""
+    """Run one identity check under the process policy (see `runtime`),
+    writing its report files when the config names an output directory."""
     if identity not in IDENTITIES:
         raise ValueError(f"unknown identity {identity!r}; known: {sorted(IDENTITIES)}")
     if cfg is None:
         cfg = SuiteConfig.defaults(identity, **overrides)
-    heap.keep_freed_pages()
-    with ONE_THREAD:
+    with POLICY:
         report = IDENTITIES[identity](cfg)
     if cfg.output_dir:
         out = os.path.join(cfg.output_dir, identity)
@@ -1022,25 +1020,12 @@ def convergence_study(identity, cfg: SuiteConfig | None = None, **overrides):
     return report, convergence_table(report)
 
 
-def _run_and_release(identity, **overrides):
-    """run_identity on a pool worker, then hand the heap pages its arrays
-    freed back to the OS.  Each worker allocates from its own malloc arena,
-    which keeps freed pages resident until it reuses them, so without the
-    trim the resident size depends on how the workers' checks interleave."""
-    try:
-        return run_identity(identity, **overrides)
-    finally:
-        heap.release_freed_pages()
-
-
 def run_suite(identities=None, parallel=True, **overrides):
     """Run many identities (None: all), in parallel across identities when allowed.
 
-    The pool has VEKUA_LAB_THREADS workers (default: one per CPU) and is the
-    only parallelism: BLAS stays at one thread while it runs, as it does for
-    every command (see `blas`).  The first command or check of a process
-    applies the package's heap policy (see `heap`): under glibc, freed arrays
-    below 32 MiB stay in the process for reuse, process-wide and for good."""
+    Every identity's config is built, and so validated, before any check
+    runs.  The pool has VEKUA_LAB_THREADS workers (default: one per CPU) and
+    runs under the process policy (see `runtime`)."""
     names = list(IDENTITIES) if identities is None else list(identities)
     if not names:
         raise ValueError("no identities selected")
@@ -1048,8 +1033,8 @@ def run_suite(identities=None, parallel=True, **overrides):
     if unknown:
         raise ValueError(f"unknown identities: {unknown}")
     workers = min(len(names), thread_cap() or os.cpu_count() or 1)
+    configs = {name: SuiteConfig.defaults(name, **overrides) for name in names}
     if parallel and workers > 1:
-        with ONE_THREAD, ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {name: pool.submit(_run_and_release, name, **overrides) for name in names}
-            return {name: fut.result() for name, fut in futures.items()}
-    return {name: run_identity(name, **overrides) for name in names}
+        return dict(zip(names, pooled(lambda name: run_identity(name, configs[name]),
+                                      names, workers)))
+    return {name: run_identity(name, configs[name]) for name in names}

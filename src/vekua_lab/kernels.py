@@ -144,9 +144,10 @@ def cauchy_E_jacobian(points):
 
 
 def newton_N_components(points):
-    """Newton kernel value and gradient; the gradient equals the cauchy kernel."""
-    pts, r = _radii(points)
-    return KernelSpec("newton").values(pts, r), KernelSpec("cauchy").values(pts, r)
+    """Newton kernel value and gradient, the screened kernel's at q = 0; the
+    gradient is taken from the radial derivative, apart from the cauchy
+    kernel it equals."""
+    return yukawa_theta_components(points, 0.0)
 
 
 # -- yukawa ------------------------------------------------------------------

@@ -139,8 +139,8 @@ class DirichletOperator:
     (`_apply`) and the boundary coupling (`trace_rhs`), so the interior
     equations are exactly the Galerkin equations of the form.  Coefficients
     must be finite, and sigma positive.  The preconditioner's per-axis sine
-    transforms are BLAS matrix products, run on one thread like every
-    command's BLAS (see `blas`).
+    transforms are BLAS matrix products, run on one thread under the
+    process policy (see `runtime`).
     """
 
     def __init__(self, grid: BoxGrid, sigma=None, q=None):

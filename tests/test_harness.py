@@ -11,8 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from vekua_lab import cli, heap, pde
-from vekua_lab import blas as B
+from vekua_lab import cli, pde, runtime
 from vekua_lab import harness as H
 from vekua_lab import vekua as V
 from vekua_lab.fields import BoxGrid
@@ -232,23 +231,23 @@ class _BlasRecorder:
 
 def _fake_openblas(monkeypatch, *counts):
     recorders = [_BlasRecorder(n) for n in counts]
-    libs = tuple(B._BlasLibrary(f"fake{k}", r.get, r.set) for k, r in enumerate(recorders))
-    monkeypatch.setattr(B, "_openblas_libraries", lambda: libs)
+    libs = tuple(runtime._BlasLibrary(f"fake{k}", r.get, r.set) for k, r in enumerate(recorders))
+    monkeypatch.setattr(runtime, "_openblas_libraries", lambda: libs)
     return recorders
 
 
 def test_blas_hold_sets_one_thread_and_restores(monkeypatch):
     # over two libraries, each held and given back its own count
     first, second = _fake_openblas(monkeypatch, 2, 4)
-    with B.ONE_THREAD:
+    with runtime.POLICY:
         assert (first.threads, second.threads) == (1, 1)
-        with B.ONE_THREAD:  # a nested hold keeps the outer one's counts
+        with runtime.POLICY:  # a nested hold keeps the outer one's counts
             assert (first.threads, second.threads) == (1, 1)
         assert (first.threads, second.threads) == (1, 1)
     assert (first.threads, second.threads) == (2, 4)
     assert first.calls == [1, 2] and second.calls == [1, 4]
     with pytest.raises(ZeroDivisionError):
-        with B.ONE_THREAD:
+        with runtime.POLICY:
             assert first.threads == 1
             1 / 0
     assert (first.threads, second.threads) == (2, 4)
@@ -313,14 +312,14 @@ def test_blas_holds_from_two_threads_interleave(monkeypatch):
     seen = []
 
     def a():
-        with B.ONE_THREAD:
+        with runtime.POLICY:
             a_open.set()
             b_open.wait(60)
         a_closed.set()
 
     def b():
         a_open.wait(60)
-        with B.ONE_THREAD:
+        with runtime.POLICY:
             b_open.set()
             a_closed.wait(60)
             seen.append([blas.threads for blas in libs])
@@ -346,7 +345,7 @@ def test_blas_holds_from_many_threads_restore_once(monkeypatch):
     def worker():
         start.wait()
         for _ in range(2000):
-            with B.ONE_THREAD:
+            with runtime.POLICY:
                 time.sleep(0)  # let another thread open or close a hold here
                 inside.append(tuple(blas.threads for blas in libs))
 
@@ -368,13 +367,13 @@ def test_blas_holds_from_many_threads_restore_once(monkeypatch):
 def test_blas_hold_without_library(monkeypatch, tmp_path):
     # no scipy-openblas found, or a file by that name nothing loaded: the
     # hold runs its body and touches nothing
-    assert B._openblas_in(str(tmp_path)) == []
+    assert runtime._openblas_in(str(tmp_path)) == []
     (tmp_path / "libscipy_openblas64_-0.so").write_bytes(b"not a library")
-    assert B._openblas_in(str(tmp_path)) == []
-    monkeypatch.setattr(B, "_openblas_libraries", lambda: ())
-    with B.ONE_THREAD:
+    assert runtime._openblas_in(str(tmp_path)) == []
+    monkeypatch.setattr(runtime, "_openblas_libraries", lambda: ())
+    with runtime.POLICY:
         pass
-    assert B.ONE_THREAD._open == 0
+    assert runtime.POLICY._open == 0
 
 
 def test_pooled_identities_see_one_blas_thread(monkeypatch):
@@ -384,7 +383,7 @@ def test_pooled_identities_see_one_blas_thread(monkeypatch):
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     if blas.get("name") != "scipy-openblas":
         pytest.skip(f"numpy links {blas.get('name')}, not scipy-openblas")
-    libs = B._openblas_libraries()
+    libs = runtime._openblas_libraries()
     numpy_libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     assert [os.path.dirname(lib.path) for lib in libs] == [numpy_libs]
     saved = [lib.get_threads() for lib in libs]
@@ -577,7 +576,7 @@ def test_reconstruction_dispatch():
 def test_run_suite_subset(tmp_path, monkeypatch):
     # each pooled identity hands the heap it freed back once it is done
     trims = []
-    monkeypatch.setattr(heap, "_malloc_trim", lambda: trims.append)
+    monkeypatch.setattr(runtime, "_malloc_trim", lambda: trims.append)
     monkeypatch.setenv("VEKUA_LAB_THREADS", "2")
     reports = H.run_suite(
         ["cauchy_constant", "operator_consistency"], output_dir=str(tmp_path)
@@ -587,6 +586,31 @@ def test_run_suite_subset(tmp_path, monkeypatch):
     assert trims == [0, 0]
     with pytest.raises(ValueError):
         H.run_suite(["nonsense"])
+
+
+def test_run_suite_validates_every_config_before_any_check(monkeypatch):
+    # a bad override raises once, in the caller, before the pool starts
+    calls = []
+    monkeypatch.setitem(H.IDENTITIES, "cauchy_constant", calls.append)
+    monkeypatch.setitem(H.IDENTITIES, "operator_consistency", calls.append)
+    monkeypatch.setenv("VEKUA_LAB_THREADS", "2")
+    with pytest.raises(ValueError, match="output_dir"):
+        H.run_suite(["cauchy_constant", "operator_consistency"], output_dir=5)
+    assert calls == []
+
+
+def test_newton_gradient_gate_sees_the_cauchy_kernel(monkeypatch):
+    # the newton gradient is the screened kernel's radial derivative, not the
+    # cauchy evaluator, so a cauchy kernel off by a relative 1e-6 shows
+    values = H.KernelSpec.values
+
+    def scaled(spec, *args, **kwargs):
+        out = values(spec, *args, **kwargs)
+        return out * (1 + 1e-6) if spec.family == "cauchy" else out
+
+    monkeypatch.setattr(H.KernelSpec, "values", scaled)
+    report = H.run_identity("factorizations", resolutions=(10, 12))
+    assert report.extras["grad_newton_vs_cauchy"] > 1e-12
 
 
 # -- CLI -----------------------------------------------------------------------
@@ -652,16 +676,37 @@ def test_cli_dtn_rejects_bad_sizes(tmp_path, capsys, flag, value):
     assert not list(tmp_path.iterdir())
 
 
+# config files read by the rejected-input cases, by name: an unknown key, and
+# fields of the wrong type, a bool among them, that must not crash or pass
+BAD_CONFIGS = {
+    "bad.json": {"bogus": 1},
+    "resolutions.json": {"resolutions": 16},
+    "margin.json": {"margin_fraction": "0.2"},
+    "output_dir.json": {"output_dir": 5},
+    "interior.json": {"interior_rel_tol": True},
+    "exterior.json": {"exterior_abs_tol": True},
+    "ratio.json": {"refinement_ratio": True},
+}
+
+
 @pytest.mark.parametrize("argv, message", [
     (["suite", "nonsense"], "unknown identities: ['nonsense']"),
     (["suite", ","], "no identities selected"),
     (["verify", "cauchy_constant", "--config", "bad.json"],
      "bad.json: unknown config keys ['bogus']"),
-])
+] + [(["verify", "cauchy_constant", "--config", name], message) for name, message in [
+    ("resolutions.json", "resolutions must be a list of integers, got 16"),
+    ("margin.json", "margin_fraction must be a real number, got '0.2'"),
+    ("output_dir.json", "output_dir must be a string or null, got 5"),
+    ("interior.json", "interior_rel_tol must be a real number, got True"),
+    ("exterior.json", "exterior_abs_tol must be a real number, got True"),
+    ("ratio.json", "refinement_ratio must be a real number, got True"),
+]])
 def test_cli_reports_rejected_input_as_usage_errors(tmp_path, monkeypatch, capsys, argv, message):
     # input rejected after parsing exits like an argparse error: a usage line
     # and status 2, not a traceback
-    (tmp_path / "bad.json").write_text(json.dumps({"bogus": 1}))
+    for name, config in BAD_CONFIGS.items():
+        (tmp_path / name).write_text(json.dumps(config))
     monkeypatch.chdir(tmp_path)
     assert f"vekua-lab: error: {message}" in _cli_usage_error(capsys, argv)
 

@@ -1,4 +1,5 @@
-"""Every public function, class and method of the package has a production use.
+"""Every public function, class and method of the package has a production use,
+and only `runtime` imports the modules that set up the process.
 
 The package's source is read with `ast` and nothing in it is imported or
 changed.  A public name passes when it is referenced by name somewhere in
@@ -104,3 +105,25 @@ def test_every_public_name_has_a_production_use(traced):
             continue
         unused.append(f"{module}.{name}")
     assert not unused, f"public names with no production use: {unused}"
+
+
+# modules through which the package sets up its process: threads, pools and
+# C-library calls
+PROCESS_MODULES = {"ctypes", "threading", "concurrent.futures"}
+
+
+def test_only_runtime_imports_process_modules():
+    # the process policy lives in `runtime` alone
+    importers = set()
+    for module, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported = {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported = {node.module}
+            else:
+                continue
+            if any(name == p or name.startswith(p + ".") for name in imported
+                   for p in PROCESS_MODULES):
+                importers.add(module)
+    assert importers == {"runtime"}

@@ -1,13 +1,14 @@
-"""The heap policy: the first command or check of a process keeps freed
+"""The process policy: the first command or check of a process keeps freed
 arrays in the process under glibc, importing the package does not, and
-elsewhere the policy is a no-op."""
+elsewhere the heap policy is a no-op; `pooled` trims after every item.  The
+BLAS half of the hold is tested in test_harness.py."""
 
 import types
 
 import pytest
 
 from vekua_lab import harness as H
-from vekua_lab import heap
+from vekua_lab import runtime
 
 from conftest import fresh_python
 
@@ -36,7 +37,7 @@ print(bare, faults(), faults())
 """
 
 
-@pytest.mark.skipif(getattr(heap._libc(), "gnu_get_libc_version", None) is None,
+@pytest.mark.skipif(getattr(runtime._libc(), "gnu_get_libc_version", None) is None,
                     reason="the heap policy applies only under glibc")
 @pytest.mark.parametrize("command", ["dtn", "identity"])
 def test_first_command_keeps_freed_pages_and_import_does_not(command):
@@ -59,12 +60,12 @@ def no_glibc(monkeypatch):
         mallopt=lambda *args: calls["mallopt"].append(args) or 1,
         malloc_trim=lambda pad: calls["malloc_trim"].append(pad) or 0,
     )
-    monkeypatch.setattr(heap, "_libc", lambda: libc)
-    heap.keep_freed_pages.cache_clear()
-    heap._malloc_trim.cache_clear()
+    monkeypatch.setattr(runtime, "_libc", lambda: libc)
+    runtime._keep_freed_pages.cache_clear()
+    runtime._malloc_trim.cache_clear()
     yield calls
-    heap.keep_freed_pages.cache_clear()
-    heap._malloc_trim.cache_clear()
+    runtime._keep_freed_pages.cache_clear()
+    runtime._malloc_trim.cache_clear()
 
 
 def test_policy_is_a_no_op_without_glibc(no_glibc, monkeypatch):
@@ -74,3 +75,22 @@ def test_policy_is_a_no_op_without_glibc(no_glibc, monkeypatch):
     assert no_glibc["mallopt"] == []
     # the pool's trim does not depend on glibc: it runs wherever the symbol is
     assert no_glibc["malloc_trim"] == [0, 0]
+
+
+def test_pooled_keeps_order_trims_each_item_and_runs_past_a_raise(monkeypatch):
+    trims, ran = [], []
+    monkeypatch.setattr(runtime, "_malloc_trim", lambda: trims.append)
+
+    def square(k):
+        ran.append(k)
+        if k < 0:
+            raise KeyError(k)
+        return k * k
+
+    assert runtime.pooled(square, [3, 1, 4], 2) == [9, 1, 16]
+    assert trims == [0, 0, 0]
+    with pytest.raises(KeyError, match="-1"):
+        runtime.pooled(square, [-1, 2, -3], 2)
+    assert sorted(ran) == [-3, -1, 1, 2, 3, 4]
+    assert trims == [0] * 6
+    assert runtime.POLICY._open == 0
