@@ -1,6 +1,6 @@
 """Numerical laboratory for Clifford-analytic integral identities.
 
-Dense Cl(0,n) arithmetic, multivector fields on box grids, closed-form
+Dense Cl(0,3) arithmetic, multivector fields on box grids, closed-form
 fundamental solutions (Cauchy / Newton / Yukawa families), singular volume
 and boundary quadrature, conductivity and Schrodinger Dirichlet solvers
 with weak Dirichlet-to-Neumann pairings, and a verification harness that
@@ -9,5 +9,4 @@ checks every supported integral identity with convergence evidence.
 
 __version__ = "0.1.0"
 
-from .clifford import Multivector, geometric_product, conjugate, grade_project, parity_split
 from .fields import BoxGrid, MultivectorField, dirac_D, laplacian, sc_inner, boundary_sampling

@@ -998,11 +998,15 @@ def check_s_alpha(cfg: SuiteConfig, levels):
 
 def run_identity(identity, cfg: SuiteConfig | None = None, **overrides) -> CheckReport:
     """Run one identity check under the process policy (see `runtime`),
-    writing its report files when the config names an output directory."""
+    writing its report files when the config names an output directory.
+    Overrides build the default config; they cannot amend a given one."""
     if identity not in IDENTITIES:
         raise ValueError(f"unknown identity {identity!r}; known: {sorted(IDENTITIES)}")
     if cfg is None:
         cfg = SuiteConfig.defaults(identity, **overrides)
+    elif overrides:
+        raise ValueError(f"overrides {sorted(overrides)} given with a config; "
+                         "set them on the config instead")
     with POLICY:
         report = IDENTITIES[identity](cfg)
     if cfg.output_dir:

@@ -191,7 +191,7 @@ def vector_volume_potential(points, grid: BoxGrid, cell_values, lam=None):
     """int_Omega Phi_lam(y - x) g(y) dy as coefficient stacks, one row per point.
 
     cell_values holds the cell-averaged coefficients of g, flattened to
-    (num_cells, 2^n).  lam = None or zero selects the Cauchy kernel.
+    (num_cells, 8).  lam = None or zero selects the Cauchy kernel.
     """
     return _volume_sum(KernelSpec.phi(lam), points, grid, cell_values)
 

@@ -211,7 +211,7 @@ def bivector_duality():
     global _DUALITY
     if _DUALITY is not None:
         return _DUALITY
-    tab = tables(3)
+    tab = tables()
     bivec = [m for m in range(8) if tab.grades[m] == 2]
     eps = np.zeros((3, 3, 3), dtype=int)
     eps[0, 1, 2] = eps[1, 2, 0] = eps[2, 0, 1] = 1

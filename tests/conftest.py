@@ -11,12 +11,6 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-def random_integer_mv(rng, n=3, lo=-5, hi=6):
-    from vekua_lab.clifford import Multivector
-
-    return Multivector(n, rng.integers(lo, hi, 1 << n).astype(float))
-
-
 def fresh_python(code, *args, **env):
     """Run `code` with `args` in a fresh interpreter that imports this
     checkout's package, with `env` added to the environment."""

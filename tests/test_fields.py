@@ -10,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.interpolate import RegularGridInterpolator
 
 from vekua_lab import fields as F
-from vekua_lab.clifford import Multivector, _blade_sign_reference, gp_array
+from vekua_lab.clifford import gp_array
 from vekua_lab.fields import BoxGrid, MultivectorField
+
+from oracles import Multivector, _blade_sign_reference
 
 
 def unit_grid(r=10):

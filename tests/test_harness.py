@@ -530,6 +530,16 @@ def test_unknown_identity_rejected():
         H.run_identity("fourier_inversion")
 
 
+@pytest.mark.parametrize("entry", [H.run_identity, H.convergence_study],
+                         ids=["run_identity", "convergence_study"])
+def test_overrides_next_to_a_config_are_rejected(monkeypatch, entry):
+    # an override cannot amend a given config: the call fails before the check runs
+    cfg = H.SuiteConfig.defaults("cauchy_constant")
+    monkeypatch.setitem(H.IDENTITIES, "cauchy_constant", lambda cfg: pytest.fail("the check ran"))
+    with pytest.raises(ValueError, match=r"overrides \['seed'\] given with a config"):
+        entry("cauchy_constant", cfg, seed=5)
+
+
 def test_unsupported_profile_rejected():
     cfg = H.SuiteConfig.defaults(
         "cauchy_vekua", profile={"kind": "quadratic_z", "a": 1.0, "c": 0.5}

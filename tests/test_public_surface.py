@@ -22,8 +22,6 @@ PERFBENCH = os.path.join(ROOT, "perfbench")
 
 # module (or "__init__" for the names the package re-exports) -> reason
 ALLOWED = {
-    "clifford": "the exported Cl(0,n) algebra; Multivector and its operations are the "
-                "public API and the oracle the array products are tested against",
     "__init__": "names the package re-exports are its public API",
 }
 
