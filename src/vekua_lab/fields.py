@@ -201,16 +201,10 @@ class MultivectorField:
         self._check(other)
         return MultivectorField._own(self.grid, self.values - other.values)
 
-    def __neg__(self):
-        return MultivectorField._own(self.grid, -self.values)
-
     def __mul__(self, other):
         if isinstance(other, MultivectorField):
             self._check(other)
             return MultivectorField._own(self.grid, clifford.gp_array(self.values, other.values))
-        return MultivectorField._own(self.grid, self.values * other)
-
-    def __rmul__(self, other):
         return MultivectorField._own(self.grid, self.values * other)
 
     def scale_by(self, scalar_field):

@@ -27,7 +27,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .clifford import conj_array, gp_array, vector_to_array
 from .fields import (
     MIN_RESOLUTION, BoxGrid, MultivectorField, boundary_sampling, bump_scalar, cell_average,
     dirac_D, face_slabs, interior_slices, laplacian, sc_norm, scalar_gradient, trilinear_sample,
@@ -44,8 +43,9 @@ from .kernels import (
 from .pde import DtnForm, SOLVER_RTOL, dtn_relation_residuals, solve_conductivity, solve_schrodinger
 from .runtime import POLICY, pooled
 from .vekua import (
-    ConductivityProfile, ExponentialVekuaSolution, beltrami_residual, beltrami_transform,
-    PROFILE_FAMILIES, construct_bivector_part, hodge_orthogonality, make_profile, vekua_residual,
+    ConductivityProfile, ExponentialVekuaSolution, PROFILE_FAMILIES, adjoint_vekua_operator,
+    beltrami_residual, beltrami_transform, construct_bivector_part, hodge_orthogonality,
+    make_profile, resolve_profile, vekua_operator, vekua_residual,
 )
 
 DEFAULT_SEED = 2024
@@ -78,31 +78,13 @@ def thread_cap():
     return _env_int("VEKUA_LAB_THREADS", None, minimum=1)
 
 
-def _check_profile(spec):
-    """A known kind and its own parameters, each as many finite numbers as its default."""
-    kind = spec.get("kind", "exponential") if isinstance(spec, dict) else None
-    if not isinstance(kind, str) or kind not in PROFILE_FAMILIES:
-        raise ValueError(f"profile: {spec!r} names no kind of {list(PROFILE_FAMILIES)}")
-    _, params = PROFILE_FAMILIES[kind]
-    for key, value in spec.items():
-        if key == "kind":
-            continue
-        if key not in params:
-            raise ValueError(f"profile: unknown key {key!r} for kind {kind!r}")
-        size = np.size(params[key])
-        sequence = size > 1 and isinstance(value, (list, tuple, np.ndarray))
-        items = list(value) if sequence else [value]
-        if len(items) != size or not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
-                                          and math.isfinite(v) for v in items):
-            raise ValueError(f"profile: {key!r} must be {size} finite number(s), got {value!r}")
-
-
 @dataclass
 class SuiteConfig:
     """Knobs for one identity check: profile, resolutions, tolerances, output."""
 
     identity: str
-    profile: dict = field(default_factory=lambda: {"kind": "exponential", "lam": [0.0, 0.0, 1.0]})
+    profile: dict = field(default_factory=lambda: copy.deepcopy(
+        {"kind": "exponential", **PROFILE_FAMILIES["exponential"][1]}))
     resolutions: tuple = (16, 32)
     margin_fraction: float = 0.2
     interior_rel_tol: float = 0.05
@@ -142,7 +124,7 @@ class SuiteConfig:
             raise ValueError(f"margin_fraction must be in (0, 0.5), got {self.margin_fraction}")
         if self.output_dir is not None and not isinstance(self.output_dir, str):
             raise ValueError(f"output_dir must be a string or null, got {self.output_dir!r}")
-        _check_profile(self.profile)
+        resolve_profile(self.profile)
 
     @classmethod
     def defaults(cls, identity, **overrides):
@@ -247,11 +229,18 @@ def _ratio_ok(errors, required, floor=1e-12):
     return all(b <= floor or not a / b < required for a, b in zip(errors, errors[1:]))
 
 
+def _exponential_rate(cfg):
+    """The rate lam of the config's exponential profile; the family's default
+    rate for a profile of another kind."""
+    return np.asarray(cfg.profile.get("lam", PROFILE_FAMILIES["exponential"][1]["lam"]),
+                      dtype=float)
+
+
 def _require_exponential(cfg):
-    if (kind := cfg.profile.get("kind", "exponential")) != "exponential":
+    if (kind := resolve_profile(cfg.profile)[0]) != "exponential":
         raise ValueError(f"identity {cfg.identity!r} needs the exponential closed-form family, "
                          f"got profile kind {kind!r}")
-    return np.asarray(cfg.profile.get("lam", [0.0, 0.0, 1.0]), dtype=float)
+    return _exponential_rate(cfg)
 
 
 def _interior_samples(grid, nodal, pts: EvaluationSet):
@@ -306,7 +295,8 @@ class Plan(NamedTuple):
 
 class Level:
     """A refinement level built once for every case of a check: grid, h (largest spacing),
-    margin depth, and on first use evaluation sets and faces (2 (res - 1) cells per axis)."""
+    margin depth, and on first use evaluation sets, faces (2 (res - 1) cells per axis),
+    the config's boundary quadrature and the config's profile on the grid."""
 
     def __init__(self, cfg, res):
         self.cfg, self.value, self.grid = cfg, res, cfg.grid(res)
@@ -326,6 +316,14 @@ class Level:
     @functools.cached_property
     def faces(self):
         return boundary_sampling(self.grid, 2 * (self.value - 1))
+
+    @functools.cached_property
+    def boundary(self):
+        return boundary_sampling(self.grid, self.cfg.boundary_cells)
+
+    @functools.cached_property
+    def profile(self):
+        return make_profile(self.grid, self.cfg.profile)
 
     def face_cell_sweep(self):
         """Levels that keep this grid and its evaluation sets and refine the faces
@@ -483,9 +481,8 @@ def check_borel_pompeiu(cfg: SuiteConfig, levels):
 
     def outcome(case, lv):
         v = _nodal(lv.grid, traces[case])
-        bq = boundary_sampling(lv.grid, cfg.boundary_cells)
-        out = borel_pompeiu_residual(v, lv.points(), trace_fn=traces[case], boundary=bq)
-        return Recon(lv.points(), out["residual_norms"] / v.max_norm(), 0.0)
+        norms = borel_pompeiu_residual(v, lv.points(), trace_fn=traces[case], boundary=lv.boundary)
+        return Recon(lv.points(), norms / v.max_norm(), 0.0)
 
     return Plan(_sweep(traces, levels, outcome),
                 {"interior": _interior("quadratic"), "exterior": _exterior(),
@@ -558,24 +555,21 @@ def _scalar_bp_plan(cfg, levels, adjoint):
     lam = _require_exponential(cfg)
 
     def outcome(case, lv):
-        grid, pts = lv.grid, lv.points()
+        grid, pts, bq = lv.grid, lv.points(), lv.boundary
         v = _nodal(grid, _mixed_smooth_trace)
-        bq = boundary_sampling(grid, cfg.boundary_cells)
-        lam_arr = vector_to_array(np.broadcast_to(lam, tuple(grid.resolution) + (3,)))
         target = _mixed_smooth_trace(pts.points)[:, 0]
         if adjoint:
             # kernel E/f folds the 1/f weight into trace and integrand;
             # the operator side is D - M^alpha C and the target Sc v / f.
             trace = _mixed_smooth_trace(bq.positions) / np.exp(bq.positions @ lam)[:, None]
             B = cauchy_boundary(KernelSpec("cauchy"), bq, trace, pts.points)
-            m = dirac_D(v).values - gp_array(v.conjugate().values, lam_arr)
-            m = m / np.exp(grid.coords() @ lam)[..., None]
+            m = adjoint_vekua_operator(v, lam).values / np.exp(grid.coords() @ lam)[..., None]
             V = vector_volume_potential(pts.points, grid, cell_average(m), lam=None)
             target = target * (1.0 / np.exp(pts.points @ lam))
         else:
             trace = _mixed_smooth_trace(bq.positions)
             B = cauchy_boundary(KernelSpec("vekua_phi", lam=lam), bq, trace, pts.points)
-            m = dirac_D(v).values - gp_array(lam_arr, v.conjugate().values)
+            m = vekua_operator(v, lam).values
             V = vector_volume_potential(pts.points, grid, cell_average(m), lam=lam)
         return Recon(pts, B[:, 0] - V[:, 0], target)
 
@@ -642,7 +636,7 @@ def check_green_vekua(cfg: SuiteConfig, levels):
 
     def weak(case, lv):
         bq, pts = lv.faces, lv.points(snap=False)
-        form = DtnForm.conductivity(ConductivityProfile.exponential(lv.grid, lam))
+        form = DtnForm.conductivity(lv.profile)
         vals = _layer_sc(phi, bq, sol.w0(bq.positions), pts.points) + _dtn_pairings(
             form, _boundary_values(lv.grid, sol.u0), pts,
             lambda c, x: theta.values(c - x) / sol.f(c))
@@ -661,8 +655,8 @@ def check_green_vekua(cfg: SuiteConfig, levels):
         "flux term is also evaluated weakly as a DtN pairing.")
 def check_integral_cauchy(cfg: SuiteConfig, levels):
     cauchy, newton = KernelSpec("cauchy"), KernelSpec("newton")
-    lam = cfg.profile.get("lam", [0.0, 0.0, 1.0])
-    sol = ExponentialVekuaSolution(np.asarray(lam, dtype=float))
+    lam = _exponential_rate(cfg)
+    sol = ExponentialVekuaSolution(lam)
     a, b = 1.0, 0.5
     strong_cases = {  # case: (profile, closed-form solution u0, its gradient)
         "strong-harmonic": ({"kind": "constant", "value": 1.0}, lambda p: np.atleast_2d(p)[:, 0],
@@ -722,11 +716,10 @@ def check_schrodinger_reconstruction(cfg: SuiteConfig, levels):
     phi, theta = KernelSpec("vekua_phi", lam=lam), KernelSpec.theta(q)
 
     # one form per level for both rates; its solution cache keeps their traces apart
-    form_at = functools.cache(
-        lambda lv: DtnForm.schrodinger(ConductivityProfile.exponential(lv.grid, lam)))
+    forms = {lv: DtnForm.schrodinger(lv.profile) for lv in levels}
 
     def outcome(case, lv):
-        form, pts, bq = form_at(lv), lv.points(snap=False), lv.faces
+        form, pts, bq = forms[lv], lv.points(snap=False), lv.faces
         trace_nodal = np.exp(lv.grid.coords() @ rates[case])
         phi0_b = np.exp(bq.positions @ rates[case])
         # -sum (grad theta_q . eta) phi0 w, with grad theta_q = Phi_lam + lam theta_q
@@ -741,12 +734,6 @@ def check_schrodinger_reconstruction(cfg: SuiteConfig, levels):
                 {"lam": lam.tolist(), "q": q})
 
 
-def _perturbed_dirac_pair(h0, alpha_arr):
-    """(D - M^alpha C)(D - alpha C) h0 as coefficient stacks."""
-    inner = dirac_D(h0).values - gp_array(alpha_arr, h0.conjugate().values)
-    return dirac_D(MultivectorField._own(h0.grid, inner)).values - gp_array(conj_array(inner), alpha_arr)
-
-
 @_check("factorizations", "sup norms at interior nodes; kernel residuals at random points",
         "Applying the two perturbed Dirac operators in sequence to a scalar equals the screened "
         "Laplacian: exact for the quadratic constant-coefficient case, second order for smooth "
@@ -757,20 +744,21 @@ def check_factorizations(cfg: SuiteConfig, levels):
     # stencils are exact on quadratics, so the coarsest grid suffices and keeps
     # the 1/h^2 roundoff amplification smallest
     c = 0.7
+    alpha = [c, 0.0, 0.0]
     grid = levels[0].grid
     X = grid.coords()
-    alpha_arr = vector_to_array(np.broadcast_to([c, 0.0, 0.0], tuple(grid.resolution) + (3,)))
-    outer = _perturbed_dirac_pair(MultivectorField.from_scalar(grid, X[..., 0] ** 2), alpha_arr)
+    h0 = MultivectorField.from_scalar(grid, X[..., 0] ** 2)
+    outer = adjoint_vekua_operator(vekua_operator(h0, alpha), alpha).values
     closed = -2.0 + c**2 * X[..., 0] ** 2
     sym_err = float(np.max(np.abs(outer[..., 0] - closed))) + float(np.max(np.abs(outer[..., 1:])))
 
     # smooth operator check with alpha = grad f / f
     def smooth(case, lv):
-        profile = make_profile(lv.grid, cfg.profile)
+        profile = lv.profile
         X = lv.grid.coords()
         h_vals = np.sin(2.0 * X[..., 0]) * np.cos(X[..., 1]) + 0.5 * np.sin(X[..., 2]) * X[..., 0]
         h0 = MultivectorField.from_scalar(lv.grid, h_vals)
-        rhs = _perturbed_dirac_pair(h0, vector_to_array(profile.alpha))
+        rhs = adjoint_vekua_operator(vekua_operator(h0, profile.alpha), profile.alpha).values
         lhs = -laplacian(h0).values[..., 0] + profile.q * h_vals
         sl = interior_slices(2)
         scale = float(np.max(np.abs(lhs[sl]))) or 1.0
@@ -782,7 +770,7 @@ def check_factorizations(cfg: SuiteConfig, levels):
     pts = rng.normal(size=(100, 3))
     radii = np.linalg.norm(pts, axis=1, keepdims=True)
     pts = pts / radii * (0.3 + 1.2 * rng.random((100, 1)))
-    lam = np.asarray(cfg.profile.get("lam", [0.0, 0.0, 1.0]), dtype=float)
+    lam = _exponential_rate(cfg)
     flux_errors = [abs(yukawa_delta_flux(eps, float(lam @ lam) or 1.0) - 1.0)
                    for eps in (0.2, 0.1, 0.05)]
     return Plan(
@@ -815,12 +803,9 @@ def check_factorizations(cfg: SuiteConfig, levels):
 def check_vekua_pipeline(cfg: SuiteConfig, levels):
     lam = _require_exponential(cfg)
     sol = ExponentialVekuaSolution(lam)
-    # one profile per level, shared by the level's residuals and the extras
-    profile_at = functools.cache(lambda lv: ConductivityProfile.exponential(lv.grid, lam))
 
     def residuals(lv):
-        grid = lv.grid
-        profile = profile_at(lv)
+        grid, profile = lv.grid, lv.profile
         coords = grid.coords()
         w, _ = construct_bivector_part(profile, sol.u0(coords), grad_u0=sol.grad_u0(coords))
         alpha_scale = float(np.max(np.abs(profile.alpha)))
@@ -837,8 +822,7 @@ def check_vekua_pipeline(cfg: SuiteConfig, levels):
         return {"vekua-residual": vres, "beltrami-residual": bres, "conductivity-residual": cres}
 
     # discrete-solver variant and the bivector-free degenerate case, recorded
-    grid = levels[-1].grid
-    profile = profile_at(levels[-1])
+    grid, profile = levels[-1].grid, levels[-1].profile
     u0_disc = solve_conductivity(grid, profile.f**2, sol.u0(grid.coords()))
     # stencil gradients of the discrete solution keep the source constant
     # only to second order, so the constancy gate is opened to match
@@ -866,9 +850,8 @@ def check_hodge_orthogonality(cfg: SuiteConfig, levels):
         return abs(hodge_orthogonality(w, v, alpha)) / (sc_norm(w) * sc_norm(v))
 
     def pairings(lv):
-        grid = lv.grid
+        grid, profile = lv.grid, lv.profile
         X = grid.coords()
-        profile = ConductivityProfile.exponential(grid, lam)
         bump = bump_scalar(grid, margin=3.1 * float(np.max(grid.spacing)))
         blades = lambda comps: MultivectorField.from_components(grid, comps)
         return {
@@ -894,9 +877,8 @@ def check_dtn_relation(cfg: SuiteConfig, levels):
     }
 
     def residuals(lv):
-        profile = make_profile(lv.grid, cfg.profile)
         X = lv.grid.coords()
-        found = dtn_relation_residuals(profile, [fn(X) for fn in traces.values()], X[..., 0])
+        found = dtn_relation_residuals(lv.profile, [fn(X) for fn in traces.values()], X[..., 0])
         return {name: (resid, {"terms": list(terms)})
                 for name, (resid, terms) in zip(traces, found)}
 
@@ -923,7 +905,7 @@ def check_difference_identities(cfg: SuiteConfig, levels):
     rng = np.random.default_rng(cfg.seed)
     sampled = lambda nodal: _interior_samples(grid, nodal, pts)
 
-    profile_f = ConductivityProfile.exponential(grid, lam)
+    profile_f = finest.profile
     profile_g = ConductivityProfile.exponential(grid, lam)
     trace = np.exp(coords @ lam) + 0.3 * coords[..., 0]
     w_f = solve_schrodinger(grid, profile_f.q, trace)
@@ -973,18 +955,16 @@ def check_difference_identities(cfg: SuiteConfig, levels):
         "monogenic field: the stencil Dirac of the result decays under refinement; with alpha = 0 "
         "the map is the identity.")
 def check_s_alpha(cfg: SuiteConfig, levels):
-    lam = _require_exponential(cfg)
-    # one profile per level, shared by the level's residual and the extra
-    profile_at = functools.cache(lambda lv: ConductivityProfile.exponential(lv.grid, lam))
+    _require_exponential(cfg)
 
     def residual(case, lv):
-        profile = profile_at(lv)
+        profile = lv.profile
         S = s_alpha(MultivectorField.from_scalar(profile.grid, profile.f), profile.alpha_field())
         DS = dirac_D(S).values[interior_slices(lv.depth)]
         return float(np.max(np.abs(DS))) / float(np.max(np.abs(profile.grad_f)))
 
     grid = levels[0].grid
-    w = MultivectorField.from_scalar(grid, profile_at(levels[0]).f)
+    w = MultivectorField.from_scalar(grid, levels[0].profile.f)
     identity_dev = float(np.max(np.abs(s_alpha(w, MultivectorField.zero(grid)).values
                                        - cell_average(w.values))))
     return Plan(_sweep(["scalar-solution"], levels, residual),

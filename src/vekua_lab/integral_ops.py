@@ -270,19 +270,12 @@ def borel_pompeiu_residual(v: MultivectorField, pts: EvaluationSet, trace_fn,
 
     residual(x) = T[Dv](x) + int_bdry E(y-x) eta v ds - (v(x) if interior),
     with the trace and v(x) from the closed form trace_fn of v.  Returns
-    per-point max-coefficient norms plus the pieces, for reporting.
+    the per-point max-coefficient norms.
     """
     T = teodorescu(dirac_D(v), pts.points)
     B = cauchy_boundary(KernelSpec("cauchy"), boundary, trace_fn(boundary.positions), pts.points)
     target = np.where(pts.is_interior[:, None], trace_fn(pts.points), 0.0)
-    residual = T + B - target
-    return {
-        "residual_norms": np.max(np.abs(residual), axis=-1),
-        "teodorescu": T,
-        "boundary": B,
-        "target": target,
-        "is_interior": pts.is_interior,
-    }
+    return np.max(np.abs(T + B - target), axis=-1)
 
 
 def s_alpha(w: MultivectorField, alpha: MultivectorField) -> MultivectorField:

@@ -1,22 +1,25 @@
-"""Vekua-equation machinery: conductivity profiles, residuals, the Beltrami
-transform, construction of the bivector part from a scalar conductivity
-solution, and the orthogonality test for the generalized Hodge splitting.
+"""Vekua-equation machinery: conductivity profiles and their specs, the two
+perturbed Dirac operators, residuals, the Beltrami transform, construction
+of the bivector part from a scalar conductivity solution, and the
+orthogonality test for the generalized Hodge splitting.
 
 The Vekua equation here is D w = alpha conj(w) with alpha = grad f / f for a
-scalar conductivity factor f bounded away from zero.  Scalar solutions of
+scalar conductivity factor f bounded away from zero: `vekua_operator` is
+D - alpha C, and `adjoint_vekua_operator`, D - M^alpha C, completes the
+factorization of the screened Laplacian -Delta + q.  Scalar solutions of
 div(f^2 grad u0) = 0 lift to full solutions w = f u0 + B where the bivector
 part B is obtained from a div-curl system through the n = 3 duality between
-bivectors and vectors; the orientation of that duality is derived from the
-algebra itself rather than transcribed from a convention table.
+bivectors and vectors (`DUALITY_MASKS`, `DUALITY_SIGNS`).
 """
 
 from __future__ import annotations
 
-from itertools import permutations, product
+import math
+import numbers
 
 import numpy as np
 
-from .clifford import gp_array, tables, vector_to_array
+from .clifford import gp_array, vector_to_array
 from .fields import (
     BoxGrid,
     MultivectorField,
@@ -47,11 +50,13 @@ class ConductivityProfile:
         self._grad_fn = grad_fn
         coords = grid.coords()
         self.f = f_fn(coords)
-        if np.min(np.abs(self.f)) <= 0.0:
-            raise ValueError("conductivity factor must be bounded away from zero")
+        if not np.all(np.isfinite(self.f) & (self.f != 0.0)):  # NaN fails it too
+            raise ValueError("conductivity factor must be finite and bounded away from zero")
         self.grad_f = grad_fn(coords)
         self.alpha = self.grad_f / self.f[..., None]
         self.q = q_fn(coords)
+        if not (np.all(np.isfinite(self.alpha)) and np.all(np.isfinite(self.q))):
+            raise ValueError("log-gradient alpha and potential q must be finite")
 
     # closed-form families
 
@@ -69,8 +74,6 @@ class ConductivityProfile:
 
     @classmethod
     def constant(cls, grid, value):
-        if value == 0.0:
-            raise ValueError("conductivity factor must be bounded away from zero")
         return cls(
             grid,
             f_fn=lambda X: np.full(X.shape[:-1], float(value)),
@@ -136,13 +139,32 @@ PROFILE_FAMILIES = {
 }
 
 
+def resolve_profile(spec):
+    """(kind, parameters with their defaults filled in) of a profile spec; a
+    ValueError for an unknown kind (default: exponential), a key its kind does
+    not take, or a parameter that is not as many finite numbers as its default."""
+    kind = spec.get("kind", "exponential") if isinstance(spec, dict) else None
+    if not isinstance(kind, str) or kind not in PROFILE_FAMILIES:
+        raise ValueError(f"profile: {spec!r} names no kind of {list(PROFILE_FAMILIES)}")
+    _, params = PROFILE_FAMILIES[kind]
+    for key, value in spec.items():
+        if key == "kind":
+            continue
+        if key not in params:
+            raise ValueError(f"profile: unknown key {key!r} for kind {kind!r}")
+        size = np.size(params[key])
+        sequence = size > 1 and isinstance(value, (list, tuple, np.ndarray))
+        items = list(value) if sequence else [value]
+        if len(items) != size or not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                                          and math.isfinite(v) for v in items):
+            raise ValueError(f"profile: {key!r} must be {size} finite number(s), got {value!r}")
+    return kind, {key: spec.get(key, default) for key, default in params.items()}
+
+
 def make_profile(grid: BoxGrid, spec: dict) -> ConductivityProfile:
     """Build a profile from a config dictionary {"kind": ..., parameters}."""
-    kind = spec.get("kind", "exponential")
-    if kind not in PROFILE_FAMILIES:
-        raise ValueError(f"unknown profile kind {kind!r}")
-    build, params = PROFILE_FAMILIES[kind]
-    return build(grid, **{key: spec.get(key, default) for key, default in params.items()})
+    kind, params = resolve_profile(spec)
+    return PROFILE_FAMILIES[kind][0](grid, **params)
 
 
 class BeltramiCoefficient:
@@ -167,14 +189,26 @@ def _alpha_values(alpha, grid):
     return vector_to_array(arr)
 
 
+def vekua_operator(w: MultivectorField, alpha) -> MultivectorField:
+    """(D - alpha C) w = D w - alpha conj(w); alpha a nodal vector field or a constant vector."""
+    return MultivectorField._own(
+        w.grid, dirac_D(w).values - gp_array(_alpha_values(alpha, w.grid), w.conjugate().values))
+
+
+def adjoint_vekua_operator(w: MultivectorField, alpha) -> MultivectorField:
+    """(D - M^alpha C) w = D w - conj(w) alpha.  Applied after `vekua_operator`
+    with alpha = grad f / f, it gives the screened Laplacian -Delta + q on scalars."""
+    return MultivectorField._own(
+        w.grid, dirac_D(w).values - gp_array(w.conjugate().values, _alpha_values(alpha, w.grid)))
+
+
 def vekua_residual(w: MultivectorField, alpha):
     """Nodewise max-coefficient norm of D w - alpha conj(w) at interior nodes.
 
     Returns the interior residual array: the two outermost node layers,
     where one-sided stencils would pollute the check, are excluded.
     """
-    res = dirac_D(w).values - gp_array(_alpha_values(alpha, w.grid), w.conjugate().values)
-    return np.max(np.abs(res[interior_slices(2)]), axis=-1)
+    return np.max(np.abs(vekua_operator(w, alpha).values[interior_slices(2)]), axis=-1)
 
 
 def beltrami_transform(w: MultivectorField, profile: ConductivityProfile) -> MultivectorField:
@@ -193,65 +227,21 @@ def beltrami_residual(u: MultivectorField, mu: BeltramiCoefficient):
 
 # -- bivector <-> vector duality ------------------------------------------------
 
-_DUALITY = None
-
-
-def bivector_duality():
-    """Orientation of the n = 3 duality pairing bivector blades with axes.
-
-    Returns (masks, signs) such that the bivector V = sum_k signs[k] v_k
-    e_{masks[k]} satisfies, for any smooth vector field v,
-
-        grade-1 part of D V = curl v,     grade-3 part of D V = (div v) e_123.
-
-    The assignment is found by exhaustive search over signed permutations,
-    checked exactly against the algebra's product table, so the orientation
-    is derived rather than assumed.
-    """
-    global _DUALITY
-    if _DUALITY is not None:
-        return _DUALITY
-    tab = tables()
-    bivec = [m for m in range(8) if tab.grades[m] == 2]
-    eps = np.zeros((3, 3, 3), dtype=int)
-    eps[0, 1, 2] = eps[1, 2, 0] = eps[2, 0, 1] = 1
-    eps[0, 2, 1] = eps[2, 1, 0] = eps[1, 0, 2] = -1
-    for perm in permutations(bivec):
-        for signs in product((1, -1), repeat=3):
-            ok = True
-            for k in range(3):
-                for i in range(3):
-                    m = 1 << i
-                    res_mask = m ^ perm[k]
-                    s = int(tab.sign[m, perm[k]]) * signs[k]
-                    g = tab.grades[res_mask]
-                    if g == 1:
-                        j = int(res_mask).bit_length() - 1
-                        if eps[j, i, k] != s:
-                            ok = False
-                            break
-                    elif g == 3:
-                        if i != k or s != 1:
-                            ok = False
-                            break
-                    else:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                _DUALITY = (list(perm), list(signs))
-                return _DUALITY
-    raise AssertionError("no consistent duality orientation exists")
+# Orientation of the n = 3 duality pairing bivector blades with axes: the
+# bivector V = sum_k signs[k] v_k e_{masks[k]} of a smooth vector field v has
+#     grade-1 part of D V = curl v,     grade-3 part of D V = (div v) e_123.
+# It is the only signed assignment of the three bivectors with this property;
+# the tests check it against an independent blade-sign oracle.
+DUALITY_MASKS = (0b110, 0b101, 0b011)  # e23, e13, e12
+DUALITY_SIGNS = (1, -1, 1)
 
 
 def vector_to_bivector(components):
     """Dual bivector coefficient stack of vector components (..., 3)."""
-    masks, signs = bivector_duality()
     comps = np.asarray(components, dtype=float)
     out = np.zeros(comps.shape[:-1] + (8,))
     for k in range(3):
-        out[..., masks[k]] = signs[k] * comps[..., k]
+        out[..., DUALITY_MASKS[k]] = DUALITY_SIGNS[k] * comps[..., k]
     return out
 
 
@@ -328,9 +318,7 @@ def hodge_orthogonality(w: MultivectorField, v: MultivectorField, alpha) -> floa
     mask[interior_slices(2)] = False
     if np.any(np.abs(v.values[mask]) > 0.0):
         raise ValueError("test field support touches the two outermost node layers")
-    a = _alpha_values(alpha, grid)
-    op_v = dirac_D(v).values - gp_array(v.conjugate().values, a)
-    return sc_inner(w, MultivectorField._own(grid, op_v))
+    return sc_inner(w, adjoint_vekua_operator(v, alpha))
 
 
 # -- closed-form solution family -----------------------------------------------------

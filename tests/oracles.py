@@ -1,4 +1,5 @@
-"""Slow, direct oracles for the Cl(0,3) array engine of `vekua_lab.clifford`.
+"""Slow, direct oracles: for the Cl(0,3) array engine of `vekua_lab.clifford`
+and for the Dirichlet forms of `vekua_lab.pde`.
 
 The oracle algebra is Cl(0,n) for 3 <= n <= 8, held as dense coefficient
 arrays of length 2^n indexed by blade bitmask, the engine's layout.  It
@@ -7,6 +8,11 @@ never calls the engine: every blade product takes its sign from
 and conjugation signs come from reversion times grade involution,
 (-1)^k (-1)^(k(k-1)/2) on grade k, not from the engine's k mod 4 rule.
 `Multivector` wraps one such array with its n.
+
+The Dirichlet-form oracles at the end assemble the node matrix of a
+`DirichletOperator` as a sparse matrix from its seven bands and sum the
+energy form edge by edge, the direct paths that the matrix-free solver and
+the DtN forms are checked against.
 """
 
 from __future__ import annotations
@@ -14,6 +20,9 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+import scipy.sparse
+
+from vekua_lab.fields import interior_slices
 
 MIN_DIM = 3
 MAX_DIM = 8
@@ -209,3 +218,65 @@ def parity_split(a: Multivector):
 
 def random_integer_mv(rng, n=3):
     return Multivector(n, rng.integers(-5, 6, 1 << n).astype(float))
+
+
+# -- Dirichlet forms ------------------------------------------------------------
+
+
+def node_matrix_blocks(op):
+    """(K_II, K_IB) of the operator's node matrix K, assembled as a CSR matrix
+    from its seven bands: the slow direct path, kept as the oracle of the
+    matrix-free node flux.  Entry (n, n + stride_a) is -w_a on the edge above
+    n along axis a, the diagonal sums the weights of the node's edges plus
+    its mass weight."""
+    res = tuple(int(r) for r in op.grid.resolution)
+    strides = (res[1] * res[2], res[2], 1)
+    diag = np.zeros(res)
+    bands, offsets = [], []
+    for a, w in enumerate(op.edge_weights):
+        below = np.pad(w, [(1, 0) if b == a else (0, 0) for b in range(3)])
+        above = np.pad(w, [(0, 1) if b == a else (0, 0) for b in range(3)])
+        diag += below + above
+        band = -above.ravel()[:diag.size - strides[a]]
+        bands += [band, band]
+        offsets += [strides[a], -strides[a]]
+    if op.mass_weights is not None:
+        diag = diag + op.mass_weights
+    K = scipy.sparse.diags([diag.ravel()] + bands, [0] + offsets, format="csr")
+    inside = interior_mask(op.grid).ravel()
+    rows = K[np.flatnonzero(inside)]
+    return rows[:, np.flatnonzero(inside)], rows[:, np.flatnonzero(~inside)]
+
+
+def interior_mask(g):
+    """Mask of the interior nodes."""
+    inside = np.zeros(tuple(g.resolution), dtype=bool)
+    inside[interior_slices(1)] = True
+    return inside
+
+
+def energy_per_edge(grid, op, U, V):
+    """a(U, V) summed the direct way: difference quotients, face sigma (the
+    harmonic mean of the edge's two nodal values) and transverse trapezoid
+    weights per edge, plus the trapezoid mass term."""
+    trap = []
+    for r in grid.resolution:
+        t = np.ones(int(r))
+        t[0] = t[-1] = 0.5
+        trap.append(t)
+    total = 0.0
+    for a in range(3):
+        lo = np.moveaxis(op.sigma, a, 0)[:-1]
+        hi = np.moveaxis(op.sigma, a, 0)[1:]
+        face = np.moveaxis(2.0 * lo * hi / (lo + hi), 0, a)
+        dU = np.diff(U, axis=a) / grid.spacing[a]
+        dV = np.diff(V, axis=a) / grid.spacing[a]
+        w = 1.0
+        for b in range(3):
+            if b != a:
+                w = w * trap[b].reshape([-1 if c == b else 1 for c in range(3)])
+        total += float(np.sum(face * dU * dV * w)) * grid.cell_volume
+    if op.q is not None:
+        w = trap[0][:, None, None] * trap[1][None, :, None] * trap[2][None, None, :]
+        total += float(np.sum(op.q * U * V * w)) * grid.cell_volume
+    return total

@@ -804,10 +804,12 @@ def test_levels_share_forms_and_solved_extensions(monkeypatch):
     assert counts["solve"] == 10
 
 
-@pytest.mark.parametrize("identity", ["vekua_pipeline", "s_alpha"])
+@pytest.mark.parametrize("identity", ["vekua_pipeline", "s_alpha", "green_vekua",
+                                      "schrodinger_reconstruction", "factorizations",
+                                      "hodge_orthogonality"])
 def test_one_profile_per_level(monkeypatch, identity):
-    # the finest-level (vekua_pipeline) or coarsest-level (s_alpha) extra
-    # reuses the profile its level's case built
+    # every case and extra reads its level's one profile; the finest-level
+    # (vekua_pipeline) or coarsest-level (s_alpha) extra reuses it too
     builds = 0
     original = H.ConductivityProfile.__init__
 

@@ -377,7 +377,7 @@ def test_borel_pompeiu_constant_field():
     pts = IO.EvaluationSet.build(g, 4, 4, margin=0.2, seed=2, snap_to_centers=True)
     res = IO.borel_pompeiu_residual(v, pts, trace_fn=cfn,
                                     boundary=boundary_sampling(g, 64))
-    assert np.max(res["residual_norms"]) <= 2e-3 * 2.0
+    assert np.max(res) <= 2e-3 * 2.0
 
 
 def test_borel_pompeiu_quadratic_refinement():
@@ -391,7 +391,7 @@ def test_borel_pompeiu_quadratic_refinement():
         res = IO.borel_pompeiu_residual(
             v, pts, trace_fn=quadratic_trace, boundary=boundary_sampling(g, 64)
         )
-        rel = res["residual_norms"] / v.max_norm()
+        rel = res / v.max_norm()
         errs.append(np.sqrt(np.mean(rel[pts.is_interior] ** 2)))
         assert np.max(rel[~pts.is_interior]) <= 0.02
         assert np.max(rel[pts.is_interior]) <= 0.02

@@ -7,9 +7,10 @@ import weakref
 
 import numpy as np
 import pytest
-import scipy.sparse
 import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
+
+import oracles as O
 
 from vekua_lab import cli
 from vekua_lab import fields as F
@@ -127,38 +128,6 @@ def test_poisson_with_volume_source():
     assert np.max(np.abs(u - exact)) <= 1e-10
 
 
-def _node_matrix_blocks(op):
-    """(K_II, K_IB) of the operator's node matrix K, assembled as a CSR matrix
-    from its seven bands: the slow direct path, kept as the oracle of the
-    matrix-free node flux.  Entry (n, n + stride_a) is -w_a on the edge above
-    n along axis a, the diagonal sums the weights of the node's edges plus
-    its mass weight."""
-    res = tuple(int(r) for r in op.grid.resolution)
-    strides = (res[1] * res[2], res[2], 1)
-    diag = np.zeros(res)
-    bands, offsets = [], []
-    for a, w in enumerate(op.edge_weights):
-        below = np.pad(w, [(1, 0) if b == a else (0, 0) for b in range(3)])
-        above = np.pad(w, [(0, 1) if b == a else (0, 0) for b in range(3)])
-        diag += below + above
-        band = -above.ravel()[:diag.size - strides[a]]
-        bands += [band, band]
-        offsets += [strides[a], -strides[a]]
-    if op.mass_weights is not None:
-        diag = diag + op.mass_weights
-    K = scipy.sparse.diags([diag.ravel()] + bands, [0] + offsets, format="csr")
-    inside = _inside(op.grid).ravel()
-    rows = K[np.flatnonzero(inside)]
-    return rows[:, np.flatnonzero(inside)], rows[:, np.flatnonzero(~inside)]
-
-
-def _inside(g):
-    """Mask of the interior nodes."""
-    inside = np.zeros(tuple(g.resolution), dtype=bool)
-    inside[F.interior_slices(1)] = True
-    return inside
-
-
 @settings(max_examples=20, deadline=None)
 @given(
     kind=st.sampled_from(["sigma", "q"]),
@@ -177,11 +146,11 @@ def test_matrix_free_apply_matches_assembled_node_matrix(kind, origin, extent, r
     coefficient = np.exp(np.sin(X @ rng.normal(size=3)))
     op = (P.DirichletOperator(g, sigma=coefficient) if kind == "sigma"
           else P.DirichletOperator(g, q=coefficient))
-    K_II, K_IB = _node_matrix_blocks(op)
+    K_II, K_IB = O.node_matrix_blocks(op)
     x = rng.normal(size=K_II.shape[0])
     trace = rng.normal(size=tuple(g.resolution))
     want_apply = K_II @ x
-    want_rhs = -(K_IB @ trace[~_inside(g)])
+    want_rhs = -(K_IB @ trace[~O.interior_mask(g)])
     assert np.linalg.norm(op._apply(x) - want_apply) <= 1e-14 * np.linalg.norm(want_apply)
     assert np.linalg.norm(op.trace_rhs(trace) - want_rhs) <= 1e-14 * np.linalg.norm(want_rhs)
 
@@ -210,7 +179,7 @@ def test_interior_flux_is_the_node_flux_on_interior_rows(kind, origin, extent, r
     U = rng.normal(size=tuple(g.resolution))
     assert np.array_equal(op._interior_flux(U[inner], U), op._node_flux(U)[inner])
     interior, boundary = U.copy(), U.copy()
-    interior[~_inside(g)] = 0.0
+    interior[~O.interior_mask(g)] = 0.0
     boundary[inner] = 0.0
     assert np.array_equal(op._apply(U[inner].ravel()), op._node_flux(interior)[inner].ravel())
     assert np.array_equal(op.trace_rhs(U), -op._node_flux(boundary)[inner].ravel())
@@ -257,8 +226,8 @@ def test_solve_matches_sparse_direct_oracle(case, origin, extent, resolution, wi
     rhs = lam_min * smooth if with_rhs else None
     u = op.solve(trace, rhs=rhs)
     inner = F.interior_slices(1)
-    K_II, K_IB = _node_matrix_blocks(op)
-    rhs_b = -(K_IB @ trace[~_inside(g)]) + (0.0 if rhs is None else rhs[inner].ravel())
+    K_II, K_IB = O.node_matrix_blocks(op)
+    rhs_b = -(K_IB @ trace[~O.interior_mask(g)]) + (0.0 if rhs is None else rhs[inner].ravel())
     x = u[inner].ravel()
     assert np.linalg.norm(K_II @ x - rhs_b) <= 1e-10 * np.linalg.norm(rhs_b)
     want = scipy.sparse.linalg.spsolve(K_II.tocsc(), rhs_b)
@@ -551,33 +520,6 @@ def test_dtn_matrix_symmetry():
     assert np.max(np.abs(M - M.T)) <= 1e-10 * np.max(np.abs(M))
 
 
-def _energy_per_edge(grid, op, U, V):
-    """a(U, V) summed the direct way: difference quotients, face sigma (the
-    harmonic mean of the edge's two nodal values) and transverse trapezoid
-    weights per edge, plus the trapezoid mass term."""
-    trap = []
-    for r in grid.resolution:
-        t = np.ones(int(r))
-        t[0] = t[-1] = 0.5
-        trap.append(t)
-    total = 0.0
-    for a in range(3):
-        lo = np.moveaxis(op.sigma, a, 0)[:-1]
-        hi = np.moveaxis(op.sigma, a, 0)[1:]
-        face = np.moveaxis(2.0 * lo * hi / (lo + hi), 0, a)
-        dU = np.diff(U, axis=a) / grid.spacing[a]
-        dV = np.diff(V, axis=a) / grid.spacing[a]
-        w = 1.0
-        for b in range(3):
-            if b != a:
-                w = w * trap[b].reshape([-1 if c == b else 1 for c in range(3)])
-        total += float(np.sum(face * dU * dV * w)) * grid.cell_volume
-    if op.q is not None:
-        w = trap[0][:, None, None] * trap[1][None, :, None] * trap[2][None, None, :]
-        total += float(np.sum(op.q * U * V * w)) * grid.cell_volume
-    return total
-
-
 @pytest.mark.parametrize("kind", ["conductivity", "schrodinger"])
 def test_dtn_energy_matches_per_edge_formula(rng, kind):
     g = BoxGrid([0.5, -1.0, 0.2], [1.0, 2.0, 0.5], [9, 12, 10])
@@ -585,7 +527,7 @@ def test_dtn_energy_matches_per_edge_formula(rng, kind):
     coefficient = np.exp(np.sin(X @ rng.normal(size=3)))
     form = P.DtnForm(g, kind, coefficient)
     U, V = rng.normal(size=(2,) + tuple(g.resolution))
-    want = _energy_per_edge(g, form.op, U, V)
+    want = O.energy_per_edge(g, form.op, U, V)
     assert form.energy(U, V) == pytest.approx(want, rel=1e-13)
 
 
@@ -611,9 +553,9 @@ def test_node_flux_energy_matches_per_edge_formula(kind, origin, extent, resolut
     V, W = rng.normal(size=(2,) + tuple(g.resolution))
 
     def check(first):
-        want = _energy_per_edge(g, form.op, first, V)
-        scale = np.sqrt(_energy_per_edge(g, form.op, first, first)
-                        * _energy_per_edge(g, form.op, V, V))
+        want = O.energy_per_edge(g, form.op, first, V)
+        scale = np.sqrt(O.energy_per_edge(g, form.op, first, first)
+                        * O.energy_per_edge(g, form.op, V, V))
         assert abs(form.energy(first, V) - want) <= 1e-13 * scale
 
     check(U)
@@ -628,7 +570,7 @@ def test_cli_dtn_matrix_matches_per_edge_oracle(tmp_path, capsys):
     g = BoxGrid.unit_cube(16)
     op = P.DirichletOperator(g, sigma=make_profile(g, {"kind": "exponential"}).f ** 2)
     solutions = [op.solve(trace) for trace in cli._trace_basis(g, 8, default_seed())]
-    want = np.array([[_energy_per_edge(g, op, U, V) for V in solutions] for U in solutions])
+    want = np.array([[O.energy_per_edge(g, op, U, V) for V in solutions] for U in solutions])
     got = np.loadtxt(tmp_path / "dtn_matrix.csv", delimiter=",", skiprows=1)[:, 2]
     assert np.max(np.abs(got.reshape(8, 8) - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -653,9 +595,9 @@ def test_energy_is_galerkin_form_of_interior_system(kind, origin, extent, resolu
     V = np.zeros_like(U)
     V[inner] = rng.normal(size=V[inner].shape)
     op = form.op
-    K_II, K_IB = _node_matrix_blocks(op)
+    K_II, K_IB = O.node_matrix_blocks(op)
     want = g.cell_volume * float(V[inner].ravel() @ (K_II @ U[inner].ravel()
-                                                     + K_IB @ U[~_inside(g)]))
+                                                     + K_IB @ U[~O.interior_mask(g)]))
     assert form.energy(U, V) == pytest.approx(want, rel=1e-12)
 
 

@@ -1,8 +1,11 @@
 """Vekua machinery tests: profiles, residuals, the Beltrami pair, the
 derived duality, bivector construction and the orthogonality pairing."""
 
+import itertools
+
 import numpy as np
 import pytest
+from oracles import _blade_sign_reference
 
 from vekua_lab import fields as F
 from vekua_lab import vekua as V
@@ -36,6 +39,17 @@ def test_profile_away_from_zero_enforced():
         V.ConductivityProfile.constant(g, 0.0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda g: V.ConductivityProfile.constant(g, float("nan")),
+    lambda g: V.ConductivityProfile.constant(g, float("inf")),
+    lambda g: V.ConductivityProfile.exponential(g, [800.0, 0.0, 0.0]),  # f overflows
+    lambda g: V.ConductivityProfile.exponential(g, [709.5, 0.0, 0.0]),  # grad f overflows
+], ids=["nan", "inf", "inf-factor", "inf-gradient"])
+def test_profile_rejects_non_finite_values(build):
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        build(grid16())
+
+
 def test_alpha_consistency_invariant():
     g = grid16()
     p = V.ConductivityProfile.quadratic_z(g, 1.0, 0.5)
@@ -59,6 +73,15 @@ def test_make_profile_factory():
     assert np.allclose(exponential.alpha, [0.0, 0.0, 1.0], atol=1e-14)
     with pytest.raises(ValueError):
         V.make_profile(g, {"kind": "mystery"})
+
+
+@pytest.mark.parametrize("spec", [{"kind": "constant", "vaule": 2.0},
+                                  {"kind": "exponential", "lam": [0.0, float("nan"), 1.0]},
+                                  {"kind": "linear_z", "a": [1.0, 2.0]}])
+def test_make_profile_validates_its_spec(spec):
+    # a misspelled key must not fall back to the default parameter
+    with pytest.raises(ValueError, match="profile"):
+        V.make_profile(grid16(), spec)
 
 
 # -- residuals -----------------------------------------------------------------
@@ -134,10 +157,26 @@ def test_beltrami_end_to_end_refinement():
 # -- duality ----------------------------------------------------------------------
 
 
+def _duality_holds(masks, signs):
+    """Whether V = sum_k signs[k] v_k e_{masks[k]} has D V = curl v + (div v) e_123:
+    e_i (signs[k] e_{masks[k]}) must be eps_{jik} e_j for i != k and e_123 for
+    i == k, with blade signs from the insertion-sort oracle."""
+    for k, i in itertools.product(range(3), repeat=2):
+        blade = (1 << i) ^ masks[k]
+        sign = _blade_sign_reference(1 << i, masks[k]) * signs[k]
+        j = 3 - i - k
+        expected = (0b111, 1) if i == k else (1 << j, (j - i) * (i - k) * (k - j) // 2)
+        if (blade, sign) != expected:
+            return False
+    return True
+
+
 def test_duality_orientation_is_derived():
-    masks, signs = V.bivector_duality()
-    assert sorted(masks) == [0b011, 0b101, 0b110]
-    assert all(s in (-1, 1) for s in signs)
+    # the constant is the one signed assignment of the three bivectors with the
+    # curl/div property, found here by search against an independent sign oracle
+    found = [(masks, signs) for masks in itertools.permutations((0b011, 0b101, 0b110))
+             for signs in itertools.product((1, -1), repeat=3) if _duality_holds(masks, signs)]
+    assert found == [(V.DUALITY_MASKS, V.DUALITY_SIGNS)]
 
 
 def test_duality_curl_div_property(rng):
@@ -183,8 +222,7 @@ def test_construct_closed_form_matches_hand_solution():
     sol = V.ExponentialVekuaSolution([0.0, 0.0, 1.0])
     X = g.coords()
     w, diag = V.construct_bivector_part(p, sol.u0(X), grad_u0=sol.grad_u0(X))
-    # g = -e3 -> v = (x2 e1 - x1 e2)/2, fixed by the derived duality
-    masks, signs = V.bivector_duality()
+    # g = -e3 -> v = (x2 e1 - x1 e2)/2, fixed by the duality
     v_expected = 0.5 * np.stack(
         [X[..., 1], -X[..., 0], np.zeros_like(X[..., 0])], axis=-1
     )
