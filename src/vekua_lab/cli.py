@@ -25,7 +25,7 @@ from .fields import MIN_RESOLUTION, BoxGrid, face_slabs
 from .harness import (
     IDENTITIES,
     SuiteConfig,
-    convergence_study,
+    convergence_table,
     default_seed,
     run_identity,
     run_suite,
@@ -67,20 +67,17 @@ def _print_report(report):
         print(f"       {key} = {val}")
 
 
-def _cmd_verify(args):
+def _cmd_identity(args):
+    """`verify` and `convergence`: run one identity; `convergence` adds its
+    (h, error, order) table."""
     report = run_identity(args.identity, _load_config(args.identity, args))
     _print_report(report)
-    return 0 if report.passed else 1
-
-
-def _cmd_convergence(args):
-    cfg = _load_config(args.identity, args)
-    report, table = convergence_study(args.identity, cfg)
-    _print_report(report)
-    print("       h, error, order:")
-    for row in table:
-        order = "-" if row["order"] is None else f"{row['order']:.2f}"
-        print(f"       {row['case']:>28}  h={row['h']:.4g}  err={row['error']:.4e}  order={order}")
+    if args.command == "convergence":
+        print("       h, error, order:")
+        for row in convergence_table(report):
+            order = "-" if row["order"] is None else f"{row['order']:.2f}"
+            print(f"       {row['case']:>28}  h={row['h']:.4g}  err={row['error']:.4e}  "
+                  f"order={order}")
     return 0 if report.passed else 1
 
 
@@ -175,17 +172,13 @@ def main(argv=None):
     parser.add_argument("--version", action="version", version=f"vekua-lab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = sub.add_parser("verify", help="run one identity check")
-    p_verify.add_argument("identity", choices=sorted(IDENTITIES))
-    p_verify.add_argument("--config", help="JSON config file")
-    p_verify.add_argument("--out", help="output directory for reports")
-    p_verify.set_defaults(func=_cmd_verify)
-
-    p_conv = sub.add_parser("convergence", help="refinement study for one identity")
-    p_conv.add_argument("identity", choices=sorted(IDENTITIES))
-    p_conv.add_argument("--config", help="JSON config file")
-    p_conv.add_argument("--out", help="output directory for reports")
-    p_conv.set_defaults(func=_cmd_convergence)
+    for command, summary in (("verify", "run one identity check"),
+                             ("convergence", "refinement study for one identity")):
+        p_identity = sub.add_parser(command, help=summary)
+        p_identity.add_argument("identity", choices=sorted(IDENTITIES))
+        p_identity.add_argument("--config", help="JSON config file")
+        p_identity.add_argument("--out", help="output directory for reports")
+        p_identity.set_defaults(func=_cmd_identity)
 
     p_suite = sub.add_parser("suite", help="run many identity checks")
     p_suite.add_argument("target", help="'all' or a comma-separated identity list")

@@ -72,6 +72,10 @@ class BoxGrid:
 
     def dual_grid(self):
         """Grid whose nodes are the cell centers of this grid."""
+        n = int(self.resolution.min())
+        if n - 1 < MIN_RESOLUTION:
+            raise ValueError(f"the dual grid of an axis with {n} nodes has {n - 1} nodes, "
+                             f"fewer than {MIN_RESOLUTION}")
         return BoxGrid(
             self.origin + 0.5 * self.spacing,
             self.extent - self.spacing,
@@ -434,5 +438,8 @@ def bump_scalar(grid: BoxGrid, margin):
         width = hi - lo
         prof = np.clip((t - lo) * (hi - t), 0.0, None) / (width / 2.0) ** 2
         out = out * prof**3
+    if not np.any(out > 0.0):
+        raise ValueError(f"no node of a grid of resolution {grid.resolution.tolist()} lies "
+                         f"inside the support of a bump with margin {margin:g}")
     return out
 

@@ -40,7 +40,7 @@ from .kernels import (
     KernelSpec, cauchy_E_components, fundamental_cauchy_residual, newton_N_components,
     vekua_phi_adjoint_residual, yukawa_delta_flux,
 )
-from .pde import DtnForm, SOLVER_RTOL, dtn_relation_residuals, solve_conductivity, solve_schrodinger
+from .pde import DirichletOperator, DtnForm, SOLVER_RTOL, dtn_relation_residuals
 from .runtime import POLICY, pooled
 from .vekua import (
     ConductivityProfile, ExponentialVekuaSolution, PROFILE_FAMILIES, adjoint_vekua_operator,
@@ -687,8 +687,8 @@ def check_integral_cauchy(cfg: SuiteConfig, levels):
         profile = make_profile(grid, {"kind": "quadratic_z", "a": 1.0, "c": 0.5})
         trace_fn = lambda c: c[..., 0] + 0.3 * c[..., 1]
         trace_nodal = trace_fn(grid.coords())
-        u0_disc = solve_conductivity(grid, profile.f**2, trace_nodal)
         form = DtnForm.conductivity(profile)
+        u0_disc = form.solution(trace_nodal)
         rho_nodal = np.sum(profile.alpha * scalar_gradient(grid, u0_disc), axis=-1)
         vol_term = 2.0 * scalar_volume_potential(pts.points, grid,
                                                  cell_average(rho_nodal, blade_axis=False))
@@ -823,7 +823,7 @@ def check_vekua_pipeline(cfg: SuiteConfig, levels):
 
     # discrete-solver variant and the bivector-free degenerate case, recorded
     grid, profile = levels[-1].grid, levels[-1].profile
-    u0_disc = solve_conductivity(grid, profile.f**2, sol.u0(grid.coords()))
+    u0_disc = DirichletOperator(grid, sigma=profile.f**2).solve(sol.u0(grid.coords()))
     # stencil gradients of the discrete solution keep the source constant
     # only to second order, so the constancy gate is opened to match
     w_disc, _ = construct_bivector_part(profile, u0_disc, constant_tol=0.05)
@@ -908,8 +908,8 @@ def check_difference_identities(cfg: SuiteConfig, levels):
     profile_f = finest.profile
     profile_g = ConductivityProfile.exponential(grid, lam)
     trace = np.exp(coords @ lam) + 0.3 * coords[..., 0]
-    w_f = solve_schrodinger(grid, profile_f.q, trace)
-    w_g = solve_schrodinger(grid, profile_g.q, trace)
+    w_f = DirichletOperator(grid, q=profile_f.q).solve(trace)
+    w_g = DirichletOperator(grid, q=profile_g.q).solve(trace)
 
     # difference-of-potentials identity, trivially forced arm
     dq = cell_average(profile_g.q - profile_f.q, blade_axis=False)
@@ -919,8 +919,8 @@ def check_difference_identities(cfg: SuiteConfig, levels):
         float(np.max(np.abs(sampled(w_f)))) or 1.0)
 
     # Newton-potential identity, trivially forced arm
-    u_f = solve_conductivity(grid, profile_f.f**2, trace / profile_f.f)
-    u_g = solve_conductivity(grid, profile_g.f**2, trace / profile_g.f)
+    u_f = DirichletOperator(grid, sigma=profile_f.f**2).solve(trace / profile_f.f)
+    u_g = DirichletOperator(grid, sigma=profile_g.f**2).solve(trace / profile_g.f)
     rho = (np.sum(profile_f.alpha * scalar_gradient(grid, u_f), axis=-1)
            - np.sum(profile_g.alpha * scalar_gradient(grid, u_g), axis=-1))
     newton_lhs = 2.0 * scalar_volume_potential(pts.points, grid,
@@ -996,12 +996,6 @@ def run_identity(identity, cfg: SuiteConfig | None = None, **overrides) -> Check
         report.write_errors_csv(os.path.join(out, "errors.csv"))
         report.write_convergence_csv(os.path.join(out, "convergence.csv"))
     return report
-
-
-def convergence_study(identity, cfg: SuiteConfig | None = None, **overrides):
-    """Rerun an identity across its resolutions and tabulate (case, level, h, error, order)."""
-    report = run_identity(identity, cfg, **overrides)
-    return report, convergence_table(report)
 
 
 def run_suite(identities=None, parallel=True, **overrides):

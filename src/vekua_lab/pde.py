@@ -1,4 +1,4 @@
-"""Dirichlet solvers and weak Dirichlet-to-Neumann pairings on box grids.
+"""The Dirichlet operator and weak Dirichlet-to-Neumann pairings on box grids.
 
 Both equations are discretized with conservative second-order finite
 differences on the grid nodes: the conductivity operator -div(sigma grad u)
@@ -138,9 +138,12 @@ class DirichletOperator:
     for node as `_node_flux` does, split into the interior columns
     (`_apply`) and the boundary coupling (`trace_rhs`), so the interior
     equations are exactly the Galerkin equations of the form.  Coefficients
-    must be finite, and sigma positive.  The preconditioner's per-axis sine
-    transforms are BLAS matrix products, run on one thread under the
-    process policy (see `runtime`).
+    must be finite, and sigma positive.  With q, well-posedness is
+    guaranteed for potentials of conductivity type (q = Laplacian(f)/f with
+    f bounded away from zero); other potentials are accepted, and a solve
+    that misses the residual target raises SolverError.  The
+    preconditioner's per-axis sine transforms are BLAS matrix products, run
+    on one thread under the process policy (see `runtime`).
     """
 
     def __init__(self, grid: BoxGrid, sigma=None, q=None):
@@ -281,27 +284,6 @@ class DirichletOperator:
             )
         out[interior_slices(1)] = x.reshape(self.shape)
         return out
-
-
-def solve_conductivity(grid: BoxGrid, f2, trace):
-    """Solution of div(f2 grad u) = 0 with u = trace on the boundary nodes."""
-    return DirichletOperator(grid, sigma=f2).solve(trace)
-
-
-def solve_schrodinger(grid: BoxGrid, q, trace):
-    """Solution of (-Delta + q) w = 0 with w = trace on the boundary nodes.
-
-    Well-posedness is guaranteed for potentials of conductivity type
-    (q = Laplacian(f)/f with f bounded away from zero); other potentials
-    are accepted, and a solve that misses the residual target raises
-    SolverError.
-    """
-    return DirichletOperator(grid, q=np.asarray(q, dtype=float)).solve(trace)
-
-
-def solve_poisson(grid: BoxGrid, rhs, trace):
-    """Solution of -Delta u = rhs with Dirichlet data `trace`."""
-    return DirichletOperator(grid).solve(trace, rhs=rhs)
 
 
 # -- extensions of boundary data ------------------------------------------------

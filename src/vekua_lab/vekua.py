@@ -285,12 +285,10 @@ def construct_bivector_part(profile: ConductivityProfile, u0, grad_u0=None, cons
         coords = grid.coords()
         v = 0.5 * np.cross(np.broadcast_to(g_mean, coords.shape), coords)
     else:
-        from .pde import solve_poisson
+        from .pde import DirichletOperator
 
-        zero = np.zeros(tuple(grid.resolution))
-        A = np.stack(
-            [solve_poisson(grid, rhs=g[..., j], trace=zero) for j in range(3)], axis=-1
-        )
+        laplace, zero = DirichletOperator(grid), np.zeros(tuple(grid.resolution))
+        A = np.stack([laplace.solve(zero, rhs=g[..., j]) for j in range(3)], axis=-1)
         v = vector_curl(grid, A)
         diagnostics["div_v"] = float(np.max(np.abs(vector_divergence(grid, v)[sl])))
         diagnostics["curl_v_minus_g"] = float(

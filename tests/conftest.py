@@ -1,3 +1,4 @@
+import collections
 import os
 import subprocess
 import sys
@@ -9,6 +10,21 @@ import pytest
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def dirichlet_work(monkeypatch):
+    """Counter of DirichletOperator assemblies ("__init__") and solves ("solve")."""
+    from vekua_lab import pde
+
+    counts = collections.Counter()
+    for method in ("__init__", "solve"):
+        def counted(self, *args, _method=method, _original=getattr(pde.DirichletOperator, method),
+                    **kwargs):
+            counts[_method] += 1
+            return _original(self, *args, **kwargs)
+        monkeypatch.setattr(pde.DirichletOperator, method, counted)
+    return counts
 
 
 def fresh_python(code, *args, **env):

@@ -54,6 +54,9 @@ def test_dual_grid_geometry():
     assert np.array_equal(d.resolution, g.resolution - 1)
     assert np.allclose(d.spacing, g.spacing)
     assert np.allclose(d.coords(), g.cell_centers())
+    # an 8-node axis is valid, its 7 cell centers are not
+    with pytest.raises(ValueError, match="dual grid of an axis with 8 nodes has 7 nodes"):
+        BoxGrid([0.0] * 3, [1.0] * 3, [9, 8, 9]).dual_grid()
 
 
 def test_distances():
@@ -327,6 +330,11 @@ def test_bump_support():
     assert not np.any(bump[mask])
     # the peak value 1 sits between nodes for even resolutions
     assert 0.5 < bump.max() <= 1.0
+    # on 8 nodes a 3.1 h margin leaves no node inside the support: rejected,
+    # not an all-zero "bump"
+    g = unit_grid(8)
+    with pytest.raises(ValueError, match="no node of a grid of resolution"):
+        F.bump_scalar(g, 3.1 * g.spacing[0])
 
 
 def test_trilinear_sample_linear_exact():

@@ -1,7 +1,6 @@
 """Harness and CLI tests: configuration handling, report structure and
 serialization, registry dispatch, and output files."""
 
-import collections
 import json
 import os
 import sys
@@ -408,20 +407,6 @@ def test_pooled_identities_see_one_blas_thread(monkeypatch):
             lib.set_threads(threads)
 
 
-def test_dtn_export_identical_across_blas_thread_counts(tmp_path):
-    # `dtn` holds BLAS at one thread, whatever count the library starts with
-    exports = []
-    for threads in ("1", "2"):
-        out = tmp_path / threads
-        done = fresh_python("import sys; from vekua_lab import cli; sys.exit(cli.main(sys.argv[1:]))",
-                       "dtn", "--resolution", "48", "--kind", "schrodinger",
-                       "--profile", "linear_z", "--out", str(out),
-                       OPENBLAS_NUM_THREADS=threads, VEKUA_LAB_SEED="2024")
-        assert done.returncode == 0, done.stderr
-        exports.append([(out / name).read_bytes() for name in ("dtn_matrix.csv", "traces.csv")])
-    assert exports[0] == exports[1]
-
-
 def test_dtn_matrix_identical_across_blas_thread_counts():
     # outside any hold, the library at 1 and at 2 threads: at resolution 48 a
     # threaded BLAS dot splits a CG inner product differently by thread
@@ -530,14 +515,12 @@ def test_unknown_identity_rejected():
         H.run_identity("fourier_inversion")
 
 
-@pytest.mark.parametrize("entry", [H.run_identity, H.convergence_study],
-                         ids=["run_identity", "convergence_study"])
-def test_overrides_next_to_a_config_are_rejected(monkeypatch, entry):
+def test_overrides_next_to_a_config_are_rejected(monkeypatch):
     # an override cannot amend a given config: the call fails before the check runs
     cfg = H.SuiteConfig.defaults("cauchy_constant")
     monkeypatch.setitem(H.IDENTITIES, "cauchy_constant", lambda cfg: pytest.fail("the check ran"))
     with pytest.raises(ValueError, match=r"overrides \['seed'\] given with a config"):
-        entry("cauchy_constant", cfg, seed=5)
+        H.run_identity("cauchy_constant", cfg, seed=5)
 
 
 def test_unsupported_profile_rejected():
@@ -570,8 +553,9 @@ def test_reports_are_reproducible():
 
 
 def test_convergence_study_table():
-    report, table = H.convergence_study("operator_consistency")
+    report = H.run_identity("operator_consistency")
     assert report.passed
+    table = H.convergence_table(report)
     hs = [row["h"] for row in table if row["case"] == "smooth"]
     assert hs == sorted(hs, reverse=True)
     orders = [row["order"] for row in table if row["order"] is not None]
@@ -696,6 +680,7 @@ BAD_CONFIGS = {
     "interior.json": {"interior_rel_tol": True},
     "exterior.json": {"exterior_abs_tol": True},
     "ratio.json": {"refinement_ratio": True},
+    "coarse.json": {"resolutions": [8, 16]},
 }
 
 
@@ -711,7 +696,15 @@ BAD_CONFIGS = {
     ("interior.json", "interior_rel_tol must be a real number, got True"),
     ("exterior.json", "exterior_abs_tol must be a real number, got True"),
     ("ratio.json", "refinement_ratio must be a real number, got True"),
-]])
+]] + [
+    # resolution 8 is a valid config, but too coarse for these checks
+    (["verify", "hodge_orthogonality", "--config", "coarse.json"],
+     "no node of a grid of resolution [8, 8, 8] lies inside the support of a bump"),
+    (["verify", "teodorescu_inverse", "--config", "coarse.json"],
+     "the dual grid of an axis with 8 nodes has 7 nodes"),
+    (["verify", "s_alpha", "--config", "coarse.json"],
+     "the dual grid of an axis with 8 nodes has 7 nodes"),
+])
 def test_cli_reports_rejected_input_as_usage_errors(tmp_path, monkeypatch, capsys, argv, message):
     # input rejected after parsing exits like an argparse error: a usage line
     # and status 2, not a traceback
@@ -779,29 +772,24 @@ def test_every_identity_passes_on_an_anisotropic_box(monkeypatch):
                 assert row["h"] == max(e / (row["level"] - 1) for e in extent)
 
 
-def _count_dirichlet_work(monkeypatch):
-    """Counter of DirichletOperator assemblies ("__init__") and solves ("solve")."""
-    counts = collections.Counter()
-    for method in ("__init__", "solve"):
-        def counted(self, *args, _method=method, _original=getattr(pde.DirichletOperator, method),
-                    **kwargs):
-            counts[_method] += 1
-            return _original(self, *args, **kwargs)
-        monkeypatch.setattr(pde.DirichletOperator, method, counted)
-    return counts
-
-
-def test_levels_share_forms_and_solved_extensions(monkeypatch):
-    counts = _count_dirichlet_work(monkeypatch)
+def test_levels_share_forms_and_solved_extensions(dirichlet_work):
     # one Schrodinger form (its operator and the harmonic one) per resolution,
     # shared by both rates
     assert H.run_identity("schrodinger_reconstruction").passed
-    assert counts["__init__"] == 4
+    assert dirichlet_work["__init__"] == 4
     # per resolution: 2 traces x 2 forms (a pairing solves nothing for its
     # second trace); the constant-profile extra adds 2
-    counts.clear()
+    dirichlet_work.clear()
     assert H.run_identity("dtn_relation").passed
-    assert counts["solve"] == 10
+    assert dirichlet_work["solve"] == 10
+
+
+def test_integral_cauchy_solves_each_level_once(dirichlet_work):
+    # the weak arm's interior samples are the solution its form's pairings
+    # use: per resolution one solve and the form's two assemblies, nothing more
+    cfg = H.SuiteConfig.defaults("integral_cauchy")
+    assert H.run_identity("integral_cauchy", cfg).passed
+    assert dirichlet_work == {"__init__": 2 * len(cfg.resolutions), "solve": len(cfg.resolutions)}
 
 
 @pytest.mark.parametrize("identity", ["vekua_pipeline", "s_alpha", "green_vekua",

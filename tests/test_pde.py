@@ -34,13 +34,13 @@ def ones(g):
 def test_conductivity_reproduces_linear():
     g = grid16()
     X = g.coords()
-    u = P.solve_conductivity(g, ones(g), X[..., 0])
+    u = P.DirichletOperator(g, sigma=ones(g)).solve(X[..., 0])
     assert np.max(np.abs(u - X[..., 0])) <= 1e-11
 
 
 def test_conductivity_constant_trace():
     g = grid16()
-    u = P.solve_conductivity(g, 2.0 * ones(g), np.full(tuple(g.resolution), 3.7))
+    u = P.DirichletOperator(g, sigma=2.0 * ones(g)).solve(np.full(tuple(g.resolution), 3.7))
     assert np.max(np.abs(u - 3.7)) <= 1e-11
 
 
@@ -49,7 +49,7 @@ def test_conductivity_exponential_family():
     X = g.coords()
     p = ConductivityProfile.exponential(g, [0.0, 0.0, 1.0])
     exact = -np.exp(-2.0 * X[..., 2]) / 2.0
-    u = P.solve_conductivity(g, p.f**2, exact)
+    u = P.DirichletOperator(g, sigma=p.f**2).solve(exact)
     assert np.max(np.abs(u - exact)) <= 0.02 * np.max(np.abs(exact))
 
 
@@ -58,7 +58,7 @@ def test_conductivity_rejects_nonpositive_coefficient():
     bad = ones(g)
     bad[3, 3, 3] = -1.0
     with pytest.raises(ValueError):
-        P.solve_conductivity(g, bad, ones(g))
+        P.DirichletOperator(g, sigma=bad).solve(ones(g))
 
 
 @pytest.mark.parametrize("name", ["sigma", "q"])
@@ -78,7 +78,7 @@ def test_operator_rejects_non_finite_coefficients(name, bad):
 def test_schrodinger_harmonic_case():
     g = grid16()
     X = g.coords()
-    w = P.solve_schrodinger(g, np.zeros(tuple(g.resolution)), X[..., 0])
+    w = P.DirichletOperator(g, q=np.zeros(tuple(g.resolution))).solve(X[..., 0])
     assert np.max(np.abs(w - X[..., 0])) <= 1e-11
 
 
@@ -87,7 +87,7 @@ def test_schrodinger_exponential_oracle():
     X = g.coords()
     lam = np.array([0.0, 0.0, 1.0])
     exact = np.exp(X @ lam)
-    w = P.solve_schrodinger(g, np.full(tuple(g.resolution), 1.0), exact)
+    w = P.DirichletOperator(g, q=np.full(tuple(g.resolution), 1.0)).solve(exact)
     assert np.max(np.abs(w - exact)) <= 0.02 * np.max(np.abs(exact))
 
 
@@ -97,7 +97,7 @@ def test_schrodinger_cgo_smoke_case():
     X = g.coords()
     s = 1.0
     exact = np.exp(s * X[..., 0]) * np.cos(s * X[..., 1])
-    w = P.solve_schrodinger(g, np.zeros(tuple(g.resolution)), exact)
+    w = P.DirichletOperator(g, q=np.zeros(tuple(g.resolution))).solve(exact)
     assert np.max(np.abs(w - exact)) <= 5e-3 * np.max(np.abs(exact))
 
 
@@ -110,8 +110,8 @@ def test_solver_factorization_consistency():
         X = g.coords()
         p = ConductivityProfile.exponential(g, [0.0, 0.0, 1.0])
         trace = np.exp(X[..., 2]) + 0.3 * X[..., 0]
-        w0_schrodinger = P.solve_schrodinger(g, p.q, trace)
-        w0_conductivity = p.f * P.solve_conductivity(g, p.f**2, trace / p.f)
+        w0_schrodinger = P.DirichletOperator(g, q=p.q).solve(trace)
+        w0_conductivity = p.f * P.DirichletOperator(g, sigma=p.f**2).solve(trace / p.f)
         errs.append(
             np.max(np.abs(w0_schrodinger - w0_conductivity)) / np.max(np.abs(trace))
         )
@@ -124,7 +124,7 @@ def test_poisson_with_volume_source():
     g = grid16()
     X = g.coords()
     exact = -(X[..., 0] ** 2 + X[..., 1] ** 2 + X[..., 2] ** 2)
-    u = P.solve_poisson(g, rhs=np.full(tuple(g.resolution), 6.0), trace=exact)
+    u = P.DirichletOperator(g).solve(exact, rhs=np.full(tuple(g.resolution), 6.0))
     assert np.max(np.abs(u - exact)) <= 1e-10
 
 
@@ -358,7 +358,7 @@ def test_solve_poisson_takes_one_iteration(monkeypatch):
     monkeypatch.setattr(P, "spla", linalg)
     g = BoxGrid([0.5, -1.0, 0.0], [1.0, 2.0, 0.5], [10, 14, 12])
     X = g.coords()
-    P.solve_poisson(g, rhs=np.sin(X[..., 0]) + 1.0, trace=X[..., 1] ** 2)
+    P.DirichletOperator(g).solve(X[..., 1] ** 2, rhs=np.sin(X[..., 0]) + 1.0)
     assert linalg.counts == [1]
 
 
@@ -403,7 +403,7 @@ def test_unsolvable_indefinite_operator_raises():
     q = np.full(tuple(g.resolution), -mu[1])
     result = None
     with pytest.raises(P.SolverError, match=r"after \d+ iterations at relative residual"):
-        result = P.solve_schrodinger(g, q, g.coords()[..., 0])
+        result = P.DirichletOperator(g, q=q).solve(g.coords()[..., 0])
     assert result is None
 
 

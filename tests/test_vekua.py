@@ -250,6 +250,14 @@ def test_construct_poisson_path_reports_diagnostics():
     assert diag["div_v"] <= 1e-10  # curl of a potential is divergence-free
 
 
+def test_construct_poisson_path_assembles_one_operator(dirichlet_work):
+    # the three components of the vector potential share one Laplacian
+    g = grid16()
+    X = g.coords()
+    V.construct_bivector_part(V.ConductivityProfile.constant(g, 1.0), X[..., 0] * X[..., 1])
+    assert dirichlet_work == {"__init__": 1, "solve": 3}
+
+
 def test_construct_closed_form_requires_constant_source():
     g = grid16()
     p = V.ConductivityProfile.constant(g, 1.0)
