@@ -1,9 +1,10 @@
 """Command-line front end: verify identities, run convergence studies,
 run the whole suite, and export Dirichlet-to-Neumann data.
 
-Exit status is 0 exactly when every asserted check passed, and 2, with a
-usage line, for rejected input.  Reports land in --out (or the config's
-output_dir) as report.json, errors.csv and convergence.csv per identity.
+Exit status is 0 exactly when every asserted check passed (for `dtn`, the
+symmetry of its pairing matrix), and 2, with a usage line, for rejected
+input.  Reports land in --out (or the config's output_dir) as report.json,
+errors.csv and convergence.csv per identity.
 VEKUA_LAB_SEED seeds randomized point and trace selection; VEKUA_LAB_THREADS
 only sizes the thread pool that `suite` (run_suite) runs identities in.
 Every command runs under the process policy (see `runtime`), which
@@ -21,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .fields import MIN_RESOLUTION, BoxGrid, face_slabs
+from .fields import MIN_RESOLUTION, BoxGrid, boundary_values, face_nodes
 from .harness import (
     IDENTITIES,
     SuiteConfig,
@@ -35,6 +36,9 @@ from .runtime import POLICY
 from .vekua import PROFILE_FAMILIES, make_profile
 
 PROFILE_CHOICES = tuple(PROFILE_FAMILIES)
+# largest relative asymmetry |M - M^T| / |M| of an exported pairing matrix;
+# the pairing is symmetric up to the solver tolerance
+DTN_SYMMETRY_TOL = 1e-8
 
 
 def _load_config(identity, args):
@@ -95,43 +99,55 @@ def _cmd_suite(args):
 
 
 def _trace_basis(grid: BoxGrid, size, seed):
+    """`size` Dirichlet traces given on the boundary nodes, their interior
+    zero: a solve, the solution cache key and traces.csv read nothing else.
+    The coordinates x1, x2, x3, then sin(X @ a) + cos(X @ b) with a, b drawn
+    from the seed's normal stream, each evaluated one face at a time
+    (`boundary_values`), which gives the values of a whole-grid evaluation
+    bit for bit without building one."""
     rng = np.random.default_rng(seed)
-    X = grid.coords()
-    # contiguous copies: DtnForm keys its cache on each trace's boundary values
-    traces = [np.ascontiguousarray(X[..., a]) for a in range(3)]
+    traces = [boundary_values(grid, lambda X, a=a: X[..., a]) for a in range(min(size, 3))]
     while len(traces) < size:
         a = rng.normal(size=3)
         b = rng.normal(size=3)
-        traces.append(np.sin(X @ a) + np.cos(X @ b))
-    return traces[:size]
+        traces.append(boundary_values(grid, lambda X: np.sin(X @ a) + np.cos(X @ b)))
+    return traces
 
 
 def _trace_rows(grid: BoxGrid, traces):
-    """traces.csv data lines, one text block per face: every boundary node
-    once per face it lies on (edges and corners repeat, matching the
-    per-face quadratures), faces in the order (axis, low/high side), nodes
-    in C order within a face.  Each block is one %-format of the face's
-    (nodes, 5 + traces) table."""
-    coords = grid.coords()
+    """traces.csv data lines, yielded one text block per face, so only one
+    face's text is held at a time: every boundary node once per face it lies
+    on (edges and corners repeat, matching the per-face quadratures), faces
+    in the order (axis, low/high side), nodes in C order within a face.
+    Each block is one %-format of the face's (nodes, 5 + traces) table,
+    its coordinates built for that face alone (`face_nodes`)."""
     row = "%d,%d,%.10g,%.10g,%.10g," + ",".join(["%.10e"] * len(traces)) + "\n"
-    blocks = []
     start = 0
-    for axis, high, slab in face_slabs():
-        pos = coords[slab].reshape(-1, 3)
+    for axis, high, slab, X in face_nodes(grid):
+        pos = X.reshape(-1, 3)
         m = len(pos)
         table = np.column_stack([np.arange(start, start + m), np.full(m, 2 * axis + high), pos]
                                 + [trace[slab].ravel() for trace in traces])
-        blocks.append((row * m) % tuple(table.ravel().tolist()))
+        yield (row * m) % tuple(table.ravel().tolist())
         start += m
-    return blocks
+
+
+def _dtn_matrix(grid: BoxGrid, family, kind, traces):
+    """The pairing matrix of the traces for a profile family and DtN kind.
+    The profile is only an argument of the form's constructor, freed once
+    the form is built; the form, with its operators and cached solutions,
+    is freed on return."""
+    form = DtnForm.conductivity if kind == "conductivity" else DtnForm.schrodinger
+    return form(make_profile(grid, {"kind": family})).matrix(traces)
 
 
 def _cmd_dtn(args):
+    """Write dtn_matrix.csv and traces.csv; exit 1 when the pairing matrix is
+    not symmetric to DTN_SYMMETRY_TOL relative to its largest entry."""
     grid = BoxGrid.unit_cube(args.resolution)
-    profile = make_profile(grid, {"kind": args.profile})
-    form = (DtnForm.conductivity if args.kind == "conductivity" else DtnForm.schrodinger)(profile)
-    traces = _trace_basis(grid, args.basis_size, default_seed())
-    matrix = form.matrix(traces)
+    seed = default_seed()
+    traces = _trace_basis(grid, args.basis_size, seed)
+    matrix = _dtn_matrix(grid, args.profile, args.kind, traces)
     sym = float(np.max(np.abs(matrix - matrix.T)) / (np.max(np.abs(matrix)) + 1e-300))
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
@@ -146,8 +162,11 @@ def _cmd_dtn(args):
         fh.write("node_index,face,x1,x2,x3," + ",".join(f"t{k}" for k in range(len(traces))) + "\n")
         fh.writelines(_trace_rows(grid, traces))
     print(f"wrote {mpath} and {tpath}")
-    print(f"profile={args.profile} kind={args.kind} resolution={args.resolution}")
+    print(f"profile={args.profile} kind={args.kind} resolution={args.resolution} seed={seed}")
     print(f"relative symmetry defect: {sym:.3e}")
+    if not sym <= DTN_SYMMETRY_TOL:  # written so that a NaN defect fails too
+        print(f"[FAIL] relative symmetry defect above {DTN_SYMMETRY_TOL:g}")
+        return 1
     return 0
 
 

@@ -139,6 +139,29 @@ def face_slabs():
             yield axis, high, tuple(side if b == axis else slice(None) for b in range(3))
 
 
+def face_nodes(grid: BoxGrid):
+    """(axis, high, slab, X) for the six faces in `face_slabs` order: X is the
+    face's node coordinates `grid.coords()[slab]`, built for that face alone
+    as a C-ordered array, so no coordinate array of the whole grid is made."""
+    for axis, high, slab in face_slabs():
+        first, second = (b for b in range(3) if b != axis)
+        X = np.empty((grid.resolution[first], grid.resolution[second], 3))
+        X[..., axis] = grid.axes[axis][slab[axis]]
+        X[..., first] = grid.axes[first][:, None]
+        X[..., second] = grid.axes[second]
+        yield axis, high, slab, X
+
+
+def boundary_values(grid: BoxGrid, fn):
+    """Nodal array of fn(X) on the boundary nodes, its interior zero: fn maps
+    one face's node coordinates X (see `face_nodes`) pointwise to values of
+    shape X.shape[:-1]."""
+    out = np.zeros(tuple(grid.resolution))
+    for _, _, slab, X in face_nodes(grid):
+        out[slab] = fn(X)
+    return out
+
+
 class MultivectorField:
     """Cl(0,3)-valued samples on the nodes of a BoxGrid.
 

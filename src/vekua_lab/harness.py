@@ -28,8 +28,8 @@ import numpy as np
 
 from . import __version__
 from .fields import (
-    MIN_RESOLUTION, BoxGrid, MultivectorField, boundary_sampling, bump_scalar, cell_average,
-    dirac_D, face_slabs, interior_slices, laplacian, sc_norm, scalar_gradient, trilinear_sample,
+    MIN_RESOLUTION, BoxGrid, MultivectorField, boundary_sampling, boundary_values, bump_scalar,
+    cell_average, dirac_D, interior_slices, laplacian, sc_norm, scalar_gradient, trilinear_sample,
     vector_divergence,
 )
 from .integral_ops import (
@@ -45,7 +45,7 @@ from .runtime import POLICY, pooled
 from .vekua import (
     ConductivityProfile, ExponentialVekuaSolution, PROFILE_FAMILIES, adjoint_vekua_operator,
     beltrami_residual, beltrami_transform, construct_bivector_part, hodge_orthogonality,
-    make_profile, resolve_profile, vekua_operator, vekua_residual,
+    check_profile_on_box, make_profile, resolve_profile, vekua_operator, vekua_residual,
 )
 
 DEFAULT_SEED = 2024
@@ -124,7 +124,9 @@ class SuiteConfig:
             raise ValueError(f"margin_fraction must be in (0, 0.5), got {self.margin_fraction}")
         if self.output_dir is not None and not isinstance(self.output_dir, str):
             raise ValueError(f"output_dir must be a string or null, got {self.output_dir!r}")
-        resolve_profile(self.profile)
+        box = self.grid(MIN_RESOLUTION)
+        check_profile_on_box(self.profile, box.origin, box.top)
+        _require_family(self.identity, self.profile)
 
     @classmethod
     def defaults(cls, identity, **overrides):
@@ -236,11 +238,12 @@ def _exponential_rate(cfg):
                       dtype=float)
 
 
-def _require_exponential(cfg):
-    if (kind := resolve_profile(cfg.profile)[0]) != "exponential":
-        raise ValueError(f"identity {cfg.identity!r} needs the exponential closed-form family, "
-                         f"got profile kind {kind!r}")
-    return _exponential_rate(cfg)
+def _require_family(identity, profile):
+    """Refuse a profile of another family for an identity registered with
+    `exponential=True`."""
+    if identity in NEEDS_EXPONENTIAL and (kind := resolve_profile(profile)[0]) != "exponential":
+        raise ValueError(f"profile: identity {identity!r} needs the exponential closed-form "
+                         f"family, got profile kind {kind!r}")
 
 
 def _interior_samples(grid, nodal, pts: EvaluationSet):
@@ -248,15 +251,6 @@ def _interior_samples(grid, nodal, pts: EvaluationSet):
     out = np.zeros(len(pts))
     if np.any(pts.is_interior):
         out[pts.is_interior] = trilinear_sample(grid, nodal, pts.interior_points)
-    return out
-
-
-def _boundary_values(grid, fn):
-    """Nodal array filled on the boundary slabs only (interior left zero)."""
-    out = np.zeros(tuple(grid.resolution))
-    coords = grid.coords()
-    for _, _, slab in face_slabs():
-        out[slab] = fn(coords[slab])
     return out
 
 
@@ -268,7 +262,7 @@ def _layer_sc(kernel, bq, density, points):
 def _dtn_pairings(form, trace_nodal, pts, kernel_trace):
     """Weak DtN pairing of the trace with the boundary trace kernel_trace(c, x), per point x."""
     return np.array([
-        form.pair(trace_nodal, _boundary_values(form.grid, lambda c: kernel_trace(c, x)))
+        form.pair(trace_nodal, boundary_values(form.grid, lambda c: kernel_trace(c, x)))
         for x in pts.points])
 
 
@@ -379,13 +373,18 @@ def _extra_within(key, bound):
 
 
 IDENTITIES = {}  # identity -> check(cfg) -> CheckReport, in suite order
+# identities whose checks compare with the exponential family's closed forms
+NEEDS_EXPONENTIAL = set()
 
 
-def _check(identity, norms, statement):
+def _check(identity, norms, statement, exponential=False):
     """Register a function (cfg, levels) -> Plan as the check of `identity`; the
-    levels, one per resolution, are built here once for all of its cases."""
+    levels, one per resolution, are built here once for all of its cases.
+    With `exponential`, the check needs an exponential profile, which
+    `SuiteConfig` then requires of the identity's configs."""
     def decorate(plan_fn):
         def check(cfg: SuiteConfig) -> CheckReport:
+            _require_family(identity, cfg.profile)  # a config made for another identity
             t0 = time.monotonic()
             plan = plan_fn(cfg, [Level(cfg, res) for res in cfg.resolutions])
             rows, points, by_case = [], [], {}
@@ -428,6 +427,8 @@ def _check(identity, norms, statement):
         check.__name__, check.__qualname__ = plan_fn.__name__, plan_fn.__qualname__
         check.__doc__ = statement
         IDENTITIES[identity] = check
+        if exponential:
+            NEEDS_EXPONENTIAL.add(identity)
         return check
     return decorate
 
@@ -552,7 +553,7 @@ def _mixed_smooth_trace(pts):
 
 def _scalar_bp_plan(cfg, levels, adjoint):
     """Scalar-part representation: boundary kernel integral minus volume term."""
-    lam = _require_exponential(cfg)
+    lam = _exponential_rate(cfg)
 
     def outcome(case, lv):
         grid, pts, bq = lv.grid, lv.points(), lv.boundary
@@ -581,7 +582,8 @@ def _scalar_bp_plan(cfg, levels, adjoint):
 
 @_check("scalar_bp", "relative to the interior sup of the scalar target",
         "Boundary integral of the screened grade-1 kernel minus its volume integral against (D - "
-        "alpha C) v recovers the scalar part of v inside and vanishes outside.")
+        "alpha C) v recovers the scalar part of v inside and vanishes outside.",
+        exponential=True)
 def check_scalar_bp(cfg: SuiteConfig, levels):
     return _scalar_bp_plan(cfg, levels, adjoint=False)
 
@@ -589,16 +591,18 @@ def check_scalar_bp(cfg: SuiteConfig, levels):
 @_check("scalar_bp_adjoint", "relative to the interior sup of the scalar target",
         "Boundary integral of the conjugate-weighted Cauchy kernel minus its volume integral "
         "against the adjoint operator image recovers Sc v / f (the 1/f delta weight of the kernel "
-        "is part of the statement).")
+        "is part of the statement).",
+        exponential=True)
 def check_scalar_bp_adjoint(cfg: SuiteConfig, levels):
     return _scalar_bp_plan(cfg, levels, adjoint=True)
 
 
 @_check("cauchy_vekua", "relative to the interior sup of the scalar part",
         "For solutions of the Vekua equation, the boundary integral of the screened grade-1 "
-        "kernel alone recovers the scalar part inside and vanishes outside.")
+        "kernel alone recovers the scalar part inside and vanishes outside.",
+        exponential=True)
 def check_cauchy_vekua(cfg: SuiteConfig, levels):
-    lam = _require_exponential(cfg)
+    lam = _exponential_rate(cfg)
     sol = ExponentialVekuaSolution(lam)
     kernel = KernelSpec("vekua_phi", lam=lam)
     solutions = {
@@ -621,9 +625,10 @@ def check_cauchy_vekua(cfg: SuiteConfig, levels):
 @_check("green_vekua", "relative to the interior sup of the scalar part",
         "The scalar part of a Vekua solution is reproduced by the boundary integral of the vector "
         "kernel against the trace plus the flux term, in both its strong (pointwise conormal "
-        "flux) and weak (volume-energy DtN pairing) forms.")
+        "flux) and weak (volume-energy DtN pairing) forms.",
+        exponential=True)
 def check_green_vekua(cfg: SuiteConfig, levels):
-    lam = _require_exponential(cfg)
+    lam = _exponential_rate(cfg)
     sol = ExponentialVekuaSolution(lam)
     phi, theta = KernelSpec("vekua_phi", lam=lam), KernelSpec.theta(float(lam @ lam))
 
@@ -638,7 +643,7 @@ def check_green_vekua(cfg: SuiteConfig, levels):
         bq, pts = lv.faces, lv.points(snap=False)
         form = DtnForm.conductivity(lv.profile)
         vals = _layer_sc(phi, bq, sol.w0(bq.positions), pts.points) + _dtn_pairings(
-            form, _boundary_values(lv.grid, sol.u0), pts,
+            form, boundary_values(lv.grid, sol.u0), pts,
             lambda c, x: theta.values(c - x) / sol.f(c))
         return Recon(pts, vals, sol.w0(pts.points))
 
@@ -705,9 +710,10 @@ def check_integral_cauchy(cfg: SuiteConfig, levels):
 @_check("schrodinger_reconstruction", "relative to the interior sup of the solution",
         "Solutions of the screened Laplace equation are reproduced from their trace against the "
         "gradient of the screened kernel plus the weak DtN pairing with the kernel trace; "
-        "exterior points give zero.")
+        "exterior points give zero.",
+        exponential=True)
 def check_schrodinger_reconstruction(cfg: SuiteConfig, levels):
-    lam = _require_exponential(cfg)
+    lam = _exponential_rate(cfg)
     q = float(lam @ lam)
     rates = {
         "axis-exponential": lam,
@@ -799,9 +805,10 @@ def check_factorizations(cfg: SuiteConfig, levels):
         "A scalar conductivity solution lifts to a full Vekua solution through the derived "
         "bivector duality; the lifted field satisfies the Vekua equation, its Beltrami transform "
         "satisfies the Beltrami equation, and its scalar part over f satisfies the conductivity "
-        "equation, all at stencil order.")
+        "equation, all at stencil order.",
+        exponential=True)
 def check_vekua_pipeline(cfg: SuiteConfig, levels):
-    lam = _require_exponential(cfg)
+    lam = _exponential_rate(cfg)
     sol = ExponentialVekuaSolution(lam)
 
     def residuals(lv):
@@ -842,9 +849,10 @@ def check_vekua_pipeline(cfg: SuiteConfig, levels):
 @_check("hodge_orthogonality", "pairing normalized by the L2 norms of the two fields",
         "The scalar pairing of a Vekua solution against the deformed Dirac image of a compactly "
         "supported field vanishes: solutions and the deformed-operator range split the space "
-        "orthogonally.")
+        "orthogonally.",
+        exponential=True)
 def check_hodge_orthogonality(cfg: SuiteConfig, levels):
-    lam = _require_exponential(cfg)
+    lam = _exponential_rate(cfg)
 
     def normalized(w, v, alpha):
         return abs(hodge_orthogonality(w, v, alpha)) / (sc_norm(w) * sc_norm(v))
@@ -896,11 +904,12 @@ def check_dtn_relation(cfg: SuiteConfig, levels):
         "absolute errors normalized by the solution sup; gap in pairing units",
         "With equal boundary data the difference-of-potential and Newton-potential identities are "
         "trivially zero on both sides (equal DtN forces equal profiles, so no nontrivial instance "
-        "exists); distinct profiles separate the DtN pairings by a recorded gap.")
+        "exists); distinct profiles separate the DtN pairings by a recorded gap.",
+        exponential=True)
 def check_difference_identities(cfg: SuiteConfig, levels):
     finest = levels[-1]
     grid, pts = finest.grid, finest.points()
-    lam = _require_exponential(cfg)
+    lam = _exponential_rate(cfg)
     coords = grid.coords()
     rng = np.random.default_rng(cfg.seed)
     sampled = lambda nodal: _interior_samples(grid, nodal, pts)
@@ -953,10 +962,9 @@ def check_difference_identities(cfg: SuiteConfig, levels):
 @_check("s_alpha", "Dirac norm on the margin-interior dual lattice over the gradient sup",
         "Subtracting the volume transform of alpha conj(w) from a Vekua solution produces a "
         "monogenic field: the stencil Dirac of the result decays under refinement; with alpha = 0 "
-        "the map is the identity.")
+        "the map is the identity.",
+        exponential=True)
 def check_s_alpha(cfg: SuiteConfig, levels):
-    _require_exponential(cfg)
-
     def residual(case, lv):
         profile = lv.profile
         S = s_alpha(MultivectorField.from_scalar(profile.grid, profile.f), profile.alpha_field())

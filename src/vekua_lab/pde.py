@@ -134,14 +134,15 @@ class DirichletOperator:
     the mass weights `mass_weights` q times the unit nodal trapezoid weights
     (None without q).  `_node_flux` applies the form's node matrix K, with
     a(U, V) = |cell| V.K U, to a nodal array; no matrix is assembled.  The
-    solver computes the interior rows of K U alone (`_interior_flux`), node
-    for node as `_node_flux` does, split into the interior columns
-    (`_apply`) and the boundary coupling (`trace_rhs`), so the interior
-    equations are exactly the Galerkin equations of the form.  Coefficients
-    must be finite, and sigma positive.  With q, well-posedness is
-    guaranteed for potentials of conductivity type (q = Laplacian(f)/f with
-    f bounded away from zero); other potentials are accepted, and a solve
-    that misses the residual target raises SolverError.  The
+    solver computes the interior rows of K U alone, node for node as
+    `_node_flux` does, split into the interior columns (`_apply`, through
+    `_interior_flux`) and the boundary coupling (`trace_rhs`, on the layer
+    next to the boundary), so the interior equations are exactly the
+    Galerkin equations of the form.  Coefficients must be finite, and
+    sigma positive.  With q, well-posedness is guaranteed for potentials of
+    conductivity type (q = Laplacian(f)/f with f bounded away from zero);
+    other potentials are accepted, and a solve that misses the residual
+    target raises SolverError.  The
     preconditioner's per-axis sine transforms are BLAS matrix products, run
     on one thread under the process policy (see `runtime`).
     """
@@ -218,16 +219,14 @@ class DirichletOperator:
             KU[(slice(None),) * a + (slice(1, None),)] += flux
         return KU
 
-    def _interior_flux(self, X, U=None):
-        """(K U)_I, the interior rows of `_node_flux(U)` in the interior
-        shape, from the interior values X and the boundary values of the
-        nodal array U, whose interior is not read (None: a zero boundary,
-        with no nodal array built).  Per axis, the edge fluxes of the rows
+    def _interior_flux(self, X):
+        """(K [X; 0])_I, the interior rows of `_node_flux` of the nodal array
+        with interior values X and a zero boundary, in the interior shape,
+        with no nodal array built.  Per axis, the edge fluxes of the rows
         through interior nodes only, each node taking the same operations in
         the same order as `_node_flux`; the two edges at the ends of a row
-        take the difference with the boundary node (0.0 for a zero
-        boundary) as np.diff would, so the values are bit for bit those of
-        the full flux."""
+        take the difference with the zero boundary node as np.diff would, so
+        the values are bit for bit those of the full flux."""
         inner = interior_slices(1)
         KU = (np.zeros(self.shape) if self.mass_weights is None
               else self.mass_weights[inner] * X)
@@ -235,11 +234,10 @@ class DirichletOperator:
             rows = inner[:a] + (slice(None),) + inner[a + 1:]
             below, above = _along(a, slice(None, -1)), _along(a, slice(1, None))
             first, last = _along(a, slice(None, 1)), _along(a, slice(-1, None))
-            lo, hi = (0.0, 0.0) if U is None else (U[rows][first], U[rows][last])
             flux = np.empty(w[rows].shape)
-            np.subtract(X[first], lo, out=flux[first])
+            np.subtract(X[first], 0.0, out=flux[first])
             np.subtract(X[above], X[below], out=flux[_along(a, slice(1, -1))])
-            np.subtract(hi, X[last], out=flux[last])
+            np.subtract(0.0, X[last], out=flux[last])
             flux *= w[rows]
             KU -= flux[above]  # the edge above each node
             KU += flux[below]  # the edge below
@@ -252,9 +250,22 @@ class DirichletOperator:
 
     def trace_rhs(self, trace):
         """Right-hand side -(K [0; trace])_I induced by Dirichlet data on the
-        boundary nodes."""
+        boundary nodes, of which it reads nothing else.  Only the layer next
+        to the boundary is nonzero: per axis, the edge from each end of an
+        interior row to its boundary node, w (0.0 - lo) at the low end and
+        w hi at the high end, taken in `_interior_flux`'s order (the high
+        end subtracted, then the low end added), so the values are bit for
+        bit those of the interior flux of [0; trace] up to the sign of zero."""
         U = np.asarray(trace, dtype=float).reshape(tuple(self.grid.resolution))
-        return -self._interior_flux(np.zeros(self.shape), U).ravel()
+        inner = interior_slices(1)
+        KU = np.zeros(self.shape)
+        for a, w in enumerate(self.edge_weights):
+            rows = inner[:a] + (slice(None),) + inner[a + 1:]
+            first, last = _along(a, slice(None, 1)), _along(a, slice(-1, None))
+            edges = w[rows]
+            KU[last] -= edges[last] * U[rows][last]
+            KU[first] += edges[first] * np.subtract(0.0, U[rows][first])
+        return -KU.ravel()
 
     def solve(self, trace, rhs=None):
         """Solve with Dirichlet data `trace`; optional volume right-hand side.
@@ -269,19 +280,19 @@ class DirichletOperator:
         b = self.trace_rhs(trace_arr)
         if rhs is not None:
             b = b + np.asarray(rhs, dtype=float)[interior_slices(1)].ravel()
-        out = trace_arr.copy()
-        if not np.any(b):
-            out[interior_slices(1)] = 0.0
-            return out
-        x, iterations = spla.cg(self._apply, b, self._precondition)
-        r = self._apply(x) - b
-        residual = np.sqrt(_dot(r, r) / _dot(b, b))
-        # written so that a NaN residual fails too
-        if not residual <= SOLVER_RTOL:
-            raise SolverError(
-                f"conjugate gradients stopped after {iterations} iterations at "
-                f"relative residual {residual:.3e} (target {SOLVER_RTOL:g})"
-            )
+        if np.any(b):
+            x, iterations = spla.cg(self._apply, b, self._precondition)
+            r = self._apply(x) - b
+            residual = np.sqrt(_dot(r, r) / _dot(b, b))
+            # written so that a NaN residual fails too
+            if not residual <= SOLVER_RTOL:
+                raise SolverError(
+                    f"conjugate gradients stopped after {iterations} iterations at "
+                    f"relative residual {residual:.3e} (target {SOLVER_RTOL:g})"
+                )
+        else:
+            x = np.zeros_like(b)
+        out = trace_arr.copy()  # only now: no second copy of the trace lives through CG
         out[interior_slices(1)] = x.reshape(self.shape)
         return out
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 
 import numpy as np
 
@@ -159,6 +160,41 @@ def resolve_profile(spec):
                                           and math.isfinite(v) for v in items):
             raise ValueError(f"profile: {key!r} must be {size} finite number(s), got {value!r}")
     return kind, {key: spec.get(key, default) for key, default in params.items()}
+
+
+# exp(t) is a finite, normal float for t in this range (up to rounding at its ends)
+EXPONENT_RANGE = (math.log(sys.float_info.min), math.log(sys.float_info.max))
+
+
+def check_profile_on_box(spec, lower, upper):
+    """`resolve_profile(spec)`, and a ValueError when the factor f of the spec
+    vanishes, changes sign or leaves the float range anywhere on the box
+    [lower, upper].  Checked in closed form, not at nodes, from the extremes
+    of f on the box: the exponent lam . x at the box's corners for the
+    exponential family, the ends of the box's z range (and z = 0 inside it,
+    for quadratic_z) for the others."""
+    kind, params = resolve_profile(spec)
+    lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
+    if kind == "exponential":
+        lam = np.asarray(params["lam"], dtype=float)
+        ends = np.stack([lam * lower, lam * upper])
+        low, high = float(np.sum(ends.min(axis=0))), float(np.sum(ends.max(axis=0)))
+        if not EXPONENT_RANGE[0] <= low <= high <= EXPONENT_RANGE[1]:
+            raise ValueError(
+                f"profile: lam {lam.tolist()} takes lam . x over [{low:.6g}, {high:.6g}] on the "
+                f"box, outside the float exponent range [{EXPONENT_RANGE[0]:.1f}, "
+                f"{EXPONENT_RANGE[1]:.1f}] where exp(lam . x) is finite and nonzero")
+        return kind, params
+    zs = [float(lower[2]), float(upper[2])] + ([0.0] if lower[2] < 0.0 < upper[2] else [])
+    f = {"constant": lambda z: float(params["value"]),
+         "linear_z": lambda z: params["a"] + params["b"] * z,
+         "quadratic_z": lambda z: params["a"] + params["c"] * z * z}[kind]
+    values = [f(z) for z in zs]
+    if not (all(math.isfinite(v) for v in values)
+            and (all(v > 0.0 for v in values) or all(v < 0.0 for v in values))):
+        raise ValueError(f"profile: {kind} factor f takes the values {values} at z = {zs} on "
+                         "the box, so it is zero, changes sign or is not finite there")
+    return kind, params
 
 
 def make_profile(grid: BoxGrid, spec: dict) -> ConductivityProfile:

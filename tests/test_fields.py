@@ -388,3 +388,21 @@ def test_curl_of_gradient_vanishes():
     curl = F.vector_curl(g, grad)
     assert np.max(np.abs(curl[F.interior_slices(2)])) <= 1e-3
 
+
+
+def test_face_nodes_and_boundary_values_match_the_whole_grid():
+    # per-face coordinates are the whole grid's, bit for bit, in C order; a
+    # boundary-values array is fn of them on every face and zero inside
+    g = BoxGrid([-0.2, 0.1, 0.3], [1.2, 0.9, 1.1], [10, 9, 11])
+    X = g.coords()
+    faces = list(F.face_nodes(g))
+    assert [face[:3] for face in faces] == list(F.face_slabs())
+    for _, _, slab, P in faces:
+        assert P.flags.c_contiguous and np.array_equal(P, X[slab])
+    lam = np.array([0.3, -1.2, 0.7])
+    values = F.boundary_values(g, lambda P: np.exp(P @ lam))
+    full = np.exp(X @ lam)
+    inner = F.interior_slices(1)
+    assert not np.any(values[inner])
+    values[inner] = full[inner]
+    assert np.array_equal(values, full)

@@ -6,6 +6,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,7 +103,68 @@ def test_config_records_valid_profiles_as_given():
     # nothing is filled in, so a valid config keeps its hash
     for profile in ({"lam": [0, 0, 1]}, {"kind": "quadratic_z", "c": 0.25},
                     {"kind": "exponential", "lam": np.array([0.5, 0.0, 1.0])}):
-        assert H.SuiteConfig.defaults("cauchy_vekua", profile=dict(profile)).profile == profile
+        assert H.SuiteConfig.defaults("dtn_relation", profile=dict(profile)).profile == profile
+
+
+@pytest.mark.parametrize("profile", [
+    {"kind": "exponential", "lam": [800.0, 0.0, 0.0]},  # exp(lam . x) overflows
+    {"kind": "exponential", "lam": [0.0, -720.0, 0.0]},  # and vanishes
+    {"kind": "linear_z", "a": 1.0, "b": -2.2},  # f = 1 - 2.2 z changes sign
+    {"kind": "linear_z", "a": 0.0, "b": 1.0},  # f = z is zero on the z = 0 face
+    {"kind": "quadratic_z", "a": 1.0, "c": -1.5},
+    {"kind": "constant", "value": 0.0},
+])
+def test_config_refuses_profiles_that_vanish_or_overflow_on_the_box(profile):
+    # checked in closed form on SuiteConfig.grid's box, not only where a
+    # check happens to build the profile on its nodes
+    with pytest.raises(ValueError, match="profile"):
+        H.SuiteConfig.defaults("dtn_relation", profile=profile)
+
+
+@pytest.mark.parametrize("profile", [
+    {"kind": "exponential", "lam": [800.0, 0.0, 0.0]},
+    {"kind": "linear_z", "a": 1.0, "b": -2.2},
+])
+def test_suite_refuses_an_overflowing_or_vanishing_profile_before_any_check(
+        monkeypatch, tmp_path, profile):
+    ran = []
+    monkeypatch.setattr(H, "run_identity", lambda identity, *a, **k: ran.append(identity))
+    with pytest.raises(ValueError, match="profile"):
+        H.run_suite(parallel=False, profile=profile, output_dir=str(tmp_path))
+    assert ran == [] and list(tmp_path.iterdir()) == []
+
+
+def test_default_configs_and_family_parameters_pass_the_box_check():
+    for name in H.IDENTITIES:
+        H.SuiteConfig.defaults(name)
+    for kind, (_, params) in V.PROFILE_FAMILIES.items():
+        H.SuiteConfig.defaults("dtn_relation", profile={"kind": kind, **params})
+    V.check_profile_on_box({"kind": "linear_z", "a": -1.0, "b": 0.5}, [0.0] * 3, [1.0] * 3)
+
+
+def test_exponential_family_is_required_before_any_check_runs(monkeypatch, tmp_path):
+    # the identities declare at registration that they need the family, so
+    # a suite with another family fails before its first check
+    assert H.NEEDS_EXPONENTIAL == {
+        "scalar_bp", "scalar_bp_adjoint", "cauchy_vekua", "green_vekua",
+        "schrodinger_reconstruction", "vekua_pipeline", "hodge_orthogonality",
+        "difference_identities", "s_alpha"}
+    constant = {"kind": "constant", "value": 2.0}
+    ran = []
+    monkeypatch.setattr(H, "run_identity", lambda identity, *a, **k: ran.append(identity))
+    with pytest.raises(ValueError, match="needs the exponential closed-form family"):
+        H.run_suite(profile=constant, output_dir=str(tmp_path))
+    assert ran == [] and list(tmp_path.iterdir()) == []
+
+
+def test_checks_without_the_family_requirement_accept_a_constant_profile():
+    constant = {"kind": "constant", "value": 2.0}
+    for name in set(H.IDENTITIES) - H.NEEDS_EXPONENTIAL:
+        assert H.SuiteConfig.defaults(name, profile=constant).profile == constant
+    # the DtN interrelation is exact for a constant profile
+    report = H.run_identity("dtn_relation", profile=constant, resolutions=(8, 10))
+    assert report.passed
+    assert max(row["interior_error"] for row in report.rows) <= 1e-8
     assert cli.PROFILE_CHOICES == tuple(V.PROFILE_FAMILIES)
 
 
@@ -524,10 +586,13 @@ def test_overrides_next_to_a_config_are_rejected(monkeypatch):
 
 
 def test_unsupported_profile_rejected():
-    cfg = H.SuiteConfig.defaults(
-        "cauchy_vekua", profile={"kind": "quadratic_z", "a": 1.0, "c": 0.5}
-    )
-    with pytest.raises(ValueError):
+    # refused when the config is made, and by the check itself when handed a
+    # config made for an identity that takes the profile
+    profile = {"kind": "quadratic_z", "a": 1.0, "c": 0.5}
+    with pytest.raises(ValueError, match="needs the exponential"):
+        H.SuiteConfig.defaults("cauchy_vekua", profile=profile)
+    cfg = H.SuiteConfig.defaults("dtn_relation", profile=profile)
+    with pytest.raises(ValueError, match="needs the exponential"):
         H.run_identity("cauchy_vekua", cfg)
 
 
@@ -736,6 +801,57 @@ def test_cli_dtn_traces_csv_matches_per_node_writer(tmp_path, capsys):
     grid = BoxGrid.unit_cube(8)
     want = _traces_csv_per_node(grid, cli._trace_basis(grid, 5, H.default_seed()))
     assert (tmp_path / "traces.csv").read_text() == want
+
+
+def test_trace_basis_is_a_whole_grid_evaluation_on_the_boundary():
+    # each trace holds, bit for bit, the boundary values of the same
+    # expression evaluated on the whole grid, and a zero interior
+    g = BoxGrid([-0.2, 0.1, 0.3], [1.2, 0.9, 1.1], [10, 9, 11])
+    X = g.coords()
+    rng = np.random.default_rng(2024)
+    want = [X[..., a] for a in range(3)]
+    for _ in range(3):
+        a, b = rng.normal(size=3), rng.normal(size=3)
+        want.append(np.sin(X @ a) + np.cos(X @ b))
+    inside = np.zeros(tuple(g.resolution), dtype=bool)
+    inside[1:-1, 1:-1, 1:-1] = True
+    traces = cli._trace_basis(g, 6, 2024)
+    assert len(traces) == 6 and len(cli._trace_basis(g, 2, 2024)) == 2
+    for got, full in zip(traces, want):
+        assert np.array_equal(got[~inside].view(np.int64), full[~inside].view(np.int64))
+        assert not np.any(got[inside])
+
+
+def test_dtn_export_holds_at_most_forty_nodal_arrays(tmp_path, capsys):
+    # the profile, the form and the full-grid trace evaluations are not held
+    # while later stages run, and traces.csv is written one face at a time
+    res = 32
+    argv = ["dtn", "--resolution", str(res), "--out", str(tmp_path)]
+    assert cli.main(argv) == 0  # first use of the process policy is not the export's
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 8 * res**3
+
+
+def test_dtn_exit_status_gates_the_symmetry_defect(monkeypatch, tmp_path, capsys):
+    argv = ["dtn", "--resolution", "8", "--basis-size", "4", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    printed = capsys.readouterr().out
+    assert f"seed={H.default_seed()}" in printed and "[FAIL]" not in printed
+    matrix = (tmp_path / "dtn_matrix.csv").read_bytes()
+    energy = pde.DtnForm.energy
+
+    def asymmetric(form, U, V):
+        return energy(form, U, V) * (1.0 + 1e-6 * (float(np.sum(U)) > float(np.sum(V))))
+
+    monkeypatch.setattr(pde.DtnForm, "energy", asymmetric)
+    assert cli.main(argv) == 1
+    assert "[FAIL] relative symmetry defect above 1e-08" in capsys.readouterr().out
+    assert (tmp_path / "dtn_matrix.csv").read_bytes() != matrix  # written all the same
 
 
 def test_cli_config_override(tmp_path, capsys):
