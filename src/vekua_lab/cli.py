@@ -132,22 +132,25 @@ def _trace_rows(grid: BoxGrid, traces):
         start += m
 
 
-def _dtn_matrix(grid: BoxGrid, family, kind, traces):
-    """The pairing matrix of the traces for a profile family and DtN kind.
-    The profile is only an argument of the form's constructor, freed once
-    the form is built; the form, with its operators and cached solutions,
-    is freed on return."""
+def _dtn_form(grid: BoxGrid, family, kind):
+    """The DtN form of a profile family and kind.  The profile is only an
+    argument of the form's constructor, freed once the form is built."""
     form = DtnForm.conductivity if kind == "conductivity" else DtnForm.schrodinger
-    return form(make_profile(grid, {"kind": family})).matrix(traces)
+    return form(make_profile(grid, {"kind": family}))
 
 
 def _cmd_dtn(args):
     """Write dtn_matrix.csv and traces.csv; exit 1 when the pairing matrix is
-    not symmetric to DTN_SYMMETRY_TOL relative to its largest entry."""
+    not symmetric to DTN_SYMMETRY_TOL relative to its largest entry.  The
+    form is built before the traces are drawn, so the profile and the build's
+    temporaries are gone before the traces exist, and it is freed, with its
+    operators and cached solutions, before either CSV is written."""
     grid = BoxGrid.unit_cube(args.resolution)
     seed = default_seed()
+    form = _dtn_form(grid, args.profile, args.kind)
     traces = _trace_basis(grid, args.basis_size, seed)
-    matrix = _dtn_matrix(grid, args.profile, args.kind, traces)
+    matrix = form.matrix(traces)
+    del form
     sym = float(np.max(np.abs(matrix - matrix.T)) / (np.max(np.abs(matrix)) + 1e-300))
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)

@@ -448,21 +448,29 @@ def cell_average(values, blade_axis=True):
     return out
 
 
-def bump_scalar(grid: BoxGrid, margin):
-    """C^2 bump supported at distance >= margin from the boundary, peak 1."""
-    coords = grid.coords()
-    out = np.ones(tuple(grid.resolution))
-    for i in range(3):
-        t = coords[..., i]
+def bump_factors(grid: BoxGrid, margin):
+    """The per-axis factors of `bump_scalar`, each on its axis's nodes; a
+    ValueError when the margin leaves an axis no node inside the support."""
+    factors = []
+    for i, t in enumerate(grid.axes):
         lo = grid.origin[i] + margin
         hi = grid.top[i] - margin
         if hi <= lo:
             raise ValueError("margin too large for the grid extent")
         width = hi - lo
         prof = np.clip((t - lo) * (hi - t), 0.0, None) / (width / 2.0) ** 2
-        out = out * prof**3
-    if not np.any(out > 0.0):
-        raise ValueError(f"no node of a grid of resolution {grid.resolution.tolist()} lies "
-                         f"inside the support of a bump with margin {margin:g}")
+        if not np.any(prof > 0.0):
+            raise ValueError(f"no node of a grid of resolution {grid.resolution.tolist()} lies "
+                             f"inside the support of a bump with margin {margin:g}")
+        factors.append(prof**3)
+    return factors
+
+
+def bump_scalar(grid: BoxGrid, margin):
+    """C^2 bump supported at distance >= margin from the boundary, peak 1: the
+    product of the `bump_factors`."""
+    out = np.ones(tuple(grid.resolution))
+    for i, factor in enumerate(bump_factors(grid, margin)):
+        out = out * factor.reshape([-1 if b == i else 1 for b in range(3)])
     return out
 

@@ -28,9 +28,9 @@ import numpy as np
 
 from . import __version__
 from .fields import (
-    MIN_RESOLUTION, BoxGrid, MultivectorField, boundary_sampling, boundary_values, bump_scalar,
-    cell_average, dirac_D, interior_slices, laplacian, sc_norm, scalar_gradient, trilinear_sample,
-    vector_divergence,
+    MIN_RESOLUTION, BoxGrid, MultivectorField, boundary_sampling, boundary_values, bump_factors,
+    bump_scalar, cell_average, dirac_D, interior_slices, laplacian, sc_norm, scalar_gradient,
+    trilinear_sample, vector_divergence,
 )
 from .integral_ops import (
     EvaluationSet, borel_pompeiu_residual, cauchy_boundary, scalar_volume_potential, s_alpha,
@@ -126,7 +126,7 @@ class SuiteConfig:
             raise ValueError(f"output_dir must be a string or null, got {self.output_dir!r}")
         box = self.grid(MIN_RESOLUTION)
         check_profile_on_box(self.profile, box.origin, box.top)
-        _require_family(self.identity, self.profile)
+        _require_domain(self.identity, self)
 
     @classmethod
     def defaults(cls, identity, **overrides):
@@ -238,12 +238,37 @@ def _exponential_rate(cfg):
                       dtype=float)
 
 
-def _require_family(identity, profile):
-    """Refuse a profile of another family for an identity registered with
-    `exponential=True`."""
-    if identity in NEEDS_EXPONENTIAL and (kind := resolve_profile(profile)[0]) != "exponential":
+def _require_domain(identity, cfg):
+    """Refuse a config outside the domain `identity` was registered with: a
+    profile of another family for `exponential=True`, and a resolution whose
+    grid its `grid_domain` refuses."""
+    if (identity in NEEDS_EXPONENTIAL
+            and (kind := resolve_profile(cfg.profile)[0]) != "exponential"):
         raise ValueError(f"profile: identity {identity!r} needs the exponential closed-form "
                          f"family, got profile kind {kind!r}")
+    if identity in GRID_DOMAINS:
+        for res in cfg.resolutions:
+            try:
+                GRID_DOMAINS[identity](cfg.grid(res))
+            except ValueError as err:
+                raise ValueError(f"{err}; resolutions: identity {identity!r} cannot run "
+                                 f"at resolution {res}") from None
+
+
+def _has_dual_grid(grid):
+    """The dual grid on the cell centers, which needs MIN_RESOLUTION + 1
+    nodes per axis, exists."""
+    grid.dual_grid()
+
+
+def _hodge_bump_margin(grid):
+    return 3.1 * float(np.max(grid.spacing))
+
+
+def _has_hodge_bump(grid):
+    """A node of the grid lies inside the support of hodge_orthogonality's
+    bump."""
+    bump_factors(grid, _hodge_bump_margin(grid))
 
 
 def _interior_samples(grid, nodal, pts: EvaluationSet):
@@ -375,16 +400,20 @@ def _extra_within(key, bound):
 IDENTITIES = {}  # identity -> check(cfg) -> CheckReport, in suite order
 # identities whose checks compare with the exponential family's closed forms
 NEEDS_EXPONENTIAL = set()
+# identity -> grid_domain(grid), raising a ValueError for a level grid the
+# check cannot be built on
+GRID_DOMAINS = {}
 
 
-def _check(identity, norms, statement, exponential=False):
+def _check(identity, norms, statement, exponential=False, grid_domain=None):
     """Register a function (cfg, levels) -> Plan as the check of `identity`; the
     levels, one per resolution, are built here once for all of its cases.
-    With `exponential`, the check needs an exponential profile, which
-    `SuiteConfig` then requires of the identity's configs."""
+    With `exponential`, the check needs an exponential profile; with
+    `grid_domain`, every level grid must pass it.  `SuiteConfig` then
+    requires both of the identity's configs before any check runs."""
     def decorate(plan_fn):
         def check(cfg: SuiteConfig) -> CheckReport:
-            _require_family(identity, cfg.profile)  # a config made for another identity
+            _require_domain(identity, cfg)  # a config made for another identity
             t0 = time.monotonic()
             plan = plan_fn(cfg, [Level(cfg, res) for res in cfg.resolutions])
             rows, points, by_case = [], [], {}
@@ -429,6 +458,8 @@ def _check(identity, norms, statement, exponential=False):
         IDENTITIES[identity] = check
         if exponential:
             NEEDS_EXPONENTIAL.add(identity)
+        if grid_domain is not None:
+            GRID_DOMAINS[identity] = grid_domain
         return check
     return decorate
 
@@ -492,7 +523,8 @@ def check_borel_pompeiu(cfg: SuiteConfig, levels):
 
 @_check("teodorescu_inverse", "max-coefficient norm over the margin-interior dual lattice",
         "The volume transform against the Cauchy kernel is a right inverse of the Dirac operator; "
-        "the transform of a constant vanishes at the box center.")
+        "the transform of a constant vanishes at the box center.",
+        grid_domain=_has_dual_grid)
 def check_teodorescu_inverse(cfg: SuiteConfig, levels):
     def residual(case, lv):
         g = MultivectorField.from_components(lv.grid, {1: np.ones(tuple(lv.grid.resolution))})
@@ -850,7 +882,7 @@ def check_vekua_pipeline(cfg: SuiteConfig, levels):
         "The scalar pairing of a Vekua solution against the deformed Dirac image of a compactly "
         "supported field vanishes: solutions and the deformed-operator range split the space "
         "orthogonally.",
-        exponential=True)
+        exponential=True, grid_domain=_has_hodge_bump)
 def check_hodge_orthogonality(cfg: SuiteConfig, levels):
     lam = _exponential_rate(cfg)
 
@@ -860,7 +892,7 @@ def check_hodge_orthogonality(cfg: SuiteConfig, levels):
     def pairings(lv):
         grid, profile = lv.grid, lv.profile
         X = grid.coords()
-        bump = bump_scalar(grid, margin=3.1 * float(np.max(grid.spacing)))
+        bump = bump_scalar(grid, margin=_hodge_bump_margin(grid))
         blades = lambda comps: MultivectorField.from_components(grid, comps)
         return {
             "exponential-profile": normalized(MultivectorField.from_scalar(grid, profile.f),
@@ -963,7 +995,7 @@ def check_difference_identities(cfg: SuiteConfig, levels):
         "Subtracting the volume transform of alpha conj(w) from a Vekua solution produces a "
         "monogenic field: the stencil Dirac of the result decays under refinement; with alpha = 0 "
         "the map is the identity.",
-        exponential=True)
+        exponential=True, grid_domain=_has_dual_grid)
 def check_s_alpha(cfg: SuiteConfig, levels):
     def residual(case, lv):
         profile = lv.profile
@@ -995,6 +1027,9 @@ def run_identity(identity, cfg: SuiteConfig | None = None, **overrides) -> Check
     elif overrides:
         raise ValueError(f"overrides {sorted(overrides)} given with a config; "
                          "set them on the config instead")
+    elif cfg.identity != identity:
+        raise ValueError(f"identity {identity!r} given with a config made for "
+                         f"{cfg.identity!r}; build the config for {identity!r}")
     with POLICY:
         report = IDENTITIES[identity](cfg)
     if cfg.output_dir:

@@ -24,10 +24,14 @@ in one iteration, smooth variable coefficients in a handful.  The
 conjugate-gradient loop (`cg`) is plain numpy and takes every inner
 product with einsum, whose summation order no BLAS thread count changes,
 so a solve, and every DtN export built on it, comes out the same under
-any thread count.  There is no direct-solver fallback: a solve that misses
-the residual target, or whose iteration breaks down (a non-finite or
-non-positive r.z or p.Ap, as a NaN trace or an indefinite operator
-gives), raises SolverError.
+any thread count.  A solve holds only what it reads: `cg` updates its
+three vectors in place, the sine transforms run between two buffers with
+no transposed copy, the preconditioner is built on an operator's first
+solve, and an operator without sigma (unit coefficient) holds its weights
+as broadcast views of 2-d data.  There is no direct-solver fallback: a
+solve that misses the residual target, or whose iteration breaks down (a
+non-finite or non-positive r.z or p.Ap, as a NaN trace or an indefinite
+operator gives), raises SolverError.
 
 Flux data never comes from one-sided normal differences - every
 Dirichlet-to-Neumann evaluation is the volume energy form, evaluated as
@@ -36,6 +40,7 @@ Dirichlet-to-Neumann evaluation is the volume energy form, evaluated as
 
 from __future__ import annotations
 
+import functools
 from types import SimpleNamespace
 
 import numpy as np
@@ -68,9 +73,15 @@ def cg(apply, b, precondition, callback=None):
     r.z or p.Ap, which a NaN in b or an operator or preconditioner that is
     not positive definite gives.  The caller verifies the result.  Calls
     callback(x) once per iteration; returns x and the iteration count.
+
+    The iterate x, the residual r and the direction p are updated in place,
+    and apply(p), which must be a new array, is overwritten with alpha A p
+    and then alpha p; these three and b are all that lives from one
+    iteration to the next.  b is not written to, and precondition may return
+    r itself.
     """
     x = np.zeros_like(b)
-    r = b
+    r = b.copy()
     target = CG_RTOL * np.sqrt(_dot(b, b))
     p = rho_prev = None
     for iteration in range(CG_MAXITER):
@@ -80,14 +91,21 @@ def cg(apply, b, precondition, callback=None):
         rho = _dot(r, z)
         if not 0.0 < rho < np.inf:
             return x, iteration
-        p = z if p is None else z + (rho / rho_prev) * p
+        if p is None:
+            p = z.copy() if z is r else z  # r is updated in place below
+        else:
+            p *= rho / rho_prev
+            p += z
+        del z
         Ap = apply(p)
         curvature = _dot(p, Ap)
         if not 0.0 < curvature < np.inf:
             return x, iteration
         alpha = rho / curvature
-        x += alpha * p
-        r = r - alpha * Ap  # not in place: a preconditioner may return r as z = p
+        Ap *= alpha
+        r -= Ap
+        x += np.multiply(p, alpha, out=Ap)
+        del Ap  # only x, r and p live from one iteration to the next
         rho_prev = rho
         if callback is not None:
             callback(x)
@@ -132,25 +150,31 @@ class DirichletOperator:
     dU the difference of U along an edge.  The edge weights `edge_weights[a]`
     are the face sigma / h_a^2 times the unit transverse trapezoid weights,
     the mass weights `mass_weights` q times the unit nodal trapezoid weights
-    (None without q).  `_node_flux` applies the form's node matrix K, with
-    a(U, V) = |cell| V.K U, to a nodal array; no matrix is assembled.  The
-    solver computes the interior rows of K U alone, node for node as
-    `_node_flux` does, split into the interior columns (`_apply`, through
-    `_interior_flux`) and the boundary coupling (`trace_rhs`, on the layer
-    next to the boundary), so the interior equations are exactly the
-    Galerkin equations of the form.  Coefficients must be finite, and
-    sigma positive.  With q, well-posedness is guaranteed for potentials of
-    conductivity type (q = Laplacian(f)/f with f bounded away from zero);
-    other potentials are accepted, and a solve that misses the residual
-    target raises SolverError.  The
-    preconditioner's per-axis sine transforms are BLAS matrix products, run
-    on one thread under the process policy (see `runtime`).
+    (None without q).  Without sigma (the Schrodinger and Poisson
+    operators) the coefficient is 1: `sigma` and the edge weights are then
+    read-only broadcast views, the edge weights of the 2-d transverse
+    weights times 1 / h_a^2, and hold no nodal array.  `_node_flux` applies
+    the form's node matrix K, with a(U, V) = |cell| V.K U, to a nodal
+    array; no matrix is assembled.  The solver computes the interior rows of
+    K U alone, node for node as `_node_flux` does, split into the interior
+    columns (`_apply`, through `_interior_flux`) and the boundary coupling
+    (`trace_rhs`, on the layer next to the boundary), so the interior
+    equations are exactly the Galerkin equations of the form.  Coefficients
+    must be finite, and sigma positive.  With q, well-posedness is
+    guaranteed for potentials of conductivity type (q = Laplacian(f)/f with
+    f bounded away from zero); other potentials are accepted, and a solve
+    that misses the residual target raises SolverError.  The preconditioner
+    is built on the first solve, so an operator that is never solved holds
+    none; its per-axis sine transforms are BLAS matrix products, run on one
+    thread under the process policy (see `runtime`).
     """
 
     def __init__(self, grid: BoxGrid, sigma=None, q=None):
         res = tuple(int(r) for r in grid.resolution)
         self.grid = grid
-        self.sigma = np.ones(res) if sigma is None else np.asarray(sigma, dtype=float)
+        self._unit = sigma is None
+        self.sigma = (np.broadcast_to(1.0, res) if self._unit
+                      else np.asarray(sigma, dtype=float))
         self.q = None if q is None else np.asarray(q, dtype=float)
         for name, value in (("sigma", self.sigma), ("q", self.q)):
             if value is not None and not np.all(np.isfinite(value)):
@@ -158,55 +182,71 @@ class DirichletOperator:
         if not np.all(self.sigma > 0.0):  # written so that a NaN fails it too
             raise ValueError("coefficient sigma must be strictly positive")
         h = grid.spacing
-        self.edge_weights = [
-            _face_coefficients(self.sigma, a) / h[a] ** 2
-            * np.expand_dims(trapezoid_product([r for b, r in enumerate(res) if b != a]), a)
-            for a in range(3)
-        ]
+        self.edge_weights = []
+        for a in range(3):
+            trap = np.expand_dims(trapezoid_product([r for b, r in enumerate(res) if b != a]), a)
+            if self._unit:  # the harmonic face average of ones is exactly 1.0
+                edges = tuple(r - 1 if b == a else r for b, r in enumerate(res))
+                w = np.broadcast_to((1.0 / h[a] ** 2) * trap, edges)
+            else:
+                w = _face_coefficients(self.sigma, a) / h[a] ** 2 * trap
+            self.edge_weights.append(w)
         self.mass_weights = None if self.q is None else self.q * trapezoid_product(res)
         self.shape = tuple(r - 2 for r in res)
         inside = np.zeros(res, dtype=bool)
         inside[interior_slices(1)] = True
         self._boundary = np.flatnonzero(~inside)
-        self._build_preconditioner()
 
-    def _build_preconditioner(self):
-        """Liouville-sine preconditioner F^-1 (-Delta_h + qbar)^-1 F^-1, F = diag(f).
+    @functools.cached_property
+    def _preconditioner(self):
+        """(sines, 1/eig, 1/f) of the Liouville-sine preconditioner
+        F^-1 (-Delta_h + qbar)^-1 F^-1, F = diag(f), built on first use.
 
         f = sqrt(sigma); qbar is the interior mean of Delta_h f / f plus that
         of q, clipped at 0 so the preconditioner stays positive definite.
-        Dense per-axis sine matrices beat an FFT-based DST at these sizes.
+        For a unit sigma, f is 1 and Delta_h f / f is 0: 1/f is the scalar
+        1.0, with no grid array.  `sines` holds the per-axis sine matrices
+        (dense matrices beat an FFT-based DST at these sizes), 1/eig the
+        inverse eigenvalues, flat in the interior's C order.
         """
         h = self.grid.spacing
         inner = interior_slices(1)
-        f = np.sqrt(self.sigma)
-        lap_f = sum(
-            np.diff(f, 2, axis=a)[tuple(slice(None) if b == a else slice(1, -1)
-                                        for b in range(3))] / h[a] ** 2
-            for a in range(3)
-        )
-        qbar = float(np.mean(lap_f / f[inner]))
+        if self._unit:
+            qbar, inv_f = 0.0, 1.0
+        else:
+            f = np.sqrt(self.sigma)
+            lap_f = sum(
+                np.diff(f, 2, axis=a)[tuple(slice(None) if b == a else slice(1, -1)
+                                            for b in range(3))] / h[a] ** 2
+                for a in range(3)
+            )
+            qbar = float(np.mean(lap_f / f[inner]))
+            inv_f = 1.0 / f[inner].ravel()
         if self.q is not None:
             qbar += float(np.mean(self.q[inner]))
         bases = [_sine_basis(n, h[a]) for a, n in enumerate(self.shape)]
-        self._sines = [basis for basis, _ in bases]
         eig = max(qbar, 0.0) + sum(
             lam.reshape([-1 if b == a else 1 for b in range(3)])
             for a, (_, lam) in enumerate(bases)
         )
-        self._inv_eig = 1.0 / eig
-        self._inv_f = 1.0 / f[inner].ravel()
+        return [basis for basis, _ in bases], (1.0 / eig).ravel(), inv_f
 
     def _precondition(self, r):
-        x = (r * self._inv_f).reshape(self.shape)
-        # each contraction over the leading axis moves it last: three
-        # restore the axis order
-        for basis in self._sines:
-            x = np.tensordot(x, basis, axes=(0, 0))
-        x *= self._inv_eig
-        for basis in self._sines:
-            x = np.tensordot(x, basis, axes=(0, 0))
-        return x.ravel() * self._inv_f
+        """F^-1 S diag(1/eig) S F^-1 r, S the sine transform of the interior
+        box.  Each of the six contractions is one matrix product over the
+        leading axis, which it moves last (three restore the axis order),
+        written between two flat buffers with no transposed copy; the last
+        one is returned."""
+        sines, inv_eig, inv_f = self._preconditioner
+        x = r * inv_f
+        y = np.empty_like(x)
+        for scale in (inv_eig, inv_f):
+            for basis in sines:
+                n = len(basis)
+                np.dot(x.reshape(n, -1).T, basis, out=y.reshape(-1, n))
+                x, y = y, x
+            x *= scale
+        return x
 
     def _node_flux(self, U):
         """K U for a nodal array U: per axis, the edge flux w dU is subtracted
@@ -214,7 +254,8 @@ class DirichletOperator:
         Summing by parts, a(U, V) = |cell| V.K U for every V."""
         KU = np.zeros_like(U) if self.mass_weights is None else self.mass_weights * U
         for a, w in enumerate(self.edge_weights):
-            flux = w * np.diff(U, axis=a)
+            flux = np.diff(U, axis=a)
+            flux *= w
             KU[(slice(None),) * a + (slice(None, -1),)] -= flux
             KU[(slice(None),) * a + (slice(1, None),)] += flux
         return KU
@@ -226,19 +267,22 @@ class DirichletOperator:
         through interior nodes only, each node taking the same operations in
         the same order as `_node_flux`; the two edges at the ends of a row
         take the difference with the zero boundary node as np.diff would, so
-        the values are bit for bit those of the full flux."""
+        the values are bit for bit those of the full flux.  One buffer holds
+        the fluxes of every axis in turn."""
         inner = interior_slices(1)
         KU = (np.zeros(self.shape) if self.mass_weights is None
               else self.mass_weights[inner] * X)
+        buffer = np.empty(KU.size + max(KU.size // n for n in self.shape))
         for a, w in enumerate(self.edge_weights):
             rows = inner[:a] + (slice(None),) + inner[a + 1:]
             below, above = _along(a, slice(None, -1)), _along(a, slice(1, None))
             first, last = _along(a, slice(None, 1)), _along(a, slice(-1, None))
-            flux = np.empty(w[rows].shape)
+            edges = w[rows]
+            flux = buffer[:edges.size].reshape(edges.shape)
             np.subtract(X[first], 0.0, out=flux[first])
             np.subtract(X[above], X[below], out=flux[_along(a, slice(1, -1))])
             np.subtract(0.0, X[last], out=flux[last])
-            flux *= w[rows]
+            flux *= edges
             KU -= flux[above]  # the edge above each node
             KU += flux[below]  # the edge below
         return KU
@@ -265,7 +309,7 @@ class DirichletOperator:
             edges = w[rows]
             KU[last] -= edges[last] * U[rows][last]
             KU[first] += edges[first] * np.subtract(0.0, U[rows][first])
-        return -KU.ravel()
+        return np.negative(KU, out=KU).ravel()
 
     def solve(self, trace, rhs=None):
         """Solve with Dirichlet data `trace`; optional volume right-hand side.
@@ -279,10 +323,11 @@ class DirichletOperator:
         trace_arr = np.asarray(trace, dtype=float)
         b = self.trace_rhs(trace_arr)
         if rhs is not None:
-            b = b + np.asarray(rhs, dtype=float)[interior_slices(1)].ravel()
+            b += np.asarray(rhs, dtype=float)[interior_slices(1)].ravel()
         if np.any(b):
             x, iterations = spla.cg(self._apply, b, self._precondition)
-            r = self._apply(x) - b
+            r = self._apply(x)
+            r -= b
             residual = np.sqrt(_dot(r, r) / _dot(b, b))
             # written so that a NaN residual fails too
             if not residual <= SOLVER_RTOL:
@@ -353,7 +398,8 @@ class DtnForm:
             self.op = DirichletOperator(grid, q=coefficient)
         else:
             raise ValueError("kind must be 'conductivity' or 'schrodinger'")
-        # never solved; perfbench/selftest.py pins two assemblies per form
+        # never solved, so it builds no preconditioner, and its unit weights
+        # are broadcast views; perfbench/selftest.py pins two assemblies per form
         self._harmonic = DirichletOperator(grid)
         self._solved = {}
         self._flux = (None, None)  # (U, K U) for the last cached U
@@ -380,12 +426,15 @@ class DtnForm:
         """K U, kept for the last array of the solution cache it was computed
         for (those arrays are read-only, so the flux stays valid).  One entry
         serves every row of pairings with a fixed U; keeping a flux per
-        cached U would hold memory that forms paired once never reuse."""
-        last, KU = self._flux
-        if U is not last:
-            KU = self.op._node_flux(U)
-            if any(U is cached for cached in self._solved.values()):
-                self._flux = (U, KU)
+        cached U would hold memory that forms paired once never reuse.  The
+        kept flux is dropped before another is computed, so the form never
+        holds two."""
+        if U is self._flux[0]:
+            return self._flux[1]
+        self._flux = (None, None)
+        KU = self.op._node_flux(U)
+        if any(U is cached for cached in self._solved.values()):
+            self._flux = (U, KU)
         return KU
 
     def energy(self, U, V):
@@ -403,12 +452,15 @@ class DtnForm:
 
     def matrix(self, traces):
         """Dense matrix of the energies a(U_i, U_j) between the solutions of a
-        list of nodal traces: the pairings of the traces."""
+        list of nodal traces: the pairings of the traces.  A row's solutions
+        are all fetched before its first pairing, so the first row solves
+        every trace while no flux is kept."""
         k = len(traces)
         out = np.empty((k, k))
         for i in range(k):
-            for j in range(k):
-                out[i, j] = self.energy(self.solution(traces[i]), self.solution(traces[j]))
+            row = [(self.solution(traces[i]), self.solution(traces[j])) for j in range(k)]
+            for j, (U, V) in enumerate(row):
+                out[i, j] = self.energy(U, V)
         return out
 
 

@@ -172,18 +172,26 @@ def check_profile_on_box(spec, lower, upper):
     [lower, upper].  Checked in closed form, not at nodes, from the extremes
     of f on the box: the exponent lam . x at the box's corners for the
     exponential family, the ends of the box's z range (and z = 0 inside it,
-    for quadratic_z) for the others."""
+    for quadratic_z) for the others.  For the exponential family the checks'
+    derived fields are bounded too: the conductivity f^2 = exp(2 lam . x)
+    must be finite and nonzero, and |grad f| = |lam| exp(lam . x) finite,
+    which bounds f itself as well."""
     kind, params = resolve_profile(spec)
     lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
     if kind == "exponential":
         lam = np.asarray(params["lam"], dtype=float)
         ends = np.stack([lam * lower, lam * upper])
         low, high = float(np.sum(ends.min(axis=0))), float(np.sum(ends.max(axis=0)))
-        if not EXPONENT_RANGE[0] <= low <= high <= EXPONENT_RANGE[1]:
+        norm = math.hypot(*lam)  # inf, not a warning, when |lam| overflows
+        log_grad = high + (math.log(norm) if norm > 0.0 else -math.inf)
+        if not (EXPONENT_RANGE[0] <= 2.0 * low and 2.0 * high <= EXPONENT_RANGE[1]
+                and log_grad <= EXPONENT_RANGE[1]):
             raise ValueError(
                 f"profile: lam {lam.tolist()} takes lam . x over [{low:.6g}, {high:.6g}] on the "
-                f"box, outside the float exponent range [{EXPONENT_RANGE[0]:.1f}, "
-                f"{EXPONENT_RANGE[1]:.1f}] where exp(lam . x) is finite and nonzero")
+                f"box, so f^2 = exp(2 lam . x) or |grad f| = |lam| exp(lam . x) leaves the float "
+                f"range there: it needs 2 lam . x in [{EXPONENT_RANGE[0]:.1f}, "
+                f"{EXPONENT_RANGE[1]:.1f}] and lam . x + log|lam| at most "
+                f"{EXPONENT_RANGE[1]:.1f}")
         return kind, params
     zs = [float(lower[2]), float(upper[2])] + ([0.0] if lower[2] < 0.0 < upper[2] else [])
     f = {"constant": lambda z: float(params["value"]),

@@ -12,7 +12,9 @@ and conjugation signs come from reversion times grade involution,
 The Dirichlet-form oracles at the end assemble the node matrix of a
 `DirichletOperator` as a sparse matrix from its seven bands and sum the
 energy form edge by edge, the direct paths that the matrix-free solver and
-the DtN forms are checked against.
+the DtN forms are checked against; the preconditioner with tensordot sine
+transforms and conjugate gradients with no buffer reused are the oracles
+of the solver's copy-free workspace.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 import scipy.sparse
 
 from vekua_lab.fields import interior_slices
+from vekua_lab.pde import CG_MAXITER, CG_RTOL
 
 MIN_DIM = 3
 MAX_DIM = 8
@@ -280,3 +283,64 @@ def energy_per_edge(grid, op, U, V):
         w = trap[0][:, None, None] * trap[1][None, :, None] * trap[2][None, None, :]
         total += float(np.sum(op.q * U * V * w)) * grid.cell_volume
     return total
+
+
+def liouville_sine_preconditioner(op, r):
+    """The operator's Liouville-sine preconditioner F^-1 (-Delta_h + qbar)^-1
+    F^-1 r the direct way: f = sqrt(sigma) and qbar rebuilt from the
+    operator's nodal coefficients (for a unit sigma as well), and each sine
+    transform a `np.tensordot` over the leading axis, with its transposed
+    copy."""
+    h = op.grid.spacing
+    inner = interior_slices(1)
+    f = np.sqrt(op.sigma)
+    lap_f = sum(
+        np.diff(f, 2, axis=a)[tuple(slice(None) if b == a else slice(1, -1)
+                                    for b in range(3))] / h[a] ** 2
+        for a in range(3)
+    )
+    qbar = float(np.mean(lap_f / f[inner]))
+    if op.q is not None:
+        qbar += float(np.mean(op.q[inner]))
+    sines, lams = [], []
+    for a, n in enumerate(op.shape):
+        k = np.arange(1, n + 1)
+        sines.append(np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(k, k) / (n + 1)))
+        lam = (2.0 - 2.0 * np.cos(np.pi * k / (n + 1))) / h[a] ** 2
+        lams.append(lam.reshape([-1 if b == a else 1 for b in range(3)]))
+    eig = max(qbar, 0.0) + sum(lams)
+    inv_f = 1.0 / f[inner].ravel()
+    x = (r * inv_f).reshape(op.shape)
+    for basis in sines:
+        x = np.tensordot(x, basis, axes=(0, 0))
+    x *= 1.0 / eig
+    for basis in sines:
+        x = np.tensordot(x, basis, axes=(0, 0))
+    return x.ravel() * inv_f
+
+
+def cg_out_of_place(apply, b, precondition):
+    """`vekua_lab.pde.cg` with every vector update a new array: the same
+    iteration, stops and breakdown tests, with no buffer reused."""
+    dot = lambda u, v: float(np.einsum("i,i->", u, v))
+    x = np.zeros_like(b)
+    r = b
+    target = CG_RTOL * np.sqrt(dot(b, b))
+    p = rho_prev = None
+    for iteration in range(CG_MAXITER):
+        if np.sqrt(dot(r, r)) < target:
+            return x, iteration
+        z = precondition(r)
+        rho = dot(r, z)
+        if not 0.0 < rho < np.inf:
+            return x, iteration
+        p = z if p is None else z + (rho / rho_prev) * p
+        Ap = apply(p)
+        curvature = dot(p, Ap)
+        if not 0.0 < curvature < np.inf:
+            return x, iteration
+        alpha = rho / curvature
+        x = x + alpha * p
+        r = r - alpha * Ap
+        rho_prev = rho
+    return x, CG_MAXITER

@@ -337,6 +337,21 @@ def test_bump_support():
         F.bump_scalar(g, 3.1 * g.spacing[0])
 
 
+def test_bump_is_the_product_of_its_axis_factors():
+    # one factor per axis on the axis nodes gives bit for bit the bump
+    # evaluated at every node's coordinates
+    g = BoxGrid([-0.2, 0.1, 0.3], [1.2, 0.9, 1.1], [13, 10, 12])
+    margin = 0.25
+    X = g.coords()
+    want = np.ones(tuple(g.resolution))
+    for i in range(3):
+        lo, hi = g.origin[i] + margin, g.top[i] - margin
+        want = want * (np.clip((X[..., i] - lo) * (hi - X[..., i]), 0.0, None)
+                       / ((hi - lo) / 2.0) ** 2) ** 3
+    assert np.array_equal(F.bump_scalar(g, margin), want)
+    assert [len(f) for f in F.bump_factors(g, margin)] == [13, 10, 12]
+
+
 def test_trilinear_sample_linear_exact():
     g = unit_grid(9)
     X = g.coords()

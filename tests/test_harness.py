@@ -134,6 +134,49 @@ def test_suite_refuses_an_overflowing_or_vanishing_profile_before_any_check(
     assert ran == [] and list(tmp_path.iterdir()) == []
 
 
+def test_config_bounds_the_conductivity_and_gradient_of_an_exponential_profile():
+    # exp(400 x1) itself is finite on the unit cube, but the conductivity
+    # f^2 = exp(800 x1) is not; just inside the bound both derived fields are
+    with pytest.raises(ValueError, match=r"f\^2 = exp\(2 lam \. x\)"):
+        H.SuiteConfig.defaults("dtn_relation",
+                               profile={"kind": "exponential", "lam": [400.0, 0.0, 0.0]})
+    spec = {"kind": "exponential", "lam": [354.0, 0.0, 0.0]}
+    H.SuiteConfig.defaults("dtn_relation", profile=spec)
+    p = V.make_profile(BoxGrid.unit_cube(8), spec)
+    assert np.all(np.isfinite(p.f**2) & (p.f**2 > 0.0)) and np.all(np.isfinite(p.grad_f))
+    # on a box this thin lam . x stays small, and only |grad f| = |lam| f overflows
+    with pytest.raises(ValueError, match="profile"):
+        V.check_profile_on_box({"kind": "exponential", "lam": [1e302, 0.0, 0.0]},
+                               [0.0] * 3, [1e-300] * 3)
+    V.check_profile_on_box({"kind": "exponential", "lam": [1e302, 0.0, 0.0]},
+                           [0.0] * 3, [1e-303] * 3)
+
+
+@pytest.mark.parametrize("identity, cause", [
+    ("teodorescu_inverse", "the dual grid of an axis with 8 nodes"),
+    ("s_alpha", "the dual grid of an axis with 8 nodes"),
+    ("hodge_orthogonality", "no node of a grid of resolution"),
+])
+def test_config_refuses_resolutions_a_check_cannot_be_built_on(monkeypatch, tmp_path,
+                                                               identity, cause):
+    # declared at registration, refused when the config is made: no check runs
+    ran = []
+    monkeypatch.setattr(H, "run_identity", lambda name, *a, **k: ran.append(name))
+    with pytest.raises(ValueError, match=f"^{cause}.*; resolutions: identity '{identity}' "
+                                         "cannot run at resolution 8$"):
+        H.SuiteConfig.defaults(identity, resolutions=(8, 16))
+    with pytest.raises(ValueError, match="resolutions"):
+        H.run_suite([identity], parallel=False, resolutions=(8, 16), output_dir=str(tmp_path))
+    assert ran == [] and list(tmp_path.iterdir()) == []
+    H.SuiteConfig.defaults(identity, resolutions=(9, 16))
+
+
+def test_only_the_dual_grid_and_bump_checks_declare_a_grid_domain():
+    assert set(H.GRID_DOMAINS) == {"teodorescu_inverse", "s_alpha", "hodge_orthogonality"}
+    for name in set(H.IDENTITIES) - set(H.GRID_DOMAINS):
+        H.SuiteConfig.defaults(name, resolutions=(8, 10))
+
+
 def test_default_configs_and_family_parameters_pass_the_box_check():
     for name in H.IDENTITIES:
         H.SuiteConfig.defaults(name)
@@ -593,7 +636,18 @@ def test_unsupported_profile_rejected():
         H.SuiteConfig.defaults("cauchy_vekua", profile=profile)
     cfg = H.SuiteConfig.defaults("dtn_relation", profile=profile)
     with pytest.raises(ValueError, match="needs the exponential"):
-        H.run_identity("cauchy_vekua", cfg)
+        H.IDENTITIES["cauchy_vekua"](cfg)
+
+
+def test_a_config_made_for_another_identity_is_refused(monkeypatch, tmp_path):
+    # run_identity would otherwise run one check under another identity's
+    # label, tolerances and config hash; nothing runs and nothing is written
+    cfg = H.SuiteConfig.defaults("borel_pompeiu", output_dir=str(tmp_path), resolutions=(10, 12))
+    monkeypatch.setitem(H.IDENTITIES, "cauchy_constant", lambda cfg: pytest.fail("the check ran"))
+    with pytest.raises(ValueError, match="'cauchy_constant' given with a config made for "
+                                         "'borel_pompeiu'"):
+        H.run_identity("cauchy_constant", cfg)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_report_files_written(tmp_path):
@@ -822,9 +876,13 @@ def test_trace_basis_is_a_whole_grid_evaluation_on_the_boundary():
         assert not np.any(got[inside])
 
 
-def test_dtn_export_holds_at_most_forty_nodal_arrays(tmp_path, capsys):
+def test_dtn_export_holds_at_most_thirty_nodal_arrays(tmp_path, capsys):
     # the profile, the form and the full-grid trace evaluations are not held
-    # while later stages run, and traces.csv is written one face at a time
+    # while later stages run, traces.csv is written one face at a time, the
+    # form is built before the traces exist, its unit-coefficient operator
+    # holds broadcast weights and no preconditioner, a solve holds only its
+    # CG vectors, and no flux is kept while `matrix` solves: 28.4 nodal
+    # arrays at resolution 32
     res = 32
     argv = ["dtn", "--resolution", str(res), "--out", str(tmp_path)]
     assert cli.main(argv) == 0  # first use of the process policy is not the export's
@@ -834,7 +892,7 @@ def test_dtn_export_holds_at_most_forty_nodal_arrays(tmp_path, capsys):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 40 * 8 * res**3
+    assert peak <= 30 * 8 * res**3
 
 
 def test_dtn_exit_status_gates_the_symmetry_defect(monkeypatch, tmp_path, capsys):

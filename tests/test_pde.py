@@ -184,6 +184,70 @@ def test_interior_flux_is_the_node_flux_on_interior_rows(kind, origin, extent, r
     assert np.array_equal(op.trace_rhs(U), -op._node_flux(boundary)[inner].ravel())
 
 
+def _coefficients(g, case):
+    """(sigma, q) of a conductivity, a Schrodinger or a unit operator on g."""
+    X = (g.coords() - g.origin) / g.extent
+    smooth = np.sin(X @ [1.3, -0.7, 0.4])
+    return {"sigma": (np.exp(0.8 * smooth + 0.3 * X[..., 2]), None),
+            "q": (None, 20.0 * (1.0 + 0.5 * smooth)),
+            "unit": (None, None)}[case]
+
+
+@pytest.mark.parametrize("case", ["sigma", "q", "unit"])
+def test_solver_workspace_matches_the_tensordot_and_out_of_place_oracles(case):
+    # the copy-free sine contractions and the in-place CG updates give bit for
+    # bit the values of tensordot transforms and new arrays per update, on an
+    # anisotropic box; cg leaves the caller's b as it was
+    g = BoxGrid([-0.2, 0.1, 0.3], [1.2, 0.9, 1.1], [13, 10, 12])
+    sigma, q = _coefficients(g, case)
+    op = P.DirichletOperator(g, sigma=sigma, q=q)
+    rng = np.random.default_rng(7)
+    r = rng.normal(size=int(np.prod(op.shape)))
+    assert np.array_equal(op._precondition(r), O.liouville_sine_preconditioner(op, r))
+    X = g.coords()
+    b = op.trace_rhs(np.cos(X @ [0.9, -1.1, 0.6]) + X[..., 0])
+    given = b.copy()
+    x, iterations = P.cg(op._apply, b, op._precondition)
+    want, want_iterations = O.cg_out_of_place(
+        op._apply, b, lambda v: O.liouville_sine_preconditioner(op, v))
+    assert iterations == want_iterations >= 1
+    assert np.array_equal(x, want)
+    assert np.array_equal(b, given)
+
+
+@pytest.mark.parametrize("q", [False, True])
+def test_unit_sigma_is_a_broadcast_of_the_transverse_weights(q):
+    # without sigma the coefficient and edge weights are read-only views of
+    # at most 2-d data, and every operation gives bit for bit what explicit
+    # ones give
+    g = BoxGrid([-0.2, 0.1, 0.3], [1.2, 0.9, 1.1], [10, 9, 11])
+    res = tuple(g.resolution)
+    potential = _coefficients(g, "q")[1] if q else None
+    unit = P.DirichletOperator(g, q=potential)
+    ones_op = P.DirichletOperator(g, sigma=np.ones(res), q=potential)
+    assert unit.sigma.shape == res and unit.sigma.strides == (0, 0, 0)
+    for a, (w, want) in enumerate(zip(unit.edge_weights, ones_op.edge_weights)):
+        assert w.shape == want.shape and w.strides[a] == 0 and not w.flags.writeable
+        assert np.array_equal(w, want)
+    rng = np.random.default_rng(11)
+    U = rng.normal(size=res)
+    x = U[F.interior_slices(1)].ravel()
+    assert np.array_equal(unit._apply(x), ones_op._apply(x))
+    assert np.array_equal(unit.trace_rhs(U), ones_op.trace_rhs(U))
+    assert np.array_equal(unit._node_flux(U), ones_op._node_flux(U))
+    assert np.array_equal(unit.solve(U), ones_op.solve(U))
+
+
+def test_preconditioner_is_built_by_the_first_solve_only():
+    # a form's harmonic operator is never solved and builds no preconditioner
+    g = BoxGrid([0.0, -0.3, 0.2], [1.0, 0.8, 1.1], [9, 10, 8])
+    form = P.DtnForm.conductivity(make_profile(g, {"kind": "exponential"}))
+    assert "_preconditioner" not in vars(form.op)
+    form.matrix(cli._trace_basis(g, 3, 2024))
+    assert "_preconditioner" in vars(form.op)
+    assert "_preconditioner" not in vars(form._harmonic)
+
+
 def _dirichlet_eigenvalues(g):
     """Sorted eigenvalues of the interior -Delta_h on a box grid."""
     nus = []
@@ -329,6 +393,18 @@ def test_pairing_matrix_applies_one_node_flux_per_row(monkeypatch):
     form.matrix(traces[:2])
     assert len(applied) == 7
     assert form._flux[0] is form.solution(traces[1])
+
+
+def test_pairing_matrix_solves_while_no_flux_is_kept(monkeypatch):
+    # the first row fetches every solution before its first pairing, so no
+    # solve overlaps a kept flux
+    g = BoxGrid([0.0, -0.3, 0.2], [1.0, 0.8, 1.1], [9, 10, 8])
+    form = P.DtnForm.conductivity(make_profile(g, {"kind": "exponential"}))
+    kept = []
+    solve = form.op.solve
+    monkeypatch.setattr(form.op, "solve", lambda trace: kept.append(form._flux[0]) or solve(trace))
+    form.matrix(cli._trace_basis(g, 4, 2024))
+    assert kept == [None] * 4
 
 
 def test_operator_and_form_are_freed_without_the_cyclic_collector():
