@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .fields import MIN_RESOLUTION, BoxGrid, boundary_values, face_nodes
+from .fields import MIN_RESOLUTION, BoxGrid, boundary_values, face_slabs
 from .harness import (
     IDENTITIES,
     SuiteConfig,
@@ -115,19 +115,39 @@ def _trace_basis(grid: BoxGrid, size, seed):
 
 
 def _trace_rows(grid: BoxGrid, traces):
-    """traces.csv data lines, yielded one text block per face, so only one
-    face's text is held at a time: every boundary node once per face it lies
-    on (edges and corners repeat, matching the per-face quadratures), faces
-    in the order (axis, low/high side), nodes in C order within a face.
-    Each block is one %-format of the face's (nodes, 5 + traces) table,
-    its coordinates built for that face alone (`face_nodes`)."""
-    row = "%d,%d,%.10g,%.10g,%.10g," + ",".join(["%.10e"] * len(traces)) + "\n"
+    """traces.csv data lines for the traces of `_trace_basis`, yielded one
+    text block per face, so only one face's text is held at a time: every
+    boundary node once per face it lies on (edges and corners repeat,
+    matching the per-face quadratures), faces in the order (axis, low/high
+    side), nodes in C order within a face.  The node coordinates x1, x2, x3
+    and the coordinate traces t0..t2 are `grid.axes` values bit for bit (see
+    `fields.face_nodes`), so each axis's values are formatted once per export: a
+    face's fixed coordinate is written into its row format, the two that
+    vary enter as references to that text, and only the other traces are
+    formatted per value, in one %-format of the face's table."""
+    coordinate_traces = min(len(traces), 3)
+    specs = [(",%.10g", a) for a in range(3)] + [(",%.10e", a) for a in range(coordinate_traces)]
+    text = {(spec, a): np.array([spec % v for v in grid.axes[a]], dtype=object)
+            for spec, a in specs}
+    rest = traces[coordinate_traces:]
     start = 0
-    for axis, high, slab, X in face_nodes(grid):
-        pos = X.reshape(-1, 3)
-        m = len(pos)
-        table = np.column_stack([np.arange(start, start + m), np.full(m, 2 * axis + high), pos]
-                                + [trace[slab].ravel() for trace in traces])
+    for axis, high, slab in face_slabs():
+        first, second = (b for b in range(3) if b != axis)
+        shape = (grid.resolution[first], grid.resolution[second])
+        row, columns = f"%d,{2 * axis + high}", []
+        for spec, a in specs:
+            if a == axis:
+                row += text[spec, a][slab[axis]]
+            else:
+                row += "%s"
+                values = text[spec, a][:, None] if a == first else text[spec, a]
+                columns.append(np.broadcast_to(values, shape).ravel())
+        row += ",%.10e" * len(rest) + "\n"
+        m = shape[0] * shape[1]
+        table = np.empty((m, 1 + len(columns) + len(rest)), dtype=object)
+        table[:, 0] = range(start, start + m)
+        for c, column in enumerate(columns + [trace[slab].ravel() for trace in rest]):
+            table[:, 1 + c] = column
         yield (row * m) % tuple(table.ravel().tolist())
         start += m
 

@@ -33,8 +33,9 @@ from .fields import (
     trilinear_sample, vector_divergence,
 )
 from .integral_ops import (
-    EvaluationSet, borel_pompeiu_residual, cauchy_boundary, scalar_volume_potential, s_alpha,
-    teodorescu, teodorescu_on_dual_grid, vector_volume_potential,
+    EvaluationSet, borel_pompeiu_residual, cauchy_boundary, margin_centers,
+    scalar_volume_potential, s_alpha, teodorescu, teodorescu_on_dual_grid,
+    vector_volume_potential,
 )
 from .kernels import (
     KernelSpec, cauchy_E_components, fundamental_cauchy_residual, newton_N_components,
@@ -45,7 +46,8 @@ from .runtime import POLICY, pooled
 from .vekua import (
     ConductivityProfile, ExponentialVekuaSolution, PROFILE_FAMILIES, adjoint_vekua_operator,
     beltrami_residual, beltrami_transform, construct_bivector_part, hodge_orthogonality,
-    check_profile_on_box, make_profile, resolve_profile, vekua_operator, vekua_residual,
+    check_profile_on_box, exponent_range, make_profile, resolve_profile, vekua_operator,
+    vekua_residual,
 )
 
 DEFAULT_SEED = 2024
@@ -124,6 +126,13 @@ class SuiteConfig:
             raise ValueError(f"margin_fraction must be in (0, 0.5), got {self.margin_fraction}")
         if self.output_dir is not None and not isinstance(self.output_dir, str):
             raise ValueError(f"output_dir must be a string or null, got {self.output_dir!r}")
+        for res in self.resolutions:
+            grid = self.grid(res)
+            first, last = margin_centers(grid, self.margin_fraction * float(np.min(grid.extent)))
+            if np.any(last < first):
+                raise ValueError(f"margin_fraction {self.margin_fraction} leaves no cell center "
+                                 f"inside the margin of the resolution-{res} grid, where "
+                                 "snapped evaluation points sit")
         box = self.grid(MIN_RESOLUTION)
         check_profile_on_box(self.profile, box.origin, box.top)
         _require_domain(self.identity, self)
@@ -240,12 +249,15 @@ def _exponential_rate(cfg):
 
 def _require_domain(identity, cfg):
     """Refuse a config outside the domain `identity` was registered with: a
-    profile of another family for `exponential=True`, and a resolution whose
-    grid its `grid_domain` refuses."""
+    profile of another family for `exponential=True`, a profile its
+    `profile_domain` refuses, and a resolution whose grid its `grid_domain`
+    refuses."""
     if (identity in NEEDS_EXPONENTIAL
             and (kind := resolve_profile(cfg.profile)[0]) != "exponential"):
         raise ValueError(f"profile: identity {identity!r} needs the exponential closed-form "
                          f"family, got profile kind {kind!r}")
+    if identity in PROFILE_DOMAINS:
+        PROFILE_DOMAINS[identity](cfg)
     if identity in GRID_DOMAINS:
         for res in cfg.resolutions:
             try:
@@ -403,14 +415,19 @@ NEEDS_EXPONENTIAL = set()
 # identity -> grid_domain(grid), raising a ValueError for a level grid the
 # check cannot be built on
 GRID_DOMAINS = {}
+# identity -> profile_domain(cfg), raising a ValueError for a profile the
+# check cannot run with
+PROFILE_DOMAINS = {}
 
 
-def _check(identity, norms, statement, exponential=False, grid_domain=None):
+def _check(identity, norms, statement, exponential=False, grid_domain=None,
+           profile_domain=None):
     """Register a function (cfg, levels) -> Plan as the check of `identity`; the
     levels, one per resolution, are built here once for all of its cases.
     With `exponential`, the check needs an exponential profile; with
-    `grid_domain`, every level grid must pass it.  `SuiteConfig` then
-    requires both of the identity's configs before any check runs."""
+    `grid_domain`, every level grid must pass it; with `profile_domain`, the
+    config's profile must.  `SuiteConfig` then requires all three of the
+    identity's configs before any check runs."""
     def decorate(plan_fn):
         def check(cfg: SuiteConfig) -> CheckReport:
             _require_domain(identity, cfg)  # a config made for another identity
@@ -460,6 +477,8 @@ def _check(identity, norms, statement, exponential=False, grid_domain=None):
             NEEDS_EXPONENTIAL.add(identity)
         if grid_domain is not None:
             GRID_DOMAINS[identity] = grid_domain
+        if profile_domain is not None:
+            PROFILE_DOMAINS[identity] = profile_domain
         return check
     return decorate
 
@@ -833,12 +852,36 @@ def check_factorizations(cfg: SuiteConfig, levels):
     )
 
 
+# the Beltrami coefficient (1 - f^2) / (1 + f^2) is below 1 in magnitude as a
+# float only while f^2 is within about 2^(+-53) = exp(+-36.7)
+BELTRAMI_LOG_F = 18.0
+# the lifted rotation field f^2 grad u0 = lam must stand well above the
+# rounding of a discrete solution's stencil divergence, about 1e-11 / h^2
+MIN_ROTATION = 1e-6
+
+
+def _lifts_to_a_beltrami_field(cfg):
+    """The profile domain of vekua_pipeline: f^2 = exp(2 lam . x) within
+    exp(+-2 BELTRAMI_LOG_F) on the box, so the Beltrami coefficient is
+    elliptic as a float, and |lam| at least MIN_ROTATION, so the rotation
+    field that the lift inverts is not lost in the solver's rounding."""
+    lam = _exponential_rate(cfg)
+    box = cfg.grid(MIN_RESOLUTION)
+    low, high = exponent_range(lam, box.origin, box.top)
+    if not (max(-low, high) <= BELTRAMI_LOG_F and np.max(np.abs(lam)) >= MIN_ROTATION):
+        raise ValueError(
+            f"profile: identity 'vekua_pipeline' needs lam . x within +-{BELTRAMI_LOG_F:g} on "
+            f"the box, where the Beltrami coefficient (1 - f^2) / (1 + f^2) stays below 1 in "
+            f"magnitude, and max |lam_i| >= {MIN_ROTATION:g}, so the lifted rotation field "
+            f"is not zero; lam {lam.tolist()} takes lam . x over [{low:.6g}, {high:.6g}]")
+
+
 @_check("vekua_pipeline", "residuals normalized by coefficient and field sup norms",
         "A scalar conductivity solution lifts to a full Vekua solution through the derived "
         "bivector duality; the lifted field satisfies the Vekua equation, its Beltrami transform "
         "satisfies the Beltrami equation, and its scalar part over f satisfies the conductivity "
         "equation, all at stencil order.",
-        exponential=True)
+        exponential=True, profile_domain=_lifts_to_a_beltrami_field)
 def check_vekua_pipeline(cfg: SuiteConfig, levels):
     lam = _exponential_rate(cfg)
     sol = ExponentialVekuaSolution(lam)
@@ -932,12 +975,30 @@ def check_dtn_relation(cfg: SuiteConfig, levels):
                 {"constant_profile_residual": const_resid})
 
 
+# the falsification arm of difference_identities separates the DtN forms of
+# the config's profile and of the exponential profile with this many times
+# its rate
+GAP_RATE_FACTOR = 1.5
+
+
+def _steeper_profile_fits(cfg):
+    """The profile domain of difference_identities: the exponential profile
+    with GAP_RATE_FACTOR times the config's rate passes the box check too."""
+    box = cfg.grid(MIN_RESOLUTION)
+    steeper = {"kind": "exponential", "lam": (GAP_RATE_FACTOR * _exponential_rate(cfg)).tolist()}
+    try:
+        check_profile_on_box(steeper, box.origin, box.top)
+    except ValueError as err:
+        raise ValueError(f"{err}; identity 'difference_identities' also builds the profile "
+                         f"with {GAP_RATE_FACTOR:g} times the rate") from None
+
+
 @_check("difference_identities",
         "absolute errors normalized by the solution sup; gap in pairing units",
         "With equal boundary data the difference-of-potential and Newton-potential identities are "
         "trivially zero on both sides (equal DtN forces equal profiles, so no nontrivial instance "
         "exists); distinct profiles separate the DtN pairings by a recorded gap.",
-        exponential=True)
+        exponential=True, profile_domain=_steeper_profile_fits)
 def check_difference_identities(cfg: SuiteConfig, levels):
     finest = levels[-1]
     grid, pts = finest.grid, finest.points()
@@ -971,7 +1032,7 @@ def check_difference_identities(cfg: SuiteConfig, levels):
 
     # falsification arm: distinct profiles must separate the DtN forms
     form_f = DtnForm.conductivity(profile_f)
-    form_h = DtnForm.conductivity(ConductivityProfile.exponential(grid, 1.5 * lam))
+    form_h = DtnForm.conductivity(ConductivityProfile.exponential(grid, GAP_RATE_FACTOR * lam))
     gap = pair_scale = 0.0
     for _ in range(10):
         a, b = rng.normal(size=3), rng.normal(size=3)

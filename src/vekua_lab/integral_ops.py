@@ -39,6 +39,15 @@ from .kernels import KernelSpec, radii
 HAVE_NUMBA = False
 
 
+def margin_centers(grid: BoxGrid, margin):
+    """Per axis, the first and the last cell-center index k with
+    lo <= origin + (k + 1/2) h <= hi, lo and hi the margin interior, to the
+    margin check's slack: last < first on an axis with no such center."""
+    first = np.ceil((margin - 1e-12) / grid.spacing - 0.5)
+    last = np.floor((grid.extent - margin + 1e-12) / grid.spacing - 0.5)
+    return first, last
+
+
 @dataclass
 class EvaluationSet:
     """Interior/exterior evaluation points kept clear of the boundary layer."""
@@ -76,9 +85,7 @@ class EvaluationSet:
             raise ValueError("margin leaves no interior room")
         interior = lo + (hi - lo) * rng.random((n_interior, 3))
         if snap_to_centers:
-            # center indices k with lo <= origin + (k + 1/2) h <= hi, to the margin check's slack
-            first = np.ceil((margin - 1e-12) / grid.spacing - 0.5)
-            last = np.floor((grid.extent - margin + 1e-12) / grid.spacing - 0.5)
+            first, last = margin_centers(grid, margin)
             if np.any(last < first):
                 raise ValueError("margin leaves no cell center in the interior")
             idx = np.round((interior - grid.origin) / grid.spacing - 0.5)

@@ -16,19 +16,22 @@ of V, so a weak DtN pairing needs no extension of its second trace.
 Every Dirichlet solve is one preconditioned conjugate-gradient engine.
 The preconditioner follows the Liouville substitution w = f u with
 f = sqrt(sigma), which carries -div(sigma grad u) + q u to
-f (-Delta + q + Delta f / f) f: it applies F^-1 (-Delta_h + qbar)^-1 F^-1
-with qbar the interior mean of Delta_h f / f + q, clipped at 0, and inverts
-the constant-coefficient box operator in its type-I sine eigenbasis
-(Buzbee, Golub & Nielson 1970).  Constant-coefficient operators converge
-in one iteration, smooth variable coefficients in a handful.  The
-conjugate-gradient loop (`cg`) is plain numpy and takes every inner
-product with einsum, whose summation order no BLAS thread count changes,
-so a solve, and every DtN export built on it, comes out the same under
-any thread count.  A solve holds only what it reads: `cg` updates its
-three vectors in place, the sine transforms run between two buffers with
-no transposed copy, the preconditioner is built on an operator's first
-solve, and an operator without sigma (unit coefficient) holds its weights
-as broadcast views of 2-d data.  There is no direct-solver fallback: a
+f (-Delta + q + Delta f / f) f.  On the grid, F^-1 A F^-1 (F = diag(f))
+is a graph Laplacian with edge conductances plus a node potential; the
+preconditioner replaces both by their transverse means along each axis
+and inverts the resulting separable operator by fast diagonalization in
+the eigenbases of its three line operators (Lynch, Rice & Thomas 1964;
+Concus & Golub 1973).  Every profile family gives a separable transformed
+operator, so its solves converge in one iteration, as do Poisson solves;
+other smooth coefficients take a handful.  The conjugate-gradient loop
+(`cg`) is plain numpy and takes every inner product with einsum, whose
+summation order no BLAS thread count changes, so a solve, and every DtN
+export built on it, comes out the same under any thread count.  A solve
+holds only what it reads: `cg` updates its three vectors in place, the
+line-eigenbasis transforms run between two buffers with no transposed
+copy, the preconditioner is built on an operator's first solve and holds
+no interior array of eigenvalues, and an operator without sigma (unit
+coefficient) holds its weights as broadcast views of 2-d data.  There is no direct-solver fallback: a
 solve that misses the residual target, or whose iteration breaks down (a
 non-finite or non-positive r.z or p.Ap, as a NaN trace or an indefinite
 operator gives), raises SolverError.
@@ -122,17 +125,33 @@ def _harmonic_mean(a, b):
     return 2.0 * a * b / (a + b)
 
 
-def _sine_basis(n, h):
-    """Orthonormal type-I sine basis of the n-node Dirichlet second difference
-    (a symmetric involution) and the eigenvalues of -d^2/dx^2 in it."""
-    k = np.arange(1, n + 1)
-    basis = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(k, k) / (n + 1))
-    return basis, (2.0 - 2.0 * np.cos(np.pi * k / (n + 1))) / h**2
+def _line_basis(conductance, potential):
+    """Eigenbasis Q (columns) and eigenvalues of the n-node line operator
+    with edge conductances `conductance` (n + 1 edges, the two end edges tied
+    to zero Dirichlet nodes) and node potential `potential`."""
+    off = -conductance[1:-1]
+    line = np.diag(conductance[:-1] + conductance[1:] + potential)
+    line += np.diag(off, 1) + np.diag(off, -1)
+    eig, basis = np.linalg.eigh(line)
+    return basis, eig
 
 
 def _along(axis, index):
     """Index applying `index` along `axis` of a 3-d array."""
     return (slice(None),) * axis + (index,)
+
+
+def _contract(x, basis, out):
+    """x, flat in a C order, contracted with `basis` over its leading axis,
+    which moves last: one matrix product written into the flat `out`."""
+    n = len(basis)
+    np.dot(x.reshape(n, -1).T, basis, out=out.reshape(-1, n))
+    return out
+
+
+def _transverse(axis):
+    """The two axes of a 3-d array other than `axis`."""
+    return tuple(b for b in range(3) if b != axis)
 
 
 def _face_coefficients(sigma, axis):
@@ -160,13 +179,14 @@ class DirichletOperator:
     columns (`_apply`, through `_interior_flux`) and the boundary coupling
     (`trace_rhs`, on the layer next to the boundary), so the interior
     equations are exactly the Galerkin equations of the form.  Coefficients
-    must be finite, and sigma positive.  With q, well-posedness is
+    must be finite, and sigma positive with finite, nonzero face averages.  With q, well-posedness is
     guaranteed for potentials of conductivity type (q = Laplacian(f)/f with
     f bounded away from zero); other potentials are accepted, and a solve
     that misses the residual target raises SolverError.  The preconditioner
-    is built on the first solve, so an operator that is never solved holds
-    none; its per-axis sine transforms are BLAS matrix products, run on one
-    thread under the process policy (see `runtime`).
+    (`_preconditioner`) is built on the first solve, so an operator that is
+    never solved holds none; its per-axis line-eigenbasis transforms are
+    BLAS matrix products, run on one thread under the process policy (see
+    `runtime`).
     """
 
     def __init__(self, grid: BoxGrid, sigma=None, q=None):
@@ -189,63 +209,112 @@ class DirichletOperator:
                 edges = tuple(r - 1 if b == a else r for b, r in enumerate(res))
                 w = np.broadcast_to((1.0 / h[a] ** 2) * trap, edges)
             else:
-                w = _face_coefficients(self.sigma, a) / h[a] ** 2 * trap
+                with np.errstate(over="ignore"):  # refused below
+                    w = _face_coefficients(self.sigma, a) / h[a] ** 2 * trap
+                if not (np.isfinite(w.max()) and w.min() > 0.0):
+                    raise ValueError("coefficient sigma is out of range: a harmonic face "
+                                     "average 2 s t / (s + t) overflows or underflows")
             self.edge_weights.append(w)
         self.mass_weights = None if self.q is None else self.q * trapezoid_product(res)
         self.shape = tuple(r - 2 for r in res)
-        inside = np.zeros(res, dtype=bool)
+
+    @functools.cached_property
+    def _boundary(self):
+        """Flat indices of the boundary nodes, built on first use (a DtN
+        form's cache key), so the never-solved harmonic operator holds none."""
+        inside = np.zeros(tuple(self.grid.resolution), dtype=bool)
         inside[interior_slices(1)] = True
-        self._boundary = np.flatnonzero(~inside)
+        return np.flatnonzero(~inside)
 
     @functools.cached_property
     def _preconditioner(self):
-        """(sines, 1/eig, 1/f) of the Liouville-sine preconditioner
-        F^-1 (-Delta_h + qbar)^-1 F^-1, F = diag(f), built on first use.
+        """(bases, eigenvalues, 1/f) of the line-eigenbasis preconditioner
+        F^-1 (Vbar + L_0 + L_1 + L_2)^-1 F^-1, F = diag(f), built on first use.
 
-        f = sqrt(sigma); qbar is the interior mean of Delta_h f / f plus that
-        of q, clipped at 0 so the preconditioner stays positive definite.
-        For a unit sigma, f is 1 and Delta_h f / f is 0: 1/f is the scalar
-        1.0, with no grid array.  `sines` holds the per-axis sine matrices
-        (dense matrices beat an FFT-based DST at these sizes), 1/eig the
-        inverse eigenvalues, flat in the interior's C order.
+        With f = sqrt(sigma), F^-1 A F^-1 is the graph Laplacian with edge
+        conductances g_e = w_e / (f_lo f_hi) plus the node potential
+        V_i = q_i / f_i^2 + sum_e g_e (f_j / f_i - 1), both read from the
+        interior rows of the operator's own weights.  L_a is the Dirichlet
+        line operator of axis a, from the transverse means of g on its edges
+        and the zero-mean line part of V (its transverse mean less Vbar, the
+        mean of V over the interior), inverted in its `numpy.linalg.eigh`
+        eigenbasis.  When g along each axis varies along that axis only and V
+        is a sum of line parts, as for every profile family, this is A^-1
+        exactly (the fast diagonalization of Lynch, Rice & Thomas, 1964);
+        otherwise it is a separable approximation of A (Concus & Golub,
+        1973).  Eigenvalues are floored at half the lowest eigenvalue of the
+        box Laplacian with each axis's weakest mean conductance, a lower
+        bound of the conductance part, so the preconditioner is positive
+        definite for any finite coefficients; a separable operator is
+        inverted exactly unless its potential brings it that close to
+        singular.  Each axis is reduced to its line means before the next
+        one's temporaries exist, and a unit sigma builds no f.
+
+        `bases` holds (Q_a, Q_a.T) per axis, the second a view.  The
+        eigenvalues Vbar + lam_0 + lam_1 + lam_2 are kept as (the first three
+        summed over a plane, lam_2, the floor), not as an interior array.
+        1/f is flat in the interior's C order, or the scalar 1.0.
         """
-        h = self.grid.spacing
         inner = interior_slices(1)
+        conductances = []
         if self._unit:
-            qbar, inv_f = 0.0, 1.0
+            inv_f = 1.0
+            V = None if self.q is None else self.q[inner]
+            for a, w in enumerate(self.edge_weights):
+                rows = inner[:a] + (slice(None),) + inner[a + 1:]
+                conductances.append(w[rows].mean(axis=_transverse(a)))
         else:
-            f = np.sqrt(self.sigma)
-            lap_f = sum(
-                np.diff(f, 2, axis=a)[tuple(slice(None) if b == a else slice(1, -1)
-                                            for b in range(3))] / h[a] ** 2
-                for a in range(3)
-            )
-            qbar = float(np.mean(lap_f / f[inner]))
-            inv_f = 1.0 / f[inner].ravel()
-        if self.q is not None:
-            qbar += float(np.mean(self.q[inner]))
-        bases = [_sine_basis(n, h[a]) for a, n in enumerate(self.shape)]
-        eig = max(qbar, 0.0) + sum(
-            lam.reshape([-1 if b == a else 1 for b in range(3)])
-            for a, (_, lam) in enumerate(bases)
-        )
-        return [basis for basis, _ in bases], (1.0 / eig).ravel(), inv_f
+            inv_f_full = np.sqrt(self.sigma)
+            np.divide(1.0, inv_f_full, out=inv_f_full)
+            V = (np.zeros(self.shape) if self.q is None
+                 else self.q[inner] * inv_f_full[inner])
+            for a, w in enumerate(self.edge_weights):
+                rows = inner[:a] + (slice(None),) + inner[a + 1:]
+                below, above = _along(a, slice(None, -1)), _along(a, slice(1, None))
+                lo, hi = inv_f_full[rows][below], inv_f_full[rows][above]
+                edges = np.multiply(lo, hi)
+                edges *= w[rows]  # g_e
+                conductances.append(edges.mean(axis=_transverse(a)))
+                np.subtract(lo, hi, out=edges)
+                edges *= w[rows]  # g_e (f_hi - f_lo)
+                V += edges[above]  # the edge above each node
+                V -= edges[below]  # the edge below
+                del edges
+            inv_f = inv_f_full[inner].ravel()
+            del inv_f_full
+            V *= inv_f.reshape(self.shape)
+        vbar = 0.0 if V is None else float(np.mean(V))
+        bases, lams, floor = [], [], 0.0
+        for a, (g, n) in enumerate(zip(conductances, self.shape)):
+            line = np.zeros(n) if V is None else V.mean(axis=_transverse(a)) - vbar
+            basis, lam = _line_basis(g, line)
+            bases.append((basis, basis.T))
+            lams.append(lam)
+            # half the lowest eigenvalue of the line Laplacian with every g at its minimum
+            floor += 0.5 * float(np.min(g)) * (2.0 - 2.0 * np.cos(np.pi / (n + 1)))
+        del V
+        plane = ((vbar + lams[0][:, None]) + lams[1])[..., None]
+        return bases, (plane, lams[2], floor), inv_f
 
     def _precondition(self, r):
-        """F^-1 S diag(1/eig) S F^-1 r, S the sine transform of the interior
-        box.  Each of the six contractions is one matrix product over the
-        leading axis, which it moves last (three restore the axis order),
-        written between two flat buffers with no transposed copy; the last
-        one is returned."""
-        sines, inv_eig, inv_f = self._preconditioner
+        """F^-1 Q diag(1/eig) Q^T F^-1 r, Q the tensor product of the per-axis
+        line eigenbases.  Each of the six contractions is one matrix product
+        over the leading axis, which it moves last (three restore the axis
+        order), written between two flat buffers with no transposed copy: Q_a
+        on the way in, its transposed view on the way out.  Between the two
+        halves the eigenvalues are summed and floored in the free buffer, so
+        no interior array of them is held; the last buffer is returned."""
+        bases, (plane, last, floor), inv_f = self._preconditioner
         x = r * inv_f
         y = np.empty_like(x)
-        for scale in (inv_eig, inv_f):
-            for basis in sines:
-                n = len(basis)
-                np.dot(x.reshape(n, -1).T, basis, out=y.reshape(-1, n))
-                x, y = y, x
-            x *= scale
+        for basis, _ in bases:
+            x, y = _contract(x, basis, y), x
+        eig = np.add(plane, last, out=y.reshape(self.shape))
+        np.maximum(eig, floor, out=eig)
+        x /= y
+        for _, basis in bases:
+            x, y = _contract(x, basis, y), x
+        x *= inv_f
         return x
 
     def _node_flux(self, U):
@@ -316,7 +385,7 @@ class DirichletOperator:
 
         Returns the full nodal array (boundary nodes carry the trace).
         The numpy conjugate gradients of `cg`, inner products in einsum, with
-        the Liouville-sine preconditioner, run to a recursive residual of
+        the line-eigenbasis preconditioner, run to a recursive residual of
         1e-12 and verified to a true relative residual of 1e-10; raises
         SolverError otherwise, a breakdown (a NaN trace, say) included.
         """

@@ -164,33 +164,42 @@ def resolve_profile(spec):
 
 # exp(t) is a finite, normal float for t in this range (up to rounding at its ends)
 EXPONENT_RANGE = (math.log(sys.float_info.min), math.log(sys.float_info.max))
+# |log|f|| within this bound keeps f^4, the product of two conductivities
+# sigma = f^2, a finite normal float with a factor 2 to spare, so the
+# harmonic face mean 2 sigma_a sigma_b / (sigma_a + sigma_b) neither
+# overflows nor underflows
+LOG_F_BOUND = min(-EXPONENT_RANGE[0], EXPONENT_RANGE[1] - math.log(2.0)) / 4.0
+
+
+def exponent_range(lam, lower, upper):
+    """(min, max) of lam . x over the box [lower, upper], from its corners."""
+    ends = np.stack([lam * lower, lam * upper])
+    return float(np.sum(ends.min(axis=0))), float(np.sum(ends.max(axis=0)))
 
 
 def check_profile_on_box(spec, lower, upper):
     """`resolve_profile(spec)`, and a ValueError when the factor f of the spec
-    vanishes, changes sign or leaves the float range anywhere on the box
-    [lower, upper].  Checked in closed form, not at nodes, from the extremes
-    of f on the box: the exponent lam . x at the box's corners for the
-    exponential family, the ends of the box's z range (and z = 0 inside it,
-    for quadratic_z) for the others.  For the exponential family the checks'
-    derived fields are bounded too: the conductivity f^2 = exp(2 lam . x)
-    must be finite and nonzero, and |grad f| = |lam| exp(lam . x) finite,
-    which bounds f itself as well."""
+    vanishes, changes sign or leaves exp(+-LOG_F_BOUND) in magnitude anywhere
+    on the box [lower, upper], so that every conductivity sigma = f^2 and the
+    product of two of them are finite normal floats.  Checked in closed form,
+    not at nodes, from the extremes of f on the box: the exponent lam . x at
+    the box's corners for the exponential family, the ends of the box's z
+    range (and z = 0 inside it, for quadratic_z) for the others.  For the
+    exponential family |grad f| = |lam| exp(lam . x) must be finite too."""
     kind, params = resolve_profile(spec)
     lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
     if kind == "exponential":
         lam = np.asarray(params["lam"], dtype=float)
-        ends = np.stack([lam * lower, lam * upper])
-        low, high = float(np.sum(ends.min(axis=0))), float(np.sum(ends.max(axis=0)))
+        low, high = exponent_range(lam, lower, upper)
         norm = math.hypot(*lam)  # inf, not a warning, when |lam| overflows
         log_grad = high + (math.log(norm) if norm > 0.0 else -math.inf)
-        if not (EXPONENT_RANGE[0] <= 2.0 * low and 2.0 * high <= EXPONENT_RANGE[1]
+        if not (-LOG_F_BOUND <= low and high <= LOG_F_BOUND
                 and log_grad <= EXPONENT_RANGE[1]):
             raise ValueError(
                 f"profile: lam {lam.tolist()} takes lam . x over [{low:.6g}, {high:.6g}] on the "
-                f"box, so f^2 = exp(2 lam . x) or |grad f| = |lam| exp(lam . x) leaves the float "
-                f"range there: it needs 2 lam . x in [{EXPONENT_RANGE[0]:.1f}, "
-                f"{EXPONENT_RANGE[1]:.1f}] and lam . x + log|lam| at most "
+                f"box, so f = exp(lam . x) leaves exp(+-{LOG_F_BOUND:.1f}), where the product of "
+                f"two conductivities f^2 = exp(2 lam . x) stays in the float range, or "
+                f"|grad f| = |lam| exp(lam . x) leaves it: lam . x + log|lam| must be at most "
                 f"{EXPONENT_RANGE[1]:.1f}")
         return kind, params
     zs = [float(lower[2]), float(upper[2])] + ([0.0] if lower[2] < 0.0 < upper[2] else [])
@@ -198,10 +207,11 @@ def check_profile_on_box(spec, lower, upper):
          "linear_z": lambda z: params["a"] + params["b"] * z,
          "quadratic_z": lambda z: params["a"] + params["c"] * z * z}[kind]
     values = [f(z) for z in zs]
-    if not (all(math.isfinite(v) for v in values)
-            and (all(v > 0.0 for v in values) or all(v < 0.0 for v in values))):
+    if not ((all(v > 0.0 for v in values) or all(v < 0.0 for v in values))
+            and all(abs(math.log(abs(v))) <= LOG_F_BOUND for v in values)):
         raise ValueError(f"profile: {kind} factor f takes the values {values} at z = {zs} on "
-                         "the box, so it is zero, changes sign or is not finite there")
+                         f"the box, so it is zero, changes sign or leaves "
+                         f"exp(+-{LOG_F_BOUND:.1f}) in magnitude there")
     return kind, params
 
 

@@ -9,12 +9,14 @@ and conjugation signs come from reversion times grade involution,
 (-1)^k (-1)^(k(k-1)/2) on grade k, not from the engine's k mod 4 rule.
 `Multivector` wraps one such array with its n.
 
-The Dirichlet-form oracles at the end assemble the node matrix of a
+The Dirichlet-form oracles assemble the node matrix of a
 `DirichletOperator` as a sparse matrix from its seven bands and sum the
 energy form edge by edge, the direct paths that the matrix-free solver and
-the DtN forms are checked against; the preconditioner with tensordot sine
-transforms and conjugate gradients with no buffer reused are the oracles
-of the solver's copy-free workspace.
+the DtN forms are checked against; the preconditioner assembled as a dense
+matrix and conjugate gradients with no buffer reused are the oracles of the
+solver's copy-free workspace, and the Liouville-sine preconditioner it
+replaced is the baseline of its iteration counts.  The per-value
+traces.csv writer is the oracle of the export's coordinate text.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import functools
 import numpy as np
 import scipy.sparse
 
-from vekua_lab.fields import interior_slices
+from vekua_lab.fields import face_nodes, interior_slices
 from vekua_lab.pde import CG_MAXITER, CG_RTOL
 
 MIN_DIM = 3
@@ -285,12 +287,51 @@ def energy_per_edge(grid, op, U, V):
     return total
 
 
+def line_eigenbasis_preconditioner(op):
+    """The operator's preconditioner F^-1 (Vbar + L_0 + L_1 + L_2)^-1 F^-1 as a
+    dense matrix over the interior nodes, assembled from its definition and
+    inverted with `np.linalg.solve`: f = sqrt(sigma) on the whole grid, node
+    by node the edge conductances g = w / (f_i f_j) of the interior rows and
+    the potential V_i = q_i / f_i^2 + sum_j g (f_j / f_i - 1), their
+    transverse means, the tridiagonal line operators and their Kronecker
+    sum.  No eigenvalue floor: for an operator whose Kronecker sum is not
+    positive definite this is not the package's preconditioner."""
+    res = tuple(int(r) for r in op.grid.resolution)
+    n = tuple(r - 2 for r in res)
+    f = np.sqrt(np.broadcast_to(op.sigma, res))
+    q = np.zeros(res) if op.q is None else op.q
+    V = np.zeros(n)
+    lines = []
+    for a in range(3):
+        g = np.zeros((n[a] + 1,) + tuple(n[b] for b in range(3) if b != a))
+        for node in np.ndindex(*n):
+            i = tuple(k + 1 for k in node)
+            for side in (-1, 1):
+                j = tuple(k + side * (b == a) for b, k in enumerate(i))
+                lower = min(i, j)
+                conductance = float(op.edge_weights[a][lower]) / (f[i] * f[j])
+                V[node] += conductance * (f[j] / f[i] - 1.0)
+                g[(lower[a],) + tuple(node[b] for b in range(3) if b != a)] = conductance
+        lines.append(g.reshape(n[a] + 1, -1).mean(axis=1))
+    for node in np.ndindex(*n):
+        i = tuple(k + 1 for k in node)
+        V[node] += q[i] / f[i] ** 2
+    vbar = V.mean()
+    total = vbar * np.eye(int(np.prod(n)))
+    for a, g in enumerate(lines):
+        part = np.moveaxis(V, a, 0).reshape(n[a], -1).mean(axis=1) - vbar
+        L = (np.diag(g[:-1] + g[1:] + part) - np.diag(g[1:-1], 1) - np.diag(g[1:-1], -1))
+        eyes = [np.eye(n[b]) for b in range(3)]
+        eyes[a] = L
+        total += np.kron(np.kron(eyes[0], eyes[1]), eyes[2])
+    inv_f = np.diag(1.0 / f[interior_slices(1)].ravel())
+    return inv_f @ np.linalg.solve(total, inv_f)
+
+
 def liouville_sine_preconditioner(op, r):
-    """The operator's Liouville-sine preconditioner F^-1 (-Delta_h + qbar)^-1
-    F^-1 r the direct way: f = sqrt(sigma) and qbar rebuilt from the
-    operator's nodal coefficients (for a unit sigma as well), and each sine
-    transform a `np.tensordot` over the leading axis, with its transposed
-    copy."""
+    """The Liouville-sine preconditioner F^-1 (-Delta_h + qbar)^-1 F^-1 r that
+    the line eigenbasis replaced: one global mean, qbar, of Delta_h f / f + q
+    clipped at 0, inverted in the closed-form type-I sine basis."""
     h = op.grid.spacing
     inner = interior_slices(1)
     f = np.sqrt(op.sigma)
@@ -344,3 +385,21 @@ def cg_out_of_place(apply, b, precondition):
         r = r - alpha * Ap
         rho_prev = rho
     return x, CG_MAXITER
+
+
+# -- exports ---------------------------------------------------------------------
+
+
+def trace_rows_per_value(grid, traces):
+    """traces.csv data lines with every value formatted where it is written:
+    one %-format per face of its (nodes, 5 + traces) table, coordinates taken
+    from `face_nodes`."""
+    row = "%d,%d,%.10g,%.10g,%.10g," + ",".join(["%.10e"] * len(traces)) + "\n"
+    start = 0
+    for axis, high, slab, X in face_nodes(grid):
+        pos = X.reshape(-1, 3)
+        m = len(pos)
+        table = np.column_stack([np.arange(start, start + m), np.full(m, 2 * axis + high), pos]
+                                + [trace[slab].ravel() for trace in traces])
+        yield (row * m) % tuple(table.ravel().tolist())
+        start += m

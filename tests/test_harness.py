@@ -2,20 +2,24 @@
 serialization, registry dispatch, and output files."""
 
 import json
+import math
 import os
 import sys
 import threading
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vekua_lab import cli, pde, runtime
 from vekua_lab import harness as H
 from vekua_lab import vekua as V
 from vekua_lab.fields import BoxGrid
 
+import oracles as O
 from conftest import fresh_python
 
 
@@ -136,14 +140,21 @@ def test_suite_refuses_an_overflowing_or_vanishing_profile_before_any_check(
 
 def test_config_bounds_the_conductivity_and_gradient_of_an_exponential_profile():
     # exp(400 x1) itself is finite on the unit cube, but the conductivity
-    # f^2 = exp(800 x1) is not; just inside the bound both derived fields are
-    with pytest.raises(ValueError, match=r"f\^2 = exp\(2 lam \. x\)"):
-        H.SuiteConfig.defaults("dtn_relation",
-                               profile={"kind": "exponential", "lam": [400.0, 0.0, 0.0]})
-    spec = {"kind": "exponential", "lam": [354.0, 0.0, 0.0]}
+    # f^2 = exp(800 x1) is not; that of exp(354 x1) is, but the product of
+    # two conductivities in a harmonic face mean is not; just inside the
+    # bound every derived field is finite, the operator's face weights too
+    for rate in (400.0, 354.0, 178.0):
+        with pytest.raises(ValueError, match=r"f\^2 = exp\(2 lam \. x\)"):
+            H.SuiteConfig.defaults("dtn_relation",
+                                   profile={"kind": "exponential", "lam": [rate, 0.0, 0.0]})
+    spec = {"kind": "exponential", "lam": [177.0, 0.0, 0.0]}
     H.SuiteConfig.defaults("dtn_relation", profile=spec)
     p = V.make_profile(BoxGrid.unit_cube(8), spec)
     assert np.all(np.isfinite(p.f**2) & (p.f**2 > 0.0)) and np.all(np.isfinite(p.grad_f))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        weights = pde.DirichletOperator(p.grid, sigma=p.f**2).edge_weights
+    assert all(np.all(np.isfinite(w) & (w > 0.0)) for w in weights)
     # on a box this thin lam . x stays small, and only |grad f| = |lam| f overflows
     with pytest.raises(ValueError, match="profile"):
         V.check_profile_on_box({"kind": "exponential", "lam": [1e302, 0.0, 0.0]},
@@ -177,12 +188,103 @@ def test_only_the_dual_grid_and_bump_checks_declare_a_grid_domain():
         H.SuiteConfig.defaults(name, resolutions=(8, 10))
 
 
+@pytest.mark.parametrize("identity, lam, cause", [
+    ("vekua_pipeline", [19.0, 0.0, 0.0], "Beltrami coefficient"),  # |mu| rounds to 1
+    ("vekua_pipeline", [0.0, -19.0, 0.0], "Beltrami coefficient"),
+    ("vekua_pipeline", [0.0, 0.0, 0.0], "rotation field"),  # nothing to lift
+    ("vekua_pipeline", [1e-7, 0.0, 0.0], "rotation field"),
+    ("difference_identities", [150.0, 0.0, 0.0], "times the rate"),  # 1.5 lam leaves the box check
+])
+def test_config_refuses_a_profile_its_check_cannot_run_with(monkeypatch, tmp_path, identity,
+                                                            lam, cause):
+    # declared at registration, refused when the config is made: no check runs
+    ran = []
+    monkeypatch.setattr(H, "run_identity", lambda name, *a, **k: ran.append(name))
+    profile = {"kind": "exponential", "lam": lam}
+    with pytest.raises(ValueError, match=f"^profile: .*{cause}"):
+        H.SuiteConfig.defaults(identity, profile=profile)
+    with pytest.raises(ValueError, match=cause):
+        H.run_suite([identity], parallel=False, profile=profile, output_dir=str(tmp_path))
+    assert ran == [] and list(tmp_path.iterdir()) == []
+    H.SuiteConfig.defaults("dtn_relation", profile=profile)  # no such domain
+
+
+def test_only_the_pipeline_and_difference_checks_declare_a_profile_domain():
+    assert set(H.PROFILE_DOMAINS) == {"vekua_pipeline", "difference_identities"}
+    H.SuiteConfig.defaults("vekua_pipeline", profile={"lam": [18.0, 0.0, 0.0]})
+    H.SuiteConfig.defaults("vekua_pipeline", profile={"lam": [0.0, 0.0, -1e-5]})
+    H.SuiteConfig.defaults("difference_identities", profile={"lam": [118.0, 0.0, 0.0]})
+
+
+def test_config_refuses_a_margin_with_no_cell_center_inside():
+    # snapped evaluation points sit on cell centers inside the margin: 10
+    # cells per axis (resolution 11) have none within 1e-4 of the middle,
+    # 9 cells (resolution 10) have one on it
+    with pytest.raises(ValueError, match="^margin_fraction 0.4999 leaves no cell center inside "
+                                         "the margin of the resolution-11 grid"):
+        H.SuiteConfig.defaults("difference_identities", resolutions=(10, 11),
+                               margin_fraction=0.4999)
+    H.SuiteConfig.defaults("difference_identities", resolutions=(10, 12), margin_fraction=0.4999)
+
+
 def test_default_configs_and_family_parameters_pass_the_box_check():
     for name in H.IDENTITIES:
         H.SuiteConfig.defaults(name)
     for kind, (_, params) in V.PROFILE_FAMILIES.items():
         H.SuiteConfig.defaults("dtn_relation", profile={"kind": kind, **params})
     V.check_profile_on_box({"kind": "linear_z", "a": -1.0, "b": 0.5}, [0.0] * 3, [1.0] * 3)
+
+
+def _finite_numbers(value):
+    """Every number in a nested report value is finite."""
+    if isinstance(value, dict):
+        return all(_finite_numbers(v) for v in value.values())
+    if isinstance(value, (list, tuple)):
+        return all(_finite_numbers(v) for v in value)
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return True
+
+
+# profile parameters from the middle of each family's range out to its
+# edges on the unit cube: a factor near exp(+-177), where f^4 leaves the
+# float range; a + b z or a + c z^2 at zero on the z = 1 face (t = 1) or
+# just past it; rates lam near the Beltrami (18), f^4 (177) and zero edges
+_SIGN = st.sampled_from([1.0, -1.0])
+_SCALE = st.one_of(st.floats(0.1, 3.0), st.sampled_from([1e-300, 1e-77, 1e-76, 1e76, 1e77, 1e300]))
+_RATIO = st.one_of(st.floats(-2.0, 2.0), st.floats(0.999, 1.001))
+_RATE = st.one_of(st.floats(-20.0, 20.0), st.floats(-200.0, 200.0),
+                  st.sampled_from([0.0, 1e-300, 1e-7, 1e-5]))
+_EDGE_PROFILES = st.one_of(
+    st.builds(lambda lam: {"kind": "exponential", "lam": lam},
+              st.lists(_RATE, min_size=3, max_size=3)),
+    st.builds(lambda sign, a, t: {"kind": "linear_z", "a": sign * a, "b": -sign * a * t},
+              _SIGN, _SCALE, _RATIO),
+    st.builds(lambda sign, a, t: {"kind": "quadratic_z", "a": sign * a, "c": -sign * a * t},
+              _SIGN, _SCALE, _RATIO),
+    st.builds(lambda sign, value: {"kind": "constant", "value": sign * value}, _SIGN, _SCALE),
+)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(identity=st.sampled_from(["dtn_relation", "difference_identities", "vekua_pipeline"]),
+       resolutions=st.lists(st.integers(8, 12), min_size=1, max_size=2, unique=True).map(sorted),
+       margin=st.one_of(st.floats(1e-9, 1e-3), st.floats(0.499, 0.5 - 1e-9)),
+       profile=_EDGE_PROFILES)
+def test_a_config_at_the_edge_of_the_domain_is_refused_or_runs_finite(identity, resolutions,
+                                                                      margin, profile):
+    # a config either fails at construction, naming its field, or runs to a
+    # report whose rows are all finite, with no floating-point warning on
+    # the way; whether the check passes is not asked
+    try:
+        cfg = H.SuiteConfig.defaults(identity, profile=profile, resolutions=resolutions,
+                                     boundary_cells=8, margin_fraction=margin)
+    except ValueError:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = H.run_identity(identity, cfg)
+    assert report.rows and _finite_numbers(report.rows)
 
 
 def test_exponential_family_is_required_before_any_check_runs(monkeypatch, tmp_path):
@@ -855,6 +957,19 @@ def test_cli_dtn_traces_csv_matches_per_node_writer(tmp_path, capsys):
     grid = BoxGrid.unit_cube(8)
     want = _traces_csv_per_node(grid, cli._trace_basis(grid, 5, H.default_seed()))
     assert (tmp_path / "traces.csv").read_text() == want
+
+
+@pytest.mark.parametrize("size", [1, 3, 4, 8])
+@pytest.mark.parametrize("grid", [BoxGrid.unit_cube(9), BoxGrid([-0.2, 0.1, 0.3], [1.2, 0.9, 1.1],
+                                                                 [13, 10, 12])],
+                         ids=["cube", "anisotropic"])
+def test_trace_rows_format_coordinates_as_the_per_value_writer(grid, size):
+    # coordinate text formatted once per axis value gives the bytes of every
+    # value formatted where it is written, with and without non-coordinate
+    # traces after t0..t2
+    traces = cli._trace_basis(grid, size, 2024)
+    want = "".join(O.trace_rows_per_value(grid, traces))
+    assert "".join(cli._trace_rows(grid, traces)) == want
 
 
 def test_trace_basis_is_a_whole_grid_evaluation_on_the_boundary():

@@ -17,7 +17,7 @@ from vekua_lab import fields as F
 from vekua_lab import pde as P
 from vekua_lab.fields import BoxGrid
 from vekua_lab.harness import default_seed
-from vekua_lab.vekua import ConductivityProfile, make_profile
+from vekua_lab.vekua import PROFILE_FAMILIES, ConductivityProfile, make_profile
 
 
 def grid16():
@@ -73,6 +73,20 @@ def test_operator_rejects_non_finite_coefficients(name, bad):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"coefficient {name} must be finite"):
             P.DirichletOperator(g, **{name: coefficient})
+
+
+@pytest.mark.parametrize("rate", [354.0, -354.0])
+def test_operator_rejects_a_sigma_whose_face_averages_leave_the_float_range(rate):
+    # sigma = exp(2 rate x1) is finite and positive, but 2 s t in its
+    # harmonic face averages overflows (or underflows to zero): refused at
+    # construction, with no warning, not left to the solver
+    g = grid16()
+    sigma = np.exp(2.0 * rate * g.coords()[..., 0])
+    assert np.all(np.isfinite(sigma) & (sigma > 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="harmonic face average"):
+            P.DirichletOperator(g, sigma=sigma)
 
 
 def test_schrodinger_harmonic_case():
@@ -193,26 +207,83 @@ def _coefficients(g, case):
             "unit": (None, None)}[case]
 
 
+ANISOTROPIC = ([-0.2, 0.1, 0.3], [1.2, 0.9, 1.1], [13, 10, 12])
+
+
 @pytest.mark.parametrize("case", ["sigma", "q", "unit"])
-def test_solver_workspace_matches_the_tensordot_and_out_of_place_oracles(case):
-    # the copy-free sine contractions and the in-place CG updates give bit for
-    # bit the values of tensordot transforms and new arrays per update, on an
-    # anisotropic box; cg leaves the caller's b as it was
-    g = BoxGrid([-0.2, 0.1, 0.3], [1.2, 0.9, 1.1], [13, 10, 12])
+def test_solver_workspace_matches_the_dense_and_out_of_place_oracles(case):
+    # the copy-free line-eigenbasis contractions give the preconditioner's
+    # dense matrix, assembled from its definition, to rounding, and the
+    # in-place CG updates give bit for bit the values of new arrays per
+    # update, on an anisotropic box; cg leaves the caller's b as it was
+    g = BoxGrid(*ANISOTROPIC)
     sigma, q = _coefficients(g, case)
     op = P.DirichletOperator(g, sigma=sigma, q=q)
     rng = np.random.default_rng(7)
     r = rng.normal(size=int(np.prod(op.shape)))
-    assert np.array_equal(op._precondition(r), O.liouville_sine_preconditioner(op, r))
+    want = O.line_eigenbasis_preconditioner(op) @ r
+    assert np.linalg.norm(op._precondition(r) - want) <= 1e-12 * np.linalg.norm(want)
     X = g.coords()
     b = op.trace_rhs(np.cos(X @ [0.9, -1.1, 0.6]) + X[..., 0])
     given = b.copy()
     x, iterations = P.cg(op._apply, b, op._precondition)
-    want, want_iterations = O.cg_out_of_place(
-        op._apply, b, lambda v: O.liouville_sine_preconditioner(op, v))
+    want, want_iterations = O.cg_out_of_place(op._apply, b, op._precondition)
     assert iterations == want_iterations >= 1
     assert np.array_equal(x, want)
     assert np.array_equal(b, given)
+
+
+@pytest.mark.parametrize("kind", ["conductivity", "schrodinger"])
+@pytest.mark.parametrize("spec", [pytest.param({"kind": family}, id=family)
+                                  for family in PROFILE_FAMILIES]
+                         + [pytest.param({"kind": "exponential", "lam": [0.3, -0.7, 1.1]},
+                                         id="exponential-oblique")])
+@pytest.mark.parametrize("box", ["cube", "anisotropic"])
+def test_every_profile_family_solves_in_one_iteration(monkeypatch, kind, spec, box):
+    # every family's Liouville-transformed operator is separable by axis, so
+    # the line-eigenbasis preconditioner is its exact inverse
+    linalg = _CountingCg()
+    monkeypatch.setattr(P, "spla", linalg)
+    g = BoxGrid.unit_cube(16) if box == "cube" else BoxGrid(*ANISOTROPIC)
+    p = make_profile(g, spec)
+    op = (P.DirichletOperator(g, sigma=p.f**2) if kind == "conductivity"
+          else P.DirichletOperator(g, q=p.q))
+    for trace in cli._trace_basis(g, 4, 2024):
+        op.solve(trace)
+    assert linalg.counts == [1] * 4
+
+
+@pytest.mark.parametrize("case", ["sigma", "q"])
+@pytest.mark.parametrize("box", ["cube", "anisotropic"])
+def test_non_separable_coefficients_take_no_more_iterations_than_liouville_sine(case, box):
+    # for coefficients that are not separable by axis the line means are an
+    # approximation: more than one iteration, but no more than the one global
+    # mean of the Liouville-sine preconditioner takes
+    g = BoxGrid.unit_cube(32) if box == "cube" else BoxGrid(*ANISOTROPIC)
+    sigma, q = _coefficients(g, case)
+    op = P.DirichletOperator(g, sigma=sigma, q=q)
+    X = g.coords()
+    b = op.trace_rhs(np.cos(X @ [0.9, -1.1, 0.6]) + X[..., 0])
+    _, iterations = P.cg(op._apply, b, op._precondition)
+    _, baseline = P.cg(op._apply, b, lambda v: O.liouville_sine_preconditioner(op, v))
+    assert 1 < iterations <= baseline
+
+
+def test_positive_potential_with_an_indefinite_separable_part_solves():
+    # a positive spike: its line means put a negative potential far from the
+    # spike, so the Kronecker sum of the line operators is indefinite, and
+    # only the eigenvalue floor keeps the preconditioner positive definite
+    g = BoxGrid(*ANISOTROPIC)
+    X = (g.coords() - g.origin) / g.extent
+    q = 3000.0 * np.exp(-np.sum((X - 0.2) ** 2, axis=-1) / (2 * 0.12**2))
+    assert np.all(q > 0.0)
+    op = P.DirichletOperator(g, q=q)
+    assert np.linalg.eigvalsh(O.line_eigenbasis_preconditioner(op))[0] < 0.0
+    trace = np.cos(g.coords() @ [0.9, -1.1, 0.6])
+    U = op.solve(trace)
+    K_II, K_IB = O.node_matrix_blocks(op)
+    want = scipy.sparse.linalg.spsolve(K_II.tocsc(), -(K_IB @ trace[~O.interior_mask(g)]))
+    assert np.linalg.norm(U[F.interior_slices(1)].ravel() - want) <= 1e-9 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("q", [False, True])

@@ -13,10 +13,19 @@ Two trees write the same outputs exactly when their listings are equal:
     PYTHONPATH=/path/to/parent/src python3 tools/outputs.py > parent.txt
     diff parent.txt change.txt
 
+With `--keep DIR` the commands run in DIR (created if missing) instead of
+a temporary directory, and their outputs stay there; the listing is the
+same.  A change whose numbers move only at rounding can then compare the
+two trees file by file:
+
+    PYTHONPATH=/path/to/parent/src python3 tools/outputs.py --keep parent-out
+    PYTHONPATH=src python3 tools/outputs.py --keep change-out
+
 The package is imported from PYTHONPATH.  Command output goes to stderr;
 the exit status is 1 when any command exits non-zero.
 """
 
+import argparse
 import contextlib
 import hashlib
 import os
@@ -49,24 +58,39 @@ def digest(path):
     return hashlib.sha256(data).hexdigest()
 
 
-def main():
-    os.environ["VEKUA_LAB_SEED"] = SEED
+def run_in(work):
+    """Run every command with `work` as the working directory and print the
+    listing; return the (argv, status) of each command that failed."""
     failed = []
     start = os.getcwd()
-    with tempfile.TemporaryDirectory() as work:
-        os.chdir(work)
-        try:
-            for argv, out in commands():
-                with contextlib.redirect_stdout(sys.stderr):
-                    status = cli.main(argv + ["--out", out])
-                if status:
-                    failed.append((argv, status))
-            listing = sorted(os.path.relpath(os.path.join(root, name))
-                             for root, _, names in os.walk(".") for name in names)
-            for path in listing:
-                print(f"{digest(path)}  {path}")
-        finally:
-            os.chdir(start)
+    os.chdir(work)
+    try:
+        for argv, out in commands():
+            with contextlib.redirect_stdout(sys.stderr):
+                status = cli.main(argv + ["--out", out])
+            if status:
+                failed.append((argv, status))
+        listing = sorted(os.path.relpath(os.path.join(root, name))
+                         for root, _, names in os.walk(".") for name in names)
+        for path in listing:
+            print(f"{digest(path)}  {path}")
+    finally:
+        os.chdir(start)
+    return failed
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--keep", metavar="DIR",
+                        help="run in DIR and keep the outputs there")
+    args = parser.parse_args(argv)
+    os.environ["VEKUA_LAB_SEED"] = SEED
+    if args.keep:
+        os.makedirs(args.keep, exist_ok=True)
+        failed = run_in(args.keep)
+    else:
+        with tempfile.TemporaryDirectory() as work:
+            failed = run_in(work)
     for argv, status in failed:
         print(f"vekua-lab {' '.join(argv)} exited {status}", file=sys.stderr)
     return 1 if failed else 0
