@@ -16,6 +16,7 @@ products with einsum, not a threaded BLAS dot.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -42,13 +43,11 @@ DTN_SYMMETRY_TOL = 1e-8
 
 
 def _load_config(identity, args):
-    if getattr(args, "config", None):
+    if args.config:
         cfg = SuiteConfig.from_json(args.config, identity=identity)
     else:
         cfg = SuiteConfig.defaults(identity)
-    if getattr(args, "out", None):
-        cfg.output_dir = args.out
-    return cfg
+    return dataclasses.replace(cfg, output_dir=args.out) if args.out else cfg
 
 
 def _print_report(report):

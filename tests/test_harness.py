@@ -1,6 +1,7 @@
 """Harness and CLI tests: configuration handling, report structure and
 serialization, registry dispatch, and output files."""
 
+import dataclasses
 import json
 import math
 import os
@@ -17,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from vekua_lab import cli, pde, runtime
 from vekua_lab import harness as H
 from vekua_lab import vekua as V
-from vekua_lab.fields import BoxGrid
+from vekua_lab.fields import BoxGrid, boundary_values
 
 import oracles as O
 from conftest import fresh_python
@@ -183,9 +184,14 @@ def test_config_refuses_resolutions_a_check_cannot_be_built_on(monkeypatch, tmp_
 
 
 def test_only_the_dual_grid_and_bump_checks_declare_a_grid_domain():
-    assert set(H.GRID_DOMAINS) == {"teodorescu_inverse", "s_alpha", "hodge_orthogonality"}
-    for name in set(H.IDENTITIES) - set(H.GRID_DOMAINS):
-        H.SuiteConfig.defaults(name, resolutions=(8, 10))
+    refused = set()
+    for name in H.IDENTITIES:
+        try:
+            H.SuiteConfig.defaults(name, resolutions=(8, 10))
+        except ValueError as err:
+            assert str(err).endswith(f"identity {name!r} cannot run at resolution 8")
+            refused.add(name)
+    assert refused == {"teodorescu_inverse", "s_alpha", "hodge_orthogonality"}
 
 
 @pytest.mark.parametrize("identity, lam, cause", [
@@ -194,6 +200,10 @@ def test_only_the_dual_grid_and_bump_checks_declare_a_grid_domain():
     ("vekua_pipeline", [0.0, 0.0, 0.0], "rotation field"),  # nothing to lift
     ("vekua_pipeline", [1e-7, 0.0, 0.0], "rotation field"),
     ("difference_identities", [150.0, 0.0, 0.0], "times the rate"),  # 1.5 lam leaves the box check
+    ("green_vekua", [0.0, -60.0, 0.0], "solves the conductivity problem"),  # the CG stalls
+    ("green_vekua", [30.0, -25.0, 0.0], "solves the conductivity problem"),
+    ("s_alpha", [0.0, 0.0, 0.0], "normalizes its residual"),  # max |grad f| = 0
+    ("s_alpha", [1e-9, 0.0, 0.0], "normalizes its residual"),
 ])
 def test_config_refuses_a_profile_its_check_cannot_run_with(monkeypatch, tmp_path, identity,
                                                             lam, cause):
@@ -209,11 +219,95 @@ def test_config_refuses_a_profile_its_check_cannot_run_with(monkeypatch, tmp_pat
     H.SuiteConfig.defaults("dtn_relation", profile=profile)  # no such domain
 
 
-def test_only_the_pipeline_and_difference_checks_declare_a_profile_domain():
-    assert set(H.PROFILE_DOMAINS) == {"vekua_pipeline", "difference_identities"}
+def test_four_checks_declare_a_profile_domain():
+    # rates that pass the box check, each outside one or more profile domains
+    refused = set()
+    for lam in ([0.0, 0.0, 0.0], [19.0, 0.0, 0.0], [0.0, -60.0, 0.0], [150.0, 0.0, 0.0]):
+        for name in H.IDENTITIES:
+            try:
+                H.SuiteConfig.defaults(name, profile={"lam": lam})
+            except ValueError as err:
+                assert str(err).startswith("profile: ") and f"identity {name!r}" in str(err)
+                refused.add(name)
+    assert refused == {"vekua_pipeline", "difference_identities", "green_vekua", "s_alpha"}
     H.SuiteConfig.defaults("vekua_pipeline", profile={"lam": [18.0, 0.0, 0.0]})
     H.SuiteConfig.defaults("vekua_pipeline", profile={"lam": [0.0, 0.0, -1e-5]})
     H.SuiteConfig.defaults("difference_identities", profile={"lam": [118.0, 0.0, 0.0]})
+    H.SuiteConfig.defaults("green_vekua", profile={"lam": [0.0, -50.0, 0.0]})
+    H.SuiteConfig.defaults("green_vekua", profile={"lam": [25.0, -25.0, 0.0]})
+    H.SuiteConfig.defaults("s_alpha", profile={"lam": [0.0, 0.0, -1e-8]})
+
+
+def test_green_vekua_runs_up_to_its_solver_reach():
+    # lam . x spanning GREEN_SOLVE_REACH runs to finite rows; a span of 55,
+    # which the config refuses, stalls the weak arm's solve at resolution 32
+    reach = {"lam": [0.0, -H.GREEN_SOLVE_REACH, 0.0]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _finite_numbers(H.run_identity("green_vekua", profile=reach).rows)
+    steep = [0.0, -55.0, 0.0]
+    with pytest.raises(ValueError, match="solves the conductivity problem"):
+        H.SuiteConfig.defaults("green_vekua", profile={"lam": steep})
+    grid = BoxGrid.unit_cube(32)
+    form = pde.DtnForm.conductivity(V.make_profile(grid, {"kind": "exponential", "lam": steep}))
+    with pytest.raises(pde.SolverError):
+        form.solution(boundary_values(grid, V.ExponentialVekuaSolution(np.array(steep)).u0))
+
+
+# the eight checks that integrate boundary layers, and the face samplings
+# each integrates over
+BOUNDARY_LAYER_CHECKS = {
+    "cauchy_constant": "sweep", "borel_pompeiu": "boundary", "scalar_bp": "boundary",
+    "scalar_bp_adjoint": "boundary", "cauchy_vekua": "sweep", "green_vekua": "faces and sweep",
+    "integral_cauchy": "faces", "schrodinger_reconstruction": "faces",
+}
+
+
+def test_a_margin_inside_the_face_cells_is_refused_before_any_check(monkeypatch, tmp_path):
+    # at the defaults 0.05 is inside the 16-cell level of cauchy_constant's
+    # face-cell sweep, whose boundary layer would refuse the evaluation
+    # points once the check had started
+    ran = []
+    monkeypatch.setattr(H, "run_identity", lambda name, *a, **k: ran.append(name))
+    with pytest.raises(ValueError, match="^margin_fraction 0.05 keeps evaluation points 0.05 from "
+                                         "the boundary of the resolution-16 grid, less than the "
+                                         "diameter 0.0883883 of the 16 face cells per axis "
+                                         "identity 'cauchy_constant' integrates"):
+        H.run_suite(parallel=False, margin_fraction=0.05, output_dir=str(tmp_path))
+    assert ran == [] and list(tmp_path.iterdir()) == []
+    refused = set()  # below every face-cell diameter at the defaults
+    for name in H.IDENTITIES:
+        try:
+            H.SuiteConfig.defaults(name, margin_fraction=0.01)
+        except ValueError as err:
+            assert f"identity {name!r} integrates boundary layers over" in str(err)
+            refused.add(name)
+    assert refused == set(BOUNDARY_LAYER_CHECKS)
+
+
+@pytest.mark.parametrize("identity, sampling", BOUNDARY_LAYER_CHECKS.items())
+def test_the_margin_rule_reads_the_face_samplings_its_check_builds(identity, sampling):
+    # at 8 boundary cells the sweep and the boundary quadrature have 8 face
+    # cells per axis, diameter sqrt(2)/8 = 0.177; a resolution-9 level's
+    # faces have 16, diameter 0.0884
+    size = dict(resolutions=(9, 10), boundary_cells=8)
+    H.SuiteConfig.defaults(identity, margin_fraction=0.18, **size)
+    if sampling == "faces":
+        H.SuiteConfig.defaults(identity, margin_fraction=0.11, **size)
+    else:
+        with pytest.raises(ValueError, match="diameter 0.176777 of the 8 face cells"):
+            H.SuiteConfig.defaults(identity, margin_fraction=0.17, **size)
+    if "faces" in sampling:
+        with pytest.raises(ValueError, match="resolution-9 grid, .* the 16 face cells"):
+            H.SuiteConfig.defaults(identity, margin_fraction=0.088, resolutions=(9, 10))
+
+
+@pytest.mark.parametrize("grid", [BoxGrid.unit_cube(9), BoxGrid([-0.2, 0.1, 0.3], [1.2, 0.9, 1.1],
+                                                                 [13, 10, 12])],
+                         ids=["cube", "anisotropic"])
+@pytest.mark.parametrize("cells", [8, 13, 64])
+def test_face_cell_diameter_is_the_samplings_own(grid, cells):
+    assert H._face_cell_diameter(grid, cells) == H.boundary_sampling(grid, cells).max_cell_diameter
 
 
 def test_config_refuses_a_margin_with_no_cell_center_inside():
@@ -266,16 +360,11 @@ _EDGE_PROFILES = st.one_of(
 )
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
-@given(identity=st.sampled_from(["dtn_relation", "difference_identities", "vekua_pipeline"]),
-       resolutions=st.lists(st.integers(8, 12), min_size=1, max_size=2, unique=True).map(sorted),
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(resolutions=st.lists(st.integers(8, 12), min_size=1, max_size=2, unique=True).map(sorted),
        margin=st.one_of(st.floats(1e-9, 1e-3), st.floats(0.499, 0.5 - 1e-9)),
        profile=_EDGE_PROFILES)
-def test_a_config_at_the_edge_of_the_domain_is_refused_or_runs_finite(identity, resolutions,
-                                                                      margin, profile):
-    # a config either fails at construction, naming its field, or runs to a
-    # report whose rows are all finite, with no floating-point warning on
-    # the way; whether the check passes is not asked
+def _refused_or_runs_finite(identity, resolutions, margin, profile):
     try:
         cfg = H.SuiteConfig.defaults(identity, profile=profile, resolutions=resolutions,
                                      boundary_cells=8, margin_fraction=margin)
@@ -287,10 +376,23 @@ def test_a_config_at_the_edge_of_the_domain_is_refused_or_runs_finite(identity, 
     assert report.rows and _finite_numbers(report.rows)
 
 
+def test_a_config_at_the_edge_of_the_domain_is_refused_or_runs_finite():
+    # a config either fails at construction, naming its field, or runs to a
+    # report whose rows are all finite, with no floating-point warning on
+    # the way; whether the check passes is not asked.  Every identity gets
+    # its own 60 examples
+    for identity in H.IDENTITIES:
+        _refused_or_runs_finite(identity)
+
+
+def _needs_exponential():
+    return {name for name, check in H.IDENTITIES.items() if H._exponential in check.domain}
+
+
 def test_exponential_family_is_required_before_any_check_runs(monkeypatch, tmp_path):
     # the identities declare at registration that they need the family, so
     # a suite with another family fails before its first check
-    assert H.NEEDS_EXPONENTIAL == {
+    assert _needs_exponential() == {
         "scalar_bp", "scalar_bp_adjoint", "cauchy_vekua", "green_vekua",
         "schrodinger_reconstruction", "vekua_pipeline", "hodge_orthogonality",
         "difference_identities", "s_alpha"}
@@ -304,13 +406,27 @@ def test_exponential_family_is_required_before_any_check_runs(monkeypatch, tmp_p
 
 def test_checks_without_the_family_requirement_accept_a_constant_profile():
     constant = {"kind": "constant", "value": 2.0}
-    for name in set(H.IDENTITIES) - H.NEEDS_EXPONENTIAL:
+    for name in set(H.IDENTITIES) - _needs_exponential():
         assert H.SuiteConfig.defaults(name, profile=constant).profile == constant
     # the DtN interrelation is exact for a constant profile
     report = H.run_identity("dtn_relation", profile=constant, resolutions=(8, 10))
     assert report.passed
     assert max(row["interior_error"] for row in report.rows) <= 1e-8
     assert cli.PROFILE_CHOICES == tuple(V.PROFILE_FAMILIES)
+
+
+def test_a_config_cannot_be_changed_after_it_was_validated():
+    # a config edited after construction would skip its checks: a rate whose
+    # conductivity overflows, no interior points
+    cfg = H.SuiteConfig.defaults("dtn_relation", resolutions=(8, 10))
+    for f in dataclasses.fields(cfg):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, f.name, getattr(cfg, f.name))
+    with pytest.raises(ValueError, match="profile"):
+        dataclasses.replace(cfg, profile={"lam": [400, 0, 0]})
+    with pytest.raises(ValueError, match="n_interior"):
+        dataclasses.replace(cfg, n_interior=0)
+    assert dataclasses.replace(cfg, output_dir="d").output_dir == "d"
 
 
 def test_config_accepts_numpy_integers():
@@ -464,17 +580,15 @@ def test_blas_hold_around_checks(monkeypatch):
     # leaves the library at its own count
     (blas,) = _fake_openblas(monkeypatch, 2)
     seen = []
-    check = H.IDENTITIES["cauchy_constant"]
+    report = H._report
 
     def probe(cfg):
+        if cfg.identity == "scalar_bp":
+            raise RuntimeError("broken check")
         seen.append(blas.threads)
-        return check(cfg)
+        return report(cfg)
 
-    def broken(cfg):
-        raise RuntimeError("broken check")
-
-    monkeypatch.setitem(H.IDENTITIES, "cauchy_constant", probe)
-    monkeypatch.setitem(H.IDENTITIES, "scalar_bp", broken)
+    monkeypatch.setattr(H, "_report", probe)
     monkeypatch.setenv("VEKUA_LAB_THREADS", "2")
     size = dict(resolutions=(10, 12), n_interior=4, n_exterior=4, boundary_cells=16)
     H.run_identity("cauchy_constant", **size)
@@ -594,13 +708,14 @@ def test_pooled_identities_see_one_blas_thread(monkeypatch):
     assert [os.path.dirname(lib.path) for lib in libs] == [numpy_libs]
     saved = [lib.get_threads() for lib in libs]
     seen = []
-    check = H.IDENTITIES["cauchy_constant"]
+    report = H._report
 
     def probe(cfg):
-        seen.append([lib.get_threads() for lib in libs])
-        return check(cfg)
+        if cfg.identity == "cauchy_constant":
+            seen.append([lib.get_threads() for lib in libs])
+        return report(cfg)
 
-    monkeypatch.setitem(H.IDENTITIES, "cauchy_constant", probe)
+    monkeypatch.setattr(H, "_report", probe)
     monkeypatch.setenv("VEKUA_LAB_THREADS", "2")
     size = dict(resolutions=(10, 12), n_interior=4, n_exterior=4, boundary_cells=16)
     try:
@@ -689,7 +804,7 @@ def test_config_file_keeps_the_identity_defaults(tmp_path, identity):
     path.write_text(json.dumps({"resolutions": [16, 32]}))
     cfg = H.SuiteConfig.from_json(path, identity=identity)
     assert cfg == H.SuiteConfig.defaults(identity, resolutions=(16, 32))
-    for key, value in H.DEFAULT_TOLERANCES[identity].items():
+    for key, value in H.IDENTITIES[identity].tolerances.items():
         assert getattr(cfg, key) == value != getattr(H.SuiteConfig(identity), key)
 
 
@@ -720,32 +835,48 @@ def test_empty_suite_selection_runs_nothing(monkeypatch, capsys):
 def test_unknown_identity_rejected():
     with pytest.raises(ValueError):
         H.run_identity("fourier_inversion")
+    with pytest.raises(ValueError, match="unknown identity 'fourier_inversion'"):
+        H.SuiteConfig("fourier_inversion")
+
+
+def test_suite_refuses_an_identity_named_twice(monkeypatch, tmp_path, capsys):
+    # it would run twice, on two pool threads, into one output directory
+    ran = []
+    monkeypatch.setattr(H, "run_identity", lambda name, *a, **k: ran.append(name))
+    with pytest.raises(ValueError, match=r"selected more than once: \['cauchy_constant'\]"):
+        H.run_suite(["cauchy_constant"] * 2)
+    err = _cli_usage_error(capsys, ["suite", "cauchy_constant,cauchy_constant,operator_consistency",
+                                    "--out", str(tmp_path)])
+    assert "identities selected more than once: ['cauchy_constant']" in err
+    assert ran == [] and list(tmp_path.iterdir()) == []
 
 
 def test_overrides_next_to_a_config_are_rejected(monkeypatch):
     # an override cannot amend a given config: the call fails before the check runs
     cfg = H.SuiteConfig.defaults("cauchy_constant")
-    monkeypatch.setitem(H.IDENTITIES, "cauchy_constant", lambda cfg: pytest.fail("the check ran"))
+    monkeypatch.setattr(H, "_report", lambda cfg: pytest.fail("the check ran"))
     with pytest.raises(ValueError, match=r"overrides \['seed'\] given with a config"):
         H.run_identity("cauchy_constant", cfg, seed=5)
 
 
-def test_unsupported_profile_rejected():
-    # refused when the config is made, and by the check itself when handed a
-    # config made for an identity that takes the profile
+def test_unsupported_profile_rejected(monkeypatch):
+    # refused when the config is made, and a config made for an identity
+    # that takes the profile does not reach the check
     profile = {"kind": "quadratic_z", "a": 1.0, "c": 0.5}
     with pytest.raises(ValueError, match="needs the exponential"):
         H.SuiteConfig.defaults("cauchy_vekua", profile=profile)
     cfg = H.SuiteConfig.defaults("dtn_relation", profile=profile)
-    with pytest.raises(ValueError, match="needs the exponential"):
-        H.IDENTITIES["cauchy_vekua"](cfg)
+    monkeypatch.setattr(H, "_report", lambda cfg: pytest.fail("the check ran"))
+    with pytest.raises(ValueError, match="'cauchy_vekua' given with a config made for "
+                                         "'dtn_relation'"):
+        H.run_identity("cauchy_vekua", cfg)
 
 
 def test_a_config_made_for_another_identity_is_refused(monkeypatch, tmp_path):
     # run_identity would otherwise run one check under another identity's
     # label, tolerances and config hash; nothing runs and nothing is written
     cfg = H.SuiteConfig.defaults("borel_pompeiu", output_dir=str(tmp_path), resolutions=(10, 12))
-    monkeypatch.setitem(H.IDENTITIES, "cauchy_constant", lambda cfg: pytest.fail("the check ran"))
+    monkeypatch.setattr(H, "_report", lambda cfg: pytest.fail("the check ran"))
     with pytest.raises(ValueError, match="'cauchy_constant' given with a config made for "
                                          "'borel_pompeiu'"):
         H.run_identity("cauchy_constant", cfg)
@@ -806,8 +937,7 @@ def test_run_suite_subset(tmp_path, monkeypatch):
 def test_run_suite_validates_every_config_before_any_check(monkeypatch):
     # a bad override raises once, in the caller, before the pool starts
     calls = []
-    monkeypatch.setitem(H.IDENTITIES, "cauchy_constant", calls.append)
-    monkeypatch.setitem(H.IDENTITIES, "operator_consistency", calls.append)
+    monkeypatch.setattr(H, "_report", calls.append)
     monkeypatch.setenv("VEKUA_LAB_THREADS", "2")
     with pytest.raises(ValueError, match="output_dir"):
         H.run_suite(["cauchy_constant", "operator_consistency"], output_dir=5)
@@ -837,6 +967,16 @@ def test_cli_verify_exit_code(capsys):
     assert code == 0
     assert "[PASS] operator_consistency" in out
     assert "measured order" in out
+
+
+def test_cli_verify_writes_into_out(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"resolutions": [10, 12]}))
+    out = tmp_path / "d"
+    cli.main(["verify", "operator_consistency", "--config", str(path), "--out", str(out)])
+    report = json.loads((out / "operator_consistency" / "report.json").read_text())
+    cfg = H.SuiteConfig.defaults("operator_consistency", resolutions=(10, 12), output_dir=str(out))
+    assert report["provenance"]["config_hash"] == cfg.config_hash()
 
 
 def test_cli_convergence(capsys):
@@ -902,6 +1042,8 @@ BAD_CONFIGS = {
     "exterior.json": {"exterior_abs_tol": True},
     "ratio.json": {"refinement_ratio": True},
     "coarse.json": {"resolutions": [8, 16]},
+    "zero_rate.json": {"profile": {"kind": "exponential", "lam": [0, 0, 0]}},
+    "thin_margin.json": {"margin_fraction": 0.05},
 }
 
 
@@ -925,6 +1067,11 @@ BAD_CONFIGS = {
      "the dual grid of an axis with 8 nodes has 7 nodes"),
     (["verify", "s_alpha", "--config", "coarse.json"],
      "the dual grid of an axis with 8 nodes has 7 nodes"),
+    # valid configs outside the domain of one check: refused, not run
+    (["verify", "s_alpha", "--config", "zero_rate.json"],
+     "profile: identity 's_alpha' normalizes its residual by max |grad f|"),
+    (["verify", "cauchy_constant", "--config", "thin_margin.json"],
+     "margin_fraction 0.05 keeps evaluation points 0.05 from the boundary"),
 ])
 def test_cli_reports_rejected_input_as_usage_errors(tmp_path, monkeypatch, capsys, argv, message):
     # input rejected after parsing exits like an argparse error: a usage line
