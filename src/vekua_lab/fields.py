@@ -249,9 +249,8 @@ class MultivectorField:
         """Scalar-part nodal array."""
         return self.values[..., 0]
 
-    def max_norm(self, region=None):
-        vals = self.values if region is None else self.values[region]
-        return float(np.max(np.abs(vals)))
+    def max_norm(self):
+        return float(np.max(np.abs(self.values)))
 
 
 # -- differential operators ---------------------------------------------------
@@ -364,22 +363,15 @@ def boundary_sampling(grid: BoxGrid, cells_per_axis=None) -> BoundaryQuadrature:
     if cells_per_axis is not None and cells_per_axis < 1:
         raise ValueError(f"cells_per_axis must be >= 1, got {cells_per_axis}")
     counts = grid.resolution - 1 if cells_per_axis is None else np.full(3, int(cells_per_axis))
+    step = grid.extent / counts
     positions, normals, weights, blocks = [], [], [], []
-    max_diam = 0.0
     start = 0
     for axis in range(3):
+        transverse = [t for t in range(3) if t != axis]
+        mesh = np.meshgrid(*(grid.origin[t] + step[t] * (np.arange(counts[t]) + 0.5)
+                             for t in transverse), indexing="ij")
+        count = mesh[0].size
         for side in (0, 1):
-            transverse = [t for t in range(3) if t != axis]
-            axes_1d = []
-            step = []
-            for t in transverse:
-                cells = int(counts[t])
-                ht = grid.extent[t] / cells
-                axes_1d.append(grid.origin[t] + ht * (np.arange(cells) + 0.5))
-                step.append(ht)
-            max_diam = max(max_diam, float(np.sqrt(np.sum(np.asarray(step) ** 2))))
-            mesh = np.meshgrid(*axes_1d, indexing="ij")
-            count = mesh[0].size
             pos = np.empty((count, 3))
             pos[:, axis] = grid.origin[axis] + (grid.extent[axis] if side else 0.0)
             for t, m in zip(transverse, mesh):
@@ -389,7 +381,7 @@ def boundary_sampling(grid: BoxGrid, cells_per_axis=None) -> BoundaryQuadrature:
             nrm[:, axis] = sign
             positions.append(pos)
             normals.append(nrm)
-            weights.append(np.full(count, float(np.prod(step))))
+            weights.append(np.full(count, float(np.prod(step[transverse]))))
             blocks.append((axis, sign, slice(start, start + count)))
             start += count
     return BoundaryQuadrature(
@@ -397,8 +389,15 @@ def boundary_sampling(grid: BoxGrid, cells_per_axis=None) -> BoundaryQuadrature:
         np.concatenate(normals),
         np.concatenate(weights),
         tuple(blocks),
-        max_diam,
+        face_cell_diameter(grid, counts),
     )
+
+
+def face_cell_diameter(grid: BoxGrid, cells_per_axis):
+    """The largest cell diameter of a face sampling with cells_per_axis
+    (one count, or one per axis) cells along each axis."""
+    step = grid.extent / cells_per_axis
+    return max(float(np.sqrt(np.sum(np.delete(step, axis) ** 2))) for axis in range(3))
 
 
 # -- sampling and helpers --------------------------------------------------------

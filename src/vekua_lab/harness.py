@@ -1,10 +1,10 @@
 """Verification harness: runs every supported integral identity end to end,
 measures convergence under refinement, and emits machine-readable reports.
 
-Each identity check is data for one case x level runner: for every case x
-level it yields a reconstruction (values and targets at an evaluation set
-with interior flags) or one scalar residual, and it names its gates
-(predicates over the rows and extras) and its extras.  The runner builds
+Each identity check is data for one case x level runner: per level it maps
+every case to a reconstruction (values and targets at an evaluation set with
+interior flags) or one scalar residual, cases on one face sampling sharing a
+stacked boundary layer, and names its gates and extras.  The runner builds
 the rows, per-point residuals and refinement orders and sets `passed`.
 Interior errors are relative to the largest interior target magnitude;
 exterior magnitudes are normalized by the same scale, so "exterior 5%"
@@ -22,7 +22,7 @@ import numbers
 import os
 import time
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -31,13 +31,12 @@ import numpy as np
 from . import __version__
 from .fields import (
     MIN_RESOLUTION, BoxGrid, MultivectorField, boundary_sampling, boundary_values, bump_factors,
-    bump_scalar, cell_average, dirac_D, interior_slices, laplacian, sc_norm, scalar_gradient,
-    trilinear_sample, vector_divergence,
+    bump_scalar, cell_average, dirac_D, face_cell_diameter, interior_slices, laplacian, sc_norm,
+    scalar_gradient, trilinear_sample, vector_divergence,
 )
 from .integral_ops import (
-    EvaluationSet, borel_pompeiu_residual, cauchy_boundary, margin_centers,
-    scalar_volume_potential, s_alpha, teodorescu, teodorescu_on_dual_grid,
-    vector_volume_potential,
+    EvaluationSet, cauchy_boundary, margin_centers, scalar_volume_potential, s_alpha, teodorescu,
+    teodorescu_on_dual_grid, vector_volume_potential,
 )
 from .kernels import (
     KernelSpec, cauchy_E_components, fundamental_cauchy_residual, newton_N_components,
@@ -88,11 +87,12 @@ class SuiteConfig:
 
     Frozen, so the validation of `__post_init__` holds for the config's
     life: the generic fields and the box check first, then the domain
-    rules its identity was registered with."""
+    rules its identity was registered with.  The profile is kept as a
+    read-only copy, its sequences as tuples."""
 
     identity: str
-    profile: dict = field(default_factory=lambda: copy.deepcopy(
-        {"kind": "exponential", **PROFILE_FAMILIES["exponential"][1]}))
+    profile: Mapping = field(default_factory=lambda: {
+        "kind": "exponential", **PROFILE_FAMILIES["exponential"][1]})
     resolutions: tuple = (16, 32)
     margin_fraction: float = 0.2
     interior_rel_tol: float = 0.05
@@ -141,6 +141,9 @@ class SuiteConfig:
                                  "snapped evaluation points sit")
         box = self.grid(MIN_RESOLUTION)
         check_profile_on_box(self.profile, box.origin, box.top)
+        object.__setattr__(self, "profile", MappingProxyType({
+            key: tuple(np.asarray(value, dtype=object).tolist()) if np.ndim(value) else value
+            for key, value in self.profile.items()}))
         for rule in check.domain:
             rule(self)
 
@@ -163,7 +166,8 @@ class SuiteConfig:
         return cls.defaults(**data)
 
     def config_hash(self):
-        payload = json.dumps(asdict(self), sort_keys=True, default=str).encode()
+        payload = json.dumps({**vars(self), "profile": dict(self.profile)}, sort_keys=True,
+                             default=str).encode()
         return hashlib.sha256(payload).hexdigest()[:16]
 
     def grid(self, res):
@@ -263,13 +267,6 @@ def _every_grid(grid_rule):
     return rule
 
 
-def _face_cell_diameter(grid, cells):
-    """The max_cell_diameter of boundary_sampling(grid, cells), computed as
-    it computes it, without the samples."""
-    step = grid.extent / cells
-    return max(float(np.sqrt(np.sum(np.delete(step, axis) ** 2))) for axis in range(3))
-
-
 def _margin_clears(faces=False, boundary=False, sweep=False):
     """The rule that evaluation points, margin_fraction * min(extent) from the
     boundary, stand at least one face-cell diameter from every face sample
@@ -283,7 +280,7 @@ def _margin_clears(faces=False, boundary=False, sweep=False):
             grid = cfg.grid(res)
             margin = cfg.margin_fraction * float(np.min(grid.extent))
             cells = min(fixed + ([_face_cells(res)] if faces else []))
-            if margin < (diameter := _face_cell_diameter(grid, cells)):
+            if margin < (diameter := face_cell_diameter(grid, cells)):
                 raise ValueError(
                     f"margin_fraction {cfg.margin_fraction} keeps evaluation points {margin:.6g} "
                     f"from the boundary of the resolution-{res} grid, less than the diameter "
@@ -308,11 +305,6 @@ def _interior_samples(grid, nodal, pts: EvaluationSet):
     if np.any(pts.is_interior):
         out[pts.is_interior] = trilinear_sample(grid, nodal, pts.interior_points)
     return out
-
-
-def _layer_sc(kernel, bq, density, points):
-    """Scalar part of the boundary layer of `kernel` against a scalar density."""
-    return cauchy_boundary(kernel, bq, density, points)[:, 0]
 
 
 def _dtn_pairings(form, trace_nodal, pts, kernel_trace):
@@ -387,9 +379,11 @@ class Level:
         return sweep
 
 
-def _sweep(cases, levels, outcome):
-    """Case-major results; outcome(case, level) for every case and level."""
-    return [(case, lv.value, lv.h, outcome(case, lv)) for case in cases for lv in levels]
+def _sweep(levels, outcomes):
+    """Case-major results; outcomes(level) maps each case to its outcome."""
+    results = _per_level(levels, outcomes)
+    cases = list(dict.fromkeys(case for case, *_ in results))
+    return sorted(results, key=lambda result: cases.index(result[0]))
 
 
 def _per_level(levels, outcomes):
@@ -519,12 +513,12 @@ def _report(cfg: SuiteConfig) -> CheckReport:
         tolerances=dict(interior_rel_tol=1e-3, exterior_abs_tol=1e-3),
         domain=(_margin_clears(sweep=True),))
 def check_cauchy_constant(cfg: SuiteConfig, levels):
-    def outcome(case, lv):
+    def outcomes(lv):
         pts = lv.points(snap=False)
-        return Recon(pts, _layer_sc(KernelSpec("cauchy"), lv.faces, np.ones(len(lv.faces)),
-                                    pts.points), 1.0)
+        layer = cauchy_boundary(KernelSpec("cauchy"), lv.faces, np.ones(len(lv.faces)), pts.points)
+        return {"constant-trace": Recon(pts, layer[:, 0], 1.0)}
 
-    return Plan(_sweep(["constant-trace"], levels[-1].face_cell_sweep(), outcome),
+    return Plan(_sweep(levels[-1].face_cell_sweep(), outcomes),
                 {"interior": _interior(), "exterior": _exterior(finest=True)},
                 {"face_cells": _face_cell_sweep(cfg)})
 
@@ -561,12 +555,20 @@ def _nodal(grid, fn):
 def check_borel_pompeiu(cfg: SuiteConfig, levels):
     traces = {"constant": _constant_trace, "quadratic": _quadratic_trace}
 
-    def outcome(case, lv):
-        v = _nodal(lv.grid, traces[case])
-        norms = borel_pompeiu_residual(v, lv.points(), trace_fn=traces[case], boundary=lv.boundary)
-        return Recon(lv.points(), norms / v.max_norm(), 0.0)
+    # residual T[Dv] + int_bdry E(y - x) eta v ds - (v(x) if interior), per point
+    def outcomes(lv):
+        pts, bq = lv.points(), lv.boundary
+        layers = cauchy_boundary(KernelSpec("cauchy"), bq,
+                                 np.stack([fn(bq.positions) for fn in traces.values()]), pts.points)
+        recons = {}
+        for (case, fn), layer in zip(traces.items(), layers):
+            v = _nodal(lv.grid, fn)
+            residual = (teodorescu(dirac_D(v), pts.points) + layer
+                        - np.where(pts.is_interior[:, None], fn(pts.points), 0.0))
+            recons[case] = Recon(pts, np.max(np.abs(residual), axis=-1) / v.max_norm(), 0.0)
+        return recons
 
-    return Plan(_sweep(traces, levels, outcome),
+    return Plan(_sweep(levels, outcomes),
                 {"interior": _interior("quadratic"), "exterior": _exterior(),
                  "refinement": _refines("quadratic")})
 
@@ -577,17 +579,17 @@ def check_borel_pompeiu(cfg: SuiteConfig, levels):
         tolerances=dict(interior_rel_tol=0.02, exterior_abs_tol=0.02),
         domain=(_every_grid(BoxGrid.dual_grid),))
 def check_teodorescu_inverse(cfg: SuiteConfig, levels):
-    def residual(case, lv):
+    def residual(lv):
         g = MultivectorField.from_components(lv.grid, {1: np.ones(tuple(lv.grid.resolution))})
         DT = dirac_D(teodorescu_on_dual_grid(g))
         diff = DT.values[interior_slices(lv.depth)].copy()
         diff[..., 1] -= 1.0
-        return float(np.max(np.abs(diff)))
+        return {"right-inverse": float(np.max(np.abs(diff)))}
 
     grid = levels[-1].grid
     constant = MultivectorField.from_scalar(grid, np.ones(tuple(grid.resolution)))
     center = teodorescu(constant, [grid.origin + grid.extent / 2])
-    return Plan(_sweep(["right-inverse"], levels, residual),
+    return Plan(_sweep(levels, residual),
                 {"interior": _interior(), "refinement": _refines(),
                  "odd-symmetry": _extra_within("odd_symmetry_at_center", 1e-12)},
                 {"odd_symmetry_at_center": float(np.max(np.abs(center)))})
@@ -624,8 +626,8 @@ def check_operator_consistency(cfg: SuiteConfig, levels):
     # exactness is resolution independent; the coarsest grid keeps the 1/h^2
     # roundoff amplification of nested second differences smallest
     quad_err = _squared_dirac_defect(_quadratic_field(levels[0].grid))
-    smooth = lambda case, lv: _squared_dirac_defect(_smooth_test_field(lv.grid))
-    return Plan(_sweep(["smooth"], levels, smooth),
+    smooth = lambda lv: {"smooth": _squared_dirac_defect(_smooth_test_field(lv.grid))}
+    return Plan(_sweep(levels, smooth),
                 {"quadratic": _extra_within("quadratic_error", 1e-12), "refinement": _refines()},
                 {"quadratic_error": quad_err})
 
@@ -638,8 +640,9 @@ def _mixed_smooth_trace(pts):
 def _scalar_bp_plan(cfg, levels, adjoint):
     """Scalar-part representation: boundary kernel integral minus volume term."""
     lam = _exponential_rate(cfg)
+    case = "adjoint-weighted" if adjoint else "screened-kernel"
 
-    def outcome(case, lv):
+    def outcomes(lv):
         grid, pts, bq = lv.grid, lv.points(), lv.boundary
         v = _nodal(grid, _mixed_smooth_trace)
         target = _mixed_smooth_trace(pts.points)[:, 0]
@@ -656,10 +659,9 @@ def _scalar_bp_plan(cfg, levels, adjoint):
             B = cauchy_boundary(KernelSpec("vekua_phi", lam=lam), bq, trace, pts.points)
             m = vekua_operator(v, lam).values
             V = vector_volume_potential(pts.points, grid, cell_average(m), lam=lam)
-        return Recon(pts, B[:, 0] - V[:, 0], target)
+        return {case: Recon(pts, B[:, 0] - V[:, 0], target)}
 
-    case = "adjoint-weighted" if adjoint else "screened-kernel"
-    return Plan(_sweep([case], levels, outcome),
+    return Plan(_sweep(levels, outcomes),
                 {"interior": _interior(), "exterior": _exterior(), "refinement": _refines()},
                 {"lam": lam.tolist()})
 
@@ -695,12 +697,15 @@ def check_cauchy_vekua(cfg: SuiteConfig, levels):
         "full-solution": lambda p: sol.w_coeffs(np.atleast_2d(p)),
     }
 
-    def outcome(case, lv):
-        pts = lv.points(snap=False)
-        B = cauchy_boundary(kernel, lv.faces, solutions[case](lv.faces.positions), pts.points)
-        return Recon(pts, B[:, 0], solutions[case](pts.points)[:, 0])
+    def outcomes(lv):
+        pts, bq = lv.points(snap=False), lv.faces
+        layers = cauchy_boundary(kernel, bq,
+                                 np.stack([fn(bq.positions) for fn in solutions.values()]),
+                                 pts.points)
+        return {case: Recon(pts, layer[:, 0], fn(pts.points)[:, 0])
+                for (case, fn), layer in zip(solutions.items(), layers)}
 
-    return Plan(_sweep(solutions, levels[-1].face_cell_sweep(), outcome),
+    return Plan(_sweep(levels[-1].face_cell_sweep(), outcomes),
                 {"interior": _interior(), "exterior": _exterior(finest=True),
                  "refinement": _refines()},
                 {"face_cells": _face_cell_sweep(cfg), "lam": lam.tolist()})
@@ -738,23 +743,22 @@ def check_green_vekua(cfg: SuiteConfig, levels):
     sol = ExponentialVekuaSolution(lam)
     phi, theta = KernelSpec("vekua_phi", lam=lam), KernelSpec.theta(float(lam @ lam))
 
-    def strong(case, lv):
+    def strong(lv):
         bq, pts = lv.faces, lv.points(snap=False)
         flux_b = np.sum(sol.flux(bq.positions) * bq.normals, axis=1)
-        vals = (_layer_sc(phi, bq, sol.w0(bq.positions), pts.points)
-                + _layer_sc(theta, bq, flux_b / sol.f(bq.positions), pts.points))
-        return Recon(pts, vals, sol.w0(pts.points))
+        vals = (cauchy_boundary(phi, bq, sol.w0(bq.positions), pts.points)[:, 0]
+                + cauchy_boundary(theta, bq, flux_b / sol.f(bq.positions), pts.points)[:, 0])
+        return {"strong-flux": Recon(pts, vals, sol.w0(pts.points))}
 
-    def weak(case, lv):
+    def weak(lv):
         bq, pts = lv.faces, lv.points(snap=False)
         form = DtnForm.conductivity(lv.profile)
-        vals = _layer_sc(phi, bq, sol.w0(bq.positions), pts.points) + _dtn_pairings(
+        vals = cauchy_boundary(phi, bq, sol.w0(bq.positions), pts.points)[:, 0] + _dtn_pairings(
             form, boundary_values(lv.grid, sol.u0), pts,
             lambda c, x: theta.values(c - x) / sol.f(c))
-        return Recon(pts, vals, sol.w0(pts.points))
+        return {"weak-dtn": Recon(pts, vals, sol.w0(pts.points))}
 
-    return Plan(_sweep(["strong-flux"], levels[-1].face_cell_sweep(), strong)
-                + _sweep(["weak-dtn"], levels, weak),
+    return Plan(_sweep(levels[-1].face_cell_sweep(), strong) + _sweep(levels, weak),
                 {"interior": _interior(), "exterior": _exterior(),
                  "refinement": _refines("strong-flux")},
                 {"lam": lam.tolist()})
@@ -780,24 +784,27 @@ def check_integral_cauchy(cfg: SuiteConfig, levels):
                                              [0.0, 0.0, 1.0])),
     }
 
-    def strong(case, lv):
-        spec, u0_fn, grad_fn = strong_cases[case]
-        # face sampling refines with the volume so every term is O(h^2)
-        grid, pts, bq = lv.grid, lv.points(), lv.faces
-        profile = make_profile(grid, spec)
-        centers = grid.cell_centers().reshape(-1, 3)
-        rho = np.sum(profile.alpha_at(centers) * grad_fn(centers), axis=-1)
-        flux_b = np.sum(grad_fn(bq.positions) * bq.normals, axis=1)
-        vals = (_layer_sc(cauchy, bq, u0_fn(bq.positions), pts.points)
-                + _layer_sc(newton, bq, flux_b, pts.points)
-                + 2.0 * scalar_volume_potential(pts.points, grid, rho))
-        return Recon(pts, vals, u0_fn(pts.points))
+    trace_fn = lambda c: c[..., 0] + 0.3 * c[..., 1]  # the weak arm's trace
 
-    # weak arm: discrete solution, DtN pairing for the flux, any W^{1,inf} profile
-    def weak(case, lv):
+    def outcomes(lv):
+        # face sampling refines with the volume so every term is O(h^2); the
+        # strong cases and the weak arm share one Cauchy layer, the strong
+        # cases one Newton layer
         grid, pts, bq = lv.grid, lv.points(), lv.faces
+        traces = [u0_fn for _, u0_fn, _ in strong_cases.values()] + [trace_fn]
+        layers = cauchy_boundary(cauchy, bq, np.stack([fn(bq.positions) for fn in traces]),
+                                 pts.points)[..., 0]
+        fluxes = np.stack([np.sum(grad_fn(bq.positions) * bq.normals, axis=1)
+                           for *_, grad_fn in strong_cases.values()])
+        strong = layers[:-1] + cauchy_boundary(newton, bq, fluxes, pts.points)[..., 0]
+        centers, recons = grid.cell_centers().reshape(-1, 3), {}
+        for (case, (spec, u0_fn, grad_fn)), layer in zip(strong_cases.items(), strong):
+            rho = np.sum(make_profile(grid, spec).alpha_at(centers) * grad_fn(centers), axis=-1)
+            recons[case] = Recon(pts, layer + 2.0 * scalar_volume_potential(pts.points, grid, rho),
+                                 u0_fn(pts.points))
+
+        # weak arm: discrete solution, DtN pairing for the flux, any W^{1,inf} profile
         profile = make_profile(grid, {"kind": "quadratic_z", "a": 1.0, "c": 0.5})
-        trace_fn = lambda c: c[..., 0] + 0.3 * c[..., 1]
         trace_nodal = trace_fn(grid.coords())
         form = DtnForm.conductivity(profile)
         u0_disc = form.solution(trace_nodal)
@@ -805,11 +812,12 @@ def check_integral_cauchy(cfg: SuiteConfig, levels):
         vol_term = 2.0 * scalar_volume_potential(pts.points, grid,
                                                  cell_average(rho_nodal, blade_axis=False))
         f_at = lambda c: profile.f_at(c.reshape(-1, 3)).reshape(c.shape[:-1])
-        vals = _layer_sc(cauchy, bq, trace_fn(bq.positions), pts.points) + _dtn_pairings(
+        vals = layers[-1] + _dtn_pairings(
             form, trace_nodal, pts, lambda c, x: newton.values(c - x) / f_at(c) ** 2)
-        return Recon(pts, vals + vol_term, _interior_samples(grid, u0_disc, pts))
+        return {**recons, "weak-quadratic": Recon(pts, vals + vol_term,
+                                                  _interior_samples(grid, u0_disc, pts))}
 
-    return Plan(_sweep(strong_cases, levels, strong) + _sweep(["weak-quadratic"], levels, weak),
+    return Plan(_sweep(levels, outcomes),
                 {"interior": _interior(), "exterior": _exterior(finest=True),
                  "refinement": _refines(ratio=1.2)})
 
@@ -828,20 +836,20 @@ def check_schrodinger_reconstruction(cfg: SuiteConfig, levels):
     }
     phi, theta = KernelSpec("vekua_phi", lam=lam), KernelSpec.theta(q)
 
-    # one form per level for both rates; its solution cache keeps their traces apart
-    forms = {lv: DtnForm.schrodinger(lv.profile) for lv in levels}
-
-    def outcome(case, lv):
-        form, pts, bq = forms[lv], lv.points(snap=False), lv.faces
-        trace_nodal = np.exp(lv.grid.coords() @ rates[case])
-        phi0_b = np.exp(bq.positions @ rates[case])
+    def outcomes(lv):
+        pts, bq = lv.points(snap=False), lv.faces
+        # one form for both rates; its solution cache keeps their traces apart
+        form = DtnForm.schrodinger(lv.profile)
+        phi0_b = np.stack([np.exp(bq.positions @ rate) for rate in rates.values()])
         # -sum (grad theta_q . eta) phi0 w, with grad theta_q = Phi_lam + lam theta_q
-        vals = (_layer_sc(phi, bq, phi0_b, pts.points)
-                - _layer_sc(theta, bq, (bq.normals @ lam) * phi0_b, pts.points))
-        vals = vals + _dtn_pairings(form, trace_nodal, pts, lambda c, x: theta.values(c - x))
-        return Recon(pts, vals, np.exp(pts.points @ rates[case]))
+        layers = (cauchy_boundary(phi, bq, phi0_b, pts.points)[..., 0]
+                  - cauchy_boundary(theta, bq, (bq.normals @ lam) * phi0_b, pts.points)[..., 0])
+        return {case: Recon(pts, layer + _dtn_pairings(form, np.exp(lv.grid.coords() @ rate), pts,
+                                                       lambda c, x: theta.values(c - x)),
+                            np.exp(pts.points @ rate))
+                for (case, rate), layer in zip(rates.items(), layers)}
 
-    return Plan(_sweep(rates, levels, outcome),
+    return Plan(_sweep(levels, outcomes),
                 {"interior": _interior(), "exterior": _exterior(finest=True),
                  "refinement": _refines(ratio=1.2)},
                 {"lam": lam.tolist(), "q": q})
@@ -867,7 +875,7 @@ def check_factorizations(cfg: SuiteConfig, levels):
     sym_err = float(np.max(np.abs(outer[..., 0] - closed))) + float(np.max(np.abs(outer[..., 1:])))
 
     # smooth operator check with alpha = grad f / f
-    def smooth(case, lv):
+    def smooth(lv):
         profile = lv.profile
         X = lv.grid.coords()
         h_vals = np.sin(2.0 * X[..., 0]) * np.cos(X[..., 1]) + 0.5 * np.sin(X[..., 2]) * X[..., 0]
@@ -876,8 +884,9 @@ def check_factorizations(cfg: SuiteConfig, levels):
         lhs = -laplacian(h0).values[..., 0] + profile.q * h_vals
         sl = interior_slices(2)
         scale = float(np.max(np.abs(lhs[sl]))) or 1.0
-        return (float(np.max(np.abs(rhs[sl + (0,)] - lhs[sl])))
-                + float(np.max(np.abs(rhs[sl + (slice(1, None),)])))) / scale
+        residual = (float(np.max(np.abs(rhs[sl + (0,)] - lhs[sl])))
+                    + float(np.max(np.abs(rhs[sl + (slice(1, None),)])))) / scale
+        return {"smooth-log-gradient": residual}
 
     # kernel identities at machine precision, closed-form derivatives
     rng = np.random.default_rng(cfg.seed)
@@ -889,7 +898,7 @@ def check_factorizations(cfg: SuiteConfig, levels):
                    for eps in (0.2, 0.1, 0.05)]
     return Plan(
         [("symbolic-quadratic", levels[0].value, levels[0].h, sym_err)]
-        + _sweep(["smooth-log-gradient"], levels, smooth),
+        + _sweep(levels, smooth),
         {
             "symbolic": _interior("symbolic-quadratic", tol=1e-12),
             "refinement": _refines("smooth-log-gradient"),
@@ -1134,17 +1143,18 @@ def _normalizes_the_residual(cfg):
         tolerances=dict(interior_rel_tol=0.03),
         domain=(_exponential, _normalizes_the_residual, _every_grid(BoxGrid.dual_grid)))
 def check_s_alpha(cfg: SuiteConfig, levels):
-    def residual(case, lv):
+    def residual(lv):
         profile = lv.profile
         S = s_alpha(MultivectorField.from_scalar(profile.grid, profile.f), profile.alpha_field())
         DS = dirac_D(S).values[interior_slices(lv.depth)]
-        return float(np.max(np.abs(DS))) / float(np.max(np.abs(profile.grad_f)))
+        return {"scalar-solution":
+                float(np.max(np.abs(DS))) / float(np.max(np.abs(profile.grad_f)))}
 
     grid = levels[0].grid
     w = MultivectorField.from_scalar(grid, levels[0].profile.f)
     identity_dev = float(np.max(np.abs(s_alpha(w, MultivectorField.zero(grid)).values
                                        - cell_average(w.values))))
-    return Plan(_sweep(["scalar-solution"], levels, residual),
+    return Plan(_sweep(levels, residual),
                 {"interior": _interior(), "refinement": _refines(),
                  "zero-alpha": _extra_within("identity_at_zero_alpha", 1e-12)},
                 {"identity_at_zero_alpha": identity_dev})

@@ -14,9 +14,10 @@ one point at a time, for point sets, and zero-padded FFTs for the whole
 cell-center lattice, where the dropped-cell sum is a discrete
 convolution.  A boundary sum takes the same shape: the normal is folded
 into the weighted trace once, a signed basis shuffle per face, and both
-are kernel rows against a density, recombined by `_kernel_times`.
-Offsets are (3, m) coordinate arrays; the kernel evaluator gets their
-column-major transpose, contiguous per column.
+are kernel rows against a density, recombined by `_kernel_times`; traces
+stacked on a case axis share each point's rows.  Offsets are (3, m)
+coordinate arrays; the kernel evaluator gets their column-major transpose,
+contiguous per column.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .fields import (
     BoundaryQuadrature,
     MultivectorField,
     cell_average,
-    dirac_D,
 )
 from .kernels import KernelSpec, radii
 
@@ -233,56 +233,46 @@ def cauchy_boundary(kernel: KernelSpec, boundary: BoundaryQuadrature, trace_valu
     Grade-1 families (cauchy, vekua_phi) give the Clifford double layer
     sum_m K(y_m - x) eta_m v_m w_m, products taken in the written order:
     kernel, then normal, then trace.  Scalar families (newton, yukawa) give
-    the single layer sum_m k(y_m - x) v_m w_m.  A 1-d trace is a scalar
-    trace.  The normal is folded into the density eta v w once per call:
-    the samples of each face form one contiguous block (`face_blocks`)
-    with normal +-e_axis, so the fold is one signed basis shuffle per
-    block (`_normal_fold`), exact.  Each point is then the kernel rows
-    against that density, recombined by `_kernel_times` as in the volume
-    sums.  Points closer to the boundary than one face-cell diameter are
-    rejected; the midpoint rule is unreliable there.
+    the single layer sum_m k(y_m - x) v_m w_m.  A trace is (m,), a scalar
+    trace, or (m, 8); a leading case axis, (c, m) or (c, m, 8), stacks c
+    traces and gives (c, points, 8).  The densities eta v w of every case
+    fill one (m, c, 8) buffer, the normal folded in place: the samples of
+    each face form one contiguous block (`face_blocks`) with normal
+    +-e_axis, so the fold is one signed basis shuffle per block
+    (`_normal_fold`), exact.  Each point's offsets, radii and kernel rows
+    are built once, one product with the buffer serves every case, and
+    `_kernel_times` recombines the sums as in the volume sums.  Points
+    closer to the boundary than one face-cell diameter are rejected; the
+    midpoint rule is unreliable there.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     trace = np.asarray(trace_values, dtype=float)
-    if trace.ndim == 1:
-        trace = np.concatenate([trace[:, None], np.zeros((trace.shape[0], 7))], axis=1)
-    density = trace * boundary.weights[:, None]
+    m = len(boundary)
+    scalar = trace.shape[-1] == m
+    traces = trace.reshape((-1, m) if scalar else (-1, m, 8))
+    density = np.zeros((m, len(traces), 8))
+    (density[..., 0] if scalar else density)[...] = np.moveaxis(traces, 0, 1)
+    density *= boundary.weights[:, None, None]
     if kernel.grade1:
-        density = _normal_fold(boundary, density)
+        _normal_fold(boundary, density)
+    density = density.reshape(m, -1)
     faces = np.ascontiguousarray(boundary.positions.T)
     sums = []
     for x in pts:
         z = faces - x[:, None]
         r = radii(z.T)
         if np.min(r) < boundary.max_cell_diameter:
-            raise ValueError(
-                "evaluation point within one face-cell diameter of the boundary"
-            )
+            raise ValueError("evaluation point within one face-cell diameter of the boundary")
         sums.append(_kernel_table(kernel, z, r=r) @ density)
-    return _kernel_times(kernel, np.stack(sums))
+    sums = np.stack(sums).reshape(len(pts), -1, len(traces), 8)
+    out = _kernel_times(kernel, np.moveaxis(sums, 2, 0))
+    return out if trace.ndim == (2 if scalar else 3) else out[0]
 
 
 def _normal_fold(boundary: BoundaryQuadrature, density):
-    """eta v per face sample: on each face block, whose normal is eta = +-e_axis,
-    the signed shuffle +-(e_axis v) of its rows."""
-    folded = np.empty_like(density)
+    """eta v into density (m, ..., 8), in place: +-(e_axis v) on a face block of normal +-e_axis."""
     for axis, sign, rows in boundary.face_blocks:
-        folded[rows] = sign * basis_mul_left(1 << axis, density[rows])
-    return folded
-
-
-def borel_pompeiu_residual(v: MultivectorField, pts: EvaluationSet, trace_fn,
-                           boundary: BoundaryQuadrature):
-    """Residual of the Borel-Pompeiu representation at every evaluation point.
-
-    residual(x) = T[Dv](x) + int_bdry E(y-x) eta v ds - (v(x) if interior),
-    with the trace and v(x) from the closed form trace_fn of v.  Returns
-    the per-point max-coefficient norms.
-    """
-    T = teodorescu(dirac_D(v), pts.points)
-    B = cauchy_boundary(KernelSpec("cauchy"), boundary, trace_fn(boundary.positions), pts.points)
-    target = np.where(pts.is_interior[:, None], trace_fn(pts.points), 0.0)
-    return np.max(np.abs(T + B - target), axis=-1)
+        density[rows] = sign * basis_mul_left(1 << axis, density[rows])
 
 
 def s_alpha(w: MultivectorField, alpha: MultivectorField) -> MultivectorField:

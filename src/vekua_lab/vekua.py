@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -144,7 +145,7 @@ def resolve_profile(spec):
     """(kind, parameters with their defaults filled in) of a profile spec; a
     ValueError for an unknown kind (default: exponential), a key its kind does
     not take, or a parameter that is not as many finite numbers as its default."""
-    kind = spec.get("kind", "exponential") if isinstance(spec, dict) else None
+    kind = spec.get("kind", "exponential") if isinstance(spec, Mapping) else None
     if not isinstance(kind, str) or kind not in PROFILE_FAMILIES:
         raise ValueError(f"profile: {spec!r} names no kind of {list(PROFILE_FAMILIES)}")
     _, params = PROFILE_FAMILIES[kind]

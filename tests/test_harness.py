@@ -105,10 +105,32 @@ def test_config_rejects_bad_profiles(profile):
 
 
 def test_config_records_valid_profiles_as_given():
-    # nothing is filled in, so a valid config keeps its hash
+    # nothing is filled in, so a valid config keeps its hash; sequences are
+    # kept as tuples of the same values
     for profile in ({"lam": [0, 0, 1]}, {"kind": "quadratic_z", "c": 0.25},
                     {"kind": "exponential", "lam": np.array([0.5, 0.0, 1.0])}):
-        assert H.SuiteConfig.defaults("dtn_relation", profile=dict(profile)).profile == profile
+        kept = H.SuiteConfig.defaults("dtn_relation", profile=dict(profile)).profile
+        assert list(kept) == list(profile)
+        for key, value in profile.items():
+            assert type(kept[key]) is (tuple if np.ndim(value) else type(value))
+            assert np.array_equal(kept[key], value)
+
+
+def test_a_config_holds_its_own_read_only_profile(monkeypatch):
+    # a profile edited after validation would skip the box check and the
+    # domain rules, and one dict handed to run_suite would reach every check
+    cfg = H.SuiteConfig.defaults("dtn_relation")
+    with pytest.raises(TypeError):
+        cfg.profile["lam"] = [400.0, 0.0, 0.0]
+    assert cfg.profile["lam"] == (0.0, 0.0, 1.0)
+    configs = []
+    monkeypatch.setattr(H, "_report", lambda cfg: configs.append(cfg) or cfg)
+    profile = {"kind": "exponential", "lam": [0.0, 0.5, 1.0]}
+    H.run_suite(["dtn_relation", "cauchy_vekua"], parallel=False, profile=profile)
+    first, second = configs
+    assert first.profile is not second.profile and first.profile == second.profile
+    profile["lam"][0] = 400.0
+    assert first.profile["lam"] == second.profile["lam"] == (0.0, 0.5, 1.0)
 
 
 @pytest.mark.parametrize("profile", [
@@ -307,7 +329,14 @@ def test_the_margin_rule_reads_the_face_samplings_its_check_builds(identity, sam
                          ids=["cube", "anisotropic"])
 @pytest.mark.parametrize("cells", [8, 13, 64])
 def test_face_cell_diameter_is_the_samplings_own(grid, cells):
-    assert H._face_cell_diameter(grid, cells) == H.boundary_sampling(grid, cells).max_cell_diameter
+    # the margin rule's diameter is the sampling's, and the diagonal of the
+    # face cells its samples span
+    bq = H.boundary_sampling(grid, cells)
+    spanned = max(math.hypot(*(grid.extent[t] / len(np.unique(bq.positions[rows, t]))
+                               for t in range(3) if t != axis))
+                  for axis, _, rows in bq.face_blocks)
+    assert H.face_cell_diameter(grid, cells) == bq.max_cell_diameter
+    assert bq.max_cell_diameter == pytest.approx(spanned, rel=1e-15)
 
 
 def test_config_refuses_a_margin_with_no_cell_center_inside():
@@ -1218,6 +1247,26 @@ def test_levels_share_forms_and_solved_extensions(dirichlet_work):
     dirichlet_work.clear()
     assert H.run_identity("dtn_relation").passed
     assert dirichlet_work["solve"] == 10
+
+
+def test_boundary_layer_checks_make_one_call_per_kernel_and_level(monkeypatch):
+    # cases that share faces and points share the call: borel_pompeiu and
+    # cauchy_vekua stack their two traces, schrodinger_reconstruction its two
+    # rates per kernel, integral_cauchy its four cases on the Cauchy layer and
+    # its three strong ones on the Newton layer
+    calls = {}
+    layer = H.cauchy_boundary
+
+    def counted(*args, **kwargs):
+        calls[identity] = calls.get(identity, 0) + 1
+        return layer(*args, **kwargs)
+
+    monkeypatch.setattr(H, "cauchy_boundary", counted)
+    for identity in H.IDENTITIES:
+        assert H.run_identity(identity).passed
+    assert calls == {"cauchy_constant": 3, "borel_pompeiu": 2, "scalar_bp": 2,
+                     "scalar_bp_adjoint": 2, "cauchy_vekua": 3, "green_vekua": 8,
+                     "integral_cauchy": 4, "schrodinger_reconstruction": 4}
 
 
 def test_integral_cauchy_solves_each_level_once(dirichlet_work):

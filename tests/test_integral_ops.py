@@ -313,9 +313,13 @@ def test_normal_fold_matches_grade1_product(rng, origin, extent, resolution, cel
     assert stops[-1] == len(bq)
     for axis, sign, rows in bq.face_blocks:
         assert np.all(bq.normals[rows] == sign * np.eye(3)[axis])
-    density = rng.normal(size=(len(bq), 8))
-    assert np.array_equal(IO._normal_fold(bq, density),
-                          gp_array(vector_to_array(bq.normals), density))
+    # the fold works in place on a (m, cases, 8) buffer, case by case
+    density = rng.normal(size=(len(bq), 2, 8))
+    folded = density.copy()
+    IO._normal_fold(bq, folded)
+    for case in range(2):
+        assert np.array_equal(folded[:, case],
+                              gp_array(vector_to_array(bq.normals), density[:, case]))
 
 
 def oracle_boundary(kernel, bq, trace, x):
@@ -342,26 +346,44 @@ def oracle_boundary(kernel, bq, trace, x):
     outside=st.lists(st.sampled_from([-0.8, 0.5, 1.8]), min_size=3, max_size=3)
     .filter(lambda u: u != [0.5, 0.5, 0.5]),
     scalar_trace=st.booleans(),
+    cases=st.integers(2, 3),
     seed=st.integers(0, 2**16),
 )
 def test_cauchy_boundary_matches_face_by_face_oracle(
-    kernel, origin, extent, resolution, inside, outside, scalar_trace, seed
+    kernel, origin, extent, resolution, inside, outside, scalar_trace, cases, seed
 ):
     # anisotropic box, per-axis face cells from the resolution, one interior
-    # and one exterior point at least a face-cell diameter off the boundary
+    # and one exterior point at least a face-cell diameter off the boundary;
+    # each case of a stack of traces is its own single-trace call
     g = BoxGrid(origin, extent, resolution)
     bq = boundary_sampling(g)
     rng = np.random.default_rng(seed)
-    trace = rng.normal(size=len(bq) if scalar_trace else (len(bq), 8))
+    traces = rng.normal(size=(cases, len(bq)) if scalar_trace else (cases, len(bq), 8))
     pts = g.origin + g.extent * np.array([inside, outside])
-    got = IO.cauchy_boundary(kernel, bq, trace, pts)
-    assert got.shape == (2, 8)
-    for x, row in zip(pts, got):
-        want, magnitude = oracle_boundary(kernel, bq, trace, x)
-        assert np.all(np.abs(row - want) <= 1e-13 * magnitude.sum() + 1e-300)
+    stacked = IO.cauchy_boundary(kernel, bq, traces, pts)
+    assert stacked.shape == (cases, 2, 8)
+    for trace, stacked_rows in zip(traces, stacked):
+        got = IO.cauchy_boundary(kernel, bq, trace, pts)
+        assert got.shape == (2, 8)
+        for x, row, stacked_row in zip(pts, got, stacked_rows):
+            want, magnitude = oracle_boundary(kernel, bq, trace, x)
+            bound = 1e-13 * magnitude.sum() + 1e-300
+            assert np.all(np.abs(row - want) <= bound)
+            assert np.all(np.abs(stacked_row - row) <= bound)
 
 
 # -- borel-pompeiu ------------------------------------------------------------------
+
+
+def borel_pompeiu_residual(v, pts, trace_fn, boundary):
+    """Per-point max-coefficient norm of the Borel-Pompeiu residual
+    T[Dv](x) + int_bdry E(y - x) eta v ds - (v(x) if interior), with the trace
+    and v(x) from the closed form trace_fn of v."""
+    T = IO.teodorescu(F.dirac_D(v), pts.points)
+    B = IO.cauchy_boundary(KernelSpec("cauchy"), boundary, trace_fn(boundary.positions),
+                           pts.points)
+    target = np.where(pts.is_interior[:, None], trace_fn(pts.points), 0.0)
+    return np.max(np.abs(T + B - target), axis=-1)
 
 
 def test_borel_pompeiu_constant_field():
@@ -375,8 +397,7 @@ def test_borel_pompeiu_constant_field():
 
     v = MultivectorField(g, cfn(g.coords().reshape(-1, 3)).reshape(16, 16, 16, 8))
     pts = IO.EvaluationSet.build(g, 4, 4, margin=0.2, seed=2, snap_to_centers=True)
-    res = IO.borel_pompeiu_residual(v, pts, trace_fn=cfn,
-                                    boundary=boundary_sampling(g, 64))
+    res = borel_pompeiu_residual(v, pts, trace_fn=cfn, boundary=boundary_sampling(g, 64))
     assert np.max(res) <= 2e-3 * 2.0
 
 
@@ -388,7 +409,7 @@ def test_borel_pompeiu_quadratic_refinement():
             g, quadratic_trace(g.coords().reshape(-1, 3)).reshape(r, r, r, 8)
         )
         pts = IO.EvaluationSet.build(g, 8, 8, margin=0.2, seed=11, snap_to_centers=True)
-        res = IO.borel_pompeiu_residual(
+        res = borel_pompeiu_residual(
             v, pts, trace_fn=quadratic_trace, boundary=boundary_sampling(g, 64)
         )
         rel = res / v.max_norm()

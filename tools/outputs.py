@@ -20,14 +20,24 @@ two trees file by file:
 
     PYTHONPATH=/path/to/parent/src python3 tools/outputs.py --keep parent-out
     PYTHONPATH=src python3 tools/outputs.py --keep change-out
+    PYTHONPATH=src python3 tools/outputs.py --compare parent-out change-out
+
+`--compare PARENT CHANGE` runs nothing.  For each file whose digest differs
+between the two trees it prints the largest relative and absolute move of
+a numeric JSON field or CSV cell, a relative move being |a - b| /
+max(|a|, |b|), and flags a `passed` that flipped, any other changed field
+or cell, and a file that only one tree has.
 
 The package is imported from PYTHONPATH.  Command output goes to stderr;
-the exit status is 1 when any command exits non-zero.
+the exit status is 1 when any command exits non-zero, or, with --compare,
+when a file is flagged.
 """
 
 import argparse
 import contextlib
 import hashlib
+import json
+import math
 import os
 import sys
 import tempfile
@@ -79,11 +89,89 @@ def run_in(work):
     return failed
 
 
+def files(root):
+    return {os.path.relpath(os.path.join(top, name), root)
+            for top, _, names in os.walk(root) for name in names}
+
+
+def leaves(path):
+    """Every field of a JSON file by its key path, or every cell of a CSV
+    file by its (line, column)."""
+    def walk(node, at):
+        if isinstance(node, (dict, list)):
+            for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+                yield from walk(child, at + (key,))
+        else:
+            yield at, node
+
+    with open(path) as fh:
+        if path.endswith(".json"):
+            return dict(walk(json.load(fh), ()))
+        return {(n, k): cell for n, line in enumerate(fh)
+                for k, cell in enumerate(line.rstrip("\n").split(","))}
+
+
+def number(value):
+    """The float of a JSON number or a numeric CSV cell, else None."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def moves(old, new):
+    """(largest relative move and its place, largest absolute move, whether
+    `passed` flipped, the places of other changes) between the leaves of two
+    files."""
+    rel, where, absolute = 0.0, None, 0.0
+    flipped, other = False, []
+    for at in sorted(old.keys() | new.keys(), key=str):
+        a, b = old.get(at), new.get(at)
+        if a == b or at[-1] == "runtime_seconds":
+            continue
+        x, y = number(a), number(b)
+        if at[-1] == "passed":
+            flipped = True
+        elif x is None or y is None or math.isnan(x) or math.isnan(y):
+            other.append(at)
+        elif x != y:
+            absolute = max(absolute, abs(x - y))
+            if abs(x - y) / max(abs(x), abs(y)) > rel:
+                rel, where = abs(x - y) / max(abs(x), abs(y)), at
+    return rel, where, absolute, flipped, other
+
+
+def compare(parent, change):
+    """Print the moves of every file that differs; True when one is flagged."""
+    flagged = False
+    for path in sorted(files(parent) | files(change)):
+        old, new = os.path.join(parent, path), os.path.join(change, path)
+        if not (os.path.exists(old) and os.path.exists(new)):
+            print(f"{path}: only in {old if os.path.exists(old) else new}")
+            flagged = True
+        elif digest(old) != digest(new):
+            rel, where, absolute, flipped, other = moves(leaves(old), leaves(new))
+            notes = ["passed flipped"] if flipped else []
+            if other:
+                notes.append(f"{len(other)} other change(s), first at {other[0]}")
+            print(f"{path}: largest move {rel:.2e} relative (at {where}), {absolute:.2e} absolute"
+                  + "".join(f"; {note}" for note in notes))
+            flagged |= bool(notes)
+    return flagged
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--keep", metavar="DIR",
-                        help="run in DIR and keep the outputs there")
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--keep", metavar="DIR",
+                       help="run in DIR and keep the outputs there")
+    group.add_argument("--compare", nargs=2, metavar=("PARENT", "CHANGE"),
+                       help="compare the outputs of two --keep runs")
     args = parser.parse_args(argv)
+    if args.compare:
+        return 1 if compare(*args.compare) else 0
     os.environ["VEKUA_LAB_SEED"] = SEED
     if args.keep:
         os.makedirs(args.keep, exist_ok=True)
