@@ -43,10 +43,8 @@ DTN_SYMMETRY_TOL = 1e-8
 
 
 def _load_config(identity, args):
-    if args.config:
-        cfg = SuiteConfig.from_json(args.config, identity=identity)
-    else:
-        cfg = SuiteConfig.defaults(identity)
+    cfg = (SuiteConfig.from_json(args.config, identity=identity) if args.config
+           else SuiteConfig.defaults(identity))
     return dataclasses.replace(cfg, output_dir=args.out) if args.out else cfg
 
 

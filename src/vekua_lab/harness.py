@@ -47,8 +47,7 @@ from .runtime import POLICY, pooled
 from .vekua import (
     ConductivityProfile, ExponentialVekuaSolution, PROFILE_FAMILIES, adjoint_vekua_operator,
     beltrami_residual, beltrami_transform, construct_bivector_part, hodge_orthogonality,
-    check_profile_on_box, exponent_range, make_profile, resolve_profile, vekua_operator,
-    vekua_residual,
+    check_profile_on_box, exponent_range, make_profile, vekua_operator, vekua_residual,
 )
 
 DEFAULT_SEED = 2024
@@ -86,13 +85,12 @@ class SuiteConfig:
     """Knobs for one identity check: profile, resolutions, tolerances, output.
 
     Frozen, so the validation of `__post_init__` holds for the config's
-    life: the generic fields and the box check first, then the domain
-    rules its identity was registered with.  The profile is kept as a
-    read-only copy, its sequences as tuples."""
+    life: the generic fields and the box check first, then its identity's
+    domain rules.  Fields are stored canonical: counts `int`, reals `float`,
+    resolutions a tuple of `int`, the profile its resolved spec, read-only."""
 
     identity: str
-    profile: Mapping = field(default_factory=lambda: {
-        "kind": "exponential", **PROFILE_FAMILIES["exponential"][1]})
+    profile: Mapping = field(default_factory=lambda: {"kind": "exponential"})
     resolutions: tuple = (16, 32)
     margin_fraction: float = 0.2
     interior_rel_tol: float = 0.05
@@ -106,19 +104,20 @@ class SuiteConfig:
 
     def __post_init__(self):
         check = _registered(self.identity)
-        if self.seed is None:
-            object.__setattr__(self, "seed", default_seed())
         if not isinstance(self.resolutions, (list, tuple)):
             raise ValueError(f"resolutions must be a list of integers, got {self.resolutions!r}")
         if not self.resolutions:
             raise ValueError("resolutions must be non-empty")
         counts = [("resolutions", r, MIN_RESOLUTION) for r in self.resolutions] + [
             ("n_interior", self.n_interior, 1), ("n_exterior", self.n_exterior, 0),
-            ("boundary_cells", self.boundary_cells, MIN_BOUNDARY_CELLS), ("seed", self.seed, 0)]
+            ("boundary_cells", self.boundary_cells, MIN_BOUNDARY_CELLS),
+            ("seed", default_seed() if self.seed is None else self.seed, 0)]
         for name, value, minimum in counts:
             if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
                     or value < minimum):
                 raise ValueError(f"{name}: {value!r} is not an integer >= {minimum}")
+            if name != "resolutions":
+                object.__setattr__(self, name, int(value))
         object.__setattr__(self, "resolutions", tuple(int(r) for r in self.resolutions))
         if any(b <= a for a, b in zip(self.resolutions, self.resolutions[1:])):
             raise ValueError("resolutions must be strictly increasing")
@@ -128,6 +127,7 @@ class SuiteConfig:
                 raise ValueError(f"{name} must be a real number, got {value!r}")
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if not 0.0 < self.margin_fraction < 0.5:
             raise ValueError(f"margin_fraction must be in (0, 0.5), got {self.margin_fraction}")
         if self.output_dir is not None and not isinstance(self.output_dir, str):
@@ -139,11 +139,7 @@ class SuiteConfig:
                 raise ValueError(f"margin_fraction {self.margin_fraction} leaves no cell center "
                                  f"inside the margin of the resolution-{res} grid, where "
                                  "snapped evaluation points sit")
-        box = self.grid(MIN_RESOLUTION)
-        check_profile_on_box(self.profile, box.origin, box.top)
-        object.__setattr__(self, "profile", MappingProxyType({
-            key: tuple(np.asarray(value, dtype=object).tolist()) if np.ndim(value) else value
-            for key, value in self.profile.items()}))
+        object.__setattr__(self, "profile", check_profile_on_box(self.profile, *_box(self)))
         for rule in check.domain:
             rule(self)
 
@@ -158,16 +154,16 @@ class SuiteConfig:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError(f"{path}: the top level must be an object, got {type(data).__name__}")
-        unknown = sorted(set(data) - {f.name for f in fields(cls)})
-        if unknown:
+        if unknown := sorted(set(data) - {f.name for f in fields(cls)}):
             raise ValueError(f"{path}: unknown config keys {unknown}")
         if identity is not None:
             data["identity"] = identity
         return cls.defaults(**data)
 
     def config_hash(self):
-        payload = json.dumps({**vars(self), "profile": dict(self.profile)}, sort_keys=True,
-                             default=str).encode()
+        """The hash of the computation: every field but output_dir, which is hashed as null."""
+        payload = json.dumps({**vars(self), "profile": dict(self.profile), "output_dir": None},
+                             sort_keys=True).encode()
         return hashlib.sha256(payload).hexdigest()[:16]
 
     def grid(self, res):
@@ -240,16 +236,21 @@ def _ratio_ok(errors, required, floor=1e-12):
 def _exponential_rate(cfg):
     """The rate lam of the config's exponential profile; the family's default
     rate for a profile of another kind."""
-    return np.asarray(cfg.profile.get("lam", PROFILE_FAMILIES["exponential"][1]["lam"]),
-                      dtype=float)
+    return np.array(cfg.profile.get("lam", PROFILE_FAMILIES["exponential"][1]["lam"]))
 
 
 # -- domain rules: rule(cfg) raises a ValueError for a config a check cannot run --
 
 
+def _box(cfg):
+    """The (lower, upper) corners of the box every level grid of the config spans."""
+    box = cfg.grid(MIN_RESOLUTION)
+    return box.origin, box.top
+
+
 def _exponential(cfg):
     """The check compares with the exponential family's closed forms."""
-    if (kind := resolve_profile(cfg.profile)[0]) != "exponential":
+    if (kind := cfg.profile["kind"]) != "exponential":
         raise ValueError(f"profile: identity {cfg.identity!r} needs the exponential closed-form "
                          f"family, got profile kind {kind!r}")
 
@@ -365,7 +366,8 @@ class Level:
 
     @functools.cached_property
     def profile(self):
-        return make_profile(self.grid, self.cfg.profile)
+        params = dict(self.cfg.profile)
+        return PROFILE_FAMILIES[params.pop("kind")][0](self.grid, **params)
 
     def face_cell_sweep(self):
         """Levels that keep this grid and its evaluation sets and refine the faces
@@ -722,8 +724,7 @@ def _green_solve_reaches(cfg):
     """The profile domain of green_vekua: lam . x spans at most
     GREEN_SOLVE_REACH on the box."""
     lam = _exponential_rate(cfg)
-    box = cfg.grid(MIN_RESOLUTION)
-    low, high = exponent_range(lam, box.origin, box.top)
+    low, high = exponent_range(lam, *_box(cfg))
     if not high - low <= GREEN_SOLVE_REACH:
         raise ValueError(
             f"profile: identity 'green_vekua' solves the conductivity problem of its weak arm, "
@@ -932,8 +933,7 @@ def _lifts_to_a_beltrami_field(cfg):
     elliptic as a float, and |lam| at least MIN_ROTATION, so the rotation
     field that the lift inverts is not lost in the solver's rounding."""
     lam = _exponential_rate(cfg)
-    box = cfg.grid(MIN_RESOLUTION)
-    low, high = exponent_range(lam, box.origin, box.top)
+    low, high = exponent_range(lam, *_box(cfg))
     if not (max(-low, high) <= BELTRAMI_LOG_F and np.max(np.abs(lam)) >= MIN_ROTATION):
         raise ValueError(
             f"profile: identity 'vekua_pipeline' needs lam . x within +-{BELTRAMI_LOG_F:g} on "
@@ -1051,10 +1051,9 @@ GAP_RATE_FACTOR = 1.5
 def _steeper_profile_fits(cfg):
     """The profile domain of difference_identities: the exponential profile
     with GAP_RATE_FACTOR times the config's rate passes the box check too."""
-    box = cfg.grid(MIN_RESOLUTION)
     steeper = {"kind": "exponential", "lam": (GAP_RATE_FACTOR * _exponential_rate(cfg)).tolist()}
     try:
-        check_profile_on_box(steeper, box.origin, box.top)
+        check_profile_on_box(steeper, *_box(cfg))
     except ValueError as err:
         raise ValueError(f"{err}; identity 'difference_identities' also builds the profile "
                          f"with {GAP_RATE_FACTOR:g} times the rate") from None

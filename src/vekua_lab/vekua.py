@@ -18,6 +18,7 @@ import math
 import numbers
 import sys
 from collections.abc import Mapping
+from types import MappingProxyType
 
 import numpy as np
 
@@ -134,7 +135,7 @@ class ConductivityProfile:
 
 # profile kind -> (its constructor, its parameters and their defaults)
 PROFILE_FAMILIES = {
-    "exponential": (ConductivityProfile.exponential, {"lam": [0.0, 0.0, 1.0]}),
+    "exponential": (ConductivityProfile.exponential, {"lam": (0.0, 0.0, 1.0)}),
     "constant": (ConductivityProfile.constant, {"value": 1.0}),
     "linear_z": (ConductivityProfile.linear_z, {"a": 1.0, "b": 0.5}),
     "quadratic_z": (ConductivityProfile.quadratic_z, {"a": 1.0, "c": 0.5}),
@@ -142,25 +143,27 @@ PROFILE_FAMILIES = {
 
 
 def resolve_profile(spec):
-    """(kind, parameters with their defaults filled in) of a profile spec; a
-    ValueError for an unknown kind (default: exponential), a key its kind does
-    not take, or a parameter that is not as many finite numbers as its default."""
+    """The resolved spec of a profile spec: a read-only mapping of its kind
+    (default: exponential) and every parameter of its family, given or
+    defaulted, as a float or a tuple of floats.  A ValueError for an unknown
+    kind, a key its kind does not take, or a parameter that is not as many
+    finite numbers as its default."""
     kind = spec.get("kind", "exponential") if isinstance(spec, Mapping) else None
     if not isinstance(kind, str) or kind not in PROFILE_FAMILIES:
         raise ValueError(f"profile: {spec!r} names no kind of {list(PROFILE_FAMILIES)}")
     _, params = PROFILE_FAMILIES[kind]
-    for key, value in spec.items():
-        if key == "kind":
-            continue
-        if key not in params:
-            raise ValueError(f"profile: unknown key {key!r} for kind {kind!r}")
-        size = np.size(params[key])
+    if unknown := [key for key in spec if key != "kind" and key not in params]:
+        raise ValueError(f"profile: unknown key {unknown[0]!r} for kind {kind!r}")
+    resolved = {"kind": kind}
+    for key, default in params.items():
+        value, size = spec.get(key, default), np.size(default)
         sequence = size > 1 and isinstance(value, (list, tuple, np.ndarray))
         items = list(value) if sequence else [value]
         if len(items) != size or not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
                                           and math.isfinite(v) for v in items):
             raise ValueError(f"profile: {key!r} must be {size} finite number(s), got {value!r}")
-    return kind, {key: spec.get(key, default) for key, default in params.items()}
+        resolved[key] = tuple(map(float, items)) if sequence else float(value)
+    return MappingProxyType(resolved)
 
 
 # exp(t) is a finite, normal float for t in this range (up to rounding at its ends)
@@ -179,7 +182,7 @@ def exponent_range(lam, lower, upper):
 
 
 def check_profile_on_box(spec, lower, upper):
-    """`resolve_profile(spec)`, and a ValueError when the factor f of the spec
+    """`resolve_profile(spec)`, or a ValueError when the factor f of the spec
     vanishes, changes sign or leaves exp(+-LOG_F_BOUND) in magnitude anywhere
     on the box [lower, upper], so that every conductivity sigma = f^2 and the
     product of two of them are finite normal floats.  Checked in closed form,
@@ -187,10 +190,10 @@ def check_profile_on_box(spec, lower, upper):
     the box's corners for the exponential family, the ends of the box's z
     range (and z = 0 inside it, for quadratic_z) for the others.  For the
     exponential family |grad f| = |lam| exp(lam . x) must be finite too."""
-    kind, params = resolve_profile(spec)
+    params = resolve_profile(spec)
     lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
-    if kind == "exponential":
-        lam = np.asarray(params["lam"], dtype=float)
+    if params["kind"] == "exponential":
+        lam = np.array(params["lam"])
         low, high = exponent_range(lam, lower, upper)
         norm = math.hypot(*lam)  # inf, not a warning, when |lam| overflows
         log_grad = high + (math.log(norm) if norm > 0.0 else -math.inf)
@@ -202,24 +205,24 @@ def check_profile_on_box(spec, lower, upper):
                 f"two conductivities f^2 = exp(2 lam . x) stays in the float range, or "
                 f"|grad f| = |lam| exp(lam . x) leaves it: lam . x + log|lam| must be at most "
                 f"{EXPONENT_RANGE[1]:.1f}")
-        return kind, params
+        return params
     zs = [float(lower[2]), float(upper[2])] + ([0.0] if lower[2] < 0.0 < upper[2] else [])
-    f = {"constant": lambda z: float(params["value"]),
+    f = {"constant": lambda z: params["value"],
          "linear_z": lambda z: params["a"] + params["b"] * z,
-         "quadratic_z": lambda z: params["a"] + params["c"] * z * z}[kind]
+         "quadratic_z": lambda z: params["a"] + params["c"] * z * z}[params["kind"]]
     values = [f(z) for z in zs]
     if not ((all(v > 0.0 for v in values) or all(v < 0.0 for v in values))
             and all(abs(math.log(abs(v))) <= LOG_F_BOUND for v in values)):
-        raise ValueError(f"profile: {kind} factor f takes the values {values} at z = {zs} on "
-                         f"the box, so it is zero, changes sign or leaves "
+        raise ValueError(f"profile: {params['kind']} factor f takes the values {values} at "
+                         f"z = {zs} on the box, so it is zero, changes sign or leaves "
                          f"exp(+-{LOG_F_BOUND:.1f}) in magnitude there")
-    return kind, params
+    return params
 
 
-def make_profile(grid: BoxGrid, spec: dict) -> ConductivityProfile:
-    """Build a profile from a config dictionary {"kind": ..., parameters}."""
-    kind, params = resolve_profile(spec)
-    return PROFILE_FAMILIES[kind][0](grid, **params)
+def make_profile(grid: BoxGrid, spec) -> ConductivityProfile:
+    """Build a profile from a spec {"kind": ..., parameters}, resolved first."""
+    params = dict(resolve_profile(spec))
+    return PROFILE_FAMILIES[params.pop("kind")][0](grid, **params)
 
 
 class BeltramiCoefficient:

@@ -104,16 +104,21 @@ def test_config_rejects_bad_profiles(profile):
         H.SuiteConfig.defaults("cauchy_vekua", profile=profile)
 
 
-def test_config_records_valid_profiles_as_given():
-    # nothing is filled in, so a valid config keeps its hash; sequences are
-    # kept as tuples of the same values
-    for profile in ({"lam": [0, 0, 1]}, {"kind": "quadratic_z", "c": 0.25},
-                    {"kind": "exponential", "lam": np.array([0.5, 0.0, 1.0])}):
+def test_config_records_valid_profiles_resolved():
+    # the config holds the resolved spec: the kind and every parameter of its
+    # family, defaults filled in, reals as floats and sequences as tuples
+    for profile, resolved in [
+            ({"lam": [0, 0, 1]}, {"kind": "exponential", "lam": (0.0, 0.0, 1.0)}),
+            ({"kind": "quadratic_z", "c": 0.25}, {"kind": "quadratic_z", "a": 1.0, "c": 0.25}),
+            ({"kind": "exponential", "lam": np.array([0.5, 0.0, 1.0])},
+             {"kind": "exponential", "lam": (0.5, 0.0, 1.0)}),
+            ({"b": np.int64(2), "kind": "linear_z"}, {"kind": "linear_z", "a": 1.0, "b": 2.0})]:
         kept = H.SuiteConfig.defaults("dtn_relation", profile=dict(profile)).profile
-        assert list(kept) == list(profile)
-        for key, value in profile.items():
-            assert type(kept[key]) is (tuple if np.ndim(value) else type(value))
-            assert np.array_equal(kept[key], value)
+        assert list(kept.items()) == list(resolved.items())
+        for key, value in resolved.items():
+            assert type(kept[key]) is type(value)
+            if type(value) is tuple:
+                assert all(type(v) is float for v in kept[key])
 
 
 def test_a_config_holds_its_own_read_only_profile(monkeypatch):
@@ -484,6 +489,35 @@ def test_config_defaults_and_hash():
     assert cfg.config_hash() == cfg2.config_hash()
     cfg3 = H.SuiteConfig.defaults("cauchy_constant", seed=999)
     assert cfg.config_hash() != cfg3.config_hash()
+
+
+def test_equal_computations_hash_equal(monkeypatch):
+    # the hash names the computation: not the spelling of a count, a real or
+    # the profile, nor where the reports go
+    monkeypatch.delenv("VEKUA_LAB_SEED", raising=False)
+    cfg = H.SuiteConfig.defaults("cauchy_constant")
+    assert cfg.config_hash() == "b378d89b836ff8b2"
+    for overrides in [
+            dict(n_interior=np.int64(6), n_exterior=np.int32(6), boundary_cells=np.int64(64),
+                 seed=np.int64(2024), resolutions=(np.int64(16), np.uint8(32))),
+            dict(profile={"kind": "exponential", "lam": [0.0, 0.0, 1.0]}),
+            dict(profile={"kind": "exponential", "lam": (0.0, 0.0, 1.0)}),
+            dict(profile={"kind": "exponential", "lam": np.array([0.0, 0.0, 1.0])}),
+            dict(profile={"kind": "exponential", "lam": [0, 0, 1]}),
+            dict(profile={"lam": [0.0, 0.0, 1.0]}), dict(profile={}),
+            dict(output_dir="x"),
+            dict(n_interior=np.int64(6), seed=np.int64(2024), output_dir="x",
+                 profile={"lam": [0, 0, 1]})]:
+        assert H.SuiteConfig.defaults("cauchy_constant", **overrides).config_hash() == \
+            cfg.config_hash(), overrides
+    assert dataclasses.replace(cfg, output_dir="reports").config_hash() == cfg.config_hash()
+    assert (H.SuiteConfig.defaults("cauchy_constant", refinement_ratio=2).config_hash()
+            == H.SuiteConfig.defaults("cauchy_constant", refinement_ratio=2.0).config_hash())
+    for overrides in [dict(seed=2025), dict(profile={"lam": [0.0, 0.5, 1.0]}),
+                      dict(resolutions=(16, 24)), dict(interior_rel_tol=2e-3),
+                      dict(refinement_ratio=2.0)]:
+        assert H.SuiteConfig.defaults("cauchy_constant", **overrides).config_hash() != \
+            cfg.config_hash(), overrides
 
 
 def test_config_seed_from_environment(monkeypatch):

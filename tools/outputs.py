@@ -2,11 +2,10 @@
 
 With VEKUA_LAB_SEED=2024 it runs `suite all`, `convergence cauchy_constant`
 and `dtn --resolution 48` for every profile family and both kinds, each
-with a relative --out path under a fresh temporary working directory
-(`config_hash` hashes `output_dir`, so relative paths keep the hashes
-independent of where the checkout lives).  It prints one `sha256  path`
-line per file, sorted by path; a report.json is hashed without its
-`runtime_seconds` line, the only field that changes from run to run.
+writing to a relative --out path under a fresh temporary working
+directory.  It prints one `sha256  path` line per file, sorted by path; a
+report.json is hashed without its `runtime_seconds` line, the only field
+that changes from run to run.
 Two trees write the same outputs exactly when their listings are equal:
 
     PYTHONPATH=src python3 tools/outputs.py > change.txt
@@ -26,7 +25,9 @@ two trees file by file:
 between the two trees it prints the largest relative and absolute move of
 a numeric JSON field or CSV cell, a relative move being |a - b| /
 max(|a|, |b|), and flags a `passed` that flipped, any other changed field
-or cell, and a file that only one tree has.
+or cell (naming up to five, a JSON field by its dotted key path such as
+`provenance.config_hash`, a CSV cell as line:column), and a file that
+only one tree has.
 
 The package is imported from PYTHONPATH.  Command output goes to stderr;
 the exit status is 1 when any command exits non-zero, or, with --compare,
@@ -107,8 +108,13 @@ def leaves(path):
     with open(path) as fh:
         if path.endswith(".json"):
             return dict(walk(json.load(fh), ()))
-        return {(n, k): cell for n, line in enumerate(fh)
+        return {(f"{n}:{k}",): cell for n, line in enumerate(fh)
                 for k, cell in enumerate(line.rstrip("\n").split(","))}
+
+
+def place(at):
+    """The dotted key path of a leaf."""
+    return ".".join(map(str, at))
 
 
 def number(value):
@@ -155,9 +161,11 @@ def compare(parent, change):
             rel, where, absolute, flipped, other = moves(leaves(old), leaves(new))
             notes = ["passed flipped"] if flipped else []
             if other:
-                notes.append(f"{len(other)} other change(s), first at {other[0]}")
-            print(f"{path}: largest move {rel:.2e} relative (at {where}), {absolute:.2e} absolute"
-                  + "".join(f"; {note}" for note in notes))
+                notes.append(f"{len(other)} other change(s): "
+                             + ", ".join(map(place, other[:5])) + (", ..." if other[5:] else ""))
+            move = (f"largest move {rel:.2e} relative (at {place(where)}), {absolute:.2e} absolute"
+                    if where else "no numeric move")
+            print(f"{path}: {move}" + "".join(f"; {note}" for note in notes))
             flagged |= bool(notes)
     return flagged
 
