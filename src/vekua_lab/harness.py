@@ -46,8 +46,9 @@ from .pde import DirichletOperator, DtnForm, SOLVER_RTOL, dtn_relation_residuals
 from .runtime import POLICY, pooled
 from .vekua import (
     ConductivityProfile, ExponentialVekuaSolution, PROFILE_FAMILIES, adjoint_vekua_operator,
-    beltrami_residual, beltrami_transform, construct_bivector_part, hodge_orthogonality,
-    check_profile_on_box, exponent_range, make_profile, vekua_operator, vekua_residual,
+    beltrami_residual, beltrami_transform, check_profile_on_box, construct_bivector_part,
+    exponent_range, hodge_orthogonality, is_finite_real, make_profile, vekua_operator,
+    vekua_residual,
 )
 
 DEFAULT_SEED = 2024
@@ -123,9 +124,9 @@ class SuiteConfig:
             raise ValueError("resolutions must be strictly increasing")
         for name in ("margin_fraction", "interior_rel_tol", "exterior_abs_tol", "refinement_ratio"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            if not is_finite_real(value):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
-            if not (math.isfinite(value) and value > 0):
+            if not value > 0:
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
             object.__setattr__(self, name, float(value))
         if not 0.0 < self.margin_fraction < 0.5:
@@ -366,8 +367,7 @@ class Level:
 
     @functools.cached_property
     def profile(self):
-        params = dict(self.cfg.profile)
-        return PROFILE_FAMILIES[params.pop("kind")][0](self.grid, **params)
+        return make_profile(self.grid, self.cfg.profile)
 
     def face_cell_sweep(self):
         """Levels that keep this grid and its evaluation sets and refine the faces
@@ -1034,7 +1034,7 @@ def check_dtn_relation(cfg: SuiteConfig, levels):
 
     grid = levels[0].grid
     X = grid.coords()
-    [(const_resid, _)] = dtn_relation_residuals(ConductivityProfile.constant(grid, 2.0),
+    [(const_resid, _)] = dtn_relation_residuals(ConductivityProfile.polynomial_z(grid, 2.0),
                                                 [X[..., 0]], X[..., 0])
     return Plan(_per_level(levels, residuals),
                 {"interior": _interior(),

@@ -43,8 +43,7 @@ class ConductivityProfile:
 
     Built from closed-form callables for f, grad f and q = Delta f / f, so
     kernels and boundary quadrature can evaluate f away from grid nodes.
-    The families below (exponential, constant, linear and quadratic in z)
-    are the ones the checks and the CLI use.
+    The two families below are the ones the checks and the CLI use.
     """
 
     def __init__(self, grid: BoxGrid, f_fn, grad_fn, q_fn):
@@ -76,44 +75,17 @@ class ConductivityProfile:
         )
 
     @classmethod
-    def constant(cls, grid, value):
-        return cls(
-            grid,
-            f_fn=lambda X: np.full(X.shape[:-1], float(value)),
-            grad_fn=lambda X: np.zeros(X.shape),
-            q_fn=lambda X: np.zeros(X.shape[:-1]),
-        )
-
-    @classmethod
-    def separable_z(cls, grid, fz, dfz, d2fz):
-        """f depending on the last coordinate only, via closed-form callables."""
-
+    def polynomial_z(cls, grid, a, b=0.0, c=0.0):
+        """f = a + b z + c z^2, so f' = b + 2 c z and q = f'' / f = 2 c / f."""
         def f_fn(X):
-            return fz(X[..., -1])
+            return z_polynomial(X[..., -1], a, b, c)
 
         def grad_fn(X):
             g = np.zeros(X.shape)
-            g[..., -1] = dfz(X[..., -1])
+            g[..., -1] = b + 2.0 * c * X[..., -1]
             return g
 
-        def q_fn(X):
-            return d2fz(X[..., -1]) / fz(X[..., -1])
-
-        return cls(grid, f_fn, grad_fn, q_fn)
-
-    @classmethod
-    def linear_z(cls, grid, a, b):
-        return cls.separable_z(
-            grid, lambda z: a + b * z, lambda z: np.full_like(z, float(b)),
-            lambda z: np.zeros_like(z)
-        )
-
-    @classmethod
-    def quadratic_z(cls, grid, a, c):
-        return cls.separable_z(
-            grid, lambda z: a + c * z**2, lambda z: 2.0 * c * z,
-            lambda z: np.full_like(z, 2.0 * c)
-        )
+        return cls(grid, f_fn, grad_fn, lambda X: 2.0 * c / f_fn(X))
 
     # pointwise evaluation
 
@@ -133,13 +105,25 @@ class ConductivityProfile:
         return MultivectorField.from_vector(self.grid, self.alpha)
 
 
-# profile kind -> (its constructor, its parameters and their defaults)
+def z_polynomial(z, a, b, c):
+    """f = a + b z + c z^2 at z: the factor of every profile kind but exponential."""
+    return a + b * z + c * z**2
+
+
+# profile kind -> (the coefficients (a, b, c) of `z_polynomial` of a resolved
+# spec, None for exponential; its parameters and their defaults)
 PROFILE_FAMILIES = {
-    "exponential": (ConductivityProfile.exponential, {"lam": (0.0, 0.0, 1.0)}),
-    "constant": (ConductivityProfile.constant, {"value": 1.0}),
-    "linear_z": (ConductivityProfile.linear_z, {"a": 1.0, "b": 0.5}),
-    "quadratic_z": (ConductivityProfile.quadratic_z, {"a": 1.0, "c": 0.5}),
+    "exponential": (None, {"lam": (0.0, 0.0, 1.0)}),
+    "constant": (lambda p: (p["value"], 0.0, 0.0), {"value": 1.0}),
+    "linear_z": (lambda p: (p["a"], p["b"], 0.0), {"a": 1.0, "b": 0.5}),
+    "quadratic_z": (lambda p: (p["a"], 0.0, p["c"]), {"a": 1.0, "c": 0.5}),
 }
+
+
+def is_finite_real(value):
+    """Whether `value` is a real number, not a bool, inside the finite float range."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def resolve_profile(spec):
@@ -159,8 +143,7 @@ def resolve_profile(spec):
         value, size = spec.get(key, default), np.size(default)
         sequence = size > 1 and isinstance(value, (list, tuple, np.ndarray))
         items = list(value) if sequence else [value]
-        if len(items) != size or not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
-                                          and math.isfinite(v) for v in items):
+        if len(items) != size or not all(map(is_finite_real, items)):
             raise ValueError(f"profile: {key!r} must be {size} finite number(s), got {value!r}")
         resolved[key] = tuple(map(float, items)) if sequence else float(value)
     return MappingProxyType(resolved)
@@ -188,7 +171,7 @@ def check_profile_on_box(spec, lower, upper):
     product of two of them are finite normal floats.  Checked in closed form,
     not at nodes, from the extremes of f on the box: the exponent lam . x at
     the box's corners for the exponential family, the ends of the box's z
-    range (and z = 0 inside it, for quadratic_z) for the others.  For the
+    range (and its vertex, when inside it) for the others.  For the
     exponential family |grad f| = |lam| exp(lam . x) must be finite too."""
     params = resolve_profile(spec)
     lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
@@ -206,11 +189,11 @@ def check_profile_on_box(spec, lower, upper):
                 f"|grad f| = |lam| exp(lam . x) leaves it: lam . x + log|lam| must be at most "
                 f"{EXPONENT_RANGE[1]:.1f}")
         return params
-    zs = [float(lower[2]), float(upper[2])] + ([0.0] if lower[2] < 0.0 < upper[2] else [])
-    f = {"constant": lambda z: params["value"],
-         "linear_z": lambda z: params["a"] + params["b"] * z,
-         "quadratic_z": lambda z: params["a"] + params["c"] * z * z}[params["kind"]]
-    values = [f(z) for z in zs]
+    a, b, c = PROFILE_FAMILIES[params["kind"]][0](params)
+    zs = [float(lower[2]), float(upper[2])]
+    if c != 0.0 and lower[2] < (vertex := 0.0 - b / (2.0 * c)) < upper[2]:
+        zs.append(vertex)
+    values = z_polynomial(np.array(zs), a, b, c).tolist()
     if not ((all(v > 0.0 for v in values) or all(v < 0.0 for v in values))
             and all(abs(math.log(abs(v))) <= LOG_F_BOUND for v in values)):
         raise ValueError(f"profile: {params['kind']} factor f takes the values {values} at "
@@ -221,8 +204,10 @@ def check_profile_on_box(spec, lower, upper):
 
 def make_profile(grid: BoxGrid, spec) -> ConductivityProfile:
     """Build a profile from a spec {"kind": ..., parameters}, resolved first."""
-    params = dict(resolve_profile(spec))
-    return PROFILE_FAMILIES[params.pop("kind")][0](grid, **params)
+    params = resolve_profile(spec)
+    if params["kind"] == "exponential":
+        return ConductivityProfile.exponential(grid, params["lam"])
+    return ConductivityProfile.polynomial_z(grid, *PROFILE_FAMILIES[params["kind"]][0](params))
 
 
 class BeltramiCoefficient:

@@ -223,7 +223,7 @@ def test_criterion_09_dtn_properties():
     X32 = g32.coords()
     prof32 = ConductivityProfile.exponential(g32, [0.0, 0.0, 1.0])
     relation32, _ = P.dtn_relation_residuals(prof32, [X32[..., 0]], X32[..., 0])[0]
-    const_prof = ConductivityProfile.constant(g, 2.0)
+    const_prof = ConductivityProfile.polynomial_z(g, 2.0)
     relation_const, _ = P.dtn_relation_residuals(const_prof, [X[..., 0]], X[..., 0])[0]
 
     ok = (

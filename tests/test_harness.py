@@ -82,6 +82,7 @@ def test_config_rejects_negative_seed(seed):
     ("n_interior", 2.5), ("n_exterior", True), ("seed", 1.5), ("seed", True),
     ("interior_rel_tol", float("nan")), ("exterior_abs_tol", float("inf")),
     ("refinement_ratio", float("inf")),
+    pytest.param("interior_rel_tol", 10**400, id="interior_rel_tol-int-beyond-float"),
 ])
 def test_config_rejects_inexact_counts_and_non_finite_tolerances(field, value):
     # counts must be integers (not bools), tolerances finite; none may be
@@ -96,6 +97,7 @@ def test_config_rejects_inexact_counts_and_non_finite_tolerances(field, value):
     {"kind": "exponential", "lam": [1.0, 0.0]}, {"lam": [0.0, float("nan"), 1.0]},
     {"lam": "abc"}, {"lam": [0.0, True, 1.0]}, {"kind": "linear_z", "a": [1.0]},
     {"kind": "constant", "value": float("inf")},
+    {"kind": "constant", "value": 10**400}, {"lam": [10**400, 0, 0]},
 ])
 def test_config_rejects_bad_profiles(profile):
     # an unknown kind, a key of no family (a misspelt lam would run the
@@ -151,6 +153,15 @@ def test_config_refuses_profiles_that_vanish_or_overflow_on_the_box(profile):
     # check happens to build the profile on its nodes
     with pytest.raises(ValueError, match="profile"):
         H.SuiteConfig.defaults("dtn_relation", profile=profile)
+
+
+def test_box_check_refuses_a_quadratic_that_changes_sign_only_at_its_vertex():
+    # f = z^2 - 0.1 is positive at both ends of z in [-0.5, 0.5] and negative
+    # at its vertex z = 0; on [0.5, 1.5] the vertex lies outside the range
+    spec = {"kind": "quadratic_z", "a": -0.1, "c": 1.0}
+    with pytest.raises(ValueError, match=r"at z = \[-0\.5, 0\.5, 0\.0\] on the box"):
+        V.check_profile_on_box(spec, [0.0, 0.0, -0.5], [1.0, 1.0, 0.5])
+    assert V.check_profile_on_box(spec, [0.0, 0.0, 0.5], [1.0, 1.0, 1.5]) == V.resolve_profile(spec)
 
 
 @pytest.mark.parametrize("profile", [
@@ -1107,6 +1118,7 @@ BAD_CONFIGS = {
     "coarse.json": {"resolutions": [8, 16]},
     "zero_rate.json": {"profile": {"kind": "exponential", "lam": [0, 0, 0]}},
     "thin_margin.json": {"margin_fraction": 0.05},
+    "huge.json": {"interior_rel_tol": 10**400},
 }
 
 
@@ -1135,6 +1147,9 @@ BAD_CONFIGS = {
      "profile: identity 's_alpha' normalizes its residual by max |grad f|"),
     (["verify", "cauchy_constant", "--config", "thin_margin.json"],
      "margin_fraction 0.05 keeps evaluation points 0.05 from the boundary"),
+    # an int beyond the float range: a usage error, not an OverflowError
+    (["verify", "cauchy_constant", "--config", "huge.json"],
+     "interior_rel_tol must be a real number, got 1000"),
 ])
 def test_cli_reports_rejected_input_as_usage_errors(tmp_path, monkeypatch, capsys, argv, message):
     # input rejected after parsing exits like an argparse error: a usage line

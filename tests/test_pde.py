@@ -758,7 +758,7 @@ def test_dtn_invalid_kind():
 
 def test_dtn_relation_constant_profile_exact():
     g = grid16()
-    p = ConductivityProfile.constant(g, 2.0)
+    p = ConductivityProfile.polynomial_z(g, 2.0)
     X = g.coords()
     resid, _ = P.dtn_relation_residuals(p, [X[..., 0]], X[..., 0])[0]
     assert resid <= 1e-8

@@ -31,17 +31,51 @@ def test_exponential_profile_closed_forms():
     assert p.f_at(pts)[0] == pytest.approx(np.exp(0.3), rel=1e-14)
 
 
+def _z_closed_forms(params, z):
+    """f, df/dz and q = f'' / f of a z-kind, each written out for its kind."""
+    if params["kind"] == "constant":
+        return np.full(z.shape, params["value"]), np.zeros(z.shape), np.zeros(z.shape)
+    a = params["a"]
+    if params["kind"] == "linear_z":
+        b = params["b"]
+        return a + b * z, np.full(z.shape, b), np.zeros(z.shape)
+    c = params["c"]
+    f = a + c * z**2
+    return f, 2.0 * c * z, 2.0 * c / f
+
+
+@pytest.mark.parametrize("box", [
+    BoxGrid.unit_cube(9), BoxGrid([-0.3, 0.1, -0.5], [0.7, 1.3, 1.5], [8, 9, 11]),
+], ids=["cube", "anisotropic-z-spans-0"])
+@pytest.mark.parametrize("spec", [
+    {"kind": "constant"}, {"kind": "linear_z"}, {"kind": "quadratic_z"},
+    {"kind": "constant", "value": -0.7}, {"kind": "linear_z", "a": 2.0, "b": -0.9},
+    {"kind": "quadratic_z", "a": 1.5, "c": -0.6},
+], ids=lambda spec: "-".join(map(str, spec.values())))
+def test_z_kinds_build_their_closed_forms_bit_for_bit(spec, box):
+    # one polynomial a + b z + c z^2 builds every z-kind; each must equal its
+    # own closed form exactly (np.array_equal: a zero's sign does not count)
+    p = V.make_profile(box, spec)
+    z = box.coords()[..., 2]
+    f, df, q = _z_closed_forms(V.resolve_profile(spec), z)
+    grad_f = np.stack([np.zeros(z.shape), np.zeros(z.shape), df], axis=-1)
+    assert np.array_equal(p.f, f)
+    assert np.array_equal(p.grad_f, grad_f)
+    assert np.array_equal(p.alpha, grad_f / f[..., None])
+    assert np.array_equal(p.q, q)
+
+
 def test_profile_away_from_zero_enforced():
     g = grid16()
     with pytest.raises(ValueError):
-        V.ConductivityProfile.linear_z(g, 0.0, 1.0)  # f = 0 on the z = 0 face
+        V.ConductivityProfile.polynomial_z(g, 0.0, 1.0)  # f = 0 on the z = 0 face
     with pytest.raises(ValueError):
-        V.ConductivityProfile.constant(g, 0.0)
+        V.ConductivityProfile.polynomial_z(g, 0.0)
 
 
 @pytest.mark.parametrize("build", [
-    lambda g: V.ConductivityProfile.constant(g, float("nan")),
-    lambda g: V.ConductivityProfile.constant(g, float("inf")),
+    lambda g: V.ConductivityProfile.polynomial_z(g, float("nan")),
+    lambda g: V.ConductivityProfile.polynomial_z(g, float("inf")),
     lambda g: V.ConductivityProfile.exponential(g, [800.0, 0.0, 0.0]),  # f overflows
     lambda g: V.ConductivityProfile.exponential(g, [709.5, 0.0, 0.0]),  # grad f overflows
 ], ids=["nan", "inf", "inf-factor", "inf-gradient"])
@@ -52,7 +86,7 @@ def test_profile_rejects_non_finite_values(build):
 
 def test_alpha_consistency_invariant():
     g = grid16()
-    p = V.ConductivityProfile.quadratic_z(g, 1.0, 0.5)
+    p = V.ConductivityProfile.polynomial_z(g, 1.0, c=0.5)
     assert np.max(np.abs(p.alpha - p.grad_f / p.f[..., None])) <= 1e-12
 
 
@@ -111,12 +145,12 @@ def test_vekua_residual_monogenic_zero_alpha():
 def test_beltrami_transform_examples():
     g = grid16()
     ones = np.ones(tuple(g.resolution))
-    p2 = V.ConductivityProfile.constant(g, 2.0)
+    p2 = V.ConductivityProfile.polynomial_z(g, 2.0)
     w = MultivectorField.from_components(g, {1: ones})
     u = V.beltrami_transform(w, p2)
     assert np.allclose(u.values[..., 1], 2.0, atol=0.0)
     assert np.max(np.abs(p2.beltrami_mu().mu + 0.6)) <= 1e-15
-    p1 = V.ConductivityProfile.constant(g, 1.0)
+    p1 = V.ConductivityProfile.polynomial_z(g, 1.0)
     w_mixed = MultivectorField.from_components(g, {0: ones, 3: 2 * ones})
     assert np.array_equal(V.beltrami_transform(w_mixed, p1).values, w_mixed.values)
 
@@ -242,7 +276,7 @@ def test_construct_rejects_bad_scalar_data():
 def test_construct_poisson_path_reports_diagnostics():
     # a harmonic u0 with non-constant flux takes the Poisson path
     g = grid16()
-    p = V.ConductivityProfile.constant(g, 1.0)
+    p = V.ConductivityProfile.polynomial_z(g, 1.0)
     X = g.coords()
     w, diag = V.construct_bivector_part(p, X[..., 0] ** 2 - X[..., 1] ** 2)
     assert diag["method"] == "poisson"
@@ -254,13 +288,13 @@ def test_construct_poisson_path_assembles_one_operator(dirichlet_work):
     # the three components of the vector potential share one Laplacian
     g = grid16()
     X = g.coords()
-    V.construct_bivector_part(V.ConductivityProfile.constant(g, 1.0), X[..., 0] * X[..., 1])
+    V.construct_bivector_part(V.ConductivityProfile.polynomial_z(g, 1.0), X[..., 0] * X[..., 1])
     assert dirichlet_work == {"__init__": 1, "solve": 3}
 
 
 def test_construct_closed_form_requires_constant_source():
     g = grid16()
-    p = V.ConductivityProfile.constant(g, 1.0)
+    p = V.ConductivityProfile.polynomial_z(g, 1.0)
     X = g.coords()
     u0 = X[..., 0] * X[..., 1]  # harmonic, but with non-constant flux
     _, diag = V.construct_bivector_part(p, u0)

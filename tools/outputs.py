@@ -25,7 +25,8 @@ two trees file by file:
 between the two trees it prints the largest relative and absolute move of
 a numeric JSON field or CSV cell, a relative move being |a - b| /
 max(|a|, |b|), and flags a `passed` that flipped, any other changed field
-or cell (naming up to five, a JSON field by its dotted key path such as
+or cell, a number that became or stopped being finite among them (naming
+up to five, a JSON field by its dotted key path such as
 `provenance.config_hash`, a CSV cell as line:column), and a file that
 only one tree has.
 
@@ -140,7 +141,7 @@ def moves(old, new):
         x, y = number(a), number(b)
         if at[-1] == "passed":
             flipped = True
-        elif x is None or y is None or math.isnan(x) or math.isnan(y):
+        elif x is None or y is None or not (math.isfinite(x) and math.isfinite(y)):
             other.append(at)
         elif x != y:
             absolute = max(absolute, abs(x - y))
