@@ -149,13 +149,6 @@ def _trace_rows(grid: BoxGrid, traces):
         start += m
 
 
-def _dtn_form(grid: BoxGrid, family, kind):
-    """The DtN form of a profile family and kind.  The profile is only an
-    argument of the form's constructor, freed once the form is built."""
-    form = DtnForm.conductivity if kind == "conductivity" else DtnForm.schrodinger
-    return form(make_profile(grid, {"kind": family}))
-
-
 def _cmd_dtn(args):
     """Write dtn_matrix.csv and traces.csv; exit 1 when the pairing matrix is
     not symmetric to DTN_SYMMETRY_TOL relative to its largest entry.  The
@@ -164,7 +157,8 @@ def _cmd_dtn(args):
     operators and cached solutions, before either CSV is written."""
     grid = BoxGrid.unit_cube(args.resolution)
     seed = default_seed()
-    form = _dtn_form(grid, args.profile, args.kind)
+    # --kind names the form's constructor; the profile is freed once the form is built
+    form = getattr(DtnForm, args.kind)(make_profile(grid, {"kind": args.profile}))
     traces = _trace_basis(grid, args.basis_size, seed)
     matrix = form.matrix(traces)
     del form

@@ -135,7 +135,7 @@ class SuiteConfig:
             raise ValueError(f"output_dir must be a string or null, got {self.output_dir!r}")
         for res in self.resolutions:
             grid = self.grid(res)
-            first, last = margin_centers(grid, self.margin_fraction * float(np.min(grid.extent)))
+            first, last = margin_centers(grid, _margin(self, grid))
             if np.any(last < first):
                 raise ValueError(f"margin_fraction {self.margin_fraction} leaves no cell center "
                                  f"inside the margin of the resolution-{res} grid, where "
@@ -249,6 +249,11 @@ def _box(cfg):
     return box.origin, box.top
 
 
+def _margin(cfg, grid):
+    """How far from the boundary of `grid` the config's evaluation points stand."""
+    return cfg.margin_fraction * float(np.min(grid.extent))
+
+
 def _exponential(cfg):
     """The check compares with the exponential family's closed forms."""
     if (kind := cfg.profile["kind"]) != "exponential":
@@ -280,7 +285,7 @@ def _margin_clears(faces=False, boundary=False, sweep=False):
                  + (_face_cell_sweep(cfg) if sweep else []))
         for res in cfg.resolutions:
             grid = cfg.grid(res)
-            margin = cfg.margin_fraction * float(np.min(grid.extent))
+            margin = _margin(cfg, grid)
             cells = min(fixed + ([_face_cells(res)] if faces else []))
             if margin < (diameter := face_cell_diameter(grid, cells)):
                 raise ValueError(
@@ -354,7 +359,7 @@ class Level:
             cfg = self.cfg
             self._points[snap] = EvaluationSet.build(
                 self.grid, cfg.n_interior, cfg.n_exterior, seed=cfg.seed, snap_to_centers=snap,
-                margin=cfg.margin_fraction * float(np.min(self.grid.extent)))
+                margin=_margin(cfg, self.grid))
         return self._points[snap]
 
     @functools.cached_property
@@ -1192,6 +1197,8 @@ def run_suite(identities=None, parallel=True, **overrides):
     Every identity's config is built, and so validated, before any check
     runs.  The pool has VEKUA_LAB_THREADS workers (default: one per CPU) and
     runs under the process policy (see `runtime`)."""
+    if isinstance(identities, str):
+        raise ValueError(f"identities must be a list of identity names, got {identities!r}")
     names = list(IDENTITIES) if identities is None else list(identities)
     if not names:
         raise ValueError("no identities selected")

@@ -31,10 +31,10 @@ holds only what it reads: `cg` updates its three vectors in place, the
 line-eigenbasis transforms run between two buffers with no transposed
 copy, the preconditioner is built on an operator's first solve and holds
 no interior array of eigenvalues, and an operator without sigma (unit
-coefficient) holds its weights as broadcast views of 2-d data.  There is no direct-solver fallback: a
-solve that misses the residual target, or whose iteration breaks down (a
-non-finite or non-positive r.z or p.Ap, as a NaN trace or an indefinite
-operator gives), raises SolverError.
+coefficient) holds its weights as broadcast views of 2-d data.  There is
+no direct-solver fallback: a solve that misses the residual target, or
+whose iteration breaks down (a non-finite or non-positive r.z or p.Ap, as
+a NaN trace or an indefinite operator gives), raises SolverError.
 
 Flux data never comes from one-sided normal differences - every
 Dirichlet-to-Neumann evaluation is the volume energy form, evaluated as
@@ -156,9 +156,8 @@ def _transverse(axis):
 
 def _face_coefficients(sigma, axis):
     """Harmonic face averages of a nodal coefficient along one axis."""
-    lo = np.moveaxis(sigma, axis, 0)[:-1]
-    hi = np.moveaxis(sigma, axis, 0)[1:]
-    return np.moveaxis(_harmonic_mean(lo, hi), 0, axis)
+    below, above = _along(axis, slice(None, -1)), _along(axis, slice(1, None))
+    return _harmonic_mean(sigma[below], sigma[above])
 
 
 class DirichletOperator:
@@ -179,14 +178,14 @@ class DirichletOperator:
     columns (`_apply`, through `_interior_flux`) and the boundary coupling
     (`trace_rhs`, on the layer next to the boundary), so the interior
     equations are exactly the Galerkin equations of the form.  Coefficients
-    must be finite, and sigma positive with finite, nonzero face averages.  With q, well-posedness is
-    guaranteed for potentials of conductivity type (q = Laplacian(f)/f with
-    f bounded away from zero); other potentials are accepted, and a solve
-    that misses the residual target raises SolverError.  The preconditioner
-    (`_preconditioner`) is built on the first solve, so an operator that is
-    never solved holds none; its per-axis line-eigenbasis transforms are
-    BLAS matrix products, run on one thread under the process policy (see
-    `runtime`).
+    must be finite, and sigma positive with finite, nonzero face averages.
+    With q, well-posedness is guaranteed for potentials of conductivity
+    type (q = Laplacian(f)/f with f bounded away from zero); other
+    potentials are accepted, and a solve that misses the residual target
+    raises SolverError.  The preconditioner (`_preconditioner`) is built on
+    the first solve, so an operator that is never solved holds none; its
+    per-axis line-eigenbasis transforms are BLAS matrix products, run on one
+    thread under the process policy (see `runtime`).
     """
 
     def __init__(self, grid: BoxGrid, sigma=None, q=None):
@@ -205,26 +204,16 @@ class DirichletOperator:
         self.edge_weights = []
         for a in range(3):
             trap = np.expand_dims(trapezoid_product([r for b, r in enumerate(res) if b != a]), a)
-            if self._unit:  # the harmonic face average of ones is exactly 1.0
-                edges = tuple(r - 1 if b == a else r for b, r in enumerate(res))
-                w = np.broadcast_to((1.0 / h[a] ** 2) * trap, edges)
-            else:
-                with np.errstate(over="ignore"):  # refused below
-                    w = _face_coefficients(self.sigma, a) / h[a] ** 2 * trap
-                if not (np.isfinite(w.max()) and w.min() > 0.0):
-                    raise ValueError("coefficient sigma is out of range: a harmonic face "
-                                     "average 2 s t / (s + t) overflows or underflows")
-            self.edge_weights.append(w)
+            with np.errstate(over="ignore"):  # refused below
+                # ones average to exactly 1.0; sigma's face averages are a temporary
+                w = (1.0 if self._unit else _face_coefficients(self.sigma, a)) / h[a] ** 2 * trap
+            if not (np.isfinite(w.max()) and w.min() > 0.0):
+                raise ValueError("coefficient sigma is out of range: a harmonic face "
+                                 "average 2 s t / (s + t) overflows or underflows")
+            edges = tuple(r - 1 if b == a else r for b, r in enumerate(res))
+            self.edge_weights.append(np.broadcast_to(w, edges))
         self.mass_weights = None if self.q is None else self.q * trapezoid_product(res)
         self.shape = tuple(r - 2 for r in res)
-
-    @functools.cached_property
-    def _boundary(self):
-        """Flat indices of the boundary nodes, built on first use (a DtN
-        form's cache key), so the never-solved harmonic operator holds none."""
-        inside = np.zeros(tuple(self.grid.resolution), dtype=bool)
-        inside[interior_slices(1)] = True
-        return np.flatnonzero(~inside)
 
     @functools.cached_property
     def _preconditioner(self):
@@ -248,45 +237,38 @@ class DirichletOperator:
         definite for any finite coefficients; a separable operator is
         inverted exactly unless its potential brings it that close to
         singular.  Each axis is reduced to its line means before the next
-        one's temporaries exist, and a unit sigma builds no f.
+        one's temporaries exist; a unit sigma takes the same steps, f = 1.
 
         `bases` holds (Q_a, Q_a.T) per axis, the second a view.  The
         eigenvalues Vbar + lam_0 + lam_1 + lam_2 are kept as (the first three
         summed over a plane, lam_2, the floor), not as an interior array.
-        1/f is flat in the interior's C order, or the scalar 1.0.
+        1/f is flat in the interior's C order, or for a unit sigma 1.0.
         """
         inner = interior_slices(1)
         conductances = []
-        if self._unit:
-            inv_f = 1.0
-            V = None if self.q is None else self.q[inner]
-            for a, w in enumerate(self.edge_weights):
-                rows = inner[:a] + (slice(None),) + inner[a + 1:]
-                conductances.append(w[rows].mean(axis=_transverse(a)))
-        else:
-            inv_f_full = np.sqrt(self.sigma)
-            np.divide(1.0, inv_f_full, out=inv_f_full)
-            V = (np.zeros(self.shape) if self.q is None
-                 else self.q[inner] * inv_f_full[inner])
-            for a, w in enumerate(self.edge_weights):
-                rows = inner[:a] + (slice(None),) + inner[a + 1:]
-                below, above = _along(a, slice(None, -1)), _along(a, slice(1, None))
-                lo, hi = inv_f_full[rows][below], inv_f_full[rows][above]
-                edges = np.multiply(lo, hi)
-                edges *= w[rows]  # g_e
-                conductances.append(edges.mean(axis=_transverse(a)))
-                np.subtract(lo, hi, out=edges)
-                edges *= w[rows]  # g_e (f_hi - f_lo)
-                V += edges[above]  # the edge above each node
-                V -= edges[below]  # the edge below
-                del edges
-            inv_f = inv_f_full[inner].ravel()
-            del inv_f_full
-            V *= inv_f.reshape(self.shape)
-        vbar = 0.0 if V is None else float(np.mean(V))
+        inv_f_full = np.sqrt(self.sigma)
+        np.divide(1.0, inv_f_full, out=inv_f_full)
+        V = (np.zeros(self.shape) if self.q is None
+             else self.q[inner] * inv_f_full[inner])
+        for a, w in enumerate(self.edge_weights):
+            rows = inner[:a] + (slice(None),) + inner[a + 1:]
+            below, above = _along(a, slice(None, -1)), _along(a, slice(1, None))
+            lo, hi = inv_f_full[rows][below], inv_f_full[rows][above]
+            edges = np.multiply(lo, hi)
+            edges *= w[rows]  # g_e
+            conductances.append(edges.mean(axis=_transverse(a)))
+            np.subtract(lo, hi, out=edges)
+            edges *= w[rows]  # g_e (f_hi - f_lo)
+            V += edges[above]  # the edge above each node
+            V -= edges[below]  # the edge below
+            del edges
+        V *= inv_f_full[inner]
+        inv_f = 1.0 if self._unit else inv_f_full[inner].ravel()
+        del inv_f_full
+        vbar = float(np.mean(V))
         bases, lams, floor = [], [], 0.0
         for a, (g, n) in enumerate(zip(conductances, self.shape)):
-            line = np.zeros(n) if V is None else V.mean(axis=_transverse(a)) - vbar
+            line = V.mean(axis=_transverse(a)) - vbar
             basis, lam = _line_basis(g, line)
             bases.append((basis, basis.T))
             lams.append(lam)
@@ -440,13 +422,14 @@ def coons_extension(grid: BoxGrid, boundary_values):
 
 
 class DtnForm:
-    """Weak Dirichlet-to-Neumann evaluator for one coefficient field.
+    """Weak Dirichlet-to-Neumann evaluator of one `DirichletOperator`.
 
-    kind='conductivity' realizes the map taking the trace of u to the
-    conormal flux of div(sigma grad u) = 0; kind='schrodinger' the map
-    taking the trace of w to the normal flux for (-Delta + q) w = 0.  The
-    pairing (Lambda phi0, psi0) is the energy a(U, V) of the solution U for
-    phi0 against V, the boundary values of psi0 with a zero interior.  As U
+    `conductivity(profile)` builds the form of sigma = f^2, the map taking
+    the trace of u to the conormal flux of div(sigma grad u) = 0;
+    `schrodinger(profile)` the form of the profile's q, the map taking the
+    trace of w to the normal flux for (-Delta + q) w = 0.  The pairing
+    (Lambda phi0, psi0) is the energy a(U, V) of the solution U for phi0
+    against V, the boundary values of psi0 with a zero interior.  As U
     solves the interior equations, a(U, V) = |cell| V_B.(K U)_B for every V
     with those boundary values: (K U)_B is the discrete DtN map, the Schur
     complement K_BB - K_BI K_II^-1 K_IB (Curtis & Morrow, 2000), and the
@@ -459,32 +442,29 @@ class DtnForm:
     form holds at most one flux.
     """
 
-    def __init__(self, grid: BoxGrid, kind, coefficient):
-        self.grid = grid
-        if kind == "conductivity":
-            self.op = DirichletOperator(grid, sigma=coefficient)
-        elif kind == "schrodinger":
-            self.op = DirichletOperator(grid, q=coefficient)
-        else:
-            raise ValueError("kind must be 'conductivity' or 'schrodinger'")
+    def __init__(self, op: DirichletOperator):
+        self.op = op
+        self.grid = op.grid
+        # flat indices of the boundary nodes, the solution cache's key
+        self._boundary = np.flatnonzero(np.pad(np.zeros(op.shape, bool), 1, constant_values=True))
         # never solved, so it builds no preconditioner, and its unit weights
         # are broadcast views; perfbench/selftest.py pins two assemblies per form
-        self._harmonic = DirichletOperator(grid)
+        self._harmonic = DirichletOperator(self.grid)
         self._solved = {}
         self._flux = (None, None)  # (U, K U) for the last cached U
 
     @classmethod
     def conductivity(cls, profile: ConductivityProfile):
-        return cls(profile.grid, "conductivity", profile.f**2)
+        return cls(DirichletOperator(profile.grid, sigma=profile.f**2))
 
     @classmethod
     def schrodinger(cls, profile: ConductivityProfile):
-        return cls(profile.grid, "schrodinger", profile.q)
+        return cls(DirichletOperator(profile.grid, q=profile.q))
 
     def solution(self, trace):
         """Solution for the trace, solved once per boundary values."""
         trace = np.asarray(trace, dtype=float)
-        key = trace.ravel()[self.op._boundary].tobytes()
+        key = trace.ravel()[self._boundary].tobytes()
         if key not in self._solved:
             U = self.op.solve(trace)
             U.flags.writeable = False

@@ -925,6 +925,17 @@ def test_suite_refuses_an_identity_named_twice(monkeypatch, tmp_path, capsys):
     assert ran == [] and list(tmp_path.iterdir()) == []
 
 
+def test_suite_refuses_a_bare_string_of_identities(monkeypatch):
+    # list("cauchy_constant") would be read as one unknown identity per character
+    ran = []
+    monkeypatch.setattr(H, "run_identity", lambda name, *a, **k: ran.append(name))
+    with pytest.raises(ValueError) as err:
+        H.run_suite("cauchy_constant")
+    assert str(err.value) == ("identities must be a list of identity names, "
+                              "got 'cauchy_constant'")
+    assert ran == []
+
+
 def test_overrides_next_to_a_config_are_rejected(monkeypatch):
     # an override cannot amend a given config: the call fails before the check runs
     cfg = H.SuiteConfig.defaults("cauchy_constant")

@@ -62,3 +62,13 @@ def test_compare_names_a_changed_config_hash(tmp_path, capsys):
     status, lines = _compare(tmp_path, capsys, report=report)
     assert status == 1
     assert lines == ["report.json: no numeric move; 1 other change(s): provenance.config_hash"]
+
+
+def test_compare_takes_a_field_that_is_nan_in_both_trees_as_unchanged(tmp_path, capsys):
+    # json.load gives two NaN floats, and NaN != NaN: the field read as an
+    # other change whenever its file differed elsewhere
+    parent = _tree(tmp_path / "parent", {"x": float("nan"), "y": 1.0}, CSV)
+    change = _tree(tmp_path / "change", {"x": float("nan"), "y": 2.0}, CSV)
+    assert outputs.main(["--compare", parent, change]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "report.json: largest move 5.00e-01 relative (at y), 1.00e+00 absolute"]

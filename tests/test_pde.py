@@ -28,6 +28,10 @@ def ones(g):
     return np.ones(tuple(g.resolution))
 
 
+# the DirichletOperator keyword that takes the coefficient of each DtN kind
+COEFFICIENT = {"conductivity": "sigma", "schrodinger": "q"}
+
+
 # -- solvers -------------------------------------------------------------------
 
 
@@ -309,6 +313,24 @@ def test_unit_sigma_is_a_broadcast_of_the_transverse_weights(q):
     assert np.array_equal(unit.solve(U), ones_op.solve(U))
 
 
+@pytest.mark.parametrize("q", [False, True])
+def test_a_unit_sigma_preconditioner_holds_1_over_f_as_a_scalar(q):
+    # a unit sigma runs the general f = sqrt(sigma) code, which gives the
+    # preconditioner of explicit ones bit for bit, but keeps 1/f as the float
+    # 1.0: no interior array of ones lives as long as the operator
+    g = BoxGrid([-0.2, 0.1, 0.3], [1.2, 0.9, 1.1], [10, 9, 11])
+    potential = _coefficients(g, "q")[1] if q else None
+    bases, eigenvalues, inv_f = P.DirichletOperator(g, q=potential)._preconditioner
+    want_bases, want_eigenvalues, want_inv_f = P.DirichletOperator(
+        g, sigma=ones(g), q=potential)._preconditioner
+    assert type(inv_f) is float and inv_f == 1.0
+    assert np.array_equal(want_inv_f, np.ones(want_inv_f.shape))
+    for (basis, _), (want, _) in zip(bases, want_bases):
+        assert np.array_equal(basis, want)
+    for got, want in zip(eigenvalues, want_eigenvalues):
+        assert np.array_equal(got, want)
+
+
 def test_preconditioner_is_built_by_the_first_solve_only():
     # a form's harmonic operator is never solved and builds no preconditioner
     g = BoxGrid([0.0, -0.3, 0.2], [1.0, 0.8, 1.1], [9, 10, 8])
@@ -572,7 +594,7 @@ def test_coons_extension_interpolates_boundary():
 
 def test_dtn_energy_linear_trace():
     g = grid16()
-    form = P.DtnForm(g, "conductivity", ones(g))
+    form = P.DtnForm(P.DirichletOperator(g, sigma=ones(g)))
     X = g.coords()
     assert form.pair(X[..., 0], X[..., 0]) == pytest.approx(1.0, abs=1e-12)
 
@@ -621,7 +643,7 @@ def test_dtn_pairing_reads_only_boundary_values(kind, origin, extent, resolution
     rng = np.random.default_rng(seed)
     X = (g.coords() - g.origin) / g.extent
     a, b = rng.normal(size=3), rng.normal(size=3)
-    form = P.DtnForm(g, kind, np.exp(np.sin(X @ a)))
+    form = P.DtnForm(P.DirichletOperator(g, **{COEFFICIENT[kind]: np.exp(np.sin(X @ a))}))
     phi = np.sin(X @ a) + X @ b
     psi = np.cos(X @ b) + 0.5 * (X @ a) ** 2
     pairing = form.pair(phi, psi)
@@ -671,7 +693,7 @@ def test_dtn_energy_matches_per_edge_formula(rng, kind):
     g = BoxGrid([0.5, -1.0, 0.2], [1.0, 2.0, 0.5], [9, 12, 10])
     X = g.coords()
     coefficient = np.exp(np.sin(X @ rng.normal(size=3)))
-    form = P.DtnForm(g, kind, coefficient)
+    form = P.DtnForm(P.DirichletOperator(g, **{COEFFICIENT[kind]: coefficient}))
     U, V = rng.normal(size=(2,) + tuple(g.resolution))
     want = O.energy_per_edge(g, form.op, U, V)
     assert form.energy(U, V) == pytest.approx(want, rel=1e-13)
@@ -694,7 +716,8 @@ def test_node_flux_energy_matches_per_edge_formula(kind, origin, extent, resolut
     g = BoxGrid(origin, extent, resolution)
     rng = np.random.default_rng(seed)
     X = (g.coords() - g.origin) / g.extent
-    form = P.DtnForm(g, kind, np.exp(np.sin(X @ rng.normal(size=3))))
+    coefficient = np.exp(np.sin(X @ rng.normal(size=3)))
+    form = P.DtnForm(P.DirichletOperator(g, **{COEFFICIENT[kind]: coefficient}))
     U = form.solution(np.sin(X @ rng.normal(size=3)) + X @ rng.normal(size=3))
     V, W = rng.normal(size=(2,) + tuple(g.resolution))
 
@@ -735,7 +758,8 @@ def test_energy_is_galerkin_form_of_interior_system(kind, origin, extent, resolu
     g = BoxGrid(origin, extent, resolution)
     rng = np.random.default_rng(seed)
     X = (g.coords() - g.origin) / g.extent
-    form = P.DtnForm(g, kind, np.exp(np.sin(X @ rng.normal(size=3))))
+    coefficient = np.exp(np.sin(X @ rng.normal(size=3)))
+    form = P.DtnForm(P.DirichletOperator(g, **{COEFFICIENT[kind]: coefficient}))
     inner = F.interior_slices(1)
     U = rng.normal(size=tuple(g.resolution))
     V = np.zeros_like(U)
@@ -747,10 +771,26 @@ def test_energy_is_galerkin_form_of_interior_system(kind, origin, extent, resolu
     assert form.energy(U, V) == pytest.approx(want, rel=1e-12)
 
 
-def test_dtn_invalid_kind():
-    g = grid16()
-    with pytest.raises(ValueError):
-        P.DtnForm(g, "elastic", ones(g))
+@pytest.mark.parametrize("kind", ["conductivity", "schrodinger"])
+def test_each_dtn_kind_names_the_form_constructor_of_its_coefficient(kind):
+    # `vekua-lab dtn --kind` calls getattr(DtnForm, kind): sigma = f^2 for a
+    # conductivity form, the profile's q for a Schrodinger form, bit for bit
+    g = BoxGrid([-0.2, 0.1, 0.3], [1.2, 0.9, 1.1], [10, 9, 11])
+    profile = make_profile(g, {"kind": "quadratic_z"})
+    op = getattr(P.DtnForm, kind)(profile).op
+    if kind == "conductivity":
+        assert op.sigma.tobytes() == (profile.f ** 2).tobytes() and op.q is None
+    else:
+        assert np.array_equal(op.sigma, ones(g)) and op.q.tobytes() == profile.q.tobytes()
+
+
+def test_cli_dtn_rejects_an_unknown_kind(tmp_path, capsys):
+    # --kind names a DtnForm constructor; argparse admits only those names
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["dtn", "--kind", "elastic", "--out", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert "argument --kind: invalid choice: 'elastic'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 # -- DtN interrelation -----------------------------------------------------------------

@@ -136,7 +136,9 @@ def moves(old, new):
     flipped, other = False, []
     for at in sorted(old.keys() | new.keys(), key=str):
         a, b = old.get(at), new.get(at)
-        if a == b or at[-1] == "runtime_seconds":
+        # json.load reads NaN as a float that equals nothing, itself included
+        both_nan = all(isinstance(v, float) and math.isnan(v) for v in (a, b))
+        if a == b or both_nan or at[-1] == "runtime_seconds":
             continue
         x, y = number(a), number(b)
         if at[-1] == "passed":
