@@ -8,15 +8,17 @@ errors.csv and convergence.csv per identity.
 VEKUA_LAB_SEED seeds randomized point and trace selection; VEKUA_LAB_THREADS
 only sizes the thread pool that `suite` (run_suite) runs identities in.
 Every command runs under the process policy (see `runtime`), which
-importing this module does not apply.  A `dtn` export would not depend on
-the BLAS thread count either way: the Dirichlet solver sums its inner
-products with einsum, not a threaded BLAS dot.
+importing this module does not apply.  A `dtn` export does not depend on
+the BLAS thread count because that policy holds BLAS at one thread while
+it runs: the Dirichlet solver's preconditioner contracts with BLAS
+`np.dot` (`pde._contract`), and only its CG inner products use einsum.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 
@@ -111,41 +113,151 @@ def _trace_basis(grid: BoxGrid, size, seed):
     return traces
 
 
+# 10**k for 0 <= k <= 22, the powers of ten that binary64 holds exactly
+_EXACT_POWERS = np.array([float(10**k) for k in range(23)])
+
+
+def _words(texts, width=None):
+    """Each ASCII text null-padded to `width` bytes (a multiple of 4; by
+    default the longest text's length rounded up to one), as one row of
+    width / 4 uint32 words."""
+    width = width or -(-max(map(len, texts)) // 4) * 4
+    data = b"".join(text.encode("ascii").ljust(width, b"\0") for text in texts)
+    return np.frombuffer(data, dtype=np.uint32).reshape(len(texts), width // 4)
+
+
+@functools.cache
+def _lead_words():
+    """',', the sign, the first digit and '.', at 10 * negative + digit."""
+    return _words([f",{sign}{d}." for sign in ("", "-") for d in range(10)]).ravel()
+
+
+@functools.cache
+def _group_words():
+    """Four digits, at their value."""
+    return _words([f"{g:04d}" for g in range(10**4)]).ravel()
+
+
+@functools.cache
+def _tail_words():
+    """The last two digits, 'e' and the exponent's sign, at
+    100 * (exponent negative) + digits."""
+    return _words([f"{d:02d}e{sign}" for sign in "+-" for d in range(100)]).ravel()
+
+
+@functools.cache
+def _exponent_words():
+    """Two exponent digits, at the exponent's absolute value."""
+    return _words([f"{e:02d}" for e in range(100)]).ravel()
+
+
+def _scale(a, k):
+    """a * 10**k, |k| <= 22, in one correctly rounded multiply or divide."""
+    power = _EXACT_POWERS[np.abs(k)]
+    return np.where(k >= 0, a * power, a / power)
+
+
+def _e10_fallback(values):
+    """_e10_words of values by Python's correctly rounded %-format."""
+    return _words([",%.10e" % v for v in values.tolist()], 20)
+
+
+def _e10_words(values):
+    """',%.10e' % v of every float v of `values`, as five null-padded
+    uint32 words (the text is at most 19 bytes): ',', sign, first digit
+    and '.'; two groups of four digits; the last two digits, 'e' and the
+    exponent's sign; the exponent's digits.  The exponent e comes from
+    log10, corrected once; s = |v| * 10**(10 - e) is one correctly rounded
+    operation, so it errs by at most half an ulp of a number below 2**37,
+    about 7.6e-6, and rounding it to an integer gives the 11 digits of the
+    correctly rounded %-format unless its fraction lies within 1e-3 of one
+    half.  Those values, zero (of either sign), non-finite values, values
+    whose 10**(10 - e) is not an exact binary64 power of ten, and any whose
+    s misses [1e10, 1e11) (so nothing rests on log10's accuracy) go
+    through `_e10_fallback`."""
+    values = np.ravel(values)
+    a = np.abs(values)
+    fast = np.isfinite(a) & (a > 0)
+    a = np.where(fast, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    with np.errstate(over="ignore"):  # a first guess of e far outside the exact powers
+        s = _scale(a, np.clip(10 - e, -22, 22))
+    e += (s >= 1e11).astype(np.int64) - (s < 1e10)
+    fast &= np.abs(10 - e) <= 22
+    e[~fast], a[~fast] = 0, 1.0
+    s = _scale(a, 10 - e)
+    m = np.rint(s)
+    fast &= (s >= 1e10) & (s < 1e11) & (np.abs(s - m) < 0.499)
+    carry = m == 1e11
+    e += carry
+    m = np.where(fast & ~carry, m, 1e10).astype(np.int64)
+    first, rest = np.divmod(m, 10**10)
+    high, rest = np.divmod(rest, 10**6)
+    low, last = np.divmod(rest, 100)
+    words = np.empty((len(values), 5), dtype=np.uint32)
+    words[:, 0] = _lead_words()[10 * (values < 0) + first]
+    words[:, 1] = _group_words()[high]
+    words[:, 2] = _group_words()[low]
+    words[:, 3] = _tail_words()[100 * (e < 0) + last]
+    words[:, 4] = _exponent_words()[np.abs(e)]
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        words[slow] = _e10_fallback(values[slow])
+    return words
+
+
+def _index_words(start, m, digits, face):
+    """'<node index>,<face>' for the node indices start..start+m-1, each
+    index right-aligned in `digits` bytes after leading null bytes, as rows
+    of uint32 words."""
+    text = np.zeros((m, -(-(digits + 2) // 4) * 4), dtype=np.uint8)
+    powers = 10 ** np.arange(digits - 1, -1, -1)
+    index = np.arange(start, start + m)[:, None]
+    text[:, :digits] = index // powers % 10 + ord("0")
+    text[:, :digits - 1][index < powers[:-1]] = 0
+    text[:, digits:digits + 2] = np.frombuffer(f",{face}".encode("ascii"), dtype=np.uint8)
+    return text.view(np.uint32)
+
+
 def _trace_rows(grid: BoxGrid, traces):
     """traces.csv data lines for the traces of `_trace_basis`, yielded one
     text block per face, so only one face's text is held at a time: every
     boundary node once per face it lies on (edges and corners repeat,
     matching the per-face quadratures), faces in the order (axis, low/high
-    side), nodes in C order within a face.  The node coordinates x1, x2, x3
-    and the coordinate traces t0..t2 are `grid.axes` values bit for bit (see
-    `fields.face_nodes`), so each axis's values are formatted once per export: a
-    face's fixed coordinate is written into its row format, the two that
-    vary enter as references to that text, and only the other traces are
-    formatted per value, in one %-format of the face's table."""
+    side), nodes in C order within a face.  A face's rows are built as a
+    table of null-padded uint32 words, one row per line, and its text is
+    the table's bytes without the nulls.  The node coordinates x1, x2, x3
+    and the coordinate traces t0..t2 are `grid.axes` values bit for bit
+    (see `fields.face_nodes`), so each axis's values are %-formatted once
+    per export and gathered into the rows; the other traces go through
+    `_e10_words`."""
     coordinate_traces = min(len(traces), 3)
     specs = [(",%.10g", a) for a in range(3)] + [(",%.10e", a) for a in range(coordinate_traces)]
-    text = {(spec, a): np.array([spec % v for v in grid.axes[a]], dtype=object)
-            for spec, a in specs}
+    columns = []
+    for spec, a in specs:
+        columns.append((a, _words([spec % v for v in grid.axes[a]])))
     rest = traces[coordinate_traces:]
+    n = grid.resolution
+    digits = len(str(2 * (n[0] * n[1] + n[0] * n[2] + n[1] * n[2]) - 1))
+    newline = _words(["\n"])
     start = 0
     for axis, high, slab in face_slabs():
         first, second = (b for b in range(3) if b != axis)
-        shape = (grid.resolution[first], grid.resolution[second])
-        row, columns = f"%d,{2 * axis + high}", []
-        for spec, a in specs:
+        m = n[first] * n[second]
+        pieces = [_index_words(start, m, digits, 2 * axis + high)]
+        for a, words in columns:
             if a == axis:
-                row += text[spec, a][slab[axis]]
+                pieces.append(np.broadcast_to(words[slab[axis]], (m, words.shape[1])))
+            elif a == first:
+                pieces.append(np.repeat(words, n[second], axis=0))
             else:
-                row += "%s"
-                values = text[spec, a][:, None] if a == first else text[spec, a]
-                columns.append(np.broadcast_to(values, shape).ravel())
-        row += ",%.10e" * len(rest) + "\n"
-        m = shape[0] * shape[1]
-        table = np.empty((m, 1 + len(columns) + len(rest)), dtype=object)
-        table[:, 0] = range(start, start + m)
-        for c, column in enumerate(columns + [trace[slab].ravel() for trace in rest]):
-            table[:, 1 + c] = column
-        yield (row * m) % tuple(table.ravel().tolist())
+                pieces.append(np.tile(words, (n[first], 1)))
+        if rest:
+            values = np.stack([trace[slab].ravel() for trace in rest], axis=1)
+            pieces.append(_e10_words(values).reshape(m, -1))
+        pieces.append(np.broadcast_to(newline, (m, 1)))
+        text = np.concatenate(pieces, axis=1).view(np.uint8).ravel()
+        yield text[text != 0].tobytes().decode("ascii")
         start += m
 
 

@@ -804,9 +804,11 @@ def test_pooled_identities_see_one_blas_thread(monkeypatch):
 
 
 def test_dtn_matrix_identical_across_blas_thread_counts():
-    # outside any hold, the library at 1 and at 2 threads: at resolution 48 a
-    # threaded BLAS dot splits a CG inner product differently by thread
-    # count, so the solver sums with einsum and the pairings come out the same
+    # outside any hold, the library at 1 and at 2 threads.  The CG inner
+    # products sum with einsum, but the preconditioner's matrix products
+    # (`pde._contract`) run BLAS np.dot; a `dtn` export is thread-count
+    # independent because the process policy holds BLAS at one thread, and
+    # outside that hold the pairings come out the same at both counts too
     probe = (
         "import sys\n"
         "from vekua_lab import cli, pde\n"
@@ -1196,16 +1198,89 @@ def test_cli_dtn_traces_csv_matches_per_node_writer(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("size", [1, 3, 4, 8])
-@pytest.mark.parametrize("grid", [BoxGrid.unit_cube(9), BoxGrid([-0.2, 0.1, 0.3], [1.2, 0.9, 1.1],
-                                                                 [13, 10, 12])],
-                         ids=["cube", "anisotropic"])
+@pytest.mark.parametrize("grid", [BoxGrid.unit_cube(9),
+                                  BoxGrid([-0.2, 0.1, 0.3], [1.2, 0.9, 1.1], [13, 10, 12]),
+                                  BoxGrid([0.4, -1.3, 0.2], [2.1, 0.7, 1.3], [50, 41, 45])],
+                         ids=["cube", "anisotropic", "anisotropic-large"])
 def test_trace_rows_format_coordinates_as_the_per_value_writer(grid, size):
-    # coordinate text formatted once per axis value gives the bytes of every
-    # value formatted where it is written, with and without non-coordinate
-    # traces after t0..t2
+    # coordinate text formatted once per axis value, and the other traces'
+    # text from the word-table kernel, give the bytes of every value
+    # formatted where it is written, with and without non-coordinate traces
+    # after t0..t2; the large box has 12,290 boundary rows, so 5-digit node
+    # indices, and a negative coordinate axis
     traces = cli._trace_basis(grid, size, 2024)
     want = "".join(O.trace_rows_per_value(grid, traces))
     assert "".join(cli._trace_rows(grid, traces)) == want
+
+
+def _e10_text(values):
+    """The text of each value by `cli._e10_words`, its null padding removed."""
+    return [row.tobytes().replace(b"\0", b"").decode("ascii")
+            for row in cli._e10_words(np.asarray(values, dtype=float))]
+
+
+def _neighbours(x, k):
+    """The 2k + 1 floats nearest x, x among them."""
+    below, above = [x], [x]
+    for _ in range(k):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return below[:0:-1] + above
+
+
+def test_e10_words_match_the_percent_format_and_reach_its_fallback(monkeypatch):
+    # 10^5 random values, exponents over +-40 and uniform in [-2, 2], and
+    # edge values: zeros, a subnormal, extremes and non-finite values, 1e+-22
+    # and 1e+-23, the neighbours of the smallest and largest values whose
+    # scale is an exact power of ten (1e-12, 1e33) and of powers where log10
+    # needs its correction, both sides of the carry into the exponent at
+    # 9.99999999995, fast-path carries, and exact binary ties (round half to
+    # even) that only the fallback decides
+    rng = np.random.default_rng(2024)
+    spread = rng.uniform(1, 10, 50_000) * 10.0 ** rng.integers(-40, 41, 50_000)
+    spread *= rng.choice([-1.0, 1.0], 50_000)
+    undecided = [0.0, -0.0, 5e-324, 1e-300, 1.7e308, np.inf, -np.inf, np.nan,
+                 12345678901.5, 12345678902.5, -12345678901.5]
+    edges = undecided + [1e22, -1e22, 1e-22, 1e23, -1e23, 1e-23]
+    for x in (1e-12, 1e10, 1e11, 1e33, 9.99999999995):
+        edges += _neighbours(x, 5)
+    edges += [9.999999999996 * 10.0**k for k in range(-12, 33, 4)]
+    uniform = rng.uniform(-2, 2, 50_000)
+    values = np.concatenate([spread, uniform, edges])
+    slow = []
+    fallback = cli._e10_fallback
+
+    def recorded(v):
+        slow.extend(v.tolist())
+        return fallback(v)
+
+    monkeypatch.setattr(cli, "_e10_fallback", recorded)
+    got = _e10_text(values)
+    bad = [(v, text) for v, text in zip(values.tolist(), got) if text != ",%.10e" % v]
+    assert not bad, bad[:5]
+    assert set(map(repr, undecided)) <= set(map(repr, slow))
+    assert _e10_text([12345678901.5, 12345678902.5]) == [",1.2345678902e+10"] * 2
+    # among ordinary values the fallback is the exception: a fraction within
+    # 1e-3 of one half sends about 0.2% of the uniform values there
+    slow.clear()
+    _e10_text(uniform)
+    assert 0 < len(slow) < 0.005 * len(uniform)
+
+
+def test_importing_the_cli_builds_no_text_table(tmp_path):
+    # the word tables of traces.csv are built on the first export, not at
+    # import, which the benchmark's setup time measures
+    probe = (
+        "import sys\n"
+        "import vekua_lab.cli as cli\n"
+        "tables = [f for f in vars(cli).values() if hasattr(f, 'cache_info')]\n"
+        "before = [f.cache_info().currsize for f in tables]\n"
+        "assert cli.main(['dtn', '--resolution', '8', '--out', sys.argv[1]]) == 0\n"
+        "print(len(tables), before, [f.cache_info().currsize for f in tables])\n"
+    )
+    done = fresh_python(probe, str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "4 [0, 0, 0, 0] [1, 1, 1, 1]"
 
 
 def test_trace_basis_is_a_whole_grid_evaluation_on_the_boundary():

@@ -1,9 +1,11 @@
-"""tools/outputs.py --compare on small hand-made output trees; no vekua-lab
-command is run."""
+"""tools/outputs.py --compare on small hand-made output trees, and a
+listing refused without the package; no vekua-lab command is run."""
 
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -72,3 +74,14 @@ def test_compare_takes_a_field_that_is_nan_in_both_trees_as_unchanged(tmp_path, 
     assert outputs.main(["--compare", parent, change]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "report.json: largest move 5.00e-01 relative (at y), 1.00e+00 absolute"]
+
+
+def test_listing_without_the_package_exits_2_and_prints_no_listing(tmp_path):
+    # with PYTHONPATH unset the tool printed a traceback and an empty
+    # listing, and two empty listings diff as identical
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run([sys.executable, os.path.join(ROOT, "tools", "outputs.py")],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1 and "PYTHONPATH" in done.stderr

@@ -32,7 +32,8 @@ only one tree has.
 
 The package is imported from PYTHONPATH.  Command output goes to stderr;
 the exit status is 1 when any command exits non-zero, or, with --compare,
-when a file is flagged.
+when a file is flagged, and 2, with one line and no listing, when the
+package cannot be imported.
 """
 
 import argparse
@@ -44,8 +45,13 @@ import os
 import sys
 import tempfile
 
-from vekua_lab import cli
-from vekua_lab.vekua import PROFILE_FAMILIES
+try:  # a listing runs the package; --compare reads only files
+    from vekua_lab import cli
+    from vekua_lab.vekua import PROFILE_FAMILIES
+except ModuleNotFoundError as err:
+    if err.name != "vekua_lab":
+        raise
+    cli = None
 
 SEED = "2024"
 KINDS = ("conductivity", "schrodinger")
@@ -183,6 +189,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.compare:
         return 1 if compare(*args.compare) else 0
+    if cli is None:  # no listing at all: two empty listings would diff as identical
+        parser.exit(2, "outputs.py: cannot import vekua_lab; set PYTHONPATH to the src "
+                       "directory of the tree to list\n")
     os.environ["VEKUA_LAB_SEED"] = SEED
     if args.keep:
         os.makedirs(args.keep, exist_ok=True)
