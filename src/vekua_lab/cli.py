@@ -10,8 +10,8 @@ only sizes the thread pool that `suite` (run_suite) runs identities in.
 Every command runs under the process policy (see `runtime`), which
 importing this module does not apply.  A `dtn` export does not depend on
 the BLAS thread count because that policy holds BLAS at one thread while
-it runs: the Dirichlet solver's preconditioner contracts with BLAS
-`np.dot` (`pde._contract`), and only its CG inner products use einsum.
+it runs: the Dirichlet solver's preconditioner, which is the whole solve
+for every profile family, contracts with BLAS `np.dot` (`pde._contract`).
 """
 
 from __future__ import annotations

@@ -237,24 +237,32 @@ def test_solver_workspace_matches_the_dense_and_out_of_place_oracles(case):
     assert np.array_equal(b, given)
 
 
+def assert_fast_path(tally, solves):
+    """`solves` solves, each the verified preconditioner step: no fallback
+    iteration, and every residual at most SOLVER_RTOL."""
+    assert tally.solves == solves
+    assert tally.fallback_iterations == 0
+    assert 0.0 < tally.max_residual <= P.SOLVER_RTOL
+
+
 @pytest.mark.parametrize("kind", ["conductivity", "schrodinger"])
 @pytest.mark.parametrize("spec", [pytest.param({"kind": family}, id=family)
                                   for family in PROFILE_FAMILIES]
                          + [pytest.param({"kind": "exponential", "lam": [0.3, -0.7, 1.1]},
                                          id="exponential-oblique")])
 @pytest.mark.parametrize("box", ["cube", "anisotropic"])
-def test_every_profile_family_solves_in_one_iteration(monkeypatch, kind, spec, box):
+def test_every_profile_family_solves_in_one_iteration(kind, spec, box):
     # every family's Liouville-transformed operator is separable by axis, so
-    # the line-eigenbasis preconditioner is its exact inverse
-    linalg = _CountingCg()
-    monkeypatch.setattr(P, "spla", linalg)
+    # the line-eigenbasis preconditioner is its exact inverse: each solve is
+    # the one preconditioner step x0 = M^-1 b, verified, and no solve falls
+    # back to conjugate gradients
     g = BoxGrid.unit_cube(16) if box == "cube" else BoxGrid(*ANISOTROPIC)
     p = make_profile(g, spec)
     op = (P.DirichletOperator(g, sigma=p.f**2) if kind == "conductivity"
           else P.DirichletOperator(g, q=p.q))
     for trace in cli._trace_basis(g, 4, 2024):
         op.solve(trace)
-    assert linalg.counts == [1] * 4
+    assert_fast_path(op.tally, solves=4)
 
 
 @pytest.mark.parametrize("case", ["sigma", "q"])
@@ -393,67 +401,78 @@ def test_solve_matches_sparse_direct_oracle(case, origin, extent, resolution, wi
     assert np.array_equal(u[mask], trace[mask])
 
 
-class _CountingCg:
-    """Stands in for the `spla` namespace inside pde, recording the CG
-    iteration count of every solve; the package's own cg, saved when this
-    is built (before the monkeypatch), does the solving."""
-
-    def __init__(self):
-        self.counts = []
-        self._cg = P.spla.cg
-
-    def cg(self, *args, callback=None, **kwargs):
-        self.counts.append(0)
-
-        def count(xk):
-            self.counts[-1] += 1
-            if callback is not None:
-                callback(xk)
-
-        return self._cg(*args, callback=count, **kwargs)
-
-
-@pytest.mark.parametrize("kind, profile, bound", [
-    ("conductivity", "exponential", 8),
-    ("conductivity", "quadratic_z", 8),
-    ("schrodinger", "exponential", 1),  # q constant
-    ("schrodinger", "linear_z", 1),  # f linear: q = 0
+@pytest.mark.parametrize("kind, profile", [
+    ("conductivity", "exponential"),
+    ("conductivity", "quadratic_z"),
+    ("schrodinger", "exponential"),  # q constant
+    ("schrodinger", "linear_z"),  # f linear: q = 0
 ])
-def test_solve_iteration_counts(monkeypatch, kind, profile, bound):
-    linalg = _CountingCg()
-    monkeypatch.setattr(P, "spla", linalg)
+def test_dtn_form_solves_take_no_fallback_iteration(kind, profile):
     g = BoxGrid.unit_cube(24)
     p = make_profile(g, {"kind": profile})
     form = P.DtnForm.conductivity(p) if kind == "conductivity" else P.DtnForm.schrodinger(p)
     traces = cli._trace_basis(g, 4, 2024)
     for trace in traces:
         form.solution(trace)
-    assert len(linalg.counts) == 4 and all(1 <= n <= bound for n in linalg.counts)
+    assert_fast_path(form.op.tally, solves=4)
 
 
-def test_dtn_solves_each_operator_and_trace_once(monkeypatch):
+@pytest.mark.parametrize("kind", ["conductivity", "schrodinger", "poisson"])
+def test_a_separable_solve_applies_the_operator_and_preconditioner_once(monkeypatch, kind):
+    # the preconditioner step is the solve and one operator apply its check:
+    # no second apply, no conjugate-gradient iteration
+    g = BoxGrid(*ANISOTROPIC)
+    p = make_profile(g, {"kind": "quadratic_z"})
+    op = {"conductivity": lambda: P.DirichletOperator(g, sigma=p.f**2),
+          "schrodinger": lambda: P.DirichletOperator(g, q=p.q),
+          "poisson": lambda: P.DirichletOperator(g)}[kind]()
+    calls = []
+    for name in ("_apply", "_precondition"):
+        method = getattr(op, name)
+        monkeypatch.setattr(op, name, lambda x, _name=name, _method=method:
+                            calls.append(_name) or _method(x))
+    op.solve(cli._trace_basis(g, 4, 2024)[3])
+    assert sorted(calls) == ["_apply", "_precondition"]
+    assert_fast_path(op.tally, solves=1)
+
+
+@pytest.mark.parametrize("case", ["sigma", "q"])
+@pytest.mark.parametrize("box", ["cube", "anisotropic"])
+def test_a_non_separable_solve_falls_back_to_conjugate_gradients_from_zero(case, box):
+    # the preconditioner step misses the residual target; the solve drops it
+    # and gives bit for bit what conjugate gradients from x = 0 give
+    g = BoxGrid.unit_cube(16) if box == "cube" else BoxGrid(*ANISOTROPIC)
+    sigma, q = _coefficients(g, case)
+    op = P.DirichletOperator(g, sigma=sigma, q=q)
+    X = g.coords()
+    trace = np.cos(X @ [0.9, -1.1, 0.6]) + X[..., 0]
+    U = op.solve(trace)
+    x, iterations = P.cg(op._apply, op.trace_rhs(trace), op._precondition)
+    assert np.array_equal(U[F.interior_slices(1)].ravel(), x)
+    assert (op.tally.solves, op.tally.fallback_iterations) == (1, iterations)
+    assert iterations >= 1
+    assert 0.0 < op.tally.max_residual <= P.SOLVER_RTOL
+
+
+def test_dtn_solves_each_operator_and_trace_once():
     # a pairing solves only its first trace, with the form's operator, once: a
     # repeated pairing solves nothing, and the swapped pairing solves the other
     # trace
-    linalg = _CountingCg()
-    monkeypatch.setattr(P, "spla", linalg)
     g = BoxGrid([-0.2, 0.1, 0.3], [1.2, 0.9, 1.1], [10, 9, 11])
     form = P.DtnForm.conductivity(make_profile(g, {"kind": "quadratic_z"}))
     phi, psi = cli._trace_basis(g, 2, 2024)
     first = form.pair(phi, psi)
-    assert len(linalg.counts) == 1
+    assert form.op.tally.solves == 1
     assert form.pair(phi, psi) == first
-    assert len(linalg.counts) == 1
+    assert form.op.tally.solves == 1
     swapped = form.pair(psi, phi)
-    assert len(linalg.counts) == 2
+    assert form.op.tally.solves == 2
     assert abs(swapped - first) <= 1e-8 * (abs(first) + 1.0)
 
 
-def test_equal_boundary_values_share_one_read_only_solution(monkeypatch, rng):
+def test_equal_boundary_values_share_one_read_only_solution(rng):
     # a solve reads only the boundary of its trace: traces that agree there
     # cost one solve and get the very same array, which nothing may change
-    linalg = _CountingCg()
-    monkeypatch.setattr(P, "spla", linalg)
     g = BoxGrid([-0.2, 0.1, 0.3], [1.2, 0.9, 1.1], [10, 9, 11])
     form = P.DtnForm.conductivity(make_profile(g, {"kind": "quadratic_z"}))
     trace = cli._trace_basis(g, 4, 2024)[3]
@@ -462,10 +481,43 @@ def test_equal_boundary_values_share_one_read_only_solution(monkeypatch, rng):
     U = form.solution(trace)
     assert form.solution(other) is U
     assert form.solution(np.asfortranarray(other)) is U
-    assert len(linalg.counts) == 1
+    assert form.op.tally.solves == 1
     assert not U.flags.writeable
     with pytest.raises(ValueError):
         U[0, 0, 0] = 1.0
+
+
+def _unsampled_boundary_node(form):
+    """Flat index of a boundary node whose value the cache key does not hash."""
+    sampled = np.zeros(len(form._boundary), bool)
+    sampled[form._sample] = True
+    return form._boundary[np.flatnonzero(~sampled)[0]]
+
+
+@pytest.mark.parametrize("change", ["unsampled", "in_place", "signed_zero"])
+def test_a_changed_boundary_byte_is_a_cache_miss(change):
+    # the key hashes a sample of the boundary values but compares all their
+    # bytes: a trace equal to a solved one at every sampled value, the solved
+    # trace itself changed in place, and -0.0 against 0.0 each make a solve
+    g = BoxGrid([-0.2, 0.1, 0.3], [1.2, 0.9, 1.1], [10, 9, 11])
+    form = P.DtnForm.conductivity(make_profile(g, {"kind": "quadratic_z"}))
+    trace = cli._trace_basis(g, 4, 2024)[3]
+    node = _unsampled_boundary_node(form)
+    if change == "signed_zero":
+        trace.flat[node] = 0.0
+    U = form.solution(trace)
+    if change == "in_place":
+        other = trace
+        trace.flat[node] += 1.0
+    else:
+        other = trace.copy()
+        other.flat[node] = -0.0 if change == "signed_zero" else trace.flat[node] + 1.0
+        keys = [P._BoundaryKey(t.ravel()[form._boundary], form._sample) for t in (trace, other)]
+        assert hash(keys[0]) == hash(keys[1]) and keys[0] != keys[1]
+    V = form.solution(other)
+    assert V is not U and form.op.tally.solves == 2
+    assert V.flat[node] == other.flat[node] and np.signbit(V.flat[node]) == np.signbit(other.flat[node])
+    assert form.solution(other) is V and form.op.tally.solves == 2
 
 
 def test_pairing_matrix_applies_one_node_flux_per_row(monkeypatch):
@@ -521,13 +573,13 @@ def test_operator_and_form_are_freed_without_the_cyclic_collector():
             gc.enable()
 
 
-def test_solve_poisson_takes_one_iteration(monkeypatch):
-    linalg = _CountingCg()
-    monkeypatch.setattr(P, "spla", linalg)
+def test_solve_poisson_takes_one_iteration():
+    # the Poisson operator is separable: one preconditioner step, verified
     g = BoxGrid([0.5, -1.0, 0.0], [1.0, 2.0, 0.5], [10, 14, 12])
     X = g.coords()
-    P.DirichletOperator(g).solve(X[..., 1] ** 2, rhs=np.sin(X[..., 0]) + 1.0)
-    assert linalg.counts == [1]
+    op = P.DirichletOperator(g)
+    op.solve(X[..., 1] ** 2, rhs=np.sin(X[..., 0]) + 1.0)
+    assert_fast_path(op.tally, solves=1)
 
 
 def test_nan_trace_raises_at_once():
