@@ -804,11 +804,12 @@ def test_pooled_identities_see_one_blas_thread(monkeypatch):
 
 
 def test_dtn_matrix_identical_across_blas_thread_counts():
-    # outside any hold, the library at 1 and at 2 threads.  The CG inner
+    # outside any hold, the library at 1 and at 2 threads.  The solver's inner
     # products sum with einsum, but the preconditioner's matrix products
-    # (`pde._contract`) run BLAS np.dot; a `dtn` export is thread-count
-    # independent because the process policy holds BLAS at one thread, and
-    # outside that hold the pairings come out the same at both counts too
+    # (`pde._contract`), the whole of a profile family's solve, run BLAS
+    # np.dot; a `dtn` export is thread-count independent because the process
+    # policy holds BLAS at one thread, and outside that hold the pairings come
+    # out the same at both counts too
     probe = (
         "import sys\n"
         "from vekua_lab import cli, pde\n"
@@ -1410,6 +1411,26 @@ def test_integral_cauchy_solves_each_level_once(dirichlet_work):
     cfg = H.SuiteConfig.defaults("integral_cauchy")
     assert H.run_identity("integral_cauchy", cfg).passed
     assert dirichlet_work == {"__init__": 2 * len(cfg.resolutions), "solve": len(cfg.resolutions)}
+
+
+def test_every_suite_solve_is_the_verified_preconditioner_step(monkeypatch):
+    # every operator the identities solve with is separable (a profile family's
+    # or the Poisson operator), so no solve of the suite falls back to
+    # conjugate gradients
+    operators = []
+    init = pde.DirichletOperator.__init__
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        operators.append(self)
+
+    monkeypatch.setattr(pde.DirichletOperator, "__init__", recorded)
+    for identity in H.IDENTITIES:
+        assert H.run_identity(identity).passed
+    solved = [op.tally for op in operators if op.tally.solves]
+    assert sum(t.solves for t in solved) == 43
+    assert all(t.fallback_iterations == 0 and 0.0 < t.max_residual <= pde.SOLVER_RTOL
+               for t in solved)
 
 
 @pytest.mark.parametrize("identity", ["vekua_pipeline", "s_alpha", "green_vekua",
