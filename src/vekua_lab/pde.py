@@ -7,11 +7,12 @@ collocates the potential.  Each operator is defined once, by its bilinear
 energy form with edge-wise trapezoid transverse weights (DirichletOperator).
 No matrix is assembled: the form's node matrix K is applied from those
 weights as the node flux K U, the solver computes its interior rows alone
-(the interior system and the trace coupling), and the DtN energy
-a(U, V) = |cell| V.K U applies all of it to the whole nodal array.  The
-interior equations are thus the Galerkin equations of the form by
-construction: for U solving them, a(U, V) reads only the boundary values
-of V, so a weak DtN pairing needs no extension of its second trace.
+(the interior system and the trace coupling), and the DtN energy computes
+its boundary rows alone (`boundary_flux`, from the two node layers next to
+each face).  The interior equations are thus the Galerkin equations of the
+form by construction: for U solving them, (K U)_I is solver residual and
+a(U, V) = |cell| V_B.(K U)_B reads only the boundary values of V, so a
+weak DtN pairing needs no extension of its second trace.
 
 Every Dirichlet solve is one engine: a line-eigenbasis preconditioner M,
 applied once as a direct solver and verified, with preconditioned
@@ -41,7 +42,8 @@ an indefinite operator gives), raises SolverError.
 
 Flux data never comes from one-sided normal differences - every
 Dirichlet-to-Neumann evaluation is the volume energy form, evaluated as
-|cell| V.K U with K U the node flux of the solution.
+|cell| V_B.(K U)_B with (K U)_B the boundary rows of the node flux of the
+solution, computed once per solution and kept with it.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -192,7 +195,9 @@ class DirichletOperator:
     K U alone, node for node as `_node_flux` does, split into the interior
     columns (`_apply`, through `_interior_flux`) and the boundary coupling
     (`trace_rhs`, on the layer next to the boundary), so the interior
-    equations are exactly the Galerkin equations of the form.  Coefficients
+    equations are exactly the Galerkin equations of the form; the DtN
+    energy computes its boundary rows alone (`boundary_flux`), node for node
+    the same way.  Coefficients
     must be finite, and sigma positive with finite, nonzero face averages.
     With q, well-posedness is guaranteed for potentials of conductivity
     type (q = Laplacian(f)/f with f bounded away from zero); other
@@ -318,7 +323,9 @@ class DirichletOperator:
     def _node_flux(self, U):
         """K U for a nodal array U: per axis, the edge flux w dU is subtracted
         at the node below each edge and added at the node above, plus m U.
-        Summing by parts, a(U, V) = |cell| V.K U for every V."""
+        Summing by parts, a(U, V) = |cell| V.K U for every V.  The definition
+        that the solver's interior rows and the DtN energy's boundary rows
+        reproduce node for node; no production path builds the full flux."""
         KU = np.zeros_like(U) if self.mass_weights is None else self.mass_weights * U
         for a, w in enumerate(self.edge_weights):
             flux = np.diff(U, axis=a)
@@ -326,6 +333,66 @@ class DirichletOperator:
             KU[(slice(None),) * a + (slice(None, -1),)] -= flux
             KU[(slice(None),) * a + (slice(1, None),)] += flux
         return KU
+
+    def _face_flux(self, U, a):
+        """K U at the boundary nodes on the two faces normal to axis `a`,
+        less the nodes of faces normal to a lower axis: shape 2 along `a`,
+        the interior along each lower axis, every node along each higher
+        one.  Read from the two node layers next to each face (and the
+        face's own neighbours along its plane); each node takes
+        `_node_flux`'s operations in the same order, so the values are bit
+        for bit those of the full flux."""
+        n = U.shape[a]
+        inner = interior_slices(1)
+        faces = slice(0, None, n - 1)  # the low and the high face, as one view
+        region = inner[:a] + (faces,) + (slice(None),) * (2 - a)
+        KU = (np.zeros(U[region].shape) if self.mass_weights is None
+              else self.mass_weights[region] * U[region])
+        low, high = _along(a, slice(0, 1)), _along(a, slice(1, 2))
+        for b, w in enumerate(self.edge_weights):
+            if b == a:
+                # edge 0 leaves the low face upwards, edge n - 2 reaches the high face
+                lo = region[:a] + (slice(0, n - 1, n - 2),) + region[a + 1:]
+                hi = region[:a] + (slice(1, n, n - 2),) + region[a + 1:]
+                flux = np.subtract(U[hi], U[lo])
+                flux *= w[lo]
+                KU[low] -= flux[low]  # the edge above the low face
+                KU[high] += flux[high]  # the edge below the high face
+                continue
+            rows = region[:b] + (slice(None),) + region[b + 1:]
+            below, above = _along(b, slice(None, -1)), _along(b, slice(1, None))
+            flux = np.diff(U[rows], axis=b)
+            flux *= w[rows]
+            if b < a:  # interior nodes along b: an edge on either side
+                KU -= flux[above]
+                KU += flux[below]
+            else:
+                KU[below] -= flux
+                KU[above] += flux
+        return KU
+
+    def boundary_flux(self, U):
+        """(K U)_B: the node flux of a nodal array U at the boundary nodes,
+        flat in their C order (the order of `np.flatnonzero` of a boundary
+        mask), bit for bit `_node_flux(U)` there.  The boundary is taken one
+        face pair at a time (`_face_flux`), from the two node layers next to
+        each face, with no nodal array built: in C order the two faces
+        normal to axis 0 are its first and last planes, and each interior
+        plane in between holds its row on the low face normal to axis 1,
+        one (low, high) pair on the faces normal to axis 2 per interior
+        row, then its row on the high face normal to axis 1."""
+        n0, n1, n2 = U.shape
+        plane = n1 * n2
+        out = np.empty(U.size - int(np.prod(self.shape)))
+        KU = self._face_flux(U, 0)
+        out[:plane] = KU[0].ravel()
+        out[-plane:] = KU[1].ravel()
+        rows = out[plane:-plane].reshape(n0 - 2, -1)  # one per interior plane of axis 0
+        KU = self._face_flux(U, 1)
+        rows[:, :n2] = KU[:, 0]
+        rows[:, -n2:] = KU[:, 1]
+        rows[:, n2:-n2] = self._face_flux(U, 2).reshape(n0 - 2, -1)
+        return out
 
     def _interior_flux(self, X):
         """(K [X; 0])_I, the interior rows of `_node_flux` of the nodal array
@@ -473,6 +540,16 @@ class _BoundaryKey:
         return self.data == other.data
 
 
+class _Solution(NamedTuple):
+    """A cached solution of a `DtnForm`: the read-only nodal array, its
+    boundary values (the key's bytes, read as floats) and its boundary flux
+    (K U)_B, both flat in the form's boundary order."""
+
+    array: np.ndarray
+    boundary: np.ndarray
+    flux: np.ndarray
+
+
 class DtnForm:
     """Weak Dirichlet-to-Neumann evaluator of one `DirichletOperator`.
 
@@ -481,20 +558,22 @@ class DtnForm:
     `schrodinger(profile)` the form of the profile's q, the map taking the
     trace of w to the normal flux for (-Delta + q) w = 0.  The pairing
     (Lambda phi0, psi0) is the energy a(U, V) of the solution U for phi0
-    against V, the boundary values of psi0 with a zero interior.  As U
-    solves the interior equations, a(U, V) = |cell| V_B.(K U)_B for every V
-    with those boundary values: (K U)_B is the discrete DtN map, the Schur
-    complement K_BB - K_BI K_II^-1 K_IB (Curtis & Morrow, 2000), and the
-    pairing reads only the boundary values of both traces.
+    against any V with the boundary values of psi0.  As U solves the
+    interior equations, (K U)_I is solver residual and a(U, V) = |cell|
+    V_B.(K U)_B: (K U)_B is the discrete DtN map, the Schur complement
+    K_BB - K_BI K_II^-1 K_IB (Curtis & Morrow, 2000), and the pairing reads
+    only the boundary values of both traces.  `energy` evaluates that
+    boundary product and nothing else.
 
     Solutions are cached by boundary values (a solve reads nothing else of
     its trace) and returned read-only.  A lookup gathers the boundary values
     but hashes only a fixed sample of them (`_BoundaryKey`), and a hit
     compares all their bytes, so any changed boundary byte is a miss and a
-    changed interior is not.  The node flux K U of the last cached
-    solution paired as U is kept, so a row of pairings with one U (as
-    `matrix` makes them) is one flux and a dot product per entry, and the
-    form holds at most one flux.
+    changed interior is not.  Each cached solution keeps its boundary
+    values and its boundary flux (K U)_B, computed once when it is solved
+    (`DirichletOperator.boundary_flux`), so the k x k matrix of k traces
+    costs k solves, k boundary fluxes and k^2 dot products over the
+    boundary nodes.
     """
 
     def __init__(self, op: DirichletOperator):
@@ -507,8 +586,8 @@ class DtnForm:
         # never solved, so it builds no preconditioner, and its unit weights
         # are broadcast views; perfbench/selftest.py pins two assemblies per form
         self._harmonic = DirichletOperator(self.grid)
-        self._solved = {}
-        self._flux = (None, None)  # (U, K U) for the last cached U
+        self._solved = {}  # _BoundaryKey -> _Solution
+        self._by_array = {}  # id of a cached array -> its _Solution (the entry keeps it alive)
 
     @classmethod
     def conductivity(cls, profile: ConductivityProfile):
@@ -518,56 +597,48 @@ class DtnForm:
     def schrodinger(cls, profile: ConductivityProfile):
         return cls(DirichletOperator(profile.grid, q=profile.q))
 
+    def _boundary_values(self, nodal):
+        return np.asarray(nodal, dtype=float).ravel()[self._boundary]
+
     def solution(self, trace):
         """Solution for the trace, solved once per boundary values."""
-        trace = np.asarray(trace, dtype=float)
-        key = _BoundaryKey(trace.ravel()[self._boundary], self._sample)
-        U = self._solved.get(key)
-        if U is None:
+        key = _BoundaryKey(self._boundary_values(trace), self._sample)
+        solved = self._solved.get(key)
+        if solved is None:
             U = self.op.solve(trace)
             U.flags.writeable = False
-            self._solved[key] = U
-        return U
-
-    def _node_flux(self, U):
-        """K U, kept for the last array of the solution cache it was computed
-        for (those arrays are read-only, so the flux stays valid).  One entry
-        serves every row of pairings with a fixed U; keeping a flux per
-        cached U would hold memory that forms paired once never reuse.  The
-        kept flux is dropped before another is computed, so the form never
-        holds two."""
-        if U is self._flux[0]:
-            return self._flux[1]
-        self._flux = (None, None)
-        KU = self.op._node_flux(U)
-        if any(U is cached for cached in self._solved.values()):
-            self._flux = (U, KU)
-        return KU
+            solved = _Solution(U, np.frombuffer(key.data), self.op.boundary_flux(U))
+            self._solved[key] = self._by_array[id(U)] = solved
+        return solved.array
 
     def energy(self, U, V):
-        """The operator's bilinear form a(U, V) = |cell| V.K U: edge stiffness
-        plus (for q) mass."""
-        U = np.asarray(U, dtype=float)
-        V = np.asarray(V, dtype=float)
-        return self.grid.cell_volume * _dot(V.ravel(), self._node_flux(U).ravel())
+        """The operator's bilinear form a(U, V) = |cell| V_B.(K U)_B for U a
+        solution from this form's cache (the very array `solution` returned),
+        against any nodal V, of which only the boundary values are read: the
+        stored boundary values when V is a cached solution too.  Any other U
+        raises ValueError; `DirichletOperator._node_flux` gives the form of
+        arbitrary arrays."""
+        solved = self._by_array.get(id(U))
+        if solved is None:
+            raise ValueError("energy(U, V) needs U to be a solution this form's `solution` "
+                             "returned")
+        paired = self._by_array.get(id(V))
+        values = self._boundary_values(V) if paired is None else paired.boundary
+        return self.grid.cell_volume * _dot(values, solved.flux)
 
     def pair(self, phi0, psi0):
-        """Weak pairing (Lambda phi0, psi0) = a(U_phi, V), V the boundary values of psi0."""
-        V = np.array(psi0, dtype=float)
-        V[interior_slices(1)] = 0.0
-        return self.energy(self.solution(phi0), V)
+        """Weak pairing (Lambda phi0, psi0) = a(U_phi, psi0), which reads only
+        the boundary values of psi0."""
+        return self.energy(self.solution(phi0), psi0)
 
     def matrix(self, traces):
         """Dense matrix of the energies a(U_i, U_j) between the solutions of a
-        list of nodal traces: the pairings of the traces.  A row's solutions
-        are all fetched before its first pairing, so the first row solves
-        every trace while no flux is kept."""
+        list of nodal traces: the pairings of the traces."""
         k = len(traces)
         out = np.empty((k, k))
         for i in range(k):
-            row = [(self.solution(traces[i]), self.solution(traces[j])) for j in range(k)]
-            for j, (U, V) in enumerate(row):
-                out[i, j] = self.energy(U, V)
+            for j in range(k):
+                out[i, j] = self.energy(self.solution(traces[i]), self.solution(traces[j]))
         return out
 
 

@@ -76,6 +76,18 @@ def test_compare_takes_a_field_that_is_nan_in_both_trees_as_unchanged(tmp_path, 
         "report.json: largest move 5.00e-01 relative (at y), 1.00e+00 absolute"]
 
 
+def test_compare_scales_a_move_by_the_largest_magnitude_in_its_file(tmp_path, capsys):
+    # a rounding zero that changes beside O(1) entries (as in dtn_matrix.csv)
+    # read 1.0-1.97 relative to itself; relative to the file's largest
+    # magnitude it reads as the rounding move it is
+    matrix = "i,j,value\n0,0,2.0\n0,1,{}\n1,0,-8e-15\n1,1,-1.5\n"
+    parent = _tree(tmp_path / "parent", REPORT, matrix.format("-8e-15"))
+    change = _tree(tmp_path / "change", REPORT, matrix.format("2e-15"))
+    assert outputs.main(["--compare", parent, change]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "errors.csv: largest move 5.00e-15 relative (at 2:2), 1.00e-14 absolute"]
+
+
 def test_listing_without_the_package_exits_2_and_prints_no_listing(tmp_path):
     # with PYTHONPATH unset the tool printed a traceback and an empty
     # listing, and two empty listings diff as identical

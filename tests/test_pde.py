@@ -32,6 +32,12 @@ def ones(g):
 COEFFICIENT = {"conductivity": "sigma", "schrodinger": "q"}
 
 
+def node_flux_energy(op, U, V):
+    """a(U, V) = |cell| V.K U of any two nodal arrays, through the operator's
+    full node flux: the form a `DtnForm` reads on the boundary alone."""
+    return op.grid.cell_volume * P._dot(V.ravel(), op._node_flux(U).ravel())
+
+
 # -- solvers -------------------------------------------------------------------
 
 
@@ -200,6 +206,31 @@ def test_interior_flux_is_the_node_flux_on_interior_rows(kind, origin, extent, r
     boundary[inner] = 0.0
     assert np.array_equal(op._apply(U[inner].ravel()), op._node_flux(interior)[inner].ravel())
     assert np.array_equal(op.trace_rhs(U), -op._node_flux(boundary)[inner].ravel())
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    kind=st.sampled_from(["sigma", "q", "unit"]),
+    origin=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+    extent=st.lists(st.floats(0.3, 2.5), min_size=3, max_size=3),
+    resolution=st.lists(st.integers(8, 14), min_size=3, max_size=3),
+    seed=st.integers(0, 2**16),
+)
+def test_boundary_flux_is_the_node_flux_on_boundary_rows(kind, origin, extent, resolution, seed):
+    # the DtN energy's boundary rows take each node's operations in the node
+    # flux's order, read from the layers next to each face: bit for bit the
+    # full flux at every boundary node, in C order, for a random U whose
+    # interior is nonzero
+    g = BoxGrid(origin, extent, resolution)
+    rng = np.random.default_rng(seed)
+    X = (g.coords() - g.origin) / g.extent
+    coefficient = np.exp(np.sin(X @ rng.normal(size=3)))
+    op = P.DirichletOperator(g, **({} if kind == "unit" else {kind: coefficient}))
+    U = rng.normal(size=tuple(g.resolution))
+    got = op.boundary_flux(U)
+    want = op._node_flux(U)[~O.interior_mask(g)]
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
 
 
 def _coefficients(g, case):
@@ -520,36 +551,52 @@ def test_a_changed_boundary_byte_is_a_cache_miss(change):
     assert form.solution(other) is V and form.op.tally.solves == 2
 
 
-def test_pairing_matrix_applies_one_node_flux_per_row(monkeypatch):
-    # `matrix` holds U fixed along a row, so the one kept flux serves the
-    # whole row: k flux evaluations for k^2 entries, and pairings with a new
-    # U replace the kept flux instead of adding to it
-    g = BoxGrid([0.0, -0.3, 0.2], [1.0, 0.8, 1.1], [9, 10, 8])
-    form = P.DtnForm.conductivity(make_profile(g, {"kind": "exponential"}))
-    traces = cli._trace_basis(g, 5, 2024)
-    # solve first, so that only pairings reach the node flux
-    for trace in traces:
-        form.solution(trace)
-    applied = []
-    flux = form.op._node_flux
-    monkeypatch.setattr(form.op, "_node_flux", lambda U: applied.append(U) or flux(U))
-    form.matrix(traces)
-    assert len(applied) == 5
-    form.matrix(traces[:2])
-    assert len(applied) == 7
-    assert form._flux[0] is form.solution(traces[1])
+def _paired_forms(how, monkeypatch, tmp_path):
+    """The forms built and the node and boundary flux calls made by a
+    4-trace pairing matrix, through `DtnForm.matrix` (run twice, the second
+    time on 2 of its traces) or a `vekua-lab dtn --basis-size 4` export."""
+    forms, calls = [], {"_node_flux": 0, "boundary_flux": 0}
+    init = P.DtnForm.__init__
+    monkeypatch.setattr(P.DtnForm, "__init__", lambda self, op: forms.append(self) or init(self, op))
+    for name in calls:
+        def counted(self, U, _name=name, _original=getattr(P.DirichletOperator, name)):
+            calls[_name] += 1
+            return _original(self, U)
+        monkeypatch.setattr(P.DirichletOperator, name, counted)
+    if how == "matrix":
+        g = BoxGrid([0.0, -0.3, 0.2], [1.0, 0.8, 1.1], [9, 10, 8])
+        form = P.DtnForm.conductivity(make_profile(g, {"kind": "exponential"}))
+        traces = cli._trace_basis(g, 4, 2024)
+        form.matrix(traces)
+        form.matrix(traces[:2])
+    else:
+        assert cli.main(["dtn", "--basis-size", "4", "--out", str(tmp_path)]) == 0
+    return forms, calls
 
 
-def test_pairing_matrix_solves_while_no_flux_is_kept(monkeypatch):
-    # the first row fetches every solution before its first pairing, so no
-    # solve overlaps a kept flux
-    g = BoxGrid([0.0, -0.3, 0.2], [1.0, 0.8, 1.1], [9, 10, 8])
-    form = P.DtnForm.conductivity(make_profile(g, {"kind": "exponential"}))
-    kept = []
-    solve = form.op.solve
-    monkeypatch.setattr(form.op, "solve", lambda trace: kept.append(form._flux[0]) or solve(trace))
-    form.matrix(cli._trace_basis(g, 4, 2024))
-    assert kept == [None] * 4
+@pytest.mark.parametrize("how", ["matrix", "export"])
+def test_pairing_matrix_computes_one_boundary_flux_per_trace(how, monkeypatch, tmp_path):
+    # each trace's boundary flux is computed once, when it is solved, and
+    # serves every pairing with its solution as U: no full-grid node flux
+    forms, calls = _paired_forms(how, monkeypatch, tmp_path)
+    assert len(forms) == 1 and forms[0].op.tally.solves == 4
+    assert calls == {"_node_flux": 0, "boundary_flux": 4}
+
+
+@pytest.mark.parametrize("how", ["matrix", "export"])
+def test_each_cached_solution_keeps_one_boundary_flux(how, monkeypatch, tmp_path):
+    # a cached entry is the read-only solution, its boundary values and one
+    # boundary-sized flux, bit for bit the node flux's boundary rows
+    forms, _ = _paired_forms(how, monkeypatch, tmp_path)
+    form = forms[0]
+    assert len(form._solved) == len(form._by_array) == 4
+    for solved in form._solved.values():
+        assert form._by_array[id(solved.array)] is solved
+        assert not solved.array.flags.writeable
+        assert solved.boundary.tobytes() == solved.array.ravel()[form._boundary].tobytes()
+        assert solved.flux.shape == (len(form._boundary),)
+        want = form.op._node_flux(solved.array).ravel()[form._boundary]
+        assert solved.flux.tobytes() == want.tobytes()
 
 
 def test_operator_and_form_are_freed_without_the_cyclic_collector():
@@ -689,8 +736,8 @@ def test_dtn_symmetry_random_traces(rng):
 )
 def test_dtn_pairing_reads_only_boundary_values(kind, origin, extent, resolution, seed):
     # anisotropic boxes: the pairing never reads the interior of its second
-    # trace, and by Galerkin orthogonality it is the energy against any
-    # extension of that trace's boundary values
+    # trace, and by Galerkin orthogonality it is the full energy, through the
+    # node flux, against any extension of that trace's boundary values
     g = BoxGrid(origin, extent, resolution)
     rng = np.random.default_rng(seed)
     X = (g.coords() - g.origin) / g.extent
@@ -710,7 +757,8 @@ def test_dtn_pairing_reads_only_boundary_values(kind, origin, extent, resolution
         "as given": psi,
     }
     for name, V in extensions.items():
-        assert abs(form.energy(U, V) - pairing) <= 1e-8 * (abs(pairing) + 1.0), name
+        for energy in (form.energy(U, V), node_flux_energy(form.op, U, V)):
+            assert abs(energy - pairing) <= 1e-8 * (abs(pairing) + 1.0), name
 
 
 def test_dtn_schrodinger_flux_oracle():
@@ -745,10 +793,25 @@ def test_dtn_energy_matches_per_edge_formula(rng, kind):
     g = BoxGrid([0.5, -1.0, 0.2], [1.0, 2.0, 0.5], [9, 12, 10])
     X = g.coords()
     coefficient = np.exp(np.sin(X @ rng.normal(size=3)))
-    form = P.DtnForm(P.DirichletOperator(g, **{COEFFICIENT[kind]: coefficient}))
+    op = P.DirichletOperator(g, **{COEFFICIENT[kind]: coefficient})
     U, V = rng.normal(size=(2,) + tuple(g.resolution))
-    want = O.energy_per_edge(g, form.op, U, V)
-    assert form.energy(U, V) == pytest.approx(want, rel=1e-13)
+    want = O.energy_per_edge(g, op, U, V)
+    assert node_flux_energy(op, U, V) == pytest.approx(want, rel=1e-13)
+
+
+def test_energy_refuses_an_array_that_is_not_a_cached_solution():
+    # `energy` reads the boundary flux kept with a solution of the form's
+    # cache: a copy of one, its trace, another form's solution or an
+    # arbitrary array as U is refused, while any V is read on its boundary
+    g = BoxGrid([0.0, -0.3, 0.2], [1.0, 0.8, 1.1], [9, 10, 8])
+    profile = make_profile(g, {"kind": "exponential"})
+    form, other = P.DtnForm.conductivity(profile), P.DtnForm.schrodinger(profile)
+    phi, psi = cli._trace_basis(g, 2, 2024)
+    U = form.solution(phi)
+    assert form.energy(U, psi) == form.pair(phi, psi)
+    for bad in (U.copy(), phi, other.solution(phi), np.ones(tuple(g.resolution))):
+        with pytest.raises(ValueError, match="needs U to be a solution"):
+            form.energy(bad, psi)
 
 
 @settings(max_examples=20, deadline=None)
@@ -760,9 +823,10 @@ def test_dtn_energy_matches_per_edge_formula(rng, kind):
     seed=st.integers(0, 2**16),
 )
 def test_node_flux_energy_matches_per_edge_formula(kind, origin, extent, resolution, seed):
-    # |cell| V.K U is the per-edge sum by parts: for a cached solution U
-    # (its node flux kept, so the second call reads the kept flux) and for an
-    # arbitrary array, whose flux is never kept, so changing it in place
+    # |cell| V.K U is the per-edge sum by parts: through `DtnForm.energy`
+    # for a cached solution U (its boundary flux kept with it, and read
+    # again by the second call), and through the operator's node flux for
+    # an arbitrary array, which keeps nothing, so changing it in place
     # changes the value.  Errors are relative to the energy norms, the scale
     # of the form: a(W, V) of two random arrays can cancel to far below it.
     g = BoxGrid(origin, extent, resolution)
@@ -773,17 +837,20 @@ def test_node_flux_energy_matches_per_edge_formula(kind, origin, extent, resolut
     U = form.solution(np.sin(X @ rng.normal(size=3)) + X @ rng.normal(size=3))
     V, W = rng.normal(size=(2,) + tuple(g.resolution))
 
-    def check(first):
+    def check(energy, first):
         want = O.energy_per_edge(g, form.op, first, V)
         scale = np.sqrt(O.energy_per_edge(g, form.op, first, first)
                         * O.energy_per_edge(g, form.op, V, V))
-        assert abs(form.energy(first, V) - want) <= 1e-13 * scale
+        assert abs(energy(first, V) - want) <= 1e-13 * scale
 
-    check(U)
-    check(U)
-    check(W)
+    def on_operator(first, V):
+        return node_flux_energy(form.op, first, V)
+
+    check(form.energy, U)
+    check(form.energy, U)
+    check(on_operator, W)
     W += V
-    check(W)
+    check(on_operator, W)
 
 
 def test_cli_dtn_matrix_matches_per_edge_oracle(tmp_path, capsys):
@@ -811,16 +878,15 @@ def test_energy_is_galerkin_form_of_interior_system(kind, origin, extent, resolu
     rng = np.random.default_rng(seed)
     X = (g.coords() - g.origin) / g.extent
     coefficient = np.exp(np.sin(X @ rng.normal(size=3)))
-    form = P.DtnForm(P.DirichletOperator(g, **{COEFFICIENT[kind]: coefficient}))
+    op = P.DirichletOperator(g, **{COEFFICIENT[kind]: coefficient})
     inner = F.interior_slices(1)
     U = rng.normal(size=tuple(g.resolution))
     V = np.zeros_like(U)
     V[inner] = rng.normal(size=V[inner].shape)
-    op = form.op
     K_II, K_IB = O.node_matrix_blocks(op)
     want = g.cell_volume * float(V[inner].ravel() @ (K_II @ U[inner].ravel()
                                                      + K_IB @ U[~O.interior_mask(g)]))
-    assert form.energy(U, V) == pytest.approx(want, rel=1e-12)
+    assert node_flux_energy(op, U, V) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["conductivity", "schrodinger"])

@@ -22,13 +22,15 @@ two trees file by file:
     PYTHONPATH=src python3 tools/outputs.py --compare parent-out change-out
 
 `--compare PARENT CHANGE` runs nothing.  For each file whose digest differs
-between the two trees it prints the largest relative and absolute move of
-a numeric JSON field or CSV cell, a relative move being |a - b| /
-max(|a|, |b|), and flags a `passed` that flipped, any other changed field
-or cell, a number that became or stopped being finite among them (naming
-up to five, a JSON field by its dotted key path such as
-`provenance.config_hash`, a CSV cell as line:column), and a file that
-only one tree has.
+between the two trees it prints the largest absolute move of a numeric
+JSON field or CSV cell, and that move relative to the file's scale: the
+largest finite magnitude of a number in either tree's copy, so that an
+entry at the rounding-zero level beside O(1) entries reads as a rounding
+move, not as 1 or 2 relative to itself.  It flags a `passed` that
+flipped, any other changed field or cell, a number that became or stopped
+being finite among them (naming up to five, a JSON field by its dotted key
+path such as `provenance.config_hash`, a CSV cell as line:column), and a
+file that only one tree has.
 
 The package is imported from PYTHONPATH.  Command output goes to stderr;
 the exit status is 1 when any command exits non-zero, or, with --compare,
@@ -134,11 +136,17 @@ def number(value):
         return None
 
 
+def magnitude(leaves):
+    """The largest finite magnitude of a number among a file's leaves."""
+    values = (number(value) for at, value in leaves.items() if at[-1] != "runtime_seconds")
+    return max((abs(x) for x in values if x is not None and math.isfinite(x)), default=0.0)
+
+
 def moves(old, new):
-    """(largest relative move and its place, largest absolute move, whether
-    `passed` flipped, the places of other changes) between the leaves of two
-    files."""
-    rel, where, absolute = 0.0, None, 0.0
+    """(largest move relative to the largest magnitude in either file, the
+    place of the largest move, the largest absolute move, whether `passed`
+    flipped, the places of other changes) between the leaves of two files."""
+    where, absolute = None, 0.0
     flipped, other = False, []
     for at in sorted(old.keys() | new.keys(), key=str):
         a, b = old.get(at), new.get(at)
@@ -151,10 +159,9 @@ def moves(old, new):
             flipped = True
         elif x is None or y is None or not (math.isfinite(x) and math.isfinite(y)):
             other.append(at)
-        elif x != y:
-            absolute = max(absolute, abs(x - y))
-            if abs(x - y) / max(abs(x), abs(y)) > rel:
-                rel, where = abs(x - y) / max(abs(x), abs(y)), at
+        elif abs(x - y) > absolute:
+            absolute, where = abs(x - y), at
+    rel = absolute / max(magnitude(old), magnitude(new)) if where else 0.0
     return rel, where, absolute, flipped, other
 
 
