@@ -6,13 +6,15 @@ uses harmonic face averages of sigma, the Schrodinger operator -Delta + q
 collocates the potential.  Each operator is defined once, by its bilinear
 energy form with edge-wise trapezoid transverse weights (DirichletOperator).
 No matrix is assembled: the form's node matrix K is applied from those
-weights as the node flux K U, the solver computes its interior rows alone
-(the interior system and the trace coupling), and the DtN energy computes
-its boundary rows alone (`boundary_flux`, from the two node layers next to
-each face).  The interior equations are thus the Galerkin equations of the
-form by construction: for U solving them, (K U)_I is solver residual and
-a(U, V) = |cell| V_B.(K U)_B reads only the boundary values of V, so a
-weak DtN pairing needs no extension of its second trace.
+weights by one engine, `DirichletOperator._rows`, which computes the rows
+of the node flux K U in a region (every node, the interior or the two end
+faces, per axis) and no others, node for node as the full flux would.
+The solver's equations and its check are the interior rows, and the DtN
+energy reads the boundary rows (`boundary_flux`).  The interior equations
+are thus the Galerkin equations of the form by construction: for U
+solving them, (K U)_I is solver residual and a(U, V) = |cell| V_B.(K U)_B
+reads only the boundary values of V, so a weak DtN pairing needs no
+extension of its second trace.
 
 Every Dirichlet solve is one engine: a line-eigenbasis preconditioner M,
 applied once as a direct solver and verified, with preconditioned
@@ -24,10 +26,10 @@ replaces both by their transverse means along each axis and inverts the
 resulting separable operator by fast diagonalization in the eigenbases of
 its three line operators (Lynch, Rice & Thomas 1964; Concus & Golub 1973).
 Every profile family gives a separable transformed operator, as does the
-Poisson operator, and M is then its inverse: x0 = M^-1 b, checked by one
-operator apply, is the solution.  Other coefficients miss the check, and
-the conjugate-gradient loop (`cg`, plain numpy) solves them from zero with
-M as preconditioner in a handful of iterations.  A solve comes out the
+Poisson operator, and M is then its inverse: x0 = M^-1 b, checked on the
+interior rows, is the solution.  Other coefficients miss the check, and
+`cg` (plain numpy) solves them from zero with M as preconditioner in a
+handful of iterations.  A solve comes out the
 same under any BLAS thread count because the process policy (see
 `runtime`) holds BLAS at one thread: M's eigenbasis products are BLAS
 matrix products (`_contract`), and only the inner products are einsum.  A
@@ -189,15 +191,14 @@ class DirichletOperator:
     (None without q).  Without sigma (the Schrodinger and Poisson
     operators) the coefficient is 1: `sigma` and the edge weights are then
     read-only broadcast views, the edge weights of the 2-d transverse
-    weights times 1 / h_a^2, and hold no nodal array.  `_node_flux` applies
-    the form's node matrix K, with a(U, V) = |cell| V.K U, to a nodal
-    array; no matrix is assembled.  The solver computes the interior rows of
-    K U alone, node for node as `_node_flux` does, split into the interior
-    columns (`_apply`, through `_interior_flux`) and the boundary coupling
-    (`trace_rhs`, on the layer next to the boundary), so the interior
-    equations are exactly the Galerkin equations of the form; the DtN
-    energy computes its boundary rows alone (`boundary_flux`), node for node
-    the same way.  Coefficients
+    weights times 1 / h_a^2, and hold no nodal array.  No matrix is
+    assembled: `_rows` computes the rows of K U in a region, K the form's
+    node matrix with a(U, V) = |cell| V.K U, and is the one engine of the
+    form.  The solver's right-hand side is the boundary coupling of the
+    interior rows (`trace_rhs`, on the layer next to the boundary), its
+    check and its fallback's operator (`_apply`) are interior rows, so the
+    interior equations are exactly the Galerkin equations of the form; the
+    DtN energy reads the boundary rows (`boundary_flux`).  Coefficients
     must be finite, and sigma positive with finite, nonzero face averages.
     With q, well-posedness is guaranteed for potentials of conductivity
     type (q = Laplacian(f)/f with f bounded away from zero); other
@@ -320,120 +321,79 @@ class DirichletOperator:
         x *= inv_f
         return x
 
-    def _node_flux(self, U):
-        """K U for a nodal array U: per axis, the edge flux w dU is subtracted
-        at the node below each edge and added at the node above, plus m U.
-        Summing by parts, a(U, V) = |cell| V.K U for every V.  The definition
-        that the solver's interior rows and the DtN energy's boundary rows
-        reproduce node for node; no production path builds the full flux."""
-        KU = np.zeros_like(U) if self.mass_weights is None else self.mass_weights * U
-        for a, w in enumerate(self.edge_weights):
-            flux = np.diff(U, axis=a)
-            flux *= w
-            KU[(slice(None),) * a + (slice(None, -1),)] -= flux
-            KU[(slice(None),) * a + (slice(1, None),)] += flux
-        return KU
-
-    def _face_flux(self, U, a):
-        """K U at the boundary nodes on the two faces normal to axis `a`,
-        less the nodes of faces normal to a lower axis: shape 2 along `a`,
-        the interior along each lower axis, every node along each higher
-        one.  Read from the two node layers next to each face (and the
-        face's own neighbours along its plane); each node takes
-        `_node_flux`'s operations in the same order, so the values are bit
-        for bit those of the full flux."""
-        n = U.shape[a]
-        inner = interior_slices(1)
-        faces = slice(0, None, n - 1)  # the low and the high face, as one view
-        region = inner[:a] + (faces,) + (slice(None),) * (2 - a)
+    def _rows(self, U, region):
+        """(K U)[region] for a nodal array U, with no full flux built: K is the
+        form's node matrix, a(U, V) = |cell| V.K U, and K U subtracts each
+        axis's edge flux w dU at the node below each edge, adds it at the
+        node above, and starts from m U (from zero without q).  Along each
+        axis `region` takes every node, slice(None), the interior,
+        slice(1, -1), or the two end faces, slice(0, None, n - 1), and the
+        fluxes are those of the edges that reach the region's nodes: an edge
+        on either side of an interior node, the one edge next to a face.
+        Each node takes the operations of the full flux in its order, so the
+        values are bit for bit those of (K U)[region].  One axis's fluxes
+        are held at a time."""
         KU = (np.zeros(U[region].shape) if self.mass_weights is None
               else self.mass_weights[region] * U[region])
-        low, high = _along(a, slice(0, 1)), _along(a, slice(1, 2))
-        for b, w in enumerate(self.edge_weights):
-            if b == a:
-                # edge 0 leaves the low face upwards, edge n - 2 reaches the high face
+        for a, (w, kind) in enumerate(zip(self.edge_weights, region)):
+            below, above = _along(a, slice(None, -1)), _along(a, slice(1, None))
+            if kind.step:  # the faces: edge 0 leaves the low one, edge n - 2 reaches the high one
+                n = U.shape[a]
                 lo = region[:a] + (slice(0, n - 1, n - 2),) + region[a + 1:]
                 hi = region[:a] + (slice(1, n, n - 2),) + region[a + 1:]
                 flux = np.subtract(U[hi], U[lo])
                 flux *= w[lo]
-                KU[low] -= flux[low]  # the edge above the low face
-                KU[high] += flux[high]  # the edge below the high face
-                continue
-            rows = region[:b] + (slice(None),) + region[b + 1:]
-            below, above = _along(b, slice(None, -1)), _along(b, slice(1, None))
-            flux = np.diff(U[rows], axis=b)
-            flux *= w[rows]
-            if b < a:  # interior nodes along b: an edge on either side
-                KU -= flux[above]
-                KU += flux[below]
+                KU[below] -= flux[below]
+                KU[above] += flux[above]
             else:
-                KU[below] -= flux
-                KU[above] += flux
+                rows = region[:a] + (slice(None),) + region[a + 1:]
+                flux = np.diff(U[rows], axis=a)
+                flux *= w[rows]
+                if kind.start is None:  # every node
+                    KU[below] -= flux
+                    KU[above] += flux
+                else:  # interior nodes: an edge on either side
+                    KU -= flux[above]
+                    KU += flux[below]
+            del flux  # before the next axis's fluxes exist
         return KU
 
     def boundary_flux(self, U):
         """(K U)_B: the node flux of a nodal array U at the boundary nodes,
         flat in their C order (the order of `np.flatnonzero` of a boundary
-        mask), bit for bit `_node_flux(U)` there.  The boundary is taken one
-        face pair at a time (`_face_flux`), from the two node layers next to
-        each face, with no nodal array built: in C order the two faces
-        normal to axis 0 are its first and last planes, and each interior
-        plane in between holds its row on the low face normal to axis 1,
-        one (low, high) pair on the faces normal to axis 2 per interior
-        row, then its row on the high face normal to axis 1."""
+        mask), from one `_rows` per face pair, which reads the two node
+        layers next to each face: in C order the two faces normal to axis 0
+        are its first and last planes, and each interior plane in between
+        holds its row on the low face normal to axis 1, one (low, high) pair
+        on the faces normal to axis 2 per interior row, then its row on the
+        high face normal to axis 1."""
         n0, n1, n2 = U.shape
+        every, inner = slice(None), slice(1, -1)
         plane = n1 * n2
         out = np.empty(U.size - int(np.prod(self.shape)))
-        KU = self._face_flux(U, 0)
+        KU = self._rows(U, (slice(0, None, n0 - 1), every, every))
         out[:plane] = KU[0].ravel()
         out[-plane:] = KU[1].ravel()
         rows = out[plane:-plane].reshape(n0 - 2, -1)  # one per interior plane of axis 0
-        KU = self._face_flux(U, 1)
+        KU = self._rows(U, (inner, slice(0, None, n1 - 1), every))
         rows[:, :n2] = KU[:, 0]
         rows[:, -n2:] = KU[:, 1]
-        rows[:, n2:-n2] = self._face_flux(U, 2).reshape(n0 - 2, -1)
+        rows[:, n2:-n2] = self._rows(U, (inner, inner, slice(0, None, n2 - 1))).reshape(n0 - 2, -1)
         return out
 
-    def _interior_flux(self, X):
-        """(K [X; 0])_I, the interior rows of `_node_flux` of the nodal array
-        with interior values X and a zero boundary, in the interior shape,
-        with no nodal array built.  Per axis, the edge fluxes of the rows
-        through interior nodes only, each node taking the same operations in
-        the same order as `_node_flux`; the two edges at the ends of a row
-        take the difference with the zero boundary node as np.diff would, so
-        the values are bit for bit those of the full flux.  One buffer holds
-        the fluxes of every axis in turn."""
-        inner = interior_slices(1)
-        KU = (np.zeros(self.shape) if self.mass_weights is None
-              else self.mass_weights[inner] * X)
-        buffer = np.empty(KU.size + max(KU.size // n for n in self.shape))
-        for a, w in enumerate(self.edge_weights):
-            rows = inner[:a] + (slice(None),) + inner[a + 1:]
-            below, above = _along(a, slice(None, -1)), _along(a, slice(1, None))
-            first, last = _along(a, slice(None, 1)), _along(a, slice(-1, None))
-            edges = w[rows]
-            flux = buffer[:edges.size].reshape(edges.shape)
-            np.subtract(X[first], 0.0, out=flux[first])
-            np.subtract(X[above], X[below], out=flux[_along(a, slice(1, -1))])
-            np.subtract(0.0, X[last], out=flux[last])
-            flux *= edges
-            KU -= flux[above]  # the edge above each node
-            KU += flux[below]  # the edge below
-        return KU
-
     def _apply(self, x):
-        """A x = (K [x; 0])_I: K restricted to the interior nodes, computed
-        for the interior rows alone from x itself."""
-        return self._interior_flux(x.reshape(self.shape)).ravel()
+        """A x = (K [x; 0])_I: K restricted to the interior nodes, the
+        operator of the conjugate-gradient fallback."""
+        return self._rows(np.pad(x.reshape(self.shape), 1), interior_slices(1)).ravel()
 
     def trace_rhs(self, trace):
         """Right-hand side -(K [0; trace])_I induced by Dirichlet data on the
         boundary nodes, of which it reads nothing else.  Only the layer next
         to the boundary is nonzero: per axis, the edge from each end of an
         interior row to its boundary node, w (0.0 - lo) at the low end and
-        w hi at the high end, taken in `_interior_flux`'s order (the high
-        end subtracted, then the low end added), so the values are bit for
-        bit those of the interior flux of [0; trace] up to the sign of zero."""
+        w hi at the high end, taken in `_rows`'s order (the high end
+        subtracted, then the low end added), so the values are bit for bit
+        `_rows` of [0; trace] on the interior up to the sign of zero."""
         U = np.asarray(trace, dtype=float).reshape(tuple(self.grid.resolution))
         inner = interior_slices(1)
         KU = np.zeros(self.shape)
@@ -448,46 +408,53 @@ class DirichletOperator:
     def solve(self, trace, rhs=None):
         """Solve with Dirichlet data `trace`; optional volume right-hand side.
 
-        Returns the full nodal array (boundary nodes carry the trace).  The
-        line-eigenbasis preconditioner is applied once, x0 = M^-1 b, and one
-        operator apply verifies it: x0 is the solution when its true
-        relative residual |A x0 - b| / |b| is at most SOLVER_RTOL, as it is
-        for every separable operator, whose inverse M is.  Otherwise x0 is
+        Returns the full nodal array U (boundary nodes carry the trace).  The
+        line-eigenbasis preconditioner is applied once, x0 = M^-1 b, and U,
+        the trace copied only then with x0 as its interior, is checked by one
+        `_rows` of its interior: U is the solution when its true relative
+        residual |(K U)_I - rhs_I| / |b| is at most SOLVER_RTOL, as it is for
+        every separable operator, whose inverse M is.  Otherwise x0 is
         dropped and the numpy conjugate gradients of `cg` solve from x = 0
-        with M as preconditioner, to a recursive residual of 1e-12, and are
-        verified to the same target; a miss, a breakdown (a NaN trace, say)
+        with M as preconditioner, to a recursive residual of 1e-12, and U is
+        checked again the same way; a miss, a breakdown (a NaN trace, say)
         included, raises SolverError.  `tally` counts the work.
         """
         trace_arr = np.asarray(trace, dtype=float)
+        inner = interior_slices(1)
         b = self.trace_rhs(trace_arr)
         if rhs is not None:
-            b += np.asarray(rhs, dtype=float)[interior_slices(1)].ravel()
+            rhs = np.asarray(rhs, dtype=float)[inner]
+            b += rhs.ravel()
         self.tally.solves += 1
-        if np.any(b):
-            x = self._precondition(b)
-            residual = self._residual(x, b)
-            if not residual <= SOLVER_RTOL:  # written so that a NaN residual misses too
-                del x
-                x, iterations = spla.cg(self._apply, b, self._precondition)
-                self.tally.fallback_iterations += iterations
-                residual = self._residual(x, b)
-                if not residual <= SOLVER_RTOL:
-                    raise SolverError(
-                        f"fallback conjugate gradients stopped after {iterations} iterations "
-                        f"at relative residual {residual:.3e} (target {SOLVER_RTOL:g})"
-                    )
-            self.tally.max_residual = max(self.tally.max_residual, residual)
-        else:
-            x = np.zeros_like(b)
-        out = trace_arr.copy()  # only now: no second copy of the trace lives through the solve
-        out[interior_slices(1)] = x.reshape(self.shape)
+        if not np.any(b):
+            out = trace_arr.copy()
+            out[inner] = 0.0
+            return out
+        x = self._precondition(b)
+        out = trace_arr.copy()  # only now: no second copy of the trace lives through M^-1
+        out[inner] = x.reshape(self.shape)
+        del x
+        residual = self._residual(out, rhs, b)
+        if not residual <= SOLVER_RTOL:  # written so that a NaN residual misses too
+            x, iterations = spla.cg(self._apply, b, self._precondition)
+            self.tally.fallback_iterations += iterations
+            out[inner] = x.reshape(self.shape)
+            del x
+            residual = self._residual(out, rhs, b)
+            if not residual <= SOLVER_RTOL:
+                raise SolverError(
+                    f"fallback conjugate gradients stopped after {iterations} iterations "
+                    f"at relative residual {residual:.3e} (target {SOLVER_RTOL:g})"
+                )
+        self.tally.max_residual = max(self.tally.max_residual, residual)
         return out
 
-    def _residual(self, x, b):
-        """|A x - b| / |b|, with one operator apply."""
-        r = self._apply(x)
-        r -= b
-        return np.sqrt(_dot(r, r) / _dot(b, b))
+    def _residual(self, U, rhs, b):
+        """|(K U)_I - rhs_I| / |b|, from one `_rows` of U's interior."""
+        r = self._rows(U, interior_slices(1))
+        if rhs is not None:
+            r -= rhs
+        return np.sqrt(_dot(r.ravel(), r.ravel()) / _dot(b, b))
 
 
 # -- extensions of boundary data ------------------------------------------------
@@ -616,8 +583,8 @@ class DtnForm:
         solution from this form's cache (the very array `solution` returned),
         against any nodal V, of which only the boundary values are read: the
         stored boundary values when V is a cached solution too.  Any other U
-        raises ValueError; `DirichletOperator._node_flux` gives the form of
-        arbitrary arrays."""
+        raises ValueError: the form of arbitrary arrays is V.(K U) over every
+        node, `_rows` of every node of U."""
         solved = self._by_array.get(id(U))
         if solved is None:
             raise ValueError("energy(U, V) needs U to be a solution this form's `solution` "

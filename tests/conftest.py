@@ -1,4 +1,4 @@
-import collections
+import collections.abc
 import os
 import subprocess
 import sys
@@ -12,19 +12,45 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+class DirichletWork(collections.abc.Mapping):
+    """DirichletOperator assemblies ("__init__") and solves ("solve"), the
+    solves summed over the `tally` of every operator assembled; `clear()`
+    starts both from zero again."""
+
+    def __init__(self):
+        self.tallies = []
+        self.clear()
+
+    def clear(self):
+        self.assemblies = 0
+        self.solved_before = sum(t.solves for t in self.tallies)
+
+    def __getitem__(self, key):
+        solves = sum(t.solves for t in self.tallies) - self.solved_before
+        return {"__init__": self.assemblies, "solve": solves}[key]
+
+    def __iter__(self):
+        return iter(("__init__", "solve"))
+
+    def __len__(self):
+        return 2
+
+
 @pytest.fixture
 def dirichlet_work(monkeypatch):
-    """Counter of DirichletOperator assemblies ("__init__") and solves ("solve")."""
+    """The DirichletWork of the test: only `__init__` is wrapped."""
     from vekua_lab import pde
 
-    counts = collections.Counter()
-    for method in ("__init__", "solve"):
-        def counted(self, *args, _method=method, _original=getattr(pde.DirichletOperator, method),
-                    **kwargs):
-            counts[_method] += 1
-            return _original(self, *args, **kwargs)
-        monkeypatch.setattr(pde.DirichletOperator, method, counted)
-    return counts
+    work = DirichletWork()
+    init = pde.DirichletOperator.__init__
+
+    def counted(self, *args, **kwargs):
+        work.assemblies += 1
+        init(self, *args, **kwargs)
+        work.tallies.append(self.tally)
+
+    monkeypatch.setattr(pde.DirichletOperator, "__init__", counted)
+    return work
 
 
 def fresh_python(code, *args, **env):

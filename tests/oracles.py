@@ -10,13 +10,14 @@ and conjugation signs come from reversion times grade involution,
 `Multivector` wraps one such array with its n.
 
 The Dirichlet-form oracles assemble the node matrix of a
-`DirichletOperator` as a sparse matrix from its seven bands and sum the
-energy form edge by edge, the direct paths that the matrix-free solver and
-the DtN forms are checked against; the preconditioner assembled as a dense
-matrix and conjugate gradients with no buffer reused are the oracles of the
-solver's copy-free workspace, and the Liouville-sine preconditioner it
-replaced is the baseline of its iteration counts.  The per-value
-traces.csv writer is the oracle of the export's coordinate text.
+`DirichletOperator` as a sparse matrix from its seven bands, build its node
+flux over the whole grid and sum the energy form edge by edge, the direct
+paths that the matrix-free solver and the DtN forms are checked against;
+the preconditioner assembled as a dense matrix and conjugate gradients
+with no buffer reused are the oracles of the solver's copy-free workspace,
+and the Liouville-sine preconditioner it replaced is the baseline of its
+iteration counts.  The per-value traces.csv writer is the oracle of the
+export's coordinate text.
 """
 
 from __future__ import annotations
@@ -251,6 +252,21 @@ def node_matrix_blocks(op):
     inside = interior_mask(op.grid).ravel()
     rows = K[np.flatnonzero(inside)]
     return rows[:, np.flatnonzero(inside)], rows[:, np.flatnonzero(~inside)]
+
+
+def node_flux(op, U):
+    """K U of the operator's node matrix K for a nodal array U, built over
+    the whole grid: per axis, the edge flux w dU is subtracted at the node
+    below each edge and added at the node above, plus m U.  Summing by
+    parts, a(U, V) = |cell| V.K U for every V.  The definition whose rows
+    `DirichletOperator._rows` reproduces bit for bit in any region."""
+    KU = np.zeros_like(U) if op.mass_weights is None else op.mass_weights * U
+    for a, w in enumerate(op.edge_weights):
+        flux = np.diff(U, axis=a)
+        flux *= w
+        KU[(slice(None),) * a + (slice(None, -1),)] -= flux
+        KU[(slice(None),) * a + (slice(1, None),)] += flux
+    return KU
 
 
 def interior_mask(g):

@@ -88,6 +88,21 @@ def test_compare_scales_a_move_by_the_largest_magnitude_in_its_file(tmp_path, ca
         "errors.csv: largest move 5.00e-15 relative (at 2:2), 1.00e-14 absolute"]
 
 
+def test_compare_scales_a_move_by_its_own_field_not_by_integer_metadata(tmp_path, capsys):
+    # a report's `level` of 32 set the whole file's scale, so a 2.66e-14 move
+    # of a 7.26 field read 8.3e-16 relative; each field path (list indices
+    # dropped) and each CSV column now has its own scale
+    report = {"passed": True, "level": 32, "rows": [{"dtn_gap": 7.26}, {"dtn_gap": 1.5}]}
+    moved = {**report, "rows": [{"dtn_gap": 7.26 + 2.66e-14}, {"dtn_gap": 1.5}]}
+    csv = "level,i,dtn_gap\n32,0,{}\n32,1,1.5\n"
+    parent = _tree(tmp_path / "parent", report, csv.format(7.26))
+    change = _tree(tmp_path / "change", moved, csv.format(7.26 + 2.66e-14))
+    assert outputs.main(["--compare", parent, change]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "errors.csv: largest move 3.67e-15 relative (at 1:2), 2.66e-14 absolute",
+        "report.json: largest move 3.67e-15 relative (at rows.0.dtn_gap), 2.66e-14 absolute"]
+
+
 def test_listing_without_the_package_exits_2_and_prints_no_listing(tmp_path):
     # with PYTHONPATH unset the tool printed a traceback and an empty
     # listing, and two empty listings diff as identical

@@ -22,15 +22,19 @@ two trees file by file:
     PYTHONPATH=src python3 tools/outputs.py --compare parent-out change-out
 
 `--compare PARENT CHANGE` runs nothing.  For each file whose digest differs
-between the two trees it prints the largest absolute move of a numeric
-JSON field or CSV cell, and that move relative to the file's scale: the
-largest finite magnitude of a number in either tree's copy, so that an
-entry at the rounding-zero level beside O(1) entries reads as a rounding
-move, not as 1 or 2 relative to itself.  It flags a `passed` that
-flipped, any other changed field or cell, a number that became or stopped
-being finite among them (naming up to five, a JSON field by its dotted key
-path such as `provenance.config_hash`, a CSV cell as line:column), and a
-file that only one tree has.
+between the two trees it prints the largest move of a numeric JSON field
+or CSV cell relative to its scale, with its place, and the largest
+absolute move.  A move's scale is the largest finite magnitude of a
+number in its group in either tree's copy: a CSV cell's column, a JSON
+field's key path with list indices dropped (every row's `interior_error`
+is one group).  So an entry at the rounding-zero level beside O(1)
+entries reads as a rounding move, not as 1 or 2 relative to itself, and
+integer metadata such as a `level` or an index column sets no float
+field's scale.  It flags a `passed` that flipped, any other changed field
+or cell, a number that became or stopped being finite among them (naming
+up to five, a JSON field by its dotted key path such as
+`provenance.config_hash`, a CSV cell as line:column), and a file that
+only one tree has.
 
 The package is imported from PYTHONPATH.  Command output goes to stderr;
 the exit status is 1 when any command exits non-zero, or, with --compare,
@@ -136,17 +140,34 @@ def number(value):
         return None
 
 
-def magnitude(leaves):
-    """The largest finite magnitude of a number among a file's leaves."""
-    values = (number(value) for at, value in leaves.items() if at[-1] != "runtime_seconds")
-    return max((abs(x) for x in values if x is not None and math.isfinite(x)), default=0.0)
+def group(at, csv):
+    """The leaves that share a scale: a CSV cell's column, or a JSON field's
+    key path with its list indices dropped."""
+    if csv:
+        return at[0].split(":")[1]
+    return tuple(key for key in at if not isinstance(key, int))
 
 
-def moves(old, new):
-    """(largest move relative to the largest magnitude in either file, the
-    place of the largest move, the largest absolute move, whether `passed`
-    flipped, the places of other changes) between the leaves of two files."""
-    where, absolute = None, 0.0
+def scales(old, new, csv):
+    """The largest finite magnitude of a number in each group of leaves,
+    over either file."""
+    out = {}
+    for leaves in (old, new):
+        for at, value in leaves.items():
+            x = number(value)
+            if x is not None and math.isfinite(x) and at[-1] != "runtime_seconds":
+                key = group(at, csv)
+                out[key] = max(out.get(key, 0.0), abs(x))
+    return out
+
+
+def moves(old, new, csv=False):
+    """(largest move relative to the largest magnitude of its group in either
+    file, the place of that move, the largest absolute move, whether
+    `passed` flipped, the places of other changes) between the leaves of
+    two files."""
+    scale = scales(old, new, csv)
+    rel, where, absolute = 0.0, None, 0.0
     flipped, other = False, []
     for at in sorted(old.keys() | new.keys(), key=str):
         a, b = old.get(at), new.get(at)
@@ -159,9 +180,11 @@ def moves(old, new):
             flipped = True
         elif x is None or y is None or not (math.isfinite(x) and math.isfinite(y)):
             other.append(at)
-        elif abs(x - y) > absolute:
-            absolute, where = abs(x - y), at
-    rel = absolute / max(magnitude(old), magnitude(new)) if where else 0.0
+        else:
+            move = abs(x - y)  # 0 for two spellings of one number
+            absolute = max(absolute, move)
+            if move and move / scale[group(at, csv)] > rel:
+                rel, where = move / scale[group(at, csv)], at
     return rel, where, absolute, flipped, other
 
 
@@ -174,7 +197,8 @@ def compare(parent, change):
             print(f"{path}: only in {old if os.path.exists(old) else new}")
             flagged = True
         elif digest(old) != digest(new):
-            rel, where, absolute, flipped, other = moves(leaves(old), leaves(new))
+            rel, where, absolute, flipped, other = moves(leaves(old), leaves(new),
+                                                         not path.endswith(".json"))
             notes = ["passed flipped"] if flipped else []
             if other:
                 notes.append(f"{len(other)} other change(s): "
