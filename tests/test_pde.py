@@ -179,40 +179,66 @@ def test_matrix_free_apply_matches_assembled_node_matrix(kind, origin, extent, r
     assert np.linalg.norm(op.trace_rhs(trace) - want_rhs) <= 1e-14 * np.linalg.norm(want_rhs)
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    kind=st.sampled_from(["sigma", "q", "unit"]),
-    region=st.lists(st.sampled_from(["every", "interior", "faces"]), min_size=3, max_size=3),
-    origin=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
-    extent=st.lists(st.floats(0.3, 2.5), min_size=3, max_size=3),
-    resolution=st.lists(st.integers(8, 14), min_size=3, max_size=3),
-    seed=st.integers(0, 2**16),
-)
-def test_rows_are_the_node_flux_on_their_region(kind, region, origin, extent, resolution, seed):
-    # the one flux engine: `_rows` takes each node's operations in the full
-    # node flux's order, so in any region (a kind per axis) it is the
-    # oracle's rows byte for byte, and so are its uses: `boundary_flux` at
-    # every boundary node in C order, `_apply` on the interior of a random
-    # U, and `trace_rhs` (the layer next to the boundary alone) on its
-    # boundary, up to the sign of zero
+def _random_operator(kind, origin, extent, resolution, seed):
+    """A DirichletOperator with a random smooth sigma, q or unit coefficient
+    on an arbitrary box, and a random nodal array U on its grid."""
     g = BoxGrid(origin, extent, resolution)
     rng = np.random.default_rng(seed)
     X = (g.coords() - g.origin) / g.extent
     coefficient = np.exp(np.sin(X @ rng.normal(size=3)))
     op = P.DirichletOperator(g, **({} if kind == "unit" else {kind: coefficient}))
-    U = rng.normal(size=tuple(g.resolution))
-    full = O.node_flux(op, U)
+    return op, rng.normal(size=tuple(g.resolution))
+
+
+BOXES = dict(
+    kind=st.sampled_from(["sigma", "q", "unit"]),
+    origin=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+    extent=st.lists(st.floats(0.3, 2.5), min_size=3, max_size=3),
+    resolution=st.lists(st.integers(8, 14), min_size=3, max_size=3),
+    seed=st.integers(0, 2**16),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(region=st.lists(st.sampled_from(["every", "interior", "faces"]), min_size=3, max_size=3),
+       **BOXES)
+def test_rows_are_the_node_flux_on_their_region(kind, region, origin, extent, resolution, seed):
+    # the one flux engine: `_rows` takes each node's operations in the full
+    # node flux's order, so in any region (a kind per axis) it is the
+    # oracle's rows byte for byte
+    op, U = _random_operator(kind, origin, extent, resolution, seed)
     region = tuple({"every": slice(None), "interior": slice(1, -1),
                     "faces": slice(0, None, int(n) - 1)}[name]
-                   for name, n in zip(region, g.resolution))
-    assert op._rows(U, region).tobytes() == full[region].tobytes()
-    assert op.boundary_flux(U).tobytes() == full[~O.interior_mask(g)].tobytes()
+                   for name, n in zip(region, op.grid.resolution))
+    assert op._rows(U, region).tobytes() == O.node_flux(op, U)[region].tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(**BOXES)
+def test_interior_flux_is_the_node_flux_on_interior_rows(kind, origin, extent, resolution,
+                                                         seed):
+    # the solver's interior rows are `_rows` of the interior, so they equal
+    # the node flux's interior rows bit for bit: `_apply` on the interior of
+    # a random U, and `trace_rhs` (the layer next to the boundary alone) on
+    # its boundary, up to the sign of zero
+    op, U = _random_operator(kind, origin, extent, resolution, seed)
     inner = F.interior_slices(1)
     interior, boundary = U.copy(), U.copy()
-    interior[~O.interior_mask(g)] = 0.0
+    interior[~O.interior_mask(op.grid)] = 0.0
     boundary[inner] = 0.0
     assert op._apply(U[inner].ravel()).tobytes() == O.node_flux(op, interior)[inner].tobytes()
     assert np.array_equal(op.trace_rhs(U), -O.node_flux(op, boundary)[inner].ravel())
+
+
+@settings(max_examples=20, deadline=None)
+@given(**BOXES)
+def test_boundary_flux_is_the_node_flux_on_boundary_rows(kind, origin, extent, resolution, seed):
+    # the DtN energy's boundary rows are three `_rows` calls, one per face
+    # pair: bit for bit the full flux at every boundary node, in C order,
+    # for a random U whose interior is nonzero
+    op, U = _random_operator(kind, origin, extent, resolution, seed)
+    want = O.node_flux(op, U)[~O.interior_mask(op.grid)]
+    assert op.boundary_flux(U).tobytes() == want.tobytes()
 
 
 def _coefficients(g, case):
