@@ -6,7 +6,8 @@ symmetry of its pairing matrix), and 2, with a usage line, for rejected
 input.  Reports land in --out (or the config's output_dir) as report.json,
 errors.csv and convergence.csv per identity.
 VEKUA_LAB_SEED seeds randomized point and trace selection; VEKUA_LAB_THREADS
-only sizes the thread pool that `suite` (run_suite) runs identities in.
+only sizes the process pool that `suite` (run_suite) runs identities on:
+the calling process and VEKUA_LAB_THREADS - 1 forked workers.
 Every command runs under the process policy (see `runtime`), which
 importing this module does not apply.  A `dtn` export does not depend on
 the BLAS thread count because that policy holds BLAS at one thread while

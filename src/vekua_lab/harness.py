@@ -1195,8 +1195,11 @@ def run_suite(identities=None, parallel=True, **overrides):
     when allowed.
 
     Every identity's config is built, and so validated, before any check
-    runs.  The pool has VEKUA_LAB_THREADS workers (default: one per CPU) and
-    runs under the process policy (see `runtime`)."""
+    runs.  The pool is the calling process and workers forked for the call,
+    VEKUA_LAB_THREADS processes in all (default: one per CPU), and runs under
+    the process policy (see `runtime`); with 1 the checks run one by one in
+    the calling process.  A check's report comes back pickled from the
+    worker that ran it."""
     if isinstance(identities, str):
         raise ValueError(f"identities must be a list of identity names, got {identities!r}")
     names = list(IDENTITIES) if identities is None else list(identities)

@@ -335,12 +335,30 @@ class DirichletOperator:
         on either side of an interior node, the one edge next to a face.
         Each node takes the operations of the full flux in its order, so the
         values are bit for bit those of (K U)[region].  One axis's fluxes
-        are held at a time."""
+        are held at a time.  The two end faces of the last axis are computed
+        as two planes, each with the last axis an index, 0 or n - 1: as one
+        strided pair, every inner loop would run over just the two faces."""
+        *across, last = region
+        if isinstance(last, slice) and last.step:
+            n = U.shape[-1]
+            KU = np.empty(U[region].shape)
+            KU[..., 0] = self._rows(U, (*across, 0))
+            KU[..., 1] = self._rows(U, (*across, n - 1))
+            return KU
         KU = (np.zeros(U[region].shape) if self.mass_weights is None
               else self.mass_weights[region] * U[region])
         for a, (w, kind) in enumerate(zip(self.edge_weights, region)):
             below, above = _along(a, slice(None, -1)), _along(a, slice(1, None))
-            if kind.step:  # the faces: edge 0 leaves the low one, edge n - 2 reaches the high one
+            if not isinstance(kind, slice):  # one end face of the last axis: the one edge next to it
+                low = kind == 0
+                lo, hi = (*across, 0 if low else kind - 1), (*across, 1 if low else kind)
+                flux = np.subtract(U[hi], U[lo])
+                flux *= w[lo]
+                if low:
+                    KU -= flux
+                else:
+                    KU += flux
+            elif kind.step:  # the faces: edge 0 leaves the low one, edge n - 2 reaches the high one
                 n = U.shape[a]
                 lo = region[:a] + (slice(0, n - 1, n - 2),) + region[a + 1:]
                 hi = region[:a] + (slice(1, n, n - 2),) + region[a + 1:]

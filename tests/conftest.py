@@ -1,3 +1,4 @@
+import ast
 import collections.abc
 import os
 import subprocess
@@ -63,3 +64,25 @@ def fresh_python(code, *args, **env):
     return subprocess.run([sys.executable, "-c", code, *args],
                           env={**os.environ, **env, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=300)
+
+
+class ProcessLog:
+    """Values appended by any process, the caller and the workers that
+    `runtime.pooled` forks alike, read back in the caller; each append is
+    one short write to a file opened for appending."""
+
+    def __init__(self, path):
+        self.path = path
+        path.touch()
+
+    def append(self, value):
+        with open(self.path, "a") as fh:
+            fh.write(f"{value!r}\n")
+
+    def read(self):
+        return [ast.literal_eval(line) for line in self.path.read_text().splitlines()]
+
+
+@pytest.fixture
+def process_log(tmp_path):
+    return ProcessLog(tmp_path / "process.log")

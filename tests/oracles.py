@@ -17,7 +17,9 @@ the preconditioner assembled as a dense matrix and conjugate gradients
 with no buffer reused are the oracles of the solver's copy-free workspace,
 and the Liouville-sine preconditioner it replaced is the baseline of its
 iteration counts.  The per-value traces.csv writer is the oracle of the
-export's coordinate text.
+export's coordinate text.  The 8-blade Dirac stencil, which differentiates
+every blade and multiplies the whole stack by each generator, is the
+oracle of `fields.dirac_D`, which differentiates only the live blades.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import functools
 import numpy as np
 import scipy.sparse
 
+from vekua_lab.clifford import basis_mul_left
 from vekua_lab.fields import face_nodes, interior_slices
 from vekua_lab.pde import CG_MAXITER, CG_RTOL
 
@@ -267,6 +270,16 @@ def node_flux(op, U):
         KU[(slice(None),) * a + (slice(None, -1),)] -= flux
         KU[(slice(None),) * a + (slice(1, None),)] += flux
     return KU
+
+
+def dirac_stencil(w):
+    """sum_i e_i d_i w on all 8 blades: each generator multiplies the whole
+    gradient stack (`basis_mul_left`), dead blades included."""
+    out = np.zeros_like(w.values)
+    for i in range(3):
+        dv = np.gradient(w.values, w.grid.spacing[i], axis=i, edge_order=2)
+        out += basis_mul_left(1 << i, dv)
+    return out
 
 
 def interior_mask(g):

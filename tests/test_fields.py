@@ -13,6 +13,7 @@ from vekua_lab import fields as F
 from vekua_lab.clifford import gp_array
 from vekua_lab.fields import BoxGrid, MultivectorField
 
+import oracles as O
 from oracles import Multivector, _blade_sign_reference
 
 
@@ -131,6 +132,20 @@ def test_dirac_matches_blade_scatter_oracle(rng, origin, extent, resolution):
     g = BoxGrid(origin, extent, resolution)
     w = MultivectorField(g, rng.normal(size=tuple(g.resolution) + (8,)))
     assert np.array_equal(F.dirac_D(w).values, _dirac_scatter_oracle(w))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_dirac_of_live_blades_is_the_8_blade_stencil(seed):
+    # dirac_D differentiates only the blades nonzero somewhere; on finite
+    # values it equals the stencil over all 8 blades, for any set of live
+    # blades (none, a few, all) on an anisotropic box
+    rng = np.random.default_rng(seed)
+    g = BoxGrid([0.3, -0.7, 1.1], [0.8, 1.9, 0.45], [11, 14, 9])
+    values = rng.normal(size=tuple(g.resolution) + (8,))
+    dead = rng.permutation(8)[:rng.integers(0, 9)]
+    values[..., dead] = 0.0
+    w = MultivectorField(g, values)
+    assert np.array_equal(F.dirac_D(w).values, O.dirac_stencil(w))
 
 
 def test_dirac_monogenic_linear():

@@ -651,25 +651,28 @@ def test_blas_hold_sets_one_thread_and_restores(monkeypatch):
 
 def test_blas_hold_around_checks(monkeypatch):
     # serial and pooled checks alike run inside a hold, and a raising check
-    # leaves the library at its own count
+    # leaves the library at its own count.  A pooled check may run in a forked
+    # worker, so each reports the count it saw on its report, or in its error
     (blas,) = _fake_openblas(monkeypatch, 2)
-    seen = []
     report = H._report
 
     def probe(cfg):
         if cfg.identity == "scalar_bp":
-            raise RuntimeError("broken check")
-        seen.append(blas.threads)
-        return report(cfg)
+            raise RuntimeError(f"broken check at {blas.threads} BLAS thread(s)")
+        out = report(cfg)
+        out.blas_threads = blas.threads
+        return out
 
     monkeypatch.setattr(H, "_report", probe)
     monkeypatch.setenv("VEKUA_LAB_THREADS", "2")
     size = dict(resolutions=(10, 12), n_interior=4, n_exterior=4, boundary_cells=16)
-    H.run_identity("cauchy_constant", **size)
-    H.run_suite(["cauchy_constant"], **size)
-    with pytest.raises(RuntimeError, match="broken check"):
+    seen = [H.run_identity("cauchy_constant", **size).blas_threads]
+    seen += [r.blas_threads for r in H.run_suite(["cauchy_constant"], **size).values()]
+    pair = H.run_suite(["cauchy_constant", "operator_consistency"], **size)
+    seen += [r.blas_threads for r in pair.values()]
+    with pytest.raises(RuntimeError, match=r"broken check at 1 BLAS thread\(s\)"):
         H.run_suite(["cauchy_constant", "scalar_bp"], **size)
-    assert seen == [1, 1, 1]
+    assert seen == [1, 1, 1, 1]
     assert blas.threads == 2
 
 
@@ -781,13 +784,12 @@ def test_pooled_identities_see_one_blas_thread(monkeypatch):
     numpy_libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     assert [os.path.dirname(lib.path) for lib in libs] == [numpy_libs]
     saved = [lib.get_threads() for lib in libs]
-    seen = []
     report = H._report
 
-    def probe(cfg):
-        if cfg.identity == "cauchy_constant":
-            seen.append([lib.get_threads() for lib in libs])
-        return report(cfg)
+    def probe(cfg):  # a check may run in a forked worker: its report carries the counts back
+        out = report(cfg)
+        out.blas_threads = [lib.get_threads() for lib in libs]
+        return out
 
     monkeypatch.setattr(H, "_report", probe)
     monkeypatch.setenv("VEKUA_LAB_THREADS", "2")
@@ -795,8 +797,8 @@ def test_pooled_identities_see_one_blas_thread(monkeypatch):
     try:
         for lib in libs:  # a count above 1 for the hold to lower, whatever the CPU count
             lib.set_threads(2)
-        H.run_suite(["cauchy_constant", "scalar_bp"], **size)
-        assert seen == [[1] * len(libs)]
+        reports = H.run_suite(["cauchy_constant", "scalar_bp"], **size)
+        assert [r.blas_threads for r in reports.values()] == [[1] * len(libs)] * 2
         assert [lib.get_threads() for lib in libs] == [2] * len(libs)
     finally:
         for lib, threads in zip(libs, saved):
@@ -1008,16 +1010,17 @@ def test_reconstruction_dispatch():
 
 
 def test_run_suite_subset(tmp_path, monkeypatch):
-    # each pooled identity hands the heap it freed back once it is done
-    trims = []
-    monkeypatch.setattr(runtime, "_malloc_trim", lambda: trims.append)
+    # each pooled identity's report comes back from whichever process ran
+    # it, and each wrote its files
     monkeypatch.setenv("VEKUA_LAB_THREADS", "2")
     reports = H.run_suite(
         ["cauchy_constant", "operator_consistency"], output_dir=str(tmp_path)
     )
     assert set(reports) == {"cauchy_constant", "operator_consistency"}
     assert all(r.passed for r in reports.values())
-    assert trims == [0, 0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(reports)
+    for name, report in reports.items():
+        assert json.loads((tmp_path / name / "report.json").read_text())["passed"] is True
     with pytest.raises(ValueError):
         H.run_suite(["nonsense"])
 

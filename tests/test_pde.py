@@ -625,11 +625,12 @@ def test_pairing_matrix_computes_one_boundary_flux_per_trace(how, monkeypatch, t
     # each trace's boundary flux is computed once, when it is solved, and
     # serves every pairing with its solution as U: the flux rows computed
     # are each solve's interior check and each boundary flux's three face
-    # pairs, and no full-grid node flux
+    # pairs, the pair normal to the last axis as two planes, and no
+    # full-grid node flux
     forms, calls, regions = _paired_forms(how, monkeypatch, tmp_path)
     assert len(forms) == 1 and forms[0].op.tally.solves == 4
     assert calls == 4
-    assert len(regions) == 4 + 4 * 3 and regions.count(F.interior_slices(1)) == 4
+    assert len(regions) == 4 + 4 * (3 + 2) and regions.count(F.interior_slices(1)) == 4
     assert (slice(None),) * 3 not in regions
 
 
